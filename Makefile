@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
+.PHONY: all build vet test test-race test-short bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
 
 all: build vet test
 
@@ -24,6 +24,11 @@ test-race:
 # Benchmark harness: one bench per paper table/figure plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# One untraced run of the epoch ledger benchmark's N=100k workload (see
+# bench/README.md): batch-to-member rekey latency over the real wire path.
+bench-epoch:
+	bash bench/run.sh --workload churn100k --seed 1 --seconds 15 --trace 0
 
 # Regenerate every table and figure of the paper (analytic, as the paper
 # did) plus the extension experiments, and the model-vs-implementation
@@ -115,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeMembershipBatch -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeSparseRekey -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeDgram -fuzztime=10s ./internal/wire/
+	$(GO) test -fuzz=FuzzScopedIndex -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzRestore -fuzztime=10s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=10s ./internal/loadgen/

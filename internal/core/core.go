@@ -25,7 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 
 	"groupkey/internal/keycrypt"
@@ -355,7 +355,7 @@ func sortedMembers[V any](m map[keytree.MemberID]V) []keytree.MemberID {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

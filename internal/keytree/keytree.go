@@ -20,7 +20,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 
 	"groupkey/internal/keycrypt"
 )
@@ -306,7 +306,7 @@ func (t *Tree) Members() []MemberID {
 	for m := range t.leaves {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

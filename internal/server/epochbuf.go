@@ -2,6 +2,7 @@ package server
 
 import (
 	"crypto/ed25519"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -22,9 +23,15 @@ import (
 // buffer — no per-member payload copies, no per-member signatures.
 //
 // The buffer is refcounted (enqueue retains, the writer releases after the
-// frame is written or dropped) so its item buffer can return to a pool the
-// moment the last in-flight frame is done, instead of churning the GC on
-// every epoch at scale.
+// frame is written or dropped) so its item buffer and index slabs can
+// return to a pool the moment the last in-flight frame is done, instead of
+// churning the GC on every epoch at scale.
+//
+// Sealing costs what the connected audience and the item count cost, not
+// the group size: receiver lists are intersected with the connected IDs
+// only, and the signed legacy full blob — a copy and a signature over the
+// whole payload — is built on demand (signedBlob), which an epoch whose
+// clients all negotiated CapSparse never asks for.
 
 // epochBuffer is one epoch's rekey payload, sealed once, shared by every
 // outbound frame of that epoch. Immutable after newEpochBuffer except for
@@ -36,23 +43,31 @@ type epochBuffer struct {
 	tree    *wire.ItemTree
 	root    [wire.HashSize]byte
 	rootSig []byte
-	// index maps each member to the ascending item indexes it needs.
-	index map[keytree.MemberID][]uint32
-	// full is the signed legacy full-payload frame, for clients that never
-	// negotiated CapSparse and for the resume re-delivery buffer.
-	full []byte
+	// index holds, for each member connected at seal time, the ascending
+	// item indexes it needs. A member absent from it connected later and is
+	// served the full blob.
+	index *wire.ScopedIndex
 
 	refs atomic.Int64
 }
 
-// itemBufPool recycles epoch item buffers between epochs.
-var itemBufPool = sync.Pool{}
+// itemBufPool and indexPool recycle epoch item buffers and index slabs
+// between epochs.
+var (
+	itemBufPool = sync.Pool{}
+	indexPool   = sync.Pool{New: func() any { return new(wire.ScopedIndex) }}
+)
 
-// newEpochBuffer seals one rekey: encode every item once, build and sign
-// the item tree, invert the receiver lists, and keep the signed legacy
-// blob for non-sparse clients. The caller owns the initial reference.
-func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey) (*epochBuffer, error) {
+// newEpochBuffer seals one rekey for the connected members (ascending
+// IDs): encode every item once, build and sign the item tree, and index
+// which items each connected member needs. The caller owns the initial
+// reference.
+func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keytree.MemberID) (*epochBuffer, error) {
 	items := rekey.AllItems()
+	if len(items) > wire.MaxRekeyItems {
+		// The on-demand full blob must stay encodable for legacy clients.
+		return nil, fmt.Errorf("%w: %d items", wire.ErrFrameTooLarge, len(items))
+	}
 	eb := &epochBuffer{epoch: rekey.Epoch, nItems: len(items)}
 
 	buf, _ := itemBufPool.Get().([]byte)
@@ -69,28 +84,24 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey) (*epochBuffer, e
 	})
 	eb.root = eb.tree.Root()
 	eb.rootSig = wire.SignSparse(priv, rekey.Epoch, uint32(len(items)), eb.root)
-	eb.index = wire.SparseIndex(items)
-
-	full, err := wire.EncodeRekey(rekey.Epoch, items)
-	if err != nil {
-		return nil, err
-	}
-	eb.full = wire.SignRekey(priv, full)
+	eb.index = indexPool.Get().(*wire.ScopedIndex)
+	eb.index.Build(items, connected)
 
 	eb.refs.Store(1)
 	return eb, nil
 }
 
+// signedBlob builds the signed legacy full-payload frame — what
+// SignRekey(EncodeRekey(epoch, items)) yields — from the shared item
+// buffer. It copies and signs the whole payload, so the server calls it at
+// most once per epoch and only when someone needs it (lastBlobLocked).
+func (eb *epochBuffer) signedBlob(priv ed25519.PrivateKey) []byte {
+	return wire.SignRekey(priv, wire.EncodeRekeyEncoded(eb.epoch, eb.itemBuf))
+}
+
 // item returns item i's encoded bytes as a view into the shared buffer.
 func (eb *epochBuffer) item(i int) []byte {
 	return eb.itemBuf[i*wire.RekeyItemSize : (i+1)*wire.RekeyItemSize]
-}
-
-// indexesFor returns the ascending item indexes member m needs this epoch
-// (nil when the epoch carries nothing for m — its frame is the signed
-// heartbeat).
-func (eb *epochBuffer) indexesFor(m keytree.MemberID) []uint32 {
-	return eb.index[m]
 }
 
 // sparseSize is the exact MsgRekeySparse payload size for idx, computable
@@ -102,8 +113,9 @@ func (eb *epochBuffer) sparseSize(idx []uint32) int {
 // retain takes one additional reference.
 func (eb *epochBuffer) retain() { eb.refs.Add(1) }
 
-// release drops one reference; the last one returns the item buffer to the
-// pool. The tree (which aliases nothing) is left to the GC.
+// release drops one reference; the last one returns the item buffer and
+// the index slabs (which queued frames' idx slices alias until then) to
+// their pools. The tree (which aliases nothing) is left to the GC.
 func (eb *epochBuffer) release() {
 	if eb.refs.Add(-1) != 0 {
 		return
@@ -112,6 +124,8 @@ func (eb *epochBuffer) release() {
 		itemBufPool.Put(eb.itemBuf[:0]) //nolint:staticcheck // slice, not pointer: the backing array is what we recycle
 	}
 	eb.itemBuf = nil
+	indexPool.Put(eb.index)
+	eb.index = nil
 }
 
 // appendSparseFrame appends the complete sparse payload for idx to dst —

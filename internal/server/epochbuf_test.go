@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"crypto/ed25519"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"groupkey/internal/core"
@@ -12,8 +14,9 @@ import (
 )
 
 // buildEpochBuffer processes a churn batch on a fresh scheme and seals the
-// resulting rekey, returning everything the assertions need.
-func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed25519.PublicKey) {
+// resulting rekey for an audience of every member, returning everything
+// the assertions need.
+func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed25519.PrivateKey) {
 	t.Helper()
 	sc := newScheme(t, seed)
 	var b core.Batch
@@ -27,23 +30,24 @@ func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed2
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, priv, err := ed25519.GenerateKey(keycrypt.NewDeterministicReader(seed + 1))
+	_, priv, err := ed25519.GenerateKey(keycrypt.NewDeterministicReader(seed + 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := newEpochBuffer(priv, rekey)
+	eb, err := newEpochBuffer(priv, rekey, sc.Members())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eb.release)
-	return eb, rekey, pub
+	return eb, rekey, priv
 }
 
 // TestEpochBufferSparseFrames checks that every member's assembled sparse
 // frame decodes, verifies, and carries exactly the items the receiver
 // lists address to it — and that sparseSize predicted the frame size.
 func TestEpochBufferSparseFrames(t *testing.T) {
-	eb, rekey, pub := buildEpochBuffer(t, 50)
+	eb, rekey, priv := buildEpochBuffer(t, 50)
+	pub := priv.Public().(ed25519.PublicKey)
 	items := rekey.AllItems()
 	if eb.nItems != len(items) {
 		t.Fatalf("nItems=%d, want %d", eb.nItems, len(items))
@@ -51,9 +55,9 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 	want := wire.SparseIndex(items)
 	covered := 0
 	for m, idx := range want {
-		got := eb.indexesFor(m)
-		if len(got) != len(idx) {
-			t.Fatalf("member %d: %d indexes, want %d", m, len(got), len(idx))
+		got, ok := eb.index.Lookup(m)
+		if !ok || !slices.Equal(got, idx) {
+			t.Fatalf("member %d: indexes %v (indexed=%v), want %v", m, got, ok, idx)
 		}
 		frame := eb.appendSparseFrame(nil, got)
 		if n := eb.sparseSize(got); n != len(frame) {
@@ -78,8 +82,12 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 	if covered == 0 {
 		t.Fatal("rekey addressed nobody")
 	}
-	// The sealed legacy blob is byte-compatible with the old full path.
-	inner, err := wire.OpenSignedRekey(pub, eb.full)
+	// The on-demand legacy blob is byte-identical to the full path's.
+	full := eb.signedBlob(priv)
+	if !bytes.Equal(full, fullBlob(t, priv, rekey)) {
+		t.Fatal("signedBlob differs from SignRekey(EncodeRekey(epoch, items))")
+	}
+	inner, err := wire.OpenSignedRekey(pub, full)
 	if err != nil {
 		t.Fatalf("OpenSignedRekey(full): %v", err)
 	}
@@ -134,17 +142,127 @@ func TestEpochBufferRefcount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := newEpochBuffer(priv, rekey)
+	eb, err := newEpochBuffer(priv, rekey, sc.Members())
 	if err != nil {
 		t.Fatal(err)
 	}
 	eb.retain()
 	eb.release()
-	if eb.itemBuf == nil {
-		t.Fatal("item buffer freed while a reference remained")
+	if eb.itemBuf == nil || eb.index == nil {
+		t.Fatal("item buffer or index freed while a reference remained")
 	}
 	eb.release()
-	if eb.itemBuf != nil {
-		t.Fatal("item buffer not recycled after the last release")
+	if eb.itemBuf != nil || eb.index != nil {
+		t.Fatal("item buffer and index not recycled after the last release")
+	}
+}
+
+// TestScopedSealMatchesWholeGroupIndex is the byte-identity proof for the
+// audience-scoped seal. Seeded churn runs through the paper's four schemes
+// (planner on for TT); every epoch is sealed for random connected subsets
+// — none, one, the joiners only, leavers included, IDs no receiver list
+// holds — and for each connected member the scoped index must equal the
+// whole-group wire.SparseIndex oracle's entry, and the member's sparse
+// frame must equal, byte for byte, the frame built the pre-scoping way
+// (oracle indexes through wire.EncodeSparseRekey).
+func TestScopedSealMatchesWholeGroupIndex(t *testing.T) {
+	rnd := func(seed uint64) core.Option { return core.WithRand(keycrypt.NewDeterministicReader(seed)) }
+	schemes := []struct {
+		name string
+		new  func(seed uint64) (core.Scheme, error)
+	}{
+		{"onetree", func(seed uint64) (core.Scheme, error) { return core.NewOneTree(rnd(seed)) }},
+		{"qt", func(seed uint64) (core.Scheme, error) { return core.NewTwoPartition(core.QT, 3, rnd(seed)) }},
+		{"tt-planner", func(seed uint64) (core.Scheme, error) {
+			return core.NewTwoPartition(core.TT, 3, rnd(seed), core.WithPlanner(keytree.PlannerConfig{}))
+		}},
+		{"pt", func(seed uint64) (core.Scheme, error) { return core.NewTwoPartition(core.PT, 3, rnd(seed)) }},
+	}
+	for si, tc := range schemes {
+		t.Run(tc.name, func(t *testing.T) {
+			seed := uint64(700 + si)
+			sc, err := tc.new(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, priv, err := ed25519.GenerateKey(keycrypt.NewDeterministicReader(seed + 50))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(seed, 1))
+			next := keytree.MemberID(1)
+			for epoch := 0; epoch < 30; epoch++ {
+				var b core.Batch
+				members := sc.Members()
+				joins := 1 + rng.IntN(6)
+				if epoch == 0 {
+					joins = 60
+				}
+				for i := 0; i < joins; i++ {
+					b.Joins = append(b.Joins, core.Join{ID: next, Meta: core.MemberMeta{
+						LossRate: 0.01, LongLived: rng.IntN(2) == 0}})
+					next++
+				}
+				for _, v := range rng.Perm(len(members))[:min(rng.IntN(5), len(members))] {
+					b.Leaves = append(b.Leaves, members[v])
+				}
+				rekey, err := sc.ProcessBatch(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				items := rekey.AllItems()
+				oracle := wire.SparseIndex(items)
+
+				// Everyone a server could have connected at seal time: the
+				// post-batch members and this batch's leavers.
+				pool := slices.Concat(sc.Members(), b.Leaves)
+				var joiners []keytree.MemberID
+				for _, j := range b.Joins {
+					joiners = append(joiners, j.ID)
+				}
+				audiences := [][]keytree.MemberID{
+					nil,
+					{pool[rng.IntN(len(pool))]},
+					joiners,
+					slices.Concat([]keytree.MemberID{0}, b.Leaves, []keytree.MemberID{next + 7, next + 9}),
+					pool,
+				}
+				for i := 0; i < 3; i++ {
+					var a []keytree.MemberID
+					for _, m := range pool {
+						if rng.IntN(3) == 0 {
+							a = append(a, m)
+						}
+					}
+					audiences = append(audiences, a)
+				}
+				for _, audience := range audiences {
+					audience = slices.Clone(audience)
+					slices.Sort(audience)
+					eb, err := newEpochBuffer(priv, rekey, audience)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for p, m := range audience {
+						idx := eb.index.At(p)
+						if !slices.Equal(idx, oracle[m]) {
+							t.Fatalf("epoch %d member %d: scoped indexes %v, oracle %v", rekey.Epoch, m, idx, oracle[m])
+						}
+						got := eb.appendSparseFrame(nil, idx)
+						want := wire.EncodeSparseRekey(eb.epoch, eb.tree, eb.root, eb.rootSig, oracle[m], eb.itemBuf)
+						if !bytes.Equal(got, want) {
+							t.Fatalf("epoch %d member %d: sparse frame differs from the whole-group construction", rekey.Epoch, m)
+						}
+					}
+					for _, m := range pool {
+						_, connected := slices.BinarySearch(audience, m)
+						if _, indexed := eb.index.Lookup(m); indexed != connected {
+							t.Fatalf("epoch %d member %d: indexed=%v, connected=%v", rekey.Epoch, m, indexed, connected)
+						}
+					}
+					eb.release()
+				}
+			}
+		})
 	}
 }

@@ -501,14 +501,14 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := newEpochBuffer(priv, rekey)
+	eb, err := newEpochBuffer(priv, rekey, sc.Members())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eb.release()
 	var idx []uint32
-	for m := keytree.MemberID(1); m <= 64; m++ {
-		if cand := eb.indexesFor(m); len(cand) > len(idx) {
+	for p := range sc.Members() {
+		if cand := eb.index.At(p); len(cand) > len(idx) {
 			idx = cand
 		}
 	}
@@ -529,7 +529,7 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("sparse writeFrame allocs/op = %v, want ≤ 2 (proof-walk scratch only)", allocs)
 	}
-	full := frame{t: wire.MsgRekey, payload: eb.full}
+	full := frame{t: wire.MsgRekey, payload: eb.signedBlob(priv)}
 	if allocs := testing.AllocsPerRun(200, func() {
 		if err := cc.writeFrame(full); err != nil {
 			t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,11 +118,13 @@ type Server struct {
 	totalRekeys uint64
 	peakMembers int
 
-	// Durability (see Persist). lastRekeyBlob is the signed frame of the
-	// newest rekey, re-sent to resuming members to close the
-	// journal-before-broadcast crash window. lastEpoch is the newest
-	// epoch buffer (one reference held here), serving MsgRekeyPull repair
-	// requests sparsely.
+	// Durability (see Persist). lastEpoch is the newest epoch buffer (one
+	// reference held here), serving MsgRekeyPull repair requests sparsely.
+	// lastRekeyBlob is the signed full frame of the newest rekey — re-sent
+	// to resuming members to close the journal-before-broadcast crash
+	// window, and what legacy clients receive. Each broadcast clears it and
+	// lastBlobLocked rebuilds it from lastEpoch when first asked, so read it
+	// only through that accessor.
 	persister     Persister
 	snapshotEvery int
 	opsSinceSnap  int
@@ -238,6 +240,17 @@ func (s *Server) checkFenceLocked() error {
 func (s *Server) LastRekeyBlob() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.lastBlobLocked()
+}
+
+// lastBlobLocked returns the signed full frame of the newest rekey (nil
+// before the first), building and signing it on the epoch's first request:
+// an epoch that only sparse-capable, connected-at-seal members ever ask
+// about never pays for the copy or the signature. Callers hold s.mu.
+func (s *Server) lastBlobLocked() []byte {
+	if s.lastRekeyBlob == nil && s.lastEpoch != nil {
+		s.lastRekeyBlob = s.lastEpoch.signedBlob(s.signPriv)
+	}
 	return s.lastRekeyBlob
 }
 
@@ -413,7 +426,9 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 			// TCP repair: a member that could not complete an epoch from the
 			// datagram plane (or missed a sparse frame) pulls its slice
 			// authoritatively. Answer sparsely from the retained epoch
-			// buffer when it still matches; fall back to the full blob.
+			// buffer when it still matches and indexed this member; a member
+			// that connected after the seal (resume) is in no index and
+			// gets the full blob, as resume itself sends.
 			epoch, err := wire.DecodeRekeyPull(payload)
 			if err != nil {
 				s.reject(conn, err)
@@ -426,13 +441,16 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				s.reject(conn, errors.New("pull rejected: not a member"))
 				return
 			}
-			switch {
-			case s.lastEpoch != nil && s.lastEpoch.epoch == epoch && cc.caps&wire.CapSparse != 0:
-				eb := s.lastEpoch
-				eb.retain()
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: eb.indexesFor(memberID)})
-			case s.lastRekeyBlob != nil:
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekey, payload: s.lastRekeyBlob})
+			var idx []uint32
+			indexed := false
+			if eb := s.lastEpoch; eb != nil && eb.epoch == epoch && cc.caps&wire.CapSparse != 0 {
+				idx, indexed = eb.index.Lookup(memberID)
+			}
+			if indexed {
+				s.lastEpoch.retain()
+				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekeySparse, eb: s.lastEpoch, idx: idx})
+			} else if blob := s.lastBlobLocked(); blob != nil {
+				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekey, payload: blob})
 			}
 			s.metrics.noteRepairPull()
 			s.mu.Unlock()
@@ -488,11 +506,11 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 		ServerKey: s.signPub,
 	}
 	s.enqueueLocked(req.Member, cc, frame{t: wire.MsgWelcome, payload: welcome.Encode()})
-	if s.lastRekeyBlob != nil {
+	if blob := s.lastBlobLocked(); blob != nil {
 		// Re-delivery always uses the full blob: the resuming member may
 		// have missed receiver-set changes, and full payloads are valid for
 		// every capability level.
-		s.enqueueLocked(req.Member, cc, frame{t: wire.MsgRekey, payload: s.lastRekeyBlob})
+		s.enqueueLocked(req.Member, cc, frame{t: wire.MsgRekey, payload: blob})
 	}
 	s.mu.Unlock()
 	return true
@@ -635,16 +653,19 @@ func (s *Server) noteRekeyLocked(rekey *core.Rekey, joins, leaves, bytes int, d 
 // descriptors: sparse-capable clients get {epoch buffer, their indexes}
 // (their writers assemble O(log N)-item frames off this lock), datagram
 // subscribers get a digest while their keys travel over UDP, and legacy
-// clients get the full signed blob. Returns the payload bytes accepted
-// for delivery. A client whose queue keeps overflowing is evicted inline
-// (enqueueLocked); a client whose transport fails is cleaned up by its
-// writer and read side. Callers hold s.mu.
+// clients get the full signed blob, built on the first one's demand. The
+// connected IDs are sorted once: they scope the epoch's index and order
+// the fan-out, so each client's indexes are read by position. Returns the
+// payload bytes accepted for delivery. A client whose queue keeps
+// overflowing is evicted inline (enqueueLocked); a client whose transport
+// fails is cleaned up by its writer and read side. Callers hold s.mu.
 func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
-	eb, err := newEpochBuffer(s.signPriv, rekey)
+	ids := s.sortedConnIDsLocked()
+	eb, err := newEpochBuffer(s.signPriv, rekey, ids)
 	if err != nil {
 		return 0, err
 	}
-	s.lastRekeyBlob = eb.full
+	s.lastRekeyBlob = nil // the previous epoch's; see lastBlobLocked
 	if s.lastEpoch != nil {
 		s.lastEpoch.release()
 	}
@@ -655,16 +676,16 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	overUDP := s.udp.planEpoch(s, eb)
 
 	sent := 0
-	for _, id := range s.sortedConnIDsLocked() {
+	for pos, id := range ids {
 		cc := s.conns[id]
+		idx := eb.index.At(pos)
 		switch {
 		case overUDP[id]:
-			digest := s.udp.digestFor(eb, id)
+			digest := s.udp.digestFor(eb, idx)
 			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeyDigest, payload: digest}) {
 				sent += len(digest)
 			}
 		case cc.caps&wire.CapSparse != 0:
-			idx := eb.indexesFor(id)
 			eb.retain()
 			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx}) {
 				n := eb.sparseSize(idx)
@@ -672,8 +693,9 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 				s.metrics.noteSparseBytes(n)
 			}
 		default:
-			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekey, payload: eb.full}) {
-				sent += len(eb.full)
+			blob := s.lastBlobLocked()
+			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekey, payload: blob}) {
+				sent += len(blob)
 			}
 		}
 	}
@@ -777,7 +799,7 @@ func (s *Server) sortedConnIDsLocked() []keytree.MemberID {
 	for id := range s.conns {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -821,7 +843,13 @@ func (s *Server) Close() error {
 		cc.abort()
 	}
 	s.conns = make(map[keytree.MemberID]*clientConn)
+	// Joins still waiting for their admitting rekey have no writer to tear
+	// them down; their read sides would hold wg.Wait until the peer hung up.
+	for _, pj := range s.pendingJoins {
+		pj.conn.Close()
+	}
 	if s.lastEpoch != nil {
+		s.lastBlobLocked() // LastRekeyBlob keeps answering after Close
 		s.lastEpoch.release()
 		s.lastEpoch = nil
 	}

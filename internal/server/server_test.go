@@ -161,6 +161,10 @@ func TestJoinBackwardSecrecy(t *testing.T) {
 	}
 
 	carol := dial(t, srv, wire.JoinRequest{})
+	// dial returns at the welcome; the admitting rekey follows it.
+	if err := carol.WaitEpoch(2, testTimeout); err != nil {
+		t.Fatalf("carol WaitEpoch: %v", err)
+	}
 	// Carol decrypts current data...
 	newDEK, _ := scheme.GroupKey()
 	newBlob, _ := keycrypt.Seal(newDEK, []byte("current"), nil)

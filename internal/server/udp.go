@@ -236,10 +236,10 @@ func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer) map[keytree.MemberID]bo
 }
 
 // digestFor encodes the MsgRekeyDigest payload for one subscribed member:
-// the epoch's signed root, the member's item indexes, and the block
+// the epoch's signed root, the member's item indexes idx, and the block
 // geometry its NACKs will reference. Callers hold s.mu right after a
 // planEpoch that returned the member, so u.cur matches eb.
-func (u *udpPlane) digestFor(eb *epochBuffer, id keytree.MemberID) []byte {
+func (u *udpPlane) digestFor(eb *epochBuffer, idx []uint32) []byte {
 	if u == nil {
 		return nil
 	}
@@ -254,7 +254,7 @@ func (u *udpPlane) digestFor(eb *epochBuffer, id keytree.MemberID) []byte {
 		Root:      eb.root,
 		Sig:       eb.rootSig,
 		ShardSize: uint16(u.cur.shardSize),
-		Indexes:   eb.indexesFor(id),
+		Indexes:   idx,
 		Blocks:    u.cur.blocks,
 	}
 	return d.Encode()

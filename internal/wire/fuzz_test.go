@@ -110,3 +110,41 @@ func FuzzDecodeWelcome(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScopedIndex derives arbitrary ascending receiver lists and an
+// arbitrary ascending audience from the input and checks the scoped index
+// against the whole-group map oracle. Bytes are consumed as deltas, so
+// every list ascends strictly by construction; small deltas make overlap
+// between the lists likely.
+func FuzzScopedIndex(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 1, 1, 0, 2, 1, 2, 0, 1, 5})
+	f.Add(bytes.Repeat([]byte{1, 2, 0}, 40))
+	f.Add([]byte{255, 1, 255, 1, 0, 255, 0, 0, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The first zero-terminated run is the audience, each further one an
+		// item's receiver list (a zero byte ends a list; delta bytes are ≥ 1).
+		var lists [][]keytree.MemberID
+		var cur []keytree.MemberID
+		var last keytree.MemberID
+		for _, b := range data {
+			if b == 0 {
+				lists = append(lists, cur)
+				cur, last = nil, 0
+				continue
+			}
+			last += keytree.MemberID(b)
+			cur = append(cur, last)
+		}
+		lists = append(lists, cur)
+		audience := lists[0]
+		items := make([]keytree.Item, len(lists)-1)
+		for i := range items {
+			items[i].Receivers = lists[i+1]
+		}
+		var x ScopedIndex
+		x.Build(items, audience)
+		checkScoped(t, &x, items, audience)
+	})
+}

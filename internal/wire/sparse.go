@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"groupkey/internal/keytree"
 )
@@ -50,7 +50,10 @@ func SignSparse(priv ed25519.PrivateKey, epoch uint64, nLeaves uint32, root [Has
 
 // SparseIndex inverts the items' receiver lists: member → the ascending
 // item (leaf) indexes that member needs. Items with empty receiver lists
-// reach nobody sparsely — the schemes always populate Receivers.
+// reach nobody sparsely — the schemes always populate Receivers. Each
+// member's indexes ascend because the outer loop does. This is the
+// whole-group form (cost grows with the group size) that experiments and
+// tests use as the oracle; the server seals epochs with ScopedIndex.
 func SparseIndex(items []keytree.Item) map[keytree.MemberID][]uint32 {
 	index := make(map[keytree.MemberID][]uint32)
 	for i, it := range items {
@@ -58,15 +61,122 @@ func SparseIndex(items []keytree.Item) map[keytree.MemberID][]uint32 {
 			index[r] = append(index[r], uint32(i))
 		}
 	}
-	// Receiver lists are per-item ascending, but one member's indexes
-	// accumulate in item order, which already ascends — keep the sort as a
-	// cheap invariant guard against future emitters.
-	for _, idx := range index {
-		if !sort.SliceIsSorted(idx, func(a, b int) bool { return idx[a] < idx[b] }) {
-			sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+	return index
+}
+
+// ScopedIndex is SparseIndex restricted to an audience — the members
+// connected when the epoch is sealed — in compressed-row form: the member
+// at position p of the ascending audience needs items idx[off[p]:off[p+1]].
+// Build intersects each item's receiver list with the audience instead of
+// inverting it, so its cost follows the audience and item counts, not the
+// group size, and it allocates nothing once its slabs have grown. The zero
+// value is ready to Build.
+type ScopedIndex struct {
+	ids  []keytree.MemberID
+	off  []int
+	idx  []uint32
+	hits []uint64 // Build scratch: item<<32 | audience position, item-major
+}
+
+// Build indexes items for audience, which must ascend without duplicates
+// (as every item's Receivers do). It replaces any previous contents and
+// invalidates slices earlier At/Lookup calls returned.
+func (x *ScopedIndex) Build(items []keytree.Item, audience []keytree.MemberID) {
+	x.ids = append(x.ids[:0], audience...)
+	n := len(x.ids)
+	// Counts land two slots ahead of their position so that, after the
+	// prefix sum, off[p+1] is position p's fill cursor and ends the fill as
+	// p's end offset — one slab serves as counter, cursor and result.
+	x.off = resized(x.off, n+2)
+	clear(x.off)
+	x.hits = x.hits[:0]
+	for i, it := range items {
+		// Walk the shorter list, seek in the longer: a root-level item
+		// addressed to the whole group costs |audience| seeks, a leaf-level
+		// item addressed to one member costs one.
+		short, long := it.Receivers, x.ids
+		overAudience := len(short) > len(long)
+		if overAudience {
+			short, long = long, short
+		}
+		at := 0
+		for p, m := range short {
+			at += seek(long[at:], m)
+			if at == len(long) {
+				break
+			}
+			if long[at] != m {
+				continue
+			}
+			pos := at
+			if overAudience {
+				pos = p
+			}
+			x.hits = append(x.hits, uint64(i)<<32|uint64(pos))
+			x.off[pos+2]++
+			at++
 		}
 	}
-	return index
+	for p := 2; p < len(x.off); p++ {
+		x.off[p] += x.off[p-1]
+	}
+	x.idx = resized(x.idx, len(x.hits))
+	for _, h := range x.hits {
+		cur := &x.off[uint32(h)+1]
+		x.idx[*cur] = uint32(h >> 32)
+		*cur++
+	}
+	x.off = x.off[:n+1]
+}
+
+// resized returns s with length n and unspecified contents, reallocating
+// only when its capacity falls short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// seek returns the first position of the ascending s whose value is ≥ m
+// (len(s) when there is none), probing at doubling strides before
+// bisecting: two lists walked in step usually meet near the front, so a
+// seek costs O(log distance) rather than O(log len).
+func seek(s []keytree.MemberID, m keytree.MemberID) int {
+	if len(s) == 0 || s[0] >= m {
+		return 0
+	}
+	lo, hi := 0, 1 // s[lo] < m throughout
+	for hi < len(s) && s[hi] < m {
+		lo, hi = hi, 2*hi
+	}
+	hi = min(hi, len(s))
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); s[mid] < m {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// At returns the ascending item indexes of the member at audience
+// position p (empty when the epoch carries nothing for it).
+func (x *ScopedIndex) At(p int) []uint32 {
+	lo, hi := x.off[p], x.off[p+1]
+	return x.idx[lo:hi:hi]
+}
+
+// Lookup returns member m's item indexes and whether m was in the
+// audience at all: false means "never indexed" — the caller must fall back
+// to the full payload — not "nothing for you".
+func (x *ScopedIndex) Lookup(m keytree.MemberID) ([]uint32, bool) {
+	p, ok := slices.BinarySearch(x.ids, m)
+	if !ok {
+		return nil, false
+	}
+	return x.At(p), true
 }
 
 // HashRekeyItem returns the item-tree leaf hash of one RekeyItemSize-byte

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"groupkey/internal/keycrypt"
@@ -212,14 +213,115 @@ func TestSparseIndex(t *testing.T) {
 		t.Fatalf("index has %d members, want %d", len(index), len(want))
 	}
 	for m, w := range want {
-		got := index[m]
-		if len(got) != len(w) {
-			t.Fatalf("member %d: %v, want %v", m, got, w)
+		if !slices.Equal(index[m], w) {
+			t.Fatalf("member %d: %v, want %v", m, index[m], w)
 		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("member %d: %v, want %v", m, got, w)
+	}
+}
+
+// synthItems builds nItems items over members 1..n the way a key tree
+// addresses them: item i reaches a contiguous, ascending run of members
+// whose length cycles from the whole group down to one.
+func synthItems(n, nItems int, rng *rand.Rand) []keytree.Item {
+	all := make([]keytree.MemberID, n)
+	for i := range all {
+		all[i] = keytree.MemberID(i + 1)
+	}
+	items := make([]keytree.Item, nItems)
+	for i := range items {
+		span := n >> (i % 12)
+		if span < 1 {
+			span = 1
+		}
+		lo := rng.Intn(n - span + 1)
+		items[i].Receivers = all[lo : lo+span]
+	}
+	return items
+}
+
+// checkScoped asserts that x, built for audience, is SparseIndex
+// restricted to that audience, position by position and by lookup.
+func checkScoped(t *testing.T, x *ScopedIndex, items []keytree.Item, audience []keytree.MemberID) {
+	t.Helper()
+	oracle := SparseIndex(items)
+	for p, m := range audience {
+		if got := x.At(p); !slices.Equal(got, oracle[m]) {
+			t.Fatalf("member %d (position %d): %v, want %v", m, p, got, oracle[m])
+		}
+		got, ok := x.Lookup(m)
+		if !ok || !slices.Equal(got, oracle[m]) {
+			t.Fatalf("Lookup(%d) = %v, %v; want %v, true", m, got, ok, oracle[m])
+		}
+	}
+	for m := range oracle {
+		if _, found := slices.BinarySearch(audience, m); found {
+			continue
+		}
+		if got, ok := x.Lookup(m); ok {
+			t.Fatalf("Lookup(%d) outside the audience = %v, true", m, got)
+		}
+	}
+}
+
+// TestSparseIndexInvariants holds the oracle to what Build and the sparse
+// frame format rely on: every member's indexes strictly ascend.
+func TestSparseIndexInvariants(t *testing.T) {
+	items := synthItems(500, 300, rand.New(rand.NewSource(1)))
+	for m, idx := range SparseIndex(items) {
+		for i := 1; i < len(idx); i++ {
+			if idx[i-1] >= idx[i] {
+				t.Fatalf("member %d: indexes %v do not strictly ascend", m, idx)
 			}
+		}
+	}
+}
+
+func TestScopedIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	items := synthItems(2000, 400, rng)
+	var x ScopedIndex
+	audiences := [][]keytree.MemberID{
+		nil,
+		{1},
+		{2000},
+		{7, 9, 5000, 6000}, // the last two are in no receiver list
+		{0, 1, 2},
+	}
+	for _, n := range []int{3, 64, 512, 2000} {
+		a := make([]keytree.MemberID, 0, n)
+		for _, v := range rng.Perm(2000)[:n] {
+			a = append(a, keytree.MemberID(v+1))
+		}
+		slices.Sort(a)
+		audiences = append(audiences, a)
+	}
+	for _, a := range audiences {
+		x.Build(items, a) // one index rebuilt throughout: slabs are reused
+		checkScoped(t, &x, items, a)
+	}
+	x.Build(nil, []keytree.MemberID{4, 8})
+	if idx, ok := x.Lookup(8); !ok || len(idx) != 0 {
+		t.Fatalf("empty epoch: Lookup(8) = %v, %v; want empty, true", idx, ok)
+	}
+}
+
+// TestScopedIndexAllocsIndependentOfGroupSize pins the seal's scaling
+// claim: for a fixed audience and item count, rebuilding a warm index
+// allocates nothing whether the group has a thousand members or a hundred
+// thousand.
+func TestScopedIndexAllocsIndependentOfGroupSize(t *testing.T) {
+	for _, n := range []int{1_000, 100_000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		items := synthItems(n, 2048, rng)
+		audience := make([]keytree.MemberID, 0, 512)
+		for _, v := range rng.Perm(n)[:512] {
+			audience = append(audience, keytree.MemberID(v+1))
+		}
+		slices.Sort(audience)
+		var x ScopedIndex
+		x.Build(items, audience)
+		if allocs := testing.AllocsPerRun(10, func() { x.Build(items, audience) }); allocs > 0 {
+			t.Fatalf("N=%d: warm Build allocs/op = %v, want 0", n, allocs)
 		}
 	}
 }

@@ -516,11 +516,14 @@ func DecodeRekeyItem(b []byte) (keytree.Item, error) {
 	}, nil
 }
 
+// MaxRekeyItems is the most items one MsgRekey payload can carry.
+const MaxRekeyItems = (MaxFrameSize - 12) / itemSize
+
 // EncodeRekey serializes a rekey payload: epoch(8) + count(4) + items.
 // Receiver lists are not transmitted — receivers decide relevance by the
 // sparseness test (can I unwrap it?).
 func EncodeRekey(epoch uint64, items []keytree.Item) ([]byte, error) {
-	if len(items) > (MaxFrameSize-12)/itemSize {
+	if len(items) > MaxRekeyItems {
 		return nil, fmt.Errorf("%w: %d items", ErrFrameTooLarge, len(items))
 	}
 	out := make([]byte, 0, 12+len(items)*itemSize)
@@ -533,6 +536,16 @@ func EncodeRekey(epoch uint64, items []keytree.Item) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// EncodeRekeyEncoded is EncodeRekey over items already in wire form:
+// itemBuf holds at most MaxRekeyItems concatenated AppendRekeyItem
+// encodings, as an epoch's shared item buffer does.
+func EncodeRekeyEncoded(epoch uint64, itemBuf []byte) []byte {
+	out := make([]byte, 0, 12+len(itemBuf))
+	out = binary.BigEndian.AppendUint64(out, epoch)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(itemBuf)/itemSize))
+	return append(out, itemBuf...)
 }
 
 // DecodeRekey parses a MsgRekey payload.
