@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
+.PHONY: all build vet loc test test-race test-short bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
 
 all: build vet test
 
@@ -11,6 +11,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package (bench/ excluded) and in total: "lines
+# removed" is a ROADMAP-reported metric, read off two runs of this target.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 test:
 	$(GO) test ./...

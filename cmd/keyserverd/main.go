@@ -63,7 +63,7 @@ func run(args []string) error {
 	udpDrop := fs.Float64("udp-drop", 0, "fraction of outbound UDP packets to drop, for loss testing (0 disables)")
 	udpDropSeed := fs.Int64("udp-drop-seed", 1, "seed for the deterministic -udp-drop schedule")
 	schemeName := fs.String("scheme", "onetree", "onetree, naive, qt, tt, pt, losshomog")
-	planner := fs.Bool("planner", false, "enable the cost-optimal batch placement planner on every key tree")
+	planner := fs.Bool("planner", false, "enable the batch placement planner on every key tree (on/off only: it has no settings and takes no runtime tuning)")
 	k := fs.Int("k", 10, "S-period in rekey periods for qt/tt")
 	period := fs.Duration("period", 5*time.Second, "rekey period Tp")
 	feed := fs.Duration("feed", 0, "interval of the demo data feed (0 disables)")
@@ -287,11 +287,11 @@ func run(args []string) error {
 	}
 
 	if *advise > 0 {
-		// Runtime adaptation from the advisor's churn fit — the planner's
-		// churn hint and the two-partition S-period — changes which payloads
-		// a batch produces, so it is only safe without a WAL: a durable
-		// deployment must replay the log under the exact parameters it ran
-		// with, and there the advisor stays log-only.
+		// Runtime adaptation from the advisor's churn fit — the
+		// two-partition S-period — changes which payloads a batch produces,
+		// so it is only safe without a WAL: a durable deployment must replay
+		// the log under the exact parameters it ran with, and there the
+		// advisor stays log-only.
 		tune := *stateDir == ""
 		rekeyPeriod := *period
 		go func() {
@@ -307,9 +307,6 @@ func run(args []string) error {
 				fmt.Printf("advisor: %v\n", rec)
 				if !tune {
 					continue
-				}
-				if hint, ok := srv.TunePlannerFromChurn(rekeyPeriod); ok {
-					fmt.Printf("advisor: planner churn hint set to %d departures/batch\n", hint)
 				}
 				if rec.K > 0 && srv.SetSPeriod(rec.K) {
 					fmt.Printf("advisor: S-period set to K=%d\n", rec.K)

@@ -167,7 +167,7 @@ type options struct {
 	degree       int
 	keyIDBase    keycrypt.KeyID
 	rekeyWorkers int
-	planner      *keytree.PlannerConfig
+	planner      bool
 }
 
 // WithRand injects the entropy source (nil means crypto/rand); simulations
@@ -206,24 +206,13 @@ func WithRekeyWorkers(n int) Option {
 	}
 }
 
-// WithPlanner enables the cost-optimal batch placement planner
-// (keytree.WithPlanner) on every key tree the scheme maintains. Planning
-// is a pure function of tree shape and batch, so enabling it keeps
-// deterministic replay intact — but snapshots do not record it, so
-// restore paths must be handed the same option the original scheme was
-// built with.
-func WithPlanner(cfg keytree.PlannerConfig) Option {
-	return func(o *options) {
-		c := cfg
-		o.planner = &c
-	}
-}
-
-// PlannerTuner is implemented by schemes whose trees run the batch
-// placement planner; TunePlanner forwards a live churn-per-batch estimate
-// to every tree (see keytree.Tree.TunePlanner for the replay caveat).
-type PlannerTuner interface {
-	TunePlanner(churnHint int)
+// WithPlanner enables the batch placement planner (keytree.WithPlanner)
+// on every key tree the scheme maintains. Planning is a pure function of
+// tree shape and batch, so enabling it keeps deterministic replay intact —
+// but snapshots do not record it, so restore paths must be handed the same
+// option the original scheme was built with.
+func WithPlanner(keytree.PlannerConfig) Option {
+	return func(o *options) { o.planner = true }
 }
 
 // treeOptions assembles the keytree options every tree a scheme builds
@@ -234,8 +223,8 @@ func (o options) treeOptions(first keycrypt.KeyID) []keytree.Option {
 	if first != 0 {
 		opts = append(opts, keytree.WithFirstKeyID(first))
 	}
-	if o.planner != nil {
-		opts = append(opts, keytree.WithPlanner(*o.planner))
+	if o.planner {
+		opts = append(opts, keytree.WithPlanner(keytree.PlannerConfig{}))
 	}
 	return opts
 }

@@ -24,13 +24,10 @@ import (
 	"groupkey/internal/member"
 )
 
-// plannerOpt is the batch-placement-planner configuration the secrecy
-// suite uses — deliberately aggressive (drift trigger at the balanced
-// bound, generous wrap slack) so churn traces exercise hole reorderings
-// AND rebalance moves with their LeafRefresh bridges against the
-// secrecy oracles, not just the greedy fallback.
+// plannerOpt turns the batch placement planner on, so churn traces run
+// anchored placements against the secrecy oracles, not just greedy ones.
 func plannerOpt() Option {
-	return WithPlanner(keytree.PlannerConfig{DriftFactor: 1.0, MaxMovesPerBatch: 2, MoveWrapSlack: 4})
+	return WithPlanner(keytree.PlannerConfig{})
 }
 
 // secrecySchemes names one constructor per scheme family under test —

@@ -329,13 +329,6 @@ func (s *MultiTree) Stats() SchemeStats {
 	return st
 }
 
-// TunePlanner implements PlannerTuner.
-func (s *MultiTree) TunePlanner(churnHint int) {
-	for _, tr := range s.trees {
-		tr.TunePlanner(churnHint)
-	}
-}
-
 // Members implements Scheme.
 func (s *MultiTree) Members() []keytree.MemberID {
 	out := make([]keytree.MemberID, 0, len(s.home))

@@ -102,8 +102,5 @@ func (s *OneTree) Stats() SchemeStats {
 	return st
 }
 
-// TunePlanner implements PlannerTuner.
-func (s *OneTree) TunePlanner(churnHint int) { s.tree.TunePlanner(churnHint) }
-
 // Tree exposes the underlying key tree for white-box experiments.
 func (s *OneTree) Tree() *keytree.Tree { return s.tree }

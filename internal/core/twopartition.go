@@ -490,14 +490,6 @@ func (s *TwoPartition) Stats() SchemeStats {
 	return st
 }
 
-// TunePlanner implements PlannerTuner.
-func (s *TwoPartition) TunePlanner(churnHint int) {
-	s.ltree.TunePlanner(churnHint)
-	if s.stree != nil {
-		s.stree.TunePlanner(churnHint)
-	}
-}
-
 // Members implements Scheme.
 func (s *TwoPartition) Members() []keytree.MemberID {
 	set := make(map[keytree.MemberID]bool, s.Size())

@@ -199,8 +199,8 @@ func RekeyPerf(cfg PerfConfig) (*Table, *PerfReport, error) {
 		t.AddNote("planner %s: %d batches, %.1f -> %.1f wraps/batch (%.2f%% fewer).",
 			pr.Regime, pr.Batches, pr.GreedyPerBatch, pr.PlannerPerBatch, pr.ReductionPct)
 	}
-	t.AddNote("planner chose a non-greedy placement on %d/%d planned batches (%d rebalance moves).",
-		stats.PlannedBatches, stats.PlannedBatches+stats.GreedyFallbacks, stats.Moves)
+	t.AddNote("planner chose a non-greedy placement on %d/%d evaluated batches.",
+		stats.PlannedBatches, stats.PlannedBatches+stats.GreedyFallbacks)
 
 	t.AddNote("serial = pre-engine emitter (per-wrap key schedule, walk-and-sort receivers);")
 	t.AddNote("parallel = plan/emit engine (cached schedules, merged receivers, %d wrap workers).", report.GOMAXPR)

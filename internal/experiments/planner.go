@@ -10,15 +10,15 @@ import (
 // Planner experiment: replay one MBone-like flash-crowd trace (two-class
 // churn, Almeroth/Ammar arrival shape) through two trees fed identical
 // batch sequences that differ only in placement policy — greedy
-// batch-order pairing vs the cost-optimal planner — and compare the
+// batch-order pairing vs the placement planner — and compare the
 // realized multicast wraps per batch. Batches are classified by their
 // join/leave mix so the report separates the regimes the planner targets:
 // hole-rich shrink batches (J < L), growth batches (J > L), and balanced
 // churn (J == L). The per-batch dominance guard makes the planner
 // never-worse on any single batch from the same tree state; the gains the
-// series shows beyond that come from shape — consolidation and anchored
-// insertion keep the planner's tree cheaper to rekey for every subsequent
-// batch of the trace.
+// series shows beyond that come from shape — anchoring joiners under
+// interiors the batch already dirties keeps the planner's tree cheaper to
+// rekey for every subsequent batch of the trace.
 
 // PlannerPerfConfig parameterizes the greedy-vs-planner comparison.
 type PlannerPerfConfig struct {
@@ -40,8 +40,6 @@ type PlannerPerfConfig struct {
 	// Durations is the membership model (zero value = the paper's
 	// two-class model compressed 100x, the loadgen default).
 	Durations workload.TwoClass
-	// Planner tunes the placement planner under test.
-	Planner keytree.PlannerConfig
 }
 
 // DefaultPlannerPerfConfig is the acceptance configuration: a 1k-member
@@ -61,7 +59,6 @@ func DefaultPlannerPerfConfig() PlannerPerfConfig {
 			Decay:  240,
 			Peak:   6,
 		},
-		Planner: keytree.PlannerConfig{},
 	}
 }
 
@@ -167,7 +164,7 @@ func PlannerPerf(cfg PlannerPerfConfig) ([]PlannerResult, keytree.PlannerStats, 
 		return nil, keytree.PlannerStats{}, err
 	}
 	planner, err := keytree.New(cfg.Degree,
-		WithPerfRand(cfg.Seed), keytree.WithPlanner(cfg.Planner))
+		WithPerfRand(cfg.Seed), keytree.WithPlanner(keytree.PlannerConfig{}))
 	if err != nil {
 		return nil, keytree.PlannerStats{}, err
 	}

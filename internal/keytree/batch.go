@@ -89,9 +89,9 @@ type Payload struct {
 	JoinerItems []Item
 	// Placement records the structural decisions this rekey realized:
 	// which joiner took which departure hole, which holes were removed,
-	// where surplus joiners attached, and any rebalance moves. It never
-	// rides the wire; tests and experiments use it to assert the realized
-	// placement matches the chosen plan.
+	// and where surplus joiners attached. It never rides the wire; tests
+	// and experiments use it to assert the realized placement matches the
+	// chosen plan.
 	Placement Placement
 }
 
@@ -139,27 +139,33 @@ type dirtyInfo struct {
 // Rekey mutates the tree. On error the tree is unchanged.
 //
 // When WithPlanner is set, the placement (which joiner takes which hole,
-// where surplus joiners attach, whether any members are relocated) comes
-// from the batch planner; otherwise the greedy pairing above is applied
-// verbatim. Either way the plan is a deterministic function of the tree
-// shape and the batch, so payload bytes replay identically.
+// where surplus joiners attach) comes from the batch planner; otherwise
+// the greedy pairing above is applied verbatim. Either way the plan is a
+// deterministic function of the tree shape and the batch, so payload bytes
+// replay identically.
 func (t *Tree) Rekey(b Batch) (*Payload, error) {
 	if err := t.validateBatch(b); err != nil {
 		return nil, err
 	}
-	var plan Plan
-	if t.planner != nil {
-		plan = t.planner.plan(t, b)
-	} else {
-		plan = greedyPlan(b)
+	plan, greedyWraps := t.plan(b)
+	p, err := t.applyPlan(b, plan)
+	if err != nil {
+		return nil, err
 	}
-	return t.applyPlan(b, plan)
+	// Counted here, not in plan, so a PlanBatch preview is not counted.
+	switch {
+	case plan.Planned:
+		t.plannerStats.PlannedBatches++
+		t.plannerStats.SavedWraps += greedyWraps - plan.PredictedWraps
+	case plan.PredictedWraps >= 0:
+		t.plannerStats.GreedyFallbacks++
+	}
+	return p, nil
 }
 
 // validatePlan checks a plan is a well-formed placement of the batch:
-// every joiner placed exactly once, every hole consumed exactly once
-// (filled, removed, or given to a move), and movers are current members
-// outside the batch.
+// every joiner placed exactly once and every hole consumed exactly once
+// (filled or removed).
 func (t *Tree) validatePlan(b Batch, p Plan) error {
 	holes := make(map[MemberID]bool, len(b.Leaves))
 	for _, m := range b.Leaves {
@@ -204,25 +210,6 @@ func (t *Tree) validatePlan(b Batch, p Plan) error {
 			return err
 		}
 	}
-	moved := make(map[MemberID]bool, len(p.Moves))
-	for _, mv := range p.Moves {
-		if err := takeHole(mv.Hole); err != nil {
-			return err
-		}
-		if !t.Contains(mv.Member) {
-			return fmt.Errorf("%w: move of unknown member %d", ErrInvalidPlan, mv.Member)
-		}
-		if _, inBatch := holes[mv.Member]; inBatch {
-			return fmt.Errorf("%w: move of departing member %d", ErrInvalidPlan, mv.Member)
-		}
-		if _, inBatch := joiners[mv.Member]; inBatch {
-			return fmt.Errorf("%w: move of joining member %d", ErrInvalidPlan, mv.Member)
-		}
-		if moved[mv.Member] {
-			return fmt.Errorf("%w: member %d moved twice", ErrInvalidPlan, mv.Member)
-		}
-		moved[mv.Member] = true
-	}
 	for _, g := range p.Grows {
 		if err := takeJoiner(g.Joiner); err != nil {
 			return err
@@ -242,7 +229,7 @@ func (t *Tree) validatePlan(b Batch, p Plan) error {
 }
 
 // applyPlan executes a validated placement through the historical rekey
-// phases. Fills, removals, moves, and grows run in plan order, so when the
+// phases. Fills, removals, and grows run in plan order, so when the
 // plan is greedyPlan(b) the entropy draws — and therefore the payload
 // bytes — are identical to the pre-planner implementation.
 func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
@@ -251,7 +238,7 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	}
 
 	dirty := make(map[*Node]*dirtyInfo)
-	joiners := make(map[MemberID]bool, len(b.Joins)+len(plan.Moves))
+	joiners := make(map[MemberID]bool, len(b.Joins))
 	for _, m := range b.Joins {
 		joiners[m] = true
 	}
@@ -291,41 +278,6 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		}
 		mark(anc, true)
 		t.stats.Departures++
-	}
-
-	// Phase 2b: rebalance moves — an existing member relocates into a
-	// hole that would otherwise be removed. The mover's old path is a
-	// departure (it must not keep decrypting its old subtree's updates),
-	// the hole gets a fresh leaf key, and the mover is folded into the
-	// joiner set so it receives its new path as JoinerWrap items, chained
-	// off a LeafRefresh bridge emitted after the payload.
-	type bridge struct {
-		member MemberID
-		oldKey keycrypt.Key
-		leaf   *Node
-	}
-	var bridges []bridge
-	for _, mv := range plan.Moves {
-		oldKey := t.leaves[mv.Member].key
-		anc, err := t.removeLeaf(mv.Member)
-		if err != nil {
-			return nil, err // unreachable: validated above
-		}
-		mark(anc, true)
-		leaf := t.leaves[mv.Hole]
-		delete(t.leaves, mv.Hole)
-		fresh, err := t.freshKey()
-		if err != nil {
-			return nil, err
-		}
-		leaf.key = fresh
-		leaf.member = mv.Member
-		t.leaves[mv.Member] = leaf
-		mark(leaf.parent, true)
-		joiners[mv.Member] = true
-		bridges = append(bridges, bridge{member: mv.Member, oldKey: oldKey, leaf: leaf})
-		t.stats.Departures++ // the hole's former occupant departs
-		t.plannerStats.Moves++
 	}
 
 	// Phase 3: surplus joins grow the tree, at the planned anchors or by
@@ -417,29 +369,10 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		return nil, err
 	}
 
-	// Bridge items: each mover's fresh leaf key wrapped under its previous
-	// leaf key, unlocking the mover's JoinerWrap path chain. Emitted after
-	// both emitters' draws, in mover-ID order, so payload bytes stay
-	// identical across emitters and worker counts.
-	sort.Slice(bridges, func(i, j int) bool { return bridges[i].member < bridges[j].member })
-	for _, br := range bridges {
-		w, err := t.wrapper.Wrap(br.leaf.key, br.oldKey, t.gen.Rand)
-		if err != nil {
-			return nil, fmt.Errorf("keytree: wrapping move bridge for member %d: %w", br.member, err)
-		}
-		p.JoinerItems = append(p.JoinerItems, Item{
-			Wrapped:   w,
-			Kind:      LeafRefresh,
-			Level:     br.leaf.Depth(),
-			Receivers: []MemberID{br.member},
-		})
-	}
-
 	p.Placement = Placement{
 		Fills:          plan.Fills,
 		Removed:        plan.Removals,
 		Grown:          grown,
-		Moves:          plan.Moves,
 		Planned:        plan.Planned,
 		PredictedWraps: plan.PredictedWraps,
 	}

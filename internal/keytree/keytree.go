@@ -94,8 +94,8 @@ type Tree struct {
 	legacyRekey bool
 
 	// planner, when set, chooses each batch's placement (see planner.go);
-	// nil applies the greedy pairing.
-	planner      *planner
+	// otherwise the greedy pairing is applied.
+	planner      bool
 	plannerStats PlannerStats
 
 	// stats accumulated across the tree's lifetime.
@@ -152,13 +152,13 @@ func WithLegacyRekey() Option {
 }
 
 // WithPlanner enables the batch placement planner (see planner.go): each
-// Rekey enumerates candidate hole assignments, insertion anchors, and
-// rebalance moves, and applies the one minimizing realized wraps plus the
-// marginal ExpectedRekeyCost, with the greedy pairing as fallback.
-// Planning is deterministic given the tree shape and batch, so replayed
-// logs rebuild byte-identical payloads.
-func WithPlanner(cfg PlannerConfig) Option {
-	return func(t *Tree) { t.planner = &planner{cfg: cfg.normalized()} }
+// Rekey simulates anchoring the batch's joiners under interiors its
+// departures already dirty and applies that placement when it beats the
+// greedy pairing on realized wraps and ExpectedRekeyCost, with greedy as
+// the fallback. Planning is deterministic given the tree shape and batch,
+// so replayed logs rebuild byte-identical payloads.
+func WithPlanner(PlannerConfig) Option {
+	return func(t *Tree) { t.planner = true }
 }
 
 // PlannerStats counts the batch placement planner's lifetime activity.
@@ -170,8 +170,6 @@ type PlannerStats struct {
 	// GreedyFallbacks counts batches the planner evaluated but kept the
 	// greedy plan (dominance guard or scoring).
 	GreedyFallbacks int
-	// Moves counts amortized rebalance relocations executed.
-	Moves int
 	// SavedWraps accumulates the simulated multicast wraps saved versus
 	// the greedy baseline across all planned batches.
 	SavedWraps int
@@ -183,7 +181,6 @@ func (s PlannerStats) Add(o PlannerStats) PlannerStats {
 		Enabled:         s.Enabled || o.Enabled,
 		PlannedBatches:  s.PlannedBatches + o.PlannedBatches,
 		GreedyFallbacks: s.GreedyFallbacks + o.GreedyFallbacks,
-		Moves:           s.Moves + o.Moves,
 		SavedWraps:      s.SavedWraps + o.SavedWraps,
 	}
 }
@@ -191,28 +188,12 @@ func (s PlannerStats) Add(o PlannerStats) PlannerStats {
 // PlannerStats returns the planner's lifetime counters.
 func (t *Tree) PlannerStats() PlannerStats {
 	s := t.plannerStats
-	s.Enabled = t.planner != nil
+	s.Enabled = t.planner
 	return s
 }
 
 // PlannerEnabled reports whether the batch placement planner is active.
-func (t *Tree) PlannerEnabled() bool { return t.planner != nil }
-
-// TunePlanner updates the planner's churn hint — the departure count l
-// that ExpectedRekeyCost scoring assumes — from a live churn estimate
-// (l ≤ 0 restores per-batch derivation). No-op without WithPlanner.
-// Because the hint changes payload-affecting decisions, durable
-// deployments must only tune it through configuration that replays with
-// the log, never from runtime estimates.
-func (t *Tree) TunePlanner(churnHint int) {
-	if t.planner == nil {
-		return
-	}
-	if churnHint < 0 {
-		churnHint = 0
-	}
-	t.planner.cfg.ChurnHint = churnHint
-}
+func (t *Tree) PlannerEnabled() bool { return t.planner }
 
 // New creates an empty key tree of the given degree (fan-out d ≥ 2).
 func New(degree int, opts ...Option) (*Tree, error) {

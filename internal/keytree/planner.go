@@ -7,61 +7,24 @@ import (
 	"groupkey/internal/keycrypt"
 )
 
-// This file implements the per-batch placement planner: instead of pairing
-// joiners with departure holes in batch order and growing the tree by
-// least-leaves descent, the planner enumerates a small beam of candidate
-// placements (hole orderings when departures exceed joins, insertion
-// anchors when joins exceed departures, amortized rebalance moves when the
-// tree has drifted from the balanced bound), simulates each one on a
-// lightweight shadow copy of the tree, and keeps the plan that minimizes
-// the realized multicast wrap count plus the marginal ExpectedRekeyCost —
+// This file implements the per-batch placement planner. The greedy policy
+// pairs joiners with departure holes in batch order and grows the tree by
+// least-leaves descent. The planner adds one candidate to that baseline:
+// anchor joiners under interior nodes the batch's departures already dirty.
+// A departure-dirty interior pays its child wraps whatever the placement,
+// and a child holding only joiners is never multicast, so such attachments
+// cost no extra wrap this batch while packing the tree. The candidate and
+// the greedy baseline are both simulated on a lightweight shadow copy of
+// the tree; the candidate is applied only when it dominates greedy on both
+// the realized multicast wrap count and the post-batch ExpectedRekeyCost —
 // the DC-programming relaxation of arXiv:2305.10131 restricted to the
-// batch's own decision variables, with the greedy pairing as the
-// always-available fallback. Planning is a pure function of the tree
-// shape, the batch, and the fixed PlannerConfig: it draws no entropy and
-// reads no clocks, so WAL replay and cluster replication reproduce every
-// decision byte-identically.
+// batch's own decision variables. Planning is a pure function of the tree
+// shape and the batch: it draws no entropy and reads no clocks, so WAL
+// replay and cluster replication reproduce every decision byte-identically.
 
-// PlannerConfig tunes the batch placement planner. The zero value selects
-// documented defaults, so `WithPlanner(PlannerConfig{})` is a sensible
-// production setting.
-type PlannerConfig struct {
-	// CostWeight scales the expected-future-cost term against the
-	// realized multicast wrap count when ranking candidates (both are in
-	// units of encrypted keys). 0 means 1.
-	CostWeight float64
-	// ChurnHint is the departure count l used to evaluate
-	// ExpectedRekeyCost. 0 derives it from each batch (its own departure
-	// count, at least 1), which keeps planning replay-safe.
-	ChurnHint int
-	// DriftFactor enables rebalance moves once ExpectedRekeyCost rises to
-	// DriftFactor × BalancedRekeyCost. 0 means 1.25; negative disables
-	// moves entirely.
-	DriftFactor float64
-	// MaxMovesPerBatch caps the amortized subtree moves attempted per
-	// batch. 0 means 2.
-	MaxMovesPerBatch int
-	// MoveWrapSlack is how many extra multicast wraps a move-bearing plan
-	// may spend over the simulated greedy baseline. The default 0 keeps
-	// the planner's never-worse guarantee unconditional; rebalance-heavy
-	// deployments can trade a bounded number of wraps for faster
-	// convergence to the balanced shape.
-	MoveWrapSlack int
-}
-
-// normalized resolves zero-value defaults.
-func (c PlannerConfig) normalized() PlannerConfig {
-	if c.CostWeight == 0 {
-		c.CostWeight = 1
-	}
-	if c.DriftFactor == 0 {
-		c.DriftFactor = 1.25
-	}
-	if c.MaxMovesPerBatch == 0 {
-		c.MaxMovesPerBatch = 2
-	}
-	return c
-}
+// PlannerConfig is the argument of WithPlanner. The planner has no
+// settings — it is on or off — so the struct has no fields.
+type PlannerConfig struct{}
 
 // Assignment pairs a departure hole (the leaf slot a departing member
 // vacates) with the joiner that takes it over.
@@ -70,32 +33,21 @@ type Assignment struct {
 	Joiner MemberID
 }
 
-// Growth places one surplus joiner. Anchor is the key ID of the interior
-// node the new leaf attaches under; 0 means least-leaves descent (the
-// greedy insertion policy).
+// Growth places one joiner as a fresh leaf. Anchor is the key ID of the
+// interior node the new leaf attaches under; 0 means least-leaves descent
+// (the greedy insertion policy).
 type Growth struct {
 	Joiner MemberID
 	Anchor keycrypt.KeyID
 }
 
-// Move relocates an existing member into a departure hole as part of
-// amortized rebalancing: the member's old leaf is removed (its old path is
-// treated as a departure), the hole receives a fresh leaf key, and the
-// member learns its new path through a LeafRefresh bridge plus JoinerWrap
-// items. Membership is unchanged.
-type Move struct {
-	Member MemberID
-	Hole   MemberID
-}
-
 // Plan is a complete placement decision for one batch. Every departure
-// hole appears in exactly one of Fills, Removals, or Moves; every joiner
-// appears in exactly one of Fills or Grows.
+// hole appears in exactly one of Fills or Removals; every joiner appears
+// in exactly one of Fills or Grows.
 type Plan struct {
 	Fills    []Assignment
 	Removals []MemberID
 	Grows    []Growth
-	Moves    []Move
 	// Planned is true when the planner chose a non-greedy candidate.
 	Planned bool
 	// PredictedWraps is the simulated multicast wrap count for this plan,
@@ -117,7 +69,6 @@ type Placement struct {
 	Fills          []Assignment
 	Removed        []MemberID
 	Grown          []Growth
-	Moves          []Move
 	Planned        bool
 	PredictedWraps int
 }
@@ -145,24 +96,15 @@ func greedyPlan(b Batch) Plan {
 }
 
 // PlanBatch returns the placement the next Rekey of this batch would
-// realize, without mutating the tree: the planner's choice when WithPlanner
-// is set, the greedy pairing otherwise. Planning is deterministic, so a
-// following Rekey applies exactly this plan.
+// realize, without mutating the tree or its counters: the planner's choice
+// when WithPlanner is set, the greedy pairing otherwise. Planning is
+// deterministic, so a following Rekey applies exactly this plan.
 func (t *Tree) PlanBatch(b Batch) (Plan, error) {
 	if err := t.validateBatch(b); err != nil {
 		return Plan{}, err
 	}
-	if t.planner == nil {
-		return greedyPlan(b), nil
-	}
-	return t.planner.plan(t, b), nil
-}
-
-// planner holds the normalized configuration. It is stateless beyond the
-// config: every decision is recomputed from the tree and batch so replay
-// reproduces it.
-type planner struct {
-	cfg PlannerConfig
+	p, _ := t.plan(b)
+	return p, nil
 }
 
 // costEps is the relative tolerance for expected-cost comparisons between
@@ -175,465 +117,112 @@ func costEps(c float64) float64 {
 	return 1e-9 * (1 + c)
 }
 
-// churn resolves the ExpectedRekeyCost departure count for a batch.
-func (pl *planner) churn(b Batch) int {
-	if pl.cfg.ChurnHint > 0 {
-		return pl.cfg.ChurnHint
-	}
-	if l := len(b.Leaves); l > 0 {
-		return l
-	}
-	return 1
-}
-
-// plan picks the batch's placement. It simulates the greedy baseline and
-// every candidate, admits only candidates that dominate greedy on both the
-// realized wrap count and the post-batch expected cost, and returns the
-// admissible candidate with the best combined score — or greedy itself.
-func (pl *planner) plan(t *Tree, b Batch) Plan {
+// plan picks the batch's placement and reports the simulated greedy wrap
+// count it was measured against (meaningful when PredictedWraps ≥ 0). It
+// simulates the greedy baseline and the anchor candidate, admits the
+// candidate only when it dominates greedy on both the realized wrap count
+// and the post-batch expected cost and improves their sum, and otherwise
+// returns greedy itself.
+func (t *Tree) plan(b Batch) (Plan, int) {
 	g := greedyPlan(b)
 	j, l := len(b.Joins), len(b.Leaves)
 	// With J == L every hole is filled and nothing grows or shrinks: the
 	// only freedom is which joiner takes which hole, which changes neither
-	// wraps nor shape. An empty tree has no placement freedom either.
-	if t.root == nil || j == l {
-		return g
+	// wraps nor shape. Without departures nothing is dirty to anchor under,
+	// and without joiners there is nothing to anchor.
+	if !t.planner || t.root == nil || j == l || j == 0 || l == 0 {
+		return g, 0
 	}
-
-	var candidates []Plan
-	if l > j {
-		if j > 0 { // with no fills, removal order cannot change the shape
-			candidates = pl.holeOrderPlans(t, b)
-			candidates = append(candidates, pl.consolidationPlans(t, b)...)
-		}
-	} else {
-		candidates = pl.growthPlans(t, b)
+	c, ok := t.anchorPlan(b)
+	if !ok {
+		return g, 0
 	}
-	movesPossible := l > j && pl.cfg.DriftFactor > 0
-	if len(candidates) == 0 && !movesPossible {
-		return g
+	gs := t.simulate(b, g)
+	g.PredictedWraps, g.PredictedCost = gs.wraps, gs.cost
+	s := t.simulate(b, c)
+	if s.invalid || s.wraps > gs.wraps || s.cost > gs.cost+costEps(gs.cost) ||
+		s.score() >= gs.score()-1e-12 {
+		return g, gs.wraps // inadmissible, or dominates greedy without beating it
 	}
-
-	churn := pl.churn(b)
-	gs := pl.simulate(t, b, g, churn)
-	g.PredictedWraps = gs.wraps
-	g.PredictedCost = gs.cost
-	best, bestScore := g, pl.score(gs)
-	for _, c := range candidates {
-		s := pl.simulate(t, b, c, churn)
-		if s.invalid || s.wraps > gs.wraps || s.cost > gs.cost+costEps(gs.cost) {
-			continue // candidate does not dominate greedy; inadmissible
-		}
-		if sc := pl.score(s); sc < bestScore-1e-12 {
-			c.Planned = true
-			c.PredictedWraps = s.wraps
-			c.PredictedCost = s.cost
-			best, bestScore = c, sc
-		}
-	}
-	if movesPossible && len(best.Removals) > 0 {
-		best, bestScore = pl.tryMoves(t, b, best, bestScore, gs, churn)
-	}
-
-	if best.Planned {
-		t.plannerStats.PlannedBatches++
-		t.plannerStats.SavedWraps += gs.wraps - best.PredictedWraps
-	} else {
-		t.plannerStats.GreedyFallbacks++
-	}
-	return best
+	c.Planned = true
+	c.PredictedWraps, c.PredictedCost = s.wraps, s.cost
+	return c, gs.wraps
 }
 
-// score folds a simulation into a single objective: wraps this batch plus
-// the weighted expected cost of every future batch's wraps.
-func (pl *planner) score(s simResult) float64 {
-	return float64(s.wraps) + pl.cfg.CostWeight*s.cost
-}
-
-// holeInfo is the per-hole shape data candidate orderings sort on.
-type holeInfo struct {
-	m           MemberID
-	keyID       keycrypt.KeyID
-	depth       int
-	parentHoles int // batch holes sharing this hole's parent
-	survivors   int // parent children minus its batch holes
-}
-
-// holeOrderPlans generates alternative fill/removal splits for the L > J
-// regime. The greedy baseline fills the first J holes in batch order; the
-// alternatives reorder holes so that fills land where they preserve the
-// most structure and removals land where they collapse it:
+// anchorPlan builds the batch's one non-greedy candidate: joiners attach
+// as fresh leaves under underfull interiors the batch's departures dirty.
 //
-//   - shallow-first: fill the holes closest to the root (shorter joiner
-//     paths, removals deepen nothing).
-//   - cluster-collapse: fill lone holes and remove clustered ones, so
-//     sibling departures splice whole interior nodes away.
-//   - crowded-first: fill holes whose parent keeps the most surviving
-//     children, removing from sparse parents where a removal triggers a
-//     splice (one fewer child wrap at that level).
-func (pl *planner) holeOrderPlans(t *Tree, b Batch) []Plan {
-	j := len(b.Joins)
-	infos := make([]holeInfo, len(b.Leaves))
-	holesByParent := make(map[*Node]int, len(b.Leaves))
-	for _, m := range b.Leaves {
-		holesByParent[t.leaves[m].parent]++
-	}
-	for i, m := range b.Leaves {
-		leaf := t.leaves[m]
-		hi := holeInfo{m: m, keyID: leaf.key.ID, depth: leaf.Depth()}
-		if p := leaf.parent; p != nil {
-			hi.parentHoles = holesByParent[p]
-			hi.survivors = len(p.children) - hi.parentHoles
-		}
-		infos[i] = hi
-	}
-
-	orderings := []func(a, b holeInfo) bool{
-		func(a, b holeInfo) bool { // shallow-first
-			if a.depth != b.depth {
-				return a.depth < b.depth
-			}
-			return a.keyID < b.keyID
-		},
-		func(a, b holeInfo) bool { // cluster-collapse
-			if a.parentHoles != b.parentHoles {
-				return a.parentHoles < b.parentHoles
-			}
-			if a.depth != b.depth {
-				return a.depth < b.depth
-			}
-			return a.keyID < b.keyID
-		},
-		func(a, b holeInfo) bool { // crowded-first
-			if a.survivors != b.survivors {
-				return a.survivors > b.survivors
-			}
-			if a.depth != b.depth {
-				return a.depth < b.depth
-			}
-			return a.keyID < b.keyID
-		},
-	}
-
-	var plans []Plan
-	seen := map[string]bool{orderKey(b.Leaves): true} // greedy's order
-	scratch := make([]holeInfo, len(infos))
-	for _, less := range orderings {
-		copy(scratch, infos)
-		sort.SliceStable(scratch, func(x, y int) bool { return less(scratch[x], scratch[y]) })
-		order := make([]MemberID, len(scratch))
-		for i, hi := range scratch {
-			order[i] = hi.m
-		}
-		// Fill order beyond the split is irrelevant (the fill set is what
-		// matters) but kept as sorted for deterministic entropy pairing.
-		k := orderKey(order)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		p := Plan{Fills: make([]Assignment, j), Removals: order[j:]}
-		for i := 0; i < j; i++ {
-			p.Fills[i] = Assignment{Hole: order[i], Joiner: b.Joins[i]}
-		}
-		plans = append(plans, p)
-	}
-	return plans
-}
-
-// orderKey builds a dedup key for a hole ordering.
-func orderKey(ms []MemberID) string {
-	buf := make([]byte, 0, 8*len(ms))
-	for _, m := range ms {
-		buf = append(buf, byte(m), byte(m>>8), byte(m>>16), byte(m>>24),
-			byte(m>>32), byte(m>>40), byte(m>>48), byte(m>>56))
-	}
-	return string(buf)
-}
-
-// growthPlans generates alternative anchor assignments for the J > L
-// regime's surplus joiners. Greedy descends to the least-loaded leaf-ward
-// slot; the alternatives attach surplus joiners under explicitly chosen
-// interior nodes:
+//   - J > L: every hole is filled as greedy would, and the surplus joiners
+//     go under the holes' ancestors, deepest first, instead of descending
+//     to the least-loaded slot (which taints a clean path).
+//   - L > J: every hole is removed rather than J of them filled in place —
+//     letting hollowed-out regions splice whole subtrees away — and all J
+//     joiners go under the removals' surviving ancestors, shallowest first,
+//     for the shortest joiner paths the already-paid dirty set allows.
 //
-//   - departure-anchored: under interiors already departure-dirty from the
-//     batch's fills (deep first, then shallow first). Their child wraps
-//     are already being paid, and an all-joiner child is never multicast,
-//     so these attachments cost zero extra multicast wraps.
-//   - pack-shallow: under the shallowest underfull interiors anywhere,
-//     trading one OldKeyWrap taint per touched clean path for shorter
-//     joiner paths and a flatter tree.
-func (pl *planner) growthPlans(t *Tree, b Batch) []Plan {
-	surplus := b.Joins[len(b.Leaves):]
-	if len(surplus) == 0 {
-		return nil
-	}
-
-	// Interiors dirtied by fills: every ancestor of a filled hole.
-	dirty := make(map[*Node]bool)
-	for _, m := range b.Leaves {
-		for n := t.leaves[m].parent; n != nil; n = n.parent {
-			dirty[n] = true
-		}
-	}
-
-	type anchorInfo struct {
-		n     *Node
-		keyID keycrypt.KeyID
-		depth int
-		spare int
-	}
-	var dirtyAnchors, openAnchors []anchorInfo
-	walk(t.root, func(n *Node) {
-		if n.IsLeaf() || len(n.children) >= t.degree {
-			return
-		}
-		ai := anchorInfo{n: n, keyID: n.key.ID, depth: n.Depth(), spare: t.degree - len(n.children)}
-		if dirty[n] {
-			dirtyAnchors = append(dirtyAnchors, ai)
-		}
-		openAnchors = append(openAnchors, ai)
-	})
-
-	assign := func(anchors []anchorInfo) Plan {
-		grows := make([]Growth, 0, len(surplus))
-		i := 0
-		for _, a := range anchors {
-			for s := 0; s < a.spare && i < len(surplus); s++ {
-				grows = append(grows, Growth{Joiner: surplus[i], Anchor: a.keyID})
-				i++
-			}
-			if i == len(surplus) {
-				break
-			}
-		}
-		for ; i < len(surplus); i++ {
-			grows = append(grows, Growth{Joiner: surplus[i]}) // descent
-		}
-		p := greedyPlan(b)
-		p.Grows = grows
-		return p
-	}
-
-	var plans []Plan
-	if len(dirtyAnchors) > 0 {
-		deep := append([]anchorInfo(nil), dirtyAnchors...)
-		sort.Slice(deep, func(x, y int) bool {
-			if deep[x].depth != deep[y].depth {
-				return deep[x].depth > deep[y].depth
-			}
-			return deep[x].keyID < deep[y].keyID
-		})
-		plans = append(plans, assign(deep))
-		if len(dirtyAnchors) > 1 {
-			shallow := append([]anchorInfo(nil), dirtyAnchors...)
-			sort.Slice(shallow, func(x, y int) bool {
-				if shallow[x].depth != shallow[y].depth {
-					return shallow[x].depth < shallow[y].depth
-				}
-				return shallow[x].keyID < shallow[y].keyID
-			})
-			plans = append(plans, assign(shallow))
-		}
-	}
-	if len(openAnchors) > 0 {
-		sort.Slice(openAnchors, func(x, y int) bool {
-			if openAnchors[x].depth != openAnchors[y].depth {
-				return openAnchors[x].depth < openAnchors[y].depth
-			}
-			return openAnchors[x].keyID < openAnchors[y].keyID
-		})
-		plans = append(plans, assign(openAnchors))
-	}
-	return plans
-}
-
-// consolidationPlans generates remove-and-regrow candidates for the L > J
-// regime: instead of filling J of the departure holes in place, every hole
-// is removed — letting hollowed-out regions splice whole subtrees away —
-// and the J joiners are re-anchored as fresh leaves under interiors the
-// removals already dirtied (an all-joiner child is never multicast, so a
-// dirty anchor costs no extra wrap this batch) or under the shallowest
-// open interiors. This is the "insertion subtree" half of the
-// DC-programming relaxation: realized wraps stay at greedy's level — the
-// dominance guard verifies — while the pruned, packed shape lowers the
-// expected cost of every future batch.
-func (pl *planner) consolidationPlans(t *Tree, b Batch) []Plan {
-	j := len(b.Joins)
-	if j == 0 {
-		return nil
-	}
-	// Replay the removals on a scratch copy, in plan order, so candidate
-	// anchors are interiors that provably survive every cascaded splice.
+// Joiners the anchors cannot hold fall back to descent. ok is false when
+// the batch dirties no usable anchor.
+func (t *Tree) anchorPlan(b Batch) (p Plan, ok bool) {
+	grow := len(b.Joins) > len(b.Leaves)
+	// Replay the removals on a scratch copy so candidate anchors are
+	// interiors that provably survive every cascaded splice.
 	st := newSimTree(t, false)
 	dirty := make(map[*simNode]bool)
-	for _, m := range b.Leaves {
-		for n := st.removeLeaf(m); n != nil; n = n.parent {
-			dirty[n] = true
+	var joiners []MemberID
+	if grow {
+		p = greedyPlan(b)
+		joiners = b.Joins[len(b.Leaves):]
+		for _, m := range b.Leaves {
+			for n := st.leaves[m].parent; n != nil; n = n.parent {
+				dirty[n] = true
+			}
 		}
-	}
-	if st.root == nil {
-		return nil // the batch empties the tree; nothing to anchor under
+	} else {
+		p = Plan{Removals: b.Leaves, PredictedWraps: -1}
+		joiners = b.Joins
+		for _, m := range b.Leaves {
+			for n := st.removeLeaf(m); n != nil; n = n.parent {
+				dirty[n] = true
+			}
+		}
 	}
 
 	type anchorInfo struct {
 		keyID keycrypt.KeyID
 		depth int
 		spare int
-		dirty bool
 	}
 	var anchors []anchorInfo
-	var collect func(n *simNode, depth int)
-	collect = func(n *simNode, depth int) {
-		if n.member != 0 {
-			return
+	for n := range dirty {
+		if n.member != 0 || len(n.children) >= st.degree || !st.attached(n) {
+			continue // a leaf, full, or spliced away by a later removal
 		}
-		if len(n.children) < st.degree {
-			anchors = append(anchors, anchorInfo{
-				keyID: n.keyID, depth: depth,
-				spare: st.degree - len(n.children), dirty: dirty[n],
-			})
+		a := anchorInfo{keyID: n.keyID, spare: st.degree - len(n.children)}
+		for up := n.parent; up != nil; up = up.parent {
+			a.depth++
 		}
-		for _, c := range n.children {
-			collect(c, depth+1)
-		}
+		anchors = append(anchors, a)
 	}
-	collect(st.root, 0)
 	if len(anchors) == 0 {
-		return nil
+		return Plan{}, false
 	}
-
-	assign := func(ordered []anchorInfo) Plan {
-		grows := make([]Growth, 0, j)
-		i := 0
-		for _, a := range ordered {
-			for s := 0; s < a.spare && i < j; s++ {
-				grows = append(grows, Growth{Joiner: b.Joins[i], Anchor: a.keyID})
-				i++
-			}
-			if i == j {
-				break
-			}
+	sort.Slice(anchors, func(x, y int) bool {
+		if anchors[x].depth != anchors[y].depth {
+			return (anchors[x].depth > anchors[y].depth) == grow
 		}
-		for ; i < j; i++ {
-			grows = append(grows, Growth{Joiner: b.Joins[i]}) // descent
-		}
-		return Plan{Removals: b.Leaves, Grows: grows}
-	}
+		return anchors[x].keyID < anchors[y].keyID
+	})
 
-	// dirty-shallow-first: zero extra multicast wraps and the shortest
-	// joiner paths the already-paid dirty set allows.
-	var plans []Plan
-	dirtyAnchors := make([]anchorInfo, 0, len(anchors))
+	p.Grows = make([]Growth, 0, len(joiners))
 	for _, a := range anchors {
-		if a.dirty {
-			dirtyAnchors = append(dirtyAnchors, a)
+		for ; a.spare > 0 && len(p.Grows) < len(joiners); a.spare-- {
+			p.Grows = append(p.Grows, Growth{Joiner: joiners[len(p.Grows)], Anchor: a.keyID})
 		}
 	}
-	byDepth := func(as []anchorInfo) func(x, y int) bool {
-		return func(x, y int) bool {
-			if as[x].depth != as[y].depth {
-				return as[x].depth < as[y].depth
-			}
-			return as[x].keyID < as[y].keyID
-		}
+	for _, m := range joiners[len(p.Grows):] {
+		p.Grows = append(p.Grows, Growth{Joiner: m}) // descent
 	}
-	if len(dirtyAnchors) > 0 {
-		sort.Slice(dirtyAnchors, byDepth(dirtyAnchors))
-		plans = append(plans, assign(dirtyAnchors))
-	}
-	// open-shallow-first: taints clean paths (one OldKeyWrap each) for the
-	// flattest packing; admissible only when the taint is free.
-	sort.Slice(anchors, byDepth(anchors))
-	plans = append(plans, assign(anchors))
-	return plans
-}
-
-// tryMoves augments the winning plan with amortized rebalance moves: when
-// the tree's cost has drifted past the configured factor above the
-// balanced bound, deep members are relocated into shallow departure holes
-// that would otherwise be removed. Each added move must keep the plan
-// within MoveWrapSlack realized wraps of the greedy baseline and strictly
-// reduce the post-batch expected cost, so the default slack of 0 preserves
-// the never-worse guarantee.
-func (pl *planner) tryMoves(t *Tree, b Batch, best Plan, bestScore float64, gs simResult, churn int) (Plan, float64) {
-	if t.CostDrift(churn) < pl.cfg.DriftFactor {
-		return best, bestScore
-	}
-
-	type moverInfo struct {
-		m     MemberID
-		depth int
-	}
-	inBatch := make(map[MemberID]bool, len(b.Joins)+len(b.Leaves))
-	for _, m := range b.Joins {
-		inBatch[m] = true
-	}
-	for _, m := range b.Leaves {
-		inBatch[m] = true
-	}
-	movers := make([]moverInfo, 0, len(t.leaves))
-	for m, leaf := range t.leaves {
-		if !inBatch[m] {
-			movers = append(movers, moverInfo{m: m, depth: leaf.Depth()})
-		}
-	}
-	sort.Slice(movers, func(x, y int) bool {
-		if movers[x].depth != movers[y].depth {
-			return movers[x].depth > movers[y].depth
-		}
-		return movers[x].m < movers[y].m
-	})
-
-	holes := make([]moverInfo, 0, len(best.Removals))
-	for _, m := range best.Removals {
-		holes = append(holes, moverInfo{m: m, depth: t.leaves[m].Depth()})
-	}
-	sort.Slice(holes, func(x, y int) bool {
-		if holes[x].depth != holes[y].depth {
-			return holes[x].depth < holes[y].depth
-		}
-		return holes[x].m < holes[y].m
-	})
-
-	cur, curScore := best, bestScore
-	curCost := cur.PredictedCost // plan() always simulates the base first
-	maxMoves := pl.cfg.MaxMovesPerBatch
-	for i := 0; i < maxMoves && i < len(movers) && i < len(holes); i++ {
-		mv, hl := movers[i], holes[i]
-		if mv.depth <= hl.depth+1 {
-			break // relocating would not shorten the member's path
-		}
-		cand := Plan{
-			Fills:    cur.Fills,
-			Removals: removeMember(cur.Removals, hl.m),
-			Grows:    cur.Grows,
-			Moves:    append(append([]Move(nil), cur.Moves...), Move{Member: mv.m, Hole: hl.m}),
-		}
-		s := pl.simulate(t, b, cand, churn)
-		if s.invalid || s.wraps > gs.wraps+pl.cfg.MoveWrapSlack {
-			break
-		}
-		if s.cost > gs.cost+costEps(gs.cost) || s.cost >= curCost-costEps(curCost) {
-			break // moves must strictly improve the expected cost
-		}
-		cand.Planned = true
-		cand.PredictedWraps = s.wraps
-		cand.PredictedCost = s.cost
-		cur, curScore, curCost = cand, pl.score(s), s.cost
-	}
-	return cur, curScore
-}
-
-// removeMember returns ms without the first occurrence of m.
-func removeMember(ms []MemberID, m MemberID) []MemberID {
-	out := make([]MemberID, 0, len(ms)-1)
-	for _, x := range ms {
-		if x != m {
-			out = append(out, x)
-		}
-	}
-	return out
+	return p, true
 }
 
 // --- shadow simulation -------------------------------------------------
@@ -761,13 +350,17 @@ type simInfo struct {
 	isNew     bool
 }
 
+// score folds a simulation into a single objective: wraps this batch plus
+// the expected wraps of a future batch with as many departures.
+func (s simResult) score() float64 { return float64(s.wraps) + s.cost }
+
 // simulate applies a plan to a shadow copy of the tree through the exact
-// phases Rekey uses — fills, removals, moves, grows, dirty pruning — and
-// returns the multicast wrap count the real emitters would produce plus
-// the post-batch ExpectedRekeyCost. Keeping this mirror exact is load-
-// bearing: FuzzPlanBatch and the determinism suite assert predicted ==
-// realized on every planned batch.
-func (pl *planner) simulate(t *Tree, b Batch, p Plan, churn int) simResult {
+// phases Rekey uses — fills, removals, grows, dirty pruning — and returns
+// the multicast wrap count the real emitters would produce plus the
+// post-batch ExpectedRekeyCost for a batch of len(b.Leaves) departures.
+// Keeping this mirror exact is load-bearing: FuzzPlanBatch and the
+// determinism suite assert predicted == realized on every planned batch.
+func (t *Tree) simulate(b Batch, p Plan) simResult {
 	needAnchors := false
 	for _, g := range p.Grows {
 		if g.Anchor != 0 {
@@ -778,7 +371,7 @@ func (pl *planner) simulate(t *Tree, b Batch, p Plan, churn int) simResult {
 	st := newSimTree(t, needAnchors)
 
 	dirty := make(map[*simNode]*simInfo)
-	joiners := make(map[MemberID]bool, len(b.Joins)+len(p.Moves))
+	joiners := make(map[MemberID]bool, len(b.Joins))
 	for _, m := range b.Joins {
 		joiners[m] = true
 	}
@@ -803,25 +396,14 @@ func (pl *planner) simulate(t *Tree, b Batch, p Plan, churn int) simResult {
 	for _, m := range p.Removals {
 		mark(st.removeLeaf(m), true)
 	}
-	for _, mv := range p.Moves {
-		mark(st.removeLeaf(mv.Member), true)
-		st.size++ // the mover stays a member; removeLeaf decremented
-		leaf := st.leaves[mv.Hole]
-		delete(st.leaves, mv.Hole)
-		st.size--
-		leaf.member = mv.Member
-		st.leaves[mv.Member] = leaf
-		mark(leaf.parent, true)
-		joiners[mv.Member] = true
-	}
 	for _, g := range p.Grows {
 		st.size++
 		leaf := &simNode{member: g.Joiner, leaves: 1}
 		st.leaves[g.Joiner] = leaf
 		if g.Anchor != 0 {
 			// Mirror applyPlan's anchor validation: earlier phases of this
-			// same plan (a removal splice, a move's departure, prior grows)
-			// can detach or fill the anchor the candidate generator saw.
+			// same plan (a removal splice, prior grows) can detach or fill
+			// the anchor the candidate generator saw.
 			anchor := st.byKey[g.Anchor]
 			if anchor == nil || !st.attached(anchor) || len(anchor.children) >= st.degree {
 				return simResult{invalid: true}
@@ -876,7 +458,7 @@ func (pl *planner) simulate(t *Tree, b Batch, p Plan, churn int) simResult {
 		}
 	}
 
-	return simResult{wraps: wraps, cost: st.expectedCost(churn)}
+	return simResult{wraps: wraps, cost: st.expectedCost(len(b.Leaves))}
 }
 
 // growDescend mirrors insertLeafTracked for an already-allocated sim leaf:

@@ -47,6 +47,47 @@ func biasedBatches(seed int64, initial, rounds, maxJoin, maxLeave int) []Batch {
 	return batches
 }
 
+// twoClassBatches generates churn shaped like the benchmark's durable_tt
+// workload: arrivals alternate between a high and a low count each round,
+// a quarter of them long-lived (60 rounds) and the rest short-lived (3
+// rounds), over an initial population whose departures are staggered across
+// one long lifetime — so nearly every batch has both joins and leaves, in
+// unequal numbers.
+func twoClassBatches(seed int64, initial, rounds int) []Batch {
+	const shortLife, longLife, longShare = 3, 60, 0.25
+	rnd := rand.New(rand.NewSource(seed))
+	arrivals := [2]int{max(2, initial/150), max(1, initial/300)}
+	leaveAt := make(map[MemberID]int)
+	next := MemberID(1)
+	prime := Batch{}
+	for i := 0; i < initial; i++ {
+		prime.Joins = append(prime.Joins, next)
+		leaveAt[next] = 1 + i*longLife/initial
+		next++
+	}
+	batches := []Batch{prime}
+	for r := 1; r <= rounds; r++ {
+		b := Batch{}
+		for m := MemberID(1); m < next; m++ {
+			if at, ok := leaveAt[m]; ok && at <= r {
+				b.Leaves = append(b.Leaves, m)
+				delete(leaveAt, m)
+			}
+		}
+		for i := 0; i < arrivals[r%2]; i++ {
+			life := shortLife
+			if rnd.Float64() < longShare {
+				life = longLife
+			}
+			b.Joins = append(b.Joins, next)
+			leaveAt[next] = r + life
+			next++
+		}
+		batches = append(batches, b)
+	}
+	return batches
+}
+
 // checkPlacement asserts the payload's realized placement is a well-formed
 // cover of the batch and, when the batch was simulated, that the realized
 // multicast wrap count equals the prediction.
@@ -82,12 +123,6 @@ func checkPlacement(tb testing.TB, tr *Tree, b Batch, p *Payload) {
 	for _, m := range pl.Removed {
 		takeHole(m)
 	}
-	for _, mv := range pl.Moves {
-		takeHole(mv.Hole)
-		if !tr.Contains(mv.Member) {
-			tb.Fatalf("moved member %d no longer in tree", mv.Member)
-		}
-	}
 	for _, g := range pl.Grown {
 		takeJoiner(g.Joiner)
 	}
@@ -102,8 +137,8 @@ func checkPlacement(tb testing.TB, tr *Tree, b Batch, p *Payload) {
 		}
 	}
 	if pl.PredictedWraps >= 0 && pl.PredictedWraps != p.MulticastKeyCount() {
-		tb.Fatalf("planner predicted %d multicast wraps, realized %d (J=%d L=%d planned=%v moves=%d)",
-			pl.PredictedWraps, p.MulticastKeyCount(), len(b.Joins), len(b.Leaves), pl.Planned, len(pl.Moves))
+		tb.Fatalf("planner predicted %d multicast wraps, realized %d (J=%d L=%d planned=%v)",
+			pl.PredictedWraps, p.MulticastKeyCount(), len(b.Joins), len(b.Leaves), pl.Planned)
 	}
 }
 
@@ -132,19 +167,19 @@ func greedyOracle(tb testing.TB, tr *Tree, b Batch) (*Payload, *Tree) {
 // tested group size, the planner's realized multicast wraps and post-batch
 // ExpectedRekeyCost never exceed what the greedy pairing would have
 // realized on the same tree state. This is exactly the dominance guard's
-// contract at the default config, so it must hold for any seed.
+// contract, so it must hold for any seed.
 func TestPlannerNeverWorseThanGreedy(t *testing.T) {
-	type regime struct {
-		name              string
-		maxJoin, maxLeave int
-	}
-	regimes := []regime{
-		{"balanced", 7, 7},
-		{"join-heavy", 9, 3},
-		{"leave-heavy", 3, 9},
+	const rounds = 30
+	regimes := []struct {
+		name    string
+		batches func(seed int64, n int) []Batch
+	}{
+		{"balanced", func(seed int64, n int) []Batch { return fuzzBatches(seed, n, rounds) }},
+		{"join-heavy", func(seed int64, n int) []Batch { return biasedBatches(seed, n, rounds, 9, 3) }},
+		{"leave-heavy", func(seed int64, n int) []Batch { return biasedBatches(seed, n, rounds, 3, 9) }},
+		{"two-class", func(seed int64, n int) []Batch { return twoClassBatches(seed, n, rounds) }},
 	}
 	sizes := []int{16, 1000}
-	rounds := 30
 	if !testing.Short() {
 		sizes = append(sizes, 10000)
 	}
@@ -152,12 +187,7 @@ func TestPlannerNeverWorseThanGreedy(t *testing.T) {
 		for _, rg := range regimes {
 			for _, seed := range []int64{5, 23} {
 				t.Run(fmt.Sprintf("n=%d/%s/seed=%d", n, rg.name, seed), func(t *testing.T) {
-					var batches []Batch
-					if rg.maxJoin == rg.maxLeave {
-						batches = fuzzBatches(seed, n, rounds)
-					} else {
-						batches = biasedBatches(seed, n, rounds, rg.maxJoin, rg.maxLeave)
-					}
+					batches := rg.batches(seed, n)
 					pt, err := New(4, WithRand(keycrypt.NewDeterministicReader(1)), WithPlanner(PlannerConfig{}))
 					if err != nil {
 						t.Fatal(err)
@@ -203,12 +233,11 @@ func TestPlannerDeterministicAcrossEmitters(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				cfg := PlannerConfig{DriftFactor: 1.01, MoveWrapSlack: 2} // make moves likely
-				serial, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithLegacyRekey(), WithPlanner(cfg))
+				serial, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithLegacyRekey(), WithPlanner(PlannerConfig{}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				engine, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithWrapWorkers(workers), WithPlanner(cfg))
+				engine, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithWrapWorkers(workers), WithPlanner(PlannerConfig{}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -225,159 +254,57 @@ func TestPlannerDeterministicAcrossEmitters(t *testing.T) {
 						t.Fatalf("batch %d: planner payload bytes diverge", i)
 					}
 				}
-				if sm, em := serial.PlannerStats().Moves, engine.PlannerStats().Moves; sm != em {
-					t.Fatalf("move counts diverge: serial %d, engine %d", sm, em)
+				ss, es := serial.PlannerStats(), engine.PlannerStats()
+				if ss != es {
+					t.Fatalf("planner counters diverge: serial %+v, engine %+v", ss, es)
+				}
+				if es.PlannedBatches == 0 {
+					t.Fatal("no batch was planned; the comparison only covered greedy placements")
 				}
 			})
 		}
 	}
 }
 
-// TestBalancedRekeyCostBound checks the rebalancer's reference bound: a
-// greedily grown (join-only, hence balanced) tree should sit at drift ≈ 1,
-// and the bound must never exceed the real tree's cost by more than split
-// rounding noise.
-func TestBalancedRekeyCostBound(t *testing.T) {
-	for _, n := range []int{2, 7, 16, 100, 1000} {
-		tr, err := New(4, WithRand(keycrypt.NewDeterministicReader(9)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prime := Batch{}
-		for i := 1; i <= n; i++ {
-			prime.Joins = append(prime.Joins, MemberID(i))
-		}
-		if _, err := tr.Rekey(prime); err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range []int{1, 4} {
-			drift := tr.CostDrift(l)
-			if drift < 0.95 || drift > 1.3 {
-				t.Fatalf("n=%d l=%d: balanced-grown tree drift %.4f outside [0.95, 1.3]", n, l, drift)
-			}
-		}
-	}
-	if got := BalancedRekeyCost(1, 4, 3); got != 0 {
-		t.Fatalf("single-member balanced cost = %v, want 0", got)
-	}
-}
-
-// driftedTree hand-builds the shape where an amortized move strictly beats
-// greedy removal at zero wrap slack: a bushy 4-member subtree on the
-// root's left flank (removing one of its members does not splice depth
-// away) and a deep degree-2 caterpillar chain on the right (members at
-// depths 2..chain+1). When a batch departs one bush member and one chain-
-// bottom member, the chain's path is already departure-dirty, so
-// relocating the remaining bottom member into the bush hole shortens the
-// chain by an extra level, skips one child wrap (the hole's parent gains
-// an all-joiner child), and strictly lowers the expected cost — something
-// no greedy removal order can do. The tree is built greedily (no
-// planner), snapshotted, and restored with the planner so it meets the
-// drifted shape cold.
-func driftedTree(tb testing.TB, chain int, cfg PlannerConfig) (*Tree, MemberID, MemberID) {
-	tb.Helper()
-	tr, err := New(2, WithRand(keycrypt.NewDeterministicReader(77)))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	mint := func() keycrypt.Key {
-		k, err := tr.freshKey()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return k
-	}
-	mkLeaf := func(m MemberID, parent *Node) *Node {
-		leaf := &Node{key: mint(), parent: parent, member: m, leaves: 1}
-		tr.leaves[m] = leaf
-		return leaf
-	}
-	// 4 bush members + chain members (one per interior plus a second at
-	// the bottom) hang off the root.
-	root := &Node{key: mint(), leaves: 4 + chain}
-	tr.root = root
-	bush := &Node{key: mint(), parent: root, leaves: 4}
-	for i := 0; i < 2; i++ {
-		pair := &Node{key: mint(), parent: bush, leaves: 2}
-		pair.children = []*Node{mkLeaf(MemberID(2*i+1), pair), mkLeaf(MemberID(2*i+2), pair)}
-		bush.children = append(bush.children, pair)
-	}
-	spine := root
-	next := MemberID(5)
-	for k := 1; k < chain; k++ {
-		r := &Node{key: mint(), parent: spine, leaves: chain + 1 - k}
-		if spine == root {
-			spine.children = []*Node{bush, r}
-		} else {
-			spine.children = append(spine.children, r)
-		}
-		r.children = []*Node{mkLeaf(next, r)}
-		next++
-		spine = r
-	}
-	// The deepest interior holds the last two chain members side by side.
-	spine.children = append(spine.children, mkLeaf(next, spine))
-	bottom := next
-	blob, err := tr.Snapshot()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	restored, err := Restore(blob, WithRand(keycrypt.NewDeterministicReader(78)), WithPlanner(cfg))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return restored, bottom - 1, bottom
-}
-
-// TestRebalancerMovesUnderDrift puts the planner in front of a drifted
-// tree and verifies that a hole-rich batch schedules amortized moves at
-// zero wrap slack, beats greedy on both realized wraps and expected cost,
-// and gives every moved member a LeafRefresh bridge onto its new leaf key.
-func TestRebalancerMovesUnderDrift(t *testing.T) {
-	const chain = 7
-	cfg := PlannerConfig{DriftFactor: 1.05, MaxMovesPerBatch: 2}
-	tr, bottomA, _ := driftedTree(t, chain, cfg)
-	if drift := tr.CostDrift(2); drift < cfg.DriftFactor {
-		t.Fatalf("drifted tree drift %.4f below trigger %.4f", drift, cfg.DriftFactor)
-	}
-
-	// One bush member and one chain-bottom member depart: the bush hole is
-	// shallow and splice-free, and the chain path is already dirty, so a
-	// move of the surviving bottom member is wrap-neutral-or-better.
-	b := Batch{Leaves: []MemberID{1, bottomA}}
-	gp, clone := greedyOracle(t, tr, b)
-	p, err := tr.Rekey(b)
+// TestPlanBatchLeavesStatsUntouched previews batches the planner both
+// plans and declines, and checks that only the Rekey that applies a batch
+// moves the planner counters — a previewed batch must not be counted twice.
+func TestPlanBatchLeavesStatsUntouched(t *testing.T) {
+	tr, err := New(4, WithRand(keycrypt.NewDeterministicReader(1)), WithPlanner(PlannerConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlacement(t, tr, b, p)
-	if len(p.Placement.Moves) == 0 {
-		t.Fatalf("no rebalance moves on drifted tree (drift %.4f)", clone.CostDrift(2))
-	}
-	if pw, gw := p.MulticastKeyCount(), gp.MulticastKeyCount(); pw > gw+0 {
-		t.Fatalf("moves exceeded wrap slack: planner %d wraps, greedy %d", pw, gw)
-	}
-	if pc, gc := tr.ExpectedRekeyCost(2), clone.ExpectedRekeyCost(2); pc >= gc {
-		t.Fatalf("moves did not improve expected cost: planner %.4f, greedy %.4f", pc, gc)
-	}
-	for _, mv := range p.Placement.Moves {
-		var bridge *Item
-		for j := range p.JoinerItems {
-			it := &p.JoinerItems[j]
-			if it.Kind == LeafRefresh && len(it.Receivers) == 1 && it.Receivers[0] == mv.Member {
-				bridge = it
-			}
-		}
-		if bridge == nil {
-			t.Fatalf("move of member %d emitted no LeafRefresh bridge", mv.Member)
-		}
-		leaf, err := tr.Leaf(mv.Member)
+	var want PlannerStats
+	for i, b := range twoClassBatches(5, 1000, 20) {
+		before := tr.PlannerStats()
+		plan, err := tr.PlanBatch(b)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("batch %d: PlanBatch: %v", i, err)
 		}
-		if bridge.Wrapped.PayloadID != leaf.Key().ID {
-			t.Fatalf("bridge wraps key %v, mover leaf is %v", bridge.Wrapped.PayloadID, leaf.Key().ID)
+		if got := tr.PlannerStats(); got != before {
+			t.Fatalf("batch %d: PlanBatch moved the counters: %+v -> %+v", i, before, got)
 		}
+		p, err := tr.Rekey(b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if p.Placement.Planned != plan.Planned || p.Placement.PredictedWraps != plan.PredictedWraps {
+			t.Fatalf("batch %d: Rekey realized planned=%v wraps=%d, preview said planned=%v wraps=%d",
+				i, p.Placement.Planned, p.Placement.PredictedWraps, plan.Planned, plan.PredictedWraps)
+		}
+		switch {
+		case plan.Planned:
+			want.PlannedBatches++
+		case plan.PredictedWraps >= 0:
+			want.GreedyFallbacks++
+		}
+	}
+	got := tr.PlannerStats()
+	if got.PlannedBatches != want.PlannedBatches || got.GreedyFallbacks != want.GreedyFallbacks {
+		t.Fatalf("counters %+v, want %d planned and %d fallbacks", got, want.PlannedBatches, want.GreedyFallbacks)
+	}
+	if want.PlannedBatches == 0 || want.GreedyFallbacks == 0 {
+		t.Fatalf("trace covered %d planned and %d declined batches; need both", want.PlannedBatches, want.GreedyFallbacks)
 	}
 }
 
@@ -393,7 +320,7 @@ func FuzzPlanBatch(f *testing.F) {
 		degree := 2 + int(degSel%4)
 		tr, err := New(degree,
 			WithRand(keycrypt.NewDeterministicReader(uint64(seed))),
-			WithPlanner(PlannerConfig{DriftFactor: 1.05, MoveWrapSlack: int(degSel % 3)}))
+			WithPlanner(PlannerConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}

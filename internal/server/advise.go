@@ -1,12 +1,10 @@
 package server
 
 import (
-	"math"
 	"time"
 
 	"groupkey/internal/adaptive"
 	"groupkey/internal/clock"
-	"groupkey/internal/core"
 	"groupkey/internal/keytree"
 )
 
@@ -61,42 +59,6 @@ func (s *Server) ObservedDepartures() int {
 		return 0
 	}
 	return s.estimator.Count()
-}
-
-// TunePlannerFromChurn closes the rebalancer feedback loop: it derives
-// the expected departures per rekey period Tp from the fitted two-class
-// churn mixture (n · Σ classes α_i(1 − e^{−Tp/M_i})) and forwards it to
-// the scheme's batch placement planner as the churn hint its cost
-// scoring assumes. Returns the hint and whether it was applied (false
-// when the scheme runs no planner or too few lifetimes are observed).
-// The hint changes payload-affecting decisions, so durable deployments
-// must not call this — replay would diverge from the log.
-func (s *Server) TunePlannerFromChurn(tp time.Duration) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tuner, ok := s.scheme.(core.PlannerTuner)
-	if !ok || s.estimator == nil || !s.scheme.Stats().Planner.Enabled {
-		return 0, false
-	}
-	fit, err := s.estimator.Estimate()
-	if err != nil {
-		return 0, false
-	}
-	tpSec := tp.Seconds()
-	leaveProb := func(mean float64) float64 {
-		if mean <= 0 || tpSec <= 0 {
-			return 0
-		}
-		return 1 - math.Exp(-tpSec/mean)
-	}
-	expected := float64(s.scheme.Size()) *
-		(fit.Alpha*leaveProb(fit.Ms) + (1-fit.Alpha)*leaveProb(fit.Ml))
-	hint := int(math.Round(expected))
-	if hint < 1 {
-		hint = 1
-	}
-	tuner.TunePlanner(hint)
-	return hint, true
 }
 
 // SetSPeriod forwards a new S-period K to a scheme that supports runtime

@@ -346,9 +346,6 @@ func (m *Metrics) noteRekey(scheme core.Scheme, r *core.Rekey, joins, leaves, by
 		m.reg.Gauge("groupkey_planner_greedy_fallbacks_total",
 			"Batches the planner evaluated but kept the greedy plan.", plLabels...).
 			Set(float64(st.Planner.GreedyFallbacks))
-		m.reg.Gauge("groupkey_planner_moves_total",
-			"Amortized rebalance relocations executed.", plLabels...).
-			Set(float64(st.Planner.Moves))
 		m.reg.Gauge("groupkey_planner_saved_wraps_total",
 			"Simulated multicast wraps saved versus the greedy baseline.", plLabels...).
 			Set(float64(st.Planner.SavedWraps))

@@ -59,8 +59,8 @@ type SchemeConfig struct {
 	Trees int
 	// LossBounds are the ascending class bounds for SchemeLossHomog.
 	LossBounds []float64
-	// Planner enables the cost-optimal batch placement planner on every
-	// key tree (core.WithPlanner with default parameters). It lives in the
+	// Planner enables the batch placement planner on every key tree
+	// (core.WithPlanner; the planner has no settings). It lives in the
 	// create record because planning changes which payloads a batch
 	// produces: recovery must replay with the same setting or the rebuilt
 	// state diverges from the log.
