@@ -80,9 +80,11 @@ type Stream struct {
 	// unicast or ride the multicast channel.
 	JoinerItems []keytree.Item
 	// Audience lists the members subscribed to this stream's multicast
-	// group — in a deployment with one IP multicast group per key tree
-	// (Section 4.4) these members hear every packet of the stream, needed
-	// or not. Fairness analysis builds on this.
+	// group, ascending — in a deployment with one IP multicast group per
+	// key tree (Section 4.4) these members hear every packet of the stream,
+	// needed or not. Fairness analysis builds on this. The slice is shared
+	// with the tree's maintained member list: read-only, and it may outlive
+	// the epoch (a later batch publishes a new list, never edits this one).
 	Audience []keytree.MemberID
 }
 
@@ -358,7 +360,8 @@ func excludeSet(joins []Join) map[keytree.MemberID]bool {
 }
 
 // subtract returns members not present in the exclusion set, preserving
-// order.
+// order. members is never written: with nothing to exclude it is returned
+// as is, so a shared view stays shared.
 func subtract(members []keytree.MemberID, exclude map[keytree.MemberID]bool) []keytree.MemberID {
 	if len(exclude) == 0 {
 		return members

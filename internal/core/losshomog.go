@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
@@ -233,7 +232,7 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 			}
 			streams[i].Items = append(streams[i].Items, keytree.Item{
 				Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
-				Receivers: subtract(tr.Members(), joiners),
+				Receivers: subtract(tr.MembersView(), joiners),
 			})
 			for _, m := range perTree[i].Joins {
 				wj, err := keycrypt.Wrap(newDEK, r.Welcome[m], s.gen.Rand)
@@ -257,9 +256,10 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 		if err != nil {
 			return nil, err
 		}
+		groupStream.Audience = s.Members()
 		groupStream.Items = append(groupStream.Items, keytree.Item{
 			Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0,
-			Receivers: subtract(s.Members(), joiners),
+			Receivers: subtract(groupStream.Audience, joiners),
 		})
 		for _, j := range b.Joins {
 			wj, err := keycrypt.Wrap(newDEK, r.Welcome[j.ID], s.gen.Rand)
@@ -274,9 +274,8 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 	}
 
 	for i := range streams {
-		streams[i].Audience = s.trees[i].Members()
+		streams[i].Audience = s.trees[i].MembersView()
 	}
-	groupStream.Audience = s.Members()
 	for _, st := range append(streams, groupStream) {
 		if len(st.Items) > 0 || len(st.JoinerItems) > 0 {
 			r.Streams = append(r.Streams, st)
@@ -331,10 +330,9 @@ func (s *MultiTree) Stats() SchemeStats {
 
 // Members implements Scheme.
 func (s *MultiTree) Members() []keytree.MemberID {
-	out := make([]keytree.MemberID, 0, len(s.home))
-	for m := range s.home {
-		out = append(out, m)
+	views := make([][]keytree.MemberID, len(s.trees))
+	for i, tr := range s.trees {
+		views[i] = tr.MembersView()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return keytree.MergeMembers(views...)
 }

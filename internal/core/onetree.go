@@ -53,7 +53,7 @@ func (s *OneTree) ProcessBatch(b Batch) (*Rekey, error) {
 			Label:       "group",
 			Items:       p.Items,
 			JoinerItems: p.JoinerItems,
-			Audience:    s.tree.Members(),
+			Audience:    s.tree.MembersView(),
 		}},
 		Welcome: make(map[keytree.MemberID]keycrypt.Key, len(b.Joins)),
 	}

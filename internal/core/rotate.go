@@ -64,7 +64,7 @@ func (s *OneTree) Rotate() (*Rekey, error) {
 	}
 	s.epoch++
 	gen := keycrypt.Generator{Rand: s.tree.Rand()}
-	r, err := rotateWrapped(s.epoch, next, old, s.tree.Members(), gen)
+	r, err := rotateWrapped(s.epoch, next, old, s.tree.MembersView(), gen)
 	if err != nil {
 		return nil, err
 	}

@@ -328,7 +328,7 @@ func RestoreMultiTree(snapshot []byte, opts ...Option) (*MultiTree, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: tree %d: %v", ErrBadSnapshot, i, err)
 		}
-		for _, m := range tr.Members() {
+		for _, m := range tr.MembersView() {
 			if prev, dup := s.home[m]; dup {
 				return nil, fmt.Errorf("%w: member %d in trees %d and %d", ErrBadSnapshot, m, prev, i)
 			}

@@ -339,7 +339,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 			}
 			sStream.Items = append(sStream.Items, keytree.Item{
 				Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
-				Receivers: subtract(s.stree.Members(), joiners),
+				Receivers: subtract(s.stree.MembersView(), joiners),
 			})
 			for _, m := range sJoins {
 				wj, err := keycrypt.Wrap(newDEK, r.Welcome[m], s.gen.Rand)
@@ -364,7 +364,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 			}
 			lStream.Items = append(lStream.Items, keytree.Item{
 				Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
-				Receivers: subtract(s.ltree.Members(), joiners),
+				Receivers: subtract(s.ltree.MembersView(), joiners),
 			})
 			for _, m := range lJoins {
 				wj, err := keycrypt.Wrap(newDEK, r.Welcome[m], s.gen.Rand)
@@ -390,9 +390,10 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 		if err != nil {
 			return nil, err
 		}
+		groupStream.Audience = s.Members()
 		groupStream.Items = append(groupStream.Items, keytree.Item{
 			Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0,
-			Receivers: subtract(s.Members(), joiners),
+			Receivers: subtract(groupStream.Audience, joiners),
 		})
 		for _, j := range b.Joins {
 			wj, err := keycrypt.Wrap(newDEK, r.Welcome[j.ID], s.gen.Rand)
@@ -409,10 +410,9 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 	if s.mode == QT {
 		sStream.Audience = sortedMembers(s.queue)
 	} else {
-		sStream.Audience = s.stree.Members()
+		sStream.Audience = s.stree.MembersView()
 	}
-	lStream.Audience = s.ltree.Members()
-	groupStream.Audience = s.Members()
+	lStream.Audience = s.ltree.MembersView()
 	for _, st := range []Stream{sStream, lStream, groupStream} {
 		if len(st.Items) > 0 || len(st.JoinerItems) > 0 {
 			r.Streams = append(r.Streams, st)
@@ -492,18 +492,8 @@ func (s *TwoPartition) Stats() SchemeStats {
 
 // Members implements Scheme.
 func (s *TwoPartition) Members() []keytree.MemberID {
-	set := make(map[keytree.MemberID]bool, s.Size())
 	if s.mode == QT {
-		for m := range s.queue {
-			set[m] = true
-		}
-	} else {
-		for _, m := range s.stree.Members() {
-			set[m] = true
-		}
+		return keytree.MergeMembers(sortedMembers(s.queue), s.ltree.MembersView())
 	}
-	for _, m := range s.ltree.Members() {
-		set[m] = true
-	}
-	return sortedMembers(set)
+	return keytree.MergeMembers(s.stree.MembersView(), s.ltree.MembersView())
 }

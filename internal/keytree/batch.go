@@ -3,6 +3,7 @@ package keytree
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"groupkey/internal/keycrypt"
@@ -70,7 +71,9 @@ type Item struct {
 	// increasing toward the leaves. Transport protocols weight low-level
 	// (close-to-root) keys more heavily because more members need them.
 	Level int
-	// Receivers lists the members that need this item, ascending.
+	// Receivers lists the members that need this item, ascending. The slice
+	// is shared (between items, and with the tree's cached subtree lists)
+	// and read-only, and may outlive the epoch that produced it.
 	Receivers []MemberID
 }
 
@@ -136,7 +139,9 @@ type dirtyInfo struct {
 //   - Each joiner additionally receives its whole key path wrapped under
 //     its individual key.
 //
-// Rekey mutates the tree. On error the tree is unchanged.
+// Rekey mutates the tree. A batch that fails validation leaves it
+// unchanged; an entropy failure part-way leaves a well-formed tree with the
+// batch partly applied.
 //
 // When WithPlanner is set, the placement (which joiner takes which hole,
 // where surplus joiners attach) comes from the batch planner; otherwise
@@ -150,6 +155,9 @@ func (t *Tree) Rekey(b Batch) (*Payload, error) {
 	plan, greedyWraps := t.plan(b)
 	p, err := t.applyPlan(b, plan)
 	if err != nil {
+		// The batch may be partly applied: forget the maintained lists, so
+		// the next use rebuilds them from the tree.
+		t.members, t.subtreeLists = nil, nil
 		return nil, err
 	}
 	// Counted here, not in plan, so a PlanBatch preview is not counted.
@@ -249,6 +257,7 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 			if !ok {
 				info = &dirtyInfo{oldKey: n.key}
 				dirty[n] = info
+				delete(t.subtreeLists, n) // membership beneath n changes
 			}
 			info.departure = info.departure || departure
 		}
@@ -256,12 +265,12 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 
 	// Phase 1: fills — joiners take the chosen departure holes.
 	for _, f := range plan.Fills {
-		leaf := t.leaves[f.Hole]
-		delete(t.leaves, f.Hole)
 		fresh, err := t.freshKey()
 		if err != nil {
 			return nil, err
 		}
+		leaf := t.leaves[f.Hole]
+		delete(t.leaves, f.Hole)
 		leaf.key = fresh
 		leaf.member = f.Joiner
 		t.leaves[f.Joiner] = leaf
@@ -287,12 +296,15 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	for _, g := range plan.Grows {
 		if g.Anchor != 0 {
 			if byKeyID == nil {
-				byKeyID = make(map[keycrypt.KeyID]*Node)
-				walk(t.root, func(n *Node) {
+				// Anchors are interiors the batch's departures dirtied
+				// (anchorPlan picks from nothing else), so the dirty set is
+				// the whole index; any other key ID is an invalid plan.
+				byKeyID = make(map[keycrypt.KeyID]*Node, len(dirty))
+				for n := range dirty {
 					if !n.IsLeaf() {
 						byKeyID[n.key.ID] = n
 					}
-				})
+				}
 			}
 			anchor := byKeyID[g.Anchor]
 			if anchor == nil || !t.attached(anchor) || len(anchor.children) >= t.degree {
@@ -358,15 +370,22 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	// goroutine (drawing nonces in canonical order) and fans the AES-GCM
 	// work over a bounded pool; the legacy emitter is the serial baseline
 	// oracle kept for determinism tests and perf comparisons.
+	joined := slices.Clone(b.Joins)
+	slices.Sort(joined)
 	var p *Payload
 	var err error
 	if t.legacyRekey {
 		p, err = t.emitLegacy(dirty, joiners)
 	} else {
-		p, err = t.emitPlanned(dirty, joiners)
+		p, err = t.emitPlanned(dirty, joiners, joined)
 	}
 	if err != nil {
 		return nil, err
+	}
+	if t.members != nil && !b.IsEmpty() {
+		gone := slices.Clone(b.Leaves)
+		slices.Sort(gone)
+		t.members = replaceMembers(t.members, gone, joined)
 	}
 
 	p.Placement = Placement{

@@ -2,6 +2,7 @@ package keytree
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -104,6 +105,50 @@ func benchBatchRekeyVariant(b *testing.B, opts ...Option) {
 			b.ReportMetric(float64(keys)/b.Elapsed().Seconds(), "keys/sec")
 		})
 	}
+}
+
+// BenchmarkRekeyChurn100k is the epoch benchmark's churn100k workload with
+// the server taken away: N=100k at d=4, 512 "connected" members sitting in
+// evenly spaced slots of the tree, 256 of them replaced per iteration. The
+// other 99.5k members never change, so nearly every subtree is clean in
+// every epoch — the shape the maintained member lists are built for.
+func BenchmarkRekeyChurn100k(b *testing.B) {
+	const n, probes, replace = 100000, 512, 256
+	tr := benchTree(b, 4, n)
+	next := MemberID(n + 1)
+	// Evenly spaced members leave and the probes join into their gaps.
+	swap := Batch{}
+	for i := 0; i < probes; i++ {
+		swap.Leaves = append(swap.Leaves, MemberID(i*n/probes+1))
+		swap.Joins = append(swap.Joins, next)
+		next++
+	}
+	if _, err := tr.Rekey(swap); err != nil {
+		b.Fatal(err)
+	}
+	live := swap.Joins
+	rnd := rand.New(rand.NewSource(1))
+	tr.MembersView() // warm, as the scheme's Stream.Audience keeps it
+	b.ReportAllocs()
+	b.ResetTimer()
+	keys := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer() // batch construction is harness cost, not rekey cost
+		rnd.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		batch := Batch{Leaves: append([]MemberID(nil), live[:replace]...)}
+		for j := 0; j < replace; j++ {
+			batch.Joins = append(batch.Joins, next)
+			live[j] = next
+			next++
+		}
+		b.StartTimer()
+		p, err := tr.Rekey(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys += p.TotalKeyCount()
+	}
+	b.ReportMetric(float64(keys)/b.Elapsed().Seconds(), "keys/sec")
 }
 
 func BenchmarkBatchRekeyEngine(b *testing.B) {

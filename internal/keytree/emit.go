@@ -22,8 +22,8 @@ import (
 //     nonce per wrap from the tree's entropy source in the exact order the
 //     serial emitter would. Receiver lists are built bottom-up — a dirty
 //     node's list is the linear merge of its children's already-sorted
-//     lists, clean subtrees are walked exactly once — instead of the
-//     legacy walk-and-sort per wrap.
+//     lists, and a clean subtree's list comes from the tree's cross-epoch
+//     cache (subtreeLists) — instead of the legacy walk-and-sort per wrap.
 //  2. Emit (parallel): fan the AES-GCM seals out over a bounded worker
 //     pool, each job writing into its pre-assigned payload slot through
 //     the tree's cached-key-schedule Wrapper.
@@ -44,8 +44,9 @@ type wrapJob struct {
 // costs more than the AES work it would spread.
 const minParallelJobs = 32
 
-// emitPlanned runs the plan/emit engine over the dirty set.
-func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool) (*Payload, error) {
+// emitPlanned runs the plan/emit engine over the dirty set. joinerIDs is
+// the joiners set in ascending order.
+func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool, joinerIDs []MemberID) (*Payload, error) {
 	nodes, depths := sortDirtyNodes(dirty)
 	rng := t.gen.Rand
 	if rng == nil {
@@ -64,7 +65,7 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 		}
 	}
 	joinerCap := 0
-	for m := range joiners {
+	for _, m := range joinerIDs {
 		joinerCap += t.leaves[m].Depth()
 	}
 
@@ -111,11 +112,6 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 	}
 
 	// Phase 6 plan: joiner path deliveries, ascending member order.
-	joinerIDs := make([]MemberID, 0, len(joiners))
-	for m := range joiners {
-		joinerIDs = append(joinerIDs, m)
-	}
-	slices.Sort(joinerIDs)
 	for _, m := range joinerIDs {
 		leaf := t.leaves[m]
 		level := leaf.Depth()
@@ -195,8 +191,9 @@ func sortDirtyNodes(dirty map[*Node]*dirtyInfo) ([]*Node, []int) {
 // receiverIndex computes sorted receiver lists (members under a node,
 // batch joiners excluded) with memoization: since dirtiness is
 // upward-closed, a dirty node's list is the merge of its children's lists,
-// and each clean subtree on the dirty frontier is walked exactly once.
-// Lists are shared between items; they are read-only by contract.
+// and the clean subtrees on the dirty frontier come from the tree's
+// cross-epoch cache. Lists are shared between items and epochs; they are
+// read-only by contract.
 type receiverIndex struct {
 	tree    *Tree
 	dirty   map[*Node]*dirtyInfo
@@ -221,11 +218,17 @@ func (r *receiverIndex) under(n *Node) []MemberID {
 		return out
 	}
 	var out []MemberID
-	if _, isDirty := r.dirty[n]; !isDirty || n.IsLeaf() {
-		// Clean (or leaf) subtree: collect and sort once.
-		out = collectMembers(n, r.exclude, make([]MemberID, 0, n.leaves))
-		slices.Sort(out)
-	} else {
+	switch {
+	case n.IsLeaf():
+		r.tree.leavesVisited++
+		if !r.exclude[n.member] {
+			out = []MemberID{n.member}
+		}
+	case r.dirty[n] == nil:
+		// Clean interior: nothing beneath it changed this batch, so no
+		// joiner is there to exclude and its cached list is current.
+		out = r.tree.subtreeList(n)
+	default:
 		lists := make([][]MemberID, 0, len(n.children))
 		for _, c := range n.children {
 			lists = append(lists, r.under(c))
@@ -236,17 +239,41 @@ func (r *receiverIndex) under(n *Node) []MemberID {
 	return out
 }
 
-// collectMembers appends the non-excluded members of n's subtree to out in
-// tree order (sorted afterwards by the caller).
-func collectMembers(n *Node, exclude map[MemberID]bool, out []MemberID) []MemberID {
-	if n.member != 0 {
-		if !exclude[n.member] {
-			out = append(out, n.member)
-		}
+// subtreeList returns the ascending members of the clean subtree at n,
+// shared and read-only. At or above subtreeListFloor the list is cached
+// until n is next dirtied; a miss rebuilds it by merging the children's
+// lists, so what a past epoch dirtied costs one merge per level instead of
+// a walk and sort of every leaf below.
+func (t *Tree) subtreeList(n *Node) []MemberID {
+	if n.leaves < subtreeListFloor {
+		out := collectMembers(n, make([]MemberID, 0, n.leaves))
+		t.leavesVisited += len(out)
+		slices.Sort(out)
 		return out
 	}
+	if out, ok := t.subtreeLists[n]; ok {
+		return out
+	}
+	lists := make([][]MemberID, 0, len(n.children))
 	for _, c := range n.children {
-		out = collectMembers(c, exclude, out)
+		lists = append(lists, t.subtreeList(c))
+	}
+	out := mergeSorted(lists)
+	if t.subtreeLists == nil {
+		t.subtreeLists = make(map[*Node][]MemberID)
+	}
+	t.subtreeLists[n] = out
+	return out
+}
+
+// collectMembers appends the members of n's subtree to out in tree order
+// (sorted afterwards by the caller).
+func collectMembers(n *Node, out []MemberID) []MemberID {
+	if n.member != 0 {
+		return append(out, n.member)
+	}
+	for _, c := range n.children {
+		out = collectMembers(c, out)
 	}
 	return out
 }
@@ -254,7 +281,21 @@ func collectMembers(n *Node, exclude map[MemberID]bool, out []MemberID) []Member
 // mergeSorted merges already-sorted lists by cascaded two-way merges — a
 // tight two-pointer loop per pair beats a d-wide min scan per element. A
 // single non-empty input is returned as-is (lists are shared read-only).
+// lists is reordered in place.
 func mergeSorted(lists [][]MemberID) []MemberID {
+	lists, total := nonEmptyLists(lists)
+	switch len(lists) {
+	case 0:
+		return nil
+	case 1:
+		return lists[0]
+	}
+	return mergeInto(make([]MemberID, total), lists)
+}
+
+// nonEmptyLists filters lists in place down to its non-empty entries and
+// returns them with their total length.
+func nonEmptyLists(lists [][]MemberID) ([][]MemberID, int) {
 	nonEmpty := lists[:0]
 	total := 0
 	for _, l := range lists {
@@ -263,28 +304,31 @@ func mergeSorted(lists [][]MemberID) []MemberID {
 			total += len(l)
 		}
 	}
-	switch len(nonEmpty) {
-	case 0:
-		return nil
-	case 1:
-		return nonEmpty[0]
-	case 2:
-		return merge2(nonEmpty[0], nonEmpty[1], make([]MemberID, 0, total))
-	}
-	// Merge the two shortest lists first so later passes move fewer
-	// elements; with tree fan-out d the cascade is at most d-1 merges,
-	// ping-ponging between two buffers (merge2 reads acc, writes spare).
-	sort.Slice(nonEmpty, func(i, j int) bool { return len(nonEmpty[i]) < len(nonEmpty[j]) })
-	acc := merge2(nonEmpty[0], nonEmpty[1], make([]MemberID, 0, total))
-	spare := make([]MemberID, 0, total)
-	for _, l := range nonEmpty[2:] {
-		next := merge2(acc, l, spare[:0])
-		spare = acc
-		acc = next
-	}
-	return acc
+	return nonEmpty, total
 }
 
+// mergeInto merges two or more non-empty ascending lists into out, whose
+// length is their total, and returns it. The cascade runs in that one
+// buffer: the two shortest lists merge into its tail, and each later pass
+// merges the accumulated run with the next list into a destination that
+// starts len(list) earlier. Writing position k of a pass has consumed k
+// elements, at most len(list) of them from the list, so the write index
+// never passes the unread part of the run. Shortest first, so later passes
+// move fewer elements.
+func mergeInto(out []MemberID, lists [][]MemberID) []MemberID {
+	slices.SortFunc(lists, func(a, b []MemberID) int { return len(a) - len(b) })
+	start := len(out) - len(lists[0]) - len(lists[1])
+	merge2(lists[0], lists[1], out[start:start])
+	for _, l := range lists[2:] {
+		run := out[start:]
+		start -= len(l)
+		merge2(run, l, out[start:start])
+	}
+	return out
+}
+
+// merge2 appends the merge of a and b to out. out may share a's backing
+// array when it starts at least len(b) before a (see mergeInto).
 func merge2(a, b, out []MemberID) []MemberID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -298,6 +342,19 @@ func merge2(a, b, out []MemberID) []MemberID {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
+}
+
+// MergeMembers merges ascending member lists into one fresh ascending list
+// the caller owns.
+func MergeMembers(lists ...[]MemberID) []MemberID {
+	lists, total := nonEmptyLists(slices.Clone(lists))
+	out := make([]MemberID, total)
+	if len(lists) == 1 {
+		copy(out, lists[0])
+	} else if len(lists) > 1 {
+		mergeInto(out, lists)
+	}
+	return out
 }
 
 // runWrapJobs executes the planned seals, inline or across the worker

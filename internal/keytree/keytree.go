@@ -98,9 +98,36 @@ type Tree struct {
 	planner      bool
 	plannerStats PlannerStats
 
+	// members is the ascending member list, kept as state instead of being
+	// re-sorted out of the leaf map every epoch. nil means cold (a new or
+	// restored tree, or one whose last Rekey failed): MembersView rebuilds it
+	// on first use. Once warm, each Rekey replaces it copy-on-write, so
+	// views handed out earlier stay valid and unchanged.
+	members []MemberID
+	// subtreeLists caches the ascending member list of interiors with at
+	// least subtreeListFloor leaves, across epochs. An entry is valid while
+	// its node stays clean: every membership change dirties all ancestors
+	// of the leaf it touches, and applyPlan's mark (and removeLeaf's
+	// splice) delete the entry at exactly that moment. A side table rather
+	// than a Node field: only about N/subtreeListFloor nodes qualify, and a
+	// slice header on every Node would push all of them into the next
+	// allocation size class.
+	subtreeLists map[*Node][]MemberID
+	// leavesVisited counts the leaf nodes rekey emission walked to build
+	// receiver lists; tests pin it well below N for a warm tree.
+	leavesVisited int
+
 	// stats accumulated across the tree's lifetime.
 	stats Stats
 }
+
+// subtreeListFloor is the smallest subtree whose member list is cached.
+// Below it a list is cheaper to rebuild than to keep: collecting and
+// sorting fewer than 64 IDs costs about a microsecond, while caching that
+// level too would add another 8 bytes per member and d times the table
+// entries. 16 and 64 measured the same on the epoch benchmark; 64 keeps
+// the table at one or two levels of the tree.
+const subtreeListFloor = 64
 
 // Stats counts work done by a tree across its lifetime. All counters are
 // monotone.
@@ -281,14 +308,42 @@ func (t *Tree) Contains(m MemberID) bool {
 	return ok
 }
 
-// Members returns all member IDs in ascending order.
+// Members returns all member IDs in ascending order, as a fresh slice the
+// caller owns.
 func (t *Tree) Members() []MemberID {
-	out := make([]MemberID, 0, len(t.leaves))
-	for m := range t.leaves {
+	return slices.Clone(t.MembersView())
+}
+
+// MembersView returns all member IDs in ascending order without copying.
+// The slice is shared and read-only. It may outlive the epoch: a later
+// Rekey publishes a new list and leaves this one untouched.
+func (t *Tree) MembersView() []MemberID {
+	if t.members == nil {
+		t.members = make([]MemberID, 0, len(t.leaves))
+		for m := range t.leaves {
+			t.members = append(t.members, m)
+		}
+		slices.Sort(t.members)
+	}
+	return t.members
+}
+
+// replaceMembers returns old minus gone plus joined in one streaming merge.
+// All three are ascending; gone is a subset of old, joined disjoint from it.
+func replaceMembers(old, gone, joined []MemberID) []MemberID {
+	out := make([]MemberID, 0, len(old)-len(gone)+len(joined))
+	for _, m := range old {
+		if len(gone) > 0 && gone[0] == m {
+			gone = gone[1:]
+			continue
+		}
+		for len(joined) > 0 && joined[0] < m {
+			out = append(out, joined[0])
+			joined = joined[1:]
+		}
 		out = append(out, m)
 	}
-	slices.Sort(out)
-	return out
+	return append(out, joined...)
 }
 
 // Leaf returns the leaf node of a member.
@@ -364,6 +419,7 @@ func (t *Tree) removeLeaf(m MemberID) (*Node, error) {
 		only := parent.children[0]
 		grand := parent.parent
 		parent.parent, parent.children = nil, nil
+		delete(t.subtreeLists, parent)
 		if grand == nil {
 			only.parent = nil
 			t.root = only
