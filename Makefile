@@ -119,7 +119,8 @@ chaos-nightly: chaos-bins
 		./bin/dstrun -replay $$f || exit 1; \
 	done
 
-# Short fuzzing pass over the wire protocol and durability decoders.
+# Short fuzzing pass over the wire protocol and durability decoders, and
+# over the placement planner (its dry runs must leave the tree as found).
 fuzz:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzDecodeRekey -fuzztime=10s ./internal/wire/
@@ -130,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScopedIndex -fuzztime=10s ./internal/wire/
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=10s ./internal/store/
 	$(GO) test -fuzz=FuzzRestore -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzPlanBatch -fuzztime=10s ./internal/keytree/
 	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=10s ./internal/loadgen/
 
 clean:

@@ -236,28 +236,27 @@ func (t *Tree) validatePlan(b Batch, p Plan) error {
 	return nil
 }
 
-// applyPlan executes a validated placement through the historical rekey
-// phases. Fills, removals, and grows run in plan order, so when the
-// plan is greedyPlan(b) the entropy draws — and therefore the payload
-// bytes — are identical to the pre-planner implementation.
-func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
-	if err := t.validatePlan(b, plan); err != nil {
-		return nil, err
-	}
-
-	dirty := make(map[*Node]*dirtyInfo)
-	joiners := make(map[MemberID]bool, len(b.Joins))
-	for _, m := range b.Joins {
-		joiners[m] = true
-	}
-
+// place runs the structural phases of a rekey — fills, removals, grows, in
+// plan order. It fills dirty, the caller's empty map (the caller's so that
+// Rekey's stays off the heap), with the set they leave, pruned to the
+// interiors still in the tree, and returns where each surplus joiner
+// attached.
+//
+// A dry run is the planner's simulation: the same code moves the same nodes,
+// but draws no key (new nodes carry the zero key, so neither entropy nor
+// nextID is consumed), leaves stats, the maintained lists and every existing
+// key alone, and logs the inverse of each structural change for rollback.
+func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth, error) {
 	mark := func(n *Node, departure bool) {
 		for ; n != nil; n = n.parent {
 			info, ok := dirty[n]
 			if !ok {
-				info = &dirtyInfo{oldKey: n.key}
+				info = &dirtyInfo{}
 				dirty[n] = info
-				delete(t.subtreeLists, n) // membership beneath n changes
+				if !dry {
+					info.oldKey = n.key
+					delete(t.subtreeLists, n) // membership beneath n changes
+				}
 			}
 			info.departure = info.departure || departure
 		}
@@ -265,28 +264,38 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 
 	// Phase 1: fills — joiners take the chosen departure holes.
 	for _, f := range plan.Fills {
-		fresh, err := t.freshKey()
-		if err != nil {
-			return nil, err
-		}
 		leaf := t.leaves[f.Hole]
+		if dry {
+			t.undo = append(t.undo, func() {
+				delete(t.leaves, f.Joiner)
+				leaf.member = f.Hole
+				t.leaves[f.Hole] = leaf
+			})
+		} else {
+			fresh, err := t.freshKey()
+			if err != nil {
+				return nil, err
+			}
+			leaf.key = fresh
+			t.stats.Joins++
+			t.stats.Departures++
+		}
 		delete(t.leaves, f.Hole)
-		leaf.key = fresh
 		leaf.member = f.Joiner
 		t.leaves[f.Joiner] = leaf
 		mark(leaf.parent, true)
-		t.stats.Joins++
-		t.stats.Departures++
 	}
 
 	// Phase 2: surplus departures shrink the tree.
 	for _, m := range plan.Removals {
-		anc, err := t.removeLeaf(m)
+		anc, err := t.removeLeaf(m, dry)
 		if err != nil {
-			return nil, err // unreachable: validated above
+			return nil, err // unreachable: the batch and plan are validated
 		}
 		mark(anc, true)
-		t.stats.Departures++
+		if !dry {
+			t.stats.Departures++
+		}
 	}
 
 	// Phase 3: surplus joins grow the tree, at the planned anchors or by
@@ -294,6 +303,7 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	var byKeyID map[keycrypt.KeyID]*Node
 	grown := make([]Growth, 0, len(plan.Grows))
 	for _, g := range plan.Grows {
+		from := t.root
 		if g.Anchor != 0 {
 			if byKeyID == nil {
 				// Anchors are interiors the batch's departures dirtied
@@ -306,26 +316,12 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 					}
 				}
 			}
-			anchor := byKeyID[g.Anchor]
-			if anchor == nil || !t.attached(anchor) || len(anchor.children) >= t.degree {
+			from = byKeyID[g.Anchor]
+			if from == nil || !t.attached(from) || len(from.children) >= t.degree {
 				return nil, fmt.Errorf("%w: anchor %v unusable for joiner %d", ErrInvalidPlan, g.Anchor, g.Joiner)
 			}
-			fresh, err := t.freshKey()
-			if err != nil {
-				return nil, err
-			}
-			leaf := &Node{key: fresh, parent: anchor, member: g.Joiner, leaves: 1}
-			anchor.children = append(anchor.children, leaf)
-			for p := anchor; p != nil; p = p.parent {
-				p.leaves++
-			}
-			t.leaves[g.Joiner] = leaf
-			mark(anchor, false)
-			t.stats.Joins++
-			grown = append(grown, Growth{Joiner: g.Joiner, Anchor: anchor.key.ID})
-			continue
 		}
-		leaf, created, err := t.insertLeafTracked(g.Joiner)
+		leaf, created, err := t.insertLeaf(g.Joiner, from, dry)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +331,9 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		} else {
 			mark(leaf.parent, false)
 		}
-		t.stats.Joins++
+		if !dry {
+			t.stats.Joins++
+		}
 		var parentID keycrypt.KeyID
 		if leaf.parent != nil {
 			parentID = leaf.parent.key.ID
@@ -348,6 +346,26 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		if !t.attached(n) || n.IsLeaf() {
 			delete(dirty, n)
 		}
+	}
+	return grown, nil
+}
+
+// applyPlan executes a validated placement through the historical rekey
+// phases. Fills, removals, and grows run in plan order, so when the
+// plan is greedyPlan(b) the entropy draws — and therefore the payload
+// bytes — are identical to the pre-planner implementation.
+func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
+	if err := t.validatePlan(b, plan); err != nil {
+		return nil, err
+	}
+	dirty := make(map[*Node]*dirtyInfo)
+	grown, err := t.place(plan, dirty, false)
+	if err != nil {
+		return nil, err
+	}
+	joiners := make(map[MemberID]bool, len(b.Joins))
+	for _, m := range b.Joins {
+		joiners[m] = true
 	}
 
 	// Phase 4: refresh all pre-existing dirty keys, in key-ID order. Map
@@ -373,7 +391,6 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	joined := slices.Clone(b.Joins)
 	slices.Sort(joined)
 	var p *Payload
-	var err error
 	if t.legacyRekey {
 		p, err = t.emitLegacy(dirty, joiners)
 	} else {
@@ -532,58 +549,69 @@ func (t *Tree) validateBatch(b Batch) error {
 	return nil
 }
 
-// insertLeafTracked is insertLeaf but also reports the interior node created
-// by a leaf split, if any.
-func (t *Tree) insertLeafTracked(m MemberID) (leaf, createdInterior *Node, err error) {
-	// Re-implementation of insertLeaf that surfaces the split node; the
-	// simple variant delegates here.
-	key, err := t.freshKey()
+// insertLeaf gives member m a new leaf by least-leaves descent from the
+// given node: past full interiors to the first underfull one, which takes
+// the leaf as one more child, or down to a leaf, which is split — the
+// interior the split creates is returned too. A planned anchor is underfull,
+// so the leaf attaches directly under it; a nil start is the empty tree.
+// dry is as in place.
+func (t *Tree) insertLeaf(m MemberID, from *Node, dry bool) (leaf, created *Node, err error) {
+	key, err := t.slotKey(dry)
 	if err != nil {
 		return nil, nil, err
 	}
 	leaf = &Node{key: key, member: m, leaves: 1}
 
-	if t.root == nil {
+	n := t.leastLoaded(from)
+	switch {
+	case n == nil:
 		t.root = leaf
-		t.leaves[m] = leaf
-		return leaf, nil, nil
+		if dry {
+			t.undo = append(t.undo, func() {
+				t.root = nil
+				delete(t.leaves, m)
+			})
+		}
+	case n.IsLeaf():
+		interiorKey, err := t.slotKey(dry)
+		if err != nil {
+			return nil, nil, err
+		}
+		interior := &Node{key: interiorKey, parent: n.parent, children: []*Node{n, leaf}, leaves: n.leaves + 1}
+		t.replaceNode(n.parent, n, interior)
+		n.parent, leaf.parent = interior, interior
+		addLeaves(interior.parent, 1)
+		if dry {
+			t.undo = append(t.undo, func() {
+				n.parent = interior.parent
+				t.replaceNode(n.parent, interior, n)
+				addLeaves(n.parent, -1)
+				delete(t.leaves, m)
+			})
+		}
+		created = interior
+	default:
+		if dry {
+			kids := n.children
+			t.undo = append(t.undo, func() {
+				n.children = kids
+				addLeaves(n, -1)
+				delete(t.leaves, m)
+			})
+		}
+		leaf.parent = n
+		n.children = append(n.children, leaf)
+		addLeaves(n, 1)
 	}
+	t.leaves[m] = leaf
+	return leaf, created, nil
+}
 
-	n := t.root
-	for {
-		if n.IsLeaf() {
-			interiorKey, err := t.freshKey()
-			if err != nil {
-				return nil, nil, err
-			}
-			interior := &Node{
-				key:      interiorKey,
-				parent:   n.parent,
-				children: []*Node{n, leaf},
-				leaves:   n.leaves + 1,
-			}
-			if n.parent == nil {
-				t.root = interior
-			} else {
-				replaceChild(n.parent, n, interior)
-			}
-			n.parent = interior
-			leaf.parent = interior
-			for p := interior.parent; p != nil; p = p.parent {
-				p.leaves++
-			}
-			t.leaves[m] = leaf
-			return leaf, interior, nil
-		}
-		if len(n.children) < t.degree {
-			leaf.parent = n
-			n.children = append(n.children, leaf)
-			for p := n; p != nil; p = p.parent {
-				p.leaves++
-			}
-			t.leaves[m] = leaf
-			return leaf, nil, nil
-		}
+// leastLoaded descends from n past full interiors, each time into the child
+// with the fewest leaves (the first such on a tie), and returns the first
+// node that is not one: an underfull interior, a leaf, or nil for nil.
+func (t *Tree) leastLoaded(n *Node) *Node {
+	for n != nil && len(n.children) >= t.degree {
 		best := n.children[0]
 		for _, c := range n.children[1:] {
 			if c.leaves < best.leaves {
@@ -592,6 +620,16 @@ func (t *Tree) insertLeafTracked(m MemberID) (leaf, createdInterior *Node, err e
 		}
 		n = best
 	}
+	return n
+}
+
+// slotKey keys a slot the placement creates. A dry run gets the zero key: it
+// draws no entropy and consumes no key ID.
+func (t *Tree) slotKey(dry bool) (keycrypt.Key, error) {
+	if dry {
+		return keycrypt.Key{}, nil
+	}
+	return t.freshKey()
 }
 
 // attached reports whether n is still reachable from the tree root.

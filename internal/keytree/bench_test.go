@@ -9,18 +9,18 @@ import (
 	"groupkey/internal/keycrypt"
 )
 
-func benchTree(b *testing.B, degree, n int, opts ...Option) *Tree {
-	b.Helper()
+func benchTree(tb testing.TB, degree, n int, opts ...Option) *Tree {
+	tb.Helper()
 	tr, err := New(degree, append([]Option{WithRand(keycrypt.NewDeterministicReader(uint64(n)))}, opts...)...)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	batch := Batch{}
 	for i := 1; i <= n; i++ {
 		batch.Joins = append(batch.Joins, MemberID(i))
 	}
 	if _, err := tr.Rekey(batch); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tr
 }
@@ -255,5 +255,45 @@ func BenchmarkExpectedRekeyCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tr.ExpectedRekeyCost(256)
+	}
+}
+
+// planBench builds a planner tree of n members at d=4 and one two-class-
+// shaped batch for it — 48 departures spread over the tree, 32 arrivals —
+// which the planner simulates (J ≠ L, and the departures leave anchors).
+func planBench(tb testing.TB, n int) (*Tree, Batch) {
+	tb.Helper()
+	tr := benchTree(tb, 4, n, WithPlanner(PlannerConfig{}))
+	b := Batch{}
+	for j := 0; j < 48; j++ {
+		b.Leaves = append(b.Leaves, MemberID(1+(j*997)%n))
+	}
+	for j := 1; j <= 32; j++ {
+		b.Joins = append(b.Joins, MemberID(n+j))
+	}
+	plan, err := tr.PlanBatch(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if plan.PredictedWraps < 0 {
+		tb.Fatal("the planner did not simulate the batch")
+	}
+	return tr, b
+}
+
+// BenchmarkPlanBatch times one placement decision: the anchor candidate
+// and two dry runs on the tree, each rolled back.
+func BenchmarkPlanBatch(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			tr, batch := planBench(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.PlanBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -21,6 +21,13 @@ import (
 // that wrap is never multicast:
 //
 //	E[wraps] = Σ_v Σ_{c ∈ children(v)} ( P[v updated] − P[all of c departed] ).
+//
+// Both probabilities depend on a node only through its subtree size, and a
+// tree has few distinct sizes (a few dozen at 10k leaves), so each is
+// computed once per size and the walk itself is a map read per interior.
+// The planner compares these sums across candidate placements: terms are
+// added in a fixed order — each interior in pre-order, each child's term
+// just before descending into it — so equal shapes give equal floats.
 func (t *Tree) ExpectedRekeyCost(l int) float64 {
 	n := float64(t.Size())
 	if n <= 1 || l <= 0 {
@@ -30,19 +37,40 @@ func (t *Tree) ExpectedRekeyCost(l int) float64 {
 	if lf > n {
 		lf = n
 	}
-	total := 0.0
-	walk(t.root, func(v *Node) {
-		if v.IsLeaf() {
-			return
+	type probs struct{ updated, allGone float64 }
+	bySize := make(map[int]probs)
+	of := func(v *Node) probs {
+		p, ok := bySize[v.leaves]
+		if !ok {
+			s := float64(v.leaves)
+			p = probs{1 - analytic.ChooseRatio(n, s, lf), analytic.AllChosenProb(n, s, lf)}
+			bySize[v.leaves] = p
 		}
-		pUpdate := 1 - analytic.ChooseRatio(n, float64(v.leaves), lf)
+		return p
+	}
+	leafGone := analytic.AllChosenProb(n, 1, lf)
+	total := 0.0
+	var visit func(v *Node, pv probs)
+	visit = func(v *Node, pv probs) {
+		// Every child holds a leaf, so as many leaves as children means the
+		// children are the leaves: most interiors, and their terms are added
+		// without loading one child node.
+		allLeaves := v.leaves == len(v.children)
 		for _, c := range v.children {
-			contribution := pUpdate - analytic.AllChosenProb(n, float64(c.leaves), lf)
-			if contribution > 0 {
+			if allLeaves || c.IsLeaf() {
+				if contribution := pv.updated - leafGone; contribution > 0 {
+					total += contribution
+				}
+				continue
+			}
+			pc := of(c)
+			if contribution := pv.updated - pc.allGone; contribution > 0 {
 				total += contribution
 			}
+			visit(c, pc)
 		}
-	})
+	}
+	visit(t.root, of(t.root))
 	return total
 }
 

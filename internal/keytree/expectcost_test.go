@@ -170,3 +170,48 @@ func TestOFTCostHalfOfLKHBinary(t *testing.T) {
 		}
 	}
 }
+
+// TestExpectedRekeyCostMatchesDirectEvaluation pins the sum bit for bit to
+// the formula evaluated directly — no memo, no shortcut for leaf children —
+// in the order the planner's decisions were recorded with: each interior in
+// pre-order, each child's term just before descending into it. The planner
+// compares these sums between candidate placements with tolerances down to
+// 1e-12, and the golden payload digests depend on the outcomes.
+func TestExpectedRekeyCostMatchesDirectEvaluation(t *testing.T) {
+	direct := func(tr *Tree, l int) float64 {
+		n := float64(tr.Size())
+		if n <= 1 {
+			return 0
+		}
+		lf := math.Min(float64(l), n)
+		total := 0.0
+		var visit func(v *Node)
+		visit = func(v *Node) {
+			if v.IsLeaf() {
+				return
+			}
+			pUpdate := 1 - analytic.ChooseRatio(n, float64(v.leaves), lf)
+			for _, c := range v.children {
+				if d := pUpdate - analytic.AllChosenProb(n, float64(c.leaves), lf); d > 0 {
+					total += d
+				}
+				visit(c)
+			}
+		}
+		visit(tr.root)
+		return total
+	}
+	for _, d := range []int{2, 3, 4, 5} {
+		tr := newTestTree(t, d, uint64(d))
+		for i, b := range biasedBatches(int64(d), 700, 40, 9, 9) {
+			if _, err := tr.Rekey(b); err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range []int{1, 7, 64, 5000} {
+				if got, want := tr.ExpectedRekeyCost(l), direct(tr, l); got != want {
+					t.Fatalf("d=%d batch %d l=%d: %v, direct evaluation %v", d, i, l, got, want)
+				}
+			}
+		}
+	}
+}

@@ -75,10 +75,12 @@ func (n *Node) Depth() int {
 	return d
 }
 
-// Tree is a d-ary logical key tree. It is not safe for concurrent use; the
-// key server serializes access (see internal/core). Rekey internally fans
-// wrap emission out over a worker pool (see WithWrapWorkers), but all tree
-// mutation stays on the calling goroutine.
+// Tree is a d-ary logical key tree. It is not safe for concurrent use, not
+// even PlanBatch beside a reader: a planner dry run transiently mutates the
+// tree before rolling it back. The key server serializes access (see
+// internal/core). Rekey internally fans wrap emission out over a worker pool
+// (see WithWrapWorkers), but all tree mutation stays on the calling
+// goroutine.
 type Tree struct {
 	degree int
 	root   *Node
@@ -97,6 +99,10 @@ type Tree struct {
 	// otherwise the greedy pairing is applied.
 	planner      bool
 	plannerStats PlannerStats
+	// undo is the log of the planner dry run in progress: the inverse of each
+	// structural change it made, oldest first. rollback replays it
+	// newest-first; it is empty whenever no dry run is in progress.
+	undo []func()
 
 	// members is the ascending member list, kept as state instead of being
 	// re-sorted out of the leaf map every epoch. nil means cold (a new or
@@ -107,8 +113,9 @@ type Tree struct {
 	// subtreeLists caches the ascending member list of interiors with at
 	// least subtreeListFloor leaves, across epochs. An entry is valid while
 	// its node stays clean: every membership change dirties all ancestors
-	// of the leaf it touches, and applyPlan's mark (and removeLeaf's
-	// splice) delete the entry at exactly that moment. A side table rather
+	// of the leaf it touches, and place's mark (and removeLeaf's
+	// splice) delete the entry at exactly that moment — except in a dry
+	// run, which is rolled back and so invalidates nothing. A side table rather
 	// than a Node field: only about N/subtreeListFloor nodes qualify, and a
 	// slice header on every Node would push all of them into the next
 	// allocation size class.
@@ -395,7 +402,8 @@ func (t *Tree) refresh(n *Node) error {
 // removeLeaf detaches the member's leaf and splices out any interior node
 // left with a single child. It returns the lowest surviving ancestor whose
 // key set is compromised by the departure (nil when the tree became empty).
-func (t *Tree) removeLeaf(m MemberID) (*Node, error) {
+// dry is as in place.
+func (t *Tree) removeLeaf(m MemberID, dry bool) (*Node, error) {
 	leaf, ok := t.leaves[m]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
@@ -405,31 +413,76 @@ func (t *Tree) removeLeaf(m MemberID) (*Node, error) {
 	parent := leaf.parent
 	if parent == nil {
 		t.root = nil
+		if dry {
+			t.undo = append(t.undo, func() {
+				t.root = leaf
+				t.leaves[m] = leaf
+			})
+		}
 		return nil, nil
 	}
-	removeChild(parent, leaf)
+	at := removeChild(parent, leaf)
 	leaf.parent = nil
-	for p := parent; p != nil; p = p.parent {
-		p.leaves--
+	addLeaves(parent, -1)
+	if dry {
+		t.undo = append(t.undo, func() {
+			parent.children = slices.Insert(parent.children, at, leaf)
+			leaf.parent = parent
+			addLeaves(parent, 1)
+			t.leaves[m] = leaf
+		})
 	}
-	if len(parent.children) == 1 {
-		// Splice: promote the only remaining child into the parent's slot,
-		// and fully detach the spliced node — batch processing tests
-		// reachability through parent pointers.
-		only := parent.children[0]
-		grand := parent.parent
-		parent.parent, parent.children = nil, nil
+	if len(parent.children) != 1 {
+		return parent, nil
+	}
+	// Splice: promote the only remaining child into the parent's slot, and
+	// fully detach the spliced node — batch processing tests reachability
+	// through parent pointers. Logged after the detach above, so a rollback
+	// undoes it first and the leaf is re-inserted under a reattached parent.
+	kids := parent.children
+	only, grand := kids[0], parent.parent
+	if dry {
+		t.undo = append(t.undo, func() {
+			t.replaceNode(grand, only, parent)
+			only.parent = parent
+			parent.parent, parent.children = grand, kids
+		})
+	} else {
 		delete(t.subtreeLists, parent)
-		if grand == nil {
-			only.parent = nil
-			t.root = only
-			return only, nil
-		}
-		replaceChild(grand, parent, only)
-		only.parent = grand
-		return grand, nil
 	}
-	return parent, nil
+	parent.parent, parent.children = nil, nil
+	t.replaceNode(grand, parent, only)
+	only.parent = grand
+	if grand == nil {
+		return only, nil
+	}
+	return grand, nil
+}
+
+// rollback undoes the dry run in progress, newest change first.
+func (t *Tree) rollback() {
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		t.undo[i]()
+	}
+	clear(t.undo)
+	t.undo = t.undo[:0]
+}
+
+// addLeaves adds d to the leaf count of n and of every ancestor of n.
+func addLeaves(n *Node, d int) {
+	for ; n != nil; n = n.parent {
+		n.leaves += d
+	}
+}
+
+// replaceNode puts new where old hangs: in old's slot among parent's
+// children, or at the root when parent is nil.
+func (t *Tree) replaceNode(parent, old, new *Node) {
+	if parent == nil {
+		t.root = new
+		return
+	}
+	replaceChild(parent, old, new)
 }
 
 func replaceChild(parent, old, new *Node) {
@@ -442,11 +495,12 @@ func replaceChild(parent, old, new *Node) {
 	panic("keytree: replaceChild: old node not a child of parent")
 }
 
-func removeChild(parent, child *Node) {
+// removeChild closes child's slot in place and returns the index it held.
+func removeChild(parent, child *Node) int {
 	for i, c := range parent.children {
 		if c == child {
 			parent.children = append(parent.children[:i], parent.children[i+1:]...)
-			return
+			return i
 		}
 	}
 	panic("keytree: removeChild: node not a child of parent")

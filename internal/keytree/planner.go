@@ -3,7 +3,6 @@ package keytree
 import (
 	"sort"
 
-	"groupkey/internal/analytic"
 	"groupkey/internal/keycrypt"
 )
 
@@ -14,13 +13,19 @@ import (
 // A departure-dirty interior pays its child wraps whatever the placement,
 // and a child holding only joiners is never multicast, so such attachments
 // cost no extra wrap this batch while packing the tree. The candidate and
-// the greedy baseline are both simulated on a lightweight shadow copy of
-// the tree; the candidate is applied only when it dominates greedy on both
+// the greedy baseline are both dry-run on the tree itself: place, the code
+// Rekey places a batch with, runs in a mode that draws no key, touches no
+// counter and logs the inverse of every structural change, the wrap count
+// and the ExpectedRekeyCost are read off the result, and rollback replays
+// the log. The candidate is applied only when it dominates greedy on both
 // the realized multicast wrap count and the post-batch ExpectedRekeyCost —
 // the DC-programming relaxation of arXiv:2305.10131 restricted to the
-// batch's own decision variables. Planning is a pure function of the tree
-// shape and the batch: it draws no entropy and reads no clocks, so WAL
-// replay and cluster replication reproduce every decision byte-identically.
+// batch's own decision variables. A dry run leaves shape, child order, leaf
+// map, key IDs, counters, cached lists and the entropy stream exactly as
+// found (TestPlanBatchRestoresTree), and costs O((J+L)·depth·d) plus one
+// read-only walk of the tree. Planning is a pure function of the tree shape
+// and the batch: it draws no entropy and reads no clocks, so WAL replay and
+// cluster replication reproduce every decision byte-identically.
 
 // PlannerConfig is the argument of WithPlanner. The planner has no
 // settings — it is on or off — so the struct has no fields.
@@ -55,7 +60,8 @@ type Plan struct {
 	// must equal the realized Payload.MulticastKeyCount().
 	PredictedWraps int
 	// PredictedCost is the simulated post-batch ExpectedRekeyCost (0 when
-	// not simulated).
+	// not simulated). When PredictedWraps ≥ 0 it must equal, exactly, the
+	// tree's ExpectedRekeyCost(len(b.Leaves)) after the Rekey.
 	PredictedCost float64
 }
 
@@ -96,9 +102,11 @@ func greedyPlan(b Batch) Plan {
 }
 
 // PlanBatch returns the placement the next Rekey of this batch would
-// realize, without mutating the tree or its counters: the planner's choice
-// when WithPlanner is set, the greedy pairing otherwise. Planning is
-// deterministic, so a following Rekey applies exactly this plan.
+// realize: the planner's choice when WithPlanner is set, the greedy pairing
+// otherwise. The tree and its counters are as they were when it returns,
+// but the planner's dry runs mutate the tree in between, so PlanBatch must
+// not run beside any other use of the tree. Planning is deterministic, so a
+// following Rekey applies exactly this plan.
 func (t *Tree) PlanBatch(b Batch) (Plan, error) {
 	if err := t.validateBatch(b); err != nil {
 		return Plan{}, err
@@ -163,45 +171,43 @@ func (t *Tree) plan(b Batch) (Plan, int) {
 // Joiners the anchors cannot hold fall back to descent. ok is false when
 // the batch dirties no usable anchor.
 func (t *Tree) anchorPlan(b Batch) (p Plan, ok bool) {
-	grow := len(b.Joins) > len(b.Leaves)
-	// Replay the removals on a scratch copy so candidate anchors are
-	// interiors that provably survive every cascaded splice.
-	st := newSimTree(t, false)
-	dirty := make(map[*simNode]bool)
-	var joiners []MemberID
-	if grow {
-		p = greedyPlan(b)
-		joiners = b.Joins[len(b.Leaves):]
-		for _, m := range b.Leaves {
-			for n := st.leaves[m].parent; n != nil; n = n.parent {
-				dirty[n] = true
-			}
-		}
-	} else {
-		p = Plan{Removals: b.Leaves, PredictedWraps: -1}
-		joiners = b.Joins
-		for _, m := range b.Leaves {
-			for n := st.removeLeaf(m); n != nil; n = n.parent {
-				dirty[n] = true
-			}
-		}
-	}
-
 	type anchorInfo struct {
 		keyID keycrypt.KeyID
 		depth int
 		spare int
 	}
 	var anchors []anchorInfo
-	for n := range dirty {
-		if n.member != 0 || len(n.children) >= st.degree || !st.attached(n) {
-			continue // a leaf, full, or spliced away by a later removal
+	consider := func(n *Node) {
+		if spare := t.degree - len(n.children); spare > 0 {
+			anchors = append(anchors, anchorInfo{keyID: n.key.ID, depth: n.Depth(), spare: spare})
 		}
-		a := anchorInfo{keyID: n.keyID, spare: st.degree - len(n.children)}
-		for up := n.parent; up != nil; up = up.parent {
-			a.depth++
+	}
+
+	grow := len(b.Joins) > len(b.Leaves)
+	var joiners []MemberID
+	if grow {
+		// Fills move no node: the holes' ancestors are read off the tree.
+		p = greedyPlan(b)
+		joiners = b.Joins[len(b.Leaves):]
+		seen := make(map[*Node]bool)
+		for _, m := range b.Leaves {
+			for n := t.leaves[m].parent; n != nil && !seen[n]; n = n.parent {
+				seen[n] = true
+				consider(n)
+			}
 		}
-		anchors = append(anchors, a)
+	} else {
+		// Dry-run the removals, so candidate anchors are interiors that
+		// provably survive every cascaded splice, at their depth after it.
+		p = Plan{Removals: b.Leaves, PredictedWraps: -1}
+		joiners = b.Joins
+		dirty := make(map[*Node]*dirtyInfo)
+		if _, err := t.place(p, dirty, true); err == nil { // removals of validated members cannot fail
+			for n := range dirty {
+				consider(n)
+			}
+		}
+		t.rollback()
 	}
 	if len(anchors) == 0 {
 		return Plan{}, false
@@ -225,116 +231,6 @@ func (t *Tree) anchorPlan(b Batch) (p Plan, ok bool) {
 	return p, true
 }
 
-// --- shadow simulation -------------------------------------------------
-
-// simNode mirrors the structural fields of Node: shape, membership and
-// subtree leaf counts, plus the key ID for anchor resolution. Keys are
-// never materialized — the simulator predicts wrap counts and expected
-// cost, not bytes.
-type simNode struct {
-	parent   *simNode
-	children []*simNode
-	member   MemberID
-	leaves   int
-	keyID    keycrypt.KeyID
-}
-
-// simTree is the planner's scratch copy of a Tree. One clone is built per
-// simulated candidate and mutated through the exact phases Rekey applies.
-type simTree struct {
-	degree int
-	root   *simNode
-	leaves map[MemberID]*simNode
-	byKey  map[keycrypt.KeyID]*simNode
-	size   int
-}
-
-func newSimTree(t *Tree, needAnchors bool) *simTree {
-	st := &simTree{
-		degree: t.degree,
-		leaves: make(map[MemberID]*simNode, len(t.leaves)),
-		size:   len(t.leaves),
-	}
-	if needAnchors {
-		st.byKey = make(map[keycrypt.KeyID]*simNode)
-	}
-	st.root = st.clone(t.root, nil)
-	return st
-}
-
-func (st *simTree) clone(n *Node, parent *simNode) *simNode {
-	if n == nil {
-		return nil
-	}
-	s := &simNode{parent: parent, member: n.member, leaves: n.leaves, keyID: n.key.ID}
-	if n.member != 0 {
-		st.leaves[n.member] = s
-	}
-	if st.byKey != nil {
-		st.byKey[n.key.ID] = s
-	}
-	if len(n.children) > 0 {
-		s.children = make([]*simNode, len(n.children))
-		for i, c := range n.children {
-			s.children[i] = st.clone(c, s)
-		}
-	}
-	return s
-}
-
-// removeLeaf mirrors Tree.removeLeaf: detach the leaf, splice any interior
-// left with one child (fully detaching the spliced node), and return the
-// lowest surviving compromised ancestor.
-func (st *simTree) removeLeaf(m MemberID) *simNode {
-	leaf := st.leaves[m]
-	delete(st.leaves, m)
-	st.size--
-	parent := leaf.parent
-	if parent == nil {
-		st.root = nil
-		return nil
-	}
-	for i, c := range parent.children {
-		if c == leaf {
-			parent.children = append(parent.children[:i], parent.children[i+1:]...)
-			break
-		}
-	}
-	leaf.parent = nil
-	for p := parent; p != nil; p = p.parent {
-		p.leaves--
-	}
-	if len(parent.children) == 1 {
-		only := parent.children[0]
-		grand := parent.parent
-		parent.parent, parent.children = nil, nil
-		if grand == nil {
-			only.parent = nil
-			st.root = only
-			return only
-		}
-		for i, c := range grand.children {
-			if c == parent {
-				grand.children[i] = only
-				break
-			}
-		}
-		only.parent = grand
-		return grand
-	}
-	return parent
-}
-
-// attached mirrors Tree.attached.
-func (st *simTree) attached(n *simNode) bool {
-	for ; n != nil; n = n.parent {
-		if n == st.root {
-			return true
-		}
-	}
-	return false
-}
-
 // simResult is one candidate's predicted outcome. invalid marks a plan
 // applyPlan would reject — an anchored grow whose anchor was spliced
 // away or filled by an earlier phase of the same plan.
@@ -344,199 +240,43 @@ type simResult struct {
 	invalid bool
 }
 
-// simInfo mirrors dirtyInfo's structural flags.
-type simInfo struct {
-	departure bool
-	isNew     bool
-}
-
 // score folds a simulation into a single objective: wraps this batch plus
 // the expected wraps of a future batch with as many departures.
 func (s simResult) score() float64 { return float64(s.wraps) + s.cost }
 
-// simulate applies a plan to a shadow copy of the tree through the exact
-// phases Rekey uses — fills, removals, grows, dirty pruning — and returns
-// the multicast wrap count the real emitters would produce plus the
-// post-batch ExpectedRekeyCost for a batch of len(b.Leaves) departures.
-// Keeping this mirror exact is load-bearing: FuzzPlanBatch and the
-// determinism suite assert predicted == realized on every planned batch.
+// simulate dry-runs a plan on the tree itself — the placement phases are
+// applyPlan's own code, so there is no second implementation to keep exact
+// — reads off the multicast wrap count the emitters would produce and the
+// post-batch ExpectedRekeyCost for a batch of len(b.Leaves) departures,
+// and rolls the tree back. FuzzPlanBatch and the determinism suite assert
+// predicted == realized on every simulated batch.
 func (t *Tree) simulate(b Batch, p Plan) simResult {
-	needAnchors := false
-	for _, g := range p.Grows {
-		if g.Anchor != 0 {
-			needAnchors = true
-			break
-		}
+	defer t.rollback()
+	dirty := make(map[*Node]*dirtyInfo)
+	if _, err := t.place(p, dirty, true); err != nil {
+		return simResult{invalid: true}
 	}
-	st := newSimTree(t, needAnchors)
 
-	dirty := make(map[*simNode]*simInfo)
-	joiners := make(map[MemberID]bool, len(b.Joins))
+	// A child is multicast iff it holds a member that is not a joiner of
+	// this batch. Joiners sit under dirty nodes only, so counting them from
+	// their leaves upward never enters a clean subtree.
+	joinersUnder := make(map[*Node]int)
 	for _, m := range b.Joins {
-		joiners[m] = true
-	}
-	mark := func(n *simNode, departure bool) {
-		for ; n != nil; n = n.parent {
-			info, ok := dirty[n]
-			if !ok {
-				info = &simInfo{}
-				dirty[n] = info
-			}
-			info.departure = info.departure || departure
+		for n := t.leaves[m]; n != nil; n = n.parent {
+			joinersUnder[n]++
 		}
 	}
-
-	for _, f := range p.Fills {
-		leaf := st.leaves[f.Hole]
-		delete(st.leaves, f.Hole)
-		leaf.member = f.Joiner
-		st.leaves[f.Joiner] = leaf
-		mark(leaf.parent, true)
-	}
-	for _, m := range p.Removals {
-		mark(st.removeLeaf(m), true)
-	}
-	for _, g := range p.Grows {
-		st.size++
-		leaf := &simNode{member: g.Joiner, leaves: 1}
-		st.leaves[g.Joiner] = leaf
-		if g.Anchor != 0 {
-			// Mirror applyPlan's anchor validation: earlier phases of this
-			// same plan (a removal splice, prior grows) can detach or fill
-			// the anchor the candidate generator saw.
-			anchor := st.byKey[g.Anchor]
-			if anchor == nil || !st.attached(anchor) || len(anchor.children) >= st.degree {
-				return simResult{invalid: true}
-			}
-			leaf.parent = anchor
-			anchor.children = append(anchor.children, leaf)
-			for p := anchor; p != nil; p = p.parent {
-				p.leaves++
-			}
-			mark(anchor, false)
-			continue
-		}
-		st.growDescend(leaf, dirty, mark)
-	}
-
-	for n := range dirty {
-		if !st.attached(n) || len(n.children) == 0 {
-			delete(dirty, n)
-		}
-	}
-
-	nonJoiner := make(map[*simNode]int)
-	var countNonJoiner func(n *simNode) int
-	countNonJoiner = func(n *simNode) int {
-		if c, ok := nonJoiner[n]; ok {
-			return c
-		}
-		c := 0
-		if n.member != 0 {
-			if !joiners[n.member] {
-				c = 1
-			}
-		} else {
-			for _, ch := range n.children {
-				c += countNonJoiner(ch)
-			}
-		}
-		nonJoiner[n] = c
-		return c
-	}
-
 	wraps := 0
 	for n, info := range dirty {
 		if info.departure || info.isNew {
 			for _, c := range n.children {
-				if countNonJoiner(c) > 0 {
+				if c.leaves > joinersUnder[c] {
 					wraps++
 				}
 			}
-		} else if countNonJoiner(n) > 0 {
+		} else if n.leaves > joinersUnder[n] {
 			wraps++
 		}
 	}
-
-	return simResult{wraps: wraps, cost: st.expectedCost(len(b.Leaves))}
-}
-
-// growDescend mirrors insertLeafTracked for an already-allocated sim leaf:
-// attach at an underfull interior reached by least-leaves descent, or
-// split a leaf into a new interior (marked new + departure, its ancestors
-// join-tainted).
-func (st *simTree) growDescend(leaf *simNode, dirty map[*simNode]*simInfo, mark func(*simNode, bool)) {
-	if st.root == nil {
-		st.root = leaf
-		return
-	}
-	n := st.root
-	for {
-		if len(n.children) == 0 && n.member != 0 {
-			interior := &simNode{parent: n.parent, children: []*simNode{n, leaf}, leaves: n.leaves + 1}
-			if n.parent == nil {
-				st.root = interior
-			} else {
-				for i, c := range n.parent.children {
-					if c == n {
-						n.parent.children[i] = interior
-						break
-					}
-				}
-			}
-			n.parent = interior
-			leaf.parent = interior
-			for p := interior.parent; p != nil; p = p.parent {
-				p.leaves++
-			}
-			dirty[interior] = &simInfo{isNew: true, departure: true}
-			mark(interior.parent, false)
-			return
-		}
-		if len(n.children) < st.degree {
-			leaf.parent = n
-			n.children = append(n.children, leaf)
-			for p := n; p != nil; p = p.parent {
-				p.leaves++
-			}
-			mark(n, false)
-			return
-		}
-		best := n.children[0]
-		for _, c := range n.children[1:] {
-			if c.leaves < best.leaves {
-				best = c
-			}
-		}
-		n = best
-	}
-}
-
-// expectedCost mirrors Tree.ExpectedRekeyCost on the shadow tree.
-func (st *simTree) expectedCost(l int) float64 {
-	n := float64(st.size)
-	if n <= 1 || l <= 0 {
-		return 0
-	}
-	lf := float64(l)
-	if lf > n {
-		lf = n
-	}
-	total := 0.0
-	var visit func(v *simNode)
-	visit = func(v *simNode) {
-		if len(v.children) == 0 {
-			return
-		}
-		pUpdate := 1 - analytic.ChooseRatio(n, float64(v.leaves), lf)
-		for _, c := range v.children {
-			contribution := pUpdate - analytic.AllChosenProb(n, float64(c.leaves), lf)
-			if contribution > 0 {
-				total += contribution
-			}
-			visit(c)
-		}
-	}
-	visit(st.root)
-	return total
+	return simResult{wraps: wraps, cost: t.ExpectedRekeyCost(len(b.Leaves))}
 }

@@ -2,7 +2,9 @@ package keytree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -89,11 +91,24 @@ func twoClassBatches(seed int64, initial, rounds int) []Batch {
 }
 
 // checkPlacement asserts the payload's realized placement is a well-formed
-// cover of the batch and, when the batch was simulated, that the realized
-// multicast wrap count equals the prediction.
-func checkPlacement(tb testing.TB, tr *Tree, b Batch, p *Payload) {
+// cover of the batch that realizes plan — what PlanBatch previewed just
+// before the Rekey — and, when the batch was simulated, that the realized
+// multicast wrap count and the tree's expected cost equal the prediction.
+// The cost is compared with ==: the dry run evaluated the same function on
+// the same shape in the same order.
+func checkPlacement(tb testing.TB, tr *Tree, b Batch, plan Plan, p *Payload) {
 	tb.Helper()
 	pl := p.Placement
+	if pl.Planned != plan.Planned || pl.PredictedWraps != plan.PredictedWraps {
+		tb.Fatalf("Rekey realized planned=%v wraps=%d, preview said planned=%v wraps=%d",
+			pl.Planned, pl.PredictedWraps, plan.Planned, plan.PredictedWraps)
+	}
+	if plan.PredictedWraps >= 0 {
+		if got := tr.ExpectedRekeyCost(len(b.Leaves)); got != plan.PredictedCost {
+			tb.Fatalf("planner predicted cost %v, realized %v (J=%d L=%d planned=%v)",
+				plan.PredictedCost, got, len(b.Joins), len(b.Leaves), plan.Planned)
+		}
+	}
 	holes := make(map[MemberID]bool, len(b.Leaves))
 	for _, m := range b.Leaves {
 		holes[m] = false
@@ -195,11 +210,15 @@ func TestPlannerNeverWorseThanGreedy(t *testing.T) {
 					planned := 0
 					for i, b := range batches {
 						gp, clone := greedyOracle(t, pt, b)
+						plan, err := pt.PlanBatch(b)
+						if err != nil {
+							t.Fatalf("batch %d: PlanBatch: %v", i, err)
+						}
 						pp, err := pt.Rekey(b)
 						if err != nil {
 							t.Fatalf("batch %d: planner: %v", i, err)
 						}
-						checkPlacement(t, pt, b, pp)
+						checkPlacement(t, pt, b, plan, pp)
 						if pw, gw := pp.MulticastKeyCount(), gp.MulticastKeyCount(); pw > gw {
 							t.Fatalf("batch %d (J=%d L=%d): planner wraps %d > greedy %d",
 								i, len(b.Joins), len(b.Leaves), pw, gw)
@@ -246,10 +265,15 @@ func TestPlannerDeterministicAcrossEmitters(t *testing.T) {
 					if err != nil {
 						t.Fatalf("batch %d: serial: %v", i, err)
 					}
+					plan, err := engine.PlanBatch(b)
+					if err != nil {
+						t.Fatalf("batch %d: PlanBatch: %v", i, err)
+					}
 					pe, err := engine.Rekey(b)
 					if err != nil {
 						t.Fatalf("batch %d: engine: %v", i, err)
 					}
+					checkPlacement(t, engine, b, plan, pe)
 					if !bytes.Equal(marshalPayload(t, ps), marshalPayload(t, pe)) {
 						t.Fatalf("batch %d: planner payload bytes diverge", i)
 					}
@@ -288,10 +312,7 @@ func TestPlanBatchLeavesStatsUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if p.Placement.Planned != plan.Planned || p.Placement.PredictedWraps != plan.PredictedWraps {
-			t.Fatalf("batch %d: Rekey realized planned=%v wraps=%d, preview said planned=%v wraps=%d",
-				i, p.Placement.Planned, p.Placement.PredictedWraps, plan.Planned, plan.PredictedWraps)
-		}
+		checkPlacement(t, tr, b, plan, p)
 		switch {
 		case plan.Planned:
 			want.PlannedBatches++
@@ -308,9 +329,249 @@ func TestPlanBatchLeavesStatsUntouched(t *testing.T) {
 	}
 }
 
+// countingReader counts the reads an entropy source serves.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// assertRestored runs dryRun and fails unless it left the tree exactly as
+// found: the same Snapshot bytes (shape, child order, members, key IDs and
+// material, nextID, counters), sound parent pointers, leaf counts and leaf
+// map, planner counters, coherent maintained lists with as many cached
+// entries, an empty undo log, and not one read from the entropy source.
+func assertRestored(t *testing.T, tr *Tree, entropy *countingReader, when string, dryRun func()) {
+	t.Helper()
+	snapshot := func() []byte {
+		blob, err := tr.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	before, stats, pstats := snapshot(), tr.Stats(), tr.PlannerStats()
+	lists, reads := len(tr.subtreeLists), entropy.reads
+
+	dryRun()
+
+	if !bytes.Equal(snapshot(), before) {
+		t.Fatalf("%s: snapshot bytes differ after the dry run", when)
+	}
+	if err := invariantErr(tr); err != nil {
+		t.Fatalf("%s: after the dry run: %v", when, err)
+	}
+	if got := tr.Stats(); got != stats {
+		t.Fatalf("%s: Stats moved: %+v -> %+v", when, stats, got)
+	}
+	if got := tr.PlannerStats(); got != pstats {
+		t.Fatalf("%s: PlannerStats moved: %+v -> %+v", when, pstats, got)
+	}
+	checkMemberLists(t, tr, when)
+	if got := len(tr.subtreeLists); got != lists {
+		t.Fatalf("%s: %d cached subtree lists, had %d", when, got, lists)
+	}
+	if len(tr.undo) != 0 {
+		t.Fatalf("%s: %d entries left in the undo log", when, len(tr.undo))
+	}
+	if got := entropy.reads - reads; got != 0 {
+		t.Fatalf("%s: the dry run read entropy %d times", when, got)
+	}
+}
+
+// TestPlanBatchRestoresTree is the rollback-exactness property: whatever a
+// dry run does to the tree, it undoes. Seeded traces cover planned and
+// declined batches in both regimes on a tree with warm cached lists; the
+// hand-built cases dry-run placements PlanBatch never or rarely reaches.
+func TestPlanBatchRestoresTree(t *testing.T) {
+	mk := func(t *testing.T, degree int) (*Tree, *countingReader) {
+		t.Helper()
+		entropy := &countingReader{r: keycrypt.NewDeterministicReader(7)}
+		tr, err := New(degree, WithRand(entropy), WithPlanner(PlannerConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, entropy
+	}
+
+	t.Run("traces", func(t *testing.T) {
+		// Planned and declined batches, with surplus joins and with surplus
+		// departures: every branch of plan's decision.
+		var seen [2][2]int
+		cached := 0
+		for name, batches := range map[string][]Batch{
+			"join-heavy":  biasedBatches(5, 3000, 30, 9, 3),
+			"small":       biasedBatches(5, 40, 40, 9, 3),
+			"leave-heavy": biasedBatches(23, 3000, 30, 3, 9),
+			"two-class":   twoClassBatches(5, 3000, 30),
+		} {
+			tr, entropy := mk(t, 4)
+			for i, b := range batches {
+				cached += len(tr.subtreeLists)
+				var plan Plan
+				assertRestored(t, tr, entropy, fmt.Sprintf("%s batch %d", name, i), func() {
+					var err error
+					if plan, err = tr.PlanBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if plan.PredictedWraps >= 0 {
+					grow, planned := 0, 0
+					if len(b.Joins) > len(b.Leaves) {
+						grow = 1
+					}
+					if plan.Planned {
+						planned = 1
+					}
+					seen[grow][planned]++
+				}
+				p, err := tr.Rekey(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlacement(t, tr, b, plan, p)
+			}
+		}
+		if cached == 0 {
+			t.Fatal("no cached subtree list was at stake")
+		}
+		if seen[0][0] == 0 || seen[0][1] == 0 || seen[1][0] == 0 || seen[1][1] == 0 {
+			t.Fatalf("traces simulated [L>J, J>L] x [declined, planned] = %v batches; need all four", seen)
+		}
+	})
+
+	// dry places plan on tr as a dry run, hands the transient tree to
+	// during, and rolls back; it returns place's error.
+	dry := func(t *testing.T, tr *Tree, entropy *countingReader, plan Plan, during func()) (err error) {
+		t.Helper()
+		assertRestored(t, tr, entropy, "hand-built plan", func() {
+			if _, err = tr.place(plan, make(map[*Node]*dirtyInfo), true); err == nil && during != nil {
+				during()
+			}
+			tr.rollback()
+		})
+		return err
+	}
+
+	t.Run("grow into an empty tree", func(t *testing.T) {
+		tr, entropy := mk(t, 3)
+		err := dry(t, tr, entropy, Plan{Grows: []Growth{{Joiner: 1}, {Joiner: 2}, {Joiner: 3}}}, func() {
+			// First leaf is the root, the second splits it, the third attaches.
+			if tr.Size() != 3 || tr.root.leaves != 3 || len(tr.root.children) != 3 {
+				t.Fatalf("dry grows built size %d, root %+v", tr.Size(), tr.root)
+			}
+		})
+		if err != nil || tr.root != nil {
+			t.Fatalf("err %v, root %v", err, tr.root)
+		}
+	})
+
+	t.Run("removals splice the root", func(t *testing.T) {
+		tr, entropy := mk(t, 3)
+		populate(t, tr, 40)
+		keep, root := tr.root.children[0], tr.root
+		var gone []MemberID
+		for _, c := range root.children[1:] {
+			gone = collectMembers(c, gone)
+		}
+		err := dry(t, tr, entropy, Plan{Removals: gone}, func() {
+			if tr.root != keep || keep.parent != nil || root.children != nil {
+				t.Fatal("the root was not spliced away")
+			}
+		})
+		if err != nil || tr.root != root {
+			t.Fatalf("err %v, root restored: %v", err, tr.root == root)
+		}
+	})
+
+	t.Run("removals shrink the tree to one leaf and to none", func(t *testing.T) {
+		tr, entropy := mk(t, 2)
+		populate(t, tr, 5)
+		all := tr.Members()
+		if err := dry(t, tr, entropy, Plan{Removals: all[1:]}, func() {
+			if !tr.root.IsLeaf() || tr.root.member != all[0] {
+				t.Fatal("one leaf should be left, as the root")
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dry(t, tr, entropy, Plan{Removals: all}, func() {
+			if tr.root != nil || tr.Size() != 0 {
+				t.Fatal("the tree should be empty")
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// The same through the planner: L > J, every hole removed.
+		assertRestored(t, tr, entropy, "PlanBatch", func() {
+			if _, err := tr.PlanBatch(Batch{Joins: []MemberID{9}, Leaves: all[1:]}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+
+	t.Run("candidate turns invalid part-way", func(t *testing.T) {
+		tr, entropy := mk(t, 3)
+		populate(t, tr, 7)
+		// An interior with one spare slot above a leaf: after the fill and
+		// the first anchored grow it is full, so the second grow is refused
+		// with two thirds of the plan already placed.
+		var hole *Node
+		walk(tr.root, func(n *Node) {
+			if n.IsLeaf() && len(n.parent.children) == tr.degree-1 {
+				hole = n
+			}
+		})
+		if hole == nil {
+			t.Fatal("no leaf under an interior with exactly one spare slot")
+		}
+		anchor := hole.parent.key.ID
+		b := Batch{Joins: []MemberID{101, 102, 103}, Leaves: []MemberID{hole.member}}
+		plan := Plan{
+			Fills: []Assignment{{Hole: hole.member, Joiner: 101}},
+			Grows: []Growth{{Joiner: 102, Anchor: anchor}, {Joiner: 103, Anchor: anchor}},
+		}
+		if err := tr.validatePlan(b, plan); err != nil {
+			t.Fatal(err)
+		}
+		if err := dry(t, tr, entropy, plan, nil); !errors.Is(err, ErrInvalidPlan) {
+			t.Fatalf("place: %v, want ErrInvalidPlan", err)
+		}
+		assertRestored(t, tr, entropy, "simulate", func() {
+			if s := tr.simulate(b, plan); !s.invalid {
+				t.Fatalf("simulate: %+v, want invalid", s)
+			}
+		})
+	})
+}
+
+// TestPlanBatchAllocsIndependentOfTreeSize pins what the dry run is for:
+// planning a fixed batch allocates per dirty node — (J+L)·depth — and not
+// per tree node. A shadow copy of the tree costs two allocations per node.
+func TestPlanBatchAllocsIndependentOfTreeSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		tr, b := planBench(t, n)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := tr.PlanBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1024), allocs(65536)
+	t.Logf("allocations per PlanBatch: %.0f at N=1024, %.0f at N=65536", small, large)
+	if large > 2*small {
+		t.Fatalf("PlanBatch allocates %.0f times at N=65536, %.0f at N=1024: more than the extra depth explains", large, small)
+	}
+}
+
 // FuzzPlanBatch fuzzes the planner end to end: a seeded tree receives an
-// arbitrary batch; the plan must validate, apply cleanly, realize exactly
-// its predicted wrap count, and leave the tree structurally sound.
+// arbitrary batch; planning must leave the tree exactly as found, and the
+// plan must validate, apply cleanly, realize exactly its predicted wrap
+// count and cost, and leave the tree structurally sound.
 func FuzzPlanBatch(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(3), uint8(9), uint8(1))
 	f.Add(int64(7), uint8(50), uint8(9), uint8(2), uint8(0))
@@ -318,9 +579,8 @@ func FuzzPlanBatch(f *testing.F) {
 	f.Add(int64(99), uint8(33), uint8(8), uint8(8), uint8(3))
 	f.Fuzz(func(t *testing.T, seed int64, initial, nJoin, nLeave, degSel uint8) {
 		degree := 2 + int(degSel%4)
-		tr, err := New(degree,
-			WithRand(keycrypt.NewDeterministicReader(uint64(seed))),
-			WithPlanner(PlannerConfig{}))
+		entropy := &countingReader{r: keycrypt.NewDeterministicReader(uint64(seed))}
+		tr, err := New(degree, WithRand(entropy), WithPlanner(PlannerConfig{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,10 +624,12 @@ func FuzzPlanBatch(f *testing.F) {
 			return
 		}
 
-		plan, err := tr.PlanBatch(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var plan Plan
+		assertRestored(t, tr, entropy, "PlanBatch", func() {
+			if plan, err = tr.PlanBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		})
 		if err := tr.validatePlan(b, plan); err != nil {
 			t.Fatalf("planner emitted invalid plan: %v", err)
 		}
@@ -375,7 +637,7 @@ func FuzzPlanBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("planned batch failed to apply: %v", err)
 		}
-		checkPlacement(t, tr, b, p)
+		checkPlacement(t, tr, b, plan, p)
 
 		// Structural soundness: member count, leaf bookkeeping, reachability.
 		wantSize := len(present) - nl + int(nJoin)
