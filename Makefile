@@ -121,18 +121,20 @@ chaos-nightly: chaos-bins
 
 # Short fuzzing pass over the wire protocol and durability decoders, and
 # over the placement planner (its dry runs must leave the tree as found).
+# Patterns are anchored: -fuzz must match exactly one target.
 fuzz:
-	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeRekey -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeWelcome -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeMembershipBatch -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeSparseRekey -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzDecodeDgram -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzScopedIndex -fuzztime=10s ./internal/wire/
-	$(GO) test -fuzz=FuzzWALRecord -fuzztime=10s ./internal/store/
-	$(GO) test -fuzz=FuzzRestore -fuzztime=10s ./internal/core/
-	$(GO) test -run='^$$' -fuzz=FuzzPlanBatch -fuzztime=10s ./internal/keytree/
-	$(GO) test -fuzz=FuzzDecodeReport -fuzztime=10s ./internal/loadgen/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrameGroup$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWelcome$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeResumeRequest$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMembershipBatch$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSparseRekey$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDgram$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzScopedIndex$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzWALRecord$$' -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzPlanBatch$$' -fuzztime=10s ./internal/keytree/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeReport$$' -fuzztime=10s ./internal/loadgen/
 
 clean:
 	$(GO) clean ./...

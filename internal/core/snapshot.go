@@ -407,7 +407,9 @@ func openSnap(snapshot []byte, magic string, opts []Option) (*snapReader, option
 func (r *snapReader) bytes(n int) []byte {
 	if r.err != nil || n < 0 || r.off+n > len(r.data) {
 		r.err = ErrBadSnapshot
-		return make([]byte, max(n, 0))
+		// Fixed-size readers index at most a key's worth, and every result
+		// is discarded once err is set: never allocate a corrupt length.
+		return make([]byte, min(max(n, 0), keycrypt.KeySize))
 	}
 	out := r.data[r.off : r.off+n]
 	r.off += n

@@ -8,14 +8,15 @@ import (
 )
 
 // FanoutResult quantifies one group size's broadcast cost per member for a
-// churn rekey: the legacy path hands every member the full signed payload,
-// the sparse path hands each member only its Merkle-authenticated slice.
+// churn rekey: the reference path hands every member the full signed
+// payload (the server no longer sends it), the sparse path hands each
+// member only its Merkle-authenticated slice.
 type FanoutResult struct {
 	GroupSize int `json:"group_size"`
 	Churn     int `json:"churn_per_batch"`
 	Items     int `json:"items"`
 	// FullBytesPerMember is the signed full-payload frame size — what every
-	// member receives on the legacy path regardless of what it needs.
+	// member would receive on the reference path regardless of its needs.
 	FullBytesPerMember float64 `json:"full_bytes_per_member"`
 	// SparseBytesPerMember is the mean sparse frame size across the whole
 	// membership, heartbeat frames for unaddressed members included.

@@ -114,9 +114,6 @@ func newClientOnConn(conn net.Conn, group wire.GroupID, req wire.JoinRequest, ti
 		done:     make(chan struct{}),
 		data:     make(chan []byte, 64),
 	}
-	// Every client built here understands sparse frames; the flag rides the
-	// join so the server can keep sending full payloads to older binaries.
-	req.Caps |= wire.CapSparse
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := c.writeFrame(wire.MsgJoin, req.Encode()); err != nil {
 		conn.Close()
@@ -180,26 +177,11 @@ func (c *Client) readLoop() {
 				close(c.welcomed)
 			}
 			c.mu.Unlock()
-		case wire.MsgRekey:
-			c.mu.Lock()
-			inner, err := wire.OpenSignedRekey(c.serverKey, payload)
-			if err != nil {
-				// Forged or corrupted: never apply; count and drop.
-				c.badSignatures++
-				c.mu.Unlock()
-				continue
-			}
-			c.mu.Unlock()
-			epoch, items, err := wire.DecodeRekey(inner)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.applyRekey(epoch, items)
 		case wire.MsgRekeySparse:
 			sr, err := wire.DecodeSparseRekey(c.ServerKey(), payload)
 			if err != nil {
 				if errors.Is(err, wire.ErrBadSignature) {
+					// Forged or corrupted: never apply; count and drop.
 					c.mu.Lock()
 					c.badSignatures++
 					c.mu.Unlock()
@@ -280,7 +262,7 @@ func (c *Client) readLoop() {
 	}
 }
 
-// applyRekey folds one authenticated rekey payload — full, sparse, or
+// applyRekey folds one authenticated rekey payload — sparse or
 // reconstructed from datagrams — into the key store and announces the
 // epoch. Every delivery plane converges here, so secrecy bookkeeping
 // (hand-off tracking, epoch gating) is identical no matter how the keys

@@ -17,7 +17,7 @@ import (
 // items of which each member needs only its O(log N) path. The epoch
 // buffer inverts that: the items are encoded exactly once into one
 // immutable buffer, the Merkle root over them is signed once, and each
-// sparse-capable client's queue gets a tiny {buffer, indexes} descriptor.
+// client's queue gets a tiny {buffer, indexes} descriptor.
 // The writer goroutines then assemble per-member sparse frames outside the
 // server lock, emitting item bytes as vectored ranges over the shared
 // buffer — no per-member payload copies, no per-member signatures.
@@ -29,9 +29,8 @@ import (
 //
 // Sealing costs what the connected audience and the item count cost, not
 // the group size: receiver lists are intersected with the connected IDs
-// only, and the signed legacy full blob — a copy and a signature over the
-// whole payload — is built on demand (signedBlob), which an epoch whose
-// clients all negotiated CapSparse never asks for.
+// only. A member absent from that index (it resumed after the seal) is
+// sent every item (allItems) — the same sparse frame, one multiproof.
 
 // epochBuffer is one epoch's rekey payload, sealed once, shared by every
 // outbound frame of that epoch. Immutable after newEpochBuffer except for
@@ -45,7 +44,7 @@ type epochBuffer struct {
 	rootSig []byte
 	// index holds, for each member connected at seal time, the ascending
 	// item indexes it needs. A member absent from it connected later and is
-	// served the full blob.
+	// sent every item (allItems).
 	index *wire.ScopedIndex
 
 	refs atomic.Int64
@@ -64,8 +63,8 @@ var (
 // reference.
 func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keytree.MemberID) (*epochBuffer, error) {
 	items := rekey.AllItems()
-	if len(items) > wire.MaxRekeyItems {
-		// The on-demand full blob must stay encodable for legacy clients.
+	if len(items) > wire.MaxSparseIndexes {
+		// The all-items frame resumers and late pullers get must fit.
 		return nil, fmt.Errorf("%w: %d items", wire.ErrFrameTooLarge, len(items))
 	}
 	eb := &epochBuffer{epoch: rekey.Epoch, nItems: len(items)}
@@ -91,12 +90,14 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keyt
 	return eb, nil
 }
 
-// signedBlob builds the signed legacy full-payload frame — what
-// SignRekey(EncodeRekey(epoch, items)) yields — from the shared item
-// buffer. It copies and signs the whole payload, so the server calls it at
-// most once per epoch and only when someone needs it (lastBlobLocked).
-func (eb *epochBuffer) signedBlob(priv ed25519.PrivateKey) []byte {
-	return wire.SignRekey(priv, wire.EncodeRekeyEncoded(eb.epoch, eb.itemBuf))
+// allItems returns the indexes of every item, for a member the seal did
+// not index.
+func (eb *epochBuffer) allItems() []uint32 {
+	idx := make([]uint32, eb.nItems)
+	for i := range idx {
+		idx[i] = uint32(i)
+	}
+	return idx
 }
 
 // item returns item i's encoded bytes as a view into the shared buffer.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"crypto/ed25519"
+	"errors"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -82,21 +83,31 @@ func TestEpochBufferSparseFrames(t *testing.T) {
 	if covered == 0 {
 		t.Fatal("rekey addressed nobody")
 	}
-	// The on-demand legacy blob is byte-identical to the full path's.
-	full := eb.signedBlob(priv)
-	if !bytes.Equal(full, fullBlob(t, priv, rekey)) {
-		t.Fatal("signedBlob differs from SignRekey(EncodeRekey(epoch, items))")
+	// A member the seal did not index is sent every item, in one frame.
+	if _, ok := eb.index.Lookup(1 << 40); ok {
+		t.Fatal("a member absent at seal time is indexed")
 	}
-	inner, err := wire.OpenSignedRekey(pub, full)
+	all := eb.appendSparseFrame(nil, eb.allItems())
+	sr, err := wire.DecodeSparseRekey(pub, all)
 	if err != nil {
-		t.Fatalf("OpenSignedRekey(full): %v", err)
+		t.Fatalf("all-items frame: %v", err)
 	}
-	epoch, fullItems, err := wire.DecodeRekey(inner)
+	if sr.Epoch != rekey.Epoch || len(sr.Items) != len(items) || eb.sparseSize(eb.allItems()) != len(all) {
+		t.Fatalf("all-items frame: epoch=%d items=%d size=%d, want %d/%d/%d",
+			sr.Epoch, len(sr.Items), len(all), rekey.Epoch, len(items), eb.sparseSize(eb.allItems()))
+	}
+}
+
+// TestEpochBufferRejectsUnsendableSeal: an epoch too large for the
+// all-items frame fails at seal time (RekeyNow), never at write time.
+func TestEpochBufferRejectsUnsendableSeal(t *testing.T) {
+	big := &core.Rekey{Epoch: 1, Streams: []core.Stream{{Items: make([]keytree.Item, wire.MaxSparseIndexes+1)}}}
+	_, priv, err := ed25519.GenerateKey(keycrypt.NewDeterministicReader(54))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != rekey.Epoch || len(fullItems) != len(items) {
-		t.Fatalf("full blob: epoch=%d items=%d, want %d/%d", epoch, len(fullItems), rekey.Epoch, len(items))
+	if _, err := newEpochBuffer(priv, big, nil); !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Fatalf("sealing %d items: err=%v, want ErrFrameTooLarge", wire.MaxSparseIndexes+1, err)
 	}
 }
 

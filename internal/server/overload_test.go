@@ -220,7 +220,7 @@ func TestWatermarkRecoveryResetsStrikes(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if typ == wire.MsgRekey {
+			if typ == wire.MsgRekeySparse {
 				rekeys++
 			}
 			if s.QueuedFrames() == 0 {
@@ -483,7 +483,7 @@ func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 // TestSparseWriterAllocsCeiling pins the steady-state allocation cost of
 // the writer hot path. The frame header, sparse-head buffer and vector
 // list are writer-owned and reused, so a sparse frame costs only the
-// multiproof walk's scratch slice and the full-blob path costs nothing.
+// multiproof walk's scratch slice and a payload (data) frame nothing.
 func TestSparseWriterAllocsCeiling(t *testing.T) {
 	sc := newScheme(t, 40)
 	var b core.Batch
@@ -529,12 +529,12 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	}); allocs > 2 {
 		t.Fatalf("sparse writeFrame allocs/op = %v, want ≤ 2 (proof-walk scratch only)", allocs)
 	}
-	full := frame{t: wire.MsgRekey, payload: eb.signedBlob(priv)}
+	data := frame{t: wire.MsgData, payload: wire.SignRekey(priv, []byte("sealed application frame"))}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if err := cc.writeFrame(full); err != nil {
+		if err := cc.writeFrame(data); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 0 {
-		t.Fatalf("full-blob writeFrame allocs/op = %v, want 0", allocs)
+		t.Fatalf("payload writeFrame allocs/op = %v, want 0", allocs)
 	}
 }

@@ -9,9 +9,8 @@ import (
 )
 
 // newTamperingProxy starts a man-in-the-middle relay to target that flips
-// one signature byte of every server→client rekey frame (full and
-// sparse), leaving all other traffic intact. It returns the proxy's
-// listen address.
+// one signed byte of every server→client rekey frame, leaving all other
+// traffic intact. It returns the proxy's listen address.
 func newTamperingProxy(t *testing.T, target string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -46,8 +45,8 @@ func newTamperingProxy(t *testing.T, target string) string {
 					if err != nil {
 						return
 					}
-					if (typ == wire.MsgRekey || typ == wire.MsgRekeySparse) && len(payload) > 0 {
-						payload[0] ^= 0x01 // break the Ed25519 signature
+					if typ == wire.MsgRekeySparse && len(payload) > 0 {
+						payload[0] ^= 0x01 // the epoch: the root signature no longer verifies
 					}
 					if err := wire.WriteFrame(client, typ, payload); err != nil {
 						return

@@ -164,6 +164,67 @@ func TestServerRestartResume(t *testing.T) {
 	}
 }
 
+// TestSetLastRekeyClosesCrashWindow: an epoch journaled and broadcast
+// while a member is detached, in a life that dies before any snapshot
+// covers it, is what Recover returns as LastRekey. The next life seals it
+// with SetLastRekey, and the member resuming there is sent every item of
+// that epoch — exactly what the lost instance derived — and converges on
+// its group key.
+func TestSetLastRekeyClosesCrashWindow(t *testing.T) {
+	dir := t.TempDir()
+	srv, st, _ := startDurableServer(t, dir)
+	away := dial(t, srv, wire.JoinRequest{LossRate: 0.01})
+	if err := away.WaitEpoch(1, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	state, err := away.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	away.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Second life: a newcomer's join epoch is journaled and broadcast while
+	// the member is away, then the process dies: detaching the store first
+	// keeps Close from writing the snapshot that would cover the epoch.
+	srv2, st2, _ := startDurableServer(t, dir)
+	_, lost := joinRaw(t, srv2)
+	srv2.Persist(nil, 0)
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv3, st3, res := startDurableServer(t, dir)
+	defer func() {
+		srv3.Close()
+		st3.Close()
+	}()
+	if res.LastRekey == nil || res.LastRekey.Epoch != lost.Epoch {
+		t.Fatalf("Recover's LastRekey is %+v, want the unsnapshotted epoch %d", res.LastRekey, lost.Epoch)
+	}
+	cs, err := DecodeClientState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := resumeRaw(t, srv3, cs)
+	cs.Member.Apply(expectEveryItem(t, late, srv3.SigningKey(), lost))
+	dek, err := srv3.scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cs.Member.Has(dek) {
+		t.Fatal("resumed member lacks the group key of the epoch the crash cut off")
+	}
+}
+
 // TestServerRestartEvictsDetachedOnTimeout: a member that detaches and
 // never resumes is still evicted by the abrupt-disconnect path when its
 // connection drops in the second life — resume is a grace window, not

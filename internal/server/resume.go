@@ -181,7 +181,7 @@ func resumeOnConn(conn net.Conn, st *ClientState, timeout time.Duration) (*Clien
 		conn.Close()
 		return nil, err
 	}
-	req := wire.ResumeRequest{Member: c.id, Proof: proof, Caps: wire.CapSparse}
+	req := wire.ResumeRequest{Member: c.id, Proof: proof}
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := c.writeFrame(wire.MsgResume, req.Encode()); err != nil {
 		conn.Close()
@@ -220,7 +220,7 @@ func (c *Client) trackIndividualLocked(items []keytree.Item, handoffPossible boo
 	if !handoffPossible {
 		return
 	}
-	// Receiver lists are not transmitted (wire.EncodeRekey), but no list is
+	// Receiver lists are not transmitted (wire.AppendRekeyItem), but no list is
 	// needed: nobody else holds this member's leaf, so a JoinerWrap sealed
 	// under it is addressed to us by construction.
 	for _, it := range items {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"net"
@@ -10,6 +9,7 @@ import (
 
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
+	"groupkey/internal/keytree"
 	"groupkey/internal/wire"
 )
 
@@ -71,13 +71,12 @@ func waitPendingJoin(t *testing.T, s *Server) {
 	}
 }
 
-// joinRaw registers a raw peer with the given capabilities and runs the
-// admitting rekey, returning the peer (welcome consumed, its epoch frame
-// still unread) and that rekey.
-func joinRaw(t *testing.T, s *Server, caps uint8) (*rawPeer, *core.Rekey) {
+// joinRaw registers a raw peer and runs the admitting rekey, returning the
+// peer (welcome consumed, its epoch frame still unread) and that rekey.
+func joinRaw(t *testing.T, s *Server) (*rawPeer, *core.Rekey) {
 	t.Helper()
 	p := dialRaw(t, s)
-	p.send(wire.MsgJoin, wire.JoinRequest{Caps: caps}.Encode())
+	p.send(wire.MsgJoin, wire.JoinRequest{}.Encode())
 	waitPendingJoin(t, s)
 	rekey, err := s.RekeyNow()
 	if err != nil {
@@ -89,23 +88,51 @@ func joinRaw(t *testing.T, s *Server, caps uint8) (*rawPeer, *core.Rekey) {
 	return p, rekey
 }
 
-// fullBlob is the reference construction of an epoch's signed full frame.
-func fullBlob(t *testing.T, priv ed25519.PrivateKey, rekey *core.Rekey) []byte {
+// resumeRaw re-attaches a saved session over a raw peer, consuming the
+// resume welcome.
+func resumeRaw(t *testing.T, s *Server, st *ClientState) *rawPeer {
 	t.Helper()
-	payload, err := wire.EncodeRekey(rekey.Epoch, rekey.AllItems())
+	var id [8]byte
+	binary.BigEndian.PutUint64(id[:], uint64(st.Member.ID()))
+	proof, err := keycrypt.Seal(st.Indiv, id[:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire.SignRekey(priv, payload)
+	p := dialRaw(t, s)
+	p.send(wire.MsgResume, wire.ResumeRequest{Member: st.Member.ID(), Proof: proof}.Encode())
+	p.expect(wire.MsgWelcome)
+	return p
 }
 
-// TestPullAfterSealGetsFullBlob: an epoch's index covers the members
+// expectEveryItem reads the peer's next frame and fails unless it is a
+// verified sparse frame carrying every item of rekey, in order.
+func expectEveryItem(t *testing.T, p *rawPeer, pub ed25519.PublicKey, rekey *core.Rekey) []keytree.Item {
+	t.Helper()
+	sr, err := wire.DecodeSparseRekey(pub, p.expect(wire.MsgRekeySparse))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rekey.AllItems()
+	if sr.Epoch != rekey.Epoch || len(sr.Items) != len(want) {
+		t.Fatalf("sparse frame: epoch %d with %d items, want epoch %d with all %d",
+			sr.Epoch, len(sr.Items), rekey.Epoch, len(want))
+	}
+	for i := range want {
+		if sr.Items[i].Wrapped != want[i].Wrapped {
+			t.Fatalf("item %d differs from the epoch's", i)
+		}
+	}
+	return sr.Items
+}
+
+// TestPullAfterSealGetsEveryItem: an epoch's index covers the members
 // connected when it was sealed. One of those pulling the epoch gets its
 // sparse slice — the k=0 heartbeat when the epoch holds nothing for it. A
-// member that resumed after the seal is in no index: its pull must be
-// answered with the signed full blob, from which it converges, never with
-// an empty sparse frame that would leave it a key behind.
-func TestPullAfterSealGetsFullBlob(t *testing.T) {
+// member that resumed after the seal is in no index: its resume and its
+// pull must each be answered with a sparse frame carrying every item, from
+// which it converges, never with an empty one that would leave it a key
+// behind.
+func TestPullAfterSealGetsEveryItem(t *testing.T) {
 	scheme := newScheme(t, 60)
 	srv1 := startServer(t, scheme)
 	away := dial(t, srv1, wire.JoinRequest{})
@@ -133,46 +160,26 @@ func TestPullAfterSealGetsFullBlob(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	// Epoch 3 is sealed with the joiner as the whole audience.
-	present, rekey := joinRaw(t, srv, wire.CapSparse)
-	want := fullBlob(t, priv, rekey)
+	present, rekey := joinRaw(t, srv)
+	if len(rekey.AllItems()) == 0 {
+		t.Fatal("join epoch carries no items")
+	}
 	pub := srv.SigningKey()
 
 	st, err := DecodeClientState(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var id [8]byte
-	binary.BigEndian.PutUint64(id[:], uint64(st.Member.ID()))
-	proof, err := keycrypt.Seal(st.Indiv, id[:], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	late := dialRaw(t, srv)
-	late.send(wire.MsgResume, wire.ResumeRequest{Member: st.Member.ID(), Proof: proof, Caps: wire.CapSparse}.Encode())
-	late.expect(wire.MsgWelcome)
-	if got := late.expect(wire.MsgRekey); !bytes.Equal(got, want) {
-		t.Fatal("resume re-delivery differs from SignRekey(EncodeRekey(epoch 3))")
-	}
+	late := resumeRaw(t, srv, st)
+	expectEveryItem(t, late, pub, rekey) // the resume re-delivery
 	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch))
-	pulled := late.expect(wire.MsgRekey)
-	if !bytes.Equal(pulled, want) {
-		t.Fatal("pull by a member resumed after the seal differs from the signed full blob")
-	}
-	inner, err := wire.OpenSignedRekey(pub, pulled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, items, err := wire.DecodeRekey(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Member.Apply(items)
+	st.Member.Apply(expectEveryItem(t, late, pub, rekey))
 	dek, err := scheme.GroupKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Member.Has(dek) {
-		t.Fatal("resumed member did not converge on the group key from the pulled blob")
+		t.Fatal("resumed member did not converge on the group key from the pulled frame")
 	}
 
 	// The member connected at the seal pulls the same epoch sparsely.
@@ -189,6 +196,10 @@ func TestPullAfterSealGetsFullBlob(t *testing.T) {
 		t.Fatalf("connected pull: %d items at epoch %d, broadcast had %d at %d",
 			len(again.Items), again.Epoch, len(first.Items), rekey.Epoch)
 	}
+	// A pull for an epoch the server no longer retains gets every item of
+	// the one it does.
+	present.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch-1))
+	expectEveryItem(t, present, pub, rekey)
 
 	// An epoch with nothing for anyone: both are connected at its seal, so
 	// both pulls are answered with the signed k=0 heartbeat.
@@ -209,70 +220,6 @@ func TestPullAfterSealGetsFullBlob(t *testing.T) {
 		if hb.Epoch != idle.Epoch || len(hb.Items) != 0 {
 			t.Fatalf("%s: heartbeat pull returned epoch %d with %d items", name, hb.Epoch, len(hb.Items))
 		}
-	}
-}
-
-// TestFullBlobOnDemand: an epoch whose clients are all sparse builds no
-// full blob until someone asks — LastRekeyBlob, a legacy client's fan-out
-// frame — and what it then builds is exactly SignRekey(EncodeRekey(...))
-// of that epoch. Priming keeps overriding it until the next epoch.
-func TestFullBlobOnDemand(t *testing.T) {
-	srv := startServer(t, newScheme(t, 61))
-	priv, pub := srv.signPriv, srv.SigningKey()
-	built := func() bool {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		return srv.lastRekeyBlob != nil
-	}
-	if srv.LastRekeyBlob() != nil {
-		t.Fatal("blob before the first rekey")
-	}
-
-	sparse, rekey := joinRaw(t, srv, wire.CapSparse)
-	sparse.expect(wire.MsgRekeySparse)
-	if built() {
-		t.Fatal("an all-sparse epoch built the full blob")
-	}
-	blob := srv.LastRekeyBlob()
-	if !bytes.Equal(blob, fullBlob(t, priv, rekey)) {
-		t.Fatal("LastRekeyBlob differs from SignRekey(EncodeRekey(...)) of the epoch")
-	}
-	if _, err := wire.OpenSignedRekey(pub, blob); err != nil {
-		t.Fatalf("OpenSignedRekey: %v", err)
-	}
-	if again := srv.LastRekeyBlob(); &again[0] != &blob[0] {
-		t.Fatal("second LastRekeyBlob call rebuilt the blob")
-	}
-
-	// A client without CapSparse joins mid-run: its epoch frame is the full
-	// blob of the new epoch, while the sparse client still gets its slice.
-	legacy, rekey := joinRaw(t, srv, 0)
-	want := fullBlob(t, priv, rekey)
-	if got := legacy.expect(wire.MsgRekey); !bytes.Equal(got, want) {
-		t.Fatal("legacy client's frame differs from SignRekey(EncodeRekey(...)) of the epoch")
-	}
-	if _, err := wire.DecodeSparseRekey(pub, sparse.expect(wire.MsgRekeySparse)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srv.LastRekeyBlob(), want) {
-		t.Fatal("LastRekeyBlob differs from what the legacy client was sent")
-	}
-
-	primed := []byte("a previous generation's signed frame")
-	srv.SetLastRekeyBlob(primed)
-	if !bytes.Equal(srv.LastRekeyBlob(), primed) {
-		t.Fatal("SetLastRekeyBlob did not override the epoch's blob")
-	}
-	rekey, err := srv.RekeyNow()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = fullBlob(t, priv, rekey)
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srv.LastRekeyBlob(), want) {
-		t.Fatal("LastRekeyBlob after Close is not the last epoch's blob")
 	}
 }
 

@@ -129,7 +129,7 @@ type frame struct {
 // clientConn is one admitted member's connection plus its bounded send
 // queue. The queue channel is closed exactly once (finish) after the conn
 // leaves s.conns, so enqueues — always under s.mu — never race the close.
-// strikes and shedding are guarded by s.mu; caps is fixed at admission.
+// strikes and shedding are guarded by s.mu.
 type clientConn struct {
 	conn    net.Conn
 	q       chan frame
@@ -138,9 +138,6 @@ type clientConn struct {
 	abOnce  sync.Once
 	timeout time.Duration
 	metrics *Metrics // snapshot at creation; nil-safe
-
-	// caps are the wire capabilities the member negotiated at join/resume.
-	caps uint8
 
 	// Writer-owned scratch, reused across frames so the steady-state write
 	// path allocates nothing: the v1 frame header, the sparse-head assembly
@@ -158,14 +155,13 @@ type clientConn struct {
 
 // startClientLocked wraps an admitted connection in a send queue and
 // starts its writer. Callers hold s.mu.
-func (s *Server) startClientLocked(conn net.Conn, caps uint8) *clientConn {
+func (s *Server) startClientLocked(conn net.Conn) *clientConn {
 	cc := &clientConn{
 		conn:    conn,
 		q:       make(chan frame, s.policy.QueueCap),
 		done:    make(chan struct{}),
 		timeout: s.policy.WriteTimeout,
 		metrics: s.metrics,
-		caps:    caps,
 	}
 	s.wg.Add(1)
 	go func() {

@@ -119,16 +119,13 @@ type Server struct {
 	peakMembers int
 
 	// Durability (see Persist). lastEpoch is the newest epoch buffer (one
-	// reference held here), serving MsgRekeyPull repair requests sparsely.
-	// lastRekeyBlob is the signed full frame of the newest rekey — re-sent
-	// to resuming members to close the journal-before-broadcast crash
-	// window, and what legacy clients receive. Each broadcast clears it and
-	// lastBlobLocked rebuilds it from lastEpoch when first asked, so read it
-	// only through that accessor.
+	// reference held here): it answers MsgRekeyPull repair requests and is
+	// re-sent, every item of it, to resuming members — which closes the
+	// journal-before-broadcast crash window when SetLastRekey primed it
+	// from a recovered rekey.
 	persister     Persister
 	snapshotEvery int
 	opsSinceSnap  int
-	lastRekeyBlob []byte
 	lastEpoch     *epochBuffer
 
 	// Datagram rekey plane (see udp.go); nil unless ServeUDP was called.
@@ -142,7 +139,6 @@ type pendingJoin struct {
 	id   keytree.MemberID
 	meta core.MemberMeta
 	conn net.Conn
-	caps uint8
 }
 
 // New creates a server around a key-management scheme. rng supplies nonces
@@ -196,18 +192,23 @@ func (s *Server) SetNextID(id keytree.MemberID) {
 
 // SetLastRekey primes the resume re-delivery buffer with a recovered
 // rekey, so members reconnecting after a crash that hit between journal
-// and broadcast still receive the payload the lost instance derived.
+// and broadcast still receive the payload the lost instance derived. The
+// rekey is sealed for an empty audience: nobody is indexed, so every
+// resume or pull of it gets all of its items.
 func (s *Server) SetLastRekey(r *core.Rekey) error {
 	if r == nil {
 		return nil
 	}
-	blob, err := wire.EncodeRekey(r.Epoch, r.AllItems())
+	eb, err := newEpochBuffer(s.signPriv, r, nil)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastRekeyBlob = wire.SignRekey(s.signPriv, blob)
+	if s.lastEpoch != nil {
+		s.lastEpoch.release()
+	}
+	s.lastEpoch = eb
 	return nil
 }
 
@@ -232,37 +233,6 @@ func (s *Server) checkFenceLocked() error {
 		return fmt.Errorf("%w: %v", ErrFenced, err)
 	}
 	return nil
-}
-
-// LastRekeyBlob returns the signed frame of the newest rekey (nil before
-// the first), for handing off to a successor server instance over the same
-// signing key — the cluster layer re-primes a re-promoted server with it.
-func (s *Server) LastRekeyBlob() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastBlobLocked()
-}
-
-// lastBlobLocked returns the signed full frame of the newest rekey (nil
-// before the first), building and signing it on the epoch's first request:
-// an epoch that only sparse-capable, connected-at-seal members ever ask
-// about never pays for the copy or the signature. Callers hold s.mu.
-func (s *Server) lastBlobLocked() []byte {
-	if s.lastRekeyBlob == nil && s.lastEpoch != nil {
-		s.lastRekeyBlob = s.lastEpoch.signedBlob(s.signPriv)
-	}
-	return s.lastRekeyBlob
-}
-
-// SetLastRekeyBlob primes the resume re-delivery buffer with an
-// already-signed rekey frame captured from a previous server generation.
-func (s *Server) SetLastRekeyBlob(blob []byte) {
-	if blob == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lastRekeyBlob = blob
 }
 
 // BootstrapState runs fn under the server lock with a consistent view of
@@ -404,7 +374,6 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				id:   memberID,
 				meta: core.MemberMeta{LossRate: req.LossRate, LongLived: req.LongLived},
 				conn: conn,
-				caps: req.Caps,
 			})
 			s.mu.Unlock()
 		case wire.MsgLeave:
@@ -424,11 +393,11 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 			}
 		case wire.MsgRekeyPull:
 			// TCP repair: a member that could not complete an epoch from the
-			// datagram plane (or missed a sparse frame) pulls its slice
-			// authoritatively. Answer sparsely from the retained epoch
-			// buffer when it still matches and indexed this member; a member
-			// that connected after the seal (resume) is in no index and
-			// gets the full blob, as resume itself sends.
+			// datagram plane (or missed a sparse frame) pulls it from the
+			// retained epoch: its slice when the epoch matches and indexed
+			// this member (the k=0 heartbeat when the slice is empty),
+			// otherwise every item, as resume sends — a member that
+			// connected after the seal is in no index.
 			epoch, err := wire.DecodeRekeyPull(payload)
 			if err != nil {
 				s.reject(conn, err)
@@ -441,16 +410,13 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				s.reject(conn, errors.New("pull rejected: not a member"))
 				return
 			}
-			var idx []uint32
-			indexed := false
-			if eb := s.lastEpoch; eb != nil && eb.epoch == epoch && cc.caps&wire.CapSparse != 0 {
-				idx, indexed = eb.index.Lookup(memberID)
-			}
-			if indexed {
-				s.lastEpoch.retain()
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekeySparse, eb: s.lastEpoch, idx: idx})
-			} else if blob := s.lastBlobLocked(); blob != nil {
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekey, payload: blob})
+			if eb := s.lastEpoch; eb != nil {
+				idx, indexed := eb.index.Lookup(memberID)
+				if eb.epoch != epoch || !indexed {
+					idx = eb.allItems()
+				}
+				eb.retain()
+				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx})
 			}
 			s.metrics.noteRepairPull()
 			s.mu.Unlock()
@@ -465,11 +431,12 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 // The proof is the member's ID sealed under its current individual key —
 // only the genuine member (and the server) holds that key, so a valid
 // proof authenticates without a whole-group rekey. On success the server
-// re-sends the signed welcome (re-pinning the server key) and the newest
-// rekey frame, closing the journal-before-broadcast crash window: a rekey
-// that was journaled but never broadcast reaches the member here. Like
-// MsgWelcome, the reply carries the individual key in the clear and so
-// rides the same confidential-registration-channel assumption (use TLS).
+// re-sends the signed welcome (re-pinning the server key) and every item
+// of the retained epoch as one sparse frame (the seal indexed no one who
+// connects after it), closing the journal-before-broadcast crash window:
+// a rekey that was journaled but never broadcast reaches the member here.
+// Like MsgWelcome, the reply carries the individual key in the clear and
+// so rides the same confidential-registration-channel assumption (use TLS).
 func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree.MemberID) bool {
 	s.mu.Lock()
 	if s.closed || *memberID != 0 || !s.scheme.Contains(req.Member) {
@@ -498,7 +465,7 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 	*memberID = req.Member
 	// A disconnect queued this member for eviction; reconnecting revokes it.
 	delete(s.pendingLeaves, req.Member)
-	cc := s.startClientLocked(conn, req.Caps)
+	cc := s.startClientLocked(conn)
 	s.conns[req.Member] = cc
 	s.metrics.setConnections(len(s.conns))
 	welcome := wire.SignedWelcome{
@@ -506,11 +473,9 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 		ServerKey: s.signPub,
 	}
 	s.enqueueLocked(req.Member, cc, frame{t: wire.MsgWelcome, payload: welcome.Encode()})
-	if blob := s.lastBlobLocked(); blob != nil {
-		// Re-delivery always uses the full blob: the resuming member may
-		// have missed receiver-set changes, and full payloads are valid for
-		// every capability level.
-		s.enqueueLocked(req.Member, cc, frame{t: wire.MsgRekey, payload: blob})
+	if eb := s.lastEpoch; eb != nil {
+		eb.retain()
+		s.enqueueLocked(req.Member, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: eb.allItems()})
 	}
 	s.mu.Unlock()
 	return true
@@ -539,11 +504,7 @@ func (s *Server) RekeyNow() (*core.Rekey, error) {
 
 	start := s.now()
 	b := core.Batch{}
-	type admitted struct {
-		conn net.Conn
-		caps uint8
-	}
-	joinConn := make(map[keytree.MemberID]admitted)
+	joinConn := make(map[keytree.MemberID]net.Conn)
 	for _, pj := range s.pendingJoins {
 		if s.pendingLeaves[pj.id] {
 			// Joined and disconnected within one period: never admitted.
@@ -551,7 +512,7 @@ func (s *Server) RekeyNow() (*core.Rekey, error) {
 			continue
 		}
 		b.Joins = append(b.Joins, core.Join{ID: pj.id, Meta: pj.meta})
-		joinConn[pj.id] = admitted{conn: pj.conn, caps: pj.caps}
+		joinConn[pj.id] = pj.conn
 	}
 	for m := range s.pendingLeaves {
 		b.Leaves = append(b.Leaves, m)
@@ -586,17 +547,17 @@ func (s *Server) RekeyNow() (*core.Rekey, error) {
 	// signing public key they will verify all future frames against. A
 	// joiner that vanished mid-registration fails asynchronously: its
 	// writer tears the conn down and the read side queues the eviction.
-	for id, adm := range joinConn {
+	for id, conn := range joinConn {
 		welcome := wire.SignedWelcome{
 			Welcome:   wire.Welcome{Member: id, Key: rekey.Welcome[id]},
 			ServerKey: s.signPub,
 		}
-		cc := s.startClientLocked(adm.conn, adm.caps)
+		cc := s.startClientLocked(conn)
 		s.conns[id] = cc
 		s.enqueueLocked(id, cc, frame{t: wire.MsgWelcome, payload: welcome.Encode()})
 	}
 
-	// Broadcast the full rekey payload. Empty payloads still go out: the
+	// Broadcast the rekey payload. Empty payloads still go out: the
 	// epoch announcement doubles as the rekey-interval heartbeat members
 	// use to detect missed rekeys.
 	sent, err := s.broadcastRekeyLocked(rekey)
@@ -650,10 +611,9 @@ func (s *Server) noteRekeyLocked(rekey *core.Rekey, joins, leaves, bytes int, d 
 
 // broadcastRekeyLocked seals one rekey payload into an epoch buffer —
 // items encoded once, Merkle root signed once — and fans out per-client
-// descriptors: sparse-capable clients get {epoch buffer, their indexes}
-// (their writers assemble O(log N)-item frames off this lock), datagram
-// subscribers get a digest while their keys travel over UDP, and legacy
-// clients get the full signed blob, built on the first one's demand. The
+// descriptors: datagram subscribers get a digest while their keys travel
+// over UDP, every other client gets {epoch buffer, its indexes} (its
+// writer assembles an O(log N)-item sparse frame off this lock). The
 // connected IDs are sorted once: they scope the epoch's index and order
 // the fan-out, so each client's indexes are read by position. Returns the
 // payload bytes accepted for delivery. A client whose queue keeps
@@ -665,7 +625,6 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.lastRekeyBlob = nil // the previous epoch's; see lastBlobLocked
 	if s.lastEpoch != nil {
 		s.lastEpoch.release()
 	}
@@ -679,24 +638,18 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	for pos, id := range ids {
 		cc := s.conns[id]
 		idx := eb.index.At(pos)
-		switch {
-		case overUDP[id]:
+		if overUDP[id] {
 			digest := s.udp.digestFor(eb, idx)
 			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeyDigest, payload: digest}) {
 				sent += len(digest)
 			}
-		case cc.caps&wire.CapSparse != 0:
-			eb.retain()
-			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx}) {
-				n := eb.sparseSize(idx)
-				sent += n
-				s.metrics.noteSparseBytes(n)
-			}
-		default:
-			blob := s.lastBlobLocked()
-			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekey, payload: blob}) {
-				sent += len(blob)
-			}
+			continue
+		}
+		eb.retain()
+		if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx}) {
+			n := eb.sparseSize(idx)
+			sent += n
+			s.metrics.noteSparseBytes(n)
 		}
 	}
 	return sent, nil
@@ -849,7 +802,6 @@ func (s *Server) Close() error {
 		pj.conn.Close()
 	}
 	if s.lastEpoch != nil {
-		s.lastBlobLocked() // LastRekeyBlob keeps answering after Close
 		s.lastEpoch.release()
 		s.lastEpoch = nil
 	}

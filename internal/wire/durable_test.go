@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"groupkey/internal/keytree"
@@ -13,14 +14,23 @@ func TestMembershipBatchRoundTrip(t *testing.T) {
 		name   string
 		joins  []MemberJoin
 		leaves []keytree.MemberID
+		want   []MemberJoin // decoded joins when they differ from joins
 	}{
-		{"empty", nil, nil},
+		{"empty", nil, nil, nil},
 		{"joins-only", []MemberJoin{
 			{Member: 1, Req: JoinRequest{LossRate: 0.25}},
 			{Member: 7, Req: JoinRequest{LossRate: -1, LongLived: true}},
-		}, nil},
-		{"leaves-only", nil, []keytree.MemberID{3, 9, 4}},
-		{"mixed", []MemberJoin{{Member: 42, Req: JoinRequest{}}}, []keytree.MemberID{1}},
+		}, nil, nil},
+		{"leaves-only", nil, []keytree.MemberID{3, 9, 4}, nil},
+		{"mixed", []MemberJoin{{Member: 42, Req: JoinRequest{}}}, []keytree.MemberID{1}, nil},
+		// Caps is a wire-only byte: the log drops it, entries stay 17 bytes.
+		{"caps-not-logged", []MemberJoin{
+			{Member: 5, Req: JoinRequest{LossRate: 0.5, LongLived: true, Caps: CapSparse}},
+			{Member: 6, Req: JoinRequest{LossRate: 0.1, Caps: CapSparse | CapDatagram}},
+		}, []keytree.MemberID{2}, []MemberJoin{
+			{Member: 5, Req: JoinRequest{LossRate: 0.5, LongLived: true}},
+			{Member: 6, Req: JoinRequest{LossRate: 0.1}},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -29,8 +39,12 @@ func TestMembershipBatchRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("DecodeMembershipBatch: %v", err)
 			}
-			if !reflect.DeepEqual(joins, tc.joins) {
-				t.Fatalf("joins %+v, want %+v", joins, tc.joins)
+			want := tc.joins
+			if tc.want != nil {
+				want = tc.want
+			}
+			if !reflect.DeepEqual(joins, want) {
+				t.Fatalf("joins %+v, want %+v", joins, want)
 			}
 			if !reflect.DeepEqual(leaves, tc.leaves) {
 				t.Fatalf("leaves %+v, want %+v", leaves, tc.leaves)
@@ -67,8 +81,13 @@ func TestMembershipBatchMalformed(t *testing.T) {
 }
 
 func TestResumeRequestRoundTrip(t *testing.T) {
-	want := ResumeRequest{Member: 12345, Proof: []byte("sealed-proof-blob")}
-	got, err := DecodeResumeRequest(want.Encode())
+	proof := bytes.Repeat([]byte{0xa5}, resumeProofSize)
+	want := ResumeRequest{Member: 12345, Proof: proof}
+	enc := want.Encode()
+	if len(enc) != 8+resumeProofSize {
+		t.Fatalf("resume request is %d bytes, want member(8) + proof(%d)", len(enc), resumeProofSize)
+	}
+	got, err := DecodeResumeRequest(enc)
 	if err != nil {
 		t.Fatalf("DecodeResumeRequest: %v", err)
 	}
@@ -82,7 +101,10 @@ func TestResumeRequestRoundTrip(t *testing.T) {
 	}{
 		{"nil", nil},
 		{"too-short", make([]byte, 8)}, // ID but no proof at all
-		{"zero-member", append(make([]byte, 8), 'p')},
+		{"short-proof", enc[:len(enc)-1]},
+		// The retired caps byte between member and proof is one too many.
+		{"caps-layout", slices.Concat(enc[:8], []byte{CapSparse}, proof)},
+		{"zero-member", append(make([]byte, 8), proof...)},
 	} {
 		if _, err := DecodeResumeRequest(tc.blob); err == nil {
 			t.Errorf("%s: accepted", tc.name)

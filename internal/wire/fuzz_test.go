@@ -69,29 +69,22 @@ func FuzzReadFrameGroup(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRekey throws arbitrary bytes at the rekey decoder: no panics,
-// and accepted payloads re-encode to the same bytes.
-func FuzzDecodeRekey(f *testing.F) {
-	g := keycrypt.Generator{Rand: keycrypt.NewDeterministicReader(1)}
-	payload, _ := g.New(1, 0)
-	wrapper, _ := g.New(2, 0)
-	w, _ := keycrypt.Wrap(payload, wrapper, g.Rand)
-	blob, _ := EncodeRekey(3, []keytree.Item{{Wrapped: w, Kind: keytree.ChildWrap, Level: 1}})
-	f.Add(blob)
+// FuzzDecodeResumeRequest throws arbitrary bytes at the resume decoder,
+// which parses unauthenticated network input: no panics, and accepted
+// payloads re-encode to the same bytes.
+func FuzzDecodeResumeRequest(f *testing.F) {
+	f.Add(ResumeRequest{Member: 3, Proof: make([]byte, resumeProofSize)}.Encode())
+	f.Add(ResumeRequest{Member: 3, Proof: make([]byte, resumeProofSize+1)}.Encode())
+	f.Add(make([]byte, 8+resumeProofSize)) // zero member
 	f.Add([]byte{})
-	f.Add(make([]byte, 12))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, items, err := DecodeRekey(data)
+		r, err := DecodeResumeRequest(data)
 		if err != nil {
 			return
 		}
-		re, err := EncodeRekey(epoch, items)
-		if err != nil {
-			t.Fatalf("accepted rekey failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("rekey round trip diverged")
+		if !bytes.Equal(r.Encode(), data) {
+			t.Fatal("resume request round trip diverged")
 		}
 	})
 }

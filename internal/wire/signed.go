@@ -16,9 +16,10 @@ import (
 // ErrBadSignature reports a rekey payload whose signature does not verify.
 var ErrBadSignature = errors.New("wire: rekey signature verification failed")
 
-// SignRekey wraps an encoded rekey payload with an Ed25519 signature:
-// sig(64) || payload. The signature covers the full payload (epoch, count,
-// items), so neither items nor the epoch can be spliced.
+// SignRekey wraps a payload with an Ed25519 signature: sig(64) || payload.
+// The signature covers the whole payload, so nothing in it can be spliced.
+// Every MsgData frame travels in this envelope; rekeys are authenticated
+// by the sparse frame's signed root instead (sparse.go).
 func SignRekey(priv ed25519.PrivateKey, payload []byte) []byte {
 	sig := ed25519.Sign(priv, payload)
 	out := make([]byte, 0, len(sig)+len(payload))
@@ -26,8 +27,8 @@ func SignRekey(priv ed25519.PrivateKey, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// OpenSignedRekey verifies and strips the signature, returning the inner
-// payload for DecodeRekey.
+// OpenSignedRekey verifies and strips a SignRekey signature, returning the
+// inner payload.
 func OpenSignedRekey(pub ed25519.PublicKey, blob []byte) ([]byte, error) {
 	if len(blob) < ed25519.SignatureSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrMalformed, len(blob))

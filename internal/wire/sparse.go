@@ -28,8 +28,11 @@ const sparseDomain = "groupkey/sparse-rekey/v1"
 // sparseFixedSize is everything before the index list.
 const sparseFixedSize = 8 + 4 + HashSize + ed25519.SignatureSize + 4
 
-// MaxSparseIndexes bounds k in one sparse frame.
-const MaxSparseIndexes = (MaxFrameSize - sparseFixedSize) / (4 + RekeyItemSize)
+// MaxSparseIndexes bounds k in one sparse frame, and so the items an
+// epoch may seal: a frame carrying all of them must fit MaxFrameSize with
+// its proof count and proof. An all-leaves multiproof holds at most one
+// padding hash per tree level, and nLeaves is a uint32 (≤ 32 levels).
+const MaxSparseIndexes = (MaxFrameSize - sparseFixedSize - 2 - 32*HashSize) / (4 + RekeyItemSize)
 
 // SparseSigningMessage is the byte string the epoch root signature covers:
 // domain ‖ epoch ‖ nLeaves ‖ root. Binding the leaf count prevents a
@@ -169,8 +172,8 @@ func (x *ScopedIndex) At(p int) []uint32 {
 }
 
 // Lookup returns member m's item indexes and whether m was in the
-// audience at all: false means "never indexed" — the caller must fall back
-// to the full payload — not "nothing for you".
+// audience at all: false means "never indexed" — the caller must send
+// every item — not "nothing for you".
 func (x *ScopedIndex) Lookup(m keytree.MemberID) ([]uint32, bool) {
 	p, ok := slices.BinarySearch(x.ids, m)
 	if !ok {

@@ -376,9 +376,9 @@ func TestRekeyPullRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCapsNegotiationRoundTrip locks the dual encodings: a zero-caps
-// request stays byte-identical to the legacy layout (old servers keep
-// working), a caps-bearing one round-trips the flags.
+// TestCapsNegotiationRoundTrip locks the two join encodings: a zero-caps
+// request is the 9-byte layout, a caps-bearing one round-trips the flags
+// in a tenth byte (accepted, not read, by the server).
 func TestCapsNegotiationRoundTrip(t *testing.T) {
 	legacy := JoinRequest{LossRate: 0.5, LongLived: true}
 	if got := len(legacy.Encode()); got != 9 {
@@ -397,20 +397,25 @@ func TestCapsNegotiationRoundTrip(t *testing.T) {
 	if err != nil || back.Caps != 0 {
 		t.Fatalf("legacy join round trip: %+v err=%v", back, err)
 	}
+}
 
-	proof := make([]byte, keycrypt.SealedSize(8))
-	for i := range proof {
-		proof[i] = byte(i)
+// TestSparseFrameAtMaxIndexesFits: the sparse frame carrying every item of
+// the largest epoch a server may seal — what a resumer is sent — including
+// its proof count and padding proof hashes, fits a frame.
+func TestSparseFrameAtMaxIndexesFits(t *testing.T) {
+	item := make([]byte, RekeyItemSize)
+	tree := NewItemTree(MaxSparseIndexes, func(int) []byte { return item })
+	all := make([]uint32, MaxSparseIndexes)
+	for i := range all {
+		all[i] = uint32(i)
 	}
-	legacyRes := ResumeRequest{Member: 4, Proof: proof}
-	rr, err := DecodeResumeRequest(legacyRes.Encode())
-	if err != nil || rr.Caps != 0 || !bytes.Equal(rr.Proof, proof) {
-		t.Fatalf("legacy resume round trip: caps=%d err=%v", rr.Caps, err)
+	size := SparseFrameSize(tree, all)
+	if tree.ProofSize(all) == 0 {
+		t.Fatal("an all-items frame over a padded tree carries no proof; the test no longer probes the bound")
 	}
-	capsRes := ResumeRequest{Member: 4, Proof: proof, Caps: CapSparse}
-	rr2, err := DecodeResumeRequest(capsRes.Encode())
-	if err != nil || rr2.Caps != CapSparse || !bytes.Equal(rr2.Proof, proof) || rr2.Member != 4 {
-		t.Fatalf("caps resume round trip: caps=%d err=%v", rr2.Caps, err)
+	if size > MaxFrameSize {
+		t.Fatalf("all-items frame at MaxSparseIndexes=%d is %d bytes, %d over MaxFrameSize",
+			MaxSparseIndexes, size, size-MaxFrameSize)
 	}
 }
 

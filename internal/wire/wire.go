@@ -52,7 +52,10 @@ const (
 	// MsgWelcome is the server's registration package: the assigned member
 	// ID and individual key (payload confidential by transport assumption).
 	MsgWelcome
-	// MsgRekey carries one rekey payload: epoch plus encrypted key items.
+	// MsgRekey is reserved and never sent: it numbered the retired signed
+	// full-payload rekey frame. Members receive rekeys as MsgRekeySparse.
+	// The slot stays so later type numbers (and their golden vectors) keep
+	// their values.
 	MsgRekey
 	// MsgData carries application data sealed under the group key.
 	MsgData
@@ -98,8 +101,9 @@ const (
 	MsgReplAck
 	// MsgRekeySparse carries one member's slice of a rekey: only the items
 	// on that member's key-tree path, authenticated against the epoch's
-	// signed item-tree root by a Merkle multiproof (see sparse.go). Sent to
-	// sparse-capable members instead of the full MsgRekey blob.
+	// signed item-tree root by a Merkle multiproof (see sparse.go). It is
+	// the only rekey frame a member receives; a member the epoch's seal did
+	// not index (a resumer) gets one carrying every item.
 	MsgRekeySparse
 	// MsgRekeyDigest announces an epoch whose keys travel on the datagram
 	// plane: the signed item-tree root plus the member's leaf indexes and
@@ -253,16 +257,13 @@ func readFrame(r io.Reader) (GroupID, MsgType, []byte, bool, error) {
 	return g, MsgType(body[0] &^ groupFlag), body[5:], true, nil
 }
 
-// Client capability flags, negotiated at join/resume time. A zero caps
-// byte (or its absence — the legacy 9-byte join encoding) selects the
-// original behavior: full signed rekey blobs over TCP.
+// Client capability flags a join may carry. They are accepted, not read:
+// every member is sent sparse frames, and the datagram plane registers a
+// member by its sealed UDP hello, not by a join flag.
 const (
-	// CapSparse: the client decodes MsgRekeySparse frames, so the server
-	// sends it only the items on its tree path instead of the full blob.
+	// CapSparse announced a client that decodes MsgRekeySparse frames.
 	CapSparse uint8 = 1 << 0
-	// CapDatagram: the client may subscribe to the UDP rekey plane; the
-	// server then demotes its TCP session to control/repair (MsgRekeyDigest
-	// + MsgRekeyPull) once a datagram subscription is registered.
+	// CapDatagram announced a client that may subscribe to the UDP plane.
 	CapDatagram uint8 = 1 << 1
 )
 
@@ -271,9 +272,8 @@ const (
 type JoinRequest struct {
 	LossRate  float64 // negative means unknown
 	LongLived bool
-	// Caps is the client's capability bitmap. Zero encodes to the legacy
-	// 9-byte layout, so old servers keep admitting clients that request
-	// nothing new.
+	// Caps is the client's capability bitmap: accepted, not read. Nonzero
+	// caps add a tenth byte to the encoding.
 	Caps uint8
 }
 
@@ -351,7 +351,8 @@ type MemberJoin struct {
 	Req    JoinRequest
 }
 
-// memberJoinSize is member(8) + JoinRequest(9).
+// memberJoinSize is member(8) + LossRate(8) + LongLived(1). The log never
+// carries JoinRequest.Caps, so its entries do not follow the join layout.
 const memberJoinSize = 8 + 9
 
 // EncodeMembershipBatch serializes one applied membership batch for the
@@ -363,7 +364,11 @@ func EncodeMembershipBatch(joins []MemberJoin, leaves []keytree.MemberID) []byte
 	out = binary.BigEndian.AppendUint32(out, uint32(len(joins)))
 	for _, j := range joins {
 		out = binary.BigEndian.AppendUint64(out, uint64(j.Member))
-		out = append(out, j.Req.Encode()...)
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(j.Req.LossRate))
+		out = append(out, 0)
+		if j.Req.LongLived {
+			out[len(out)-1] = 1
+		}
 	}
 	out = binary.BigEndian.AppendUint32(out, uint32(len(leaves)))
 	for _, m := range leaves {
@@ -384,15 +389,14 @@ func DecodeMembershipBatch(b []byte) (joins []MemberJoin, leaves []keytree.Membe
 	}
 	for i := 0; i < nj; i++ {
 		chunk := rest[i*memberJoinSize : (i+1)*memberJoinSize]
-		req, err := DecodeJoinRequest(chunk[8:])
-		if err != nil {
-			return nil, nil, err
-		}
 		m := keytree.MemberID(binary.BigEndian.Uint64(chunk[0:8]))
 		if m == 0 {
 			return nil, nil, fmt.Errorf("%w: zero joiner ID", ErrMalformed)
 		}
-		joins = append(joins, MemberJoin{Member: m, Req: req})
+		joins = append(joins, MemberJoin{Member: m, Req: JoinRequest{
+			LossRate:  math.Float64frombits(binary.BigEndian.Uint64(chunk[8:16])),
+			LongLived: chunk[16] == 1,
+		}})
 	}
 	rest = rest[nj*memberJoinSize:]
 	nl := int(binary.BigEndian.Uint32(rest[0:4]))
@@ -416,40 +420,28 @@ func DecodeMembershipBatch(b []byte) (joins []MemberJoin, leaves []keytree.Membe
 type ResumeRequest struct {
 	Member keytree.MemberID
 	Proof  []byte
-	// Caps is the client's capability bitmap (see CapSparse). Nonzero caps
-	// encode as a byte between the member ID and the proof; the decoder
-	// discriminates by length, which works because the resume proof has a
-	// fixed sealed size.
-	Caps uint8
 }
 
 // resumeProofSize is the fixed size of a resume proof: the 8-byte member
 // ID sealed under the member's individual key.
 var resumeProofSize = keycrypt.SealedSize(8)
 
-// Encode serializes the resume request. Caps == 0 emits the legacy layout
-// (member ‖ proof), so old servers keep resuming clients that request
-// nothing new.
+// Encode serializes the resume request: member(8) ‖ proof.
 func (r ResumeRequest) Encode() []byte {
-	out := make([]byte, 0, 9+len(r.Proof))
+	out := make([]byte, 0, 8+len(r.Proof))
 	out = binary.BigEndian.AppendUint64(out, uint64(r.Member))
-	if r.Caps != 0 {
-		out = append(out, r.Caps)
-	}
 	return append(out, r.Proof...)
 }
 
-// DecodeResumeRequest parses a MsgResume payload of either layout.
+// DecodeResumeRequest parses a MsgResume payload, which must carry a
+// proof of exactly the sealed size.
 func DecodeResumeRequest(b []byte) (ResumeRequest, error) {
-	if len(b) < 9 {
+	if len(b) != 8+resumeProofSize {
 		return ResumeRequest{}, fmt.Errorf("%w: resume payload %d bytes", ErrMalformed, len(b))
 	}
 	m := keytree.MemberID(binary.BigEndian.Uint64(b[0:8]))
 	if m == 0 {
 		return ResumeRequest{}, fmt.Errorf("%w: zero member ID", ErrMalformed)
-	}
-	if len(b) == 9+resumeProofSize && b[8] != 0 {
-		return ResumeRequest{Member: m, Caps: b[8], Proof: b[9:]}, nil
 	}
 	return ResumeRequest{Member: m, Proof: b[8:]}, nil
 }
@@ -487,9 +479,6 @@ func DecodeRetryAfter(b []byte) (time.Duration, error) {
 // same encoding, so range arithmetic over an epoch's item buffer is exact.
 const RekeyItemSize = 3 + keycrypt.WrappedSize
 
-// itemSize is the internal alias predating the export.
-const itemSize = RekeyItemSize
-
 // AppendRekeyItem appends one item's RekeyItemSize-byte encoding to buf.
 func AppendRekeyItem(buf []byte, it keytree.Item) ([]byte, error) {
 	if it.Level < 0 || it.Level > math.MaxUint16 {
@@ -502,7 +491,7 @@ func AppendRekeyItem(buf []byte, it keytree.Item) ([]byte, error) {
 
 // DecodeRekeyItem parses one RekeyItemSize-byte item encoding.
 func DecodeRekeyItem(b []byte) (keytree.Item, error) {
-	if len(b) != itemSize {
+	if len(b) != RekeyItemSize {
 		return keytree.Item{}, fmt.Errorf("%w: item %d bytes", ErrMalformed, len(b))
 	}
 	w, err := keycrypt.UnmarshalWrapped(b[3:])
@@ -516,17 +505,18 @@ func DecodeRekeyItem(b []byte) (keytree.Item, error) {
 	}, nil
 }
 
-// MaxRekeyItems is the most items one MsgRekey payload can carry.
-const MaxRekeyItems = (MaxFrameSize - 12) / itemSize
+// MaxRekeyItems is the most items one EncodeRekey payload can carry.
+const MaxRekeyItems = (MaxFrameSize - 12) / RekeyItemSize
 
-// EncodeRekey serializes a rekey payload: epoch(8) + count(4) + items.
-// Receiver lists are not transmitted — receivers decide relevance by the
-// sparseness test (can I unwrap it?).
+// EncodeRekey serializes a whole rekey payload: epoch(8) + count(4) +
+// items. No member is sent it; it stays as the "full payload" byte
+// reference the fan-out experiment and the epoch benchmark compare sparse
+// frames against. Receiver lists are not transmitted.
 func EncodeRekey(epoch uint64, items []keytree.Item) ([]byte, error) {
 	if len(items) > MaxRekeyItems {
 		return nil, fmt.Errorf("%w: %d items", ErrFrameTooLarge, len(items))
 	}
-	out := make([]byte, 0, 12+len(items)*itemSize)
+	out := make([]byte, 0, 12+len(items)*RekeyItemSize)
 	out = binary.BigEndian.AppendUint64(out, epoch)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(items)))
 	var err error
@@ -536,38 +526,6 @@ func EncodeRekey(epoch uint64, items []keytree.Item) ([]byte, error) {
 		}
 	}
 	return out, nil
-}
-
-// EncodeRekeyEncoded is EncodeRekey over items already in wire form:
-// itemBuf holds at most MaxRekeyItems concatenated AppendRekeyItem
-// encodings, as an epoch's shared item buffer does.
-func EncodeRekeyEncoded(epoch uint64, itemBuf []byte) []byte {
-	out := make([]byte, 0, 12+len(itemBuf))
-	out = binary.BigEndian.AppendUint64(out, epoch)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(itemBuf)/itemSize))
-	return append(out, itemBuf...)
-}
-
-// DecodeRekey parses a MsgRekey payload.
-func DecodeRekey(b []byte) (epoch uint64, items []keytree.Item, err error) {
-	if len(b) < 12 {
-		return 0, nil, fmt.Errorf("%w: rekey payload %d bytes", ErrMalformed, len(b))
-	}
-	epoch = binary.BigEndian.Uint64(b[0:8])
-	count := int(binary.BigEndian.Uint32(b[8:12]))
-	rest := b[12:]
-	if len(rest) != count*itemSize {
-		return 0, nil, fmt.Errorf("%w: %d items but %d payload bytes", ErrMalformed, count, len(rest))
-	}
-	items = make([]keytree.Item, 0, count)
-	for i := 0; i < count; i++ {
-		it, err := DecodeRekeyItem(rest[i*itemSize : (i+1)*itemSize])
-		if err != nil {
-			return 0, nil, fmt.Errorf("wire: item %d: %w", i, err)
-		}
-		items = append(items, it)
-	}
-	return epoch, items, nil
 }
 
 // EncodeRekeyPull serializes a MsgRekeyPull payload: the epoch the client
