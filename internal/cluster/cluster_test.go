@@ -203,6 +203,10 @@ func TestClusterFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The welcome reaches bob before the rekey that admitted him.
+	if err := bob.WaitEpoch(srvA.Epoch(), testTimeout); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := bob.TryOpen(preLeaveBlob); err != nil {
 		t.Fatalf("bob cannot read current data: %v", err)
 	}

@@ -74,7 +74,10 @@ func (b Batch) IsEmpty() bool { return len(b.Joins) == 0 && len(b.Leaves) == 0 }
 type Stream struct {
 	// Label names the originating partition/tree for reporting.
 	Label string
-	// Items are multicast to current members.
+	// Items are multicast to current members. They name no receivers: each
+	// is path-addressed (keytree.Item.Receivers), reaching the members whose
+	// Scheme.PathIDs hold its wrapping key, minus members an explicit item
+	// of the same rekey — a joiner's — hands the same payload key.
 	Items []keytree.Item
 	// JoinerItems bootstrap joining (or migrating) members; they may be
 	// unicast or ride the multicast channel.
@@ -82,9 +85,10 @@ type Stream struct {
 	// Audience lists the members subscribed to this stream's multicast
 	// group, ascending — in a deployment with one IP multicast group per
 	// key tree (Section 4.4) these members hear every packet of the stream,
-	// needed or not. Fairness analysis builds on this. The slice is shared
-	// with the tree's maintained member list: read-only, and it may outlive
-	// the epoch (a later batch publishes a new list, never edits this one).
+	// needed or not. Fairness analysis builds on this; item addressing does
+	// not. The slice is shared with the tree's maintained member list:
+	// read-only, and it may outlive the epoch (a later batch publishes a
+	// new list, never edits this one).
 	Audience []keytree.MemberID
 }
 
@@ -144,6 +148,10 @@ type Scheme interface {
 	// MemberKeys returns every key the member currently holds, leaf first,
 	// group key last.
 	MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error)
+	// PathIDs appends the IDs of MemberKeys(m), in the same order, to buf
+	// and returns it; a member the scheme does not hold appends nothing.
+	// The key server addresses each epoch's items by it (wire.ScopedIndex).
+	PathIDs(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID
 	// Contains reports membership.
 	Contains(m keytree.MemberID) bool
 	// Size returns the current group size.
@@ -359,18 +367,43 @@ func excludeSet(joins []Join) map[keytree.MemberID]bool {
 	return out
 }
 
-// subtract returns members not present in the exclusion set, preserving
-// order. members is never written: with nothing to exclude it is returned
-// as is, so a shared view stays shared.
-func subtract(members []keytree.MemberID, exclude map[keytree.MemberID]bool) []keytree.MemberID {
-	if len(exclude) == 0 {
-		return members
+// keyHome is where a scheme keeps one member's keys: its path in a key
+// tree, or (no tree) one individual key of its own, then the group key
+// unless the tree's root is the group key itself.
+type keyHome struct {
+	m     keytree.MemberID
+	ok    bool // the scheme holds m
+	tree  *keytree.Tree
+	own   keycrypt.Key
+	group *keycrypt.Key
+}
+
+// appendHome is every scheme's one path walk, behind both MemberKeys and
+// PathIDs: it appends conv of each key at h, leaf first, group key last.
+func appendHome[T any](h keyHome, buf []T, conv func(keycrypt.Key) T) []T {
+	switch {
+	case !h.ok:
+		return buf
+	case h.tree != nil:
+		buf = keytree.AppendPath(h.tree, h.m, buf, conv)
+	default:
+		buf = append(buf, conv(h.own))
 	}
-	out := make([]keytree.MemberID, 0, len(members))
-	for _, m := range members {
-		if !exclude[m] {
-			out = append(out, m)
-		}
+	if h.group != nil {
+		buf = append(buf, conv(*h.group))
 	}
-	return out
+	return buf
+}
+
+// keys is MemberKeys at h.
+func (h keyHome) keys() ([]keycrypt.Key, error) {
+	if !h.ok {
+		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, h.m)
+	}
+	return appendHome(h, nil, func(k keycrypt.Key) keycrypt.Key { return k }), nil
+}
+
+// ids is PathIDs at h.
+func (h keyHome) ids(buf []keycrypt.KeyID) []keycrypt.KeyID {
+	return appendHome(h, buf, func(k keycrypt.Key) keycrypt.KeyID { return k.ID })
 }

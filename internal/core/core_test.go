@@ -357,7 +357,10 @@ func TestLossHomogenizedStreamIsolation(t *testing.T) {
 	h.process(Batch{Joins: js})
 	r := h.process(Batch{Leaves: leaves(4, 7)}) // one leaver per tree
 
+	lists := receiverOracle(s, r.AllItems())
 	for _, st := range r.Streams {
+		items := lists[:len(st.Items)]
+		lists = lists[len(st.Items):]
 		if st.Label == "group" {
 			continue
 		}
@@ -365,8 +368,11 @@ func TestLossHomogenizedStreamIsolation(t *testing.T) {
 		if _, err := fmtSscanf(st.Label, &treeIdx); err != nil {
 			t.Fatalf("unexpected stream label %q", st.Label)
 		}
-		for _, it := range st.Items {
-			for _, rcv := range it.Receivers {
+		if len(items) == 0 {
+			t.Fatalf("stream %q carries no multicast item", st.Label)
+		}
+		for _, receivers := range items {
+			for _, rcv := range receivers {
 				got, err := s.TreeOf(rcv)
 				if err != nil {
 					t.Fatalf("TreeOf(%d): %v", rcv, err)

@@ -11,15 +11,17 @@ import (
 	"os"
 	"testing"
 
+	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 )
 
 // Golden payload digests at the scheme level: the SHA-256 of every stream a
 // seeded batch sequence produces — label, Items then JoinerItems, each with
-// Kind, Level, wrapped bytes and Receivers — for every tree-backed scheme
+// Kind, Level, wrapped bytes and receivers — for every tree-backed scheme
 // with the placement planner off and on. internal/keytree holds the same
 // oracle one layer down; together they are what any rewrite of the tree's
-// internals must leave byte-identical.
+// internals must leave byte-identical. A path-addressed item's receivers
+// are the list receiverOracle derives.
 
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden_payloads.json from the current implementation")
@@ -32,28 +34,74 @@ func hashU64(h hash.Hash, v uint64) {
 	h.Write(b[:])
 }
 
-func hashItems(h hash.Hash, items []keytree.Item) {
+func hashItems(h hash.Hash, items []keytree.Item, receivers [][]keytree.MemberID) {
 	hashU64(h, uint64(len(items)))
-	for _, it := range items {
+	for i, it := range items {
 		hashU64(h, uint64(it.Kind))
 		hashU64(h, uint64(it.Level))
 		h.Write(it.Wrapped.Marshal())
-		hashU64(h, uint64(len(it.Receivers)))
-		for _, m := range it.Receivers {
+		hashU64(h, uint64(len(receivers[i])))
+		for _, m := range receivers[i] {
 			hashU64(h, uint64(m))
 		}
 	}
 }
 
-func hashRekey(h hash.Hash, r *Rekey) {
+// hashRekey folds r into h; s is the scheme right after producing it.
+func hashRekey(h hash.Hash, s Scheme, r *Rekey) {
+	lists := receiverOracle(s, r.AllItems())
+	multicast, joiner := lists[:r.MulticastKeyCount()], lists[r.MulticastKeyCount():]
 	hashU64(h, r.Epoch)
 	hashU64(h, uint64(len(r.Streams)))
 	for _, st := range r.Streams {
 		hashU64(h, uint64(len(st.Label)))
 		h.Write([]byte(st.Label))
-		hashItems(h, st.Items)
-		hashItems(h, st.JoinerItems)
+		hashItems(h, st.Items, multicast[:len(st.Items)])
+		hashItems(h, st.JoinerItems, joiner[:len(st.JoinerItems)])
+		multicast, joiner = multicast[len(st.Items):], joiner[len(st.JoinerItems):]
 	}
+}
+
+// receiverOracle lists, by brute force over every member's keys, whom each
+// of one rekey's items (Rekey.AllItems) reaches: an explicit item its
+// Receivers, a path-addressed one the members holding its wrapping key,
+// minus those an explicit item hands the same payload key. It shares no
+// code with wire.ScopedIndex, which applies the same rule per connected
+// member.
+func receiverOracle(s Scheme, items []keytree.Item) [][]keytree.MemberID {
+	holders := make(map[keycrypt.KeyID][]keytree.MemberID)
+	for _, m := range s.Members() {
+		keys, err := s.MemberKeys(m)
+		if err != nil {
+			panic(err)
+		}
+		for _, k := range keys {
+			holders[k.ID] = append(holders[k.ID], m)
+		}
+	}
+	type delivery struct {
+		m   keytree.MemberID
+		key keycrypt.KeyID
+	}
+	named := make(map[delivery]bool)
+	for _, it := range items {
+		for _, m := range it.Receivers {
+			named[delivery{m, it.Wrapped.PayloadID}] = true
+		}
+	}
+	lists := make([][]keytree.MemberID, len(items))
+	for i, it := range items {
+		if len(it.Receivers) > 0 {
+			lists[i] = it.Receivers
+			continue
+		}
+		for _, m := range holders[it.Wrapped.WrapperID] {
+			if !named[delivery{m, it.Wrapped.PayloadID}] {
+				lists[i] = append(lists[i], m)
+			}
+		}
+	}
+	return lists
 }
 
 // goldenBatches is a seeded two-class churn schedule: replacements, net
@@ -141,13 +189,13 @@ func TestGoldenPayloadDigests(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: batch %d: %v", name, i, err)
 				}
-				hashRekey(h, r)
+				hashRekey(h, s, r)
 				if i%8 == 7 { // scheduled rotation between batches
 					r, err := s.(Rotator).Rotate()
 					if err != nil {
 						t.Fatalf("%s: rotate after batch %d: %v", name, i, err)
 					}
-					hashRekey(h, r)
+					hashRekey(h, s, r)
 				}
 			}
 			if planner && s.Stats().Planner.PlannedBatches == 0 {

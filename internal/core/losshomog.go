@@ -190,7 +190,6 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 		return nil, err
 	}
 
-	joiners := excludeSet(b.Joins)
 	streams := make([]Stream, len(s.trees))
 	for i, kb := range perTree {
 		streams[i].Label = fmt.Sprintf("tree-%d", i)
@@ -230,10 +229,7 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 			if err != nil {
 				return nil, err
 			}
-			streams[i].Items = append(streams[i].Items, keytree.Item{
-				Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
-				Receivers: subtract(tr.MembersView(), joiners),
-			})
+			streams[i].Items = append(streams[i].Items, keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: 0})
 			for _, m := range perTree[i].Joins {
 				wj, err := keycrypt.Wrap(newDEK, r.Welcome[m], s.gen.Rand)
 				if err != nil {
@@ -257,10 +253,7 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 			return nil, err
 		}
 		groupStream.Audience = s.Members()
-		groupStream.Items = append(groupStream.Items, keytree.Item{
-			Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0,
-			Receivers: subtract(groupStream.Audience, joiners),
-		})
+		groupStream.Items = append(groupStream.Items, keytree.Item{Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0})
 		for _, j := range b.Joins {
 			wj, err := keycrypt.Wrap(newDEK, r.Welcome[j.ID], s.gen.Rand)
 			if err != nil {
@@ -295,15 +288,22 @@ func (s *MultiTree) GroupKey() (keycrypt.Key, error) {
 
 // MemberKeys implements Scheme.
 func (s *MultiTree) MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error) {
+	return s.locate(m).keys()
+}
+
+// PathIDs implements Scheme.
+func (s *MultiTree) PathIDs(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID {
+	return s.locate(m).ids(buf)
+}
+
+// locate finds m's keys: its path in its home tree, under the group key.
+func (s *MultiTree) locate(m keytree.MemberID) keyHome {
 	i, ok := s.home[m]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
+	h := keyHome{m: m, ok: ok, group: &s.dek}
+	if ok {
+		h.tree = s.trees[i]
 	}
-	path, err := s.trees[i].Path(m)
-	if err != nil {
-		return nil, err
-	}
-	return append(path, s.dek), nil
+	return h
 }
 
 // Contains implements Scheme.

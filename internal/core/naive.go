@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 )
@@ -84,12 +82,7 @@ func (s *Naive) ProcessBatch(b Batch) (*Rekey, error) {
 		if err != nil {
 			return nil, err
 		}
-		stream.Items = append(stream.Items, keytree.Item{
-			Wrapped:   w,
-			Kind:      keytree.OldKeyWrap,
-			Level:     0,
-			Receivers: subtract(sortedMembers(s.members), joiners),
-		})
+		stream.Items = append(stream.Items, keytree.Item{Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0})
 	} else {
 		// Departures: the departed knew the group key, so the new one must
 		// go out under every remaining individual key — the O(N) cost.
@@ -101,12 +94,7 @@ func (s *Naive) ProcessBatch(b Batch) (*Rekey, error) {
 			if err != nil {
 				return nil, err
 			}
-			stream.Items = append(stream.Items, keytree.Item{
-				Wrapped:   w,
-				Kind:      keytree.ChildWrap,
-				Level:     0,
-				Receivers: []keytree.MemberID{m},
-			})
+			stream.Items = append(stream.Items, keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: 0})
 		}
 	}
 	for _, j := range b.Joins {
@@ -136,12 +124,17 @@ func (s *Naive) GroupKey() (keycrypt.Key, error) {
 }
 
 // MemberKeys implements Scheme.
-func (s *Naive) MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error) {
+func (s *Naive) MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error) { return s.locate(m).keys() }
+
+// PathIDs implements Scheme.
+func (s *Naive) PathIDs(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID {
+	return s.locate(m).ids(buf)
+}
+
+// locate finds m's keys: its individual key under the group key.
+func (s *Naive) locate(m keytree.MemberID) keyHome {
 	ik, ok := s.members[m]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
-	}
-	return []keycrypt.Key{ik, s.dek}, nil
+	return keyHome{m: m, ok: ok, own: ik, group: &s.dek}
 }
 
 // Contains implements Scheme.

@@ -78,12 +78,16 @@ func (s *OneTree) GroupKey() (keycrypt.Key, error) {
 }
 
 // MemberKeys implements Scheme.
-func (s *OneTree) MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error) {
-	keys, err := s.tree.Path(m)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
-	}
-	return keys, nil
+func (s *OneTree) MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error) { return s.locate(m).keys() }
+
+// PathIDs implements Scheme.
+func (s *OneTree) PathIDs(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID {
+	return s.locate(m).ids(buf)
+}
+
+// locate finds m's keys: the tree's root is the group key.
+func (s *OneTree) locate(m keytree.MemberID) keyHome {
+	return keyHome{m: m, ok: s.tree.Contains(m), tree: s.tree}
 }
 
 // Contains implements Scheme.

@@ -27,7 +27,8 @@ var (
 )
 
 // rotateWrapped builds the standard rotation payload: newDEK wrapped under
-// oldDEK, addressed to the whole membership.
+// oldDEK, which every member holds, so the item reaches the whole
+// membership by its wrapping key. members is the stream's audience.
 func rotateWrapped(epoch uint64, newDEK, oldDEK keycrypt.Key, members []keytree.MemberID, rng keycrypt.Generator) (*Rekey, error) {
 	w, err := keycrypt.Wrap(newDEK, oldDEK, rng.Rand)
 	if err != nil {
@@ -36,13 +37,8 @@ func rotateWrapped(epoch uint64, newDEK, oldDEK keycrypt.Key, members []keytree.
 	return &Rekey{
 		Epoch: epoch,
 		Streams: []Stream{{
-			Label: "rotation",
-			Items: []keytree.Item{{
-				Wrapped:   w,
-				Kind:      keytree.OldKeyWrap,
-				Level:     0,
-				Receivers: members,
-			}},
+			Label:    "rotation",
+			Items:    []keytree.Item{{Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0}},
 			Audience: members,
 		}},
 	}, nil

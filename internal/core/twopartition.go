@@ -321,11 +321,13 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 				if err != nil {
 					return nil, err
 				}
-				item := keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: 0, Receivers: []keytree.MemberID{m}}
 				if joiners[m] {
-					sStream.JoinerItems = append(sStream.JoinerItems, item)
+					sStream.JoinerItems = append(sStream.JoinerItems, keytree.Item{
+						Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
+						Receivers: []keytree.MemberID{m},
+					})
 				} else {
-					sStream.Items = append(sStream.Items, item)
+					sStream.Items = append(sStream.Items, keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: 0})
 				}
 			}
 		} else if s.stree.Size() > 0 {
@@ -337,10 +339,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 			if err != nil {
 				return nil, err
 			}
-			sStream.Items = append(sStream.Items, keytree.Item{
-				Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
-				Receivers: subtract(s.stree.MembersView(), joiners),
-			})
+			sStream.Items = append(sStream.Items, keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: 0})
 			for _, m := range sJoins {
 				wj, err := keycrypt.Wrap(newDEK, r.Welcome[m], s.gen.Rand)
 				if err != nil {
@@ -352,7 +351,9 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 				})
 			}
 		}
-		// L-partition delivery (migrants decrypt via their fresh L path).
+		// L-partition delivery. Migrants decrypt it via their fresh L path:
+		// they hold no joiner item for the group key, so this item reaches
+		// them by its wrapping key.
 		if s.ltree.Size() > 0 {
 			root, err := s.ltree.RootKey()
 			if err != nil {
@@ -362,10 +363,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 			if err != nil {
 				return nil, err
 			}
-			lStream.Items = append(lStream.Items, keytree.Item{
-				Wrapped: w, Kind: keytree.ChildWrap, Level: 0,
-				Receivers: subtract(s.ltree.MembersView(), joiners),
-			})
+			lStream.Items = append(lStream.Items, keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: 0})
 			for _, m := range lJoins {
 				wj, err := keycrypt.Wrap(newDEK, r.Welcome[m], s.gen.Rand)
 				if err != nil {
@@ -391,10 +389,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 			return nil, err
 		}
 		groupStream.Audience = s.Members()
-		groupStream.Items = append(groupStream.Items, keytree.Item{
-			Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0,
-			Receivers: subtract(groupStream.Audience, joiners),
-		})
+		groupStream.Items = append(groupStream.Items, keytree.Item{Wrapped: w, Kind: keytree.OldKeyWrap, Level: 0})
 		for _, j := range b.Joins {
 			wj, err := keycrypt.Wrap(newDEK, r.Welcome[j.ID], s.gen.Rand)
 			if err != nil {
@@ -448,25 +443,30 @@ func (s *TwoPartition) GroupKey() (keycrypt.Key, error) {
 
 // MemberKeys implements Scheme.
 func (s *TwoPartition) MemberKeys(m keytree.MemberID) ([]keycrypt.Key, error) {
-	if s.mode == QT {
-		if k, ok := s.queue[m]; ok {
-			return []keycrypt.Key{k, s.dek}, nil
-		}
-	} else if s.stree.Contains(m) {
-		path, err := s.stree.Path(m)
-		if err != nil {
-			return nil, err
-		}
-		return append(path, s.dek), nil
+	return s.locate(m).keys()
+}
+
+// PathIDs implements Scheme.
+func (s *TwoPartition) PathIDs(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID {
+	return s.locate(m).ids(buf)
+}
+
+// locate finds m's keys under the group key: its QT queue key, or its path
+// in the S or the L tree.
+func (s *TwoPartition) locate(m keytree.MemberID) keyHome {
+	h := keyHome{m: m, ok: true, group: &s.dek}
+	k, queued := s.queue[m]
+	switch {
+	case queued:
+		h.own = k
+	case s.stree != nil && s.stree.Contains(m):
+		h.tree = s.stree
+	case s.ltree.Contains(m):
+		h.tree = s.ltree
+	default:
+		h.ok = false
 	}
-	if s.ltree.Contains(m) {
-		path, err := s.ltree.Path(m)
-		if err != nil {
-			return nil, err
-		}
-		return append(path, s.dek), nil
-	}
-	return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
+	return h
 }
 
 // Contains implements Scheme.

@@ -12,6 +12,7 @@ import (
 	"groupkey/internal/member"
 	"groupkey/internal/netsim"
 	"groupkey/internal/store"
+	"groupkey/internal/wire"
 )
 
 const (
@@ -399,21 +400,22 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 		})
 	}
 
-	// Existing members: lossy multicast, item-filtered by receiver set.
-	for _, id := range sortedMemberIDs(g.members) {
+	// Existing members: lossy multicast of the items addressed to each,
+	// as the key server's seal addresses them.
+	ids := sortedMemberIDs(g.members)
+	var index wire.ScopedIndex
+	index.Build(items, ids, ng.sc.PathIDs)
+	for pos, id := range ids {
 		sm := g.members[id]
 		if em.waiting[id] {
 			continue // joiner, handled above
 		}
 		var recv []keytree.Item
-		for _, it := range items {
-			if !itemFor(it, id) {
-				continue
-			}
+		for _, i := range index.At(pos) {
 			if sm.lost(w) {
 				continue
 			}
-			recv = append(recv, it)
+			recv = append(recv, items[i])
 		}
 		em.waiting[id] = true
 		w.sched.After(w.latency(), "rekey.mcast", func() {
@@ -447,20 +449,6 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 	if w.plan.SLO > 0 {
 		w.sched.After(w.plan.SLO, "slo", func() { w.checkSLO(g, em) })
 	}
-}
-
-// itemFor reports whether a multicast item addresses the member (empty
-// receiver set = broadcast item).
-func itemFor(it keytree.Item, id keytree.MemberID) bool {
-	if len(it.Receivers) == 0 {
-		return true
-	}
-	for _, r := range it.Receivers {
-		if r == id {
-			return true
-		}
-	}
-	return false
 }
 
 // repairTick models the NACK/history repair service: every member pulls

@@ -72,10 +72,13 @@ func measureFanout(cfg PerfConfig, size int) (FanoutResult, error) {
 	tree := wire.NewItemTree(len(items), func(i int) []byte {
 		return itemBuf[i*wire.RekeyItemSize : (i+1)*wire.RekeyItemSize]
 	})
-	index := wire.SparseIndex(items)
+	// Every member's share, as the server's seal derives it from key paths.
+	members = tr.Members()
+	var index wire.ScopedIndex
+	index.Build(items, members, tr.PathIDs)
 	total := 0
-	for _, m := range tr.Members() {
-		total += wire.SparseFrameSize(tree, index[m])
+	for pos := range members {
+		total += wire.SparseFrameSize(tree, index.At(pos))
 	}
 	mean := float64(total) / float64(size)
 

@@ -13,17 +13,16 @@ import (
 
 // PerfConfig parameterizes the rekey-throughput benchmark.
 type PerfConfig struct {
-	// Seed feeds the deterministic entropy source, so both variants mint
-	// identical keys and the comparison is apples-to-apples.
+	// Seed feeds the deterministic entropy source, so every run mints
+	// identical keys.
 	Seed uint64
 	// Sizes are the group sizes to measure.
 	Sizes []int
 	// Churn is the number of leave+join replacements per measured batch.
 	Churn int
-	// Batches is how many measured batches to run per variant.
+	// Batches is how many measured batches to run per size.
 	Batches int
-	// Workers is the wrap-emission worker count for the engine variant
-	// (0 = GOMAXPROCS).
+	// Workers is the wrap-emission worker count (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -33,10 +32,10 @@ func DefaultPerfConfig() PerfConfig {
 	return PerfConfig{Seed: 1, Sizes: []int{10000, 100000}, Churn: 256, Batches: 12}
 }
 
-// PerfResult is one (size, variant) measurement, JSON-shaped for
+// PerfResult is one group size's measurement, JSON-shaped for
 // BENCH_rekey.json.
 type PerfResult struct {
-	Variant     string  `json:"variant"` // "serial" or "parallel"
+	Variant     string  `json:"variant"` // "parallel": the plan/emit engine
 	GroupSize   int     `json:"group_size"`
 	Churn       int     `json:"churn_per_batch"`
 	Batches     int     `json:"batches"`
@@ -52,8 +51,6 @@ type PerfReport struct {
 	Config  PerfConfig   `json:"config"`
 	GOMAXPR int          `json:"gomaxprocs"`
 	Results []PerfResult `json:"results"`
-	// Speedup maps "N=<size>" to parallel keys/sec over serial keys/sec.
-	Speedup map[string]float64 `json:"speedup"`
 	// Fanout prices full-blob vs sparse broadcast bytes per member.
 	Fanout []FanoutResult `json:"fanout,omitempty"`
 	// SparseReduction maps "N=<size>" to full/sparse bytes-per-member —
@@ -134,50 +131,33 @@ func WithPerfRand(seed uint64) keytree.Option {
 	return keytree.WithRand(keycrypt.NewDeterministicReader(seed))
 }
 
-// RekeyPerf measures the serial baseline emitter against the parallel
-// plan/emit engine and returns the comparison table plus the JSON report.
+// RekeyPerf measures the rekey engine's throughput per group size, prices
+// fan-out bytes per member, and runs the planner series; it returns the
+// table plus the JSON report.
 func RekeyPerf(cfg PerfConfig) (*Table, *PerfReport, error) {
 	t := &Table{
-		ID:    "perf",
-		Title: "Rekey throughput: serial baseline vs parallel engine",
-		Columns: []string{"N", "churn", "variant", "keys/sec", "allocs/key",
-			"speedup"},
+		ID:      "perf",
+		Title:   "Rekey throughput of the plan/emit engine",
+		Columns: []string{"N", "churn", "keys/sec", "allocs/key"},
 	}
 	report := &PerfReport{
 		Config:          cfg,
 		GOMAXPR:         runtime.GOMAXPROCS(0),
-		Speedup:         make(map[string]float64),
 		SparseReduction: make(map[string]float64),
 	}
 	for _, size := range cfg.Sizes {
-		serial, err := measureRekey(cfg, size, keytree.WithLegacyRekey())
+		r, err := measureRekey(cfg, size, keytree.WithWrapWorkers(cfg.Workers))
 		if err != nil {
-			return nil, nil, fmt.Errorf("serial N=%d: %w", size, err)
+			return nil, nil, fmt.Errorf("N=%d: %w", size, err)
 		}
-		serial.Variant = "serial"
-		serial.Workers = 1
-
-		parallel, err := measureRekey(cfg, size, keytree.WithWrapWorkers(cfg.Workers))
-		if err != nil {
-			return nil, nil, fmt.Errorf("parallel N=%d: %w", size, err)
+		r.Variant = "parallel"
+		r.Workers = cfg.Workers
+		if r.Workers <= 0 {
+			r.Workers = runtime.GOMAXPROCS(0)
 		}
-		parallel.Variant = "parallel"
-		parallel.Workers = cfg.Workers
-		if parallel.Workers <= 0 {
-			parallel.Workers = runtime.GOMAXPROCS(0)
-		}
-
-		speedup := parallel.KeysPerSec / serial.KeysPerSec
-		report.Results = append(report.Results, serial, parallel)
-		report.Speedup[fmt.Sprintf("N=%d", size)] = speedup
-
-		t.AddRow(fmt.Sprint(size), fmt.Sprint(cfg.Churn), "serial",
-			fmt.Sprintf("%.0f", serial.KeysPerSec),
-			fmt.Sprintf("%.1f", serial.AllocsPerOp), "1.00x")
-		t.AddRow(fmt.Sprint(size), fmt.Sprint(cfg.Churn), "parallel",
-			fmt.Sprintf("%.0f", parallel.KeysPerSec),
-			fmt.Sprintf("%.1f", parallel.AllocsPerOp),
-			fmt.Sprintf("%.2fx", speedup))
+		report.Results = append(report.Results, r)
+		t.AddRow(fmt.Sprint(size), fmt.Sprint(cfg.Churn),
+			fmt.Sprintf("%.0f", r.KeysPerSec), fmt.Sprintf("%.1f", r.AllocsPerOp))
 
 		fo, err := measureFanout(cfg, size)
 		if err != nil {
@@ -202,9 +182,8 @@ func RekeyPerf(cfg PerfConfig) (*Table, *PerfReport, error) {
 	t.AddNote("planner chose a non-greedy placement on %d/%d evaluated batches.",
 		stats.PlannedBatches, stats.PlannedBatches+stats.GreedyFallbacks)
 
-	t.AddNote("serial = pre-engine emitter (per-wrap key schedule, walk-and-sort receivers);")
-	t.AddNote("parallel = plan/emit engine (cached schedules, merged receivers, %d wrap workers).", report.GOMAXPR)
-	t.AddNote("Payloads are byte-identical between variants; see keytree determinism tests.")
+	t.AddNote("plan/emit engine: cached key schedules, path-addressed items, %d wrap workers;", report.GOMAXPR)
+	t.AddNote("payloads are byte-identical for every worker count (keytree determinism and golden tests).")
 	return t, report, nil
 }
 

@@ -2,7 +2,6 @@ package keytree
 
 import (
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 
@@ -62,8 +61,8 @@ func (k ItemKind) String() string {
 }
 
 // Item is one encrypted key in a rekey payload, with the routing metadata
-// reliable rekey transport protocols need: which members still require it
-// (the sparseness property) and how deep the payload key sits in the tree.
+// reliable rekey transport protocols need: which members require it (the
+// sparseness property) and how deep the payload key sits in the tree.
 type Item struct {
 	Wrapped keycrypt.WrappedKey
 	Kind    ItemKind
@@ -71,9 +70,15 @@ type Item struct {
 	// increasing toward the leaves. Transport protocols weight low-level
 	// (close-to-root) keys more heavily because more members need them.
 	Level int
-	// Receivers lists the members that need this item, ascending. The slice
-	// is shared (between items, and with the tree's cached subtree lists)
-	// and read-only, and may outlive the epoch that produced it.
+	// Receivers addresses the item explicitly: it goes to exactly these
+	// members, ascending. JoinerWrap items name their one joiner (or
+	// migrant) this way, and OFT's blinded keys, wrapped under a key their
+	// readers compute rather than hold, name their subtree. An item
+	// without Receivers is path-addressed — every multicast item of a key
+	// tree or scheme is: it goes to each member whose key path holds
+	// Wrapped.WrapperID, except a member that an explicit item of the same
+	// epoch hands the same Wrapped.PayloadID (a batch joiner takes its path
+	// keys from its JoinerWrap items). wire.ScopedIndex applies this rule.
 	Receivers []MemberID
 }
 
@@ -82,7 +87,7 @@ type Payload struct {
 	// Epoch is the rekey sequence number, stamped by the key server.
 	Epoch uint64
 	// Items are the multicast rekey items: child wraps and old-key wraps
-	// for current members.
+	// for current members, path-addressed (see Item.Receivers).
 	Items []Item
 	// JoinerItems carry the full key path to each joining member, wrapped
 	// under its individual key. Depending on deployment these ride the same
@@ -155,9 +160,9 @@ func (t *Tree) Rekey(b Batch) (*Payload, error) {
 	plan, greedyWraps := t.plan(b)
 	p, err := t.applyPlan(b, plan)
 	if err != nil {
-		// The batch may be partly applied: forget the maintained lists, so
-		// the next use rebuilds them from the tree.
-		t.members, t.subtreeLists = nil, nil
+		// The batch may be partly applied: forget the maintained list, so
+		// the next use rebuilds it from the tree.
+		t.members = nil
 		return nil, err
 	}
 	// Counted here, not in plan, so a PlanBatch preview is not counted.
@@ -244,8 +249,9 @@ func (t *Tree) validatePlan(b Batch, p Plan) error {
 //
 // A dry run is the planner's simulation: the same code moves the same nodes,
 // but draws no key (new nodes carry the zero key, so neither entropy nor
-// nextID is consumed), leaves stats, the maintained lists and every existing
-// key alone, and logs the inverse of each structural change for rollback.
+// nextID is consumed), leaves stats, the maintained member list and every
+// existing key alone, and logs the inverse of each structural change for
+// rollback.
 func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth, error) {
 	mark := func(n *Node, departure bool) {
 		for ; n != nil; n = n.parent {
@@ -255,7 +261,6 @@ func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth,
 				dirty[n] = info
 				if !dry {
 					info.oldKey = n.key
-					delete(t.subtreeLists, n) // membership beneath n changes
 				}
 			}
 			info.departure = info.departure || departure
@@ -363,10 +368,6 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	if err != nil {
 		return nil, err
 	}
-	joiners := make(map[MemberID]bool, len(b.Joins))
-	for _, m := range b.Joins {
-		joiners[m] = true
-	}
 
 	// Phase 4: refresh all pre-existing dirty keys, in key-ID order. Map
 	// iteration order would assign entropy to nodes differently on every
@@ -386,16 +387,10 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 
 	// Phases 5–6: emit the payload. The engine plans wrap jobs on this
 	// goroutine (drawing nonces in canonical order) and fans the AES-GCM
-	// work over a bounded pool; the legacy emitter is the serial baseline
-	// oracle kept for determinism tests and perf comparisons.
+	// work over a bounded pool.
 	joined := slices.Clone(b.Joins)
 	slices.Sort(joined)
-	var p *Payload
-	if t.legacyRekey {
-		p, err = t.emitLegacy(dirty, joiners)
-	} else {
-		p, err = t.emitPlanned(dirty, joiners, joined)
-	}
+	p, err := t.emitPlanned(dirty, joined)
 	if err != nil {
 		return nil, err
 	}
@@ -416,97 +411,6 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	t.stats.KeysWrapped += p.TotalKeyCount()
 	t.stats.Rekeys++
 	return p, nil
-}
-
-// emitLegacy is the pre-engine emitter: wraps are produced one at a time,
-// deepest nodes first, re-deriving receiver lists by subtree walk and the
-// AES key schedule per wrap. Its output defines the payload byte format
-// the engine must reproduce exactly.
-func (t *Tree) emitLegacy(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool) (*Payload, error) {
-	// Phase 5: emit wraps, deepest nodes first for readable payloads.
-	nodes := make([]*Node, 0, len(dirty))
-	for n := range dirty {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		di, dj := nodes[i].Depth(), nodes[j].Depth()
-		if di != dj {
-			return di > dj
-		}
-		return nodes[i].key.ID < nodes[j].key.ID
-	})
-
-	p := &Payload{}
-	for _, n := range nodes {
-		info := dirty[n]
-		level := n.Depth()
-		if info.departure || info.isNew {
-			for _, c := range n.children {
-				receivers := t.receiversUnder(c, joiners)
-				if len(receivers) == 0 {
-					// Every member under c is a joiner of this batch and
-					// receives the key through its JoinerWrap path instead;
-					// multicasting this wrap would carry zero information.
-					continue
-				}
-				w, err := wrapUncached(n.key, c.key, t.gen.Rand)
-				if err != nil {
-					return nil, fmt.Errorf("keytree: wrapping %s under %s: %w", n.key.ID, c.key.ID, err)
-				}
-				p.Items = append(p.Items, Item{
-					Wrapped:   w,
-					Kind:      ChildWrap,
-					Level:     level,
-					Receivers: receivers,
-				})
-			}
-		} else {
-			receivers := t.receiversUnder(n, joiners)
-			if len(receivers) == 0 {
-				continue
-			}
-			w, err := wrapUncached(n.key, info.oldKey, t.gen.Rand)
-			if err != nil {
-				return nil, fmt.Errorf("keytree: wrapping %s under old version: %w", n.key.ID, err)
-			}
-			p.Items = append(p.Items, Item{
-				Wrapped:   w,
-				Kind:      OldKeyWrap,
-				Level:     level,
-				Receivers: receivers,
-			})
-		}
-	}
-
-	// Phase 6: joiner path deliveries.
-	joinerIDs := make([]MemberID, 0, len(joiners))
-	for m := range joiners {
-		joinerIDs = append(joinerIDs, m)
-	}
-	sort.Slice(joinerIDs, func(i, j int) bool { return joinerIDs[i] < joinerIDs[j] })
-	for _, m := range joinerIDs {
-		leaf := t.leaves[m]
-		for n := leaf.parent; n != nil; n = n.parent {
-			w, err := wrapUncached(n.key, leaf.key, t.gen.Rand)
-			if err != nil {
-				return nil, fmt.Errorf("keytree: wrapping path key for joiner %d: %w", m, err)
-			}
-			p.JoinerItems = append(p.JoinerItems, Item{
-				Wrapped:   w,
-				Kind:      JoinerWrap,
-				Level:     n.Depth(),
-				Receivers: []MemberID{m},
-			})
-		}
-	}
-	return p, nil
-}
-
-// wrapUncached is the baseline wrap: a throwaway Wrapper per call keeps the
-// oracle's cost profile at the pre-engine level (one key schedule per wrap)
-// without duplicating keycrypt internals.
-func wrapUncached(payload, wrapper keycrypt.Key, rng io.Reader) (keycrypt.WrappedKey, error) {
-	return keycrypt.NewWrapper().Wrap(payload, wrapper, rng)
 }
 
 // Join admits a single member immediately (non-batched rekeying). It is a
@@ -640,17 +544,4 @@ func (t *Tree) attached(n *Node) bool {
 		}
 	}
 	return false
-}
-
-// receiversUnder collects the members under n, excluding the given joiners
-// (who receive their keys through JoinerWrap items instead).
-func (t *Tree) receiversUnder(n *Node, exclude map[MemberID]bool) []MemberID {
-	out := make([]MemberID, 0, n.leaves)
-	walk(n, func(x *Node) {
-		if x.member != 0 && !exclude[x.member] {
-			out = append(out, x.member)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

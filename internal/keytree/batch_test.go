@@ -151,14 +151,18 @@ func TestRekeyReceiversSets(t *testing.T) {
 	// Receivers of root-level child wraps must partition the remaining
 	// membership: every member needs the new root exactly once.
 	seen := make(map[MemberID]int)
-	for _, it := range p.Items {
+	lists := receiverOracle(tr, p.Items)
+	for i, it := range p.Items {
 		if it.Level != 0 {
 			continue
 		}
 		if it.Kind != ChildWrap {
 			t.Fatalf("root item kind %v after departure, want ChildWrap", it.Kind)
 		}
-		for _, m := range it.Receivers {
+		if it.Receivers != nil {
+			t.Fatalf("multicast item %d carries a receiver list", i)
+		}
+		for _, m := range lists[i] {
 			seen[m]++
 		}
 	}

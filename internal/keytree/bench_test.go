@@ -72,16 +72,14 @@ func BenchmarkBatchRekey(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchRekeyEngine vs BenchmarkBatchRekeyLegacy isolates what the
-// plan/emit engine (memoized receiver merging, cached AES schedules,
-// zero-alloc wraps, parallel emission) buys over the serial baseline at
-// identical batch shapes.
-func benchBatchRekeyVariant(b *testing.B, opts ...Option) {
+// BenchmarkBatchRekeyEngine times replacement batches with the rekey alone
+// inside the timer, reporting wrapped keys per second.
+func BenchmarkBatchRekeyEngine(b *testing.B) {
 	for _, tc := range []struct{ n, l int }{
 		{4096, 64}, {65536, 256},
 	} {
 		b.Run(fmt.Sprintf("n=%d_l=%d", tc.n, tc.l), func(b *testing.B) {
-			tr := benchTree(b, 4, tc.n, opts...)
+			tr := benchTree(b, 4, tc.n)
 			next := MemberID(tc.n + 1)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -111,7 +109,7 @@ func benchBatchRekeyVariant(b *testing.B, opts ...Option) {
 // the server taken away: N=100k at d=4, 512 "connected" members sitting in
 // evenly spaced slots of the tree, 256 of them replaced per iteration. The
 // other 99.5k members never change, so nearly every subtree is clean in
-// every epoch — the shape the maintained member lists are built for.
+// every epoch and a rekey touches the 256 dirty paths only.
 func BenchmarkRekeyChurn100k(b *testing.B) {
 	const n, probes, replace = 100000, 512, 256
 	tr := benchTree(b, 4, n)
@@ -149,14 +147,6 @@ func BenchmarkRekeyChurn100k(b *testing.B) {
 		keys += p.TotalKeyCount()
 	}
 	b.ReportMetric(float64(keys)/b.Elapsed().Seconds(), "keys/sec")
-}
-
-func BenchmarkBatchRekeyEngine(b *testing.B) {
-	benchBatchRekeyVariant(b)
-}
-
-func BenchmarkBatchRekeyLegacy(b *testing.B) {
-	benchBatchRekeyVariant(b, WithLegacyRekey())
 }
 
 // BenchmarkSortDirtyNodes compares the engine's precomputed-depth sort

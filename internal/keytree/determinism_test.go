@@ -10,7 +10,8 @@ import (
 )
 
 // marshalPayload flattens a payload to bytes: the determinism contract is
-// that the engine's output is byte-identical to the serial oracle's.
+// that the engine's output is byte-identical for every worker count (the
+// golden digests pin it across versions).
 func marshalPayload(tb testing.TB, p *Payload) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -61,15 +62,15 @@ func fuzzBatches(seed int64, initial, rounds int) []Batch {
 	return batches
 }
 
-// TestRekeyParallelMatchesSerial drives the legacy serial emitter and the
-// planned engine (at worker counts 1, 2 and 8) over identical fuzzed churn
-// with identical entropy streams, asserting every payload — items, joiner
+// TestRekeyParallelMatchesSerial drives the engine emitting inline (one
+// worker) and at worker counts 1, 2 and 8 over identical fuzzed churn with
+// identical entropy streams, asserting every payload — items, joiner
 // items, kinds, levels, receivers and ciphertext bytes — is identical.
 func TestRekeyParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				serial, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithLegacyRekey())
+				serial, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithWrapWorkers(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +122,7 @@ func TestRekeyReplacementDeterminism(t *testing.T) {
 		}
 		return tr
 	}
-	serial := mk(WithLegacyRekey())
+	serial := mk(WithWrapWorkers(1))
 	engine := mk(WithWrapWorkers(8))
 	next := MemberID(n + 1)
 	for round := 0; round < 10; round++ {

@@ -12,24 +12,24 @@ import (
 	"groupkey/internal/keycrypt"
 )
 
-// This file is the parallel rekey emission engine: the replacement for the
-// serial Phase 5/6 of Rekey (kept verbatim in emitLegacy as the oracle).
-//
-// The engine splits emission into two steps:
+// This file is the parallel rekey emission engine, Phases 5 and 6 of Rekey.
+// It splits emission into two steps:
 //
 //  1. Plan (single-threaded): sort the dirty nodes by precomputed depth,
-//     build every Item's metadata (kind, level, receivers) and draw one
-//     nonce per wrap from the tree's entropy source in the exact order the
-//     serial emitter would. Receiver lists are built bottom-up — a dirty
-//     node's list is the linear merge of its children's already-sorted
-//     lists, and a clean subtree's list comes from the tree's cross-epoch
-//     cache (subtreeLists) — instead of the legacy walk-and-sort per wrap.
+//     build every Item's metadata (kind, level) and draw one nonce per wrap
+//     from the tree's entropy source in canonical order.
 //  2. Emit (parallel): fan the AES-GCM seals out over a bounded worker
 //     pool, each job writing into its pre-assigned payload slot through
 //     the tree's cached-key-schedule Wrapper.
 //
 // Because nonces and slots are fixed during planning, the payload is
-// byte-for-byte identical to the serial emitter's for any worker count.
+// byte-for-byte identical for any worker count.
+//
+// Multicast items name no receivers: an LKH member holds exactly the keys
+// on its leaf-to-root path, so a wrap under a node's key is addressed by
+// that key (see Item.Receivers). Planning only has to decide whether a wrap
+// reaches anyone at all, which is a count (joinerCounts.reaches), so a
+// rekey touches the dirty paths and nothing below them.
 
 // wrapJob is one planned AES-GCM seal: everything a worker needs, with the
 // destination slot fixed before the fan-out.
@@ -45,8 +45,8 @@ type wrapJob struct {
 const minParallelJobs = 32
 
 // emitPlanned runs the plan/emit engine over the dirty set. joinerIDs is
-// the joiners set in ascending order.
-func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool, joinerIDs []MemberID) (*Payload, error) {
+// the batch's joiners in ascending order.
+func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*Payload, error) {
 	nodes, depths := sortDirtyNodes(dirty)
 	rng := t.gen.Rand
 	if rng == nil {
@@ -73,7 +73,7 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 	if joinerCap > 0 {
 		p.JoinerItems = make([]Item, 0, joinerCap)
 	}
-	recv := newReceiverIndex(t, dirty, joiners)
+	joiners := t.joinersUnder(joinerIDs, len(dirty))
 	itemJobs := make([]wrapJob, 0, itemCap)
 	joinerJobs := make([]wrapJob, 0, joinerCap)
 
@@ -83,30 +83,25 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 		level := depths[i]
 		if info.departure || info.isNew {
 			for _, c := range n.children {
-				receivers := recv.under(c)
-				if len(receivers) == 0 {
-					// Every member under c is a joiner of this batch and
-					// receives the key through its JoinerWrap path instead;
-					// multicasting this wrap would carry zero information.
+				if !joiners.reaches(c) {
 					continue
 				}
 				nonce, err := nonces.next()
 				if err != nil {
 					return nil, err
 				}
-				p.Items = append(p.Items, Item{Kind: ChildWrap, Level: level, Receivers: receivers})
+				p.Items = append(p.Items, Item{Kind: ChildWrap, Level: level})
 				itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: c.key, nonce: nonce})
 			}
 		} else {
-			receivers := recv.under(n)
-			if len(receivers) == 0 {
+			if !joiners.reaches(n) {
 				continue
 			}
 			nonce, err := nonces.next()
 			if err != nil {
 				return nil, err
 			}
-			p.Items = append(p.Items, Item{Kind: OldKeyWrap, Level: level, Receivers: receivers})
+			p.Items = append(p.Items, Item{Kind: OldKeyWrap, Level: level})
 			itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: info.oldKey, nonce: nonce})
 		}
 	}
@@ -144,6 +139,30 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joiners map[MemberID]bool
 	}
 	return p, nil
 }
+
+// joinerCounts maps every node on a batch joiner's path to the number of
+// the batch's joiners beneath it.
+type joinerCounts map[*Node]int
+
+// joinersUnder counts joins, whose leaves are already placed, up their
+// paths. Joiners sit under dirty nodes only, so the walk never enters a
+// clean subtree; size is the dirty set's, a hint for the map.
+func (t *Tree) joinersUnder(joins []MemberID, size int) joinerCounts {
+	under := make(joinerCounts, size+len(joins))
+	for _, m := range joins {
+		for n := t.leaves[m]; n != nil; n = n.parent {
+			under[n]++
+		}
+	}
+	return under
+}
+
+// reaches reports whether a wrap under n's key is worth multicasting: n must
+// hold a member that is not a joiner of the batch. A joiner receives every
+// key on its path through its JoinerWrap items, so a wrap only joiners
+// could open would carry zero information. Emission and the planner's
+// simulation both decide by this one predicate.
+func (u joinerCounts) reaches(n *Node) bool { return n.leaves > u[n] }
 
 // nonceDrawer reads wrap nonces in canonical planning order — so emission
 // scheduling cannot perturb payload bytes — through one reusable buffer: a
@@ -188,109 +207,17 @@ func sortDirtyNodes(dirty map[*Node]*dirtyInfo) ([]*Node, []int) {
 	return nodes, depths
 }
 
-// receiverIndex computes sorted receiver lists (members under a node,
-// batch joiners excluded) with memoization: since dirtiness is
-// upward-closed, a dirty node's list is the merge of its children's lists,
-// and the clean subtrees on the dirty frontier come from the tree's
-// cross-epoch cache. Lists are shared between items and epochs; they are
-// read-only by contract.
-type receiverIndex struct {
-	tree    *Tree
-	dirty   map[*Node]*dirtyInfo
-	exclude map[MemberID]bool
-	memo    map[*Node][]MemberID
-}
-
-func newReceiverIndex(t *Tree, dirty map[*Node]*dirtyInfo, exclude map[MemberID]bool) *receiverIndex {
-	return &receiverIndex{
-		tree:    t,
-		dirty:   dirty,
-		exclude: exclude,
-		// Memo holds the dirty nodes plus their immediate clean children.
-		memo: make(map[*Node][]MemberID, 2*len(dirty)),
-	}
-}
-
-// under returns the sorted receivers beneath n. The result may alias lists
-// stored in other Items' Receivers; callers must not mutate it.
-func (r *receiverIndex) under(n *Node) []MemberID {
-	if out, ok := r.memo[n]; ok {
-		return out
-	}
-	var out []MemberID
-	switch {
-	case n.IsLeaf():
-		r.tree.leavesVisited++
-		if !r.exclude[n.member] {
-			out = []MemberID{n.member}
-		}
-	case r.dirty[n] == nil:
-		// Clean interior: nothing beneath it changed this batch, so no
-		// joiner is there to exclude and its cached list is current.
-		out = r.tree.subtreeList(n)
-	default:
-		lists := make([][]MemberID, 0, len(n.children))
-		for _, c := range n.children {
-			lists = append(lists, r.under(c))
-		}
-		out = mergeSorted(lists)
-	}
-	r.memo[n] = out
-	return out
-}
-
-// subtreeList returns the ascending members of the clean subtree at n,
-// shared and read-only. At or above subtreeListFloor the list is cached
-// until n is next dirtied; a miss rebuilds it by merging the children's
-// lists, so what a past epoch dirtied costs one merge per level instead of
-// a walk and sort of every leaf below.
-func (t *Tree) subtreeList(n *Node) []MemberID {
-	if n.leaves < subtreeListFloor {
-		out := collectMembers(n, make([]MemberID, 0, n.leaves))
-		t.leavesVisited += len(out)
-		slices.Sort(out)
-		return out
-	}
-	if out, ok := t.subtreeLists[n]; ok {
-		return out
-	}
-	lists := make([][]MemberID, 0, len(n.children))
-	for _, c := range n.children {
-		lists = append(lists, t.subtreeList(c))
-	}
-	out := mergeSorted(lists)
-	if t.subtreeLists == nil {
-		t.subtreeLists = make(map[*Node][]MemberID)
-	}
-	t.subtreeLists[n] = out
-	return out
-}
-
-// collectMembers appends the members of n's subtree to out in tree order
-// (sorted afterwards by the caller).
-func collectMembers(n *Node, out []MemberID) []MemberID {
-	if n.member != 0 {
-		return append(out, n.member)
-	}
-	for _, c := range n.children {
-		out = collectMembers(c, out)
+// MergeMembers merges ascending member lists into one fresh ascending list
+// the caller owns. Multi-tree schemes list their members with it.
+func MergeMembers(lists ...[]MemberID) []MemberID {
+	lists, total := nonEmptyLists(slices.Clone(lists))
+	out := make([]MemberID, total)
+	if len(lists) == 1 {
+		copy(out, lists[0])
+	} else if len(lists) > 1 {
+		mergeInto(out, lists)
 	}
 	return out
-}
-
-// mergeSorted merges already-sorted lists by cascaded two-way merges — a
-// tight two-pointer loop per pair beats a d-wide min scan per element. A
-// single non-empty input is returned as-is (lists are shared read-only).
-// lists is reordered in place.
-func mergeSorted(lists [][]MemberID) []MemberID {
-	lists, total := nonEmptyLists(lists)
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	return mergeInto(make([]MemberID, total), lists)
 }
 
 // nonEmptyLists filters lists in place down to its non-empty entries and
@@ -342,19 +269,6 @@ func merge2(a, b, out []MemberID) []MemberID {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// MergeMembers merges ascending member lists into one fresh ascending list
-// the caller owns.
-func MergeMembers(lists ...[]MemberID) []MemberID {
-	lists, total := nonEmptyLists(slices.Clone(lists))
-	out := make([]MemberID, total)
-	if len(lists) == 1 {
-		copy(out, lists[0])
-	} else if len(lists) > 1 {
-		mergeInto(out, lists)
-	}
-	return out
 }
 
 // runWrapJobs executes the planned seals, inline or across the worker

@@ -10,41 +10,103 @@ import (
 	"hash"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"groupkey/internal/keycrypt"
 )
 
-// Golden payload digests: the byte-level oracle every later rewrite of the
-// tree (maintained member lists here, the index slab next) is held to. Each
-// digest is the SHA-256 of every payload a seeded batch sequence produces —
-// Items then JoinerItems, each with Kind, Level, wrapped bytes and
-// Receivers — so a change that moves one receiver, one nonce draw or one
-// item's position fails here by name.
+// Golden payload digests: the byte-level oracle every rewrite of the tree's
+// internals is held to. Each digest is the SHA-256 of every payload a
+// seeded batch sequence produces — Items then JoinerItems, each with Kind,
+// Level, wrapped bytes and receivers — so a change that moves one receiver,
+// one nonce draw or one item's position fails here by name. A
+// path-addressed item's receivers are the list receiverOracle derives.
 
 var updateGolden = flag.Bool("update-golden", false,
 	"rewrite testdata/golden_payloads.json from the current implementation")
 
 const goldenFile = "testdata/golden_payloads.json"
 
-// hashItems folds one item list into h, length-prefixed so that moving an
-// item between Items and JoinerItems changes the digest.
-func hashItems(h hash.Hash, items []Item) {
+// hashItems folds one item list and its receiver lists into h,
+// length-prefixed so that moving an item between Items and JoinerItems
+// changes the digest.
+func hashItems(h hash.Hash, items []Item, receivers [][]MemberID) {
 	var b [8]byte
 	u64 := func(v uint64) {
 		binary.BigEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
 	u64(uint64(len(items)))
-	for _, it := range items {
+	for i, it := range items {
 		u64(uint64(it.Kind))
 		u64(uint64(it.Level))
 		h.Write(it.Wrapped.Marshal())
-		u64(uint64(len(it.Receivers)))
-		for _, m := range it.Receivers {
+		u64(uint64(len(receivers[i])))
+		for _, m := range receivers[i] {
 			u64(uint64(m))
 		}
 	}
+}
+
+// receiverOracle lists, by brute force over every member's path, whom each
+// of one payload's items reaches: an explicit item its Receivers, a
+// path-addressed one the members whose path holds its wrapping key, minus
+// those an explicit item hands the same payload key. It shares no code with
+// wire.ScopedIndex, which applies the same rule per connected member.
+func receiverOracle(tr *Tree, items []Item) [][]MemberID {
+	holders := make(map[keycrypt.KeyID][]MemberID)
+	for _, m := range tr.Members() {
+		for n := tr.leaves[m]; n != nil; n = n.parent {
+			holders[n.key.ID] = append(holders[n.key.ID], m)
+		}
+	}
+	type delivery struct {
+		m   MemberID
+		key keycrypt.KeyID
+	}
+	named := make(map[delivery]bool)
+	for _, it := range items {
+		for _, m := range it.Receivers {
+			named[delivery{m, it.Wrapped.PayloadID}] = true
+		}
+	}
+	lists := make([][]MemberID, len(items))
+	for i, it := range items {
+		if len(it.Receivers) > 0 {
+			lists[i] = it.Receivers
+			continue
+		}
+		for _, m := range holders[it.Wrapped.WrapperID] {
+			if !named[delivery{m, it.Wrapped.PayloadID}] {
+				lists[i] = append(lists[i], m)
+			}
+		}
+	}
+	return lists
+}
+
+// walk visits every node in the subtree rooted at n in pre-order.
+func walk(n *Node, visit func(*Node)) {
+	if n == nil {
+		return
+	}
+	visit(n)
+	for _, c := range n.children {
+		walk(c, visit)
+	}
+}
+
+// membersBelow lists the members in n's subtree, ascending.
+func membersBelow(n *Node) []MemberID {
+	var out []MemberID
+	walk(n, func(x *Node) {
+		if x.member != 0 {
+			out = append(out, x.member)
+		}
+	})
+	slices.Sort(out)
+	return out
 }
 
 // goldenBatches is a seeded churn schedule that cycles through every
@@ -100,8 +162,7 @@ func goldenBatches(seed int64, initial, rounds int) []Batch {
 
 func TestGoldenPayloadDigests(t *testing.T) {
 	got := map[string]string{}
-	// Full trees of four levels, plus one deep enough that most interiors
-	// sit above subtreeListFloor.
+	// Full trees of four levels, plus one six levels deep.
 	for _, tc := range []struct{ degree, initial int }{{2, 16}, {3, 81}, {4, 256}, {4, 4096}} {
 		degree := tc.degree
 		for _, planner := range []bool{false, true} {
@@ -142,8 +203,9 @@ func TestGoldenPayloadDigests(t *testing.T) {
 							splits++
 						}
 					}
-					hashItems(h, p.Items)
-					hashItems(h, p.JoinerItems)
+					lists := receiverOracle(tr, p.AllItems())
+					hashItems(h, p.Items, lists[:len(p.Items)])
+					hashItems(h, p.JoinerItems, lists[len(p.Items):])
 				}
 				// A binary tree has no underfull interior to anchor under.
 				wantAnchors := planner && degree > 2

@@ -89,11 +89,9 @@ type Tree struct {
 	nextID keycrypt.KeyID
 
 	// wrapper caches AES key schedules across rekeys; wrapWorkers sizes
-	// the emission pool (0 = GOMAXPROCS); legacyRekey forces the serial
-	// pre-engine emitter kept as a baseline oracle.
+	// the emission pool (0 = GOMAXPROCS).
 	wrapper     *keycrypt.Wrapper
 	wrapWorkers int
-	legacyRekey bool
 
 	// planner, when set, chooses each batch's placement (see planner.go);
 	// otherwise the greedy pairing is applied.
@@ -108,33 +106,13 @@ type Tree struct {
 	// re-sorted out of the leaf map every epoch. nil means cold (a new or
 	// restored tree, or one whose last Rekey failed): MembersView rebuilds it
 	// on first use. Once warm, each Rekey replaces it copy-on-write, so
-	// views handed out earlier stay valid and unchanged.
+	// views handed out earlier stay valid and unchanged. Schemes read it
+	// for Members and Stream.Audience; rekey items never carry it.
 	members []MemberID
-	// subtreeLists caches the ascending member list of interiors with at
-	// least subtreeListFloor leaves, across epochs. An entry is valid while
-	// its node stays clean: every membership change dirties all ancestors
-	// of the leaf it touches, and place's mark (and removeLeaf's
-	// splice) delete the entry at exactly that moment — except in a dry
-	// run, which is rolled back and so invalidates nothing. A side table rather
-	// than a Node field: only about N/subtreeListFloor nodes qualify, and a
-	// slice header on every Node would push all of them into the next
-	// allocation size class.
-	subtreeLists map[*Node][]MemberID
-	// leavesVisited counts the leaf nodes rekey emission walked to build
-	// receiver lists; tests pin it well below N for a warm tree.
-	leavesVisited int
 
 	// stats accumulated across the tree's lifetime.
 	stats Stats
 }
-
-// subtreeListFloor is the smallest subtree whose member list is cached.
-// Below it a list is cheaper to rebuild than to keep: collecting and
-// sorting fewer than 64 IDs costs about a microsecond, while caching that
-// level too would add another 8 bytes per member and d times the table
-// entries. 16 and 64 measured the same on the epoch benchmark; 64 keeps
-// the table at one or two levels of the tree.
-const subtreeListFloor = 64
 
 // Stats counts work done by a tree across its lifetime. All counters are
 // monotone.
@@ -174,15 +152,6 @@ func WithWrapWorkers(n int) Option {
 		}
 		t.wrapWorkers = n
 	}
-}
-
-// WithLegacyRekey routes Rekey through the pre-engine serial emitter (one
-// keycrypt.Wrap per item, no planning pass, no schedule reuse across a
-// node's wraps). It exists as the baseline oracle: determinism tests assert
-// the engine's payloads are byte-identical to it, and `lkhbench -exp perf`
-// measures the engine's speedup against it.
-func WithLegacyRekey() Option {
-	return func(t *Tree) { t.legacyRekey = true }
 }
 
 // WithPlanner enables the batch placement planner (see planner.go): each
@@ -365,15 +334,27 @@ func (t *Tree) Leaf(m MemberID) (*Node, error) {
 // Path returns the keys a member holds: its individual key first, then each
 // ancestor key up to and including the root.
 func (t *Tree) Path(m MemberID) ([]keycrypt.Key, error) {
-	leaf, err := t.Leaf(m)
-	if err != nil {
-		return nil, err
+	if !t.Contains(m) {
+		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
 	}
-	var keys []keycrypt.Key
-	for n := leaf; n != nil; n = n.parent {
-		keys = append(keys, n.key)
+	return AppendPath(t, m, nil, func(k keycrypt.Key) keycrypt.Key { return k }), nil
+}
+
+// PathIDs appends the IDs of the keys Path returns, in the same order, to
+// buf and returns it; a member the tree does not hold appends nothing.
+// Rekey items are addressed by these IDs (see Item.Receivers).
+func (t *Tree) PathIDs(m MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID {
+	return AppendPath(t, m, buf, func(k keycrypt.Key) keycrypt.KeyID { return k.ID })
+}
+
+// AppendPath is the tree's one leaf-to-root walk, behind Path and PathIDs:
+// it appends conv of each key member m holds, individual key first, root
+// last, to buf. A member the tree does not hold appends nothing.
+func AppendPath[T any](t *Tree, m MemberID, buf []T, conv func(keycrypt.Key) T) []T {
+	for n := t.leaves[m]; n != nil; n = n.parent {
+		buf = append(buf, conv(n.key))
 	}
-	return keys, nil
+	return buf
 }
 
 // freshKey mints a new key for a brand-new slot.
@@ -447,8 +428,6 @@ func (t *Tree) removeLeaf(m MemberID, dry bool) (*Node, error) {
 			only.parent = parent
 			parent.parent, parent.children = grand, kids
 		})
-	} else {
-		delete(t.subtreeLists, parent)
 	}
 	parent.parent, parent.children = nil, nil
 	t.replaceNode(grand, parent, only)
@@ -504,15 +483,4 @@ func removeChild(parent, child *Node) int {
 		}
 	}
 	panic("keytree: removeChild: node not a child of parent")
-}
-
-// walk visits every node in the subtree rooted at n in pre-order.
-func walk(n *Node, visit func(*Node)) {
-	if n == nil {
-		return
-	}
-	visit(n)
-	for _, c := range n.children {
-		walk(c, visit)
-	}
 }

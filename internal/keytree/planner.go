@@ -21,7 +21,7 @@ import (
 // the realized multicast wrap count and the post-batch ExpectedRekeyCost —
 // the DC-programming relaxation of arXiv:2305.10131 restricted to the
 // batch's own decision variables. A dry run leaves shape, child order, leaf
-// map, key IDs, counters, cached lists and the entropy stream exactly as
+// map, key IDs, counters, member list and the entropy stream exactly as
 // found (TestPlanBatchRestoresTree), and costs O((J+L)·depth·d) plus one
 // read-only walk of the tree. Planning is a pure function of the tree shape
 // and the batch: it draws no entropy and reads no clocks, so WAL replay and
@@ -257,24 +257,17 @@ func (t *Tree) simulate(b Batch, p Plan) simResult {
 		return simResult{invalid: true}
 	}
 
-	// A child is multicast iff it holds a member that is not a joiner of
-	// this batch. Joiners sit under dirty nodes only, so counting them from
-	// their leaves upward never enters a clean subtree.
-	joinersUnder := make(map[*Node]int)
-	for _, m := range b.Joins {
-		for n := t.leaves[m]; n != nil; n = n.parent {
-			joinersUnder[n]++
-		}
-	}
+	// Count the wraps emitPlanned would multicast, by its own predicate.
+	joiners := t.joinersUnder(b.Joins, len(dirty))
 	wraps := 0
 	for n, info := range dirty {
 		if info.departure || info.isNew {
 			for _, c := range n.children {
-				if c.leaves > joinersUnder[c] {
+				if joiners.reaches(c) {
 					wraps++
 				}
 			}
-		} else if n.leaves > joinersUnder[n] {
+		} else if joiners.reaches(n) {
 			wraps++
 		}
 	}

@@ -245,14 +245,14 @@ func TestPlannerNeverWorseThanGreedy(t *testing.T) {
 }
 
 // TestPlannerDeterministicAcrossEmitters runs the planner-enabled tree
-// through the legacy serial emitter and the planned engine over identical
-// churn, asserting byte-identical payloads — the contract WAL replay and
-// cluster replication depend on.
+// through the engine emitting inline and across workers over identical
+// churn, asserting byte-identical payloads and planner counters — the
+// contract WAL replay and cluster replication depend on.
 func TestPlannerDeterministicAcrossEmitters(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				serial, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithLegacyRekey(), WithPlanner(PlannerConfig{}))
+				serial, err := New(3, WithRand(keycrypt.NewDeterministicReader(uint64(seed))), WithWrapWorkers(1), WithPlanner(PlannerConfig{}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -343,8 +343,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // assertRestored runs dryRun and fails unless it left the tree exactly as
 // found: the same Snapshot bytes (shape, child order, members, key IDs and
 // material, nextID, counters), sound parent pointers, leaf counts and leaf
-// map, planner counters, coherent maintained lists with as many cached
-// entries, an empty undo log, and not one read from the entropy source.
+// map, planner counters, a coherent maintained member list, an empty undo
+// log, and not one read from the entropy source.
 func assertRestored(t *testing.T, tr *Tree, entropy *countingReader, when string, dryRun func()) {
 	t.Helper()
 	snapshot := func() []byte {
@@ -355,7 +355,7 @@ func assertRestored(t *testing.T, tr *Tree, entropy *countingReader, when string
 		return blob
 	}
 	before, stats, pstats := snapshot(), tr.Stats(), tr.PlannerStats()
-	lists, reads := len(tr.subtreeLists), entropy.reads
+	reads := entropy.reads
 
 	dryRun()
 
@@ -372,9 +372,6 @@ func assertRestored(t *testing.T, tr *Tree, entropy *countingReader, when string
 		t.Fatalf("%s: PlannerStats moved: %+v -> %+v", when, pstats, got)
 	}
 	checkMemberLists(t, tr, when)
-	if got := len(tr.subtreeLists); got != lists {
-		t.Fatalf("%s: %d cached subtree lists, had %d", when, got, lists)
-	}
 	if len(tr.undo) != 0 {
 		t.Fatalf("%s: %d entries left in the undo log", when, len(tr.undo))
 	}
@@ -385,7 +382,7 @@ func assertRestored(t *testing.T, tr *Tree, entropy *countingReader, when string
 
 // TestPlanBatchRestoresTree is the rollback-exactness property: whatever a
 // dry run does to the tree, it undoes. Seeded traces cover planned and
-// declined batches in both regimes on a tree with warm cached lists; the
+// declined batches in both regimes on a tree with a warm member list; the
 // hand-built cases dry-run placements PlanBatch never or rarely reaches.
 func TestPlanBatchRestoresTree(t *testing.T) {
 	mk := func(t *testing.T, degree int) (*Tree, *countingReader) {
@@ -402,7 +399,6 @@ func TestPlanBatchRestoresTree(t *testing.T) {
 		// Planned and declined batches, with surplus joins and with surplus
 		// departures: every branch of plan's decision.
 		var seen [2][2]int
-		cached := 0
 		for name, batches := range map[string][]Batch{
 			"join-heavy":  biasedBatches(5, 3000, 30, 9, 3),
 			"small":       biasedBatches(5, 40, 40, 9, 3),
@@ -411,7 +407,6 @@ func TestPlanBatchRestoresTree(t *testing.T) {
 		} {
 			tr, entropy := mk(t, 4)
 			for i, b := range batches {
-				cached += len(tr.subtreeLists)
 				var plan Plan
 				assertRestored(t, tr, entropy, fmt.Sprintf("%s batch %d", name, i), func() {
 					var err error
@@ -435,9 +430,6 @@ func TestPlanBatchRestoresTree(t *testing.T) {
 				}
 				checkPlacement(t, tr, b, plan, p)
 			}
-		}
-		if cached == 0 {
-			t.Fatal("no cached subtree list was at stake")
 		}
 		if seen[0][0] == 0 || seen[0][1] == 0 || seen[1][0] == 0 || seen[1][1] == 0 {
 			t.Fatalf("traces simulated [L>J, J>L] x [declined, planned] = %v batches; need all four", seen)
@@ -476,7 +468,7 @@ func TestPlanBatchRestoresTree(t *testing.T) {
 		keep, root := tr.root.children[0], tr.root
 		var gone []MemberID
 		for _, c := range root.children[1:] {
-			gone = collectMembers(c, gone)
+			gone = append(gone, membersBelow(c)...)
 		}
 		err := dry(t, tr, entropy, Plan{Removals: gone}, func() {
 			if tr.root != keep || keep.parent != nil || root.children != nil {

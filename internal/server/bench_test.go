@@ -60,7 +60,7 @@ func BenchmarkSealEpoch(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				eb, err := newEpochBuffer(priv, rekey, audience)
+				eb, err := newEpochBuffer(priv, rekey, audience, sc.PathIDs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -28,9 +28,10 @@ import (
 // churning the GC on every epoch at scale.
 //
 // Sealing costs what the connected audience and the item count cost, not
-// the group size: receiver lists are intersected with the connected IDs
-// only. A member absent from that index (it resumed after the seal) is
-// sent every item (allItems) — the same sparse frame, one multiproof.
+// the group size: items carry no receiver lists, and each connected
+// member's indexes come from its key path (wire.ScopedIndex). A member
+// absent from that index (it resumed after the seal) is sent every item
+// (allItems) — the same sparse frame, one multiproof.
 
 // epochBuffer is one epoch's rekey payload, sealed once, shared by every
 // outbound frame of that epoch. Immutable after newEpochBuffer except for
@@ -59,9 +60,10 @@ var (
 
 // newEpochBuffer seals one rekey for the connected members (ascending
 // IDs): encode every item once, build and sign the item tree, and index
-// which items each connected member needs. The caller owns the initial
+// which items each connected member needs by its key path (the scheme's
+// PathIDs; unused when nobody is connected). The caller owns the initial
 // reference.
-func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keytree.MemberID) (*epochBuffer, error) {
+func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keytree.MemberID, path wire.KeyPath) (*epochBuffer, error) {
 	items := rekey.AllItems()
 	if len(items) > wire.MaxSparseIndexes {
 		// The all-items frame resumers and late pullers get must fit.
@@ -84,7 +86,7 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keyt
 	eb.root = eb.tree.Root()
 	eb.rootSig = wire.SignSparse(priv, rekey.Epoch, uint32(len(items)), eb.root)
 	eb.index = indexPool.Get().(*wire.ScopedIndex)
-	eb.index.Build(items, connected)
+	eb.index.Build(items, connected, path)
 
 	eb.refs.Store(1)
 	return eb, nil

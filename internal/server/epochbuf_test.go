@@ -17,7 +17,7 @@ import (
 // buildEpochBuffer processes a churn batch on a fresh scheme and seals the
 // resulting rekey for an audience of every member, returning everything
 // the assertions need.
-func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed25519.PrivateKey) {
+func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, core.Scheme, *core.Rekey, ed25519.PrivateKey) {
 	t.Helper()
 	sc := newScheme(t, seed)
 	var b core.Batch
@@ -35,25 +35,25 @@ func buildEpochBuffer(t *testing.T, seed uint64) (*epochBuffer, *core.Rekey, ed2
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := newEpochBuffer(priv, rekey, sc.Members())
+	eb, err := newEpochBuffer(priv, rekey, sc.Members(), sc.PathIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(eb.release)
-	return eb, rekey, priv
+	return eb, sc, rekey, priv
 }
 
 // TestEpochBufferSparseFrames checks that every member's assembled sparse
-// frame decodes, verifies, and carries exactly the items the receiver
-// lists address to it — and that sparseSize predicted the frame size.
+// frame decodes, verifies, and carries exactly the items addressed to it —
+// and that sparseSize predicted the frame size.
 func TestEpochBufferSparseFrames(t *testing.T) {
-	eb, rekey, priv := buildEpochBuffer(t, 50)
+	eb, sc, rekey, priv := buildEpochBuffer(t, 50)
 	pub := priv.Public().(ed25519.PublicKey)
 	items := rekey.AllItems()
 	if eb.nItems != len(items) {
 		t.Fatalf("nItems=%d, want %d", eb.nItems, len(items))
 	}
-	want := wire.SparseIndex(items)
+	want := wire.SparseIndex(wire.Addressed(items, sc.Members(), sc.PathIDs))
 	covered := 0
 	for m, idx := range want {
 		got, ok := eb.index.Lookup(m)
@@ -106,7 +106,7 @@ func TestEpochBufferRejectsUnsendableSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newEpochBuffer(priv, big, nil); !errors.Is(err, wire.ErrFrameTooLarge) {
+	if _, err := newEpochBuffer(priv, big, nil, nil); !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("sealing %d items: err=%v, want ErrFrameTooLarge", wire.MaxSparseIndexes+1, err)
 	}
 }
@@ -115,7 +115,7 @@ func TestEpochBufferRejectsUnsendableSeal(t *testing.T) {
 // consecutive indexes and reproduce exactly the appendSparseFrame item
 // bytes.
 func TestEpochBufferItemRanges(t *testing.T) {
-	eb, _, _ := buildEpochBuffer(t, 51)
+	eb, _, _, _ := buildEpochBuffer(t, 51)
 	if eb.nItems < 8 {
 		t.Skipf("epoch too small (%d items)", eb.nItems)
 	}
@@ -153,7 +153,7 @@ func TestEpochBufferRefcount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := newEpochBuffer(priv, rekey, sc.Members())
+	eb, err := newEpochBuffer(priv, rekey, sc.Members(), sc.PathIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,13 @@ func TestEpochBufferRefcount(t *testing.T) {
 // TestScopedSealMatchesWholeGroupIndex is the byte-identity proof for the
 // audience-scoped seal. Seeded churn runs through the paper's four schemes
 // (planner on for TT); every epoch is sealed for random connected subsets
-// — none, one, the joiners only, leavers included, IDs no receiver list
-// holds — and for each connected member the scoped index must equal the
-// whole-group wire.SparseIndex oracle's entry, and the member's sparse
-// frame must equal, byte for byte, the frame built the pre-scoping way
-// (oracle indexes through wire.EncodeSparseRekey).
+// — none, one, the joiners only, leavers included, IDs the scheme never
+// held — and for each connected member the scoped index must equal its
+// entry in the whole-group index (every item's receivers derived for every
+// member, inverted by wire.SparseIndex), and the member's sparse frame must
+// equal, byte for byte, the frame built from that entry through
+// wire.EncodeSparseRekey. wire's TestPathIndexMatchesReceiverOracle holds
+// the addressing itself to a brute-force oracle.
 func TestScopedSealMatchesWholeGroupIndex(t *testing.T) {
 	rnd := func(seed uint64) core.Option { return core.WithRand(keycrypt.NewDeterministicReader(seed)) }
 	schemes := []struct {
@@ -222,7 +224,7 @@ func TestScopedSealMatchesWholeGroupIndex(t *testing.T) {
 					t.Fatal(err)
 				}
 				items := rekey.AllItems()
-				oracle := wire.SparseIndex(items)
+				oracle := wire.SparseIndex(wire.Addressed(items, sc.Members(), sc.PathIDs))
 
 				// Everyone a server could have connected at seal time: the
 				// post-batch members and this batch's leavers.
@@ -250,7 +252,7 @@ func TestScopedSealMatchesWholeGroupIndex(t *testing.T) {
 				for _, audience := range audiences {
 					audience = slices.Clone(audience)
 					slices.Sort(audience)
-					eb, err := newEpochBuffer(priv, rekey, audience)
+					eb, err := newEpochBuffer(priv, rekey, audience, sc.PathIDs)
 					if err != nil {
 						t.Fatal(err)
 					}

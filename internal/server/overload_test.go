@@ -501,7 +501,7 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := newEpochBuffer(priv, rekey, sc.Members())
+	eb, err := newEpochBuffer(priv, rekey, sc.Members(), sc.PathIDs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func (s *Server) SetLastRekey(r *core.Rekey) error {
 	if r == nil {
 		return nil
 	}
-	eb, err := newEpochBuffer(s.signPriv, r, nil)
+	eb, err := newEpochBuffer(s.signPriv, r, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -621,7 +621,7 @@ func (s *Server) noteRekeyLocked(rekey *core.Rekey, joins, leaves, bytes int, d 
 // fails is cleaned up by its writer and read side. Callers hold s.mu.
 func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	ids := s.sortedConnIDsLocked()
-	eb, err := newEpochBuffer(s.signPriv, rekey, ids)
+	eb, err := newEpochBuffer(s.signPriv, rekey, ids, s.scheme.PathIDs)
 	if err != nil {
 		return 0, err
 	}

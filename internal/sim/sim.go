@@ -21,6 +21,7 @@ import (
 	"groupkey/internal/member"
 	"groupkey/internal/netsim"
 	"groupkey/internal/transport"
+	"groupkey/internal/wire"
 	"groupkey/internal/workload"
 )
 
@@ -220,11 +221,17 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		if cfg.Transport != nil {
+			// The transports read explicit receiver lists; multicast items
+			// are path-addressed, so derive the lists for the whole group.
+			// AllItems lists every stream's Items first, in stream order.
+			addressed := wire.Addressed(rekey.AllItems(), cfg.Scheme.Members(), cfg.Scheme.PathIDs)
 			for _, st := range rekey.Streams {
-				if len(st.Items) == 0 {
+				items := addressed[:len(st.Items)]
+				addressed = addressed[len(st.Items):]
+				if len(items) == 0 {
 					continue
 				}
-				tres, err := cfg.Transport.Deliver(st.Items, net)
+				tres, err := cfg.Transport.Deliver(items, net)
 				if err != nil {
 					return nil, fmt.Errorf("sim: transporting stream %q: %w", st.Label, err)
 				}

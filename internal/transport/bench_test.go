@@ -6,10 +6,11 @@ import (
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 	"groupkey/internal/netsim"
+	"groupkey/internal/wire"
 )
 
 // benchScenario builds a standard payload (8 departures from a 1024-member
-// tree) and a 10%-loss network.
+// tree, receiver lists derived for the whole group) and its members.
 func benchScenario(b *testing.B, seed uint64) ([]keytree.Item, []keytree.MemberID) {
 	b.Helper()
 	tr, err := keytree.New(4, keytree.WithRand(keycrypt.NewDeterministicReader(seed)))
@@ -31,7 +32,7 @@ func benchScenario(b *testing.B, seed uint64) ([]keytree.Item, []keytree.MemberI
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p.Items, tr.Members()
+	return wire.Addressed(p.Items, tr.Members(), tr.PathIDs), tr.Members()
 }
 
 func benchProtocol(b *testing.B, build func() Protocol) {

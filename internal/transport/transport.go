@@ -136,8 +136,10 @@ type Protocol interface {
 	// Name identifies the protocol in experiment output.
 	Name() string
 	// Deliver runs the protocol for the given multicast items against the
-	// network and returns transport costs. Receivers not registered in the
-	// network are skipped (they are gone; the key server prunes them).
+	// network and returns transport costs. Each item is delivered to its
+	// Receivers list, so path-addressed items need theirs derived first
+	// (wire.Addressed). Receivers not registered in the network are
+	// skipped (they are gone; the key server prunes them).
 	Deliver(items []keytree.Item, net *netsim.Network) (Result, error)
 }
 

@@ -7,11 +7,13 @@ import (
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 	"groupkey/internal/netsim"
+	"groupkey/internal/wire"
 )
 
 // buildPayload populates a deterministic tree of n members (degree d),
-// processes a batch with the given leavers, and returns the multicast items
-// plus the surviving member IDs.
+// processes a batch with the given leavers, and returns the multicast items,
+// their receiver lists derived for the whole group, plus the surviving
+// member IDs.
 func buildPayload(t *testing.T, seed uint64, d, n int, leavers []keytree.MemberID) ([]keytree.Item, []keytree.MemberID) {
 	t.Helper()
 	tr, err := keytree.New(d, keytree.WithRand(keycrypt.NewDeterministicReader(seed)))
@@ -29,7 +31,7 @@ func buildPayload(t *testing.T, seed uint64, d, n int, leavers []keytree.MemberI
 	if err != nil {
 		t.Fatalf("departure rekey: %v", err)
 	}
-	return p.Items, tr.Members()
+	return wire.Addressed(p.Items, tr.Members(), tr.PathIDs), tr.Members()
 }
 
 // lossNetwork registers members with the given uniform loss rate.

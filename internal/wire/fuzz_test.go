@@ -104,11 +104,11 @@ func FuzzDecodeWelcome(f *testing.F) {
 	})
 }
 
-// FuzzScopedIndex derives arbitrary ascending receiver lists and an
-// arbitrary ascending audience from the input and checks the scoped index
-// against the whole-group map oracle. Bytes are consumed as deltas, so
-// every list ascends strictly by construction; small deltas make overlap
-// between the lists likely.
+// FuzzScopedIndex fuzzes the addressing rule on small key trees. The input
+// picks a degree, a population and the planner setting, one churn batch
+// (which members depart, how many join) and an audience that mixes
+// members, this batch's leavers and IDs the tree never held; Build must
+// match the brute-force oracle for every audience member.
 func FuzzScopedIndex(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 1, 0, 2, 1, 2, 0, 1, 5})
@@ -116,28 +116,61 @@ func FuzzScopedIndex(f *testing.F) {
 	f.Add([]byte{255, 1, 255, 1, 0, 255, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The first zero-terminated run is the audience, each further one an
-		// item's receiver list (a zero byte ends a list; delta bytes are ≥ 1).
-		var lists [][]keytree.MemberID
-		var cur []keytree.MemberID
-		var last keytree.MemberID
-		for _, b := range data {
-			if b == 0 {
-				lists = append(lists, cur)
-				cur, last = nil, 0
-				continue
+		next := func() int {
+			if len(data) == 0 {
+				return 0
 			}
-			last += keytree.MemberID(b)
-			cur = append(cur, last)
+			b := data[0]
+			data = data[1:]
+			return int(b)
 		}
-		lists = append(lists, cur)
-		audience := lists[0]
-		items := make([]keytree.Item, len(lists)-1)
-		for i := range items {
-			items[i].Receivers = lists[i+1]
+		degree, n := 2+next()%3, 1+next()%40
+		opts := []keytree.Option{keytree.WithRand(keycrypt.NewDeterministicReader(uint64(n)))}
+		if next()%2 == 1 {
+			opts = append(opts, keytree.WithPlanner(keytree.PlannerConfig{}))
+		}
+		tr, err := keytree.New(degree, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prime, b keytree.Batch
+		for m := 1; m <= n; m++ {
+			prime.Joins = append(prime.Joins, keytree.MemberID(m))
+			if next()%3 == 1 {
+				b.Leaves = append(b.Leaves, keytree.MemberID(m))
+			}
+		}
+		for j := next() % 9; j > 0; j-- {
+			b.Joins = append(b.Joins, keytree.MemberID(n+j))
+		}
+		if _, err := tr.Rekey(prime); err != nil {
+			t.Fatal(err)
+		}
+		p, err := tr.Rekey(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := p.AllItems()
+		var audience, everyone []keytree.MemberID
+		for m := keytree.MemberID(0); m <= keytree.MemberID(n+12); m++ {
+			everyone = append(everyone, m)
+			if next()%2 == 0 {
+				audience = append(audience, m)
+			}
+		}
+		keys := func(m keytree.MemberID) []keycrypt.KeyID {
+			held, err := tr.Path(m)
+			if err != nil {
+				return nil
+			}
+			ids := make([]keycrypt.KeyID, len(held))
+			for i, k := range held {
+				ids[i] = k.ID
+			}
+			return ids
 		}
 		var x ScopedIndex
-		x.Build(items, audience)
-		checkScoped(t, &x, items, audience)
+		x.Build(items, audience, tr.PathIDs)
+		checkScoped(t, &x, items, audience, everyone, keys)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 
+	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 )
 
@@ -51,12 +52,12 @@ func SignSparse(priv ed25519.PrivateKey, epoch uint64, nLeaves uint32, root [Has
 	return ed25519.Sign(priv, SparseSigningMessage(epoch, nLeaves, root))
 }
 
-// SparseIndex inverts the items' receiver lists: member → the ascending
-// item (leaf) indexes that member needs. Items with empty receiver lists
-// reach nobody sparsely — the schemes always populate Receivers. Each
-// member's indexes ascend because the outer loop does. This is the
-// whole-group form (cost grows with the group size) that experiments and
-// tests use as the oracle; the server seals epochs with ScopedIndex.
+// SparseIndex inverts the items' explicit receiver lists: member → the
+// ascending item (leaf) indexes naming it. Path-addressed items (no
+// Receivers — every multicast item of a key-tree rekey) name nobody here,
+// so this is not a member's share of an epoch: ScopedIndex.Build applies
+// the whole addressing rule. It stays for callers that count explicit
+// deliveries, such as the epoch benchmark's traced replay.
 func SparseIndex(items []keytree.Item) map[keytree.MemberID][]uint32 {
 	index := make(map[keytree.MemberID][]uint32)
 	for i, it := range items {
@@ -67,69 +68,187 @@ func SparseIndex(items []keytree.Item) map[keytree.MemberID][]uint32 {
 	return index
 }
 
-// ScopedIndex is SparseIndex restricted to an audience — the members
-// connected when the epoch is sealed — in compressed-row form: the member
-// at position p of the ascending audience needs items idx[off[p]:off[p+1]].
-// Build intersects each item's receiver list with the audience instead of
-// inverting it, so its cost follows the audience and item counts, not the
-// group size, and it allocates nothing once its slabs have grown. The zero
-// value is ready to Build.
+// KeyPath appends the IDs of the keys member m holds — its individual key
+// first, the group key last — to buf and returns it; a member the scheme
+// does not hold appends nothing. core.Scheme.PathIDs and
+// keytree.Tree.PathIDs are KeyPaths.
+type KeyPath func(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID
+
+// ScopedIndex maps an epoch's items to an audience — the members connected
+// when the epoch is sealed — in compressed-row form: the member at position
+// p of the ascending audience needs items idx[off[p]:off[p+1]], ascending.
+//
+// Build applies the one addressing rule of keytree.Item.Receivers: an item
+// with Receivers goes to exactly those members; an item without is
+// path-addressed and goes to every member whose key path holds its
+// WrapperID, unless an explicit item of the epoch hands that member the same
+// PayloadID (joiners take their path keys from their own items). Each
+// audience member's indexes come from walking its path through a table of
+// wrapping keys, so Build costs O(items + audience · depth), never the group
+// size, and allocates nothing once its slabs and tables have grown. The
+// zero value is ready to Build.
 type ScopedIndex struct {
-	ids  []keytree.MemberID
-	off  []int
-	idx  []uint32
-	hits []uint64 // Build scratch: item<<32 | audience position, item-major
+	ids []keytree.MemberID
+	off []int
+	idx []uint32
+
+	// Build's tables, kept for reuse. One wrapping key can own more than
+	// one item — an OldKeyWrap under a node's old version and a ChildWrap
+	// under its new one — so each table entry heads a chain.
+	byWrapper chainTable  // WrapperID → newest path-addressed item under it
+	nextWrap  []int32     // item → older item, same WrapperID
+	byMember  chainTable  // member → newest explicit link naming it
+	links     []namedLink // explicit (member, item) pairs, chained
+	path      []keycrypt.KeyID
 }
 
-// Build indexes items for audience, which must ascend without duplicates
-// (as every item's Receivers do). It replaces any previous contents and
-// invalidates slices earlier At/Lookup calls returned.
-func (x *ScopedIndex) Build(items []keytree.Item, audience []keytree.MemberID) {
+// namedLink records that an explicit item names one member; next is the
+// member's previous link, or -1.
+type namedLink struct {
+	item, next int32
+}
+
+// Build indexes items for audience, which must ascend without duplicates,
+// reading members' key paths through path (unused for an empty audience).
+// It replaces any previous contents and invalidates slices earlier
+// At/Lookup calls returned.
+func (x *ScopedIndex) Build(items []keytree.Item, audience []keytree.MemberID, path KeyPath) {
 	x.ids = append(x.ids[:0], audience...)
-	n := len(x.ids)
-	// Counts land two slots ahead of their position so that, after the
-	// prefix sum, off[p+1] is position p's fill cursor and ends the fill as
-	// p's end offset — one slab serves as counter, cursor and result.
-	x.off = resized(x.off, n+2)
-	clear(x.off)
-	x.hits = x.hits[:0]
+	x.off = resized(x.off, len(audience)+1)
+	x.off[0] = 0
+	x.idx = x.idx[:0]
+	if len(audience) == 0 {
+		return
+	}
+	x.index(items)
+	for p, m := range audience {
+		x.path = path(m, x.path[:0])
+		x.idx = x.appendMember(x.idx, items, m)
+		x.off[p+1] = len(x.idx)
+	}
+}
+
+// index fills the tables: path-addressed items by wrapping key, explicit
+// ones by the members they name.
+func (x *ScopedIndex) index(items []keytree.Item) {
+	named := 0
+	for _, it := range items {
+		named += len(it.Receivers)
+	}
+	x.byWrapper.reset(len(items))
+	x.byMember.reset(named)
+	x.nextWrap = resized(x.nextWrap, len(items))
+	x.links = x.links[:0]
 	for i, it := range items {
-		// Walk the shorter list, seek in the longer: a root-level item
-		// addressed to the whole group costs |audience| seeks, a leaf-level
-		// item addressed to one member costs one.
-		short, long := it.Receivers, x.ids
-		overAudience := len(short) > len(long)
-		if overAudience {
-			short, long = long, short
+		if len(it.Receivers) == 0 {
+			x.nextWrap[i] = x.byWrapper.push(uint64(it.Wrapped.WrapperID), int32(i))
+			continue
 		}
-		at := 0
-		for p, m := range short {
-			at += seek(long[at:], m)
-			if at == len(long) {
-				break
-			}
-			if long[at] != m {
-				continue
-			}
-			pos := at
-			if overAudience {
-				pos = p
-			}
-			x.hits = append(x.hits, uint64(i)<<32|uint64(pos))
-			x.off[pos+2]++
-			at++
+		for _, m := range it.Receivers {
+			next := x.byMember.push(uint64(m), int32(len(x.links)))
+			x.links = append(x.links, namedLink{item: int32(i), next: next})
 		}
 	}
-	for p := 2; p < len(x.off); p++ {
-		x.off[p] += x.off[p-1]
+}
+
+// chainTable maps a key to the head of a chain of indexes: open addressing
+// with linear probing over a power-of-two slab kept at most half full.
+// Build probes it once per key on every audience member's path, where a
+// Go map costs several times as much.
+type chainTable struct {
+	slots []chainSlot
+	shift uint
+}
+
+type chainSlot struct {
+	key  uint64
+	head int32 // -1: free
+}
+
+// reset empties the table and sizes it for up to n keys.
+func (t *chainTable) reset(n int) {
+	bits := uint(4)
+	for 1<<bits < 2*n {
+		bits++
 	}
-	x.idx = resized(x.idx, len(x.hits))
-	for _, h := range x.hits {
-		cur := &x.off[uint32(h)+1]
-		x.idx[*cur] = uint32(h >> 32)
-		*cur++
+	t.slots = resized(t.slots, 1<<bits)
+	for i := range t.slots {
+		t.slots[i].head = -1
 	}
-	x.off = x.off[:n+1]
+	t.shift = 64 - bits
+}
+
+// at returns k's slot: the one holding k, or the free one k would take.
+// Its head is k's chain head, -1 when k is absent.
+func (t *chainTable) at(k uint64) *chainSlot {
+	mask := uint64(len(t.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> t.shift; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.head < 0 || s.key == k {
+			return s
+		}
+	}
+}
+
+// push makes v the head of k's chain and returns the previous head, or -1.
+func (t *chainTable) push(k uint64, v int32) int32 {
+	s := t.at(k)
+	prev := s.head
+	s.key, s.head = k, v
+	return prev
+}
+
+// appendMember appends member m's ascending item indexes to dst, m's key
+// path being in x.path: the explicit items naming m, then every item
+// wrapped under a key on the path whose payload no explicit item hands m.
+func (x *ScopedIndex) appendMember(dst []uint32, items []keytree.Item, m keytree.MemberID) []uint32 {
+	start := len(dst)
+	for l := x.byMember.at(uint64(m)).head; l >= 0; l = x.links[l].next {
+		dst = append(dst, uint32(x.links[l].item))
+	}
+	explicit := len(dst)
+	for _, id := range x.path {
+		for i := x.byWrapper.at(uint64(id)).head; i >= 0; i = x.nextWrap[i] {
+			if !handsPayload(items, dst[start:explicit], items[i].Wrapped.PayloadID) {
+				dst = append(dst, uint32(i))
+			}
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// handsPayload reports whether one of the explicit items at idx carries
+// payload key id.
+func handsPayload(items []keytree.Item, idx []uint32, id keycrypt.KeyID) bool {
+	for _, e := range idx {
+		if items[e].Wrapped.PayloadID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// Addressed returns a copy of items in which every path-addressed item
+// carries, as Receivers, the audience members Build sends it to — the
+// explicit form offline consumers read (simulated transports, the DST
+// world, tests). Explicit items keep their lists. For whole-group lists,
+// pass the whole group as the audience.
+func Addressed(items []keytree.Item, audience []keytree.MemberID, path KeyPath) []keytree.Item {
+	var x ScopedIndex
+	x.Build(items, audience, path)
+	lists := make([][]keytree.MemberID, len(items))
+	for p, m := range audience {
+		for _, i := range x.At(p) {
+			lists[i] = append(lists[i], m)
+		}
+	}
+	out := slices.Clone(items)
+	for i := range out {
+		if len(out[i].Receivers) == 0 {
+			out[i].Receivers = lists[i]
+		}
+	}
+	return out
 }
 
 // resized returns s with length n and unspecified contents, reallocating
@@ -141,29 +260,6 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// seek returns the first position of the ascending s whose value is ≥ m
-// (len(s) when there is none), probing at doubling strides before
-// bisecting: two lists walked in step usually meet near the front, so a
-// seek costs O(log distance) rather than O(log len).
-func seek(s []keytree.MemberID, m keytree.MemberID) int {
-	if len(s) == 0 || s[0] >= m {
-		return 0
-	}
-	lo, hi := 0, 1 // s[lo] < m throughout
-	for hi < len(s) && s[hi] < m {
-		lo, hi = hi, 2*hi
-	}
-	hi = min(hi, len(s))
-	for lo+1 < hi {
-		if mid := int(uint(lo+hi) >> 1); s[mid] < m {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
 // At returns the ascending item indexes of the member at audience
 // position p (empty when the epoch carries nothing for it).
 func (x *ScopedIndex) At(p int) []uint32 {
@@ -173,7 +269,8 @@ func (x *ScopedIndex) At(p int) []uint32 {
 
 // Lookup returns member m's item indexes and whether m was in the
 // audience at all: false means "never indexed" — the caller must send
-// every item — not "nothing for you".
+// every item — not "nothing for you". An audience member the scheme does
+// not hold (a leaver still connected at the seal) is indexed with nothing.
 func (x *ScopedIndex) Lookup(m keytree.MemberID) ([]uint32, bool) {
 	p, ok := slices.BinarySearch(x.ids, m)
 	if !ok {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 )
@@ -219,41 +221,98 @@ func TestSparseIndex(t *testing.T) {
 	}
 }
 
-// synthItems builds nItems items over members 1..n the way a key tree
-// addresses them: item i reaches a contiguous, ascending run of members
-// whose length cycles from the whole group down to one.
-func synthItems(n, nItems int, rng *rand.Rand) []keytree.Item {
-	all := make([]keytree.MemberID, n)
-	for i := range all {
-		all[i] = keytree.MemberID(i + 1)
+// synthPath is the KeyPath of a perfect 4-ary key tree over members 1..n,
+// computed rather than built: member m's key at level l (0 = leaf) is
+// l<<40 | (m-1)>>(2l), up to the root, which every member shares.
+func synthPath(n int) KeyPath {
+	height := 0
+	for 1<<(2*height) < n {
+		height++
 	}
+	return func(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID {
+		if m < 1 || int(m) > n {
+			return buf
+		}
+		for l := 0; l <= height; l++ {
+			buf = append(buf, keycrypt.KeyID(uint64(l)<<40|uint64(m-1)>>(2*l)))
+		}
+		return buf
+	}
+}
+
+// synthItems builds nItems items over members 1..n addressed the way a
+// key-tree rekey is: mostly path-addressed wraps of a node's parent key
+// under the node's key, at every level from leaves to the root, and one
+// in eight a joiner-style item naming one member and handing it a key on
+// its own path — which drops that member from the wraps of that key.
+func synthItems(n, nItems int, rng *rand.Rand) []keytree.Item {
+	path := synthPath(n)
 	items := make([]keytree.Item, nItems)
 	for i := range items {
-		span := n >> (i % 12)
-		if span < 1 {
-			span = 1
+		m := keytree.MemberID(1 + rng.Intn(n))
+		keys := path(m, nil)
+		l := rng.Intn(len(keys))
+		w := &items[i].Wrapped
+		if i%8 == 7 {
+			items[i].Receivers = []keytree.MemberID{m}
+			w.PayloadID, w.WrapperID = keys[l], 1<<62+keycrypt.KeyID(m)
+			continue
 		}
-		lo := rng.Intn(n - span + 1)
-		items[i].Receivers = all[lo : lo+span]
+		w.WrapperID, w.PayloadID = keys[l], 1<<63
+		if l+1 < len(keys) {
+			w.PayloadID = keys[l+1]
+		}
 	}
 	return items
 }
 
-// checkScoped asserts that x, built for audience, is SparseIndex
-// restricted to that audience, position by position and by lookup.
-func checkScoped(t *testing.T, x *ScopedIndex, items []keytree.Item, audience []keytree.MemberID) {
-	t.Helper()
-	oracle := SparseIndex(items)
-	for p, m := range audience {
-		if got := x.At(p); !slices.Equal(got, oracle[m]) {
-			t.Fatalf("member %d (position %d): %v, want %v", m, p, got, oracle[m])
-		}
-		got, ok := x.Lookup(m)
-		if !ok || !slices.Equal(got, oracle[m]) {
-			t.Fatalf("Lookup(%d) = %v, %v; want %v, true", m, got, ok, oracle[m])
+// pathOracle applies the addressing rule by brute force, sharing no code
+// with Build: for each audience member, the ascending indexes of the items
+// naming it, and of the path-addressed items wrapped under a key in
+// keys(m) whose payload no explicit item hands it.
+func pathOracle(items []keytree.Item, audience []keytree.MemberID, keys func(keytree.MemberID) []keycrypt.KeyID) [][]uint32 {
+	type delivery struct {
+		m   keytree.MemberID
+		key keycrypt.KeyID
+	}
+	named := make(map[delivery]bool)
+	for _, it := range items {
+		for _, m := range it.Receivers {
+			named[delivery{m, it.Wrapped.PayloadID}] = true
 		}
 	}
-	for m := range oracle {
+	out := make([][]uint32, len(audience))
+	for p, m := range audience {
+		path := keys(m)
+		for i, it := range items {
+			if len(it.Receivers) > 0 {
+				if slices.Contains(it.Receivers, m) {
+					out[p] = append(out[p], uint32(i))
+				}
+			} else if slices.Contains(path, it.Wrapped.WrapperID) && !named[delivery{m, it.Wrapped.PayloadID}] {
+				out[p] = append(out[p], uint32(i))
+			}
+		}
+	}
+	return out
+}
+
+// checkScoped asserts that x, built for audience, holds exactly what the
+// brute-force oracle derives, position by position and by lookup, and that
+// outsiders are not indexed.
+func checkScoped(t *testing.T, x *ScopedIndex, items []keytree.Item, audience, outsiders []keytree.MemberID, keys func(keytree.MemberID) []keycrypt.KeyID) {
+	t.Helper()
+	oracle := pathOracle(items, audience, keys)
+	for p, m := range audience {
+		if got := x.At(p); !slices.Equal(got, oracle[p]) {
+			t.Fatalf("member %d (position %d): %v, want %v", m, p, got, oracle[p])
+		}
+		got, ok := x.Lookup(m)
+		if !ok || !slices.Equal(got, oracle[p]) {
+			t.Fatalf("Lookup(%d) = %v, %v; want %v, true", m, got, ok, oracle[p])
+		}
+	}
+	for _, m := range outsiders {
 		if _, found := slices.BinarySearch(audience, m); found {
 			continue
 		}
@@ -263,11 +322,20 @@ func checkScoped(t *testing.T, x *ScopedIndex, items []keytree.Item, audience []
 	}
 }
 
-// TestSparseIndexInvariants holds the oracle to what Build and the sparse
-// frame format rely on: every member's indexes strictly ascend.
+// TestSparseIndexInvariants holds the inversion to what the sparse frame
+// format relies on: every member's indexes strictly ascend.
 func TestSparseIndexInvariants(t *testing.T) {
-	items := synthItems(500, 300, rand.New(rand.NewSource(1)))
-	for m, idx := range SparseIndex(items) {
+	const n = 500
+	all := make([]keytree.MemberID, n)
+	for i := range all {
+		all[i] = keytree.MemberID(i + 1)
+	}
+	items := synthItems(n, 300, rand.New(rand.NewSource(1)))
+	index := SparseIndex(Addressed(items, all, synthPath(n)))
+	if len(index) < n/2 {
+		t.Fatalf("only %d of %d members are addressed", len(index), n)
+	}
+	for m, idx := range index {
 		for i := 1; i < len(idx); i++ {
 			if idx[i-1] >= idx[i] {
 				t.Fatalf("member %d: indexes %v do not strictly ascend", m, idx)
@@ -277,29 +345,33 @@ func TestSparseIndexInvariants(t *testing.T) {
 }
 
 func TestScopedIndex(t *testing.T) {
+	const n = 2000
 	rng := rand.New(rand.NewSource(3))
-	items := synthItems(2000, 400, rng)
+	items := synthItems(n, 400, rng)
+	path := synthPath(n)
+	keys := func(m keytree.MemberID) []keycrypt.KeyID { return path(m, nil) }
 	var x ScopedIndex
 	audiences := [][]keytree.MemberID{
 		nil,
 		{1},
 		{2000},
-		{7, 9, 5000, 6000}, // the last two are in no receiver list
+		{7, 9, 5000, 6000}, // the last two hold no key
 		{0, 1, 2},
 	}
-	for _, n := range []int{3, 64, 512, 2000} {
-		a := make([]keytree.MemberID, 0, n)
-		for _, v := range rng.Perm(2000)[:n] {
+	for _, size := range []int{3, 64, 512, n} {
+		a := make([]keytree.MemberID, 0, size)
+		for _, v := range rng.Perm(n)[:size] {
 			a = append(a, keytree.MemberID(v+1))
 		}
 		slices.Sort(a)
 		audiences = append(audiences, a)
 	}
+	outsiders := []keytree.MemberID{1, 2, 500, 2000, 5000}
 	for _, a := range audiences {
-		x.Build(items, a) // one index rebuilt throughout: slabs are reused
-		checkScoped(t, &x, items, a)
+		x.Build(items, a, path) // one index rebuilt throughout: slabs are reused
+		checkScoped(t, &x, items, a, outsiders, keys)
 	}
-	x.Build(nil, []keytree.MemberID{4, 8})
+	x.Build(nil, []keytree.MemberID{4, 8}, path)
 	if idx, ok := x.Lookup(8); !ok || len(idx) != 0 {
 		t.Fatalf("empty epoch: Lookup(8) = %v, %v; want empty, true", idx, ok)
 	}
@@ -318,10 +390,134 @@ func TestScopedIndexAllocsIndependentOfGroupSize(t *testing.T) {
 			audience = append(audience, keytree.MemberID(v+1))
 		}
 		slices.Sort(audience)
+		path := synthPath(n)
 		var x ScopedIndex
-		x.Build(items, audience)
-		if allocs := testing.AllocsPerRun(10, func() { x.Build(items, audience) }); allocs > 0 {
+		x.Build(items, audience, path)
+		if allocs := testing.AllocsPerRun(10, func() { x.Build(items, audience, path) }); allocs > 0 {
 			t.Fatalf("N=%d: warm Build allocs/op = %v, want 0", n, allocs)
+		}
+	}
+}
+
+// TestPathIndexMatchesReceiverOracle holds Build to the brute-force oracle
+// over every scheme a key server hosts, planner off and on: seeded churn
+// with joins, departures and S→L migrations, a scheduled rotation every few
+// epochs, and a closing Migrate bridge into a fresh TT scheme. Every epoch
+// is indexed for an empty audience, a singleton, the whole group, a random
+// subset, still-connected leavers, and IDs the scheme never held.
+func TestPathIndexMatchesReceiverOracle(t *testing.T) {
+	configs := []struct {
+		name  string
+		build func(...core.Option) (core.Scheme, error)
+	}{
+		{"onetree", func(o ...core.Option) (core.Scheme, error) { return core.NewOneTree(o...) }},
+		{"naive", func(o ...core.Option) (core.Scheme, error) { return core.NewNaive(o...) }},
+		{"qt", func(o ...core.Option) (core.Scheme, error) { return core.NewTwoPartition(core.QT, 3, o...) }},
+		{"tt", func(o ...core.Option) (core.Scheme, error) { return core.NewTwoPartition(core.TT, 3, o...) }},
+		{"pt", func(o ...core.Option) (core.Scheme, error) { return core.NewTwoPartition(core.PT, 3, o...) }},
+		{"loss-homogenized", func(o ...core.Option) (core.Scheme, error) {
+			return core.NewLossHomogenized([]float64{0.01, 0.1}, o...)
+		}},
+		{"random-multitree", func(o ...core.Option) (core.Scheme, error) { return core.NewRandomMultiTree(2, o...) }},
+	}
+	rnd := func(seed uint64) core.Option { return core.WithRand(keycrypt.NewDeterministicReader(seed)) }
+	var x ScopedIndex
+	for ci, c := range configs {
+		for _, planner := range []bool{false, true} {
+			seed := uint64(900 + 2*ci)
+			opts := []core.Option{rnd(seed)}
+			if planner {
+				seed++
+				opts = []core.Option{rnd(seed), core.WithPlanner(keytree.PlannerConfig{})}
+			}
+			t.Run(fmt.Sprintf("%s/planner=%v", c.name, planner), func(t *testing.T) {
+				sc, err := c.build(opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(seed)))
+				next := keytree.MemberID(1)
+				pairs := 0
+				check := func(sc core.Scheme, r *core.Rekey, leavers []keytree.MemberID) {
+					t.Helper()
+					items := r.AllItems()
+					members := sc.Members()
+					keys := func(m keytree.MemberID) []keycrypt.KeyID {
+						held, err := sc.MemberKeys(m)
+						if err != nil {
+							return nil
+						}
+						ids := make([]keycrypt.KeyID, len(held))
+						for i, k := range held {
+							ids[i] = k.ID
+						}
+						return ids
+					}
+					var subset []keytree.MemberID
+					for _, m := range members {
+						if rng.Intn(3) == 0 {
+							subset = append(subset, m)
+						}
+					}
+					withLeavers := slices.Concat(leavers, members[:min(3, len(members))])
+					slices.Sort(withLeavers)
+					audiences := [][]keytree.MemberID{
+						nil,
+						{members[rng.Intn(len(members))]},
+						members,
+						subset,
+						withLeavers,
+						{0, next + 5, next + 9},
+					}
+					for _, a := range audiences {
+						x.Build(items, a, sc.PathIDs)
+						checkScoped(t, &x, items, a, leavers, keys)
+						for p := range a {
+							pairs += len(x.At(p))
+						}
+					}
+				}
+				for e := 0; e < 24; e++ {
+					var b core.Batch
+					members := sc.Members()
+					joins := 1 + rng.Intn(6)
+					if e == 0 {
+						joins = 60
+					}
+					for i := 0; i < joins; i++ {
+						meta := core.MemberMeta{LossRate: []float64{-1, 0.005, 0.05, 0.3}[rng.Intn(4)], LongLived: rng.Intn(2) == 0}
+						b.Joins = append(b.Joins, core.Join{ID: next, Meta: meta})
+						next++
+					}
+					for _, v := range rng.Perm(len(members))[:min(rng.Intn(6), len(members))] {
+						b.Leaves = append(b.Leaves, members[v])
+					}
+					r, err := sc.ProcessBatch(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(sc, r, b.Leaves)
+					if e%6 == 5 {
+						r, err := sc.(core.Rotator).Rotate()
+						if err != nil {
+							t.Fatal(err)
+						}
+						check(sc, r, nil)
+					}
+				}
+				to, err := core.NewTwoPartition(core.TT, 3, rnd(seed+100), core.WithKeyIDBase(1<<50))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := core.Migrate(sc, to, nil, rnd(seed+200))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(to, r, nil)
+				if pairs == 0 {
+					t.Fatal("no audience member was addressed any item")
+				}
+			})
 		}
 	}
 }
