@@ -3,11 +3,16 @@ package server
 import (
 	"crypto/ed25519"
 	"fmt"
+	"io"
+	"net"
 	"testing"
+	"time"
 
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/metrics"
+	"groupkey/internal/wire"
 )
 
 // BenchmarkSealEpoch times sealing one epoch — item encoding, Merkle tree,
@@ -82,4 +87,77 @@ func BenchmarkSealEpoch(b *testing.B) {
 			b.ReportMetric(float64(pairs)/float64(b.N), "pairs/seal")
 		})
 	}
+}
+
+// BenchmarkFanoutEpoch times the fan-out of one epoch at a scaled-down
+// fanout2k shape: L=256 members on loopback TCP, each draining its socket
+// without decoding, and per epoch one sparse rekey (a group-key rotation)
+// followed at once by four 1 KiB data broadcasts, timed until every frame
+// is written. frames/write is read off groupkey_sendq_frames_per_write; it
+// depends on scheduling, so it is reported, not asserted.
+func BenchmarkFanoutEpoch(b *testing.B) {
+	const members, broadcasts = 256, 4
+	sc, err := core.NewOneTree(core.WithRand(keycrypt.NewDeterministicReader(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New(sc, nil)
+	m := NewMetrics(metrics.NewRegistry(), nil)
+	s.Instrument(m)
+	s.Serve(ln)
+	defer s.Close()
+	for i := 0; i < members; i++ {
+		c, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		if err := wire.WriteFrame(c, wire.MsgJoin, wire.JoinRequest{LossRate: -1}.Encode()); err != nil {
+			b.Fatal(err)
+		}
+		go io.Copy(io.Discard, c)
+	}
+	for deadline := time.Now().Add(time.Minute); ; {
+		s.mu.Lock()
+		n := len(s.pendingJoins)
+		s.mu.Unlock()
+		if n == members {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatalf("%d of %d joins pending", n, members)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := s.RekeyNow(); err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, 1024)
+	epoch := func() {
+		if _, err := s.RotateNow(); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < broadcasts; j++ {
+			if err := s.Broadcast(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for s.QueuedFrames() != 0 {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	epoch() // admission frames written, scratch pools warm
+	writes, frames := m.sendqWrites.Count(), m.sendqWrites.Sum()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch()
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/epoch")
+	b.ReportMetric((m.sendqWrites.Sum()-frames)/float64(m.sendqWrites.Count()-writes), "frames/write")
 }

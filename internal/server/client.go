@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -141,10 +142,13 @@ func (c *Client) writeFrame(t wire.MsgType, payload []byte) error {
 	return wire.WriteFrame(c.conn, t, payload)
 }
 
+// readLoop is c.conn's only reader after the handshake. Buffering makes a
+// burst the server sent in one vectored write cost one read, not two per frame.
 func (c *Client) readLoop() {
 	defer close(c.done)
+	r := bufio.NewReader(c.conn)
 	for {
-		t, payload, err := wire.ReadFrame(c.conn)
+		t, payload, err := wire.ReadFrame(r)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err

@@ -132,8 +132,8 @@ func (eb *epochBuffer) release() {
 }
 
 // appendSparseFrame appends the complete sparse payload for idx to dst —
-// the convenience (single-buffer) form used by the TCP repair path; the
-// writer hot path uses appendSparseHead plus vectored item ranges instead.
+// the single-buffer form the tests hold the writer's vectored frames
+// (AppendSparseHead plus itemRanges) to.
 func (eb *epochBuffer) appendSparseFrame(dst []byte, idx []uint32) []byte {
 	dst = wire.AppendSparseHead(dst, eb.epoch, eb.tree, eb.root, eb.rootSig, idx)
 	for _, v := range idx {

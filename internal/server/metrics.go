@@ -43,6 +43,7 @@ type Metrics struct {
 
 	// Overload hardening (see sendq.go).
 	sendqDepth    *metrics.Gauge
+	sendqWrites   *metrics.Histogram
 	sendqShed     *metrics.Counter
 	sendqOverflow *metrics.Counter
 	slowEvictions *metrics.Counter
@@ -117,6 +118,9 @@ func newMetrics(reg *metrics.Registry, tracer *metrics.RekeyTracer, labels ...me
 			"Connections rejected during registration.", labels...),
 		sendqDepth: reg.Gauge("groupkey_sendq_depth",
 			"Frames currently queued across all per-client send queues.", labels...),
+		sendqWrites: reg.Histogram("groupkey_sendq_frames_per_write",
+			"Frames per vectored write to a client: _count is writes, _sum frames written.",
+			metrics.ExponentialBuckets(1, 2, 9), labels...),
 		sendqShed: reg.Counter("groupkey_sendq_shed_total",
 			"Data frames shed to clients above the high watermark.", labels...),
 		sendqOverflow: reg.Counter("groupkey_sendq_overflows_total",
@@ -157,6 +161,13 @@ func (m *Metrics) addSendqDepth(delta float64) {
 	m.sendqDepth.Add(delta)
 	if m.parent != nil {
 		m.parent.sendqDepth.Add(delta)
+	}
+}
+
+// noteWrite records one vectored write of frames frames to a client.
+func (m *Metrics) noteWrite(frames int) {
+	for b := m; b != nil; b = b.parent {
+		b.sendqWrites.Observe(float64(frames))
 	}
 }
 

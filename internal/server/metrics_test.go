@@ -86,6 +86,8 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	if err := srv.Broadcast([]byte("app payload")); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
+	// A write is observed before its frames leave the depth count.
+	waitFor(t, "send queues drained", func() bool { return srv.QueuedFrames() == 0 })
 
 	body := scrape(t, ts)
 
@@ -115,6 +117,13 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 	if got := sample(t, body, "groupkey_rekey_wrap_workers"); got != float64(runtime.GOMAXPROCS(0)) {
 		t.Errorf("groupkey_rekey_wrap_workers=%v, want %d", got, runtime.GOMAXPROCS(0))
+	}
+	// Eight frames were written: a welcome each, alice's three rekeys and the
+	// broadcast, bob's two (his admission and his leave's). How many writes
+	// carried them depends on when each writer woke.
+	writes := sample(t, body, "groupkey_sendq_frames_per_write_count")
+	if frames := sample(t, body, "groupkey_sendq_frames_per_write_sum"); frames != 8 || writes < 2 || writes > frames {
+		t.Errorf("groupkey_sendq_frames_per_write count=%v sum=%v, want sum 8 over 2..8 writes", writes, frames)
 	}
 	// TT scheme exposes its S and L partitions; together they hold alice.
 	s := sample(t, body, `groupkey_partition_members{partition="s"}`)

@@ -1,18 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
-	"groupkey/internal/clock"
+	"fmt"
 	"io"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"groupkey/internal/clock"
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/metrics"
 	"groupkey/internal/wire"
 )
 
@@ -128,28 +132,31 @@ func TestCongestedClientShedsDataKeepsRekeys(t *testing.T) {
 	if _, err := s.RekeyNow(); err != nil {
 		t.Fatalf("admitting rekey: %v", err)
 	}
-	// Let the writer park on the welcome frame (pipe unread) so the queue
-	// arithmetic below is deterministic: one frame in flight, one queued.
-	queueLen := func() int {
+	// The welcome and the admitting rekey are held for the client, queued
+	// or in the stalled writer's hand (the pipe is unread): depth counts
+	// both, so the arithmetic below does not depend on where they sit.
+	depth := func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		n := 0
 		for _, cc := range s.conns {
-			n += len(cc.q)
+			n += int(cc.depth.Load())
 		}
 		return n
 	}
-	waitFor(t, "writer to park", func() bool { return queueLen() == 1 })
-	// Stack rekeys past the high watermark (the stalled writer holds one
-	// frame in flight, so the queue depth only grows).
-	for i := 0; i < 3; i++ {
+	if got := depth(); got != 2 {
+		t.Fatalf("depth=%d after admission, want 2 (welcome + rekey)", got)
+	}
+	// Stack rekeys up to the queue cap: at and above the high watermark
+	// they are still accepted, and none overflows.
+	for i := 0; i < 2; i++ {
 		if _, err := s.RekeyNow(); err != nil {
 			t.Fatalf("rekey %d: %v", i, err)
 		}
 	}
-	waitFor(t, "queue above high watermark", func() bool {
-		return queueLen() >= 2
-	})
+	if got := depth(); got != 4 {
+		t.Fatalf("depth=%d after stacking rekeys, want 4 (QueueCap)", got)
+	}
 	if err := s.Broadcast([]byte("shed me")); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
@@ -480,11 +487,11 @@ func (discardConn) SetDeadline(time.Time) error      { return nil }
 func (discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (discardConn) SetWriteDeadline(time.Time) error { return nil }
 
-// TestSparseWriterAllocsCeiling pins the steady-state allocation cost of
-// the writer hot path. The frame header, sparse-head buffer and vector
-// list are writer-owned and reused, so a sparse frame costs only the
-// multiproof walk's scratch slice and a payload (data) frame nothing.
-func TestSparseWriterAllocsCeiling(t *testing.T) {
+// sealedEpoch seals a one-leave epoch of a 64-member group and returns
+// it with the largest slice of it any member needs; the caller owns the
+// buffer's reference.
+func sealedEpoch(t *testing.T) (*epochBuffer, []uint32, ed25519.PrivateKey) {
+	t.Helper()
 	sc := newScheme(t, 40)
 	var b core.Batch
 	for i := 1; i <= 64; i++ {
@@ -505,7 +512,6 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eb.release()
 	var idx []uint32
 	for p := range sc.Members() {
 		if cand := eb.index.At(p); len(cand) > len(idx) {
@@ -515,26 +521,200 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	if len(idx) == 0 {
 		t.Fatal("no member has sparse indexes")
 	}
+	return eb, idx, priv
+}
 
-	cc := &clientConn{conn: discardConn{}}
+// TestSparseWriterAllocsCeiling pins the steady-state allocation cost of
+// the writer hot path. A batch's headers, sparse heads and vector list
+// live in reused scratch, so a sparse frame costs only the multiproof
+// walk's scratch slice and payload (data) frames nothing — alone or
+// coalesced into one write.
+func TestSparseWriterAllocsCeiling(t *testing.T) {
+	eb, idx, priv := sealedEpoch(t)
+	defer eb.release()
 	sparse := frame{t: wire.MsgRekeySparse, eb: eb, idx: idx}
-	// Warm the writer-owned buffers once, then demand steady state.
-	if err := cc.writeFrame(sparse); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := cc.writeFrame(sparse); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs > 2 {
-		t.Fatalf("sparse writeFrame allocs/op = %v, want ≤ 2 (proof-walk scratch only)", allocs)
-	}
 	data := frame{t: wire.MsgData, payload: wire.SignRekey(priv, []byte("sealed application frame"))}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := cc.writeFrame(data); err != nil {
+	b := new(batch)
+	for _, tc := range []struct {
+		name   string
+		frames []frame
+		max    float64
+	}{
+		{"sparse", []frame{sparse}, 2}, // proof-walk scratch only
+		{"data", []frame{data}, 0},
+		{"sparse+4 data", []frame{sparse, data, data, data, data}, 2},
+		{"4 data", []frame{data, data, data, data}, 0},
+	} {
+		b.frames = tc.frames
+		// Warm the scratch once, then demand steady state.
+		if err := b.writeTo(discardConn{}); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 0 {
-		t.Fatalf("payload writeFrame allocs/op = %v, want 0", allocs)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := b.writeTo(discardConn{}); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > tc.max {
+			t.Errorf("%s batch: allocs/op = %v, want ≤ %v", tc.name, allocs, tc.max)
+		}
 	}
+}
+
+// gatedConn records what a writer sends. A Write whose 1-based number is
+// in hold blocks, announcing itself on held, until release hands it its
+// result. net.Buffers falls back to one Write per buffer on a conn that is
+// not a socket, so the writer's vectored writes are counted by its
+// SetWriteDeadline calls, one per write.
+type gatedConn struct {
+	discardConn
+	hold    map[int]bool
+	held    chan int
+	release chan error
+
+	mu        sync.Mutex
+	out       bytes.Buffer
+	writes    int
+	deadlines int
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	n := c.writes
+	c.mu.Unlock()
+	if c.hold[n] {
+		c.held <- n
+		if err := <-c.release; err != nil {
+			return 0, err
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.Write(p)
+}
+
+func (c *gatedConn) SetWriteDeadline(time.Time) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deadlines++
+	return nil
+}
+
+// TestWriterCoalescesQueuedFrames checks that a writer sends everything
+// queued when it wakes in one vectored write, byte-identical to writing
+// the frames one at a time, and that every frame it took or left queued
+// is released — after a failed write too.
+func TestWriterCoalescesQueuedFrames(t *testing.T) {
+	eb, idx, priv := sealedEpoch(t)
+	defer eb.release()
+	welcome := frame{t: wire.MsgWelcome, payload: []byte("welcome")}
+	rest := []frame{{t: wire.MsgRekeySparse, eb: eb, idx: idx}}
+	for i := 0; i < 4; i++ {
+		rest = append(rest, frame{t: wire.MsgData, payload: wire.SignRekey(priv, []byte(fmt.Sprintf("data %d", i)))})
+	}
+
+	// start runs a writer over conn for member 1 of a fresh server.
+	start := func(t *testing.T, conn *gatedConn) (*Server, *clientConn, *Metrics) {
+		s := New(newScheme(t, 42), nil)
+		m := NewMetrics(metrics.NewRegistry(), nil)
+		s.Instrument(m)
+		s.mu.Lock()
+		cc := s.startClientLocked(conn)
+		s.conns[1] = cc
+		s.mu.Unlock()
+		return s, cc, m
+	}
+	enqueue := func(t *testing.T, s *Server, cc *clientConn, fs ...frame) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, f := range fs {
+			if f.eb != nil {
+				f.eb.retain()
+			}
+			if !s.enqueueLocked(1, cc, f) {
+				t.Fatalf("%v frame not queued", f.t)
+			}
+		}
+	}
+	newConn := func(hold ...int) *gatedConn {
+		c := &gatedConn{hold: map[int]bool{}, held: make(chan int), release: make(chan error)}
+		for _, n := range hold {
+			c.hold[n] = true
+		}
+		return c
+	}
+
+	t.Run("coalesced", func(t *testing.T) {
+		conn := newConn(1)
+		s, cc, m := start(t, conn)
+		defer s.Close()
+		// The writer wakes for the welcome alone and stalls in its first
+		// Write; the five frames queued meanwhile must go out together.
+		enqueue(t, s, cc, welcome)
+		<-conn.held
+		enqueue(t, s, cc, rest...)
+		conn.release <- nil
+		waitFor(t, "batches written", func() bool { return s.QueuedFrames() == 0 })
+
+		conn.mu.Lock()
+		writes, stream := conn.deadlines, conn.out.Bytes()
+		conn.mu.Unlock()
+		if writes != 2 {
+			t.Errorf("vectored writes = %d, want 2 (welcome, then the 5 frames queued behind it)", writes)
+		}
+		if c, sum := m.sendqWrites.Count(), m.sendqWrites.Sum(); c != 2 || sum != 6 {
+			t.Errorf("frames_per_write count=%d sum=%v, want 2 and 6", c, sum)
+		}
+		r := bytes.NewReader(stream)
+		for i, f := range append([]frame{welcome}, rest...) {
+			want := f.payload
+			if f.eb != nil {
+				want = eb.appendSparseFrame(nil, f.idx)
+			}
+			typ, got, err := wire.ReadFrame(r)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if typ != f.t || !bytes.Equal(got, want) {
+				t.Fatalf("frame %d: got %v (%d bytes), want %v (%d bytes), byte-identical", i, typ, len(got), f.t, len(want))
+			}
+		}
+		if r.Len() != 0 {
+			t.Fatalf("%d bytes after the last frame", r.Len())
+		}
+		if refs := eb.refs.Load(); refs != 1 {
+			t.Fatalf("epoch buffer refs = %d after the writes, want 1 (the test's own)", refs)
+		}
+	})
+
+	t.Run("write fails mid-batch", func(t *testing.T) {
+		// Write 1 is the welcome's header; writes 3 and 4 are the second
+		// batch's first two buffers, so failing write 4 cuts the sparse
+		// frame off after its head.
+		conn := newConn(1, 4)
+		s, cc, m := start(t, conn)
+		enqueue(t, s, cc, welcome)
+		<-conn.held
+		enqueue(t, s, cc, rest...)
+		conn.release <- nil
+		<-conn.held
+		// Two more frames queue behind the failing batch.
+		enqueue(t, s, cc, rest[1], rest[2])
+		conn.release <- errors.New("connection reset")
+		// The read side would notice the dead connection and drop the
+		// member; Close does the same here and waits for the writer.
+		s.Close()
+		if got := s.QueuedFrames(); got != 0 {
+			t.Fatalf("QueuedFrames = %d after a failed write, want 0", got)
+		}
+		if got := cc.depth.Load(); got != 0 {
+			t.Fatalf("client depth = %d after a failed write, want 0", got)
+		}
+		if refs := eb.refs.Load(); refs != 1 {
+			t.Fatalf("epoch buffer refs = %d after a failed write, want 1 (the test's own)", refs)
+		}
+		if c := m.sendqWrites.Count(); c != 1 {
+			t.Fatalf("frames_per_write count = %d, want 1 (the failed write is not counted)", c)
+		}
+	})
 }

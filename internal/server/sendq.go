@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"groupkey/internal/keytree"
@@ -33,7 +34,8 @@ import (
 // OverloadPolicy bounds the server's per-client queues and join admission.
 // The zero value of any field selects its default.
 type OverloadPolicy struct {
-	// QueueCap is the per-client send queue capacity in frames.
+	// QueueCap bounds the frames held for one client, in frames: queued,
+	// or taken by its writer and not yet written.
 	QueueCap int
 	// HighWatermark is the queue depth at which MsgData frames are shed.
 	HighWatermark int
@@ -43,7 +45,7 @@ type OverloadPolicy struct {
 	// EvictAfter is how many consecutive overflows (without a drain to
 	// LowWatermark in between) evict the client.
 	EvictAfter int
-	// WriteTimeout bounds each frame write on a client connection.
+	// WriteTimeout bounds each vectored write on a client connection.
 	WriteTimeout time.Duration
 	// JoinRate is the sustained join admission rate in joins/second
 	// (0 = unlimited).
@@ -126,6 +128,13 @@ type frame struct {
 	idx     []uint32
 }
 
+// release drops the epoch-buffer reference a descriptor frame owns.
+func (f frame) release() {
+	if f.eb != nil {
+		f.eb.release()
+	}
+}
+
 // clientConn is one admitted member's connection plus its bounded send
 // queue. The queue channel is closed exactly once (finish) after the conn
 // leaves s.conns, so enqueues — always under s.mu — never race the close.
@@ -139,15 +148,9 @@ type clientConn struct {
 	timeout time.Duration
 	metrics *Metrics // snapshot at creation; nil-safe
 
-	// Writer-owned scratch, reused across frames so the steady-state write
-	// path allocates nothing: the v1 frame header, the sparse-head assembly
-	// buffer, and the vectored-write slice. io is the slice header WriteTo
-	// consumes — a field rather than a local so escape analysis (WriteTo's
-	// receiver may reach an interface) never heap-allocates it per frame.
-	hdr  [5]byte
-	head []byte
-	bufs net.Buffers
-	io   net.Buffers
+	// depth counts the frames held for this client: queued in q, or taken
+	// by the writer and not yet written. It never falls below len(q).
+	depth atomic.Int64
 
 	strikes  int
 	shedding bool
@@ -186,10 +189,12 @@ func (cc *clientConn) abort() {
 	cc.conn.Close()
 }
 
-// writeLoop drains one client's queue. It exits on a write error, on
-// abort, or once the queue is closed and drained; in every case it closes
-// the connection, discards (with depth accounting) whatever remains
-// queued, and releases the epoch buffers those frames held.
+// writeLoop drains one client's queue: each time it wakes for a frame, it
+// also takes every frame already queued behind it and sends them all in
+// one vectored write. It exits on a write error, on abort, or once the
+// queue is closed and drained; in every case it closes the connection,
+// discards (with depth accounting) whatever remains queued, and releases
+// the epoch buffers those frames held.
 func (s *Server) writeLoop(cc *clientConn) {
 	defer func() {
 		cc.conn.Close()
@@ -197,73 +202,114 @@ func (s *Server) writeLoop(cc *clientConn) {
 		// this drain terminates; it keeps the depth gauge honest for
 		// frames that were queued but never written.
 		for f := range cc.q {
-			if f.eb != nil {
-				f.eb.release()
-			}
+			f.release()
 			s.sendqAdd(cc, -1)
 		}
 	}()
 	for {
+		var f frame
+		var ok bool
 		select {
 		case <-cc.done:
 			return
-		case f, ok := <-cc.q:
+		case f, ok = <-cc.q:
 			if !ok {
 				return
 			}
-			cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout))
-			err := cc.writeFrame(f)
-			if f.eb != nil {
-				f.eb.release()
-			}
-			s.sendqAdd(cc, -1)
-			if err != nil {
-				return
-			}
+		}
+		b := batchPool.Get().(*batch)
+		b.frames = append(b.frames[:0], f)
+		// This goroutine is q's only receiver, so these receives never block.
+		for n := len(cc.q); n > 0; n-- {
+			b.frames = append(b.frames, <-cc.q)
+		}
+		cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout))
+		err := b.writeTo(cc.conn)
+		if err == nil {
+			cc.metrics.noteWrite(len(b.frames))
+		}
+		for _, f := range b.frames {
+			f.release()
+		}
+		s.sendqAdd(cc, -int64(len(b.frames)))
+		// The pool must not pin payloads or recycled epoch buffers.
+		clear(b.frames)
+		clear(b.bufs)
+		batchPool.Put(b)
+		if err != nil {
+			return
 		}
 	}
 }
 
-// writeFrame emits one frame through the connection using the pooled
-// header and vectored-write scratch — no per-frame allocations. Sparse
-// descriptors are assembled here, off the server lock: the head (fixed
-// fields, indexes, multiproof) lands in cc.head and the item bytes go out
-// as coalesced ranges over the epoch's shared buffer, all in one writev.
-func (cc *clientConn) writeFrame(f frame) error {
-	payload := f.payload
-	if f.eb != nil {
-		cc.head = wire.AppendSparseHead(cc.head[:0], f.eb.epoch, f.eb.tree, f.eb.root, f.eb.rootSig, f.idx)
-		n := len(cc.head) + len(f.idx)*wire.RekeyItemSize
-		binary.BigEndian.PutUint32(cc.hdr[:4], uint32(n+1))
-		cc.hdr[4] = byte(f.t)
-		cc.bufs = append(cc.bufs[:0], cc.hdr[:], cc.head)
-		cc.bufs = f.eb.itemRanges(cc.bufs, f.idx)
-	} else {
-		binary.BigEndian.PutUint32(cc.hdr[:4], uint32(len(payload)+1))
-		cc.hdr[4] = byte(f.t)
-		cc.bufs = append(cc.bufs[:0], cc.hdr[:], payload)
+// batch is one writer wake-up's frames plus the scratch that lays them out
+// as a single vectored write. It is borrowed from batchPool for one write,
+// so an idle connection holds no buffers.
+type batch struct {
+	frames []frame
+	heads  []byte // each frame's header, a sparse frame's head after it
+	ends   []int  // end of each frame's header (and head) in heads
+	bufs   net.Buffers
+	// io is the slice WriteTo consumes — a field rather than a local so
+	// escape analysis never heap-allocates it per write.
+	io net.Buffers
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// writeTo sends b.frames, in order, in one WriteTo: a payload frame as
+// header + payload, a sparse descriptor as header + head (fixed fields,
+// indexes, multiproof — assembled here, off the server lock) + its items
+// as coalesced ranges over the epoch's shared buffer.
+func (b *batch) writeTo(conn net.Conn) error {
+	b.heads, b.ends = b.heads[:0], b.ends[:0]
+	for _, f := range b.frames {
+		start := len(b.heads)
+		b.heads = append(b.heads, 0, 0, 0, 0, byte(f.t))
+		n := len(f.payload)
+		if f.eb != nil {
+			b.heads = wire.AppendSparseHead(b.heads, f.eb.epoch, f.eb.tree, f.eb.root, f.eb.rootSig, f.idx)
+			n = len(b.heads) - start - 5 + len(f.idx)*wire.RekeyItemSize
+		}
+		binary.BigEndian.PutUint32(b.heads[start:], uint32(n+1))
+		b.ends = append(b.ends, len(b.heads))
+	}
+	// Slice heads only now: the appends above may have moved it.
+	b.bufs = b.bufs[:0]
+	start := 0
+	for i, f := range b.frames {
+		b.bufs = append(b.bufs, b.heads[start:b.ends[i]])
+		start = b.ends[i]
+		if f.eb != nil {
+			b.bufs = f.eb.itemRanges(b.bufs, f.idx)
+		} else {
+			b.bufs = append(b.bufs, f.payload)
+		}
 	}
 	// WriteTo advances the slice it is called on; operate on a copy so
-	// cc.bufs keeps its backing array for the next frame.
-	cc.io = cc.bufs
-	_, err := cc.io.WriteTo(cc.conn)
+	// b.bufs keeps its backing array for the next write.
+	b.io = b.bufs
+	_, err := b.io.WriteTo(conn)
 	return err
 }
 
-// sendqAdd tracks the aggregate queued-frame count (server counter for
-// tests and shutdown summary, gauge for scrapes). Safe without s.mu.
+// sendqAdd tracks queued-frame counts: the client's depth (read by the
+// overload policy), the server total (tests and shutdown summary) and the
+// gauge (scrapes). Safe without s.mu.
 func (s *Server) sendqAdd(cc *clientConn, delta int64) {
+	cc.depth.Add(delta)
 	s.sendqDepth.Add(delta)
 	cc.metrics.addSendqDepth(float64(delta))
 }
 
 // enqueueLocked queues one frame for a client, applying the watermark and
-// eviction policy. It reports whether the frame was queued; on the
-// EvictAfter-th consecutive overflow the client is evicted inline (removed
-// from s.conns — safe during a map range). A dropped frame's epoch-buffer
-// reference is released here. Callers hold s.mu.
+// eviction policy to the frames held for it, the writer's batch included.
+// It reports whether the frame was queued; on the EvictAfter-th
+// consecutive overflow the client is evicted inline (removed from s.conns
+// — safe during a map range). A dropped frame's epoch-buffer reference is
+// released here. Callers hold s.mu.
 func (s *Server) enqueueLocked(id keytree.MemberID, cc *clientConn, f frame) bool {
-	depth := len(cc.q)
+	depth := int(cc.depth.Load())
 	if depth <= s.policy.LowWatermark {
 		// Watermark recovery: the writer caught up, forgive the past.
 		cc.shedding = false
@@ -276,22 +322,20 @@ func (s *Server) enqueueLocked(id keytree.MemberID, cc *clientConn, f frame) boo
 		s.metrics.noteShed()
 		return false
 	}
-	select {
-	case cc.q <- f:
+	if depth < cap(cc.q) {
+		// len(q) ≤ depth and every sender holds s.mu: the send cannot block.
+		cc.q <- f
 		s.sendqAdd(cc, 1)
 		return true
-	default:
-		if f.eb != nil {
-			f.eb.release()
-		}
-		cc.strikes++
-		s.overflows++
-		s.metrics.noteOverflow()
-		if cc.strikes >= s.policy.EvictAfter {
-			s.evictSlowLocked(id, cc)
-		}
-		return false
 	}
+	f.release()
+	cc.strikes++
+	s.overflows++
+	s.metrics.noteOverflow()
+	if cc.strikes >= s.policy.EvictAfter {
+		s.evictSlowLocked(id, cc)
+	}
+	return false
 }
 
 // evictSlowLocked removes a client that kept overflowing its queue: the
