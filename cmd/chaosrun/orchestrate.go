@@ -248,9 +248,7 @@ func (o *orchestrator) startServers() error {
 			"-period", o.sc.Period.D().String(),
 			"-state-dir", filepath.Join(o.dir, "state-a"),
 			"-fsync", "never", // chaos gates on protocol correctness, not durability latency
-		}
-		if o.sc.Groups > 1 {
-			args = append(args, "-groups", fmt.Sprint(o.sc.Groups))
+			"-groups", fmt.Sprint(o.sc.Groups),
 		}
 		if o.sc.UDP {
 			args = append(args, "-udp", o.udpAddr)

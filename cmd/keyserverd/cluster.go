@@ -2,11 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"groupkey/internal/cluster"
@@ -33,8 +32,8 @@ type clusterConfig struct {
 // runCluster runs this process as one node of a replicated cluster: a
 // private state directory per node, a shared lease directory arbitrating
 // shard ownership, and listeners taken from this node's entry in the peer
-// spec.
-func runCluster(cfg clusterConfig) error {
+// spec. It serves until stop delivers.
+func runCluster(cfg clusterConfig, out io.Writer, stop <-chan os.Signal) error {
 	if cfg.stateDir == "" {
 		return fmt.Errorf("-cluster-node requires -state-dir (replication is built on the durable store)")
 	}
@@ -87,7 +86,7 @@ func runCluster(cfg clusterConfig) error {
 		Metrics:       clusterMetrics,
 		StoreMetrics:  storeMetrics,
 		Logf: func(format string, args ...any) {
-			fmt.Printf("keyserverd: "+format+"\n", args...)
+			fmt.Fprintf(out, "keyserverd: "+format+"\n", args...)
 		},
 	})
 	if err != nil {
@@ -122,13 +121,11 @@ func runCluster(cfg clusterConfig) error {
 	}
 
 	startedAt := time.Now()
-	fmt.Printf("keyserverd: cluster node %s up: %d groups over %d shards, %d peers, clients on %s, replication on %s, lease ttl %v, metrics=%s\n",
+	fmt.Fprintf(out, "keyserverd: cluster node %s up: %d groups over %d shards, %d peers, clients on %s, replication on %s, lease ttl %v, metrics=%s\n",
 		cfg.node, cfg.groups, cfg.shards, len(peers), clientLn.Addr(), replLn.Addr(), cfg.leaseTTL, metricsLabel)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	<-stop
-	fmt.Printf("keyserverd: cluster node %s shutting down after %v\n",
+	fmt.Fprintf(out, "keyserverd: cluster node %s shutting down after %v\n",
 		cfg.node, time.Since(startedAt).Round(time.Second))
 	return node.Close()
 }

@@ -3,15 +3,14 @@ package main
 import (
 	"encoding/pem"
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
-	"syscall"
+	"sync"
 	"time"
 
 	"groupkey/internal/core"
@@ -21,62 +20,8 @@ import (
 	"groupkey/internal/wire"
 )
 
-// overloadPolicyFromFlags derives the per-server overload policy from the
-// flag values, shared by the single- and multi-group paths.
-func overloadPolicyFromFlags(sendqCap, sendqHigh, sendqLow, evictAfter int,
-	joinRate float64, joinBurst, maxPendingJoins int) server.OverloadPolicy {
-	policy := server.DefaultOverloadPolicy()
-	if sendqCap > 0 {
-		policy.QueueCap = sendqCap
-		// Re-derive the watermarks unless explicitly pinned below.
-		policy.HighWatermark = 0
-		policy.LowWatermark = 0
-	}
-	if sendqHigh > 0 {
-		policy.HighWatermark = sendqHigh
-	}
-	if sendqLow > 0 {
-		policy.LowWatermark = sendqLow
-	}
-	if evictAfter > 0 {
-		policy.EvictAfter = evictAfter
-	}
-	policy.JoinRate = joinRate
-	policy.JoinBurst = joinBurst
-	policy.MaxPendingJoins = maxPendingJoins
-	return policy
-}
-
-// parseGroupSchemes parses the -group-scheme value: comma-separated
-// GROUP=SCHEME pairs, e.g. "0=onetree,7=losshomog".
-func parseGroupSchemes(spec string, k int) (map[wire.GroupID]store.SchemeConfig, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	out := make(map[wire.GroupID]store.SchemeConfig)
-	for _, pair := range strings.Split(spec, ",") {
-		g, scheme, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok {
-			return nil, fmt.Errorf("-group-scheme: %q is not GROUP=SCHEME", pair)
-		}
-		id, err := strconv.ParseUint(g, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("-group-scheme: bad group %q: %v", g, err)
-		}
-		cfg, err := store.ParseSchemeConfig(scheme, k)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := out[wire.GroupID(id)]; dup {
-			return nil, fmt.Errorf("-group-scheme: group %d specified twice", id)
-		}
-		out[wire.GroupID(id)] = cfg
-	}
-	return out, nil
-}
-
-// multiConfig carries the resolved flags into the multi-group server path.
-type multiConfig struct {
+// daemonConfig carries the resolved flags into the daemon.
+type daemonConfig struct {
 	listen        string
 	groups        int
 	defaultScheme store.SchemeConfig
@@ -85,19 +30,27 @@ type multiConfig struct {
 	period        time.Duration
 	feed          time.Duration
 	rotate        time.Duration
+	advise        time.Duration
+	udpAddr       string
+	udpDrop       float64
+	udpDropSeed   int64
 	tlsCertOut    string
 	metricsAddr   string
 	rekeyWorkers  int
 	stateDir      string
+	stateKey      string
 	fsyncMode     string
 	snapshotEvery int
 	policy        server.OverloadPolicy
 }
 
-// runMulti hosts cfg.groups independent groups behind one listener: a
+// runDaemon hosts cfg.groups independent groups behind one listener: a
 // server.Registry with per-group schemes, signing keys, metrics views and
-// state namespaces (<state-dir>/<group>/).
-func runMulti(cfg multiConfig) error {
+// state namespaces (<state-dir>/<group>/). It serves until stop delivers.
+func runDaemon(cfg daemonConfig, out io.Writer, stop <-chan os.Signal) error {
+	if cfg.groups < 1 {
+		return fmt.Errorf("-groups %d: at least one group is required", cfg.groups)
+	}
 	for g := range cfg.overrides {
 		if int(g) >= cfg.groups {
 			return fmt.Errorf("-group-scheme: group %d outside -groups %d", g, cfg.groups)
@@ -137,11 +90,6 @@ func runMulti(cfg multiConfig) error {
 		if reg != nil {
 			storeMetrics = store.NewMetrics(reg)
 		}
-		if moved, err := store.MigrateLegacyLayout(cfg.stateDir); err != nil {
-			return err
-		} else if moved {
-			fmt.Printf("keyserverd: migrated legacy state in %s into group 0\n", cfg.stateDir)
-		}
 		existing, err := store.ListGroupDirs(cfg.stateDir)
 		if err != nil {
 			return err
@@ -155,6 +103,10 @@ func runMulti(cfg multiConfig) error {
 		ids = append(ids, g)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Group 0 is always hosted, so with one group these flags configure it.
+	if (cfg.udpAddr != "" || cfg.stateKey != "") && len(ids) != 1 {
+		return fmt.Errorf("-udp and -state-key need exactly one hosted group, have %d", len(ids))
+	}
 
 	registry := server.NewRegistry()
 	var stores []*store.Store
@@ -175,8 +127,10 @@ func runMulti(cfg multiConfig) error {
 		}
 		var srv *server.Server
 		if cfg.stateDir != "" {
-			st, err := store.Open(store.GroupDir(cfg.stateDir, g), store.Options{
+			dir := store.GroupDir(cfg.stateDir, g)
+			st, err := store.Open(dir, store.Options{
 				Fsync:         fsyncPolicy,
+				KeyFile:       cfg.stateKey,
 				Metrics:       storeMetrics,
 				SchemeOptions: opts,
 			})
@@ -186,16 +140,20 @@ func runMulti(cfg multiConfig) error {
 			stores = append(stores, st)
 			res, err := st.Recover()
 			if err != nil {
-				return fmt.Errorf("group %d: recovering: %w", g, err)
+				return fmt.Errorf("group %d: recovering %s: %w", g, dir, err)
 			}
 			scheme := res.Scheme
 			if scheme != nil {
 				recovered++
+				fmt.Fprintf(out, "keyserverd: group %d: recovered %s from %s: %d members, snapshot seq %d, replayed %d batches + %d rotations, truncated %d torn bytes\n",
+					g, scheme.Name(), dir, scheme.Size(), res.SnapshotSeq,
+					res.ReplayedBatches, res.ReplayedRotations, res.TruncatedBytes)
 			} else {
 				scheme, err = st.Create(schemeCfg)
 				if err != nil {
 					return fmt.Errorf("group %d: %w", g, err)
 				}
+				fmt.Fprintf(out, "keyserverd: group %d: created %s state in %s (fsync=%s)\n", g, scheme.Name(), dir, fsyncPolicy)
 			}
 			srv = server.NewWithKey(scheme, nil, st.SigningKey())
 			srv.Persist(st, cfg.snapshotEvery)
@@ -216,6 +174,14 @@ func runMulti(cfg multiConfig) error {
 		}
 		if err := registry.Add(g, srv); err != nil {
 			return err
+		}
+	}
+	// each visits every hosted group's server.
+	each := func(fn func(wire.GroupID, *server.Server)) {
+		for _, g := range registry.Groups() {
+			if srv := registry.Get(g); srv != nil {
+				fn(g, srv)
+			}
 		}
 	}
 
@@ -241,10 +207,12 @@ func runMulti(cfg multiConfig) error {
 	if cfg.tlsCertOut != "" {
 		cert, leaf, err := server.GenerateTLSCert(nil)
 		if err != nil {
+			ln.Close()
 			return err
 		}
 		pemBytes := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: leaf.Raw})
 		if err := os.WriteFile(cfg.tlsCertOut, pemBytes, 0o644); err != nil {
+			ln.Close()
 			return err
 		}
 		registry.ServeTLS(ln, cert)
@@ -252,59 +220,98 @@ func runMulti(cfg multiConfig) error {
 	} else {
 		registry.Serve(ln)
 	}
+	defer registry.Close()
+	udpLabel := "off"
+	if cfg.udpAddr != "" {
+		pc, err := net.ListenPacket("udp", cfg.udpAddr)
+		if err != nil {
+			return fmt.Errorf("udp listener: %w", err)
+		}
+		ucfg := server.UDPConfig{}
+		if cfg.udpDrop > 0 {
+			// Drop calls are serialized under the plane's send lock, so an
+			// unguarded rand.Rand is safe here.
+			rng := rand.New(rand.NewSource(cfg.udpDropSeed))
+			ucfg.Drop = func() bool { return rng.Float64() < cfg.udpDrop }
+		}
+		registry.Get(0).ServeUDP(pc, ucfg)
+		udpLabel = pc.LocalAddr().String()
+		if cfg.udpDrop > 0 {
+			udpLabel += fmt.Sprintf(" (dropping %.0f%%)", cfg.udpDrop*100)
+		}
+	}
 	registry.StartPeriodic(cfg.period)
 	startedAt := time.Now()
-	fmt.Printf("keyserverd: hosting %d groups (%d recovered) scheme=%s k=%d period=%v listening on %s over %s, metrics=%s\n",
-		len(ids), recovered, cfg.defaultScheme.Kind, cfg.k, cfg.period, ln.Addr(), transportLabel, metricsLabel)
+	fmt.Fprintf(out, "keyserverd: hosting %d groups (%d recovered) scheme=%s k=%d period=%v listening on %s over %s, udp=%s, metrics=%s\n",
+		len(ids), recovered, cfg.defaultScheme.Kind, cfg.k, cfg.period, ln.Addr(), transportLabel, udpLabel, metricsLabel)
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-
-	if cfg.rotate > 0 {
+	// The periodic tasks stop, and are waited for, once the daemon returns.
+	var tasks sync.WaitGroup
+	done := make(chan struct{})
+	defer func() {
+		close(done)
+		tasks.Wait()
+	}()
+	every := func(interval time.Duration, fn func()) {
+		if interval <= 0 {
+			return
+		}
+		tasks.Add(1)
 		go func() {
-			ticker := time.NewTicker(cfg.rotate)
+			defer tasks.Done()
+			ticker := time.NewTicker(interval)
 			defer ticker.Stop()
-			for range ticker.C {
-				for _, g := range registry.Groups() {
-					if srv := registry.Get(g); srv != nil {
-						_, _ = srv.RotateNow() // empty group or shutting down
-					}
+			for {
+				select {
+				case <-done:
+					return
+				case <-ticker.C:
+					fn()
 				}
 			}
 		}()
 	}
-
-	if cfg.feed > 0 {
-		go func() {
-			ticker := time.NewTicker(cfg.feed)
-			defer ticker.Stop()
-			seq := 0
-			for range ticker.C {
-				seq++
-				for _, g := range registry.Groups() {
-					srv := registry.Get(g)
-					if srv == nil {
-						continue
-					}
-					msg := fmt.Sprintf("group %d frame %06d at %s", g, seq, time.Now().Format(time.RFC3339))
-					if err := srv.Broadcast([]byte(msg)); err == server.ErrClosed {
-						return
-					}
-				}
+	every(cfg.rotate, func() {
+		each(func(_ wire.GroupID, srv *server.Server) {
+			_, _ = srv.RotateNow() // empty group or shutting down
+		})
+	})
+	// Runtime adaptation from the advisor's churn fit — the two-partition
+	// S-period — changes which payloads a batch produces, so it is only safe
+	// without a WAL: a durable deployment must replay the log under the
+	// exact parameters it ran with, and there the advisor stays log-only.
+	tune := cfg.stateDir == ""
+	every(cfg.advise, func() {
+		each(func(g wire.GroupID, srv *server.Server) {
+			rec, err := srv.Recommend(cfg.period)
+			if err != nil {
+				fmt.Fprintf(out, "advisor: group %d: waiting for churn data (%d departures observed)\n",
+					g, srv.ObservedDepartures())
+				return
 			}
-		}()
-	}
+			fmt.Fprintf(out, "advisor: group %d: %v\n", g, rec)
+			if tune && rec.K > 0 && srv.SetSPeriod(rec.K) {
+				fmt.Fprintf(out, "advisor: group %d: S-period set to K=%d\n", g, rec.K)
+			}
+		})
+	})
+	seq := 0
+	every(cfg.feed, func() {
+		seq++
+		each(func(g wire.GroupID, srv *server.Server) {
+			msg := fmt.Sprintf("group %d frame %06d at %s", g, seq, time.Now().Format(time.RFC3339))
+			_ = srv.Broadcast([]byte(msg)) // no members yet, or shutting down
+		})
+	})
 
 	<-stop
 	var totalRekeys uint64
 	peak := 0
-	for _, g := range registry.Groups() {
-		if srv := registry.Get(g); srv != nil {
-			totalRekeys += srv.TotalRekeys()
-			peak += srv.PeakMembers()
-		}
-	}
-	fmt.Printf("keyserverd: shutting down after %v, %d rekeys across %d groups, peak %d members total\n",
+	each(func(_ wire.GroupID, srv *server.Server) {
+		totalRekeys += srv.TotalRekeys()
+		peak += srv.PeakMembers()
+	})
+	fmt.Fprintf(out, "keyserverd: shutting down after %v, %d rekeys across %d groups, peak %d members total\n",
 		time.Since(startedAt).Round(time.Second), totalRekeys, len(ids), peak)
 	return registry.Close()
 }

@@ -7,18 +7,22 @@
 //
 //	keyserverd -listen 127.0.0.1:7600 -scheme tt -k 10 -period 5s -feed 2s
 //
+// The daemon hosts -groups independent groups (IDs 0..N-1, default 1)
+// behind one listener: per-group schemes, signing keys, metrics labels and
+// state namespaces. -group-scheme overrides the scheme for individual
+// groups:
+//
+//	keyserverd -groups 64 -scheme tt -group-scheme "0=onetree,7=losshomog"
+//
 // With -state-dir the daemon journals every membership batch to a
-// write-ahead log and snapshots encrypted scheme state, so a crash or
-// restart recovers the exact group keys without a whole-group rekey:
+// write-ahead log and snapshots encrypted scheme state under
+// <state-dir>/<group>/, so a crash or restart recovers the exact group keys
+// without a whole-group rekey:
 //
 //	keyserverd -state-dir /var/lib/groupkey -fsync always -snapshot-every 64
 //
-// With -groups N the daemon hosts N independent groups (IDs 0..N-1)
-// behind one listener: per-group schemes, signing keys, metrics labels
-// and state namespaces (<state-dir>/<group>/). -group-scheme overrides
-// the scheme for individual groups:
-//
-//	keyserverd -groups 64 -scheme tt -group-scheme "0=onetree,7=losshomog"
+// -udp (the datagram rekey plane) and -state-key (the snapshot master key
+// file) serve group 0 and need exactly one hosted group.
 //
 // With -cluster-node the daemon runs as one node of a replicated cluster:
 // groups partition into -shards lease-owned shards, the owning primary
@@ -31,35 +35,35 @@
 package main
 
 import (
-	"encoding/pem"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
-	"net/http"
+	"io"
 	"os"
 	"os/signal"
-	"runtime"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
-	"groupkey/internal/core"
-	"groupkey/internal/metrics"
 	"groupkey/internal/server"
 	"groupkey/internal/store"
+	"groupkey/internal/wire"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "keyserverd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses the flags and serves until stop delivers, logging to out.
+func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("keyserverd", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:7600", "TCP listen address")
-	udpAddr := fs.String("udp", "", "UDP listen address for the datagram rekey plane (empty disables)")
+	udpAddr := fs.String("udp", "", "UDP listen address for group 0's datagram rekey plane (empty disables; needs exactly one group)")
 	udpDrop := fs.Float64("udp-drop", 0, "fraction of outbound UDP packets to drop, for loss testing (0 disables)")
 	udpDropSeed := fs.Int64("udp-drop-seed", 1, "seed for the deterministic -udp-drop schedule")
 	schemeName := fs.String("scheme", "onetree", "onetree, naive, qt, tt, pt, losshomog")
@@ -67,13 +71,13 @@ func run(args []string) error {
 	k := fs.Int("k", 10, "S-period in rekey periods for qt/tt")
 	period := fs.Duration("period", 5*time.Second, "rekey period Tp")
 	feed := fs.Duration("feed", 0, "interval of the demo data feed (0 disables)")
-	advise := fs.Duration("advise", 0, "interval for logging the adaptive scheme advisor (0 disables)")
+	advise := fs.Duration("advise", 0, "interval for logging the adaptive scheme advisor for every group (0 disables)")
 	rotate := fs.Duration("rotate", 0, "interval for scheduled group-key rotation (0 disables)")
 	tlsCertOut := fs.String("tls-cert-out", "", "serve TLS with a fresh self-signed certificate, writing its PEM here for clients to pin")
 	metricsAddr := fs.String("metrics", "", "HTTP listen address for /metrics and /metrics.json (empty disables)")
 	rekeyWorkers := fs.Int("rekey-workers", 0, "wrap-emission workers per rekey (0 = GOMAXPROCS, 1 = serial)")
 	stateDir := fs.String("state-dir", "", "durable state directory: WAL + encrypted snapshots (empty = in-memory only)")
-	stateKey := fs.String("state-key", "", "hex master key file for snapshot encryption (default <state-dir>/master.key, auto-generated)")
+	stateKey := fs.String("state-key", "", "hex master key file for group 0's snapshot encryption (default <state-dir>/0/master.key, auto-generated; needs exactly one group)")
 	fsyncMode := fs.String("fsync", "always", "WAL durability: always, interval or never")
 	snapshotEvery := fs.Int("snapshot-every", 64, "snapshot after this many journaled operations (0 = only on shutdown)")
 	sendqCap := fs.Int("sendq-cap", 0, "per-client send queue capacity in frames (0 = default 256)")
@@ -99,8 +103,6 @@ func run(args []string) error {
 		return err
 	}
 	cfg.Planner = *planner
-	workers := core.WithRekeyWorkers(*rekeyWorkers)
-
 	overrides, err := parseGroupSchemes(*groupSchemes, *k)
 	if err != nil {
 		return err
@@ -110,232 +112,82 @@ func run(args []string) error {
 		o.Planner = *planner
 		overrides[g] = o
 	}
-	if *udpAddr != "" && (*clusterNode != "" || *groups > 1) {
-		return fmt.Errorf("-udp is only supported in single-group standalone mode")
-	}
 	if *clusterNode != "" {
 		if len(overrides) > 0 {
 			return fmt.Errorf("-group-scheme is not supported in cluster mode")
+		}
+		if *udpAddr != "" {
+			return fmt.Errorf("-udp is not supported in cluster mode")
 		}
 		return runCluster(clusterConfig{
 			node: *clusterNode, peersSpec: *clusterPeers, leaseDir: *clusterDir,
 			shards: *shards, groups: *groups, scheme: cfg, leaseTTL: *leaseTTL,
 			period: *period, metricsAddr: *metricsAddr, stateDir: *stateDir,
 			fsyncMode: *fsyncMode, snapshotEvery: *snapshotEvery,
-		})
+		}, out, stop)
 	}
-	if *groups > 1 {
-		return runMulti(multiConfig{
-			listen: *listen, groups: *groups, defaultScheme: cfg, overrides: overrides,
-			k: *k, period: *period, feed: *feed, rotate: *rotate,
-			tlsCertOut: *tlsCertOut, metricsAddr: *metricsAddr,
-			rekeyWorkers: *rekeyWorkers, stateDir: *stateDir, fsyncMode: *fsyncMode,
-			snapshotEvery: *snapshotEvery,
-			policy: overloadPolicyFromFlags(*sendqCap, *sendqHigh, *sendqLow,
-				*evictAfter, *joinRate, *joinBurst, *maxPendingJoins),
-		})
-	}
-	if len(overrides) > 0 {
-		return fmt.Errorf("-group-scheme requires -groups > 1")
-	}
+	return runDaemon(daemonConfig{
+		listen: *listen, groups: *groups, defaultScheme: cfg, overrides: overrides,
+		k: *k, period: *period, feed: *feed, rotate: *rotate, advise: *advise,
+		udpAddr: *udpAddr, udpDrop: *udpDrop, udpDropSeed: *udpDropSeed,
+		tlsCertOut: *tlsCertOut, metricsAddr: *metricsAddr,
+		rekeyWorkers: *rekeyWorkers, stateDir: *stateDir, stateKey: *stateKey,
+		fsyncMode: *fsyncMode, snapshotEvery: *snapshotEvery,
+		policy: overloadPolicyFromFlags(*sendqCap, *sendqHigh, *sendqLow,
+			*evictAfter, *joinRate, *joinBurst, *maxPendingJoins),
+	}, out, stop)
+}
 
-	// The metrics registry is created up front so the store can register
-	// its durability series before recovery runs.
-	var reg *metrics.Registry
-	var tracer *metrics.RekeyTracer
-	if *metricsAddr != "" {
-		reg = metrics.NewRegistry()
-		metrics.RegisterBuildInfo(reg)
-		tracer = metrics.NewRekeyTracer(256)
+// overloadPolicyFromFlags derives every hosted group's overload policy from
+// the flag values.
+func overloadPolicyFromFlags(sendqCap, sendqHigh, sendqLow, evictAfter int,
+	joinRate float64, joinBurst, maxPendingJoins int) server.OverloadPolicy {
+	policy := server.DefaultOverloadPolicy()
+	if sendqCap > 0 {
+		policy.QueueCap = sendqCap
+		// Re-derive the watermarks unless explicitly pinned below.
+		policy.HighWatermark = 0
+		policy.LowWatermark = 0
 	}
+	if sendqHigh > 0 {
+		policy.HighWatermark = sendqHigh
+	}
+	if sendqLow > 0 {
+		policy.LowWatermark = sendqLow
+	}
+	if evictAfter > 0 {
+		policy.EvictAfter = evictAfter
+	}
+	policy.JoinRate = joinRate
+	policy.JoinBurst = joinBurst
+	policy.MaxPendingJoins = maxPendingJoins
+	return policy
+}
 
-	// Durable mode: recover (or create) the scheme on the state store and
-	// reuse the persisted signing key. In-memory mode: build the scheme
-	// directly, as before.
-	var scheme core.Scheme
-	var srv *server.Server
-	var st *store.Store
-	if *stateDir != "" {
-		policy, err := store.ParseFsyncPolicy(*fsyncMode)
+// parseGroupSchemes parses the -group-scheme value: comma-separated
+// GROUP=SCHEME pairs, e.g. "0=onetree,7=losshomog".
+func parseGroupSchemes(spec string, k int) (map[wire.GroupID]store.SchemeConfig, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	out := make(map[wire.GroupID]store.SchemeConfig)
+	for _, pair := range strings.Split(spec, ",") {
+		g, scheme, ok := strings.Cut(strings.TrimSpace(pair), "=")
+		if !ok {
+			return nil, fmt.Errorf("-group-scheme: %q is not GROUP=SCHEME", pair)
+		}
+		id, err := strconv.ParseUint(g, 10, 32)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("-group-scheme: bad group %q: %v", g, err)
 		}
-		var storeMetrics *store.Metrics
-		if reg != nil {
-			storeMetrics = store.NewMetrics(reg)
-		}
-		st, err = store.Open(*stateDir, store.Options{
-			Fsync:         policy,
-			KeyFile:       *stateKey,
-			Metrics:       storeMetrics,
-			SchemeOptions: []core.Option{workers},
-		})
+		cfg, err := store.ParseSchemeConfig(scheme, k)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		defer st.Close()
-		res, err := st.Recover()
-		if err != nil {
-			return fmt.Errorf("recovering %s: %w", *stateDir, err)
+		if _, dup := out[wire.GroupID(id)]; dup {
+			return nil, fmt.Errorf("-group-scheme: group %d specified twice", id)
 		}
-		if res.Scheme != nil {
-			scheme = res.Scheme
-			fmt.Printf("keyserverd: recovered %s from %s: %d members, snapshot seq %d, replayed %d batches + %d rotations, truncated %d torn bytes\n",
-				scheme.Name(), *stateDir, scheme.Size(), res.SnapshotSeq,
-				res.ReplayedBatches, res.ReplayedRotations, res.TruncatedBytes)
-		} else {
-			scheme, err = st.Create(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("keyserverd: created %s state in %s (fsync=%s)\n", scheme.Name(), *stateDir, policy)
-		}
-		srv = server.NewWithKey(scheme, nil, st.SigningKey())
-		srv.Persist(st, *snapshotEvery)
-		srv.SetNextID(res.NextID)
-		if err := srv.SetLastRekey(res.LastRekey); err != nil {
-			return err
-		}
-	} else {
-		scheme, err = cfg.Build(workers)
-		if err != nil {
-			return err
-		}
-		srv = server.New(scheme, nil)
+		out[wire.GroupID(id)] = cfg
 	}
-
-	srv.SetOverloadPolicy(overloadPolicyFromFlags(*sendqCap, *sendqHigh, *sendqLow,
-		*evictAfter, *joinRate, *joinBurst, *maxPendingJoins))
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-
-	metricsLabel := "off"
-	if reg != nil {
-		m := server.NewMetrics(reg, tracer)
-		resolved := *rekeyWorkers
-		if resolved <= 0 {
-			resolved = runtime.GOMAXPROCS(0)
-		}
-		m.SetWrapWorkers(resolved)
-		srv.Instrument(m)
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			ln.Close()
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		msrv := &http.Server{Handler: metrics.Handler(reg, tracer)}
-		go msrv.Serve(mln)
-		defer msrv.Close()
-		metricsLabel = "http://" + mln.Addr().String() + "/metrics"
-	}
-
-	transportLabel := "tcp"
-	if *tlsCertOut != "" {
-		cert, leaf, err := server.GenerateTLSCert(nil)
-		if err != nil {
-			return err
-		}
-		pemBytes := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: leaf.Raw})
-		if err := os.WriteFile(*tlsCertOut, pemBytes, 0o644); err != nil {
-			return err
-		}
-		srv.ServeTLS(ln, cert)
-		transportLabel = "tls (pin certificate from " + *tlsCertOut + ")"
-	} else {
-		srv.Serve(ln)
-	}
-	udpLabel := "off"
-	if *udpAddr != "" {
-		pc, err := net.ListenPacket("udp", *udpAddr)
-		if err != nil {
-			return fmt.Errorf("udp listener: %w", err)
-		}
-		ucfg := server.UDPConfig{}
-		if *udpDrop > 0 {
-			// Drop calls are serialized under the plane's send lock, so an
-			// unguarded rand.Rand is safe here.
-			rng := rand.New(rand.NewSource(*udpDropSeed))
-			ucfg.Drop = func() bool { return rng.Float64() < *udpDrop }
-		}
-		srv.ServeUDP(pc, ucfg)
-		udpLabel = pc.LocalAddr().String()
-		if *udpDrop > 0 {
-			udpLabel += fmt.Sprintf(" (dropping %.0f%%)", *udpDrop*100)
-		}
-	}
-	srv.StartPeriodic(*period)
-	startedAt := time.Now()
-	fmt.Printf("keyserverd: scheme=%s k=%d period=%v listening on %s over %s, udp=%s, metrics=%s\n",
-		scheme.Name(), *k, *period, ln.Addr(), transportLabel, udpLabel, metricsLabel)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-
-	if *rotate > 0 {
-		go func() {
-			ticker := time.NewTicker(*rotate)
-			defer ticker.Stop()
-			for range ticker.C {
-				if _, err := srv.RotateNow(); err != nil {
-					continue // empty group or shutting down
-				}
-			}
-		}()
-	}
-
-	if *advise > 0 {
-		// Runtime adaptation from the advisor's churn fit — the
-		// two-partition S-period — changes which payloads a batch produces,
-		// so it is only safe without a WAL: a durable deployment must replay
-		// the log under the exact parameters it ran with, and there the
-		// advisor stays log-only.
-		tune := *stateDir == ""
-		rekeyPeriod := *period
-		go func() {
-			ticker := time.NewTicker(*advise)
-			defer ticker.Stop()
-			for range ticker.C {
-				rec, err := srv.Recommend(rekeyPeriod)
-				if err != nil {
-					fmt.Printf("advisor: waiting for churn data (%d departures observed)\n",
-						srv.ObservedDepartures())
-					continue
-				}
-				fmt.Printf("advisor: %v\n", rec)
-				if !tune {
-					continue
-				}
-				if rec.K > 0 && srv.SetSPeriod(rec.K) {
-					fmt.Printf("advisor: S-period set to K=%d\n", rec.K)
-				}
-			}
-		}()
-	}
-
-	if *feed > 0 {
-		go func() {
-			ticker := time.NewTicker(*feed)
-			defer ticker.Stop()
-			seq := 0
-			for range ticker.C {
-				seq++
-				msg := fmt.Sprintf("frame %06d at %s", seq, time.Now().Format(time.RFC3339))
-				if err := srv.Broadcast([]byte(msg)); err != nil {
-					if err == server.ErrClosed {
-						return
-					}
-					// No members yet: keep ticking.
-					continue
-				}
-			}
-		}()
-	}
-
-	<-stop
-	fmt.Printf("keyserverd: shutting down after %v, %d rekeys, peak %d members\n",
-		time.Since(startedAt).Round(time.Second), srv.TotalRekeys(), srv.PeakMembers())
-	return srv.Close()
+	return out, nil
 }

@@ -82,9 +82,8 @@ func Dial(addr string, req wire.JoinRequest, timeout time.Duration) (*Client, er
 }
 
 // DialGroup connects to a multi-group key server and joins the addressed
-// group. Group 0 joins are sent with the legacy header, so old servers
-// keep admitting new clients. Cluster redirects (the dialed node does not
-// own the group) are followed transparently.
+// group. Cluster redirects (the dialed node does not own the group) are
+// followed transparently.
 func DialGroup(addr string, group wire.GroupID, req wire.JoinRequest, timeout time.Duration) (*Client, error) {
 	return DialGroupVia(addr, group, req, timeout, nil)
 }
@@ -133,13 +132,9 @@ func newClientOnConn(conn net.Conn, group wire.GroupID, req wire.JoinRequest, ti
 	}
 }
 
-// writeFrame sends one client→server frame, group-addressed when the
-// session belongs to a nonzero group and legacy-framed otherwise.
+// writeFrame sends one client→server frame addressed to the session's group.
 func (c *Client) writeFrame(t wire.MsgType, payload []byte) error {
-	if c.group != 0 {
-		return wire.WriteFrameGroup(c.conn, c.group, t, payload)
-	}
-	return wire.WriteFrame(c.conn, t, payload)
+	return wire.WriteFrameGroup(c.conn, c.group, t, payload)
 }
 
 // readLoop is c.conn's only reader after the handshake. Buffering makes a

@@ -547,11 +547,11 @@ func TestSparseWriterAllocsCeiling(t *testing.T) {
 	} {
 		b.frames = tc.frames
 		// Warm the scratch once, then demand steady state.
-		if err := b.writeTo(discardConn{}); err != nil {
+		if err := b.writeTo(discardConn{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if allocs := testing.AllocsPerRun(200, func() {
-			if err := b.writeTo(discardConn{}); err != nil {
+			if err := b.writeTo(discardConn{}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs > tc.max {
@@ -616,6 +616,7 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 	// start runs a writer over conn for member 1 of a fresh server.
 	start := func(t *testing.T, conn *gatedConn) (*Server, *clientConn, *Metrics) {
 		s := New(newScheme(t, 42), nil)
+		s.group = 3
 		m := NewMetrics(metrics.NewRegistry(), nil)
 		s.Instrument(m)
 		s.mu.Lock()
@@ -671,9 +672,12 @@ func TestWriterCoalescesQueuedFrames(t *testing.T) {
 			if f.eb != nil {
 				want = eb.appendSparseFrame(nil, f.idx)
 			}
-			typ, got, err := wire.ReadFrame(r)
+			g, typ, got, err := wire.ReadFrameGroup(r)
 			if err != nil {
 				t.Fatalf("frame %d: %v", i, err)
+			}
+			if g != s.group {
+				t.Fatalf("frame %d addressed group %d, want the connection's %d", i, g, s.group)
 			}
 			if typ != f.t || !bytes.Equal(got, want) {
 				t.Fatalf("frame %d: got %v (%d bytes), want %v (%d bytes), byte-identical", i, typ, len(got), f.t, len(want))

@@ -125,11 +125,11 @@ func TestFenceBlocksMutations(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesRideNonzeroGroupBinding: once a connection is routed to
-// a nonzero group, follow-up frames with the legacy (group-flag-less)
-// header — and explicit group-0 frames, which v1 headers alias — ride the
-// connection's binding rather than being rejected as cross-group traffic.
-func TestLegacyFramesRideNonzeroGroupBinding(t *testing.T) {
+// TestGroupFramesRideNonzeroGroupBinding: once a connection is routed to
+// a nonzero group, follow-up frames addressed to that group are served on
+// the connection's binding, and a frame addressed to another group is the
+// protocol error.
+func TestGroupFramesRideNonzeroGroupBinding(t *testing.T) {
 	reg := startRegistry(t, 4)
 	conn, err := net.Dial("tcp", reg.Addr().String())
 	if err != nil {
@@ -138,7 +138,7 @@ func TestLegacyFramesRideNonzeroGroupBinding(t *testing.T) {
 	defer conn.Close()
 
 	// Route with a group-addressed join, then resume the conversation with
-	// a legacy-framed leave: the binding, not the header, decides the group.
+	// a leave addressed to the same group.
 	if err := wire.WriteFrameGroup(conn, 4, wire.MsgJoin, wire.JoinRequest{}.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestLegacyFramesRideNonzeroGroupBinding(t *testing.T) {
 	if _, err := reg.Get(4).RekeyNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgLeave, nil); err != nil {
+	if err := wire.WriteFrameGroup(conn, 4, wire.MsgLeave, nil); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "legacy leave rode binding", func() bool {
+	waitFor(t, "leave rode binding", func() bool {
 		srv := reg.Get(4)
 		srv.mu.Lock()
 		defer srv.mu.Unlock()

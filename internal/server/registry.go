@@ -32,8 +32,7 @@ const routeTimeout = 30 * time.Second
 // Each hosted group is a complete *Server — its own scheme, signing key,
 // overload policy, metrics view and (optionally) durable store — and the
 // registry routes every inbound connection to the group its first frame
-// addresses. Legacy (v1) frames carry no address and land on group 0, so
-// a registry with group 0 hosted is wire-compatible with old clients.
+// addresses; every later frame on it must address the same group.
 //
 // The group table is striped: lookups take one shard's RWMutex, and the
 // periodic rekey ticker runs one pipeline per stripe, so groups on
@@ -210,20 +209,20 @@ func (r *Registry) route(conn net.Conn) {
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		q, err := wire.DecodeWhereIs(payload)
 		if err != nil {
-			_ = wire.WriteFrame(conn, wire.MsgError, []byte(err.Error()))
+			_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte(err.Error()))
 			return
 		}
 		res := r.getResolver()
 		if res == nil {
-			_ = wire.WriteFrame(conn, wire.MsgError, []byte("no cluster map"))
+			_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte("no cluster map"))
 			return
 		}
 		addr, epoch, ok := res.Locate(q)
 		if !ok {
-			_ = wire.WriteFrame(conn, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", q)))
+			_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", q)))
 			return
 		}
-		_ = wire.WriteFrame(conn, wire.MsgRedirect, wire.EncodeRedirect(addr, epoch))
+		_ = wire.WriteFrameGroup(conn, g, wire.MsgRedirect, wire.EncodeRedirect(addr, epoch))
 		return
 	}
 	srv := r.Get(g)
@@ -231,12 +230,12 @@ func (r *Registry) route(conn net.Conn) {
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if res := r.getResolver(); res != nil {
 			if addr, epoch, ok := res.Locate(g); ok {
-				_ = wire.WriteFrame(conn, wire.MsgRedirect, wire.EncodeRedirect(addr, epoch))
+				_ = wire.WriteFrameGroup(conn, g, wire.MsgRedirect, wire.EncodeRedirect(addr, epoch))
 				conn.Close()
 				return
 			}
 		}
-		_ = wire.WriteFrame(conn, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", g)))
+		_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", g)))
 		conn.Close()
 		return
 	}

@@ -142,9 +142,9 @@ func TestRegistryUnknownGroupRejected(t *testing.T) {
 	}
 }
 
-// TestRegistryLegacyClientLandsOnGroupZero: a v1 client (no group address
-// on the wire) joins through the registry and lands on group 0.
-func TestRegistryLegacyClientLandsOnGroupZero(t *testing.T) {
+// TestRegistryDefaultClientLandsOnGroupZero: a client dialed without a
+// group joins through the registry and lands on group 0.
+func TestRegistryDefaultClientLandsOnGroupZero(t *testing.T) {
 	reg := startRegistry(t, 0, 3)
 
 	type result struct {
@@ -162,55 +162,62 @@ func TestRegistryLegacyClientLandsOnGroupZero(t *testing.T) {
 	}
 	r := <-ch
 	if r.err != nil {
-		t.Fatalf("legacy Dial through registry: %v", r.err)
+		t.Fatalf("Dial through registry: %v", r.err)
 	}
 	defer r.c.Close()
 	if n := reg.Get(0).Size(); n != 1 {
 		t.Fatalf("group 0 size %d, want 1", n)
 	}
 	if n := reg.Get(3).Size(); n != 0 {
-		t.Fatalf("legacy client leaked into group 3 (size %d)", n)
+		t.Fatalf("group-0 client leaked into group 3 (size %d)", n)
 	}
 }
 
 // TestRegistryCrossGroupFrameRejected: once a connection is bound to a
 // group by its first frame, a frame addressed to a different group on the
-// same connection is rejected and the connection closed.
+// same connection — group 0 included — is rejected and the connection
+// closed.
 func TestRegistryCrossGroupFrameRejected(t *testing.T) {
-	reg := startRegistry(t, 1, 2)
-	conn, err := net.Dial("tcp", reg.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// Bind to group 1 with a join, then try to smuggle a frame to group 2.
-	if err := wire.WriteFrameGroup(conn, 1, wire.MsgJoin, wire.JoinRequest{}.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Get(1).RekeyNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrameGroup(conn, 2, wire.MsgLeave, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	conn.SetReadDeadline(time.Now().Add(testTimeout))
-	sawError := false
-	for {
-		_, mt, _, err := wire.ReadFrameGroup(conn)
+	for _, other := range []wire.GroupID{2, 0} {
+		reg := startRegistry(t, 0, 1, 2)
+		conn, err := net.Dial("tcp", reg.Addr().String())
 		if err != nil {
-			break // server closed the connection
+			t.Fatal(err)
 		}
-		if mt == wire.MsgError {
-			sawError = true
+		defer conn.Close()
+
+		// Bind to group 1 with a join, then try to smuggle a leave into
+		// another group.
+		if err := wire.WriteFrameGroup(conn, 1, wire.MsgJoin, wire.JoinRequest{}.Encode()); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sawError {
-		t.Fatal("cross-group frame was not answered with MsgError")
-	}
-	if n := reg.Get(2).Size(); n != 0 {
-		t.Fatalf("cross-group frame reached group 2 (size %d)", n)
+		if _, err := reg.Get(1).RekeyNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrameGroup(conn, other, wire.MsgLeave, nil); err != nil {
+			t.Fatal(err)
+		}
+
+		conn.SetReadDeadline(time.Now().Add(testTimeout))
+		sawError := false
+		for {
+			g, mt, _, err := wire.ReadFrameGroup(conn)
+			if err != nil {
+				break // server closed the connection
+			}
+			if g != 1 {
+				t.Fatalf("group 1 connection got a frame addressed to group %d", g)
+			}
+			if mt == wire.MsgError {
+				sawError = true
+			}
+		}
+		if !sawError {
+			t.Fatalf("frame for group %d on a group 1 connection was not answered with MsgError", other)
+		}
+		if n := reg.Get(other).Size(); n != 0 {
+			t.Fatalf("cross-group frame reached group %d (size %d)", other, n)
+		}
 	}
 }
 

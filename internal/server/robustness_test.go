@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -72,6 +73,43 @@ func TestServerRejectsGarbageFrames(t *testing.T) {
 		}
 	case <-time.After(testTimeout):
 		t.Fatal("legitimate member starved after garbage traffic")
+	}
+}
+
+// TestUnflaggedFrameClosesConnection: a frame under the retired 5-byte
+// header (a type byte without the group flag) is malformed; both a
+// standalone server and a registry close the connection without admitting
+// the join it carries.
+func TestUnflaggedFrameClosesConnection(t *testing.T) {
+	srv := startServer(t, newScheme(t, 14))
+	reg := startRegistry(t, 0)
+	for name, tc := range map[string]struct {
+		addr net.Addr
+		srv  *Server
+	}{
+		"server":   {srv.Addr(), srv},
+		"registry": {reg.Addr(), reg.Get(0)},
+	} {
+		conn, err := net.Dial("tcp", tc.addr.String())
+		if err != nil {
+			t.Fatalf("%s: Dial: %v", name, err)
+		}
+		defer conn.Close()
+		join := wire.JoinRequest{}.Encode()
+		unflagged := append([]byte{0, 0, 0, byte(1 + len(join)), byte(wire.MsgJoin)}, join...)
+		if _, err := conn.Write(unflagged); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		conn.SetReadDeadline(time.Now().Add(testTimeout))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s: read after unflagged frame: %v, want EOF (connection closed)", name, err)
+		}
+		tc.srv.mu.Lock()
+		n := len(tc.srv.pendingJoins)
+		tc.srv.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("%s: unflagged join queued (%d pending)", name, n)
+		}
 	}
 }
 

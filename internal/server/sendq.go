@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -224,7 +223,7 @@ func (s *Server) writeLoop(cc *clientConn) {
 			b.frames = append(b.frames, <-cc.q)
 		}
 		cc.conn.SetWriteDeadline(time.Now().Add(cc.timeout))
-		err := b.writeTo(cc.conn)
+		err := b.writeTo(cc.conn, s.group)
 		if err == nil {
 			cc.metrics.noteWrite(len(b.frames))
 		}
@@ -257,21 +256,22 @@ type batch struct {
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
-// writeTo sends b.frames, in order, in one WriteTo: a payload frame as
-// header + payload, a sparse descriptor as header + head (fixed fields,
-// indexes, multiproof — assembled here, off the server lock) + its items
-// as coalesced ranges over the epoch's shared buffer.
-func (b *batch) writeTo(conn net.Conn) error {
+// writeTo sends b.frames, in order, in one WriteTo, each under a header
+// addressing group g: a payload frame as header + payload, a sparse
+// descriptor as header + head (fixed fields, indexes, multiproof —
+// assembled here, off the server lock) + its items as coalesced ranges
+// over the epoch's shared buffer.
+func (b *batch) writeTo(conn net.Conn, g wire.GroupID) error {
 	b.heads, b.ends = b.heads[:0], b.ends[:0]
 	for _, f := range b.frames {
 		start := len(b.heads)
-		b.heads = append(b.heads, 0, 0, 0, 0, byte(f.t))
-		n := len(f.payload)
+		b.heads = wire.AppendFrameHeader(b.heads, g, f.t, len(f.payload))
 		if f.eb != nil {
 			b.heads = wire.AppendSparseHead(b.heads, f.eb.epoch, f.eb.tree, f.eb.root, f.eb.rootSig, f.idx)
-			n = len(b.heads) - start - 5 + len(f.idx)*wire.RekeyItemSize
+			// Rewrite the header in place now the sparse payload's size is known.
+			n := len(b.heads) - start - wire.FrameHeaderSize + len(f.idx)*wire.RekeyItemSize
+			wire.AppendFrameHeader(b.heads[start:start], g, f.t, n)
 		}
-		binary.BigEndian.PutUint32(b.heads[start:], uint32(n+1))
 		b.ends = append(b.ends, len(b.heads))
 	}
 	// Slice heads only now: the appends above may have moved it.

@@ -73,9 +73,10 @@ const writeTimeout = 5 * time.Second
 type Server struct {
 	scheme core.Scheme
 	rng    io.Reader
-	// group is the wire-level group this server hosts. Standalone servers
-	// keep the zero value (the default group legacy frames address); a
-	// Registry assigns it at Add time. Fixed before Serve, read lock-free.
+	// group is the wire-level group this server hosts: every frame it reads
+	// must address it, every frame it writes carries it. Standalone servers
+	// keep group 0; a Registry assigns it at Add time. Fixed before Serve,
+	// read lock-free.
 	group wire.GroupID
 	// signing keypair: every rekey and data frame is Ed25519-signed so
 	// members can authenticate the key server (group members share the
@@ -294,9 +295,8 @@ func (s *Server) handle(conn net.Conn) {
 // handleFrames serves one client connection's read side. A Registry that
 // already consumed the connection's first frame to route it passes that
 // frame in (firstType nonzero); standalone servers read everything
-// themselves. Incoming frames addressed to a different group are protocol
-// errors; unaddressed (legacy v1 or group-0) frames ride the connection's
-// binding.
+// themselves. Incoming frames addressed to any other group are protocol
+// errors.
 func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayload []byte) {
 	var memberID keytree.MemberID
 	defer func() {
@@ -333,7 +333,7 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 			if err != nil {
 				return
 			}
-			if g != 0 && g != s.group {
+			if g != s.group {
 				// Cross-group frames never reach another group's scheme: the
 				// connection is bound to one group for its lifetime.
 				s.reject(conn, fmt.Errorf("frame addressed to group %d on a group %d connection", g, s.group))
@@ -363,7 +363,7 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				s.metrics.noteJoinDeferred()
 				s.mu.Unlock()
 				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-				if err := wire.WriteFrame(conn, wire.MsgRetry, wire.EncodeRetryAfter(wait)); err != nil {
+				if err := wire.WriteFrameGroup(conn, s.group, wire.MsgRetry, wire.EncodeRetryAfter(wait)); err != nil {
 					return
 				}
 				continue
@@ -486,7 +486,7 @@ func (s *Server) reject(conn net.Conn, err error) {
 	s.metrics.noteRejected()
 	s.mu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_ = wire.WriteFrame(conn, wire.MsgError, []byte(err.Error()))
+	_ = wire.WriteFrameGroup(conn, s.group, wire.MsgError, []byte(err.Error()))
 }
 
 // RekeyNow processes all pending joins and leaves as one batch, sends

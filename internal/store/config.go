@@ -134,9 +134,8 @@ func errBadConfig(k SchemeKind) error {
 	return fmt.Errorf("unknown scheme kind %d", uint8(k))
 }
 
-// encode serializes the config for the create record. The planner flag
-// is a trailing byte so pre-planner logs (which end right after the
-// bounds) still decode.
+// encode serializes the config for the create record; the planner flag is
+// the trailing byte.
 func (c SchemeConfig) encode() []byte {
 	out := []byte{byte(c.Kind)}
 	out = binary.BigEndian.AppendUint32(out, uint32(c.Degree))
@@ -155,8 +154,8 @@ func (c SchemeConfig) encode() []byte {
 }
 
 // decodeSchemeConfig parses a create-record payload. Records written
-// before the planner flag existed end immediately after the bounds;
-// they decode with Planner false.
+// before the planner flag existed (ending right after the bounds) are
+// rejected.
 func decodeSchemeConfig(b []byte) (SchemeConfig, error) {
 	var c SchemeConfig
 	if len(b) < 1+4+8+4+4 {
@@ -168,13 +167,10 @@ func decodeSchemeConfig(b []byte) (SchemeConfig, error) {
 	c.Trees = int(binary.BigEndian.Uint32(b[13:17]))
 	n := int(binary.BigEndian.Uint32(b[17:21]))
 	rest := b[21:]
-	switch len(rest) {
-	case 8 * n:
-	case 8*n + 1:
-		c.Planner = rest[8*n] != 0
-	default:
+	if len(rest) != 8*n+1 {
 		return c, fmt.Errorf("store: create record bounds length mismatch")
 	}
+	c.Planner = rest[8*n] != 0
 	for i := 0; i < n; i++ {
 		c.LossBounds = append(c.LossBounds,
 			math.Float64frombits(binary.BigEndian.Uint64(rest[8*i:])))

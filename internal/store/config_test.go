@@ -3,8 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -31,49 +31,27 @@ func TestSchemeConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// legacyEncode reproduces the pre-planner create-record layout, which
-// ended immediately after the loss bounds.
-func legacyEncode(c SchemeConfig) []byte {
-	out := []byte{byte(c.Kind)}
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Degree))
-	out = binary.BigEndian.AppendUint64(out, uint64(c.SPeriodK))
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Trees))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(c.LossBounds)))
-	for _, b := range c.LossBounds {
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(b))
-	}
-	return out
-}
-
-// TestSchemeConfigDecodeLegacy proves logs written before the planner
-// flag existed still decode, with the planner off.
-func TestSchemeConfigDecodeLegacy(t *testing.T) {
-	for _, want := range []SchemeConfig{
+// TestSchemeConfigRejectsPrePlannerRecord: a create record in the
+// pre-planner layout (ending right after the loss bounds) is rejected, as
+// is a padded one.
+func TestSchemeConfigRejectsPrePlannerRecord(t *testing.T) {
+	for _, c := range []SchemeConfig{
 		{Kind: SchemeTT, SPeriodK: 4},
 		{Kind: SchemeLossHomog, LossBounds: []float64{0.05}},
 	} {
-		got, err := decodeSchemeConfig(legacyEncode(want))
-		if err != nil {
-			t.Fatalf("decode legacy(%+v): %v", want, err)
+		enc := c.encode()
+		if _, err := decodeSchemeConfig(enc[:len(enc)-1]); err == nil {
+			t.Fatalf("pre-planner record for %+v decoded", c)
 		}
-		if got.Planner {
-			t.Fatalf("legacy record decoded with planner enabled: %+v", got)
+		if _, err := decodeSchemeConfig(append(enc, 0)); err == nil {
+			t.Fatalf("over-long record for %+v decoded", c)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("legacy decode changed the config: got %+v, want %+v", got, want)
-		}
-	}
-
-	// A truncated or padded record still fails loudly.
-	bad := legacyEncode(SchemeConfig{Kind: SchemeOneTree})
-	if _, err := decodeSchemeConfig(append(bad, 0, 0)); err == nil {
-		t.Fatal("over-long record decoded without error")
 	}
 }
 
 // TestSnapshotPlainConfigRoundTrip covers the snapshot container: a
 // version-2 snapshot carries the scheme config (or records its absence),
-// and version-1 files written by earlier builds still decode.
+// and a version-1 file is rejected.
 func TestSnapshotPlainConfigRoundTrip(t *testing.T) {
 	blob := []byte("scheme-state")
 	cfg := &SchemeConfig{Kind: SchemeTT, SPeriodK: 3, Planner: true}
@@ -99,16 +77,12 @@ func TestSnapshotPlainConfigRoundTrip(t *testing.T) {
 	}
 
 	// Version-1 layout: no config section at all.
-	legacy := []byte(snapMagic)
-	legacy = binary.BigEndian.AppendUint32(legacy, snapVersionLegacy)
-	legacy = binary.BigEndian.AppendUint64(legacy, 7)
-	legacy = binary.BigEndian.AppendUint64(legacy, 8)
-	legacy = append(legacy, blob...)
-	seq, nextID, gotCfg, gotBlob, err = decodeSnapshotPlain(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 7 || nextID != 8 || gotCfg != nil || !bytes.Equal(gotBlob, blob) {
-		t.Fatalf("legacy decode: seq=%d nextID=%d cfg=%+v blob=%q", seq, nextID, gotCfg, gotBlob)
+	v1 := []byte(snapMagic)
+	v1 = binary.BigEndian.AppendUint32(v1, 1)
+	v1 = binary.BigEndian.AppendUint64(v1, 7)
+	v1 = binary.BigEndian.AppendUint64(v1, 8)
+	v1 = append(v1, blob...)
+	if _, _, _, _, err := decodeSnapshotPlain(v1); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Fatalf("version-1 snapshot: err=%v, want version 1 not supported", err)
 	}
 }

@@ -1,13 +1,11 @@
 package store
 
-// Multi-group state layout: a registry hosting N groups keeps one fully
-// independent store per group under <root>/<group>/ — its own WAL
-// segments, snapshots, master key and signing key — so groups share no
-// key material at rest and a corrupted group recovers (or is discarded)
-// without touching its neighbours. Pre-multi-group state directories kept
-// everything at the top level; MigrateLegacyLayout moves that state into
-// the group-0 namespace so existing members' pinned signing key survives
-// the upgrade.
+// State layout: a registry hosting N groups keeps one fully independent
+// store per group under <root>/<group>/ — its own WAL segments, snapshots,
+// master key and signing key — so groups share no key material at rest
+// and a corrupted group recovers (or is discarded) without touching its
+// neighbours. A single-group daemon is a registry of one: its state lives
+// under <root>/0/.
 
 import (
 	"fmt"
@@ -33,15 +31,14 @@ const groupKeyIDShift = 40
 
 // GroupKeyIDBase returns the key-ID base a group's scheme must be built
 // with (core.WithKeyIDBase) so no two hosted groups ever mint the same
-// key ID. Group 0 keeps base 0 — identical to a standalone server, so
-// migrated legacy state stays valid.
+// key ID. Group 0 keeps base 0, identical to a standalone scheme.
 func GroupKeyIDBase(g wire.GroupID) keycrypt.KeyID {
 	return keycrypt.KeyID(uint64(g)) << groupKeyIDShift
 }
 
 // ListGroupDirs scans a state root for group namespaces, returning the
-// hosted group IDs in ascending order. Non-numeric entries (including
-// legacy top-level WAL and key files) are ignored, but a canonically named
+// hosted group IDs in ascending order. Non-numeric entries are ignored,
+// but a canonically named
 // group directory that cannot be statted or opened is an error: silently
 // dropping it would recover the registry without that shard — members of
 // the skipped group would be told "unknown group" while its journaled key
@@ -78,60 +75,4 @@ func ListGroupDirs(root string) ([]wire.GroupID, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// legacyStateFile reports whether name is part of a pre-multi-group
-// top-level state layout.
-func legacyStateFile(name string) bool {
-	if name == "master.key" || name == "signing.key" {
-		return true
-	}
-	for _, prefix := range []string{walPrefix, snapPrefix} {
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
-}
-
-// MigrateLegacyLayout moves a pre-multi-group state directory (WAL
-// segments, snapshots and key files at the top level of root) into the
-// group-0 namespace, returning whether anything moved. Safe to call on
-// every boot: an already-migrated or fresh root is a no-op. Not atomic as
-// a whole, but resumable — each file moves with an atomic rename, so a
-// crash mid-migration finishes on the next call.
-func MigrateLegacyLayout(root string) (bool, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	var legacy []string
-	for _, e := range entries {
-		if !e.IsDir() && legacyStateFile(e.Name()) {
-			legacy = append(legacy, e.Name())
-		}
-	}
-	if len(legacy) == 0 {
-		return false, nil
-	}
-	dst := GroupDir(root, 0)
-	if err := os.MkdirAll(dst, 0o700); err != nil {
-		return false, err
-	}
-	for _, name := range legacy {
-		to := filepath.Join(dst, name)
-		if _, err := os.Stat(to); err == nil {
-			return false, fmt.Errorf("store: migrating %s: %s already exists in group 0", name, name)
-		}
-		if err := os.Rename(filepath.Join(root, name), to); err != nil {
-			return false, err
-		}
-	}
-	if err := syncDir(dst); err != nil {
-		return false, err
-	}
-	return true, syncDir(root)
 }

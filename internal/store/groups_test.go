@@ -19,7 +19,7 @@ func TestGroupDirAndKeyIDBase(t *testing.T) {
 		t.Errorf("GroupDir(max) = %q", got)
 	}
 	if GroupKeyIDBase(0) != 0 {
-		t.Error("group 0 must keep key-ID base 0 for legacy compatibility")
+		t.Error("group 0 must keep key-ID base 0")
 	}
 	// Bases must be disjoint namespaces: no two groups may overlap even
 	// after a lifetime of key allocations below the shift width.
@@ -68,71 +68,6 @@ func TestListGroupDirs(t *testing.T) {
 	}
 	if got, err := ListGroupDirs(filepath.Join(root, "missing")); err != nil || got != nil {
 		t.Fatalf("missing root: %v, %v", got, err)
-	}
-}
-
-// TestMigrateLegacyLayout upgrades a pre-multi-group state directory and
-// proves the group-0 store recovers the exact legacy state — same scheme
-// bits, same signing key — then that the migration is idempotent.
-func TestMigrateLegacyLayout(t *testing.T) {
-	root := t.TempDir()
-
-	st := openStore(t, root, Options{})
-	if _, err := st.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := st.Create(SchemeConfig{Kind: SchemeOneTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	journalAndApply(t, st, sc, core.Batch{Joins: []core.Join{{ID: 1}, {ID: 2}, {ID: 3}}})
-	journalAndApply(t, st, sc, core.Batch{Leaves: []keytree.MemberID{2}})
-	wantState := snap(t, sc)
-	wantSigning := st.SigningKey()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	moved, err := MigrateLegacyLayout(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !moved {
-		t.Fatal("legacy layout not detected")
-	}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if !e.IsDir() && legacyStateFile(e.Name()) {
-			t.Errorf("legacy file %s left at top level", e.Name())
-		}
-	}
-
-	st0 := openStore(t, GroupDir(root, 0), Options{})
-	res, err := st0.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scheme == nil {
-		t.Fatal("migrated group 0 recovered empty")
-	}
-	if !bytes.Equal(snap(t, res.Scheme), wantState) {
-		t.Error("migrated group-0 scheme diverged from legacy state")
-	}
-	if !bytes.Equal(st0.SigningKey(), wantSigning) {
-		t.Error("migrated signing key changed — resumed members would unpin")
-	}
-	if res.NextID != 4 {
-		t.Errorf("NextID = %d, want 4", res.NextID)
-	}
-	if err := st0.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if moved, err := MigrateLegacyLayout(root); err != nil || moved {
-		t.Fatalf("second migration: moved=%v err=%v, want no-op", moved, err)
 	}
 }
 

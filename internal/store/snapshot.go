@@ -24,19 +24,18 @@ import (
 //	plaintext = magic "GKSN" | version(4) | seq(8) | nextID(8)
 //	          | cfgLen(4) | scheme config | scheme blob     (version 2)
 //
-// Version 1 had no config section. The config rides in the snapshot
-// because core scheme blobs deliberately do not serialize construction
-// settings that change payload-affecting behavior (the batch placement
-// planner): once the WAL's create record is compacted away, the snapshot
-// is the only place recovery can learn them from. cfgLen 0 means the
-// config was unknown when the snapshot was written (a replica that
+// Version 1 had no config section and is rejected. The config rides in
+// the snapshot because core scheme blobs deliberately do not serialize
+// construction settings that change payload-affecting behavior (the batch
+// placement planner): once the WAL's create record is compacted away, the
+// snapshot is the only place recovery can learn them from. cfgLen 0 means
+// the config was unknown when the snapshot was written (a replica that
 // installed a shipped snapshot without ever seeing the create record).
 const (
-	snapPrefix        = "snap-"
-	snapSuffix        = ".gks"
-	snapMagic         = "GKSN"
-	snapVersion       = 2
-	snapVersionLegacy = 1
+	snapPrefix  = "snap-"
+	snapSuffix  = ".gks"
+	snapMagic   = "GKSN"
+	snapVersion = 2
 	// snapKeep is how many snapshot generations survive pruning: the
 	// newest plus one fallback in case the newest is torn by a crash
 	// during a later save (the rename is atomic, but belts and braces).
@@ -87,39 +86,34 @@ func encodeSnapshotPlain(seq uint64, nextID keytree.MemberID, cfg *SchemeConfig,
 	return append(out, blob...)
 }
 
-// decodeSnapshotPlain parses a decrypted snapshot. cfg is nil for
-// version-1 files and for version-2 files written without a known config.
+// decodeSnapshotPlain parses a decrypted snapshot. cfg is nil for files
+// written without a known config.
 func decodeSnapshotPlain(b []byte) (seq uint64, nextID keytree.MemberID, cfg *SchemeConfig, blob []byte, err error) {
 	if len(b) < 4+4+8+8 || string(b[:4]) != snapMagic {
 		return 0, 0, nil, nil, fmt.Errorf("store: not a snapshot")
 	}
-	v := binary.BigEndian.Uint32(b[4:8])
+	if v := binary.BigEndian.Uint32(b[4:8]); v != snapVersion {
+		return 0, 0, nil, nil, fmt.Errorf("store: snapshot version %d not supported", v)
+	}
 	seq = binary.BigEndian.Uint64(b[8:16])
 	nextID = keytree.MemberID(binary.BigEndian.Uint64(b[16:24]))
 	rest := b[24:]
-	switch v {
-	case snapVersionLegacy:
-		return seq, nextID, nil, rest, nil
-	case snapVersion:
-		if len(rest) < 4 {
-			return 0, 0, nil, nil, fmt.Errorf("store: snapshot config section truncated")
-		}
-		n := int(binary.BigEndian.Uint32(rest[:4]))
-		rest = rest[4:]
-		if n > len(rest) {
-			return 0, 0, nil, nil, fmt.Errorf("store: snapshot config section truncated")
-		}
-		if n > 0 {
-			c, err := decodeSchemeConfig(rest[:n])
-			if err != nil {
-				return 0, 0, nil, nil, err
-			}
-			cfg = &c
-		}
-		return seq, nextID, cfg, rest[n:], nil
-	default:
-		return 0, 0, nil, nil, fmt.Errorf("store: snapshot version %d not supported", v)
+	if len(rest) < 4 {
+		return 0, 0, nil, nil, fmt.Errorf("store: snapshot config section truncated")
 	}
+	n := int(binary.BigEndian.Uint32(rest[:4]))
+	rest = rest[4:]
+	if n > len(rest) {
+		return 0, 0, nil, nil, fmt.Errorf("store: snapshot config section truncated")
+	}
+	if n > 0 {
+		c, err := decodeSchemeConfig(rest[:n])
+		if err != nil {
+			return 0, 0, nil, nil, err
+		}
+		cfg = &c
+	}
+	return seq, nextID, cfg, rest[n:], nil
 }
 
 // writeSnapshotFile seals plain under master and lands it atomically:

@@ -23,7 +23,7 @@ func TestMembershipBatchRoundTrip(t *testing.T) {
 		}, nil, nil},
 		{"leaves-only", nil, []keytree.MemberID{3, 9, 4}, nil},
 		{"mixed", []MemberJoin{{Member: 42, Req: JoinRequest{}}}, []keytree.MemberID{1}, nil},
-		// Caps is a wire-only byte: the log drops it, entries stay 17 bytes.
+		// Caps is never encoded: log entries stay 17 bytes.
 		{"caps-not-logged", []MemberJoin{
 			{Member: 5, Req: JoinRequest{LossRate: 0.5, LongLived: true, Caps: CapSparse}},
 			{Member: 6, Req: JoinRequest{LossRate: 0.1, Caps: CapSparse | CapDatagram}},

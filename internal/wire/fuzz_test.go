@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"groupkey/internal/keycrypt"
@@ -15,7 +17,7 @@ func FuzzReadFrame(f *testing.F) {
 	_ = WriteFrame(&seed, MsgJoin, JoinRequest{LossRate: 0.1}.Encode())
 	f.Add(seed.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 1, byte(MsgLeave)})
+	f.Add([]byte{0, 0, 0, 5, byte(MsgLeave) | groupFlag, 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -35,36 +37,42 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzReadFrameGroup feeds arbitrary bytes to the group-aware frame
-// reader: it must never panic, must map legacy frames to group 0, and any
-// accepted frame must survive a group-addressed re-encode.
+// reader: it must never panic, must reject a type byte without the group
+// flag as ErrMalformed, must agree with ReadFrame, and any accepted frame
+// must survive a re-encode.
 func FuzzReadFrameGroup(f *testing.F) {
-	var v1, v2 bytes.Buffer
-	_ = WriteFrame(&v1, MsgJoin, JoinRequest{LossRate: 0.1}.Encode())
-	_ = WriteFrameGroup(&v2, 7, MsgResume, ResumeRequest{Member: 3, Proof: []byte{1}}.Encode())
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 5, byte(MsgLeave) | 0x80, 0, 0, 0, 9})
-	f.Add([]byte{0, 0, 0, 2, 0x80, 1}) // flagged but too short for a group
+	var g0, g7 bytes.Buffer
+	_ = WriteFrame(&g0, MsgJoin, JoinRequest{LossRate: 0.1}.Encode())
+	_ = WriteFrameGroup(&g7, 7, MsgResume, ResumeRequest{Member: 3, Proof: []byte{1}}.Encode())
+	f.Add(g0.Bytes())
+	f.Add(g7.Bytes())
+	f.Add([]byte{0, 0, 0, 1, byte(MsgLeave)}) // unflagged 5-byte header
+	f.Add([]byte{0, 0, 0, 5, byte(MsgLeave) | groupFlag, 0, 0, 0, 9})
+	f.Add([]byte{0, 0, 0, 2, groupFlag, 1}) // flagged but too short for a group
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, typ, payload, err := ReadFrameGroup(bytes.NewReader(data))
+		typ1, payload1, err1 := ReadFrame(bytes.NewReader(data))
+		if (err == nil) != (err1 == nil) || typ1 != typ || !bytes.Equal(payload1, payload) {
+			t.Fatalf("ReadFrame and ReadFrameGroup diverged: %v vs %v", err1, err)
+		}
+		if len(data) > 4 && data[4]&groupFlag == 0 {
+			// A complete frame of legal size whose type byte lacks the flag.
+			n := uint64(binary.BigEndian.Uint32(data))
+			if n > 0 && n <= MaxFrameSize+5 && uint64(len(data)) >= 4+n && !errors.Is(err, ErrMalformed) {
+				t.Fatalf("unflagged type byte %#x read as %v", data[4], err)
+			}
+		}
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
 		if err := WriteFrameGroup(&out, g, typ, payload); err != nil {
-			t.Fatalf("accepted frame failed to re-encode group-addressed: %v", err)
+			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
 		g2, typ2, payload2, err := ReadFrameGroup(&out)
 		if err != nil || g2 != g || typ2 != typ || !bytes.Equal(payload2, payload) {
 			t.Fatalf("group frame round trip diverged: %v", err)
-		}
-		// The legacy reader must agree on type and payload regardless of
-		// header version — it only discards the address.
-		typ3, payload3, err := ReadFrame(bytes.NewReader(data))
-		if err != nil || typ3 != typ || !bytes.Equal(payload3, payload) {
-			t.Fatalf("legacy and group readers diverged: %v", err)
 		}
 	})
 }

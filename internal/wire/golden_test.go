@@ -114,9 +114,9 @@ func reverse(b []byte) []byte {
 const goldenPath = "testdata/golden_frames.txt"
 
 // TestGoldenFrameVectors locks the byte-level frame encoding of every
-// message type under both header versions to committed hex fixtures. An
-// intentional format change regenerates them with `go test -run Golden
-// -update ./internal/wire`; an accidental one fails here first.
+// message type to committed hex fixtures. An intentional format change
+// regenerates them with `go test -run Golden -update ./internal/wire`; an
+// accidental one fails here first.
 func TestGoldenFrameVectors(t *testing.T) {
 	frames := goldenFrames(t)
 	if len(frames) != NumMsgTypes {
@@ -126,18 +126,12 @@ func TestGoldenFrameVectors(t *testing.T) {
 	var lines []string
 	for i := 1; i <= NumMsgTypes; i++ {
 		mt := MsgType(i)
-		payload := frames[mt]
-		var v1, v2 bytes.Buffer
-		if err := WriteFrame(&v1, mt, payload); err != nil {
-			t.Fatalf("%v v1: %v", mt, err)
+		var buf bytes.Buffer
+		if err := WriteFrameGroup(&buf, 0x01020304, mt, frames[mt]); err != nil {
+			t.Fatalf("%v: %v", mt, err)
 		}
-		if err := WriteFrameGroup(&v2, 0x01020304, mt, payload); err != nil {
-			t.Fatalf("%v v2: %v", mt, err)
-		}
-		lines = append(lines,
-			fmt.Sprintf("%s v1 %s", mt, hex.EncodeToString(v1.Bytes())),
-			fmt.Sprintf("%s v2 %s", mt, hex.EncodeToString(v2.Bytes())),
-		)
+		// "v2" names the header in the committed fixtures, kept byte-identical.
+		lines = append(lines, fmt.Sprintf("%s v2 %s", mt, hex.EncodeToString(buf.Bytes())))
 	}
 	got := strings.Join(lines, "\n") + "\n"
 
@@ -168,7 +162,7 @@ func TestGoldenFrameVectors(t *testing.T) {
 	}
 
 	// Decode direction: every committed fixture must read back to the same
-	// (group, type, payload), under both the group-aware and legacy readers.
+	// (group, type, payload) under both readers.
 	for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
 		parts := strings.Fields(line)
 		if len(parts) != 3 {
@@ -185,16 +179,12 @@ func TestGoldenFrameVectors(t *testing.T) {
 		if mt.String() != parts[0] {
 			t.Errorf("fixture %q decoded as type %v", line, mt)
 		}
-		wantGroup := GroupID(0)
-		if parts[1] == "v2" {
-			wantGroup = 0x01020304
-		}
-		if g != wantGroup {
-			t.Errorf("fixture %q decoded group %d, want %d", line, g, wantGroup)
+		if g != 0x01020304 {
+			t.Errorf("fixture %q decoded group %d", line, g)
 		}
 		mt2, payload2, err := ReadFrame(bytes.NewReader(raw))
 		if err != nil || mt2 != mt || !bytes.Equal(payload2, payload) {
-			t.Errorf("legacy reader diverged on fixture %q: %v", line, err)
+			t.Errorf("ReadFrame diverged on fixture %q: %v", line, err)
 		}
 	}
 }

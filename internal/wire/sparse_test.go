@@ -572,26 +572,23 @@ func TestRekeyPullRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCapsNegotiationRoundTrip locks the two join encodings: a zero-caps
-// request is the 9-byte layout, a caps-bearing one round-trips the flags
-// in a tenth byte (accepted, not read, by the server).
+// TestCapsNegotiationRoundTrip locks the one join layout: 9 bytes whether
+// or not the deprecated Caps field is set, and a 10-byte payload (the
+// retired caps layout) is rejected.
 func TestCapsNegotiationRoundTrip(t *testing.T) {
-	legacy := JoinRequest{LossRate: 0.5, LongLived: true}
-	if got := len(legacy.Encode()); got != 9 {
-		t.Fatalf("legacy join request is %d bytes, want 9", got)
-	}
-	caps := JoinRequest{LossRate: 0.5, LongLived: true, Caps: CapSparse | CapDatagram}
+	plain := JoinRequest{LossRate: 0.5, LongLived: true}
+	caps := plain
+	caps.Caps = CapSparse | CapDatagram
 	enc := caps.Encode()
-	if len(enc) != 10 {
-		t.Fatalf("caps join request is %d bytes, want 10", len(enc))
+	if !bytes.Equal(enc, plain.Encode()) || len(enc) != 9 {
+		t.Fatalf("caps join request encodes %x, want the 9-byte %x", enc, plain.Encode())
 	}
 	got, err := DecodeJoinRequest(enc)
-	if err != nil || got.Caps != CapSparse|CapDatagram || !got.LongLived {
-		t.Fatalf("caps join round trip: %+v err=%v", got, err)
+	if err != nil || got != plain {
+		t.Fatalf("join round trip: %+v err=%v", got, err)
 	}
-	back, err := DecodeJoinRequest(legacy.Encode())
-	if err != nil || back.Caps != 0 {
-		t.Fatalf("legacy join round trip: %+v err=%v", back, err)
+	if _, err := DecodeJoinRequest(append(enc, CapSparse)); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("10-byte join payload: err=%v, want ErrMalformed", err)
 	}
 }
 

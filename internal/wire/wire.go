@@ -31,14 +31,13 @@ var (
 // groups dominate; 16 MiB is ample).
 const MaxFrameSize = 16 << 20
 
-// GroupID addresses one hosted group on a multi-group key server. Group 0
-// is the default group — the one every legacy (v1-header) frame implicitly
-// addresses, so single-group deployments upgrade without a flag day.
+// GroupID addresses one hosted group on a key server. Every frame carries
+// one in its header; a single-group server hosts group 0.
 type GroupID uint32
 
-// groupFlag marks a group-addressed (v2) frame: the high bit of the type
-// byte is set and a big-endian uint32 group ID follows it. MsgType values
-// must stay below the flag, which the exhaustiveness test enforces.
+// groupFlag marks the type byte of every frame: the high bit is set and a
+// big-endian uint32 group ID follows it. MsgType values must stay below
+// the flag, which the exhaustiveness test enforces.
 const groupFlag = 0x80
 
 // MsgType identifies a frame's payload encoding.
@@ -170,31 +169,13 @@ func (t MsgType) String() string {
 	}
 }
 
-// WriteFrame writes one legacy (v1) frame: uint32 length, uint8 type,
-// payload. A v1 frame implicitly addresses group 0.
+// WriteFrame writes one frame addressed to group 0: shorthand for
+// WriteFrameGroup(w, 0, t, payload).
 func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
-	if byte(t)&groupFlag != 0 {
-		return fmt.Errorf("%w: type %d collides with the group flag", ErrMalformed, t)
-	}
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	hdr := make([]byte, 5)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: writing frame payload: %w", err)
-	}
-	return nil
+	return WriteFrameGroup(w, 0, t, payload)
 }
 
-// WriteFrameGroup writes one group-addressed (v2) frame: uint32 length,
-// uint8 type with the high bit set, uint32 group ID, payload. Group 0 is
-// written explicitly — the v2 header states the address, it never implies
-// one.
+// WriteFrameGroup writes one frame: header (see FrameHeaderSize), payload.
 func WriteFrameGroup(w io.Writer, g GroupID, t MsgType, payload []byte) error {
 	if byte(t)&groupFlag != 0 {
 		return fmt.Errorf("%w: type %d collides with the group flag", ErrMalformed, t)
@@ -202,11 +183,7 @@ func WriteFrameGroup(w io.Writer, g GroupID, t MsgType, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	hdr := make([]byte, 9)
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+5))
-	hdr[4] = byte(t) | groupFlag
-	binary.BigEndian.PutUint32(hdr[5:], uint32(g))
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(AppendFrameHeader(nil, g, t, len(payload))); err != nil {
 		return fmt.Errorf("wire: writing frame header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -215,55 +192,62 @@ func WriteFrameGroup(w io.Writer, g GroupID, t MsgType, payload []byte) error {
 	return nil
 }
 
-// ReadFrame reads one frame of either header version, discarding the group
-// address. Single-group endpoints (members bound to one group per
-// connection) use this; the multi-group server routes with ReadFrameGroup.
+// FrameHeaderSize is the size of a frame header: uint32 length, uint8 type
+// with the high bit set, uint32 group ID.
+const FrameHeaderSize = 9
+
+// frameMeta is the part of the header the length prefix counts along with
+// the payload: type and group.
+const frameMeta = FrameHeaderSize - 4
+
+// AppendFrameHeader appends the header of a frame addressing group g with
+// type t and an n-byte payload.
+func AppendFrameHeader(buf []byte, g GroupID, t MsgType, n int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n+frameMeta))
+	buf = append(buf, byte(t)|groupFlag)
+	return binary.BigEndian.AppendUint32(buf, uint32(g))
+}
+
+// ReadFrame reads one frame, discarding its group address: shorthand for
+// endpoints bound to one group per connection (members, replication
+// streams). The multi-group server routes with ReadFrameGroup.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
-	_, t, payload, _, err := readFrame(r)
+	_, t, payload, err := ReadFrameGroup(r)
 	return t, payload, err
 }
 
-// ReadFrameGroup reads one frame of either header version and returns the
-// group it addresses; legacy v1 frames map to group 0.
+// ReadFrameGroup reads one frame and returns the group it addresses. A
+// type byte without the group flag is ErrMalformed.
 func ReadFrameGroup(r io.Reader) (GroupID, MsgType, []byte, error) {
-	g, t, payload, _, err := readFrame(r)
-	return g, t, payload, err
-}
-
-// readFrame decodes one frame, reporting which header version carried it.
-func readFrame(r io.Reader) (GroupID, MsgType, []byte, bool, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return 0, 0, nil, false, err // io.EOF propagates untouched for clean shutdown
+		return 0, 0, nil, err // io.EOF propagates untouched for clean shutdown
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n < 1 {
-		return 0, 0, nil, false, fmt.Errorf("%w: zero-length frame", ErrMalformed)
+	if n < frameMeta {
+		return 0, 0, nil, fmt.Errorf("%w: %d-byte frame", ErrMalformed, n)
 	}
-	if n > MaxFrameSize+5 {
-		return 0, 0, nil, false, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	if n > MaxFrameSize+frameMeta {
+		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, 0, nil, false, fmt.Errorf("wire: reading frame body: %w", err)
+		return 0, 0, nil, fmt.Errorf("wire: reading frame body: %w", err)
 	}
 	if body[0]&groupFlag == 0 {
-		return 0, MsgType(body[0]), body[1:], false, nil
-	}
-	if n < 5 {
-		return 0, 0, nil, false, fmt.Errorf("%w: group-addressed frame %d bytes", ErrMalformed, n)
+		return 0, 0, nil, fmt.Errorf("%w: type byte %#x lacks the group flag", ErrMalformed, body[0])
 	}
 	g := GroupID(binary.BigEndian.Uint32(body[1:5]))
-	return g, MsgType(body[0] &^ groupFlag), body[5:], true, nil
+	return g, MsgType(body[0] &^ groupFlag), body[5:], nil
 }
 
-// Client capability flags a join may carry. They are accepted, not read:
-// every member is sent sparse frames, and the datagram plane registers a
-// member by its sealed UDP hello, not by a join flag.
+// Deprecated: client capability flags are not encoded. Every member is
+// sent sparse frames, and the datagram plane registers a member by its
+// sealed UDP hello, not by a join flag.
 const (
-	// CapSparse announced a client that decodes MsgRekeySparse frames.
+	// Deprecated: CapSparse is not encoded.
 	CapSparse uint8 = 1 << 0
-	// CapDatagram announced a client that may subscribe to the UDP plane.
+	// Deprecated: CapDatagram is not encoded.
 	CapDatagram uint8 = 1 << 1
 )
 
@@ -272,43 +256,33 @@ const (
 type JoinRequest struct {
 	LossRate  float64 // negative means unknown
 	LongLived bool
-	// Caps is the client's capability bitmap: accepted, not read. Nonzero
-	// caps add a tenth byte to the encoding.
+	// Deprecated: Caps is not encoded; a decoded request carries zero.
 	Caps uint8
 }
 
-// Encode serializes the request: 9 bytes, plus a trailing caps byte when
-// any capability is requested.
+// joinRequestSize is LossRate(8) + LongLived(1).
+const joinRequestSize = 9
+
+// Encode serializes the request in its 9-byte layout.
 func (j JoinRequest) Encode() []byte {
-	n := 9
-	if j.Caps != 0 {
-		n = 10
-	}
-	out := make([]byte, n)
+	out := make([]byte, joinRequestSize)
 	binary.BigEndian.PutUint64(out, math.Float64bits(j.LossRate))
 	if j.LongLived {
 		out[8] = 1
 	}
-	if j.Caps != 0 {
-		out[9] = j.Caps
-	}
 	return out
 }
 
-// DecodeJoinRequest parses a MsgJoin payload (9 bytes legacy, 10 with the
-// capability byte).
+// DecodeJoinRequest parses a MsgJoin payload, which must be exactly 9
+// bytes.
 func DecodeJoinRequest(b []byte) (JoinRequest, error) {
-	if len(b) != 9 && len(b) != 10 {
+	if len(b) != joinRequestSize {
 		return JoinRequest{}, fmt.Errorf("%w: join payload %d bytes", ErrMalformed, len(b))
 	}
-	req := JoinRequest{
+	return JoinRequest{
 		LossRate:  math.Float64frombits(binary.BigEndian.Uint64(b)),
 		LongLived: b[8] == 1,
-	}
-	if len(b) == 10 {
-		req.Caps = b[9]
-	}
-	return req, nil
+	}, nil
 }
 
 // Welcome is the registration package.
@@ -351,9 +325,8 @@ type MemberJoin struct {
 	Req    JoinRequest
 }
 
-// memberJoinSize is member(8) + LossRate(8) + LongLived(1). The log never
-// carries JoinRequest.Caps, so its entries do not follow the join layout.
-const memberJoinSize = 8 + 9
+// memberJoinSize is member(8) plus the join layout.
+const memberJoinSize = 8 + joinRequestSize
 
 // EncodeMembershipBatch serializes one applied membership batch for the
 // durable write-ahead log: joins count(4) + entries, then leaves count(4) +
