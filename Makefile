@@ -133,6 +133,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzScopedIndex$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALRecord$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeClientState$$' -fuzztime=10s ./internal/server/
 	$(GO) test -run='^$$' -fuzz='^FuzzPlanBatch$$' -fuzztime=10s ./internal/keytree/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeReport$$' -fuzztime=10s ./internal/loadgen/
 

@@ -218,9 +218,9 @@ func WithRekeyWorkers(n int) Option {
 
 // WithPlanner enables the batch placement planner (keytree.WithPlanner)
 // on every key tree the scheme maintains. Planning is a pure function of
-// tree shape and batch, so enabling it keeps deterministic replay intact —
-// but snapshots do not record it, so restore paths must be handed the same
-// option the original scheme was built with.
+// tree shape and batch, so enabling it keeps deterministic replay intact.
+// Each key-tree snapshot records the setting, so restores take it from
+// the blob and ignore this option.
 func WithPlanner(keytree.PlannerConfig) Option {
 	return func(o *options) { o.planner = true }
 }

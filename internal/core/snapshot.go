@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/snapcodec"
 )
 
 // Scheme snapshots: every scheme serializes its complete state (key
@@ -59,11 +58,11 @@ func (s *OneTree) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := newSnapWriter(oneTreeSnapMagic)
-	w.u64(s.epoch)
-	w.counters(&s.statCounters)
-	w.blob(treeBlob)
-	return w.bytes(), nil
+	w := snapcodec.NewWriter(oneTreeSnapMagic)
+	w.U64(s.epoch)
+	writeCounters(w, &s.statCounters)
+	w.Blob(treeBlob)
+	return w.Bytes(), nil
 }
 
 // RestoreOneTree rebuilds a one-keytree scheme from a snapshot.
@@ -72,10 +71,10 @@ func RestoreOneTree(snapshot []byte, opts ...Option) (*OneTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &OneTree{epoch: r.u64()}
-	r.counters(&s.statCounters)
-	treeBlob := r.blob()
-	if err := r.close(); err != nil {
+	s := &OneTree{epoch: r.U64()}
+	readCounters(r, &s.statCounters)
+	treeBlob := r.Blob()
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	s.tree, err = keytree.Restore(treeBlob, o.treeOptions(0)...)
@@ -89,17 +88,13 @@ func RestoreOneTree(snapshot []byte, opts ...Option) (*OneTree, error) {
 
 // Snapshot implements Scheme.
 func (s *Naive) Snapshot() ([]byte, error) {
-	w := newSnapWriter(naiveSnapMagic)
-	w.u64(s.epoch)
-	w.counters(&s.statCounters)
-	w.key(s.dek)
-	w.u64(uint64(s.nextID))
-	w.u32(uint32(len(s.members)))
-	for _, m := range sortedMembers(s.members) {
-		w.u64(uint64(m))
-		w.key(s.members[m])
-	}
-	return w.bytes(), nil
+	w := snapcodec.NewWriter(naiveSnapMagic)
+	w.U64(s.epoch)
+	writeCounters(w, &s.statCounters)
+	w.Key(s.dek)
+	w.U64(uint64(s.nextID))
+	writeMemberMap(w, s.members, w.Key)
+	return w.Bytes(), nil
 }
 
 // RestoreNaive rebuilds the unicast baseline from a snapshot.
@@ -112,23 +107,12 @@ func RestoreNaive(snapshot []byte, opts ...Option) (*Naive, error) {
 		gen:     keycrypt.Generator{Rand: o.rand},
 		members: make(map[keytree.MemberID]keycrypt.Key),
 	}
-	s.epoch = r.u64()
-	r.counters(&s.statCounters)
-	s.dek = r.key()
-	s.nextID = keycrypt.KeyID(r.u64())
-	n := int(r.u32())
-	for i := 0; i < n && r.err == nil; i++ {
-		m := keytree.MemberID(r.u64())
-		k := r.key()
-		if m == 0 {
-			return nil, fmt.Errorf("%w: zero member", ErrBadSnapshot)
-		}
-		if _, dup := s.members[m]; dup {
-			return nil, fmt.Errorf("%w: duplicate member %d", ErrBadSnapshot, m)
-		}
-		s.members[m] = k
-	}
-	if err := r.close(); err != nil {
+	s.epoch = r.U64()
+	readCounters(r, &s.statCounters)
+	s.dek = r.Key()
+	s.nextID = keycrypt.KeyID(r.U64())
+	readMemberMap(r, s.members, r.Key)
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -140,43 +124,34 @@ func RestoreNaive(snapshot []byte, opts ...Option) (*Naive, error) {
 // plus the L tree), the migration clocks that decide who moves to L, the
 // group key and the epoch — everything ProcessBatch's behaviour depends on.
 func (s *TwoPartition) Snapshot() ([]byte, error) {
-	w := newSnapWriter(twoPartSnapMagic)
-	w.u8(uint8(s.mode))
-	w.u32(uint32(s.degree))
-	w.u64(s.sPeriod)
-	w.u64(s.epoch)
-	w.counters(&s.statCounters)
-	w.key(s.dek)
-	w.u64(uint64(s.nextQueueID))
+	w := snapcodec.NewWriter(twoPartSnapMagic)
+	w.U8(uint8(s.mode))
+	w.U32(uint32(s.degree))
+	w.U64(s.sPeriod)
+	w.U64(s.epoch)
+	writeCounters(w, &s.statCounters)
+	w.Key(s.dek)
+	w.U64(uint64(s.nextQueueID))
 
-	// QT queue: member → individual key.
-	w.u32(uint32(len(s.queue)))
-	for _, m := range sortedMembers(s.queue) {
-		w.u64(uint64(m))
-		w.key(s.queue[m])
-	}
-	// Migration clocks: member → join epoch.
-	w.u32(uint32(len(s.joinEpoch)))
-	for _, m := range sortedMembers(s.joinEpoch) {
-		w.u64(uint64(m))
-		w.u64(s.joinEpoch[m])
-	}
-	// Partition trees. QT has no S tree.
+	// QT queue (member → individual key), then the migration clocks
+	// (member → join epoch).
+	writeMemberMap(w, s.queue, w.Key)
+	writeMemberMap(w, s.joinEpoch, w.U64)
+	// Partition trees. QT has no S tree: its blob is empty.
+	var sblob []byte
 	if s.stree != nil {
-		blob, err := s.stree.Snapshot()
-		if err != nil {
+		var err error
+		if sblob, err = s.stree.Snapshot(); err != nil {
 			return nil, err
 		}
-		w.blob(blob)
-	} else {
-		w.u32(0)
 	}
 	lblob, err := s.ltree.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	w.blob(lblob)
-	return w.bytes(), nil
+	w.Blob(sblob)
+	w.Blob(lblob)
+	return w.Bytes(), nil
 }
 
 // RestoreTwoPartition rebuilds a two-partition scheme from a snapshot.
@@ -186,7 +161,7 @@ func RestoreTwoPartition(snapshot []byte, opts ...Option) (*TwoPartition, error)
 		return nil, err
 	}
 	s := &TwoPartition{
-		mode:      PartitionMode(r.u8()),
+		mode:      PartitionMode(r.U8()),
 		gen:       keycrypt.Generator{Rand: o.rand},
 		queue:     make(map[keytree.MemberID]keycrypt.Key),
 		joinEpoch: make(map[keytree.MemberID]uint64),
@@ -195,43 +170,21 @@ func RestoreTwoPartition(snapshot []byte, opts ...Option) (*TwoPartition, error)
 	if s.mode != QT && s.mode != TT && s.mode != PT {
 		return nil, fmt.Errorf("%w: mode %d", ErrBadSnapshot, s.mode)
 	}
-	s.degree = int(r.u32())
+	s.degree = int(r.U32())
 	if s.degree < 2 || s.degree > 255 {
 		return nil, fmt.Errorf("%w: degree %d", ErrBadSnapshot, s.degree)
 	}
-	s.sPeriod = r.u64()
-	s.epoch = r.u64()
-	r.counters(&s.statCounters)
-	s.dek = r.key()
-	s.nextQueueID = keycrypt.KeyID(r.u64())
+	s.sPeriod = r.U64()
+	s.epoch = r.U64()
+	readCounters(r, &s.statCounters)
+	s.dek = r.Key()
+	s.nextQueueID = keycrypt.KeyID(r.U64())
 
-	nq := int(r.u32())
-	for i := 0; i < nq && r.err == nil; i++ {
-		m := keytree.MemberID(r.u64())
-		k := r.key()
-		if m == 0 {
-			return nil, fmt.Errorf("%w: zero queue member", ErrBadSnapshot)
-		}
-		if _, dup := s.queue[m]; dup {
-			return nil, fmt.Errorf("%w: duplicate queue member %d", ErrBadSnapshot, m)
-		}
-		s.queue[m] = k
-	}
-	nj := int(r.u32())
-	for i := 0; i < nj && r.err == nil; i++ {
-		m := keytree.MemberID(r.u64())
-		e := r.u64()
-		if m == 0 {
-			return nil, fmt.Errorf("%w: zero clock member", ErrBadSnapshot)
-		}
-		if _, dup := s.joinEpoch[m]; dup {
-			return nil, fmt.Errorf("%w: duplicate clock member %d", ErrBadSnapshot, m)
-		}
-		s.joinEpoch[m] = e
-	}
-	sBlob := r.blob()
-	lBlob := r.blob()
-	if err := r.close(); err != nil {
+	readMemberMap(r, s.queue, r.Key)
+	readMemberMap(r, s.joinEpoch, r.U64)
+	sBlob := r.Blob()
+	lBlob := r.Blob()
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	treeOpts := o.treeOptions(0)
@@ -256,25 +209,25 @@ func RestoreTwoPartition(snapshot []byte, opts ...Option) (*TwoPartition, error)
 // round-robin cursor), the group key, and one blob per class tree. The
 // member→tree map is not serialized — each tree already knows its members.
 func (s *MultiTree) Snapshot() ([]byte, error) {
-	w := newSnapWriter(multiTreeSnapMagic)
-	w.u8(uint8(s.kind))
-	w.u64(s.epoch)
-	w.counters(&s.statCounters)
-	w.key(s.dek)
-	w.u64(s.rrNext)
-	w.u32(uint32(len(s.bounds)))
+	w := snapcodec.NewWriter(multiTreeSnapMagic)
+	w.U8(uint8(s.kind))
+	w.U64(s.epoch)
+	writeCounters(w, &s.statCounters)
+	w.Key(s.dek)
+	w.U64(s.rrNext)
+	w.U32(uint32(len(s.bounds)))
 	for _, b := range s.bounds {
-		w.u64(math.Float64bits(b))
+		w.U64(math.Float64bits(b))
 	}
-	w.u32(uint32(len(s.trees)))
+	w.U32(uint32(len(s.trees)))
 	for _, tr := range s.trees {
 		blob, err := tr.Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		w.blob(blob)
+		w.Blob(blob)
 	}
-	return w.bytes(), nil
+	return w.Bytes(), nil
 }
 
 // RestoreMultiTree rebuilds a loss-homogenized or random multi-tree scheme
@@ -285,7 +238,7 @@ func RestoreMultiTree(snapshot []byte, opts ...Option) (*MultiTree, error) {
 		return nil, err
 	}
 	s := &MultiTree{
-		kind:     multiTreeKind(r.u8()),
+		kind:     multiTreeKind(r.U8()),
 		home:     make(map[keytree.MemberID]int),
 		gen:      keycrypt.Generator{Rand: o.rand},
 		parallel: o.treeConcurrency(),
@@ -298,26 +251,26 @@ func RestoreMultiTree(snapshot []byte, opts ...Option) (*MultiTree, error) {
 	default:
 		return nil, fmt.Errorf("%w: assigner kind %d", ErrBadSnapshot, s.kind)
 	}
-	s.epoch = r.u64()
-	r.counters(&s.statCounters)
-	s.dek = r.key()
-	s.rrNext = r.u64()
-	nb := int(r.u32())
+	s.epoch = r.U64()
+	readCounters(r, &s.statCounters)
+	s.dek = r.Key()
+	s.rrNext = r.U64()
+	nb := int(r.U32())
 	if nb > 1<<16 {
 		return nil, fmt.Errorf("%w: %d loss bounds", ErrBadSnapshot, nb)
 	}
-	for i := 0; i < nb && r.err == nil; i++ {
-		s.bounds = append(s.bounds, math.Float64frombits(r.u64()))
+	for i := 0; i < nb && r.Err() == nil; i++ {
+		s.bounds = append(s.bounds, math.Float64frombits(r.U64()))
 	}
-	nt := int(r.u32())
-	if r.err == nil && (nt < 1 || nt > 1<<16) {
+	nt := int(r.U32())
+	if r.Err() == nil && (nt < 1 || nt > 1<<16) {
 		return nil, fmt.Errorf("%w: %d trees", ErrBadSnapshot, nt)
 	}
 	var blobs [][]byte
-	for i := 0; i < nt && r.err == nil; i++ {
-		blobs = append(blobs, r.blob())
+	for i := 0; i < nt && r.Err() == nil; i++ {
+		blobs = append(blobs, r.Blob())
 	}
-	if err := r.close(); err != nil {
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
 	if s.kind == assignLossClass && len(blobs) != len(s.bounds)+1 {
@@ -341,113 +294,44 @@ func RestoreMultiTree(snapshot []byte, opts ...Option) (*MultiTree, error) {
 
 // --- codec helpers ---
 
-// snapWriter builds a snapshot blob: magic then big-endian fields.
-type snapWriter struct{ buf bytes.Buffer }
-
-func newSnapWriter(magic string) *snapWriter {
-	w := &snapWriter{}
-	w.buf.WriteString(magic)
-	return w
+func writeCounters(w *snapcodec.Writer, c *statCounters) {
+	w.U64(c.rekeys)
+	w.U64(c.keysEncrypted)
 }
 
-func (w *snapWriter) u8(v uint8) { w.buf.WriteByte(v) }
-
-func (w *snapWriter) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
+func readCounters(r *snapcodec.Reader, c *statCounters) {
+	c.rekeys = r.U64()
+	c.keysEncrypted = r.U64()
 }
 
-func (w *snapWriter) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
+// writeMemberMap writes a member-keyed map: count(4), then member(8) and
+// put's value in ascending member order.
+func writeMemberMap[V any](w *snapcodec.Writer, m map[keytree.MemberID]V, put func(V)) {
+	w.U32(uint32(len(m)))
+	for _, id := range sortedMembers(m) {
+		w.U64(uint64(id))
+		put(m[id])
+	}
 }
 
-// key writes one keycrypt.Key record: id(8) version(4) material(32).
-func (w *snapWriter) key(k keycrypt.Key) {
-	w.u64(uint64(k.ID))
-	w.u32(uint32(k.Version))
-	w.buf.Write(k.Bytes())
+// readMemberMap reads what writeMemberMap wrote into m, rejecting member
+// 0 and duplicates.
+func readMemberMap[V any](r *snapcodec.Reader, m map[keytree.MemberID]V, get func() V) {
+	for n := r.U32(); n > 0 && r.Err() == nil; n-- {
+		id, v := keytree.MemberID(r.U64()), get()
+		if _, dup := m[id]; id == 0 || dup {
+			r.Fail("zero or duplicate member %d", id)
+		}
+		m[id] = v
+	}
 }
 
-func (w *snapWriter) counters(c *statCounters) {
-	w.u64(c.rekeys)
-	w.u64(c.keysEncrypted)
-}
-
-// blob writes a length-prefixed byte blob.
-func (w *snapWriter) blob(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf.Write(b)
-}
-
-func (w *snapWriter) bytes() []byte { return w.buf.Bytes() }
-
-// snapReader is a bounds-checked sequential reader over a snapshot blob.
-type snapReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-// openSnap checks the magic, resolves options and positions a reader after
-// the magic.
-func openSnap(snapshot []byte, magic string, opts []Option) (*snapReader, options, error) {
+// openSnap resolves options and positions a reader after the magic.
+func openSnap(snapshot []byte, magic string, opts []Option) (*snapcodec.Reader, options, error) {
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, o, err
 	}
-	if len(snapshot) < 4 || string(snapshot[:4]) != magic {
-		return nil, o, fmt.Errorf("%w: bad header", ErrBadSnapshot)
-	}
-	return &snapReader{data: snapshot, off: 4}, o, nil
-}
-
-func (r *snapReader) bytes(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.data) {
-		r.err = ErrBadSnapshot
-		// Fixed-size readers index at most a key's worth, and every result
-		// is discarded once err is set: never allocate a corrupt length.
-		return make([]byte, min(max(n, 0), keycrypt.KeySize))
-	}
-	out := r.data[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *snapReader) u8() uint8   { return r.bytes(1)[0] }
-func (r *snapReader) u32() uint32 { return binary.BigEndian.Uint32(r.bytes(4)) }
-func (r *snapReader) u64() uint64 { return binary.BigEndian.Uint64(r.bytes(8)) }
-
-func (r *snapReader) key() keycrypt.Key {
-	id := keycrypt.KeyID(r.u64())
-	ver := keycrypt.Version(r.u32())
-	material := r.bytes(keycrypt.KeySize)
-	k, err := keycrypt.NewKey(id, ver, material)
-	if err != nil && r.err == nil {
-		r.err = err
-	}
-	return k
-}
-
-func (r *snapReader) counters(c *statCounters) {
-	c.rekeys = r.u64()
-	c.keysEncrypted = r.u64()
-}
-
-func (r *snapReader) blob() []byte {
-	n := int(r.u32())
-	return r.bytes(n)
-}
-
-// close verifies the whole blob was consumed without error.
-func (r *snapReader) close() error {
-	if r.err != nil {
-		return fmt.Errorf("%w: truncated", ErrBadSnapshot)
-	}
-	if rest := len(r.data) - r.off; rest != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, rest)
-	}
-	return nil
+	r := snapcodec.NewReader(snapshot, magic, ErrBadSnapshot)
+	return r, o, r.Err()
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"groupkey/internal/keytree"
 )
 
 // TestSchemeSnapshotRoundTrip proves the durability contract for every
@@ -24,6 +26,14 @@ func TestSchemeSnapshotRoundTrip(t *testing.T) {
 			return NewLossHomogenized([]float64{0.01, 0.05}, rnd(seed))
 		}},
 		{"randommulti", func(seed uint64) (Scheme, error) { return NewRandomMultiTree(3, rnd(seed)) }},
+		// Planner-enabled trees record the flag in their blobs: the restore
+		// below is handed no planner option and must still match.
+		{"onetree-planner", func(seed uint64) (Scheme, error) {
+			return NewOneTree(rnd(seed), WithPlanner(keytree.PlannerConfig{}))
+		}},
+		{"tt-planner", func(seed uint64) (Scheme, error) {
+			return NewTwoPartition(TT, 2, rnd(seed), WithPlanner(keytree.PlannerConfig{}))
+		}},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +62,9 @@ func TestSchemeSnapshotRoundTrip(t *testing.T) {
 			}
 			if restored.Size() != s.Size() {
 				t.Fatalf("restored size %d, want %d", restored.Size(), s.Size())
+			}
+			if got, want := restored.Stats().Planner.Enabled, s.Stats().Planner.Enabled; got != want {
+				t.Fatalf("restored planner=%v, want %v", got, want)
 			}
 			wantDEK, err := s.GroupKey()
 			if err != nil {

@@ -233,6 +233,7 @@ func (n *simNode) createScheme(ng *nodeGroup, gi int) {
 	if err != nil {
 		panic(fmt.Sprintf("dst: bad plan scheme %q: %v", w.plan.Scheme, err))
 	}
+	cfg.Planner = w.plan.Planner
 	sc, err := ng.st.Create(cfg)
 	if err != nil {
 		w.diskFailure(n, err)

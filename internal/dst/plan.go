@@ -73,7 +73,9 @@ type Plan struct {
 	// spread; zero disables the check (fault profiles, where unbounded
 	// repair lag is expected until the final convergence check).
 	SLO time.Duration `json:"slo,omitempty"`
-	Ops []Op          `json:"ops"`
+	// Planner runs the batch placement planner on every key tree.
+	Planner bool `json:"planner,omitempty"`
+	Ops     []Op `json:"ops"`
 }
 
 // Hash returns the canonical-JSON digest of the plan, recorded in
@@ -126,6 +128,7 @@ func GenPlan(seed uint64, profile Profile) Plan {
 		Period:   500 * time.Millisecond,
 		Loss:     0.05,
 		Fsync:    "always",
+		Planner:  seed%2 == 1, // not drawn: a seed keeps its faults and members
 	}
 	if profile == ProfileClean {
 		p.Loss = 0.02

@@ -1,141 +1,104 @@
 package keytree
 
 import (
-	"bytes"
 	"fmt"
 
 	"groupkey/internal/keycrypt"
+	"groupkey/internal/snapcodec"
 )
 
 // OFT snapshots mirror the LKH tree snapshots (snapshot.go): full server
-// state for crash recovery, secrets included — encrypt at rest.
+// state for crash recovery, secrets included — encrypt at rest. Layout:
+// "OFTT" | version(4) | header | nodes in pre-order, where a node is
+// id(8) | secret key record | member(8) | childCount(1, 0 or 2).
 
-const oftSnapMagic = "OFTT"
+const (
+	oftSnapMagic   = "OFTT"
+	oftSnapVersion = 1
+)
 
 // Snapshot serializes the one-way function tree.
 func (t *OFT) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(oftSnapMagic)
-	writeU32(&buf, snapVersion)
-	writeU64(&buf, uint64(t.nextID))
-	for _, v := range []int{t.stats.Joins, t.stats.Departures, t.stats.KeysWrapped, t.stats.KeysRefreshed, t.stats.Rekeys} {
-		writeU64(&buf, uint64(v))
-	}
-	if t.root == nil {
-		writeU32(&buf, 0)
-		return buf.Bytes(), nil
-	}
-	writeU32(&buf, 1)
+	w := snapcodec.NewWriter(oftSnapMagic)
+	w.U32(oftSnapVersion)
+	writeHeader(w, t.nextID, t.stats, t.root != nil)
 	var write func(n *oftNode)
 	write = func(n *oftNode) {
-		writeU64(&buf, uint64(n.id))
-		writeU64(&buf, uint64(n.secret.ID))
-		writeU32(&buf, uint32(n.secret.Version))
-		buf.Write(n.secret.Bytes())
-		writeU64(&buf, uint64(n.member))
+		w.U64(uint64(n.id))
+		w.Key(n.secret)
+		w.U64(uint64(n.member))
 		if n.isLeaf() {
-			buf.WriteByte(0)
+			w.U8(0)
 			return
 		}
-		buf.WriteByte(2)
+		w.U8(2)
 		write(n.left)
 		write(n.right)
 	}
-	write(t.root)
-	return buf.Bytes(), nil
+	if t.root != nil {
+		write(t.root)
+	}
+	return w.Bytes(), nil
 }
 
 // RestoreOFT rebuilds an OFT from a snapshot and verifies internal
 // consistency: every interior secret must equal the Mix of its children's
 // blinds, so a corrupted snapshot cannot smuggle in an inconsistent tree.
 func RestoreOFT(snapshot []byte, opts ...Option) (*OFT, error) {
-	r := &snapReader{data: snapshot}
-	if string(r.bytes(4)) != oftSnapMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	if v := r.u32(); v != snapVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
+	r := snapcodec.NewReader(snapshot, oftSnapMagic, ErrBadSnapshot)
+	r.Version(oftSnapVersion)
+	nextID, stats, hasRoot := readHeader(r)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	t, err := NewOFT(opts...)
 	if err != nil {
 		return nil, err
 	}
-	t.nextID = keycrypt.KeyID(r.u64())
-	t.stats.Joins = int(r.u64())
-	t.stats.Departures = int(r.u64())
-	t.stats.KeysWrapped = int(r.u64())
-	t.stats.KeysRefreshed = int(r.u64())
-	t.stats.Rekeys = int(r.u64())
-	hasRoot := r.u32()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if hasRoot == 0 {
-		return t, nil
-	}
+	t.nextID, t.stats = nextID, stats
 	var read func(depth int) (*oftNode, error)
 	read = func(depth int) (*oftNode, error) {
 		if depth > 64 {
 			return nil, fmt.Errorf("%w: tree deeper than 64 levels", ErrBadSnapshot)
 		}
-		id := keycrypt.KeyID(r.u64())
-		secretID := keycrypt.KeyID(r.u64())
-		version := keycrypt.Version(r.u32())
-		material := r.bytes(keycrypt.KeySize)
-		memberID := MemberID(r.u64())
-		kids := int(r.u8())
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: truncated node", ErrBadSnapshot)
+		n := &oftNode{id: keycrypt.KeyID(r.U64()), secret: r.Key(), member: MemberID(r.U64())}
+		kids := int(r.U8())
+		if err := restoreMember(r, t.leaves, n, n.member, kids == 0); err != nil {
+			return nil, err
 		}
-		secret, err := keycrypt.NewKey(secretID, version, material)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		n := &oftNode{id: id, secret: secret, member: memberID}
-		switch kids {
-		case 0:
-			if memberID == 0 {
-				return nil, fmt.Errorf("%w: leaf without member", ErrBadSnapshot)
-			}
-			if _, dup := t.leaves[memberID]; dup {
-				return nil, fmt.Errorf("%w: duplicate member %d", ErrBadSnapshot, memberID)
-			}
+		if kids == 0 {
 			n.leaves = 1
-			t.leaves[memberID] = n
 			return n, nil
-		case 2:
-			if memberID != 0 {
-				return nil, fmt.Errorf("%w: interior node carries member %d", ErrBadSnapshot, memberID)
-			}
-			l, err := read(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			rn, err := read(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			l.parent, rn.parent = n, n
-			n.left, n.right = l, rn
-			n.leaves = l.leaves + rn.leaves
-			// Verify the OFT invariant: the interior secret is derivable.
-			want := keycrypt.Mix(n.id, l.secret.Version+rn.secret.Version,
-				keycrypt.Blind(l.secret), keycrypt.Blind(rn.secret))
-			if !want.Equal(n.secret) {
-				return nil, fmt.Errorf("%w: interior secret %v inconsistent with children", ErrBadSnapshot, n.id)
-			}
-			return n, nil
-		default:
+		}
+		if kids != 2 {
 			return nil, fmt.Errorf("%w: OFT node with %d children", ErrBadSnapshot, kids)
 		}
+		l, err := read(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		rn, err := read(depth + 1)
+		if err != nil {
+			return nil, err
+		}
+		l.parent, rn.parent = n, n
+		n.left, n.right = l, rn
+		n.leaves = l.leaves + rn.leaves
+		// Verify the OFT invariant: the interior secret is derivable.
+		want := keycrypt.Mix(n.id, l.secret.Version+rn.secret.Version,
+			keycrypt.Blind(l.secret), keycrypt.Blind(rn.secret))
+		if !want.Equal(n.secret) {
+			return nil, fmt.Errorf("%w: interior secret %v inconsistent with children", ErrBadSnapshot, n.id)
+		}
+		return n, nil
 	}
-	root, err := read(0)
-	if err != nil {
+	if hasRoot {
+		if t.root, err = read(0); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	if r.rest() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.rest())
-	}
-	t.root = root
 	return t, nil
 }

@@ -1,80 +1,120 @@
 package keytree
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"groupkey/internal/keycrypt"
+	"groupkey/internal/snapcodec"
 )
 
 // Snapshot serializes the complete key-tree state — structure, key
-// material, ID allocator and counters — so a key server can persist its
-// state across restarts without forcing a whole-group rekey.
+// material, ID allocator, counters and the planner setting — so a key
+// server can persist its state across restarts without forcing a
+// whole-group rekey.
 //
 // The snapshot contains every secret in the tree. Callers own
 // encryption-at-rest (e.g. seal the blob under a KMS-held master key).
+//
+// Layout (snapcodec): "LKHT" | version(4) | degree(4) | planner(1)
+// | header | nodes in pre-order, where header is nextID(8), the five
+// lifetime counters (8 each) and hasRoot(4), shared with OFT snapshots,
+// and a node is key record | member(8) | childCount(1).
 
 // ErrBadSnapshot reports a malformed or truncated snapshot.
 var ErrBadSnapshot = errors.New("keytree: malformed snapshot")
 
-// snapshot format constants.
+// snapshot format constants; any other version is rejected.
 const (
 	snapMagic   = "LKHT"
-	snapVersion = 1
+	snapVersion = 2
 )
 
-// Snapshot serializes the tree.
-func (t *Tree) Snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(snapMagic)
-	writeU32(&buf, snapVersion)
-	writeU32(&buf, uint32(t.degree))
-	writeU64(&buf, uint64(t.nextID))
-	for _, v := range []int{t.stats.Joins, t.stats.Departures, t.stats.KeysWrapped, t.stats.KeysRefreshed, t.stats.Rekeys} {
-		writeU64(&buf, uint64(v))
+// writeHeader writes the section Tree and OFT snapshots share.
+func writeHeader(w *snapcodec.Writer, nextID keycrypt.KeyID, s Stats, hasRoot bool) {
+	w.U64(uint64(nextID))
+	for _, v := range []int{s.Joins, s.Departures, s.KeysWrapped, s.KeysRefreshed, s.Rekeys} {
+		w.U64(uint64(v))
 	}
-	if t.root == nil {
-		writeU32(&buf, 0)
-		return buf.Bytes(), nil
+	if hasRoot {
+		w.U32(1)
+	} else {
+		w.U32(0)
 	}
-	writeU32(&buf, 1)
-	var write func(n *Node) error
-	write = func(n *Node) error {
-		writeU64(&buf, uint64(n.key.ID))
-		writeU32(&buf, uint32(n.key.Version))
-		buf.Write(n.key.Bytes())
-		writeU64(&buf, uint64(n.member))
-		if len(n.children) > 255 {
-			return fmt.Errorf("keytree: node fan-out %d unserializable", len(n.children))
-		}
-		buf.WriteByte(byte(len(n.children)))
-		for _, c := range n.children {
-			if err := write(c); err != nil {
-				return err
-			}
+}
+
+// readHeader reads the section writeHeader wrote.
+func readHeader(r *snapcodec.Reader) (nextID keycrypt.KeyID, s Stats, hasRoot bool) {
+	nextID = keycrypt.KeyID(r.U64())
+	for _, v := range []*int{&s.Joins, &s.Departures, &s.KeysWrapped, &s.KeysRefreshed, &s.Rekeys} {
+		*v = int(r.U64())
+	}
+	return nextID, s, r.U32() != 0
+}
+
+// restoreMember checks a restored node's member field against its shape
+// (a leaf names a member no other leaf has, an interior node names none)
+// and registers leaves in the tree's leaf map. It also surfaces the
+// reader's error, so callers check once per node.
+func restoreMember[N any](r *snapcodec.Reader, leaves map[MemberID]N, n N, m MemberID, leaf bool) error {
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if !leaf {
+		if m != 0 {
+			return fmt.Errorf("%w: interior node carries member %d", ErrBadSnapshot, m)
 		}
 		return nil
 	}
-	if err := write(t.root); err != nil {
-		return nil, err
+	if m == 0 {
+		return fmt.Errorf("%w: leaf without member", ErrBadSnapshot)
 	}
-	return buf.Bytes(), nil
+	if _, dup := leaves[m]; dup {
+		return fmt.Errorf("%w: duplicate member %d", ErrBadSnapshot, m)
+	}
+	leaves[m] = n
+	return nil
 }
 
-// Restore rebuilds a tree from a snapshot. Options (entropy source, ID
-// base) apply on top of the restored state; WithFirstKeyID is ignored in
-// favor of the snapshot's allocator position.
+// Snapshot serializes the tree. A node's fan-out is one byte, so trees
+// of degree above 255 have no snapshot.
+func (t *Tree) Snapshot() ([]byte, error) {
+	if t.degree > 255 {
+		return nil, fmt.Errorf("keytree: degree %d unserializable", t.degree)
+	}
+	w := snapcodec.NewWriter(snapMagic)
+	w.U32(snapVersion)
+	w.U32(uint32(t.degree))
+	w.Bool(t.planner)
+	writeHeader(w, t.nextID, t.stats, t.root != nil)
+	var write func(n *Node)
+	write = func(n *Node) {
+		w.Key(n.key)
+		w.U64(uint64(n.member))
+		w.U8(uint8(len(n.children)))
+		for _, c := range n.children {
+			write(c)
+		}
+	}
+	if t.root != nil {
+		write(t.root)
+	}
+	return w.Bytes(), nil
+}
+
+// Restore rebuilds a tree from a snapshot, planner setting included.
+// Options (entropy source, wrap workers) apply on top of the restored
+// state; WithFirstKeyID and WithPlanner are ignored in favor of the
+// snapshot's allocator position and planner flag.
 func Restore(snapshot []byte, opts ...Option) (*Tree, error) {
-	r := &snapReader{data: snapshot}
-	if string(r.bytes(4)) != snapMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
+	r := snapcodec.NewReader(snapshot, snapMagic, ErrBadSnapshot)
+	r.Version(snapVersion)
+	degree := int(r.U32())
+	planner := r.Bool()
+	nextID, stats, hasRoot := readHeader(r)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	if v := r.u32(); v != snapVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
-	}
-	degree := int(r.u32())
 	if degree < 2 || degree > 255 {
 		return nil, fmt.Errorf("%w: degree %d", ErrBadSnapshot, degree)
 	}
@@ -82,52 +122,21 @@ func Restore(snapshot []byte, opts ...Option) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.nextID = keycrypt.KeyID(r.u64())
-	t.stats.Joins = int(r.u64())
-	t.stats.Departures = int(r.u64())
-	t.stats.KeysWrapped = int(r.u64())
-	t.stats.KeysRefreshed = int(r.u64())
-	t.stats.Rekeys = int(r.u64())
-
-	hasRoot := r.u32()
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadSnapshot)
-	}
-	if hasRoot == 0 {
-		return t, nil
-	}
+	t.planner, t.nextID, t.stats = planner, nextID, stats
 
 	var read func(depth int) (*Node, error)
 	read = func(depth int) (*Node, error) {
 		if depth > 64 {
 			return nil, fmt.Errorf("%w: tree deeper than 64 levels", ErrBadSnapshot)
 		}
-		id := keycrypt.KeyID(r.u64())
-		version := keycrypt.Version(r.u32())
-		material := r.bytes(keycrypt.KeySize)
-		memberID := MemberID(r.u64())
-		childCount := int(r.u8())
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: truncated node", ErrBadSnapshot)
+		n := &Node{key: r.Key(), member: MemberID(r.U64())}
+		childCount := int(r.U8())
+		if err := restoreMember(r, t.leaves, n, n.member, childCount == 0); err != nil {
+			return nil, err
 		}
-		key, err := keycrypt.NewKey(id, version, material)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		n := &Node{key: key, member: memberID}
 		if childCount == 0 {
-			if memberID == 0 {
-				return nil, fmt.Errorf("%w: leaf without member", ErrBadSnapshot)
-			}
-			if _, dup := t.leaves[memberID]; dup {
-				return nil, fmt.Errorf("%w: duplicate member %d", ErrBadSnapshot, memberID)
-			}
 			n.leaves = 1
-			t.leaves[memberID] = n
 			return n, nil
-		}
-		if memberID != 0 {
-			return nil, fmt.Errorf("%w: interior node carries member %d", ErrBadSnapshot, memberID)
 		}
 		if childCount > degree || childCount < 2 {
 			return nil, fmt.Errorf("%w: fan-out %d outside [2,%d]", ErrBadSnapshot, childCount, degree)
@@ -143,47 +152,13 @@ func Restore(snapshot []byte, opts ...Option) (*Tree, error) {
 		}
 		return n, nil
 	}
-	root, err := read(0)
-	if err != nil {
+	if hasRoot {
+		if t.root, err = read(0); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	if r.rest() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, r.rest())
-	}
-	t.root = root
 	return t, nil
 }
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
-}
-
-// snapReader is a bounds-checked sequential reader.
-type snapReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *snapReader) bytes(n int) []byte {
-	if r.err != nil || r.off+n > len(r.data) {
-		r.err = ErrBadSnapshot
-		return make([]byte, n)
-	}
-	out := r.data[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *snapReader) u8() uint8   { return r.bytes(1)[0] }
-func (r *snapReader) u32() uint32 { return binary.BigEndian.Uint32(r.bytes(4)) }
-func (r *snapReader) u64() uint64 { return binary.BigEndian.Uint64(r.bytes(8)) }
-func (r *snapReader) rest() int   { return len(r.data) - r.off }

@@ -1,6 +1,7 @@
 package keytree
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -99,11 +100,60 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// Flip the version field.
-	bad := append([]byte{}, blob...)
-	bad[7] = 99
-	if _, err := Restore(bad); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("bad version: err=%v", err)
+	// Flip the version field; version 1 (no planner flag) is rejected too.
+	for _, v := range []byte{99, 1} {
+		bad := append([]byte{}, blob...)
+		bad[7] = v
+		if _, err := Restore(bad); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("version %d: err=%v", v, err)
+		}
+	}
+}
+
+// TestRestoreKeepsPlanner: the planner flag travels in the blob, so a
+// restore given no options gets it back, an option cannot override it,
+// and restore followed by snapshot is the identity.
+func TestRestoreKeepsPlanner(t *testing.T) {
+	for _, planner := range []bool{true, false} {
+		opts := []Option{WithRand(keycrypt.NewDeterministicReader(96))}
+		if planner {
+			opts = append(opts, WithPlanner(PlannerConfig{}))
+		}
+		tr, err := New(4, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		populate(t, tr, 40)
+		if _, err := tr.Rekey(Batch{Joins: []MemberID{100, 101, 102}, Leaves: []MemberID{3, 17}}); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := tr.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Restore(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.PlannerEnabled() != planner {
+			t.Fatalf("planner=%v tree restored with PlannerEnabled()=%v", planner, got.PlannerEnabled())
+		}
+		again, err := got.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("planner=%v: restore then snapshot is not the identity", planner)
+		}
+		if !planner {
+			forced, err := Restore(blob, WithPlanner(PlannerConfig{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forced.PlannerEnabled() {
+				t.Fatal("WithPlanner overrode the blob's planner flag")
+			}
+		}
 	}
 }
 
@@ -115,9 +165,10 @@ func TestRestoreRejectsStructuralLies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header: 4 magic + 4 version + 4 degree + 8 nextID + 5*8 stats + 4 hasRoot = 64.
+	// Header: 4 magic + 4 version + 4 degree + 1 planner + 8 nextID
+	// + 5*8 stats + 4 hasRoot = 65.
 	// Root node layout: id(8) ver(4) key(32) member(8) childCount(1).
-	memberOff := 64 + 8 + 4 + 32
+	memberOff := 65 + 8 + 4 + 32
 	bad := append([]byte{}, blob...)
 	bad[memberOff+7] = 9 // root (interior) now claims member 9
 	if _, err := Restore(bad); !errors.Is(err, ErrBadSnapshot) {

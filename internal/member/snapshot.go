@@ -1,19 +1,19 @@
 package member
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/snapcodec"
 )
 
 // ErrBadSnapshot reports a malformed member snapshot.
 var ErrBadSnapshot = errors.New("member: malformed snapshot")
 
+// Layout (snapcodec): "GKMB" | version(4) | id(8) | expected(8)
+// | received(8) | count(4) | count key records in ascending ID order.
 const (
 	memberSnapMagic   = "GKMB"
 	memberSnapVersion = 1
@@ -24,75 +24,43 @@ const (
 // the rekey payloads it missed. The blob contains the member's secrets;
 // callers own encryption-at-rest.
 func (m *Member) Snapshot() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(memberSnapMagic)
-	var b4 [4]byte
-	var b8 [8]byte
-	binary.BigEndian.PutUint32(b4[:], memberSnapVersion)
-	buf.Write(b4[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(m.id))
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(m.expected))
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(m.received))
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint32(b4[:], uint32(len(m.keys)))
-	buf.Write(b4[:])
-
+	w := snapcodec.NewWriter(memberSnapMagic)
+	w.U32(memberSnapVersion)
+	w.U64(uint64(m.id))
+	w.U64(uint64(m.expected))
+	w.U64(uint64(m.received))
+	w.U32(uint32(len(m.keys)))
 	ids := make([]keycrypt.KeyID, 0, len(m.keys))
 	for id := range m.keys {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		k := m.keys[id]
-		binary.BigEndian.PutUint64(b8[:], uint64(k.ID))
-		buf.Write(b8[:])
-		binary.BigEndian.PutUint32(b4[:], uint32(k.Version))
-		buf.Write(b4[:])
-		buf.Write(k.Bytes())
+		w.Key(m.keys[id])
 	}
-	return buf.Bytes()
+	return w.Bytes()
 }
 
 // Restore rebuilds a member from a snapshot.
 func Restore(snapshot []byte) (*Member, error) {
-	const header = 4 + 4 + 8 + 8 + 8 + 4
-	if len(snapshot) < header {
-		return nil, fmt.Errorf("%w: %d bytes", ErrBadSnapshot, len(snapshot))
-	}
-	if string(snapshot[:4]) != memberSnapMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
-	}
-	if v := binary.BigEndian.Uint32(snapshot[4:8]); v != memberSnapVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
-	}
+	r := snapcodec.NewReader(snapshot, memberSnapMagic, ErrBadSnapshot)
+	r.Version(memberSnapVersion)
 	m := &Member{
-		id:       keytree.MemberID(binary.BigEndian.Uint64(snapshot[8:16])),
-		expected: int(binary.BigEndian.Uint64(snapshot[16:24])),
-		received: int(binary.BigEndian.Uint64(snapshot[24:32])),
+		id:       keytree.MemberID(r.U64()),
+		expected: int(r.U64()),
+		received: int(r.U64()),
 		keys:     make(map[keycrypt.KeyID]keycrypt.Key),
 	}
-	count := int(binary.BigEndian.Uint32(snapshot[32:36]))
-	const rec = 8 + 4 + keycrypt.KeySize
-	rest := snapshot[header:]
-	if len(rest) != count*rec {
-		return nil, fmt.Errorf("%w: %d keys but %d payload bytes", ErrBadSnapshot, count, len(rest))
-	}
-	for i := 0; i < count; i++ {
-		chunk := rest[i*rec : (i+1)*rec]
-		k, err := keycrypt.NewKey(
-			keycrypt.KeyID(binary.BigEndian.Uint64(chunk[0:8])),
-			keycrypt.Version(binary.BigEndian.Uint32(chunk[8:12])),
-			chunk[12:],
-		)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-		}
-		if _, dup := m.keys[k.ID]; dup {
-			return nil, fmt.Errorf("%w: duplicate key slot %v", ErrBadSnapshot, k.ID)
+	count := int(r.U32())
+	for i := 0; i < count && r.Err() == nil; i++ {
+		k := r.Key()
+		if _, dup := m.keys[k.ID]; dup && r.Err() == nil {
+			r.Fail("duplicate key slot %v", k.ID)
 		}
 		m.keys[k.ID] = k
+	}
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

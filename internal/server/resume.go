@@ -1,11 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/tls"
 	"crypto/x509"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 	"groupkey/internal/member"
+	"groupkey/internal/snapcodec"
 	"groupkey/internal/wire"
 )
 
@@ -22,12 +22,16 @@ import (
 // no new member ID. The saved blob contains every key the member holds;
 // callers own encryption at rest (cmd/memberclient stores it 0600).
 
+// Client state layout (snapcodec): "GKC1" | version(4) = 2 | group(4)
+// | epoch(8) | individual key record | server key(32) | member snapshot
+// (the rest of the blob). Version 1, which had no group, is rejected.
 const (
-	clientStateMagic = "GKC1"
-	// clientStateVersion 2 inserts the 4-byte hosted group after the
-	// version word; version-1 blobs are still read and map to group 0.
+	clientStateMagic   = "GKC1"
 	clientStateVersion = 2
 )
+
+// errBadClientState reports a malformed client state blob.
+var errBadClientState = errors.New("server: malformed client state")
 
 // ClientState is the decoded resumable session.
 type ClientState struct {
@@ -51,62 +55,33 @@ func (c *Client) State() ([]byte, error) {
 	if c.mem == nil {
 		return nil, ErrNotWelcomed
 	}
-	var buf bytes.Buffer
-	buf.WriteString(clientStateMagic)
-	var b4 [4]byte
-	var b8 [8]byte
-	binary.BigEndian.PutUint32(b4[:], clientStateVersion)
-	buf.Write(b4[:])
-	binary.BigEndian.PutUint32(b4[:], uint32(c.group))
-	buf.Write(b4[:])
-	binary.BigEndian.PutUint64(b8[:], c.epoch)
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint64(b8[:], uint64(c.indiv.ID))
-	buf.Write(b8[:])
-	binary.BigEndian.PutUint32(b4[:], uint32(c.indiv.Version))
-	buf.Write(b4[:])
-	buf.Write(c.indiv.Bytes())
-	buf.Write(c.serverKey)
-	buf.Write(c.mem.Snapshot())
-	return buf.Bytes(), nil
+	w := snapcodec.NewWriter(clientStateMagic)
+	w.U32(clientStateVersion)
+	w.U32(uint32(c.group))
+	w.U64(c.epoch)
+	w.Key(c.indiv)
+	w.Raw(c.serverKey)
+	w.Raw(c.mem.Snapshot())
+	return w.Bytes(), nil
 }
 
-// DecodeClientState parses a State blob. Both layout versions are read:
-// version 1 predates multi-group hosting and restores into group 0.
+// DecodeClientState parses a State blob.
 func DecodeClientState(blob []byte) (*ClientState, error) {
-	const header = 4 + 4 + 8 + 8 + 4 + keycrypt.KeySize + ed25519.PublicKeySize
-	if len(blob) < header || string(blob[:4]) != clientStateMagic {
-		return nil, fmt.Errorf("server: not a client state blob")
+	r := snapcodec.NewReader(blob, clientStateMagic, errBadClientState)
+	r.Version(clientStateVersion)
+	st := &ClientState{
+		Group: wire.GroupID(r.U32()),
+		Epoch: r.U64(),
+		Indiv: r.Key(),
 	}
-	st := &ClientState{}
-	off := 8
-	switch v := binary.BigEndian.Uint32(blob[4:8]); v {
-	case 1:
-	case 2:
-		if len(blob) < header+4 {
-			return nil, fmt.Errorf("server: truncated client state blob")
-		}
-		st.Group = wire.GroupID(binary.BigEndian.Uint32(blob[8:12]))
-		off = 12
-	default:
-		return nil, fmt.Errorf("server: client state version %d not supported", v)
-	}
-	st.Epoch = binary.BigEndian.Uint64(blob[off : off+8])
-	off += 8
-	indiv, err := keycrypt.NewKey(
-		keycrypt.KeyID(binary.BigEndian.Uint64(blob[off:off+8])),
-		keycrypt.Version(binary.BigEndian.Uint32(blob[off+8:off+12])),
-		blob[off+12:off+12+keycrypt.KeySize],
-	)
-	if err != nil {
+	st.ServerKey = append(ed25519.PublicKey(nil), r.Raw(ed25519.PublicKeySize)...)
+	mem := r.Rest()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	st.Indiv = indiv
-	off += 12 + keycrypt.KeySize
-	st.ServerKey = append(ed25519.PublicKey(nil), blob[off:off+ed25519.PublicKeySize]...)
-	st.Member, err = member.Restore(blob[off+ed25519.PublicKeySize:])
-	if err != nil {
-		return nil, err
+	var err error
+	if st.Member, err = member.Restore(mem); err != nil {
+		return nil, fmt.Errorf("%w: %w", errBadClientState, err)
 	}
 	return st, nil
 }
@@ -174,9 +149,7 @@ func resumeOnConn(conn net.Conn, st *ClientState, timeout time.Duration) (*Clien
 		joinEpoch: st.Epoch,
 		indiv:     st.Indiv,
 	}
-	var idBytes [8]byte
-	binary.BigEndian.PutUint64(idBytes[:], uint64(c.id))
-	proof, err := keycrypt.Seal(st.Indiv, idBytes[:], nil)
+	proof, err := keycrypt.Seal(st.Indiv, resumeProof(c.id), nil)
 	if err != nil {
 		conn.Close()
 		return nil, err

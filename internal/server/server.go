@@ -10,6 +10,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
@@ -427,6 +428,12 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 	}
 }
 
+// resumeProof is the plaintext of a resume proof, built by the resuming
+// client and checked here: the member ID, big-endian.
+func resumeProof(m keytree.MemberID) []byte {
+	return binary.BigEndian.AppendUint64(nil, uint64(m))
+}
+
 // resume re-attaches a member that survived a server restart (or its own).
 // The proof is the member's ID sealed under its current individual key —
 // only the genuine member (and the server) holds that key, so a valid
@@ -458,7 +465,7 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 	}
 	leaf := keys[0]
 	pt, err := keycrypt.Open(leaf, req.Proof)
-	if err != nil || len(pt) != 8 || keytree.MemberID(binary.BigEndian.Uint64(pt)) != req.Member {
+	if err != nil || !bytes.Equal(pt, resumeProof(req.Member)) {
 		s.mu.Unlock()
 		s.reject(conn, errors.New("resume rejected: bad proof"))
 		return false

@@ -1,12 +1,13 @@
 package store
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
 	"groupkey/internal/core"
 	"groupkey/internal/keytree"
+	"groupkey/internal/snapcodec"
 )
 
 // SchemeKind identifies a scheme construction in the WAL's create record.
@@ -48,7 +49,8 @@ func (k SchemeKind) String() string {
 	}
 }
 
-// SchemeConfig is the serializable recipe for a scheme construction.
+// SchemeConfig is the serializable recipe for a scheme construction: the
+// create record's payload, and nothing else.
 type SchemeConfig struct {
 	Kind SchemeKind
 	// Degree is the key-tree fan-out; 0 keeps the scheme default.
@@ -62,8 +64,9 @@ type SchemeConfig struct {
 	// Planner enables the batch placement planner on every key tree
 	// (core.WithPlanner; the planner has no settings). It lives in the
 	// create record because planning changes which payloads a batch
-	// produces: recovery must replay with the same setting or the rebuilt
-	// state diverges from the log.
+	// produces: replay must build with the same setting or the rebuilt
+	// state diverges from the log. Snapshots need no config: each
+	// key-tree blob records its own planner flag.
 	Planner bool
 }
 
@@ -119,61 +122,47 @@ func (c SchemeConfig) Build(opts ...core.Option) (core.Scheme, error) {
 	}
 }
 
-// restoreOptions returns the extra core options a snapshot restore needs
-// to reproduce construction settings the scheme blob itself does not
-// carry (currently the batch placement planner). Nil-safe: an unknown
-// config contributes nothing.
-func (c *SchemeConfig) restoreOptions() []core.Option {
-	if c == nil || !c.Planner {
-		return nil
-	}
-	return []core.Option{core.WithPlanner(keytree.PlannerConfig{})}
-}
-
 func errBadConfig(k SchemeKind) error {
 	return fmt.Errorf("unknown scheme kind %d", uint8(k))
 }
 
+// errBadCreateRecord reports an unreadable create-record payload.
+var errBadCreateRecord = errors.New("store: malformed create record")
+
 // encode serializes the config for the create record; the planner flag is
 // the trailing byte.
 func (c SchemeConfig) encode() []byte {
-	out := []byte{byte(c.Kind)}
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Degree))
-	out = binary.BigEndian.AppendUint64(out, uint64(c.SPeriodK))
-	out = binary.BigEndian.AppendUint32(out, uint32(c.Trees))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(c.LossBounds)))
+	w := snapcodec.NewWriter("")
+	w.U8(uint8(c.Kind))
+	w.U32(uint32(c.Degree))
+	w.U64(uint64(c.SPeriodK))
+	w.U32(uint32(c.Trees))
+	w.U32(uint32(len(c.LossBounds)))
 	for _, b := range c.LossBounds {
-		out = binary.BigEndian.AppendUint64(out, math.Float64bits(b))
+		w.U64(math.Float64bits(b))
 	}
-	if c.Planner {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	return out
+	w.Bool(c.Planner)
+	return w.Bytes()
 }
 
 // decodeSchemeConfig parses a create-record payload. Records written
 // before the planner flag existed (ending right after the bounds) are
 // rejected.
 func decodeSchemeConfig(b []byte) (SchemeConfig, error) {
-	var c SchemeConfig
-	if len(b) < 1+4+8+4+4 {
-		return c, fmt.Errorf("store: create record too short (%d bytes)", len(b))
+	r := snapcodec.NewReader(b, "", errBadCreateRecord)
+	c := SchemeConfig{
+		Kind:     SchemeKind(r.U8()),
+		Degree:   int(r.U32()),
+		SPeriodK: int(r.U64()),
+		Trees:    int(r.U32()),
 	}
-	c.Kind = SchemeKind(b[0])
-	c.Degree = int(binary.BigEndian.Uint32(b[1:5]))
-	c.SPeriodK = int(binary.BigEndian.Uint64(b[5:13]))
-	c.Trees = int(binary.BigEndian.Uint32(b[13:17]))
-	n := int(binary.BigEndian.Uint32(b[17:21]))
-	rest := b[21:]
-	if len(rest) != 8*n+1 {
-		return c, fmt.Errorf("store: create record bounds length mismatch")
+	n := int(r.U32())
+	for i := 0; i < n && r.Err() == nil; i++ {
+		c.LossBounds = append(c.LossBounds, math.Float64frombits(r.U64()))
 	}
-	c.Planner = rest[8*n] != 0
-	for i := 0; i < n; i++ {
-		c.LossBounds = append(c.LossBounds,
-			math.Float64frombits(binary.BigEndian.Uint64(rest[8*i:])))
+	c.Planner = r.Bool()
+	if err := r.Close(); err != nil {
+		return SchemeConfig{}, err
 	}
 	return c, nil
 }

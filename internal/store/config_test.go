@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,40 +50,42 @@ func TestSchemeConfigRejectsPrePlannerRecord(t *testing.T) {
 	}
 }
 
-// TestSnapshotPlainConfigRoundTrip covers the snapshot container: a
-// version-2 snapshot carries the scheme config (or records its absence),
-// and a version-1 file is rejected.
-func TestSnapshotPlainConfigRoundTrip(t *testing.T) {
+// TestSnapshotPlainRoundTrip covers the snapshot envelope: seq, nextID
+// and the scheme blob survive a round trip, and a version-2 envelope
+// (which carried a scheme-config section) is rejected.
+func TestSnapshotPlainRoundTrip(t *testing.T) {
 	blob := []byte("scheme-state")
-	cfg := &SchemeConfig{Kind: SchemeTT, SPeriodK: 3, Planner: true}
-
-	seq, nextID, gotCfg, gotBlob, err := decodeSnapshotPlain(encodeSnapshotPlain(42, 99, cfg, blob))
+	seq, nextID, gotBlob, err := decodeSnapshotPlain(encodeSnapshotPlain(42, 99, blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != 42 || nextID != 99 || !bytes.Equal(gotBlob, blob) {
 		t.Fatalf("header or blob mangled: seq=%d nextID=%d blob=%q", seq, nextID, gotBlob)
 	}
-	if gotCfg == nil || !reflect.DeepEqual(*gotCfg, *cfg) {
-		t.Fatalf("config mangled: %+v", gotCfg)
-	}
 
-	// Unknown config encodes as an empty section and decodes as nil.
-	_, _, gotCfg, gotBlob, err = decodeSnapshotPlain(encodeSnapshotPlain(1, 2, nil, blob))
-	if err != nil {
-		t.Fatal(err)
+	v2 := v2SnapshotPlain(7, 8, SchemeConfig{Kind: SchemeTT, SPeriodK: 3, Planner: true}, blob)
+	if _, _, _, err := decodeSnapshotPlain(v2); !errors.Is(err, errBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version-2 snapshot: err=%v, want errBadSnapshot: unsupported version 2", err)
 	}
-	if gotCfg != nil || !bytes.Equal(gotBlob, blob) {
-		t.Fatalf("nil-config round trip: cfg=%+v blob=%q", gotCfg, gotBlob)
+	for name, b := range map[string][]byte{
+		"empty":     nil,
+		"bad magic": append([]byte("XXXX"), encodeSnapshotPlain(1, 2, blob)[4:]...),
+		"truncated": encodeSnapshotPlain(1, 2, nil)[:20],
+	} {
+		if _, _, _, err := decodeSnapshotPlain(b); !errors.Is(err, errBadSnapshot) {
+			t.Errorf("%s: err=%v, want errBadSnapshot", name, err)
+		}
 	}
+}
 
-	// Version-1 layout: no config section at all.
-	v1 := []byte(snapMagic)
-	v1 = binary.BigEndian.AppendUint32(v1, 1)
-	v1 = binary.BigEndian.AppendUint64(v1, 7)
-	v1 = binary.BigEndian.AppendUint64(v1, 8)
-	v1 = append(v1, blob...)
-	if _, _, _, _, err := decodeSnapshotPlain(v1); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
-		t.Fatalf("version-1 snapshot: err=%v, want version 1 not supported", err)
-	}
+// v2SnapshotPlain builds a version-2 envelope, which carried a
+// cfgLen-prefixed scheme-config section before the blob.
+func v2SnapshotPlain(seq, nextID uint64, cfg SchemeConfig, blob []byte) []byte {
+	enc := cfg.encode()
+	v2 := []byte(snapMagic)
+	v2 = binary.BigEndian.AppendUint32(v2, 2)
+	v2 = binary.BigEndian.AppendUint64(v2, seq)
+	v2 = binary.BigEndian.AppendUint64(v2, nextID)
+	v2 = binary.BigEndian.AppendUint32(v2, uint32(len(enc)))
+	return append(append(v2, enc...), blob...)
 }

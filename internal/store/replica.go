@@ -160,67 +160,9 @@ func (s *Store) ReplicaApply(sc core.Scheme, rec Record) (core.Scheme, *core.Rek
 	s.seq = rec.Seq
 	s.notifyLocked(rec)
 
-	// Apply with exactly the replay semantics of Recover: reseed from the
-	// record, and treat an operation the primary's run rejected (journal
-	// first, then fail, mutating nothing) as the same no-op here.
-	var nextID keytree.MemberID
-	switch rec.Kind {
-	case recCreate:
-		if sc != nil {
-			return sc, nil, 0, fmt.Errorf("store: duplicate create record at seq %d", rec.Seq)
-		}
-		cfg, err := decodeSchemeConfig(rec.Payload)
-		if err != nil {
-			return sc, nil, 0, err
-		}
-		s.rand.reseed(rec.Seed[:])
-		sc, err = cfg.Build(s.schemeOptions()...)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("store: applying create record: %w", err)
-		}
-		s.hasScheme = true
-		s.cfg = &cfg
-		return sc, nil, 0, nil
-	case recBatch:
-		if sc == nil {
-			return nil, nil, 0, fmt.Errorf("store: batch record at seq %d before any scheme", rec.Seq)
-		}
-		joins, leaves, err := wire.DecodeMembershipBatch(rec.Payload)
-		if err != nil {
-			return sc, nil, 0, fmt.Errorf("store: record seq %d: %w", rec.Seq, err)
-		}
-		b := core.Batch{Leaves: leaves}
-		for _, j := range joins {
-			b.Joins = append(b.Joins, core.Join{ID: j.Member, Meta: core.MemberMeta{
-				LossRate: j.Req.LossRate, LongLived: j.Req.LongLived,
-			}})
-			if j.Member+1 > nextID {
-				nextID = j.Member + 1
-			}
-		}
-		s.rand.reseed(rec.Seed[:])
-		rk, err := sc.ProcessBatch(b)
-		if err != nil {
-			return sc, nil, nextID, nil // primary's run failed identically
-		}
-		return sc, rk, nextID, nil
-	case recRotate:
-		if sc == nil {
-			return nil, nil, 0, fmt.Errorf("store: rotate record at seq %d before any scheme", rec.Seq)
-		}
-		rot, ok := sc.(core.Rotator)
-		if !ok {
-			return sc, nil, 0, fmt.Errorf("store: scheme %s cannot rotate", sc.Name())
-		}
-		s.rand.reseed(rec.Seed[:])
-		rk, err := rot.Rotate()
-		if err != nil {
-			return sc, nil, 0, nil // primary's run failed identically
-		}
-		return sc, rk, 0, nil
-	default:
-		return sc, nil, 0, fmt.Errorf("store: unknown record kind %d at seq %d", rec.Kind, rec.Seq)
-	}
+	next, rk, nextID, err := s.applyRecord(sc, walRecord{kind: rec.Kind, seq: rec.Seq, seed: rec.Seed, payload: rec.Payload})
+	s.hasScheme = s.hasScheme || next != nil
+	return next, rk, nextID, err
 }
 
 // InstallSnapshot replaces the replica's entire state with a snapshot
@@ -236,10 +178,7 @@ func (s *Store) InstallSnapshot(seq uint64, nextID keytree.MemberID, blob []byte
 	if !s.recovered {
 		return nil, errors.New("store: InstallSnapshot before Recover")
 	}
-	// The shipped blob carries no construction config; the locally known
-	// one (from the streamed create record, or a previous snapshot of this
-	// store) supplies settings the blob cannot, like the placement planner.
-	sc, err := core.RestoreScheme(blob, append(s.schemeOptions(), s.cfg.restoreOptions()...)...)
+	sc, err := core.RestoreScheme(blob, s.schemeOptions()...)
 	if err != nil {
 		return nil, fmt.Errorf("store: restoring shipped snapshot: %w", err)
 	}
@@ -258,7 +197,7 @@ func (s *Store) InstallSnapshot(seq uint64, nextID keytree.MemberID, blob []byte
 	if err := s.fs.SyncDir(s.dir); err != nil {
 		return nil, err
 	}
-	n, err := writeSnapshotFileFS(s.fs, s.entropy, s.dir, seq, s.master, encodeSnapshotPlain(seq, nextID, s.cfg, blob))
+	n, err := writeSnapshotFileFS(s.fs, s.entropy, s.dir, seq, s.master, encodeSnapshotPlain(seq, nextID, blob))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -237,6 +238,73 @@ func TestInstallSnapshot(t *testing.T) {
 	}
 	if res.NextID != nextID+1 {
 		t.Fatalf("recovered NextID %d, want %d", res.NextID, nextID+1)
+	}
+}
+
+// TestInstallSnapshotKeepsPlanner: a fresh follower that installs a
+// planner-enabled primary's snapshot — never having seen the create
+// record — runs the planner too, so the two stay byte-identical through
+// a stream of mixed join/leave batches and across a follower restart.
+func TestInstallSnapshotKeepsPlanner(t *testing.T) {
+	for _, cfg := range []SchemeConfig{
+		{Kind: SchemeOneTree, Degree: 4, Planner: true},
+		{Kind: SchemeTT, Degree: 4, SPeriodK: 2, Planner: true},
+	} {
+		t.Run(cfg.Kind.String(), func(t *testing.T) {
+			primary := openStore(t, t.TempDir(), Options{Fsync: FsyncNever})
+			defer primary.Close()
+			if _, err := primary.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			sc, _, nextID := referenceRun(t, primary, cfg, 8, 41)
+			seq := primary.LastSeq()
+
+			fdir := t.TempDir()
+			follower := openStore(t, fdir, Options{Fsync: FsyncNever})
+			if _, err := follower.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			fsc, err := follower.InstallSnapshot(seq, nextID, snap(t, sc))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rng := rand.New(rand.NewSource(43))
+			members := sc.Members()
+			for i := 0; i < 40; i++ {
+				var b core.Batch
+				for j := rng.Intn(6); j > 0; j-- {
+					b.Joins = append(b.Joins, core.Join{ID: nextID, Meta: core.MemberMeta{LossRate: -1}})
+					nextID++
+				}
+				for j := rng.Intn(6); j > 0 && len(members) > 2; j-- {
+					k := rng.Intn(len(members))
+					b.Leaves = append(b.Leaves, members[k])
+					members = append(members[:k], members[k+1:]...)
+				}
+				for _, j := range b.Joins {
+					members = append(members, j.ID)
+				}
+				journalAndApply(t, primary, sc, b)
+				fsc = replicate(t, primary, follower, fsc, seq)
+				seq = primary.LastSeq()
+				if !bytes.Equal(snap(t, fsc), snap(t, sc)) {
+					t.Fatalf("follower diverged from the primary at streamed batch %d", i)
+				}
+			}
+			if err := follower.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := openStore(t, fdir, Options{Fsync: FsyncNever})
+			defer re.Close()
+			res, err := re.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Scheme == nil || !bytes.Equal(snap(t, res.Scheme), snap(t, sc)) {
+				t.Fatal("reopened follower diverged from the primary")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -10,6 +10,7 @@ import (
 
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/snapcodec"
 	"groupkey/internal/vfs"
 )
 
@@ -19,23 +20,19 @@ import (
 // applying WAL record <seq>; recovery loads the newest valid one and
 // replays only later records.
 //
-// Sealed layout (keycrypt.Seal framing):
+// Sealed layout (keycrypt.Seal framing; plaintext written with snapcodec):
 //
-//	plaintext = magic "GKSN" | version(4) | seq(8) | nextID(8)
-//	          | cfgLen(4) | scheme config | scheme blob     (version 2)
+//	plaintext = magic "GKSN" | version(4) = 3 | seq(8) | nextID(8) | scheme blob
 //
-// Version 1 had no config section and is rejected. The config rides in
-// the snapshot because core scheme blobs deliberately do not serialize
-// construction settings that change payload-affecting behavior (the batch
-// placement planner): once the WAL's create record is compacted away, the
-// snapshot is the only place recovery can learn them from. cfgLen 0 means
-// the config was unknown when the snapshot was written (a replica that
-// installed a shipped snapshot without ever seeing the create record).
+// Older versions are rejected. The scheme blob restores by itself: every
+// payload-affecting construction setting (the batch placement planner)
+// lives in the key-tree blobs inside it, so a snapshot needs neither the
+// WAL's create record nor a copy of the scheme config.
 const (
 	snapPrefix  = "snap-"
 	snapSuffix  = ".gks"
 	snapMagic   = "GKSN"
-	snapVersion = 2
+	snapVersion = 3
 	// snapKeep is how many snapshot generations survive pruning: the
 	// newest plus one fallback in case the newest is torn by a crash
 	// during a later save (the rename is atomic, but belts and braces).
@@ -69,51 +66,30 @@ func snapshotFilesFS(fsys vfs.FS, dir string) ([]string, error) {
 	return out, nil
 }
 
-// encodeSnapshotPlain builds the plaintext to be sealed. cfg may be nil
-// when the writing store never learned the scheme's construction config.
-func encodeSnapshotPlain(seq uint64, nextID keytree.MemberID, cfg *SchemeConfig, blob []byte) []byte {
-	var cfgBytes []byte
-	if cfg != nil {
-		cfgBytes = cfg.encode()
-	}
-	out := make([]byte, 0, 4+4+8+8+4+len(cfgBytes)+len(blob))
-	out = append(out, snapMagic...)
-	out = binary.BigEndian.AppendUint32(out, snapVersion)
-	out = binary.BigEndian.AppendUint64(out, seq)
-	out = binary.BigEndian.AppendUint64(out, uint64(nextID))
-	out = binary.BigEndian.AppendUint32(out, uint32(len(cfgBytes)))
-	out = append(out, cfgBytes...)
-	return append(out, blob...)
+// errBadSnapshot reports an unreadable snapshot envelope.
+var errBadSnapshot = errors.New("store: malformed snapshot")
+
+// encodeSnapshotPlain builds the plaintext to be sealed.
+func encodeSnapshotPlain(seq uint64, nextID keytree.MemberID, blob []byte) []byte {
+	w := snapcodec.NewWriter(snapMagic)
+	w.U32(snapVersion)
+	w.U64(seq)
+	w.U64(uint64(nextID))
+	w.Raw(blob)
+	return w.Bytes()
 }
 
-// decodeSnapshotPlain parses a decrypted snapshot. cfg is nil for files
-// written without a known config.
-func decodeSnapshotPlain(b []byte) (seq uint64, nextID keytree.MemberID, cfg *SchemeConfig, blob []byte, err error) {
-	if len(b) < 4+4+8+8 || string(b[:4]) != snapMagic {
-		return 0, 0, nil, nil, fmt.Errorf("store: not a snapshot")
+// decodeSnapshotPlain parses a decrypted snapshot.
+func decodeSnapshotPlain(b []byte) (seq uint64, nextID keytree.MemberID, blob []byte, err error) {
+	r := snapcodec.NewReader(b, snapMagic, errBadSnapshot)
+	r.Version(snapVersion)
+	seq = r.U64()
+	nextID = keytree.MemberID(r.U64())
+	blob = r.Rest()
+	if err := r.Err(); err != nil {
+		return 0, 0, nil, err
 	}
-	if v := binary.BigEndian.Uint32(b[4:8]); v != snapVersion {
-		return 0, 0, nil, nil, fmt.Errorf("store: snapshot version %d not supported", v)
-	}
-	seq = binary.BigEndian.Uint64(b[8:16])
-	nextID = keytree.MemberID(binary.BigEndian.Uint64(b[16:24]))
-	rest := b[24:]
-	if len(rest) < 4 {
-		return 0, 0, nil, nil, fmt.Errorf("store: snapshot config section truncated")
-	}
-	n := int(binary.BigEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if n > len(rest) {
-		return 0, 0, nil, nil, fmt.Errorf("store: snapshot config section truncated")
-	}
-	if n > 0 {
-		c, err := decodeSchemeConfig(rest[:n])
-		if err != nil {
-			return 0, 0, nil, nil, err
-		}
-		cfg = &c
-	}
-	return seq, nextID, cfg, rest[n:], nil
+	return seq, nextID, blob, nil
 }
 
 // writeSnapshotFile seals plain under master and lands it atomically:

@@ -89,12 +89,6 @@ type Store struct {
 	snapSeq   uint64 // newest snapshot's record
 	recovered bool
 	hasScheme bool
-	// cfg is the scheme's construction config, learned from Create, a
-	// replayed create record, or a version-2 snapshot. It is embedded in
-	// every snapshot written so payload-affecting construction settings
-	// (the batch placement planner) survive WAL compaction; nil when the
-	// store never learned it.
-	cfg *SchemeConfig
 	// subs is ordered by subscription age: record fan-out must visit
 	// subscribers in a deterministic order under the simulator.
 	subs []*Subscription
@@ -189,7 +183,10 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 
 	// Newest readable snapshot wins; unreadable ones (torn by a crash
 	// while the master key changed, say) fall through to older files.
+	// badSnap keeps the first snapshot that opened but did not decode (an
+	// unsupported version, say) in case the WAL cannot stand in for it.
 	var scheme core.Scheme
+	var badSnap error
 	snaps, err := snapshotFilesFS(s.fs, s.dir)
 	if err != nil {
 		return nil, err
@@ -203,24 +200,29 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 		if err != nil {
 			continue
 		}
-		seq, nextID, cfg, blob, err := decodeSnapshotPlain(plain)
-		if err != nil {
-			continue
+		seq, nextID, blob, err := decodeSnapshotPlain(plain)
+		var sc core.Scheme
+		if err == nil {
+			sc, err = core.RestoreScheme(blob, s.schemeOptions()...)
 		}
-		sc, err := core.RestoreScheme(blob, append(s.schemeOptions(), cfg.restoreOptions()...)...)
 		if err != nil {
+			if badSnap == nil {
+				badSnap = fmt.Errorf("%s: %w", path, err)
+			}
 			continue
 		}
 		scheme, s.snapSeq, res.SnapshotSeq, res.NextID = sc, seq, seq, nextID
-		if cfg != nil {
-			s.cfg = cfg
-		}
 		break
 	}
 
 	scan, err := scanWALFS(s.fs, s.dir)
 	if err != nil {
 		return nil, err
+	}
+	if recs := scan.records; scheme == nil && badSnap != nil && (len(recs) == 0 || recs[0].seq != 1) {
+		// The WAL cannot rebuild the state alone: report the snapshot,
+		// not a WAL gap or a fresh boot that Create would start over it.
+		return nil, fmt.Errorf("store: no snapshot loads and the WAL does not start at seq 1: %w", badSnap)
 	}
 	res.TruncatedBytes = scan.truncated
 	if err := applyTruncationFS(s.fs, s.dir, scan); err != nil {
@@ -263,64 +265,18 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 			return nil, fmt.Errorf("store: wal gap: snapshot covers seq %d but replay starts at %d", s.snapSeq, r.seq)
 		}
 		first = false
-		switch r.kind {
-		case recCreate:
-			if scheme != nil {
-				return nil, fmt.Errorf("store: duplicate create record at seq %d", r.seq)
-			}
-			cfg, err := decodeSchemeConfig(r.payload)
-			if err != nil {
-				return nil, err
-			}
-			s.rand.reseed(r.seed[:])
-			scheme, err = cfg.Build(s.schemeOptions()...)
-			if err != nil {
-				return nil, fmt.Errorf("store: replaying create record: %w", err)
-			}
-			s.cfg = &cfg
-		case recBatch:
-			if scheme == nil {
-				return nil, fmt.Errorf("store: batch record at seq %d before any scheme", r.seq)
-			}
-			joins, leaves, err := wire.DecodeMembershipBatch(r.payload)
-			if err != nil {
-				return nil, fmt.Errorf("store: record seq %d: %w", r.seq, err)
-			}
-			b := core.Batch{Leaves: leaves}
-			for _, j := range joins {
-				b.Joins = append(b.Joins, core.Join{ID: j.Member, Meta: core.MemberMeta{
-					LossRate: j.Req.LossRate, LongLived: j.Req.LongLived,
-				}})
-				if j.Member >= res.NextID {
-					res.NextID = j.Member + 1
-				}
-			}
-			s.rand.reseed(r.seed[:])
-			rk, err := scheme.ProcessBatch(b)
-			if err != nil {
-				// The original run journaled first and then failed the same
-				// way, mutating nothing: skip, exactly as it did.
-				continue
-			}
-			res.ReplayedBatches++
+		next, rk, nextID, err := s.applyRecord(scheme, r)
+		if err != nil {
+			return nil, err
+		}
+		scheme, res.NextID = next, max(res.NextID, nextID)
+		if rk != nil {
 			res.LastRekey = rk
-		case recRotate:
-			if scheme == nil {
-				return nil, fmt.Errorf("store: rotate record at seq %d before any scheme", r.seq)
+			if r.kind == recBatch {
+				res.ReplayedBatches++
+			} else {
+				res.ReplayedRotations++
 			}
-			rot, ok := scheme.(core.Rotator)
-			if !ok {
-				return nil, fmt.Errorf("store: scheme %s cannot rotate", scheme.Name())
-			}
-			s.rand.reseed(r.seed[:])
-			rk, err := rot.Rotate()
-			if err != nil {
-				continue // original run failed identically
-			}
-			res.ReplayedRotations++
-			res.LastRekey = rk
-		default:
-			return nil, fmt.Errorf("store: unknown record kind %d at seq %d", r.kind, r.seq)
 		}
 	}
 
@@ -332,6 +288,64 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 	s.hasScheme = scheme != nil
 	res.Scheme = scheme
 	return res, nil
+}
+
+// applyRecord applies one journaled record to sc (nil until the create
+// record) under the record's own seed: the one replay path, shared by
+// Recover and ReplicaApply. An operation the original run rejected
+// (journal first, then fail, mutating nothing) is the same no-op here: a
+// nil rekey and no error. nextID is one past the newest joiner (0 = none).
+func (s *Store) applyRecord(sc core.Scheme, r walRecord) (core.Scheme, *core.Rekey, keytree.MemberID, error) {
+	switch {
+	case r.kind == recCreate && sc != nil:
+		return sc, nil, 0, fmt.Errorf("store: duplicate create record at seq %d", r.seq)
+	case r.kind != recCreate && sc == nil:
+		return nil, nil, 0, fmt.Errorf("store: record seq %d (kind %d) before any scheme", r.seq, r.kind)
+	}
+	switch r.kind {
+	case recCreate:
+		cfg, err := decodeSchemeConfig(r.payload)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		s.rand.reseed(r.seed[:])
+		if sc, err = cfg.Build(s.schemeOptions()...); err != nil {
+			return nil, nil, 0, fmt.Errorf("store: building scheme from create record: %w", err)
+		}
+		return sc, nil, 0, nil
+	case recBatch:
+		joins, leaves, err := wire.DecodeMembershipBatch(r.payload)
+		if err != nil {
+			return sc, nil, 0, fmt.Errorf("store: record seq %d: %w", r.seq, err)
+		}
+		var nextID keytree.MemberID
+		b := core.Batch{Leaves: leaves}
+		for _, j := range joins {
+			b.Joins = append(b.Joins, core.Join{ID: j.Member, Meta: core.MemberMeta{
+				LossRate: j.Req.LossRate, LongLived: j.Req.LongLived,
+			}})
+			nextID = max(nextID, j.Member+1)
+		}
+		s.rand.reseed(r.seed[:])
+		rk, err := sc.ProcessBatch(b)
+		if err != nil {
+			return sc, nil, nextID, nil // the original run failed identically
+		}
+		return sc, rk, nextID, nil
+	case recRotate:
+		rot, ok := sc.(core.Rotator)
+		if !ok {
+			return sc, nil, 0, fmt.Errorf("store: scheme %s cannot rotate", sc.Name())
+		}
+		s.rand.reseed(r.seed[:])
+		rk, err := rot.Rotate()
+		if err != nil {
+			return sc, nil, 0, nil // the original run failed identically
+		}
+		return sc, rk, 0, nil
+	default:
+		return sc, nil, 0, fmt.Errorf("store: unknown record kind %d at seq %d", r.kind, r.seq)
+	}
 }
 
 // Create journals the scheme construction and builds the scheme on the
@@ -355,7 +369,6 @@ func (s *Store) Create(cfg SchemeConfig) (core.Scheme, error) {
 		return nil, err
 	}
 	s.hasScheme = true
-	s.cfg = &cfg
 	return sc, nil
 }
 
@@ -450,7 +463,7 @@ func (s *Store) SaveSnapshot(sc core.Scheme, nextID keytree.MemberID) error {
 	if err := s.wal.sync(); err != nil {
 		return err
 	}
-	n, err := writeSnapshotFileFS(s.fs, s.entropy, s.dir, s.seq, s.master, encodeSnapshotPlain(s.seq, nextID, s.cfg, blob))
+	n, err := writeSnapshotFileFS(s.fs, s.entropy, s.dir, s.seq, s.master, encodeSnapshotPlain(s.seq, nextID, blob))
 	if err != nil {
 		return err
 	}

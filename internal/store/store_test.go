@@ -2,13 +2,16 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"groupkey/internal/core"
+	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 )
 
@@ -400,6 +403,72 @@ func TestStoreCreateRecordCorrupted(t *testing.T) {
 	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverReportsUnsupportedSnapshot: a state directory written before
+// the current envelope version, whose WAL was compacted behind the
+// snapshot, must fail recovery with the snapshot's version error — not
+// just a WAL gap — and with no WAL left it must not boot fresh.
+func TestRecoverReportsUnsupportedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{SegmentBytes: 512})
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sc, _, _ := referenceRun(t, st, SchemeConfig{Kind: SchemeOneTree}, 6, 91)
+	if err := st.SaveSnapshot(sc, 100); err != nil {
+		t.Fatal(err)
+	}
+	journalAndApply(t, st, sc, core.Batch{Joins: []core.Join{{ID: 100}}})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first, _ := scanWAL(dir); len(first.records) == 0 || first.records[0].seq == 1 {
+		t.Fatal("snapshot did not compact the WAL's head; the test needs a gap")
+	}
+	// Rewrite every snapshot as a version-2 envelope of the same state.
+	files, _ := snapshotFiles(dir)
+	for _, path := range files {
+		sealed, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := keycrypt.Open(st.master, sealed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, nextID, blob, err := decodeSnapshotPlain(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := keycrypt.Seal(st.master, v2SnapshotPlain(seq, uint64(nextID), SchemeConfig{Kind: SchemeOneTree}, blob), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, v2, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noWAL := t.TempDir()
+	copyDir(t, dir, noWAL)
+	segs, _ := segments(noWAL)
+	for _, p := range segs {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for name, d := range map[string]string{"compacted wal": dir, "no wal": noWAL} {
+		st := openStore(t, d, Options{})
+		res, err := st.Recover()
+		st.Close()
+		if !errors.Is(err, errBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 2") {
+			t.Errorf("%s: Recover = %v, want errBadSnapshot: unsupported version 2", name, err)
+		}
+		if res != nil {
+			t.Errorf("%s: recovered a result from an unreadable snapshot", name)
+		}
 	}
 }
 
