@@ -82,11 +82,17 @@ benchgate:
 		-min-sparse-reduction 5 -min-planner-reduction 5
 
 # Deterministic full-system simulation: a 20-seed smoke across every
-# fault profile, plus the planted-bug regression proving the harness
-# still finds, shrinks and replays a real fencing race.
+# fault profile, a 60-seed crash sweep (its fsync-never plans restart
+# primaries that lost log suffixes), the planted-bug regression proving
+# the harness still finds, shrinks and replays a real fencing race in the
+# cluster's own lease code, and the restart and failover tests under the
+# race detector.
 dst:
+	$(GO) vet -tags dst_plantedbug ./internal/cluster/ ./internal/dst/
 	$(GO) run ./cmd/dstrun -seeds 20 -profile all -out /tmp/dst_failure.json
+	$(GO) run ./cmd/dstrun -seeds 60 -profile crash -out /tmp/dst_failure_crash.json
 	$(GO) test -tags dst_plantedbug -run PlantedFencing ./internal/dst/
+	$(GO) test -race -count=5 -run 'TestRestartedPrimaryResyncsFollower|TestClusterFailover' ./internal/cluster
 
 # The nightly-depth sweep (~30s): 200 seeds per profile.
 dst-nightly:

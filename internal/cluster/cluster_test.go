@@ -3,7 +3,11 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"io/fs"
 	"net"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"groupkey/internal/keytree"
 	"groupkey/internal/server"
 	"groupkey/internal/store"
+	"groupkey/internal/vfs"
 	"groupkey/internal/wire"
 )
 
@@ -40,27 +45,34 @@ func startCluster(t *testing.T, names []string, auth Authority, groups, shards i
 	}
 	nodes := make([]*Node, len(names))
 	for i, name := range names {
-		n, err := New(Config{
-			Node:        NodeID(name),
-			Peers:       peers,
-			Shards:      shards,
-			Groups:      groups,
-			StateDir:    t.TempDir(),
-			Scheme:      store.SchemeConfig{Kind: store.SchemeOneTree, Degree: 4},
-			LeaseTTL:    time.Minute,
-			Authority:   auth,
-			DialTimeout: 2 * time.Second,
-			NoTicker:    true,
-			Logf:        t.Logf,
-		})
-		if err != nil {
-			t.Fatalf("node %s: %v", name, err)
-		}
-		n.Start(listeners[i].client, listeners[i].repl)
-		t.Cleanup(func() { n.Close() })
-		nodes[i] = n
+		nodes[i] = startNode(t, Config{
+			Node:      NodeID(name),
+			Peers:     peers,
+			Shards:    shards,
+			Groups:    groups,
+			StateDir:  t.TempDir(),
+			Authority: auth,
+		}, listeners[i].client, listeners[i].repl)
 	}
 	return nodes
+}
+
+// startNode builds and starts one node with the tests' defaults: a OneTree
+// scheme, a one-minute lease and no background lease loop.
+func startNode(t *testing.T, cfg Config, client, repl net.Listener) *Node {
+	t.Helper()
+	cfg.Scheme = store.SchemeConfig{Kind: store.SchemeOneTree, Degree: 4}
+	cfg.LeaseTTL = time.Minute
+	cfg.DialTimeout = 2 * time.Second
+	cfg.NoTicker = true
+	cfg.Logf = t.Logf
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatalf("node %s: %v", cfg.Node, err)
+	}
+	n.Start(client, repl)
+	t.Cleanup(func() { n.Close() })
+	return n
 }
 
 // joinGroup dials addr for group g and pumps the owner's rekey loop until
@@ -99,12 +111,12 @@ func joinGroup(t *testing.T, owner *Node, addr string, g wire.GroupID) *server.C
 // with the primary's log.
 func waitSync(t *testing.T, primary, follower *Node, g wire.GroupID) {
 	t.Helper()
-	want := primary.groups[g].st.LastSeq()
+	want := primary.groups[g].rep.Store.LastSeq()
 	deadline := time.Now().Add(testTimeout)
 	for {
 		fgs := follower.groups[g]
 		fgs.mu.Lock()
-		have, sc := fgs.st.LastSeq(), fgs.scheme
+		have, sc := fgs.rep.Store.LastSeq(), fgs.rep.Scheme
 		fgs.mu.Unlock()
 		if have >= want && sc != nil {
 			return
@@ -135,10 +147,10 @@ func schemeSnapshot(t *testing.T, n *Node, g wire.GroupID) []byte {
 	gs := n.groups[g]
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	if gs.scheme == nil {
+	if gs.rep.Scheme == nil {
 		t.Fatalf("node %s has no scheme for group %d", n.cfg.Node, g)
 	}
-	blob, err := gs.scheme.Snapshot()
+	blob, err := gs.rep.Scheme.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func groupKeyOf(t *testing.T, n *Node, g wire.GroupID) keycrypt.Key {
 	gs := n.groups[g]
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	k, err := gs.scheme.GroupKey()
+	k, err := gs.rep.Scheme.GroupKey()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,6 +316,98 @@ func TestClusterFailover(t *testing.T) {
 	carol := joinGroup(t, b, a.ClientAddr().String(), 0)
 	if carol.ID() == 0 || carol.ID() == alice.ID() {
 		t.Fatalf("carol got member ID %d", carol.ID())
+	}
+}
+
+// TestRestartedPrimaryResyncsFollower: a primary that comes back inside
+// its lease TTL with a log that lost its newest records (its state dir as
+// it was at seq k, while the follower already holds k+m) must not serve
+// that shorter log under the old epoch, where the follower would keep the
+// lost suffix. It waits for the old lease to lapse and promotes under a
+// new epoch, which sends the follower a snapshot.
+func TestRestartedPrimaryResyncsFollower(t *testing.T) {
+	var now atomic.Int64
+	now.Store(time.Unix(1000, 0).UnixNano())
+	auth := NewMemAuthority(func() time.Time { return time.Unix(0, now.Load()) })
+	nodes := startCluster(t, []string{"a", "b"}, auth, 1, 1)
+	a, b := nodes[0], nodes[1]
+	a.Tick()
+	b.Tick()
+	// Joins, unlike rotations, leave marks a later batch cannot overwrite:
+	// each joiner's leaf key comes from its own record's seed.
+	join := func(n *Node) { joinGroup(t, n, n.ClientAddr().String(), 0) }
+	lastSeq := func(n *Node) uint64 { return n.groups[0].rep.Store.LastSeq() }
+
+	join(a)
+	join(a)
+	saved := t.TempDir()
+	copyDir(t, a.cfg.StateDir, saved) // the primary's state at seq k
+	join(a)
+	join(a)
+	waitSync(t, a, b, 0) // the follower holds k+m
+	followerSeq := lastSeq(b)
+
+	// The primary dies and restarts from the state it had at k, inside
+	// the TTL of its lease, on the same addresses.
+	cfg := a.cfg
+	a.Close()
+	if err := os.RemoveAll(cfg.StateDir); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, saved, cfg.StateDir)
+	self, _ := cfg.peer(cfg.Node)
+	cl, err := net.Listen("tcp", self.ClientAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl, err := net.Listen("tcp", self.ReplAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = startNode(t, cfg, cl, rl)
+	a.Tick()
+	if !a.ownsShard(0) {
+		now.Add(int64(2 * time.Minute)) // let the old lease lapse
+		a.Tick()
+	}
+	if !a.ownsShard(0) {
+		t.Fatal("restarted primary did not take its shard back")
+	}
+
+	for lastSeq(a) <= followerSeq {
+		join(a)
+	}
+	waitSync(t, a, b, 0)
+	if have, want := lastSeq(b), lastSeq(a); have != want {
+		t.Fatalf("follower at seq %d, primary at %d", have, want)
+	}
+	if !bytes.Equal(schemeSnapshot(t, a, 0), schemeSnapshot(t, b, 0)) {
+		t.Fatal("follower kept the restarted primary's lost suffix: scheme state diverged")
+	}
+}
+
+// copyDir copies the regular files under src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o700)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return store.WriteFileDurable(vfs.OS{}, filepath.Join(dst, rel), data)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"groupkey/internal/store"
+	"groupkey/internal/vfs"
 )
 
 // Shard ownership is arbitrated by a lease authority: a node that wants to
@@ -178,15 +181,10 @@ func (a *DirAuthority) readLease(shard ShardID) (Lease, bool, error) {
 	}, true, nil
 }
 
-// writeLease persists the lease atomically (temp + rename).
+// writeLease persists the lease atomically and durably.
 func (a *DirAuthority) writeLease(l Lease) error {
-	path := a.leasePath(l.Shard)
-	tmp := path + ".tmp"
 	body := fmt.Sprintf("%s %d %d\n", l.Owner, l.Epoch, l.Expires.UnixNano())
-	if err := os.WriteFile(tmp, []byte(body), 0o600); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return store.WriteFileDurable(vfs.OS{}, a.leasePath(l.Shard), []byte(body))
 }
 
 // Acquire implements Authority.

@@ -5,11 +5,7 @@ import (
 	"fmt"
 	"groupkey/internal/clock"
 	"net"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"groupkey/internal/core"
@@ -43,10 +39,17 @@ type Node struct {
 type shardState struct {
 	id     ShardID
 	groups []*groupState
+	hold   ShardLease // guarded by Node.mu
+}
 
-	// Guarded by Node.mu.
-	owned bool
-	lease Lease
+// fenceEpoch is the highest durable fence epoch among the shard's
+// replicas: the floor a promotion's lease epoch must exceed.
+func (ss *shardState) fenceEpoch() uint64 {
+	var fence uint64
+	for _, gs := range ss.groups {
+		fence = max(fence, gs.rep.Epoch())
+	}
+	return fence
 }
 
 // groupState is one group's replica: the durable store is always open;
@@ -56,14 +59,10 @@ type groupState struct {
 	g     wire.GroupID
 	shard *shardState
 
-	mu        sync.Mutex
-	st        *store.Store
-	scheme    core.Scheme
-	nextID    keytree.MemberID
-	lastRekey *core.Rekey
-	epoch     uint64 // highest fence epoch durably recorded (fence.epoch)
-	srv       *server.Server
-	conn      net.Conn
+	mu   sync.Mutex
+	rep  *Replica // rep's scheme fields are guarded by mu
+	srv  *server.Server
+	conn net.Conn
 }
 
 // New opens (and recovers) every group store and assembles the node. No
@@ -109,23 +108,17 @@ func New(cfg Config) (*Node, error) {
 	n.reg.SetResolver(n)
 
 	for _, g := range ids {
-		st, err := store.Open(store.GroupDir(cfg.StateDir, g), store.Options{
+		rep, _, err := OpenReplica(store.GroupDir(cfg.StateDir, g), store.Options{
 			Fsync:   cfg.Fsync,
 			Clock:   cfg.Clock,
 			Metrics: cfg.StoreMetrics,
 			SchemeOptions: []core.Option{
 				core.WithKeyIDBase(store.GroupKeyIDBase(g)),
 			},
-		})
+		}, cfg.Metrics)
 		if err != nil {
 			n.closeStores()
 			return nil, fmt.Errorf("cluster: group %d: %w", g, err)
-		}
-		res, err := st.Recover()
-		if err != nil {
-			st.Close()
-			n.closeStores()
-			return nil, fmt.Errorf("cluster: group %d: recovering: %w", g, err)
 		}
 		sid := ShardOf(g, cfg.Shards)
 		ss := n.shards[sid]
@@ -133,15 +126,7 @@ func New(cfg Config) (*Node, error) {
 			ss = &shardState{id: sid}
 			n.shards[sid] = ss
 		}
-		gs := &groupState{
-			g:         g,
-			shard:     ss,
-			st:        st,
-			scheme:    res.Scheme,
-			nextID:    res.NextID,
-			lastRekey: res.LastRekey,
-			epoch:     readEpoch(st.Dir()),
-		}
+		gs := &groupState{g: g, shard: ss, rep: rep}
 		ss.groups = append(ss.groups, gs)
 		n.groups[g] = gs
 	}
@@ -227,10 +212,10 @@ func (n *Node) sortedShardsLocked() []*shardState {
 	return out
 }
 
-// Tick runs one lease-maintenance pass: acquire (or renew) every shard,
-// promoting on wins, demoting on losses, and re-promoting when a shard was
-// re-won under a fresh epoch (continuity was lost, so the fence must be
-// re-armed).
+// Tick runs one lease-maintenance pass (ShardLease.Step) over every
+// shard, promoting on wins, demoting on losses, and re-promoting when a
+// shard was re-won under a fresh epoch (continuity was lost, so the fence
+// must be re-armed).
 func (n *Node) Tick() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -238,28 +223,23 @@ func (n *Node) Tick() {
 		return
 	}
 	for _, ss := range n.sortedShardsLocked() {
-		lease, err := n.cfg.Authority.Acquire(ss.id, n.cfg.Node, n.cfg.LeaseTTL)
-		switch {
-		case err == nil && !ss.owned:
-			n.promoteLocked(ss, lease)
-		case err == nil && ss.owned && lease.Epoch != ss.lease.Epoch:
-			n.cfg.Logf("cluster: shard %d re-won under epoch %d (was %d), re-arming fence", ss.id, lease.Epoch, ss.lease.Epoch)
-			n.demoteLocked(ss)
-			n.promoteLocked(ss, lease)
-		case err == nil:
-			ss.lease = lease // renewed
-		case err != nil && ss.owned:
-			n.cfg.Logf("cluster: shard %d lost: %v", ss.id, err)
-			n.demoteLocked(ss)
+		demote, promote, err := ss.hold.Step(n.cfg.Authority, ss.id, n.cfg.Node, n.cfg.LeaseTTL, ss.fenceEpoch())
+		if demote {
+			if err != nil {
+				n.cfg.Logf("cluster: shard %d lost: %v", ss.id, err)
+			}
+			n.demoteLocked(ss) // lost, or re-won under a new epoch (re-arm)
+		}
+		if promote {
+			n.promoteLocked(ss)
 		}
 	}
 }
 
-// promoteLocked turns every group of the shard into a live primary server.
-// Called with Node.mu held.
-func (n *Node) promoteLocked(ss *shardState, lease Lease) {
-	ss.owned = true
-	ss.lease = lease
+// promoteLocked turns every group of the shard into a live primary server
+// under the shard's lease. Called with Node.mu held.
+func (n *Node) promoteLocked(ss *shardState) {
+	lease := ss.hold.Lease
 	n.cfg.Metrics.noteTransition(+1)
 	n.cfg.Logf("cluster: node %s promoting shard %d (epoch %d)", n.cfg.Node, ss.id, lease.Epoch)
 	for _, gs := range ss.groups {
@@ -277,27 +257,18 @@ func (n *Node) promoteGroup(gs *groupState, lease Lease) error {
 		gs.conn.Close() // stop the follower stream; the loop idles while owned
 		gs.conn = nil
 	}
-	if gs.scheme == nil {
-		sc, err := gs.st.Create(n.cfg.Scheme)
-		if err != nil {
-			return err
-		}
-		gs.scheme = sc
+	rep := gs.rep
+	if err := rep.Promote(lease.Epoch, n.cfg.Scheme); err != nil {
+		return err
 	}
-	srv := server.NewWithKey(gs.scheme, nil, gs.st.SigningKey())
-	srv.Persist(gs.st, n.cfg.SnapshotEvery)
-	srv.SetNextID(gs.nextID)
-	if err := srv.SetLastRekey(gs.lastRekey); err != nil {
+	srv := server.NewWithKey(rep.Scheme, nil, rep.Store.SigningKey())
+	srv.Persist(rep.Store, n.cfg.SnapshotEvery)
+	srv.SetNextID(rep.NextID)
+	if err := srv.SetLastRekey(rep.LastRekey); err != nil {
 		srv.Close()
 		return err
 	}
-	srv.SetFence(&shardFence{n: n, shard: gs.shard.id, epoch: lease.Epoch})
-	// A primary's log is, by definition, the canonical log of its epoch.
-	if err := writeEpoch(gs.st.Dir(), lease.Epoch); err != nil {
-		srv.Close()
-		return err
-	}
-	gs.epoch = lease.Epoch
+	srv.SetFence(LeaseFence{Auth: n.cfg.Authority, Lease: lease, Metrics: n.cfg.Metrics})
 	if err := n.reg.Add(gs.g, srv); err != nil {
 		srv.Close()
 		return err
@@ -310,7 +281,6 @@ func (n *Node) promoteGroup(gs *groupState, lease Lease) error {
 // scheme state so the follower loops resume from it. Called with Node.mu
 // held.
 func (n *Node) demoteLocked(ss *shardState) {
-	ss.owned = false
 	n.cfg.Metrics.noteTransition(-1)
 	n.cfg.Logf("cluster: node %s demoting shard %d", n.cfg.Node, ss.id)
 	for _, gs := range ss.groups {
@@ -327,8 +297,7 @@ func (n *Node) demoteLocked(ss *shardState) {
 		// epoch changed), so this is just the freshest local starting point.
 		_ = srv.BootstrapState(func(sc core.Scheme, nextID keytree.MemberID) error {
 			gs.mu.Lock()
-			gs.scheme = sc
-			gs.nextID = nextID
+			gs.rep.Scheme, gs.rep.NextID = sc, nextID
 			gs.mu.Unlock()
 			return nil
 		})
@@ -336,39 +305,12 @@ func (n *Node) demoteLocked(ss *shardState) {
 	}
 }
 
-// shardFence gates every primary mutation on the lease authority: the
-// mutation proceeds only while this node still holds the shard under the
-// exact epoch the server was promoted with.
-type shardFence struct {
-	n     *Node
-	shard ShardID
-	epoch uint64
-}
-
-// Check implements server.Fence.
-func (f *shardFence) Check() error {
-	lease, ok := f.n.cfg.Authority.Peek(f.shard)
-	if !ok {
-		f.n.cfg.Metrics.noteFenced()
-		return fmt.Errorf("cluster: shard %d lease lapsed", f.shard)
-	}
-	if lease.Owner != f.n.cfg.Node {
-		f.n.cfg.Metrics.noteFenced()
-		return fmt.Errorf("cluster: shard %d owned by %s (epoch %d)", f.shard, lease.Owner, lease.Epoch)
-	}
-	if lease.Epoch != f.epoch {
-		f.n.cfg.Metrics.noteFenced()
-		return fmt.Errorf("cluster: shard %d epoch moved %d -> %d", f.shard, f.epoch, lease.Epoch)
-	}
-	return nil
-}
-
 // ownsShard reports whether this node currently serves the shard.
 func (n *Node) ownsShard(id ShardID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ss := n.shards[id]
-	return ss != nil && ss.owned
+	return ss != nil && ss.hold.Owned
 }
 
 // Close stops serving, demotes every owned shard locally (the lease is
@@ -383,7 +325,8 @@ func (n *Node) Close() error {
 	n.closed = true
 	close(n.stop)
 	for _, ss := range n.sortedShardsLocked() {
-		if ss.owned {
+		if ss.hold.Owned {
+			ss.hold.Owned = false
 			n.demoteLocked(ss)
 		}
 	}
@@ -409,36 +352,6 @@ func (n *Node) Close() error {
 // closeStores closes every group store (used by Close and New's unwind).
 func (n *Node) closeStores() {
 	for _, gs := range n.groups {
-		gs.st.Close()
+		gs.rep.Store.Close()
 	}
-}
-
-// The fence epoch file: one decimal line under the group's state
-// directory, updated by atomic rename. It records the highest epoch whose
-// canonical log this replica's WAL is a prefix of — the value a follower
-// may truthfully claim in a ReplHello.
-
-func epochPath(dir string) string { return filepath.Join(dir, "fence.epoch") }
-
-// readEpoch loads the durable fence epoch (0 when never recorded).
-func readEpoch(dir string) uint64 {
-	raw, err := os.ReadFile(epochPath(dir))
-	if err != nil {
-		return 0
-	}
-	v, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// writeEpoch durably records the fence epoch.
-func writeEpoch(dir string, epoch uint64) error {
-	path := epochPath(dir)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(epoch, 10)+"\n"), 0o600); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

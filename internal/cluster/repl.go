@@ -67,8 +67,8 @@ func (n *Node) serveStream(conn net.Conn) {
 	var epoch uint64
 	owned := false
 	if gs != nil {
-		owned = gs.shard.owned
-		epoch = gs.shard.lease.Epoch
+		owned = gs.shard.hold.Owned
+		epoch = gs.shard.hold.Lease.Epoch
 	}
 	n.mu.Unlock()
 	if gs == nil {
@@ -79,15 +79,35 @@ func (n *Node) serveStream(conn net.Conn) {
 		n.replReject(conn, fmt.Sprintf("not primary for group %d", hello.Group))
 		return
 	}
-	if hello.Epoch > epoch {
-		// The follower has durably seen a higher epoch than our lease: we
-		// are the deposed node here. Refuse to serve it anything.
-		n.cfg.Metrics.noteFenced()
-		n.replReject(conn, fmt.Sprintf("stale primary: follower at epoch %d, lease at %d", hello.Epoch, epoch))
+
+	// Subscribe before reading the log so nothing journaled between
+	// catch-up and the live loop is missed; the live loop dedupes by
+	// sequence.
+	st := gs.rep.Store
+	sub := st.Subscribe(1024)
+	defer st.Unsubscribe(sub)
+
+	// The snapshot cut runs under the live server's BootstrapState, which
+	// freezes it, so blob, nextID and LastSeq are consistent.
+	cut := func(fn func(core.Scheme, keytree.MemberID) error) error {
+		gs.mu.Lock()
+		srv := gs.srv
+		gs.mu.Unlock()
+		if srv == nil {
+			return errors.New("cluster: demoted mid-handshake")
+		}
+		return srv.BootstrapState(fn)
+	}
+	recs, snap, err := gs.rep.CatchUp(hello, epoch, cut)
+	if errors.Is(err, ErrFenced) {
+		n.replReject(conn, err.Error())
+		return
+	}
+	if err != nil {
+		n.cfg.Logf("cluster: group %d: catch-up for %s: %v", hello.Group, hello.Node, err)
 		return
 	}
 
-	st := gs.st
 	welcome := wire.ReplWelcome{Epoch: epoch, LastSeq: st.LastSeq(), SigningSeed: st.SigningSeed()}
 	wbody, err := welcome.Encode()
 	if err != nil {
@@ -97,20 +117,20 @@ func (n *Node) serveStream(conn net.Conn) {
 	if err := wire.WriteFrame(conn, wire.MsgReplWelcome, wbody); err != nil {
 		return
 	}
-
-	// Subscribe before reading the log so nothing journaled between
-	// catch-up and the live loop is missed; the live loop dedupes by
-	// sequence.
-	sub := st.Subscribe(1024)
-	defer st.Unsubscribe(sub)
-
-	sentSeq, ok, err := n.catchUp(conn, gs, hello, epoch)
-	if err != nil {
-		n.cfg.Logf("cluster: group %d: catch-up for %s: %v", hello.Group, hello.Node, err)
-		return
+	sentSeq := hello.HaveSeq
+	for _, rec := range recs {
+		if err := n.shipRecord(conn, epoch, rec); err != nil {
+			return
+		}
+		sentSeq = rec.Seq
 	}
-	if !ok {
-		return
+	if snap != nil {
+		conn.SetWriteDeadline(time.Now().Add(n.cfg.DialTimeout))
+		if err := wire.WriteFrame(conn, wire.MsgReplSnapshot, snap.Encode()); err != nil {
+			return
+		}
+		n.cfg.Metrics.noteSnapshotShipped()
+		sentSeq = snap.Seq
 	}
 
 	// Drain follower acknowledgements for the lag gauge; a read error ends
@@ -159,63 +179,6 @@ func (n *Node) serveStream(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// catchUp brings the follower to the primary's current sequence, returning
-// the newest sequence shipped. ok is false when the stream should end
-// (e.g. demoted mid-handshake).
-func (n *Node) catchUp(conn net.Conn, gs *groupState, hello wire.ReplHello, epoch uint64) (uint64, bool, error) {
-	if hello.Epoch == epoch {
-		recs, ok, err := gs.st.RecordsFrom(hello.HaveSeq)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			sent := hello.HaveSeq
-			for _, rec := range recs {
-				if err := n.shipRecord(conn, epoch, rec); err != nil {
-					return 0, false, err
-				}
-				sent = rec.Seq
-			}
-			return sent, true, nil
-		}
-		// Compacted past the follower's position: fall through to snapshot.
-	}
-
-	// The follower's epoch is stale (its WAL may hold a divergent suffix)
-	// or the log no longer reaches its position: ship the full state.
-	// BootstrapState freezes the server, so blob, nextID and LastSeq are a
-	// consistent cut.
-	gs.mu.Lock()
-	srv := gs.srv
-	gs.mu.Unlock()
-	if srv == nil {
-		return 0, false, nil // demoted between the hello and now
-	}
-	var blob []byte
-	var nextID keytree.MemberID
-	var seq uint64
-	err := srv.BootstrapState(func(sc core.Scheme, nid keytree.MemberID) error {
-		if sc == nil {
-			return errors.New("no scheme state")
-		}
-		var serr error
-		blob, serr = sc.Snapshot()
-		nextID = nid
-		seq = gs.st.LastSeq()
-		return serr
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	snap := wire.ReplSnapshot{Epoch: epoch, Seq: seq, NextID: nextID, Scheme: blob}
-	conn.SetWriteDeadline(time.Now().Add(n.cfg.DialTimeout))
-	if err := wire.WriteFrame(conn, wire.MsgReplSnapshot, snap.Encode()); err != nil {
-		return 0, false, err
-	}
-	n.cfg.Metrics.noteSnapshotShipped()
-	return seq, true, nil
 }
 
 // shipRecord sends one WAL record, stamped with the primary's epoch.
@@ -315,7 +278,7 @@ func (n *Node) followOnce(gs *groupState) error {
 		return nil
 	}
 	gs.conn = conn
-	hello := wire.ReplHello{Group: gs.g, Epoch: gs.epoch, HaveSeq: gs.st.LastSeq(), Node: string(n.cfg.Node)}
+	hello := gs.rep.Hello(gs.g, n.cfg.Node)
 	gs.mu.Unlock()
 	defer func() {
 		gs.mu.Lock()
@@ -348,7 +311,7 @@ func (n *Node) followOnce(gs *groupState) error {
 	}
 	// Adopt the group's signing identity so a later promotion serves the
 	// exact key resuming members have pinned.
-	if err := gs.st.AdoptSigningKey(welcome.SigningSeed); err != nil {
+	if err := gs.rep.Store.AdoptSigningKey(welcome.SigningSeed); err != nil {
 		return err
 	}
 
@@ -358,94 +321,43 @@ func (n *Node) followOnce(gs *groupState) error {
 		if err != nil {
 			return err
 		}
+		var seq uint64
 		switch t {
 		case wire.MsgReplSnapshot:
-			snap, err := wire.DecodeReplSnapshot(payload)
-			if err != nil {
-				return err
-			}
-			if err := n.applySnapshot(gs, snap); err != nil {
-				return err
-			}
-			if err := n.ack(conn, snap.Seq); err != nil {
-				return err
+			var snap wire.ReplSnapshot
+			if snap, err = wire.DecodeReplSnapshot(payload); err == nil {
+				seq = snap.Seq
+				err = gs.accept(func(r *Replica) error { return r.AcceptSnapshot(snap) })
 			}
 		case wire.MsgReplRecord:
-			rec, err := wire.DecodeReplRecord(payload)
-			if err != nil {
-				return err
-			}
-			if err := n.applyRecord(gs, rec); err != nil {
-				return err
-			}
-			if err := n.ack(conn, rec.Seq); err != nil {
-				return err
+			var rec wire.ReplRecord
+			if rec, err = wire.DecodeReplRecord(payload); err == nil {
+				seq = rec.Seq
+				err = gs.accept(func(r *Replica) error { return r.AcceptRecord(rec) })
 			}
 		case wire.MsgError:
 			return fmt.Errorf("cluster: primary %s: %s", lease.Owner, payload)
 		default:
 			return fmt.Errorf("cluster: unexpected %v on replication stream", t)
 		}
+		if err != nil {
+			return err
+		}
+		if err := n.ack(conn, seq); err != nil {
+			return err
+		}
 	}
 }
 
-// applySnapshot installs a shipped snapshot, replacing the replica's
-// entire state (including any WAL suffix journaled under a deposed epoch)
-// and durably recording the epoch it was taken under.
-func (n *Node) applySnapshot(gs *groupState, snap wire.ReplSnapshot) error {
+// accept runs one of the replica's acceptance rules under the group lock,
+// unless the group was promoted mid-stream.
+func (gs *groupState) accept(rule func(*Replica) error) error {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
 	if gs.srv != nil {
 		return errors.New("cluster: promoted mid-stream")
 	}
-	if snap.Epoch < gs.epoch {
-		n.cfg.Metrics.noteFenced()
-		return fmt.Errorf("cluster: snapshot epoch %d below durable epoch %d", snap.Epoch, gs.epoch)
-	}
-	sc, err := gs.st.InstallSnapshot(snap.Seq, snap.NextID, snap.Scheme)
-	if err != nil {
-		return err
-	}
-	gs.scheme = sc
-	gs.nextID = snap.NextID
-	gs.lastRekey = nil // pre-snapshot rekeys belong to a discarded log
-	// Persist the epoch only now that the local state is consistent with
-	// that epoch's canonical log; a crash before this line re-syncs with
-	// the old (lower) epoch and harmlessly receives the snapshot again.
-	if err := writeEpoch(gs.st.Dir(), snap.Epoch); err != nil {
-		return err
-	}
-	gs.epoch = snap.Epoch
-	return nil
-}
-
-// applyRecord journals and applies one streamed record.
-func (n *Node) applyRecord(gs *groupState, rec wire.ReplRecord) error {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if gs.srv != nil {
-		return errors.New("cluster: promoted mid-stream")
-	}
-	if rec.Epoch < gs.epoch {
-		// A deposed primary's stream: its records must never enter the log.
-		n.cfg.Metrics.noteFenced()
-		return fmt.Errorf("cluster: record epoch %d below durable epoch %d", rec.Epoch, gs.epoch)
-	}
-	sc, rk, nextID, err := gs.st.ReplicaApply(gs.scheme, store.Record{
-		Kind: rec.Kind, Seq: rec.Seq, Seed: rec.Seed, Payload: rec.Payload,
-	})
-	if err != nil {
-		return err
-	}
-	gs.scheme = sc
-	if rk != nil {
-		gs.lastRekey = rk
-	}
-	if nextID > gs.nextID {
-		gs.nextID = nextID
-	}
-	n.cfg.Metrics.noteApplied()
-	return nil
+	return rule(gs.rep)
 }
 
 // ack acknowledges the newest applied sequence.

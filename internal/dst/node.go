@@ -1,43 +1,82 @@
 package dst
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"groupkey/internal/cluster"
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
-	"groupkey/internal/keytree"
 	"groupkey/internal/store"
 	"groupkey/internal/vfs"
 	"groupkey/internal/wire"
 )
 
-// nodeGroup is one node's replica of one group: a real store.Store on the
-// node's in-memory filesystem, plus lease and replication state.
+// nodeGroup is one node's replica of one group: the cluster's own
+// Replica — a real store.Store on the node's in-memory filesystem — and
+// lease hold, driven by scheduled events instead of sockets and
+// goroutines, plus the simulated replication streams.
 type nodeGroup struct {
-	g      *simGroup
-	st     *store.Store
-	sc     core.Scheme
-	sub    *store.Subscription
-	nextID keytree.MemberID
+	g       *simGroup
+	rep     *cluster.Replica // nil while the node is down
+	hold    cluster.ShardLease
+	sub     *store.Subscription
+	records int
 
-	owned      bool
-	lease      cluster.Lease
-	fenceEpoch uint64
-	// replEpoch is the durable fence epoch this replica's log was last
-	// written under (mirrors the cluster's fence.epoch file): records
-	// from a lower epoch are rejected, a higher epoch forces a snapshot
-	// resync that erases any divergent suffix.
-	replEpoch uint64
-	resyncing bool
-	records   int
+	stream    *stream   // the replication stream this replica follows
+	followers []*stream // the streams it serves as primary
+}
+
+// scheme is the replica's scheme, nil while it has none.
+func (ng *nodeGroup) scheme() core.Scheme {
+	if ng.rep == nil {
+		return nil
+	}
+	return ng.rep.Scheme
+}
+
+// stream is one replication connection from a group's primary to a
+// follower, standing in for the production TCP stream: messages arrive
+// in the order sent, and the stream breaks for good on the first error.
+type stream struct {
+	to     *simNode
+	gi     int
+	owner  *simNode
+	inc    int    // owner incarnation the stream was opened against
+	epoch  uint64 // lease epoch the stream runs under
+	sent   uint64 // newest sequence the primary has shipped
+	arrive time.Duration
+	broken bool
+}
+
+// send runs accept on the follower's replica one network hop later,
+// after everything sent before it, unless the stream has broken or been
+// replaced by then. An error ends the stream, as it ends the production
+// follower's: the next follow tick says hello again. A disk error
+// crashes the node.
+func (s *stream) send(w *World, name string, accept func(*cluster.Replica) error) {
+	s.arrive = max(w.sched.Now()+w.latency(), s.arrive)
+	w.sched.After(s.arrive-w.sched.Now(), name, func() {
+		ng := s.to.groups[s.gi]
+		if s.broken || ng.stream != s || ng.hold.Owned {
+			return
+		}
+		err := accept(ng.rep)
+		drainSub(ng) // a follower's own ReplicaApply notifies it; discard
+		s.broken = err != nil
+		switch {
+		case errors.Is(err, cluster.ErrFenced):
+			w.stats.Fenced++
+			w.sched.tracef("n%d g%d %v", s.to.idx, s.gi, err)
+		case errors.Is(err, store.ErrOutOfOrder):
+			w.sched.tracef("n%d g%d stream from n%d broke: %v", s.to.idx, s.gi, s.owner.idx, err)
+		case err != nil:
+			w.diskFailure(s.to, err)
+		}
+	})
 }
 
 // simNode is one key-server process.
@@ -82,6 +121,23 @@ func (n *simNode) boot() {
 	n.armTicks()
 }
 
+// A node is its own, network-limited view of the lease authority (a
+// cluster.Authority): every call fails while it is partitioned.
+
+func (n *simNode) Acquire(shard cluster.ShardID, node cluster.NodeID, ttl time.Duration) (cluster.Lease, error) {
+	if n.partitioned {
+		return cluster.Lease{}, errors.New("dst: lease authority unreachable")
+	}
+	return n.w.auth.Acquire(shard, node, ttl)
+}
+
+func (n *simNode) Peek(shard cluster.ShardID) (cluster.Lease, bool) {
+	if n.partitioned {
+		return cluster.Lease{}, false
+	}
+	return n.w.auth.Peek(shard)
+}
+
 // entropyFor derives a per-(plan, node, group, incarnation) deterministic
 // entropy stream. Every byte drawn from it lands in a journaled record or
 // a sealed snapshot, so replicas still converge byte-identically.
@@ -96,32 +152,12 @@ func (n *simNode) entropyFor(g int) *keycrypt.DeterministicReader {
 	return keycrypt.NewSeededReader(buf[:])
 }
 
-func (n *simNode) stateDir(g int) string {
-	return store.GroupDir("/state", wire.GroupID(g))
-}
-
-func epochFile(dir string) string { return dir + "/fence.epoch" }
-
-func (ng *nodeGroup) persistEpoch(n *simNode, dir string) {
-	_ = n.fs.WriteFile(epochFile(dir), []byte(strconv.FormatUint(ng.replEpoch, 10)), 0o600)
-}
-
-func loadEpoch(fs *vfs.Mem, dir string) uint64 {
-	raw, err := fs.ReadFile(epochFile(dir))
-	if err != nil {
-		return 0
-	}
-	e, _ := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-	return e
-}
-
-// openStores opens and recovers every group store from whatever the
+// openStores opens and recovers every group replica from whatever the
 // crash (if any) left durable.
 func (n *simNode) openStores() {
 	w := n.w
 	for gi, ng := range n.groups {
-		dir := n.stateDir(gi)
-		st, err := store.Open(dir, store.Options{
+		rep, res, err := cluster.OpenReplica(store.GroupDir("/state", wire.GroupID(gi)), store.Options{
 			Fsync:   w.fsync,
 			FS:      n.fs,
 			Clock:   n.clk,
@@ -130,24 +166,12 @@ func (n *simNode) openStores() {
 				core.WithKeyIDBase(store.GroupKeyIDBase(wire.GroupID(gi))),
 				core.WithRekeyWorkers(1),
 			},
-		})
+		}, nil)
 		if err != nil {
 			w.violate(ViolationDurability, "n%d g%d open after crash: %v", n.idx, gi, err)
 			continue
 		}
-		res, err := st.Recover()
-		if err != nil {
-			w.violate(ViolationDurability, "n%d g%d recover: %v", n.idx, gi, err)
-			continue
-		}
-		ng.st = st
-		ng.sc = res.Scheme
-		ng.nextID = res.NextID
-		ng.sub = st.Subscribe(8192)
-		ng.owned = false
-		ng.resyncing = false
-		ng.records = 0
-		ng.replEpoch = loadEpoch(n.fs, dir)
+		*ng = nodeGroup{g: ng.g, rep: rep, sub: rep.Store.Subscribe(8192)}
 		w.stats.Recoveries++
 		if res.TruncatedBytes > 0 {
 			w.sched.tracef("n%d g%d recovery truncated %dB torn tail", n.idx, gi, res.TruncatedBytes)
@@ -186,147 +210,154 @@ func (n *simNode) armTicks() {
 	every(w.plan.LeaseTTL/2, time.Duration(71*(n.idx+1))*time.Millisecond, "follow", n.followTick)
 }
 
-// leaseTick acquires or renews every group's lease, promoting and
-// demoting this node as the authority dictates.
+// leaseTick runs the cluster's lease step for every group's shard and
+// acts on the outcome as cluster.Node does: demote, promote, or both.
 func (n *simNode) leaseTick() {
 	w := n.w
 	for gi, ng := range n.groups {
-		if ng.st == nil {
+		if ng.rep == nil {
 			continue
 		}
-		if n.partitioned {
-			if ng.owned && !plantedFencingBug && !ng.lease.Expires.After(n.clk.Now()) {
-				// Cannot renew and the cached lease has lapsed on the local
-				// clock: step down. (The planted bug keeps trusting the
-				// cached promotion until it positively observes a successor.)
-				ng.owned = false
-				w.sched.tracef("n%d g%d demoted (lease lapsed while unreachable)", n.idx, gi)
-			}
+		demote, promote, err := ng.hold.Step(n, ng.g.shard, n.id, w.plan.LeaseTTL, ng.rep.Epoch())
+		if demote && !promote {
+			w.sched.tracef("n%d g%d demoted: %v", n.idx, gi, err)
+		}
+		if !promote {
 			continue
 		}
-		l, err := w.auth.Acquire(ng.g.shard, n.id, w.plan.LeaseTTL)
+		cfg, err := store.ParseSchemeConfig(w.plan.Scheme, w.plan.K)
 		if err != nil {
-			if ng.owned {
-				ng.owned = false
-				w.sched.tracef("n%d g%d demoted (lease lost)", n.idx, gi)
-			}
-			continue
+			panic(fmt.Sprintf("dst: bad plan scheme %q: %v", w.plan.Scheme, err))
 		}
-		if !ng.owned || l.Epoch != ng.fenceEpoch {
-			ng.owned = true
-			ng.fenceEpoch = l.Epoch
-			ng.replEpoch = l.Epoch
-			ng.persistEpoch(n, n.stateDir(gi))
-			w.stats.Promotions++
-			w.sched.tracef("n%d g%d promoted at epoch %d (seq %d)", n.idx, gi, l.Epoch, ng.st.LastSeq())
-			if ng.sc == nil && ng.st.LastSeq() == 0 {
-				n.createScheme(ng, gi)
-			}
+		cfg.Planner = w.plan.Planner
+		if err := ng.rep.Promote(ng.hold.Lease.Epoch, cfg); err != nil {
+			w.diskFailure(n, err)
+			return
 		}
-		ng.lease = l
+		w.stats.Promotions++
+		w.sched.tracef("n%d g%d promoted at epoch %d (seq %d)", n.idx, gi, ng.hold.Lease.Epoch, ng.rep.Store.LastSeq())
 	}
 }
 
-func (n *simNode) createScheme(ng *nodeGroup, gi int) {
-	w := n.w
-	cfg, err := store.ParseSchemeConfig(w.plan.Scheme, w.plan.K)
-	if err != nil {
-		panic(fmt.Sprintf("dst: bad plan scheme %q: %v", w.plan.Scheme, err))
-	}
-	cfg.Planner = w.plan.Planner
-	sc, err := ng.st.Create(cfg)
-	if err != nil {
-		w.diskFailure(n, err)
-		return
-	}
-	ng.sc = sc
-	w.sched.tracef("n%d g%d created scheme %s", n.idx, gi, w.plan.Scheme)
-	n.replicate(ng)
-}
-
-// followTick is the follower's anti-entropy loop, standing in for the
-// production follower's re-connecting record stream: it compares its
-// durable position (epoch, seq, state digest) against the current primary
-// and schedules a resync on any mismatch — behind (missed records), ahead
-// (orphaned suffix after a primary's unsynced log regressed in a crash),
-// or diverged at equal seq (the primary rewrote lost records).
+// followTick is the follower loop: a replica that is not primary follows
+// the shard's lease holder, and sends a new hello whenever its stream has
+// broken or the owner node, its incarnation or the lease epoch changed.
 func (n *simNode) followTick() {
 	w := n.w
-	if n.partitioned {
+	for gi, ng := range n.groups {
+		if ng.rep == nil || ng.hold.Owned {
+			continue
+		}
+		l, ok := n.Peek(ng.g.shard)
+		o := w.ownerNode(ng.g)
+		if !ok || o == nil || o == n {
+			continue
+		}
+		if s := ng.stream; s != nil && !s.broken && s.owner == o && s.inc == o.inc && s.epoch == l.Epoch {
+			continue
+		}
+		s := &stream{to: n, gi: gi, owner: o, inc: o.inc, epoch: l.Epoch}
+		ng.stream = s
+		hello := ng.rep.Hello(wire.GroupID(gi), n.id)
+		w.sched.After(w.latency(), "repl.hello", func() { w.serveHello(s, hello) })
+	}
+}
+
+// serveHello is the primary's side of a new stream: the cluster's
+// catch-up choice, shipped in order behind the welcome, after which the
+// stream carries every freshly journaled record.
+func (w *World) serveHello(s *stream, hello wire.ReplHello) {
+	o, ong := s.owner, s.owner.groups[s.gi]
+	if !w.reachable(o, s.to) || !ong.hold.Owned {
+		s.broken = true
 		return
 	}
-	for gi, ng := range n.groups {
-		if ng.st == nil || ng.owned {
-			continue
-		}
-		o := w.ownerNode(w.groups[gi])
-		if o == nil || o == n || !w.reachable(n, o) {
-			continue
-		}
-		ong := o.groups[gi]
-		if ong.st == nil || !ong.owned || ong.sc == nil {
-			continue
-		}
-		if ng.sc == nil || ng.replEpoch != ong.fenceEpoch || ng.st.LastSeq() != ong.st.LastSeq() {
-			w.scheduleResync(n, gi, 0)
-			continue
-		}
-		ob, oerr := ong.sc.Snapshot()
-		fb, ferr := ng.sc.Snapshot()
-		if oerr == nil && ferr == nil && !bytes.Equal(ob, fb) {
-			w.scheduleResync(n, gi, 0)
-		}
+	s.epoch = ong.hold.Lease.Epoch
+	recs, snap, err := ong.rep.CatchUp(hello, s.epoch, ong.rep.State)
+	if err != nil {
+		w.sched.tracef("n%d g%d refused n%d: %v", o.idx, s.gi, s.to.idx, err)
+		s.broken = true
+		return
 	}
+	seed := ong.rep.Store.SigningSeed()
+	s.send(w, "repl.welcome", func(rep *cluster.Replica) error { return rep.Store.AdoptSigningKey(seed) })
+	s.sent = hello.HaveSeq
+	if len(recs) > 0 {
+		w.stats.CatchUps++
+	}
+	for _, rec := range recs {
+		w.shipRecord(s, rec)
+	}
+	if snap != nil {
+		s.sent = snap.Seq
+		s.send(w, "repl.snapshot", func(rep *cluster.Replica) error {
+			if err := rep.AcceptSnapshot(*snap); err != nil {
+				return err
+			}
+			w.stats.SnapInstalls++
+			w.sched.tracef("n%d g%d installed snapshot seq=%d epoch=%d", s.to.idx, s.gi, snap.Seq, snap.Epoch)
+			return nil
+		})
+	}
+	ong.followers = append(ong.followers, s)
+}
+
+// shipRecord sends one journaled record down a stream, stamped with the
+// stream's epoch, and applies it at the follower.
+func (w *World) shipRecord(s *stream, rec store.Record) {
+	s.sent = rec.Seq
+	frame := wire.ReplRecord{Epoch: s.epoch, Kind: rec.Kind, Seq: rec.Seq, Seed: rec.Seed, Payload: rec.Payload}
+	s.send(w, "repl.record", func(rep *cluster.Replica) error {
+		if err := rep.AcceptRecord(frame); err != nil {
+			return err
+		}
+		w.stats.Replicated++
+		return nil
+	})
 }
 
 // processGroup runs one rekey period as primary: fence check, journal,
 // apply, snapshot cadence, replicate, broadcast.
 func (n *simNode) processGroup(ng *nodeGroup) {
 	w := n.w
-	if w.frozen || !n.alive || ng.st == nil || !ng.owned || ng.sc == nil {
+	if w.frozen || !n.alive || ng.scheme() == nil || !ng.hold.Owned {
 		return
 	}
-	if !plantedFencingBug {
-		l, ok, reachable := w.peekFrom(n, ng.g.shard)
-		if !reachable {
-			return // cannot verify the lease: stay silent
-		}
-		if !ok || l.Owner != n.id || l.Epoch != ng.fenceEpoch {
-			ng.owned = false
-			w.sched.tracef("n%d g%d demoted by fence check", n.idx, ng.g.id)
-			return
-		}
+	fence := cluster.LeaseFence{Auth: n, Lease: ng.hold.Lease}
+	if err := fence.Check(); err != nil {
+		return // cannot prove the lease: stay silent
 	}
 	g := ng.g
 	if len(g.pendingJoins) == 0 && len(g.pendingLeaves) == 0 {
 		return // nothing to rekey this period; an empty batch would only dilute repair history
 	}
+	rep := ng.rep
 	var b core.Batch
 	joins := g.pendingJoins
 	g.pendingJoins = nil
 	b.Leaves = g.pendingLeaves
 	g.pendingLeaves = nil
 	for _, meta := range joins {
-		b.Joins = append(b.Joins, core.Join{ID: ng.nextID, Meta: meta})
-		ng.nextID++
+		b.Joins = append(b.Joins, core.Join{ID: rep.NextID, Meta: meta})
+		rep.NextID++
 	}
 	w.checkFence(n, ng) // omniscient oracle view at journal time
 
 	var prevKey keycrypt.Key
-	hadPrev := ng.sc.Size() > 0
+	hadPrev := rep.Scheme.Size() > 0
 	if hadPrev {
 		var err error
-		if prevKey, err = ng.sc.GroupKey(); err != nil {
+		if prevKey, err = rep.Scheme.GroupKey(); err != nil {
 			w.violate(ViolationAgreement, "n%d g%d group key before batch: %v", n.idx, g.id, err)
 			return
 		}
 	}
 
-	if err := ng.st.JournalBatch(b); err != nil {
+	if err := rep.Store.JournalBatch(b); err != nil {
 		w.diskFailure(n, err)
 		return
 	}
-	rk, err := ng.sc.ProcessBatch(b)
+	rk, err := rep.Scheme.ProcessBatch(b)
 	if err != nil {
 		// Journal-then-fail mutates nothing; replicas fail identically.
 		w.sched.tracef("n%d g%d batch rejected (no-op): %v", n.idx, g.id, err)
@@ -335,7 +366,7 @@ func (n *simNode) processGroup(ng *nodeGroup) {
 	}
 	ng.records++
 	if ng.records%snapshotEvery == 0 {
-		if err := ng.st.SaveSnapshot(ng.sc, ng.nextID); err != nil {
+		if err := rep.Store.SaveSnapshot(rep.Scheme, rep.NextID); err != nil {
 			w.diskFailure(n, err)
 			return
 		}
@@ -345,30 +376,36 @@ func (n *simNode) processGroup(ng *nodeGroup) {
 	w.emit(n, ng, b, rk, prevKey, hadPrev)
 }
 
-// replicate drains freshly journaled records and streams them to every
-// reachable peer. Followers drain their subscription too (their own
-// ReplicaApply notifies it) and discard.
+// replicate drains freshly journaled records and ships them down every
+// live stream this primary serves. A stream to an unreachable follower,
+// or one the log jumped under, breaks.
 func (n *simNode) replicate(ng *nodeGroup) {
 	recs := drainSub(ng)
-	if !ng.owned || len(recs) == 0 {
+	if !ng.hold.Owned || len(recs) == 0 {
 		return
 	}
 	w := n.w
-	epoch := ng.fenceEpoch
-	gi := ng.g.id
-	for _, peer := range w.nodes {
-		if peer == n || !w.reachable(n, peer) {
+	live := ng.followers[:0]
+	for _, s := range ng.followers {
+		if s.broken || s.to.groups[s.gi].stream != s || !w.reachable(n, s.to) {
+			s.broken = true
 			continue
 		}
-		peer := peer
-		lat := w.latency()
-		for i, rec := range recs {
-			rec := rec
-			w.sched.After(lat+time.Duration(i)*100*time.Microsecond, "repl.record", func() {
-				w.deliverRecord(peer, gi, rec, epoch)
-			})
+		for _, rec := range recs {
+			if rec.Seq <= s.sent {
+				continue
+			}
+			if rec.Seq != s.sent+1 {
+				s.broken = true
+				break
+			}
+			w.shipRecord(s, rec)
+		}
+		if !s.broken {
+			live = append(live, s)
 		}
 	}
+	ng.followers = live
 }
 
 func drainSub(ng *nodeGroup) []store.Record {
@@ -388,133 +425,4 @@ func drainSub(ng *nodeGroup) []store.Record {
 			return out
 		}
 	}
-}
-
-// deliverRecord applies one streamed record at a follower, mirroring the
-// production follower's epoch fencing: stale epochs are rejected, newer
-// epochs force a resync (the follower's log may hold a deposed suffix).
-func (w *World) deliverRecord(to *simNode, gi int, rec store.Record, epoch uint64) {
-	if !to.alive {
-		return
-	}
-	ng := to.groups[gi]
-	if ng.st == nil || ng.owned {
-		return
-	}
-	if epoch < ng.replEpoch {
-		w.stats.Fenced++
-		w.sched.tracef("n%d g%d rejected record seq=%d from stale epoch %d (durable %d)",
-			to.idx, gi, rec.Seq, epoch, ng.replEpoch)
-		return
-	}
-	if epoch > ng.replEpoch {
-		w.scheduleResync(to, gi, 0)
-		return
-	}
-	sc2, _, nid, err := ng.st.ReplicaApply(ng.sc, rec)
-	switch {
-	case err == nil:
-		ng.sc = sc2
-		if nid > ng.nextID {
-			ng.nextID = nid
-		}
-		drainSub(ng)
-		w.stats.Replicated++
-	case errors.Is(err, store.ErrOutOfOrder):
-		if rec.Seq <= ng.st.LastSeq() {
-			return // duplicate of an already-applied record
-		}
-		w.scheduleResync(to, gi, 0)
-	default:
-		w.diskFailure(to, err)
-	}
-}
-
-func (w *World) scheduleResync(to *simNode, gi int, delay time.Duration) {
-	ng := to.groups[gi]
-	if ng.resyncing {
-		return
-	}
-	ng.resyncing = true
-	w.sched.After(delay+w.latency(), "resync", func() { w.resync(to, gi) })
-}
-
-// resync mirrors the production catch-up handshake: matching durable
-// epoch and an uncompacted log means incremental records; anything else
-// means a full snapshot install that also erases divergent suffixes.
-func (w *World) resync(to *simNode, gi int) {
-	ng := to.groups[gi]
-	ng.resyncing = false
-	if !to.alive || ng.st == nil || ng.owned {
-		return
-	}
-	g := w.groups[gi]
-	o := w.ownerNode(g)
-	if o == nil || o == to || !w.reachable(to, o) {
-		w.scheduleResync(to, gi, 500*time.Millisecond)
-		return
-	}
-	ong := o.groups[gi]
-	if !ong.owned || ong.sc == nil {
-		w.scheduleResync(to, gi, 500*time.Millisecond)
-		return
-	}
-	if ng.replEpoch > ong.fenceEpoch {
-		// The "owner" is itself deposed relative to what we saw durably;
-		// wait for the authority to settle.
-		w.scheduleResync(to, gi, 500*time.Millisecond)
-		return
-	}
-	if ng.replEpoch == ong.fenceEpoch && ng.st.LastSeq() < ong.st.LastSeq() {
-		recs, ok, err := ong.st.RecordsFrom(ng.st.LastSeq())
-		if err != nil {
-			w.diskFailure(o, err)
-			w.scheduleResync(to, gi, 500*time.Millisecond)
-			return
-		}
-		if ok {
-			lat := w.latency()
-			epoch := ong.fenceEpoch
-			for i, rec := range recs {
-				rec := rec
-				w.sched.After(lat+time.Duration(i)*100*time.Microsecond, "catchup.record", func() {
-					w.deliverRecord(to, gi, rec, epoch)
-				})
-			}
-			w.stats.CatchUps++
-			return
-		}
-		// Compacted past the follower: fall through to snapshot.
-	}
-	blob, err := ong.sc.Snapshot()
-	if err != nil {
-		w.diskFailure(o, err)
-		return
-	}
-	seq, nid, seed, epoch := ong.st.LastSeq(), ong.nextID, ong.st.SigningSeed(), ong.fenceEpoch
-	w.sched.After(w.latency(), "snap.install", func() {
-		if !to.alive {
-			return
-		}
-		ng := to.groups[gi]
-		if ng.st == nil || ng.owned {
-			return
-		}
-		sc2, err := ng.st.InstallSnapshot(seq, nid, blob)
-		if err != nil {
-			w.diskFailure(to, err)
-			return
-		}
-		if err := ng.st.AdoptSigningKey(seed); err != nil {
-			w.diskFailure(to, err)
-			return
-		}
-		ng.sc = sc2
-		ng.nextID = nid
-		ng.replEpoch = epoch
-		ng.persistEpoch(to, to.stateDir(gi))
-		drainSub(ng)
-		w.stats.SnapInstalls++
-		w.sched.tracef("n%d g%d installed snapshot seq=%d epoch=%d", to.idx, gi, seq, epoch)
-	})
 }

@@ -57,14 +57,14 @@ func (v Violation) String() string { return fmt.Sprintf("[%s @%s] %s", v.Kind, v
 // deposed-primary write.
 func (w *World) checkFence(n *simNode, ng *nodeGroup) {
 	l, ok := w.auth.Peek(ng.g.shard)
-	if !ok || l.Owner != n.id || l.Epoch != ng.fenceEpoch {
+	if !ok || l.Owner != n.id || l.Epoch != ng.hold.Lease.Epoch {
 		owner, epoch := "nobody", uint64(0)
 		if ok {
 			owner, epoch = string(l.Owner), l.Epoch
 		}
 		w.violate(ViolationFencing,
 			"n%d journals g%d at epoch %d but the lease is %s@%d — deposed primary emitted",
-			n.idx, ng.g.id, ng.fenceEpoch, owner, epoch)
+			n.idx, ng.g.id, ng.hold.Lease.Epoch, owner, epoch)
 	}
 }
 
@@ -109,13 +109,13 @@ func (w *World) endChecks() {
 			continue
 		}
 		ong := o.groups[gi]
-		if ong.sc == nil {
+		if ong.scheme() == nil {
 			if g.rekeys > 0 {
 				w.violate(ViolationAgreement, "g%d owner n%d has no scheme after settle", gi, o.idx)
 			}
 			continue
 		}
-		gk, err := ong.sc.GroupKey()
+		gk, err := ong.rep.Scheme.GroupKey()
 		if err != nil {
 			w.violate(ViolationAgreement, "g%d owner group key: %v", gi, err)
 			continue
@@ -132,7 +132,7 @@ func (w *World) endChecks() {
 		// Forward secrecy, terminal restatement: no cryptographically
 		// evicted member holds the final key either.
 		for _, id := range sortedMemberIDs(g.departed) {
-			if ong.sc.Contains(id) {
+			if ong.rep.Scheme.Contains(id) {
 				continue // eviction never became durable (lost leave record)
 			}
 			if g.departed[id].m.Has(gk) {
@@ -143,28 +143,28 @@ func (w *World) endChecks() {
 
 		// Replica byte-identity: every live replica's serialized scheme,
 		// sequence and signing identity must match the owner's.
-		oblob, err := ong.sc.Snapshot()
+		oblob, err := ong.rep.Scheme.Snapshot()
 		if err != nil {
 			w.violate(ViolationReplica, "g%d owner snapshot: %v", gi, err)
 			continue
 		}
-		oseq := ong.st.LastSeq()
-		oseed := ong.st.SigningSeed()
+		oseq := ong.rep.Store.LastSeq()
+		oseed := ong.rep.Store.SigningSeed()
 		for _, peer := range w.nodes {
 			if peer == o || !peer.alive {
 				continue
 			}
 			png := peer.groups[gi]
-			if png.st == nil || png.sc == nil {
+			if png.scheme() == nil {
 				w.violate(ViolationReplica, "g%d replica n%d has no state after settle", gi, peer.idx)
 				continue
 			}
-			if pseq := png.st.LastSeq(); pseq != oseq {
+			if pseq := png.rep.Store.LastSeq(); pseq != oseq {
 				w.violate(ViolationReplica,
 					"g%d replica n%d at seq %d, owner n%d at %d", gi, peer.idx, pseq, o.idx, oseq)
 				continue
 			}
-			pblob, err := png.sc.Snapshot()
+			pblob, err := png.rep.Scheme.Snapshot()
 			if err != nil {
 				w.violate(ViolationReplica, "g%d replica n%d snapshot: %v", gi, peer.idx, err)
 				continue
@@ -174,7 +174,7 @@ func (w *World) endChecks() {
 					"g%d replica n%d scheme state diverges from owner n%d (%dB vs %dB)",
 					gi, peer.idx, o.idx, len(pblob), len(oblob))
 			}
-			if !bytes.Equal(png.st.SigningSeed(), oseed) {
+			if !bytes.Equal(png.rep.Store.SigningSeed(), oseed) {
 				w.violate(ViolationReplica,
 					"g%d replica n%d signing identity diverges from owner n%d", gi, peer.idx, o.idx)
 			}
@@ -190,12 +190,12 @@ func (w *World) stateHash() string {
 	for gi, g := range w.groups {
 		binary.Write(h, binary.BigEndian, int64(gi))
 		o := w.ownerNode(g)
-		if o == nil || o.groups[gi].sc == nil {
+		if o == nil || o.groups[gi].scheme() == nil {
 			continue
 		}
 		ong := o.groups[gi]
-		binary.Write(h, binary.BigEndian, ong.st.LastSeq())
-		blob, err := ong.sc.Snapshot()
+		binary.Write(h, binary.BigEndian, ong.rep.Store.LastSeq())
+		blob, err := ong.rep.Scheme.Snapshot()
 		if err == nil {
 			h.Write(blob)
 		}

@@ -215,15 +215,6 @@ func (w *World) reachable(a, b *simNode) bool {
 	return !a.partitioned && !b.partitioned
 }
 
-// peekFrom is a node's own (network-limited) view of the lease authority.
-func (w *World) peekFrom(n *simNode, shard cluster.ShardID) (cluster.Lease, bool, bool) {
-	if n.partitioned {
-		return cluster.Lease{}, false, false
-	}
-	l, ok := w.auth.Peek(shard)
-	return l, ok, true
-}
-
 // ---- fault plan application ----
 
 func (w *World) applyOp(op Op) {
@@ -299,7 +290,7 @@ func (w *World) crashNode(n *simNode, why string) {
 	}
 	n.fs.Crash(unsyncedKeep)
 	for _, ng := range n.groups {
-		ng.st, ng.sc, ng.owned, ng.sub = nil, nil, false, nil
+		*ng = nodeGroup{g: ng.g}
 	}
 	w.stats.Crashes++
 	w.sched.tracef("n%d crashed (%s)", n.idx, why)
@@ -351,7 +342,7 @@ func (w *World) heal() {
 func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, prevKey keycrypt.Key, hadPrev bool) {
 	g := ng.g
 	items := rk.AllItems()
-	gk, err := ng.sc.GroupKey()
+	gk, err := ng.rep.Scheme.GroupKey()
 	if err != nil {
 		w.sched.tracef("n%d g%d group key after batch: %v", n.idx, g.id, err)
 		return
@@ -404,7 +395,7 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 	// as the key server's seal addresses them.
 	ids := sortedMemberIDs(g.members)
 	var index wire.ScopedIndex
-	index.Build(items, ids, ng.sc.PathIDs)
+	index.Build(items, ids, ng.rep.Scheme.PathIDs)
 	for pos, id := range ids {
 		sm := g.members[id]
 		if em.waiting[id] {
@@ -432,7 +423,7 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 	for _, id := range sortedMemberIDs(g.departed) {
 		dm := g.departed[id]
 		dm.m.Apply(items)
-		if ng.sc.Contains(id) {
+		if ng.rep.Scheme.Contains(id) {
 			if g.members[id] == nil {
 				delete(g.departed, id)
 				g.members[id] = dm
@@ -507,10 +498,10 @@ func (w *World) noteConverged(g *simGroup, em *emission, sm *simMember) {
 func (w *World) rejoinOrphans() {
 	for _, g := range w.groups {
 		o := w.ownerNode(g)
-		if o == nil || o.groups[g.id].sc == nil {
+		if o == nil || o.groups[g.id].scheme() == nil {
 			continue
 		}
-		sc := o.groups[g.id].sc
+		sc := o.groups[g.id].scheme()
 		for _, id := range sortedMemberIDs(g.members) {
 			if sc.Contains(id) {
 				continue
@@ -565,10 +556,10 @@ func (w *World) reconcileMembership() {
 func (w *World) unEvictLost() {
 	for _, g := range w.groups {
 		o := w.ownerNode(g)
-		if o == nil || o.groups[g.id].sc == nil {
+		if o == nil || o.groups[g.id].scheme() == nil {
 			continue
 		}
-		sc := o.groups[g.id].sc
+		sc := o.groups[g.id].scheme()
 		for _, id := range sortedMemberIDs(g.departed) {
 			if !sc.Contains(id) || g.members[id] != nil || pendingLeave(g, id) {
 				continue
@@ -591,10 +582,10 @@ func (w *World) unEvictLost() {
 func (w *World) resyncStuck() {
 	for _, g := range w.groups {
 		o := w.ownerNode(g)
-		if o == nil || o.groups[g.id].sc == nil {
+		if o == nil || o.groups[g.id].scheme() == nil {
 			continue
 		}
-		gk, err := o.groups[g.id].sc.GroupKey()
+		gk, err := o.groups[g.id].scheme().GroupKey()
 		if err != nil {
 			continue
 		}

@@ -6,11 +6,15 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 
 	"groupkey/internal/core"
 	"groupkey/internal/keytree"
+	"groupkey/internal/vfs"
 	"groupkey/internal/wire"
 )
 
@@ -197,11 +201,9 @@ func (s *Store) InstallSnapshot(seq uint64, nextID keytree.MemberID, blob []byte
 	if err := s.fs.SyncDir(s.dir); err != nil {
 		return nil, err
 	}
-	n, err := writeSnapshotFileFS(s.fs, s.entropy, s.dir, seq, s.master, encodeSnapshotPlain(seq, nextID, blob))
-	if err != nil {
+	if err := s.landSnapshotLocked(seq, nextID, blob); err != nil {
 		return nil, err
 	}
-	s.opts.Metrics.noteSnapshot(n)
 	s.seq, s.snapSeq, s.hasScheme = seq, seq, true
 	return sc, nil
 }
@@ -246,17 +248,45 @@ func (s *Store) AdoptSigningKey(seed []byte) error {
 	if subtle.ConstantTimeCompare(seed, s.signing.Seed()) == 1 {
 		return nil
 	}
-	path := filepath.Join(s.dir, "signing.key")
-	tmp := path + ".tmp"
-	if err := s.fs.WriteFile(tmp, []byte(hex.EncodeToString(seed)+"\n"), 0o600); err != nil {
-		return err
-	}
-	if err := s.fs.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
+	if err := WriteFileDurable(s.fs, filepath.Join(s.dir, "signing.key"), []byte(hex.EncodeToString(seed)+"\n")); err != nil {
 		return err
 	}
 	s.signing = ed25519.NewKeyFromSeed(seed)
 	return nil
+}
+
+// FenceEpoch returns the durable fence epoch, fence.epoch in the state
+// directory (0 when never recorded): the highest lease epoch whose
+// canonical log this replica's WAL is a prefix of. A follower claims it
+// when asking to be caught up; a restarted node must not serve as primary
+// under it again.
+func (s *Store) FenceEpoch() uint64 { return s.fence.Load() }
+
+// SetFenceEpoch durably records the fence epoch before returning.
+func (s *Store) SetFenceEpoch(epoch uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := WriteFileDurable(s.fs, filepath.Join(s.dir, fenceFile), []byte(strconv.FormatUint(epoch, 10)+"\n")); err != nil {
+		return fmt.Errorf("store: fence epoch: %w", err)
+	}
+	s.fence.Store(epoch)
+	return nil
+}
+
+const fenceFile = "fence.epoch"
+
+// readFenceEpoch loads the fence epoch file; a missing file is epoch 0.
+func readFenceEpoch(fsys vfs.FS, dir string) (uint64, error) {
+	raw, err := fsys.ReadFile(filepath.Join(dir, fenceFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
+	}
+	if err != nil {
+		return 0, fmt.Errorf("store: fence epoch: %w", err)
+	}
+	epoch, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("store: fence epoch: %w", err)
+	}
+	return epoch, nil
 }

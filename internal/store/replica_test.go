@@ -3,12 +3,14 @@ package store
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"groupkey/internal/core"
+	"groupkey/internal/vfs"
 )
 
 // replicate streams every primary record with sequence > after into the
@@ -378,4 +380,62 @@ func TestListGroupDirsFollowsSymlinks(t *testing.T) {
 	if len(got) != 1 || got[0] != 3 {
 		t.Fatalf("got %v, want [3]", got)
 	}
+}
+
+// TestSmallFilesSurviveCrash: the keys and the fence epoch are landed
+// durably, so a crash right after Open, AdoptSigningKey or SetFenceEpoch
+// reopens with the same keys and epoch; and reopening an existing
+// directory writes nothing.
+func TestSmallFilesSurviveCrash(t *testing.T) {
+	mem := vfs.NewMem(nil)
+	open := func() *Store {
+		t.Helper()
+		st := openStore(t, "/s", Options{FS: mem})
+		if _, err := st.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	files := func() map[string][]byte {
+		t.Helper()
+		ents, err := mem.ReadDir("/s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte)
+		for _, e := range ents {
+			if out[e.Name()], err = mem.ReadFile("/s/" + e.Name()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	crashAndReopen := func(st *Store, seed []byte, epoch uint64) *Store {
+		t.Helper()
+		st.Close()
+		mem.Crash(nil)
+		before := files()
+		st = open()
+		if !maps.EqualFunc(before, files(), bytes.Equal) {
+			t.Fatal("reopening an existing directory wrote to it")
+		}
+		if !bytes.Equal(st.SigningSeed(), seed) || st.FenceEpoch() != epoch {
+			t.Fatalf("reopened with epoch %d, signing seed equal %v; want epoch %d",
+				st.FenceEpoch(), bytes.Equal(st.SigningSeed(), seed), epoch)
+		}
+		return st
+	}
+
+	st := open()
+	st = crashAndReopen(st, st.SigningSeed(), 0)
+	adopted := bytes.Repeat([]byte{7}, 32)
+	if err := st.AdoptSigningKey(adopted); err != nil {
+		t.Fatal(err)
+	}
+	st = crashAndReopen(st, adopted, 0)
+	if err := st.SetFenceEpoch(5); err != nil {
+		t.Fatal(err)
+	}
+	st = crashAndReopen(st, adopted, 5)
+	st.Close()
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -92,38 +91,48 @@ func decodeSnapshotPlain(b []byte) (seq uint64, nextID keytree.MemberID, blob []
 	return seq, nextID, blob, nil
 }
 
-// writeSnapshotFile seals plain under master and lands it atomically:
-// temp file in the same directory, fsync, rename, directory fsync. A
-// crash at any point leaves either the old set of snapshots or the old
-// set plus a complete new one — never a torn file under the final name.
-func writeSnapshotFileFS(fsys vfs.FS, entropy io.Reader, dir string, seq uint64, master keycrypt.Key, plain []byte) (int, error) {
-	sealed, err := keycrypt.Seal(master, plain, entropy)
+// landSnapshotLocked seals the snapshot of the state after record seq
+// under the master key and lands it with WriteFileDurable, so a crash
+// leaves the old set of snapshots, or the old set plus a complete new one.
+func (s *Store) landSnapshotLocked(seq uint64, nextID keytree.MemberID, blob []byte) error {
+	sealed, err := keycrypt.Seal(s.master, encodeSnapshotPlain(seq, nextID, blob), s.entropy)
 	if err != nil {
-		return 0, fmt.Errorf("store: sealing snapshot: %w", err)
+		return fmt.Errorf("store: sealing snapshot: %w", err)
 	}
-	tmp, err := fsys.CreateTemp(dir, snapPrefix+"tmp-*")
+	if err := WriteFileDurable(s.fs, snapPath(s.dir, seq), sealed); err != nil {
+		return err
+	}
+	s.opts.Metrics.noteSnapshot(len(sealed))
+	return nil
+}
+
+// WriteFileDurable lands a small file atomically and durably: temp file
+// in the same directory, write, fsync, rename over path, directory fsync.
+// A crash at any point leaves either the old file or the complete new
+// one under path. It is the store's one writer for whole files (keys, the
+// fence epoch, snapshots) and backs cluster.DirAuthority's lease files.
+func WriteFileDurable(fsys vfs.FS, path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return 0, err
+		return err
 	}
-	defer fsys.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(sealed); err != nil {
+	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return 0, err
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return 0, err
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, err
+		return err
 	}
-	if err := fsys.Rename(tmp.Name(), snapPath(dir, seq)); err != nil {
-		return 0, err
+	if err := fsys.Rename(tmp.Name(), path); err != nil {
+		return err
 	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return 0, err
-	}
-	return len(sealed), nil
+	return fsys.SyncDir(dir)
 }
 
 // pruneSnapshotsFS deletes all but the snapKeep newest snapshot files.

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"groupkey/internal/clock"
@@ -85,8 +86,9 @@ type Store struct {
 	rand    *replayRand
 
 	mu        sync.Mutex
-	seq       uint64 // last journaled record
-	snapSeq   uint64 // newest snapshot's record
+	seq       uint64        // last journaled record
+	snapSeq   uint64        // newest snapshot's record
+	fence     atomic.Uint64 // FenceEpoch; written under mu
 	recovered bool
 	hasScheme bool
 	// subs is ordered by subscription age: record fan-out must visit
@@ -94,9 +96,10 @@ type Store struct {
 	subs []*Subscription
 }
 
-// Open prepares the state directory: creates it (0700) if missing and
-// loads (or generates) the master and signing keys. No WAL or snapshot is
-// read until Recover.
+// Open prepares the state directory: creates it (0700) if missing, loads
+// (or generates) the master and signing keys and reads the fence epoch.
+// No WAL or snapshot is read until Recover, and opening an existing
+// directory writes nothing.
 func Open(dir string, opts Options) (*Store, error) {
 	fsys := vfs.Or(opts.FS)
 	entropy := opts.Entropy
@@ -122,6 +125,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: signing key: %w", err)
 	}
+	fence, err := readFenceEpoch(fsys, dir)
+	if err != nil {
+		return nil, err
+	}
 	s := &Store{
 		dir:     dir,
 		opts:    opts,
@@ -131,6 +138,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		signing: ed25519.NewKeyFromSeed(seed),
 		rand:    &replayRand{},
 	}
+	s.fence.Store(fence)
 	s.wal = newWAL(fsys, clock.Or(opts.Clock), dir, opts.Fsync, opts.FsyncEvery, opts.SegmentBytes, opts.Metrics)
 	return s, nil
 }
@@ -463,12 +471,10 @@ func (s *Store) SaveSnapshot(sc core.Scheme, nextID keytree.MemberID) error {
 	if err := s.wal.sync(); err != nil {
 		return err
 	}
-	n, err := writeSnapshotFileFS(s.fs, s.entropy, s.dir, s.seq, s.master, encodeSnapshotPlain(s.seq, nextID, blob))
-	if err != nil {
+	if err := s.landSnapshotLocked(s.seq, nextID, blob); err != nil {
 		return err
 	}
 	s.snapSeq = s.seq
-	s.opts.Metrics.noteSnapshot(n)
 	if err := s.wal.compact(s.snapSeq); err != nil {
 		return err
 	}
@@ -518,7 +524,8 @@ func (r *replayRand) reseed(seed []byte) {
 }
 
 // loadOrCreateSecret reads a hex-encoded n-byte secret from path,
-// generating one (0600) from entropy when the file does not exist.
+// generating one from entropy and landing it with WriteFileDurable when
+// the file does not exist.
 func loadOrCreateSecret(fsys vfs.FS, entropy io.Reader, path string, n int) ([]byte, error) {
 	data, err := fsys.ReadFile(path)
 	switch {
@@ -536,7 +543,7 @@ func loadOrCreateSecret(fsys vfs.FS, entropy io.Reader, path string, n int) ([]b
 		if _, err := io.ReadFull(entropy, raw); err != nil {
 			return nil, err
 		}
-		if err := fsys.WriteFile(path, []byte(hex.EncodeToString(raw)+"\n"), 0o600); err != nil {
+		if err := WriteFileDurable(fsys, path, []byte(hex.EncodeToString(raw)+"\n")); err != nil {
 			return nil, err
 		}
 		return raw, nil

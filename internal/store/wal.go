@@ -476,7 +476,3 @@ func (w *wal) compact(snapSeq uint64) error {
 	// covered is handled by recovery's replay cursor, not here.
 	return w.fs.SyncDir(w.dir)
 }
-
-// syncDir flushes OS directory metadata so renames and creates are
-// durable; FS-seamed paths use fsys.SyncDir instead.
-func syncDir(dir string) error { return vfs.OS{}.SyncDir(dir) }

@@ -19,8 +19,6 @@ import (
 //     (or SyncDir over the parent); a Crash discards the unsynced suffix
 //     of every file, optionally keeping a seeded partial prefix of it —
 //     the torn-tail fault the WAL's scan-and-truncate recovery handles.
-//   - WriteFile lands durably at once (the store only uses it for small
-//     control files it pairs with a directory sync).
 //   - Metadata (create, remove, rename) is durable immediately; the
 //     store syncs directories at every metadata boundary anyway, and
 //     modeling torn metadata would only re-test the OS, not the store.
@@ -109,28 +107,6 @@ func (m *Mem) Crash(tornKeep func(unsynced int) int) {
 	}
 }
 
-// SyncAll marks every byte durable — the quiesce step before comparing
-// replica state at the end of a simulation.
-func (m *Mem) SyncAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range m.files {
-		f.synced = len(f.data)
-	}
-}
-
-// Snapshot returns every file's current bytes keyed by path (sorted
-// iteration is the caller's concern) — used by byte-identity oracles.
-func (m *Mem) Snapshot() map[string][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string][]byte, len(m.files))
-	for p, f := range m.files {
-		out[p] = append([]byte(nil), f.data...)
-	}
-	return out
-}
-
 func (m *Mem) MkdirAll(p string, _ os.FileMode) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -150,17 +126,6 @@ func (m *Mem) ReadFile(p string) ([]byte, error) {
 		return nil, &fs.PathError{Op: "open", Path: p, Err: fs.ErrNotExist}
 	}
 	return append([]byte(nil), f.data...), nil
-}
-
-func (m *Mem) WriteFile(p string, data []byte, _ os.FileMode) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.chargeLocked(len(data)); err != nil {
-		return &fs.PathError{Op: "write", Path: p, Err: err}
-	}
-	cp := append([]byte(nil), data...)
-	m.files[clean(p)] = &memFile{data: cp, synced: len(cp), mtime: m.now()}
-	return nil
 }
 
 // chargeLocked applies the write-delay and fail-next faults. It returns
@@ -313,9 +278,9 @@ func (m *Mem) SyncDir(dir string) error {
 	if !m.dirs[dir] {
 		return &fs.PathError{Op: "open", Path: dir, Err: fs.ErrNotExist}
 	}
-	// Directory sync covers the control files the store lands with
-	// WriteFile+SyncDir; data appended through handles still needs its
-	// own Sync, exactly like a real filesystem.
+	// Metadata is durable at once in this model, so there is nothing to
+	// flush; data written through handles still needs its own Sync,
+	// exactly like a real filesystem.
 	return nil
 }
 

@@ -40,24 +40,48 @@ func TestMemCrashLosesUnsynced(t *testing.T) {
 	}
 }
 
-func TestMemWriteFileDurableAndRename(t *testing.T) {
+// A whole file lands as temp handle, write, Sync, Rename: the synced
+// bytes survive a crash under the new name, and a renamed file whose
+// bytes were never synced comes back empty — the missing fsync a
+// durable writer must not skip.
+func TestMemSyncedWriteSurvivesRename(t *testing.T) {
 	m := NewMem(nil)
 	if err := m.MkdirAll("/d", 0o700); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.WriteFile("/d/key.tmp", []byte("secret"), 0o600); err != nil {
-		t.Fatal(err)
+	land := func(name, data string, sync bool) {
+		t.Helper()
+		f, err := m.CreateTemp("/d", name+".tmp-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if sync {
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Rename(f.Name(), "/d/"+name); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ReadFile(f.Name()); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("old name err = %v, want not-exist", err)
+		}
 	}
-	if err := m.Rename("/d/key.tmp", "/d/key"); err != nil {
-		t.Fatal(err)
-	}
+	land("key", "secret", true)
+	land("unsynced", "lost", false)
 	m.Crash(nil)
 	got, err := m.ReadFile("/d/key")
 	if err != nil || !bytes.Equal(got, []byte("secret")) {
 		t.Fatalf("read = %q, %v", got, err)
 	}
-	if _, err := m.ReadFile("/d/key.tmp"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("old name err = %v, want not-exist", err)
+	if got, err := m.ReadFile("/d/unsynced"); err != nil || len(got) != 0 {
+		t.Fatalf("unsynced file after crash = %q, %v; want empty", got, err)
 	}
 }
 
@@ -90,7 +114,7 @@ func TestMemReadDirSortedAndTempDeterministic(t *testing.T) {
 	m := NewMem(nil)
 	_ = m.MkdirAll("/d", 0o700)
 	for _, name := range []string{"/d/b", "/d/a", "/d/c"} {
-		if err := m.WriteFile(name, nil, 0o600); err != nil {
+		if _, err := m.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -10,8 +10,8 @@ import (
 	"os"
 )
 
-// File is the writable-handle surface the store needs (WAL segments,
-// snapshot temp files). *os.File satisfies it.
+// File is the writable-handle surface the store needs (WAL segments and
+// the temp files it lands whole files through). *os.File satisfies it.
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -24,9 +24,6 @@ type File interface {
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	ReadFile(path string) ([]byte, error)
-	// WriteFile lands the whole file durably (the store pairs it with a
-	// directory sync for small control files like keys and leases).
-	WriteFile(path string, data []byte, perm os.FileMode) error
 	ReadDir(path string) ([]fs.DirEntry, error)
 	Remove(path string) error
 	Rename(oldPath, newPath string) error
@@ -56,14 +53,11 @@ type OS struct{}
 
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 func (OS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
-func (OS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(path, data, perm)
-}
-func (OS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
-func (OS) Remove(path string) error                   { return os.Remove(path) }
-func (OS) Rename(oldPath, newPath string) error       { return os.Rename(oldPath, newPath) }
-func (OS) Truncate(path string, size int64) error     { return os.Truncate(path, size) }
-func (OS) Stat(path string) (fs.FileInfo, error)      { return os.Stat(path) }
+func (OS) ReadDir(path string) ([]fs.DirEntry, error)   { return os.ReadDir(path) }
+func (OS) Remove(path string) error                     { return os.Remove(path) }
+func (OS) Rename(oldPath, newPath string) error         { return os.Rename(oldPath, newPath) }
+func (OS) Truncate(path string, size int64) error       { return os.Truncate(path, size) }
+func (OS) Stat(path string) (fs.FileInfo, error)        { return os.Stat(path) }
 
 func (OS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 	f, err := os.OpenFile(path, flag, perm)
