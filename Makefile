@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet loc test test-race test-short bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
+.PHONY: all build vet loc test test-race test-short replay-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
 
 all: build vet test
 
@@ -27,6 +27,14 @@ test-short:
 
 test-race:
 	$(GO) test -race ./...
+
+# Replay and replica apply advance the key state and seal only a payload
+# that is sent: the advance/seal equivalence, recovery and failover tests
+# three times under the race detector, then one pass of the store's
+# recovery benchmarks.
+replay-check:
+	$(GO) test -race -count=3 -run 'Advance|LastRekey|RestartedPrimary|Failover|Resume' ./internal/core ./internal/store ./internal/cluster ./internal/server
+	$(GO) test -run '^$$' -bench 'Recover|ReplicaApply' -benchtime=1x ./internal/store
 
 # Benchmark harness: one bench per paper table/figure plus ablations.
 bench:

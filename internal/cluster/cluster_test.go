@@ -107,6 +107,19 @@ func joinGroup(t *testing.T, owner *Node, addr string, g wire.GroupID) *server.C
 	}
 }
 
+// encodeItems is items in their wire encoding.
+func encodeItems(t *testing.T, items []keytree.Item) []byte {
+	t.Helper()
+	var out []byte
+	for _, it := range items {
+		var err error
+		if out, err = wire.AppendRekeyItem(out, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // waitSync polls until the follower's replica of group g has caught up
 // with the primary's log.
 func waitSync(t *testing.T, primary, follower *Node, g wire.GroupID) {
@@ -209,6 +222,8 @@ func TestClusterFailover(t *testing.T) {
 	if srvA.Size() != 2 {
 		t.Fatalf("primary sees %d members, want 2", srvA.Size())
 	}
+	// Dave stays, so bob's departure rekeys a tree of two.
+	joinGroup(t, a, b.ClientAddr().String(), 0)
 
 	preLeaveKey := groupKeyOf(t, a, 0)
 	preLeaveBlob, err := keycrypt.Seal(preLeaveKey, []byte("pre-departure"), nil)
@@ -229,7 +244,8 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if _, err := srvA.RekeyNow(); err != nil {
+	lastA, err := srvA.RekeyNow()
+	if err != nil {
 		t.Fatal(err)
 	}
 	postLeaveEpoch := srvA.Epoch()
@@ -272,6 +288,17 @@ func TestClusterFailover(t *testing.T) {
 	srvB := b.Registry().Get(0)
 	if srvB == nil {
 		t.Fatal("b owns the shard but hosts no server")
+	}
+	// The follower kept the departure's payload unsealed; promotion sealed
+	// it into exactly the old primary's last payload.
+	b.groups[0].mu.Lock()
+	lastB := b.groups[0].rep.LastRekey
+	b.groups[0].mu.Unlock()
+	if len(lastA.AllItems()) == 0 {
+		t.Fatal("the departure's rekey carries no items")
+	}
+	if lastB == nil || !bytes.Equal(encodeItems(t, lastB.AllItems()), encodeItems(t, lastA.AllItems())) {
+		t.Fatal("promoted replica's last rekey differs from the old primary's last payload")
 	}
 	// Alice resumes through c — redirected to b — with her pinned server
 	// key still valid, because b adopted the group's signing identity.

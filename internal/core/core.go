@@ -90,6 +90,10 @@ type Stream struct {
 	// read-only, and it may outlive the epoch (a later batch publishes a
 	// new list, never edits this one).
 	Audience []keytree.MemberID
+	// pending holds the key tree's wraps an Advance left unsealed; they
+	// fill the leading Items and JoinerItems (the scheme's own items follow
+	// them). Rekey.Seal runs and drops them.
+	pending keytree.PendingWraps
 }
 
 // Rekey is the output of one batch: everything the key server transmits.
@@ -134,6 +138,31 @@ func (r *Rekey) AllItems() []keytree.Item {
 	return out
 }
 
+// Seal runs the key-tree wraps an Advance left pending into the streams'
+// items, on each tree's key-schedule cache and worker pool, and drops
+// them. It draws no entropy, so it may run any time after Advance, however
+// far the scheme has moved on; a sealed rekey seals again as a no-op.
+func (r *Rekey) Seal() error {
+	for i := range r.Streams {
+		st := &r.Streams[i]
+		if err := st.pending.Seal(st.Items, st.JoinerItems); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sealed finishes a ProcessBatch: the scheme's Advance, then Seal.
+func sealed(r *Rekey, err error) (*Rekey, error) {
+	if err == nil {
+		err = r.Seal()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // Scheme is a key-tree organization strategy run by the key server. Scheme
 // implementations are not safe for concurrent use; the server serializes
 // batches.
@@ -142,7 +171,15 @@ type Scheme interface {
 	Name() string
 	// ProcessBatch applies one period's membership changes, rekeys, and
 	// returns the payloads. Joins and leaves must be disjoint and valid.
+	// It is Advance followed by the rekey's Seal.
 	ProcessBatch(b Batch) (*Rekey, error)
+	// Advance is ProcessBatch with the key trees' AES-GCM wraps left
+	// pending: the scheme ends in the same state, every key and nonce is
+	// drawn in the same order, and every counter counts the same items.
+	// The rekey's Seal, run at any later time, makes it byte-identical to
+	// ProcessBatch's. Replay advances every record and seals only the
+	// payload it will send.
+	Advance(b Batch) (*Rekey, error)
 	// GroupKey returns the current data-encryption key.
 	GroupKey() (keycrypt.Key, error)
 	// MemberKeys returns every key the member currently holds, leaf first,
@@ -250,10 +287,11 @@ type rekeyOne struct {
 	batch keytree.Batch
 }
 
-// rekeyTrees rekeys independent trees, concurrently when parallel is set
-// and at least two trees have work. Empty batches are skipped (their
-// payload slot stays nil). Results land at the same index as their input;
-// the first error wins and is returned after all goroutines finish.
+// rekeyTrees advances independent trees, concurrently when parallel is set
+// and at least two trees have work, leaving each payload's wraps pending.
+// Empty batches are skipped (their payload slot stays nil). Results land
+// at the same index as their input; the first error wins and is returned
+// after all goroutines finish.
 func rekeyTrees(parallel bool, work []rekeyOne) ([]*keytree.Payload, error) {
 	payloads := make([]*keytree.Payload, len(work))
 	busy := 0
@@ -267,7 +305,7 @@ func rekeyTrees(parallel bool, work []rekeyOne) ([]*keytree.Payload, error) {
 			if w.batch.IsEmpty() {
 				continue
 			}
-			p, err := w.tree.Rekey(w.batch)
+			p, err := w.tree.Advance(w.batch)
 			if err != nil {
 				return nil, err
 			}
@@ -288,7 +326,7 @@ func rekeyTrees(parallel bool, work []rekeyOne) ([]*keytree.Payload, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := work[i].tree.Rekey(work[i].batch)
+			p, err := work[i].tree.Advance(work[i].batch)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {

@@ -154,7 +154,11 @@ func (s *MultiTree) TreeOf(m keytree.MemberID) (int, error) {
 }
 
 // ProcessBatch implements Scheme.
-func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
+func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) { return sealed(s.Advance(b)) }
+
+// Advance implements Scheme: the trees' wraps are left pending, the group
+// key's are made here.
+func (s *MultiTree) Advance(b Batch) (*Rekey, error) {
 	if err := validateBatch(s, b); err != nil {
 		return nil, err
 	}
@@ -178,7 +182,7 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 		delete(s.home, m)
 	}
 
-	// Rekey the trees — concurrently when allowed: each tree is an
+	// Advance the trees — concurrently when allowed: each tree is an
 	// independent key hierarchy with its own entropy stream, so tree-level
 	// rekeys share no mutable state.
 	work := make([]rekeyOne, len(s.trees))
@@ -199,6 +203,7 @@ func (s *MultiTree) ProcessBatch(b Batch) (*Rekey, error) {
 		p := payloads[i]
 		streams[i].Items = p.Items
 		streams[i].JoinerItems = p.JoinerItems
+		streams[i].pending = p.Pending
 		for _, m := range kb.Joins {
 			leaf, err := s.trees[i].Leaf(m)
 			if err != nil {

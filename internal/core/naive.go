@@ -43,7 +43,11 @@ func NewNaive(opts ...Option) (*Naive, error) {
 func (s *Naive) Name() string { return "naive-unicast" }
 
 // ProcessBatch implements Scheme.
-func (s *Naive) ProcessBatch(b Batch) (*Rekey, error) {
+func (s *Naive) ProcessBatch(b Batch) (*Rekey, error) { return sealed(s.Advance(b)) }
+
+// Advance implements Scheme. Naive has no key tree: every wrap is its own,
+// made eagerly, so its rekeys come out sealed.
+func (s *Naive) Advance(b Batch) (*Rekey, error) {
 	if err := validateBatch(s, b); err != nil {
 		return nil, err
 	}

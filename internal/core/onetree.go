@@ -34,7 +34,10 @@ func NewOneTree(opts ...Option) (*OneTree, error) {
 func (s *OneTree) Name() string { return "one-keytree" }
 
 // ProcessBatch implements Scheme.
-func (s *OneTree) ProcessBatch(b Batch) (*Rekey, error) {
+func (s *OneTree) ProcessBatch(b Batch) (*Rekey, error) { return sealed(s.Advance(b)) }
+
+// Advance implements Scheme.
+func (s *OneTree) Advance(b Batch) (*Rekey, error) {
 	if err := validateBatch(s, b); err != nil {
 		return nil, err
 	}
@@ -42,7 +45,7 @@ func (s *OneTree) ProcessBatch(b Batch) (*Rekey, error) {
 	for _, j := range b.Joins {
 		kb.Joins = append(kb.Joins, j.ID)
 	}
-	p, err := s.tree.Rekey(kb)
+	p, err := s.tree.Advance(kb)
 	if err != nil {
 		return nil, err
 	}
@@ -54,6 +57,7 @@ func (s *OneTree) ProcessBatch(b Batch) (*Rekey, error) {
 			Items:       p.Items,
 			JoinerItems: p.JoinerItems,
 			Audience:    s.tree.MembersView(),
+			pending:     p.Pending,
 		}},
 		Welcome: make(map[keytree.MemberID]keycrypt.Key, len(b.Joins)),
 	}

@@ -157,12 +157,17 @@ func (s *TwoPartition) inS(m keytree.MemberID) bool {
 	return s.stree.Contains(m)
 }
 
-// ProcessBatch implements Scheme. One batch performs, in order: departures
+// ProcessBatch implements Scheme.
+func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) { return sealed(s.Advance(b)) }
+
+// Advance implements Scheme. One batch performs, in order: departures
 // from both partitions, migration of S members that survived the S-period,
 // admission of joiners, and the group-key update (skipped when the batch
 // contains neither joins nor departures — pure migration does not
-// compromise any key, Section 3.2 phase 3).
-func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
+// compromise any key, Section 3.2 phase 3). The S and L trees' wraps are
+// left pending; the scheme's own (group key, queue, migrant) are made
+// here.
+func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 	if err := validateBatch(s, b); err != nil {
 		return nil, err
 	}
@@ -237,7 +242,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 			r.Welcome[m] = ik
 		}
 		if !lkb.IsEmpty() {
-			p, err := s.ltree.Rekey(lkb)
+			p, err := s.ltree.Advance(lkb)
 			if err != nil {
 				return nil, err
 			}
@@ -257,6 +262,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 		if ps[0] != nil {
 			sStream.Items = ps[0].Items
 			sStream.JoinerItems = ps[0].JoinerItems
+			sStream.pending = ps[0].Pending
 		}
 		lPayload = ps[1]
 		for _, m := range append(append([]keytree.MemberID{}, sLeaves...), migrants...) {
@@ -276,6 +282,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) {
 	if lPayload != nil {
 		lStream.Items = lPayload.Items
 		lStream.JoinerItems = lPayload.JoinerItems
+		lStream.pending = lPayload.Pending
 	}
 	for _, m := range lJoins {
 		leaf, err := s.ltree.Leaf(m)

@@ -101,7 +101,15 @@ type Payload struct {
 	// and experiments use it to assert the realized placement matches the
 	// chosen plan.
 	Placement Placement
+	// Pending holds the wraps an Advance left unsealed: until Seal runs
+	// them, Items and JoinerItems carry their kind and level but a zero
+	// Wrapped. Rekey seals before it returns.
+	Pending PendingWraps
 }
+
+// Seal runs the payload's pending wraps into its items (see
+// PendingWraps.Seal). A sealed payload seals again as a no-op.
+func (p *Payload) Seal() error { return p.Pending.Seal(p.Items, p.JoinerItems) }
 
 // MulticastKeyCount is the number of encrypted keys multicast to current
 // members — the "rekeying cost (#keys)" metric of the paper's figures.
@@ -153,7 +161,25 @@ type dirtyInfo struct {
 // the greedy pairing above is applied verbatim. Either way the plan is a
 // deterministic function of the tree shape and the batch, so payload bytes
 // replay identically.
+//
+// Rekey is Advance followed by the payload's Seal.
 func (t *Tree) Rekey(b Batch) (*Payload, error) {
+	p, err := t.Advance(b)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Seal(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Advance is Rekey without the AES-GCM step: it places the batch, draws
+// every key and every wrap nonce in Rekey's order, builds the items and
+// counts them, and leaves the wraps pending on the payload. The tree ends
+// in exactly the state Rekey leaves; the payload's Seal, run at any later
+// time, makes it byte-identical to Rekey's.
+func (t *Tree) Advance(b Batch) (*Payload, error) {
 	if err := t.validateBatch(b); err != nil {
 		return nil, err
 	}
@@ -385,9 +411,9 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		}
 	}
 
-	// Phases 5–6: emit the payload. The engine plans wrap jobs on this
-	// goroutine (drawing nonces in canonical order) and fans the AES-GCM
-	// work over a bounded pool.
+	// Phases 5–6: plan the payload. The engine plans wrap jobs on this
+	// goroutine, drawing nonces in canonical order; the payload's Seal fans
+	// the AES-GCM work over a bounded pool.
 	joined := slices.Clone(b.Joins)
 	slices.Sort(joined)
 	p, err := t.emitPlanned(dirty, joined)

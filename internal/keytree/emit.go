@@ -15,15 +15,18 @@ import (
 // This file is the parallel rekey emission engine, Phases 5 and 6 of Rekey.
 // It splits emission into two steps:
 //
-//  1. Plan (single-threaded): sort the dirty nodes by precomputed depth,
-//     build every Item's metadata (kind, level) and draw one nonce per wrap
-//     from the tree's entropy source in canonical order.
-//  2. Emit (parallel): fan the AES-GCM seals out over a bounded worker
-//     pool, each job writing into its pre-assigned payload slot through
-//     the tree's cached-key-schedule Wrapper.
+//  1. Plan (single-threaded, part of Advance): sort the dirty nodes by
+//     precomputed depth, build every Item's metadata (kind, level) and draw
+//     one nonce per wrap from the tree's entropy source in canonical order.
+//     The wraps are left pending on the payload (PendingWraps).
+//  2. Seal (parallel): fan the AES-GCM seals out over a bounded worker
+//     pool, each job writing into its pre-assigned item slot through the
+//     tree's cached-key-schedule Wrapper.
 //
 // Because nonces and slots are fixed during planning, the payload is
-// byte-for-byte identical for any worker count.
+// byte-for-byte identical for any worker count, and for a seal run any
+// time later: a pending wrap holds key values and its nonce, not tree
+// nodes, so the tree may have moved on by then.
 //
 // Multicast items name no receivers: an LKH member holds exactly the keys
 // on its leaf-to-root path, so a wrap under a node's key is addressed by
@@ -31,8 +34,8 @@ import (
 // reaches anyone at all, which is a count (joinerCounts.reaches), so a
 // rekey touches the dirty paths and nothing below them.
 
-// wrapJob is one planned AES-GCM seal: everything a worker needs, with the
-// destination slot fixed before the fan-out.
+// wrapJob is one planned AES-GCM seal: everything a worker needs. dst is
+// pinned to the job's item slot when the seal runs, not before.
 type wrapJob struct {
 	payload keycrypt.Key
 	wrapper keycrypt.Key
@@ -40,12 +43,50 @@ type wrapJob struct {
 	dst     *keycrypt.WrappedKey
 }
 
+// PendingWraps is the AES-GCM half of an advanced rekey: one planned wrap
+// per item of the payload's Items and JoinerItems, 1:1 and in order, each
+// with its payload key, wrapping key and nonce already fixed. The zero
+// value owes nothing.
+type PendingWraps struct {
+	items, joiners []wrapJob
+	wrapper        *keycrypt.Wrapper
+	workers        int
+}
+
+// Seal runs the pending wraps into items and joinerItems and drops them,
+// so a second Seal is a no-op. The slices are the ones the payload's
+// Items and JoinerItems became: a caller may have appended items of its
+// own after them (append may have moved them to a new array), but the
+// payload's items must still lead, in order.
+func (w *PendingWraps) Seal(items, joinerItems []Item) error {
+	if len(items) < len(w.items) || len(joinerItems) < len(w.joiners) {
+		return fmt.Errorf("keytree: sealing %d+%d wraps into %d+%d items",
+			len(w.items), len(w.joiners), len(items), len(joinerItems))
+	}
+	// Pin destination slots 1:1, then emit.
+	for i := range w.items {
+		w.items[i].dst = &items[i].Wrapped
+	}
+	for i := range w.joiners {
+		w.joiners[i].dst = &joinerItems[i].Wrapped
+	}
+	jobs := w.items
+	if len(jobs) == 0 {
+		jobs = w.joiners
+	} else if len(w.joiners) > 0 {
+		jobs = append(jobs, w.joiners...)
+	}
+	err := runWrapJobs(w.wrapper, w.workers, jobs)
+	*w = PendingWraps{}
+	return err
+}
+
 // minParallelJobs is the fan-out threshold: below it, goroutine start-up
 // costs more than the AES work it would spread.
 const minParallelJobs = 32
 
-// emitPlanned runs the plan/emit engine over the dirty set. joinerIDs is
-// the batch's joiners in ascending order.
+// emitPlanned plans the payload over the dirty set, leaving its wraps
+// pending. joinerIDs is the batch's joiners in ascending order.
 func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*Payload, error) {
 	nodes, depths := sortDirtyNodes(dirty)
 	rng := t.gen.Rand
@@ -121,22 +162,7 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*P
 		}
 	}
 
-	// Both slices are final: pin destination slots 1:1, then emit.
-	for i := range itemJobs {
-		itemJobs[i].dst = &p.Items[i].Wrapped
-	}
-	for i := range joinerJobs {
-		joinerJobs[i].dst = &p.JoinerItems[i].Wrapped
-	}
-	jobs := itemJobs
-	if len(jobs) == 0 {
-		jobs = joinerJobs
-	} else if len(joinerJobs) > 0 {
-		jobs = append(jobs, joinerJobs...)
-	}
-	if err := t.runWrapJobs(jobs); err != nil {
-		return nil, err
-	}
+	p.Pending = PendingWraps{items: itemJobs, joiners: joinerJobs, wrapper: t.wrapper, workers: t.WrapWorkers()}
 	return p, nil
 }
 
@@ -271,20 +297,19 @@ func merge2(a, b, out []MemberID) []MemberID {
 	return append(out, b[j:]...)
 }
 
-// runWrapJobs executes the planned seals, inline or across the worker
-// pool. Workers only read the tree's Wrapper cache and write disjoint
-// pre-assigned slots, so scheduling cannot affect payload bytes.
-func (t *Tree) runWrapJobs(jobs []wrapJob) error {
+// runWrapJobs executes the planned seals, inline or across a pool of at
+// most workers goroutines. Workers only read the Wrapper cache and write
+// disjoint pre-assigned slots, so scheduling cannot affect payload bytes.
+func runWrapJobs(wr *keycrypt.Wrapper, workers int, jobs []wrapJob) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	workers := t.WrapWorkers()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
 	if workers <= 1 || len(jobs) < minParallelJobs {
 		for i := range jobs {
-			if err := t.runWrapJob(&jobs[i]); err != nil {
+			if err := jobs[i].run(wr); err != nil {
 				return err
 			}
 		}
@@ -307,7 +332,7 @@ func (t *Tree) runWrapJobs(jobs []wrapJob) error {
 				if i >= len(jobs) || failed.Load() {
 					return
 				}
-				if err := t.runWrapJob(&jobs[i]); err != nil {
+				if err := jobs[i].run(wr); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -323,8 +348,8 @@ func (t *Tree) runWrapJobs(jobs []wrapJob) error {
 	return firstErr
 }
 
-func (t *Tree) runWrapJob(j *wrapJob) error {
-	w, err := t.wrapper.WrapNonce(j.payload, j.wrapper, j.nonce)
+func (j *wrapJob) run(wr *keycrypt.Wrapper) error {
+	w, err := wr.WrapNonce(j.payload, j.wrapper, j.nonce)
 	if err != nil {
 		return fmt.Errorf("keytree: wrapping %s under %s: %w", j.payload.ID, j.wrapper.ID, err)
 	}

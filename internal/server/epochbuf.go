@@ -61,9 +61,12 @@ var (
 // newEpochBuffer seals one rekey for the connected members (ascending
 // IDs): encode every item once, build and sign the item tree, and index
 // which items each connected member needs by its key path (the scheme's
-// PathIDs; unused when nobody is connected). The caller owns the initial
-// reference.
+// PathIDs; unused when nobody is connected). Wraps the rekey still owes
+// (core.Rekey.Seal) are made first. The caller owns the initial reference.
 func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keytree.MemberID, path wire.KeyPath) (*epochBuffer, error) {
+	if err := rekey.Seal(); err != nil {
+		return nil, err
+	}
 	items := rekey.AllItems()
 	if len(items) > wire.MaxSparseIndexes {
 		// The all-items frame resumers and late pullers get must fit.

@@ -194,9 +194,10 @@ func (s *Server) SetNextID(id keytree.MemberID) {
 
 // SetLastRekey primes the resume re-delivery buffer with a recovered
 // rekey, so members reconnecting after a crash that hit between journal
-// and broadcast still receive the payload the lost instance derived. The
-// rekey is sealed for an empty audience: nobody is indexed, so every
-// resume or pull of it gets all of its items.
+// and broadcast still receive the payload the lost instance derived. A
+// replica's rekey may still owe its key-tree wraps; the epoch buffer seals
+// them. The buffer is built for an empty audience: nobody is indexed, so
+// every resume or pull of it gets all of its items.
 func (s *Server) SetLastRekey(r *core.Rekey) error {
 	if r == nil {
 		return nil

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"groupkey/internal/core"
+	"groupkey/internal/keycrypt"
+	"groupkey/internal/keytree"
 	"groupkey/internal/vfs"
 )
 
@@ -80,6 +82,78 @@ func TestReplicaByteIdentical(t *testing.T) {
 	}
 	if res.Scheme == nil || !bytes.Equal(snap(t, res.Scheme), states[len(states)-1]) {
 		t.Fatal("recovered replica diverged")
+	}
+}
+
+// TestReplicaApplyLastRekeySealsLate: a follower only advances each
+// record, so the rekeys ReplicaApply returns still owe their key-tree
+// wraps; sealed later, after the follower applied every record, each is
+// the primary's payload byte for byte.
+func TestReplicaApplyLastRekeySealsLate(t *testing.T) {
+	primary := openStore(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer primary.Close()
+	follower := openStore(t, t.TempDir(), Options{Fsync: FsyncNever})
+	defer follower.Close()
+	for _, st := range []*Store{primary, follower} {
+		if _, err := st.Recover(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, err := primary.Create(SchemeConfig{Kind: SchemeTT, SPeriodK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var want [][]byte
+	next := keytree.MemberID(1)
+	for i := 0; i < 10; i++ {
+		var b core.Batch
+		members := sc.Members()
+		for _, k := range rng.Perm(len(members))[:min(len(members), rng.Intn(4))] {
+			b.Leaves = append(b.Leaves, members[k])
+		}
+		for j := rng.Intn(6); j >= 0; j-- {
+			b.Joins = append(b.Joins, core.Join{ID: next})
+			next++
+		}
+		want = append(want, encodeItems(t, journalAndApply(t, primary, sc, b).AllItems()))
+	}
+
+	recs, ok, err := primary.RecordsFrom(0)
+	if err != nil || !ok {
+		t.Fatalf("RecordsFrom: ok=%v err=%v", ok, err)
+	}
+	var fsc core.Scheme
+	var got []*core.Rekey
+	unsealed := 0
+	for _, r := range recs {
+		var rk *core.Rekey
+		if fsc, rk, _, err = follower.ReplicaApply(fsc, r); err != nil {
+			t.Fatal(err)
+		}
+		if rk == nil {
+			continue
+		}
+		for _, it := range rk.AllItems() {
+			if it.Wrapped == (keycrypt.WrappedKey{}) {
+				unsealed++
+			}
+		}
+		got = append(got, rk)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("follower produced %d rekeys, primary %d", len(got), len(want))
+	}
+	if unsealed == 0 {
+		t.Fatal("ReplicaApply sealed its payloads")
+	}
+	for i := len(got) - 1; i >= 0; i-- {
+		if err := got[i].Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeItems(t, got[i].AllItems()), want[i]) {
+			t.Fatalf("rekey %d sealed late differs from the primary's payload", i)
+		}
 	}
 }
 

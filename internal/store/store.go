@@ -174,7 +174,8 @@ type RecoveryResult struct {
 	// (0 = recovery started from an empty state or WAL origin).
 	SnapshotSeq uint64
 	// LastRekey is the payload of the newest replayed operation, kept for
-	// re-delivery to resuming members; nil when nothing was replayed.
+	// re-delivery to resuming members; nil when nothing was replayed. It
+	// is the one replayed payload Recover seals.
 	LastRekey *core.Rekey
 }
 
@@ -288,6 +289,12 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 		}
 	}
 
+	if res.LastRekey != nil {
+		if err := res.LastRekey.Seal(); err != nil {
+			return nil, err
+		}
+	}
+
 	if err := s.wal.reopenActive(); err != nil {
 		return nil, err
 	}
@@ -300,9 +307,12 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 
 // applyRecord applies one journaled record to sc (nil until the create
 // record) under the record's own seed: the one replay path, shared by
-// Recover and ReplicaApply. An operation the original run rejected
-// (journal first, then fail, mutating nothing) is the same no-op here: a
-// nil rekey and no error. nextID is one past the newest joiner (0 = none).
+// Recover and ReplicaApply. A batch is only advanced (core.Scheme.Advance):
+// the rekey comes back with its key-tree wraps unsealed, since only a
+// payload that will be sent needs them. An operation the original run
+// rejected (journal first, then fail, mutating nothing) is the same no-op
+// here: a nil rekey and no error. nextID is one past the newest joiner
+// (0 = none).
 func (s *Store) applyRecord(sc core.Scheme, r walRecord) (core.Scheme, *core.Rekey, keytree.MemberID, error) {
 	switch {
 	case r.kind == recCreate && sc != nil:
@@ -335,7 +345,7 @@ func (s *Store) applyRecord(sc core.Scheme, r walRecord) (core.Scheme, *core.Rek
 			nextID = max(nextID, j.Member+1)
 		}
 		s.rand.reseed(r.seed[:])
-		rk, err := sc.ProcessBatch(b)
+		rk, err := sc.Advance(b)
 		if err != nil {
 			return sc, nil, nextID, nil // the original run failed identically
 		}

@@ -13,6 +13,7 @@ import (
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/wire"
 )
 
 func openStore(t *testing.T, dir string, opts Options) *Store {
@@ -35,6 +36,19 @@ func journalAndApply(t *testing.T, st *Store, sc core.Scheme, b core.Batch) *cor
 		t.Fatalf("ProcessBatch: %v", err)
 	}
 	return r
+}
+
+// encodeItems is items in their wire encoding.
+func encodeItems(t *testing.T, items []keytree.Item) []byte {
+	t.Helper()
+	var out []byte
+	for _, it := range items {
+		var err error
+		if out, err = wire.AppendRekeyItem(out, it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 func snap(t *testing.T, sc core.Scheme) []byte {
@@ -127,6 +141,13 @@ func TestStoreRecoverReplaysToIdenticalState(t *testing.T) {
 				t.Fatalf("fresh recover: scheme=%v err=%v", res.Scheme, err)
 			}
 			sc, states, wantNextID := referenceRun(t, st, cfg, 8, 12345)
+			// A last batch with a departure: recovery hands its payload
+			// back as LastRekey, the one replayed payload it seals.
+			last := journalAndApply(t, st, sc, core.Batch{
+				Joins:  []core.Join{{ID: wantNextID, Meta: core.MemberMeta{LossRate: 0.2}}},
+				Leaves: sc.Members()[:1],
+			})
+			wantNextID++
 			want := snap(t, sc)
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -146,11 +167,14 @@ func TestStoreRecoverReplaysToIdenticalState(t *testing.T) {
 			if res.NextID < wantNextID {
 				t.Fatalf("NextID %d would reuse issued IDs (want ≥ %d)", res.NextID, wantNextID)
 			}
-			if res.ReplayedBatches+res.ReplayedRotations != len(states)-1 {
-				t.Fatalf("replayed %d+%d ops, want %d", res.ReplayedBatches, res.ReplayedRotations, len(states)-1)
+			if res.ReplayedBatches+res.ReplayedRotations != len(states) {
+				t.Fatalf("replayed %d+%d ops, want %d", res.ReplayedBatches, res.ReplayedRotations, len(states))
 			}
 			if res.LastRekey == nil {
 				t.Fatal("no LastRekey recovered")
+			}
+			if got, want := encodeItems(t, res.LastRekey.AllItems()), encodeItems(t, last.AllItems()); !bytes.Equal(got, want) {
+				t.Fatalf("LastRekey encodes to %d bytes unlike the reference run's last payload (%d bytes)", len(got), len(want))
 			}
 
 			// The recovered store keeps journaling: a second life, then a
