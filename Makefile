@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet loc test test-race test-short replay-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
+.PHONY: all build vet loc test test-race test-short replay-check cache-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
 
 all: build vet test
 
@@ -35,6 +35,13 @@ test-race:
 replay-check:
 	$(GO) test -race -count=3 -run 'Advance|LastRekey|RestartedPrimary|Failover|Resume' ./internal/core ./internal/store ./internal/cluster ./internal/server
 	$(GO) test -run '^$$' -bench 'Recover|ReplicaApply' -benchtime=1x ./internal/store
+
+# Key-schedule caches hold only live keys: the tree's and the Naive/QT
+# schemes' caches drop what their owners retire, late seals under retired
+# keys stay byte-identical, a member expands each wrapping key once per
+# payload, and a version bump at the cap evicts nothing.
+cache-check:
+	$(GO) test -race -count=5 -run 'CacheHoldsOnlyLive|DropDeparted|ApplyExpands|VersionBumpAtCap|AdvanceMatches' ./internal/keycrypt ./internal/keytree ./internal/core ./internal/member
 
 # Benchmark harness: one bench per paper table/figure plus ablations.
 bench:

@@ -74,7 +74,9 @@ func checkSealed(t *testing.T, s Scheme, r *Rekey) {
 // must then encode exactly like the ProcessBatch payload of its epoch,
 // and every ProcessBatch payload must open (checkSealed), which fails if a
 // seal writes into an item array the scheme's own appends have since
-// copied away from.
+// copied away from. Some of those late wraps must be under keys a later
+// batch retired, whose schedules the trees' caches dropped with them: the
+// seal rebuilds them from the keys its jobs hold.
 func TestAdvanceMatchesProcessBatch(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -166,9 +168,22 @@ func TestAdvanceMatchesProcessBatch(t *testing.T) {
 				if (bl.name == "qt" || bl.name == "tt") && migrated == 0 {
 					t.Fatal("no S-to-L migration ran")
 				}
+				live := make(map[keycrypt.KeyID]bool)
+				for _, m := range advanced.Members() {
+					for _, id := range advanced.PathIDs(m, nil) {
+						live[id] = true
+					}
+				}
+				retired := 0
 				for _, h := range late {
+					items := h.r.AllItems()
 					if err := h.r.Seal(); err != nil {
 						t.Fatalf("epoch %d: Seal: %v", h.r.Epoch, err)
+					}
+					for i, it := range h.r.AllItems() {
+						if items[i].Wrapped == (keycrypt.WrappedKey{}) && !live[it.Wrapped.WrapperID] {
+							retired++ // sealed late under a key retired since
+						}
 					}
 					if !bytes.Equal(encodeRekey(t, h.r), h.want) {
 						t.Errorf("epoch %d: sealed late, the payload differs from ProcessBatch's", h.r.Epoch)
@@ -176,6 +191,9 @@ func TestAdvanceMatchesProcessBatch(t *testing.T) {
 					if err := h.r.Seal(); err != nil || !bytes.Equal(encodeRekey(t, h.r), h.want) {
 						t.Errorf("epoch %d: a second Seal changed the payload (err %v)", h.r.Epoch, err)
 					}
+				}
+				if bl.name != "naive" && retired == 0 {
+					t.Fatal("no late seal wrapped under a retired key")
 				}
 			})
 		}

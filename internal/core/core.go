@@ -128,7 +128,7 @@ func (r *Rekey) TotalKeyCount() int {
 
 // AllItems flattens every stream (multicast first, then joiner items).
 func (r *Rekey) AllItems() []keytree.Item {
-	var out []keytree.Item
+	out := make([]keytree.Item, 0, r.TotalKeyCount())
 	for _, s := range r.Streams {
 		out = append(out, s.Items...)
 	}

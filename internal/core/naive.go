@@ -13,6 +13,10 @@ type Naive struct {
 	gen     keycrypt.Generator
 	dek     keycrypt.Key
 	members map[keytree.MemberID]keycrypt.Key // individual keys
+	// wrapper caches the individual keys' schedules: every departure wraps
+	// the group key under each of them again. A member's entry leaves with
+	// the member.
+	wrapper *keycrypt.Wrapper
 	nextID  keycrypt.KeyID
 	epoch   uint64
 	statCounters
@@ -29,6 +33,7 @@ func NewNaive(opts ...Option) (*Naive, error) {
 	s := &Naive{
 		gen:     keycrypt.Generator{Rand: o.rand},
 		members: make(map[keytree.MemberID]keycrypt.Key),
+		wrapper: keycrypt.NewWrapper(),
 		nextID:  o.keyIDBase + 2, // the DEK takes base+1
 	}
 	dek, err := s.gen.New(o.keyIDBase+1, 0)
@@ -59,6 +64,7 @@ func (s *Naive) Advance(b Batch) (*Rekey, error) {
 	}
 
 	for _, m := range b.Leaves {
+		s.wrapper.Invalidate(s.members[m].ID)
 		delete(s.members, m)
 	}
 	joiners := excludeSet(b.Joins)
@@ -94,7 +100,7 @@ func (s *Naive) Advance(b Batch) (*Rekey, error) {
 			if joiners[m] {
 				continue
 			}
-			w, err := keycrypt.Wrap(newDEK, s.members[m], s.gen.Rand)
+			w, err := s.wrapper.Wrap(newDEK, s.members[m], s.gen.Rand)
 			if err != nil {
 				return nil, err
 			}
@@ -102,7 +108,7 @@ func (s *Naive) Advance(b Batch) (*Rekey, error) {
 		}
 	}
 	for _, j := range b.Joins {
-		w, err := keycrypt.Wrap(newDEK, s.members[j.ID], s.gen.Rand)
+		w, err := s.wrapper.Wrap(newDEK, s.members[j.ID], s.gen.Rand)
 		if err != nil {
 			return nil, err
 		}

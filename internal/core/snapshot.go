@@ -106,6 +106,7 @@ func RestoreNaive(snapshot []byte, opts ...Option) (*Naive, error) {
 	s := &Naive{
 		gen:     keycrypt.Generator{Rand: o.rand},
 		members: make(map[keytree.MemberID]keycrypt.Key),
+		wrapper: keycrypt.NewWrapper(),
 	}
 	s.epoch = r.U64()
 	readCounters(r, &s.statCounters)
@@ -164,6 +165,7 @@ func RestoreTwoPartition(snapshot []byte, opts ...Option) (*TwoPartition, error)
 		mode:      PartitionMode(r.U8()),
 		gen:       keycrypt.Generator{Rand: o.rand},
 		queue:     make(map[keytree.MemberID]keycrypt.Key),
+		queueWrap: keycrypt.NewWrapper(),
 		joinEpoch: make(map[keytree.MemberID]uint64),
 		parallel:  o.treeConcurrency(),
 	}

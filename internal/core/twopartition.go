@@ -61,6 +61,7 @@ type TwoPartition struct {
 	// S-partition state. QT uses queue (individual keys); TT and PT use
 	// stree. joinEpoch drives migration (unused in PT).
 	queue       map[keytree.MemberID]keycrypt.Key
+	queueWrap   *keycrypt.Wrapper // the queue keys' schedules; see Naive.wrapper
 	stree       *keytree.Tree
 	joinEpoch   map[keytree.MemberID]uint64
 	nextQueueID keycrypt.KeyID
@@ -96,6 +97,7 @@ func NewTwoPartition(mode PartitionMode, sPeriodK int, opts ...Option) (*TwoPart
 		sPeriod:     uint64(sPeriodK),
 		gen:         keycrypt.Generator{Rand: o.rand},
 		queue:       make(map[keytree.MemberID]keycrypt.Key),
+		queueWrap:   keycrypt.NewWrapper(),
 		joinEpoch:   make(map[keytree.MemberID]uint64),
 		nextQueueID: o.keyIDBase + queueKeyIDBase,
 		parallel:    o.treeConcurrency(),
@@ -229,6 +231,7 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 	switch s.mode {
 	case QT:
 		for _, m := range append(append([]keytree.MemberID{}, sLeaves...), migrants...) {
+			s.queueWrap.Invalidate(s.queue[m].ID)
 			delete(s.queue, m)
 			delete(s.joinEpoch, m)
 		}
@@ -324,7 +327,7 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 		// S-partition delivery.
 		if s.mode == QT {
 			for _, m := range sortedMembers(s.queue) {
-				w, err := keycrypt.Wrap(newDEK, s.queue[m], s.gen.Rand)
+				w, err := s.queueWrap.Wrap(newDEK, s.queue[m], s.gen.Rand)
 				if err != nil {
 					return nil, err
 				}

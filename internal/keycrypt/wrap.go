@@ -47,25 +47,50 @@ type WrappedKey struct {
 }
 
 // Wrap encrypts payload under wrapper using AES-256-GCM. The random source
-// rng supplies the nonce; nil means crypto/rand.Reader. It delegates to a
-// package-shared Wrapper, so repeated wraps under the same key generation
-// reuse the cached AES key schedule.
+// rng supplies the nonce; nil means crypto/rand.Reader. It expands the
+// wrapping key's schedule for this one call and keeps nothing: callers that
+// wrap under the same key epoch after epoch own a Wrapper instead.
 func Wrap(payload, wrapper Key, rng io.Reader) (WrappedKey, error) {
-	return sharedWrapper.Wrap(payload, wrapper, rng)
+	var uncached *Wrapper
+	return uncached.Wrap(payload, wrapper, rng)
 }
 
 // Unwrap decrypts w under wrapper and returns the payload key. The wrapper's
 // ID and version must match the ones recorded in the wrapped blob.
 func Unwrap(w WrappedKey, wrapper Key) (Key, error) {
+	var u Unwrapper
+	return u.Unwrap(w, wrapper)
+}
+
+// Unwrapper is Unwrap that keeps the last wrapping key's schedule, so a run
+// of items under one key — a joiner's path arrives as one item per level,
+// all under its leaf key — expands that key once. It holds at most one
+// schedule; a receiver keeps one for the duration of a payload and drops
+// it. The zero value is ready to use. It is not safe for concurrent use.
+type Unwrapper struct {
+	key  Key
+	aead cipher.AEAD
+}
+
+// Unwrap is the package-level Unwrap, reusing the schedule of the previous
+// call when wrapper is bit-identical to its wrapping key.
+func (u *Unwrapper) Unwrap(w WrappedKey, wrapper Key) (Key, error) {
 	if wrapper.ID != w.WrapperID || wrapper.Version != w.WrapperVersion {
 		return Key{}, fmt.Errorf("%w: blob wants wrapper %s.v%d, got %s.v%d",
 			ErrAuthFailure, w.WrapperID, w.WrapperVersion, wrapper.ID, wrapper.Version)
 	}
-	aead, err := newGCM(wrapper)
-	if err != nil {
-		return Key{}, err
+	if u.aead == nil || !u.key.Equal(wrapper) {
+		aead, err := newGCM(wrapper)
+		if err != nil {
+			return Key{}, err
+		}
+		u.key, u.aead = wrapper, aead
 	}
-	pt, err := aead.Open(nil, w.nonce[:], w.ct[:], additionalData(w))
+	s := wrapScratchPool.Get().(*wrapScratch)
+	defer wrapScratchPool.Put(s)
+	fillAdditionalData(&s.ad, w)
+	s.nonce, s.ct = w.nonce, w.ct // views of w would move it to the heap
+	pt, err := u.aead.Open(s.pt[:0], s.nonce[:], s.ct[:], s.ad[:])
 	if err != nil {
 		return Key{}, ErrAuthFailure
 	}
@@ -117,16 +142,10 @@ func newGCM(k Key) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// additionalData binds the header fields into the AEAD so an attacker cannot
-// re-label a wrapped key as belonging to a different tree node or version.
-func additionalData(w WrappedKey) []byte {
-	var ad [wrappedHeader]byte
-	fillAdditionalData(&ad, w)
-	return ad[:]
-}
-
 // fillAdditionalData writes the AEAD additional data into a caller-owned
-// buffer (hot paths pool it to stay allocation-free).
+// buffer (hot paths pool it to stay allocation-free). It binds the header
+// fields into the AEAD so an attacker cannot re-label a wrapped key as
+// belonging to a different tree node or version.
 func fillAdditionalData(ad *[wrappedHeader]byte, w WrappedKey) {
 	binary.BigEndian.PutUint64(ad[0:8], uint64(w.PayloadID))
 	binary.BigEndian.PutUint32(ad[8:12], uint32(w.PayloadVersion))

@@ -207,3 +207,39 @@ func TestBlindMixOFTPrimitives(t *testing.T) {
 		t.Fatal("Mix(Blind(l)) == Mix(l): blinding has no effect")
 	}
 }
+
+// An Unwrapper agrees with Unwrap item for item across wrapping-key
+// switches, version mismatches and tampered blobs, and a failed item does
+// not spoil the reused schedule for the items after it.
+func TestUnwrapperMatchesUnwrap(t *testing.T) {
+	g := Generator{Rand: NewDeterministicReader(3)}
+	a, b := mustKey(t, &g, 1, 0), mustKey(t, &g, 2, 0)
+	aNext := mustKey(t, &g, 1, 1)
+	type step struct {
+		w       WrappedKey
+		wrapper Key
+	}
+	var steps []step
+	for i, wrapper := range []Key{a, a, b, a, aNext, aNext} {
+		w, err := Wrap(mustKey(t, &g, KeyID(10+i), 0), wrapper, g.Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, step{w, wrapper})
+	}
+	tampered := steps[1].w
+	tampered.ct[0] ^= 1
+	steps = append(steps[:2], append([]step{{tampered, a}, {steps[4].w, a}}, steps[2:]...)...)
+
+	var u Unwrapper
+	for i, s := range steps {
+		want, wantErr := Unwrap(s.w, s.wrapper)
+		got, err := u.Unwrap(s.w, s.wrapper)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("step %d: err %v, Unwrap says %v", i, err, wantErr)
+		}
+		if err == nil && !got.Equal(want) {
+			t.Fatalf("step %d: unwrapped %v, Unwrap says %v", i, got, want)
+		}
+	}
+}

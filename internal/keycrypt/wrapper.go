@@ -13,13 +13,14 @@ import (
 // wrap emission is scheduled — size their job buffers with it.
 const NonceSize = nonceSize
 
-// maxWrapperEntries bounds a Wrapper's cache: sized for the recurring
-// wrapper population of a ~100k-member tree (interior keys ≈ N/(d-1)), at
-// roughly 1 KiB of expanded schedule per entry worst case. When an insert
-// would exceed it, a random quarter of the entries is dropped (map order):
-// recurring wrappers mostly survive while one-shot entries — joiner leaf
-// keys are wrapped under once and never seen again — churn out, which a
-// drop-everything policy would not allow.
+// maxWrapperEntries bounds a Wrapper's cache at roughly 28 MB of expanded
+// schedules (about 850 B each). Its owners invalidate the keys they retire,
+// so the entries are live keys, but not all of them recur soon: a key tree
+// wraps under a leaf key whenever the leaf's parent is refreshed, so its
+// leaf keys — N of them, against N/(d-1) interior keys — are what fills the
+// cap once a tree passes ~30k members. When an insert of a new key slot
+// would exceed it, a random quarter of the entries is dropped (map order);
+// a version bump replaces its slot in place and drops nothing.
 const maxWrapperEntries = 32768
 
 // Wrapper wraps keys like the package-level Wrap but caches one
@@ -31,8 +32,11 @@ const maxWrapperEntries = 32768
 // invalidates it naturally.
 //
 // A Wrapper is safe for concurrent use; cache hits take only a read lock.
-// Note that cached AEADs hold expanded key schedules in memory for as long
-// as the entry lives, the usual trade-off of any key-schedule cache.
+// Cached AEADs hold expanded key schedules in memory for as long as the
+// entry lives, so an owner calls Invalidate when it retires a key: the
+// cache then holds only keys its owner may still wrap under. Wrap and
+// WrapNonce on a nil *Wrapper cache nothing; the package-level Wrap is
+// that.
 type Wrapper struct {
 	mu      sync.RWMutex
 	entries map[KeyID]*wrapperEntry
@@ -51,6 +55,9 @@ func NewWrapper() *Wrapper {
 // aead returns the AEAD for the wrapping key, computing and caching the key
 // schedule on miss.
 func (wr *Wrapper) aead(wrapper Key) (cipher.AEAD, error) {
+	if wr == nil {
+		return newGCM(wrapper)
+	}
 	wr.mu.RLock()
 	e := wr.entries[wrapper.ID]
 	wr.mu.RUnlock()
@@ -62,7 +69,7 @@ func (wr *Wrapper) aead(wrapper Key) (cipher.AEAD, error) {
 		return nil, err
 	}
 	wr.mu.Lock()
-	if len(wr.entries) >= maxWrapperEntries {
+	if _, replace := wr.entries[wrapper.ID]; !replace && len(wr.entries) >= maxWrapperEntries {
 		drop := maxWrapperEntries / 4
 		for id := range wr.entries {
 			delete(wr.entries, id)
@@ -83,9 +90,11 @@ func (wr *Wrapper) Len() int {
 	return len(wr.entries)
 }
 
-// Invalidate drops the cached schedule for a key slot, e.g. when the slot
-// is retired. Wrapping under a bumped version of the slot does not require
-// it: the key-equality check misses and replaces the entry on its own.
+// Invalidate drops the cached schedule for a key slot when its owner
+// retires the slot: a departed leaf, a spliced interior, a departed
+// member's individual key. Wrapping under a bumped version of the slot does
+// not require it: the key-equality check misses and replaces the entry in
+// place.
 func (wr *Wrapper) Invalidate(id KeyID) {
 	wr.mu.Lock()
 	delete(wr.entries, id)
@@ -153,8 +162,8 @@ func (wr *Wrapper) WrapNonce(payload, wrapper Key, nonce [NonceSize]byte) (Wrapp
 	return w, nil
 }
 
-// sharedWrapper backs the package-level Wrap and Seal so that every caller
-// of the plain API benefits from schedule caching. The full-key equality
-// check makes sharing across independent trees safe even when their key-ID
-// spaces collide.
+// sharedWrapper backs Seal. Its keys are few and long-lived — a group's
+// data key, a store's master key, a client's individual key — so caching
+// them process-wide costs little. The full-key equality check makes sharing
+// across independent groups safe even when their key-ID spaces collide.
 var sharedWrapper = NewWrapper()

@@ -164,6 +164,34 @@ func TestWrapperBoundedGrowth(t *testing.T) {
 	}
 }
 
+// A version bump at the cap replaces its slot in place: it must not trigger
+// the random-quarter eviction, which is for inserts of new slots.
+func TestWrapperVersionBumpAtCapKeepsEntries(t *testing.T) {
+	wr := NewWrapper()
+	payload := testKey(t, 1, 1)
+	var last Key
+	for i := 0; i < maxWrapperEntries; i++ {
+		last = testKey(t, KeyID(100+i), uint64(i))
+		if _, err := wr.Wrap(payload, last, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wr.Len() != maxWrapperEntries {
+		t.Fatalf("filled to %d entries, want %d", wr.Len(), maxWrapperEntries)
+	}
+	g := Generator{Rand: NewDeterministicReader(7)}
+	bumped, err := g.Refresh(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wr.Wrap(payload, bumped, nil); err != nil {
+		t.Fatal(err)
+	}
+	if wr.Len() != maxWrapperEntries {
+		t.Fatalf("version bump at the cap left %d entries, want %d", wr.Len(), maxWrapperEntries)
+	}
+}
+
 func TestWrapperConcurrent(t *testing.T) {
 	wr := NewWrapper()
 	payload := testKey(t, 50, 50)

@@ -275,9 +275,12 @@ func (t *Tree) validatePlan(b Batch, p Plan) error {
 //
 // A dry run is the planner's simulation: the same code moves the same nodes,
 // but draws no key (new nodes carry the zero key, so neither entropy nor
-// nextID is consumed), leaves stats, the maintained member list and every
-// existing key alone, and logs the inverse of each structural change for
-// rollback.
+// nextID is consumed), leaves stats, the maintained member list, every
+// existing key and the key-schedule cache alone, and logs the inverse of
+// each structural change for rollback. A real run drops the cached schedule
+// of every key it retires: a filled hole's leaf key, a removed leaf's, a
+// spliced interior's. A pending seal that still wraps under one rebuilds the
+// schedule from the key its job holds.
 func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth, error) {
 	mark := func(n *Node, departure bool) {
 		for ; n != nil; n = n.parent {
@@ -307,6 +310,7 @@ func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth,
 			if err != nil {
 				return nil, err
 			}
+			t.wrapper.Invalidate(leaf.key.ID) // the departed member's leaf key
 			leaf.key = fresh
 			t.stats.Joins++
 			t.stats.Departures++

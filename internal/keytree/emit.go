@@ -70,15 +70,22 @@ func (w *PendingWraps) Seal(items, joinerItems []Item) error {
 	for i := range w.joiners {
 		w.joiners[i].dst = &joinerItems[i].Wrapped
 	}
-	jobs := w.items
-	if len(jobs) == 0 {
-		jobs = w.joiners
-	} else if len(w.joiners) > 0 {
-		jobs = append(jobs, w.joiners...)
-	}
-	err := runWrapJobs(w.wrapper, w.workers, jobs)
+	err := runWrapJobs(w.wrapper, w.workers, jobList{w.items, w.joiners})
 	*w = PendingWraps{}
 	return err
+}
+
+// jobList is the item jobs followed by the joiner jobs, indexed as one list
+// without copying them into one.
+type jobList struct{ items, joiners []wrapJob }
+
+func (l jobList) len() int { return len(l.items) + len(l.joiners) }
+
+func (l jobList) at(i int) *wrapJob {
+	if i < len(l.items) {
+		return &l.items[i]
+	}
+	return &l.joiners[i-len(l.items)]
 }
 
 // minParallelJobs is the fan-out threshold: below it, goroutine start-up
@@ -300,16 +307,17 @@ func merge2(a, b, out []MemberID) []MemberID {
 // runWrapJobs executes the planned seals, inline or across a pool of at
 // most workers goroutines. Workers only read the Wrapper cache and write
 // disjoint pre-assigned slots, so scheduling cannot affect payload bytes.
-func runWrapJobs(wr *keycrypt.Wrapper, workers int, jobs []wrapJob) error {
-	if len(jobs) == 0 {
+func runWrapJobs(wr *keycrypt.Wrapper, workers int, jobs jobList) error {
+	n := jobs.len()
+	if n == 0 {
 		return nil
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
-	if workers <= 1 || len(jobs) < minParallelJobs {
-		for i := range jobs {
-			if err := jobs[i].run(wr); err != nil {
+	if workers <= 1 || n < minParallelJobs {
+		for i := 0; i < n; i++ {
+			if err := jobs.at(i).run(wr); err != nil {
 				return err
 			}
 		}
@@ -329,10 +337,10 @@ func runWrapJobs(wr *keycrypt.Wrapper, workers int, jobs []wrapJob) error {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || failed.Load() {
+				if i >= n || failed.Load() {
 					return
 				}
-				if err := jobs[i].run(wr); err != nil {
+				if err := jobs.at(i).run(wr); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err

@@ -88,8 +88,9 @@ type Tree struct {
 	gen    keycrypt.Generator
 	nextID keycrypt.KeyID
 
-	// wrapper caches AES key schedules across rekeys; wrapWorkers sizes
-	// the emission pool (0 = GOMAXPROCS).
+	// wrapper caches AES key schedules across rekeys, and only of keys in
+	// the tree: place drops a key's entry when it retires the key.
+	// wrapWorkers sizes the emission pool (0 = GOMAXPROCS).
 	wrapper     *keycrypt.Wrapper
 	wrapWorkers int
 
@@ -390,6 +391,9 @@ func (t *Tree) removeLeaf(m MemberID, dry bool) (*Node, error) {
 		return nil, fmt.Errorf("%w: %d", ErrMemberUnknown, m)
 	}
 	delete(t.leaves, m)
+	if !dry {
+		t.wrapper.Invalidate(leaf.key.ID)
+	}
 
 	parent := leaf.parent
 	if parent == nil {
@@ -428,6 +432,8 @@ func (t *Tree) removeLeaf(m MemberID, dry bool) (*Node, error) {
 			only.parent = parent
 			parent.parent, parent.children = grand, kids
 		})
+	} else {
+		t.wrapper.Invalidate(parent.key.ID)
 	}
 	parent.parent, parent.children = nil, nil
 	t.replaceNode(grand, parent, only)

@@ -80,8 +80,11 @@ func (m *Member) NeededItems(items []keytree.Item) []int {
 
 // Apply decrypts everything it can from the payload items, iterating until
 // no further item unwraps (items may arrive in any order). It returns the
-// number of new keys learned.
+// number of new keys learned. A run of items under one wrapping key — a
+// joiner's path arrives as one item per level under its leaf key — expands
+// that key's schedule once; no schedule outlives the call.
 func (m *Member) Apply(items []keytree.Item) int {
+	var un keycrypt.Unwrapper
 	learned := 0
 	for {
 		progress := false
@@ -90,7 +93,7 @@ func (m *Member) Apply(items []keytree.Item) int {
 				continue
 			}
 			wrapper := m.keys[it.Wrapped.WrapperID]
-			got, err := keycrypt.Unwrap(it.Wrapped, wrapper)
+			got, err := un.Unwrap(it.Wrapped, wrapper)
 			if err != nil {
 				continue // not for us after all (or corrupted)
 			}

@@ -144,3 +144,86 @@ func TestNeededItemsSparseness(t *testing.T) {
 		t.Fatalf("NeededItems after Apply=%v, want empty", got)
 	}
 }
+
+// joinerPath is what a joiner receives: depth items, each wrapping one key
+// of its path under its leaf key, leaf upwards.
+func joinerPath(tb testing.TB, depth int) (leaf keycrypt.Key, path []keycrypt.Key, items []keytree.Item) {
+	tb.Helper()
+	g := keycrypt.Generator{Rand: keycrypt.NewDeterministicReader(9)}
+	leaf, err := g.New(100, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for level := depth - 1; level >= 0; level-- {
+		k, err := g.New(keycrypt.KeyID(level+1), 3)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w, err := keycrypt.Wrap(k, leaf, g.Rand)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		path = append(path, k)
+		items = append(items, keytree.Item{Wrapped: w, Kind: keytree.JoinerWrap, Level: level})
+	}
+	return leaf, path, items
+}
+
+// TestApplyExpandsEachWrapperOnce: Apply learns what per-item Unwrap
+// learns from a depth-7 joiner path, a tampered item inside the run fails
+// on its own, and the run expands the leaf key's schedule once rather than
+// once per item.
+func TestApplyExpandsEachWrapperOnce(t *testing.T) {
+	leaf, path, items := joinerPath(t, 7)
+	m := New(1, leaf)
+	if learned := m.Apply(items); learned != len(path) {
+		t.Fatalf("learned %d keys, want %d", learned, len(path))
+	}
+	for i, it := range items {
+		want, err := keycrypt.Unwrap(it.Wrapped, leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Has(want) || !want.Equal(path[i]) {
+			t.Fatalf("item %d: Apply and Unwrap disagree on key %s", i, want.ID)
+		}
+	}
+
+	tampered := append([]keytree.Item(nil), items...)
+	b := tampered[2].Wrapped.Marshal()
+	b[len(b)-1] ^= 1
+	w, err := keycrypt.UnmarshalWrapped(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered[2].Wrapped = w
+	m = New(1, leaf)
+	if learned := m.Apply(tampered); learned != len(path)-1 {
+		t.Fatalf("with item 2 tampered: learned %d keys, want %d", learned, len(path)-1)
+	}
+	for i, k := range path {
+		if m.Has(k) == (i == 2) {
+			t.Fatalf("with item 2 tampered: holds key of item %d = %v", i, m.Has(k))
+		}
+	}
+
+	// The member and its key map; per-item Unwrap makes it 35. Under the
+	// race detector each item's pooled scratch buffer may be a fresh one.
+	bound := 2.0
+	if raceEnabled {
+		bound += float64(len(items))
+	}
+	allocs := testing.AllocsPerRun(50, func() { New(1, leaf).Apply(items) })
+	if allocs > bound {
+		t.Errorf("Apply of a depth-7 joiner path, new member included, allocates %.0f objects, want <= %.0f", allocs, bound)
+	}
+}
+
+// BenchmarkApplyJoinerPath times a joiner absorbing its depth-7 path.
+func BenchmarkApplyJoinerPath(b *testing.B) {
+	leaf, _, items := joinerPath(b, 7)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(1, leaf).Apply(items)
+	}
+}
