@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet loc test test-race test-short replay-check cache-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
+.PHONY: all build vet loc test test-race test-short replay-check cache-check seal-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
 
 all: build vet test
 
@@ -42,6 +42,15 @@ replay-check:
 # payload, and a version bump at the cap evicts nothing.
 cache-check:
 	$(GO) test -race -count=5 -run 'CacheHoldsOnlyLive|DropDeparted|ApplyExpands|VersionBumpAtCap|AdvanceMatches' ./internal/keycrypt ./internal/keytree ./internal/core ./internal/member
+
+# The epoch seal's two halves stay byte-identical to their references:
+# the item tree over real nodes only against the padded construction, the
+# batch wrap pool against serial wraps (cache state included), the
+# zero-alloc inline seal, late seals and the golden payload digests, five
+# times under -race; then one pass of the seal and churn100k benchmarks.
+seal-check:
+	$(GO) test -race -count=5 -run 'ItemTreeMatches|WrapBatch|PendingWrapsSeal|AdvanceMatches|Golden' ./internal/wire ./internal/keycrypt ./internal/keytree ./internal/core
+	$(GO) test -run '^$$' -bench 'SealEpoch|RekeyChurn100k' -benchtime=1x ./internal/server ./internal/keytree
 
 # Benchmark harness: one bench per paper table/figure plus ablations.
 bench:

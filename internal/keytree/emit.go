@@ -6,8 +6,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"groupkey/internal/keycrypt"
 )
@@ -16,12 +14,13 @@ import (
 // It splits emission into two steps:
 //
 //  1. Plan (single-threaded, part of Advance): sort the dirty nodes by
-//     precomputed depth, build every Item's metadata (kind, level) and draw
-//     one nonce per wrap from the tree's entropy source in canonical order.
-//     The wraps are left pending on the payload (PendingWraps).
-//  2. Seal (parallel): fan the AES-GCM seals out over a bounded worker
-//     pool, each job writing into its pre-assigned item slot through the
-//     tree's cached-key-schedule Wrapper.
+//     precomputed depth, build every Item's metadata (kind, level), then
+//     draw every wrap's nonce in one read of the tree's entropy source, in
+//     canonical order. The wraps are left pending on the payload
+//     (PendingWraps).
+//  2. Seal (parallel): keycrypt.Wrapper.WrapBatch fans the AES-GCM seals
+//     out over a bounded worker pool through the tree's cached-key-schedule
+//     Wrapper, each job writing into its pre-assigned item slot.
 //
 // Because nonces and slots are fixed during planning, the payload is
 // byte-for-byte identical for any worker count, and for a seal run any
@@ -70,37 +69,31 @@ func (w *PendingWraps) Seal(items, joinerItems []Item) error {
 	for i := range w.joiners {
 		w.joiners[i].dst = &joinerItems[i].Wrapped
 	}
-	err := runWrapJobs(w.wrapper, w.workers, jobList{w.items, w.joiners})
+	err := w.wrapper.WrapBatch((*sealJobs)(w), w.workers)
 	*w = PendingWraps{}
 	return err
 }
 
-// jobList is the item jobs followed by the joiner jobs, indexed as one list
-// without copying them into one.
-type jobList struct{ items, joiners []wrapJob }
+// sealJobs is the item jobs followed by the joiner jobs as one
+// keycrypt.WrapJobs, indexed as one list without copying them into one.
+type sealJobs PendingWraps
 
-func (l jobList) len() int { return len(l.items) + len(l.joiners) }
+func (s *sealJobs) Len() int { return len(s.items) + len(s.joiners) }
 
-func (l jobList) at(i int) *wrapJob {
-	if i < len(l.items) {
-		return &l.items[i]
+func (s *sealJobs) Job(i int) (payload, wrapper *keycrypt.Key, nonce *[keycrypt.NonceSize]byte, dst *keycrypt.WrappedKey) {
+	var j *wrapJob
+	if i < len(s.items) {
+		j = &s.items[i]
+	} else {
+		j = &s.joiners[i-len(s.items)]
 	}
-	return &l.joiners[i-len(l.items)]
+	return &j.payload, &j.wrapper, &j.nonce, j.dst
 }
-
-// minParallelJobs is the fan-out threshold: below it, goroutine start-up
-// costs more than the AES work it would spread.
-const minParallelJobs = 32
 
 // emitPlanned plans the payload over the dirty set, leaving its wraps
 // pending. joinerIDs is the batch's joiners in ascending order.
 func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*Payload, error) {
 	nodes, depths := sortDirtyNodes(dirty)
-	rng := t.gen.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
-	nonces := nonceDrawer{rng: rng}
 
 	// Upper bounds on wrap counts (skips only shrink them), so the item and
 	// job slices are allocated once instead of doubling their way up.
@@ -134,23 +127,15 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*P
 				if !joiners.reaches(c) {
 					continue
 				}
-				nonce, err := nonces.next()
-				if err != nil {
-					return nil, err
-				}
 				p.Items = append(p.Items, Item{Kind: ChildWrap, Level: level})
-				itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: c.key, nonce: nonce})
+				itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: c.key})
 			}
 		} else {
 			if !joiners.reaches(n) {
 				continue
 			}
-			nonce, err := nonces.next()
-			if err != nil {
-				return nil, err
-			}
 			p.Items = append(p.Items, Item{Kind: OldKeyWrap, Level: level})
-			itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: info.oldKey, nonce: nonce})
+			itemJobs = append(itemJobs, wrapJob{payload: n.key, wrapper: info.oldKey})
 		}
 	}
 
@@ -160,13 +145,12 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*P
 		level := leaf.Depth()
 		for n := leaf.parent; n != nil; n = n.parent {
 			level--
-			nonce, err := nonces.next()
-			if err != nil {
-				return nil, err
-			}
 			p.JoinerItems = append(p.JoinerItems, Item{Kind: JoinerWrap, Level: level, Receivers: []MemberID{m}})
-			joinerJobs = append(joinerJobs, wrapJob{payload: n.key, wrapper: leaf.key, nonce: nonce})
+			joinerJobs = append(joinerJobs, wrapJob{payload: n.key, wrapper: leaf.key})
 		}
+	}
+	if err := t.drawNonces(itemJobs, joinerJobs); err != nil {
+		return nil, err
 	}
 
 	p.Pending = PendingWraps{items: itemJobs, joiners: joinerJobs, wrapper: t.wrapper, workers: t.WrapWorkers()}
@@ -197,20 +181,28 @@ func (t *Tree) joinersUnder(joins []MemberID, size int) joinerCounts {
 // simulation both decide by this one predicate.
 func (u joinerCounts) reaches(n *Node) bool { return n.leaves > u[n] }
 
-// nonceDrawer reads wrap nonces in canonical planning order — so emission
-// scheduling cannot perturb payload bytes — through one reusable buffer: a
-// per-draw stack array would escape into the io.Reader call and cost an
-// allocation per wrap.
-type nonceDrawer struct {
-	rng io.Reader
-	buf [keycrypt.NonceSize]byte
-}
-
-func (d *nonceDrawer) next() ([keycrypt.NonceSize]byte, error) {
-	if _, err := io.ReadFull(d.rng, d.buf[:]); err != nil {
-		return d.buf, fmt.Errorf("keytree: drawing wrap nonce: %w", err)
+// drawNonces fills every planned wrap's nonce from one read of the tree's
+// entropy source, item jobs then joiner jobs: the canonical order, so
+// emission scheduling cannot perturb payload bytes.
+func (t *Tree) drawNonces(lists ...[]wrapJob) error {
+	rng := t.gen.Rand
+	if rng == nil {
+		rng = rand.Reader
 	}
-	return d.buf, nil
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	buf := make([]byte, n*keycrypt.NonceSize)
+	if _, err := io.ReadFull(rng, buf); err != nil {
+		return fmt.Errorf("keytree: drawing wrap nonces: %w", err)
+	}
+	for _, l := range lists {
+		for i := range l {
+			buf = buf[copy(l[i].nonce[:], buf):]
+		}
+	}
+	return nil
 }
 
 // sortDirtyNodes orders the dirty set deepest-first (ties by key ID) with
@@ -302,65 +294,4 @@ func merge2(a, b, out []MemberID) []MemberID {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// runWrapJobs executes the planned seals, inline or across a pool of at
-// most workers goroutines. Workers only read the Wrapper cache and write
-// disjoint pre-assigned slots, so scheduling cannot affect payload bytes.
-func runWrapJobs(wr *keycrypt.Wrapper, workers int, jobs jobList) error {
-	n := jobs.len()
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minParallelJobs {
-		for i := 0; i < n; i++ {
-			if err := jobs.at(i).run(wr); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		failed   atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := jobs.at(i).run(wr); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-func (j *wrapJob) run(wr *keycrypt.Wrapper) error {
-	w, err := wr.WrapNonce(j.payload, j.wrapper, j.nonce)
-	if err != nil {
-		return fmt.Errorf("keytree: wrapping %s under %s: %w", j.payload.ID, j.wrapper.ID, err)
-	}
-	*j.dst = w
-	return nil
 }

@@ -74,18 +74,26 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keyt
 	}
 	eb := &epochBuffer{epoch: rekey.Epoch, nItems: len(items)}
 
+	// Each item is encoded into its slot of a buffer sized once, in the
+	// pass that hashes it into the tree.
 	buf, _ := itemBufPool.Get().([]byte)
-	buf = buf[:0]
+	if need := len(items) * wire.RekeyItemSize; cap(buf) < need {
+		buf = make([]byte, need)
+	} else {
+		buf = buf[:need]
+	}
 	var err error
-	for _, it := range items {
-		if buf, err = wire.AppendRekeyItem(buf, it); err != nil {
-			return nil, err
+	eb.tree = wire.NewItemTree(len(items), func(i int) []byte {
+		slot := buf[i*wire.RekeyItemSize : i*wire.RekeyItemSize]
+		if err == nil {
+			_, err = wire.AppendRekeyItem(slot, items[i])
 		}
+		return slot[:wire.RekeyItemSize]
+	})
+	if err != nil {
+		return nil, err
 	}
 	eb.itemBuf = buf
-	eb.tree = wire.NewItemTree(len(items), func(i int) []byte {
-		return buf[i*wire.RekeyItemSize : (i+1)*wire.RekeyItemSize]
-	})
 	eb.root = eb.tree.Root()
 	eb.rootSig = wire.SignSparse(priv, rekey.Epoch, uint32(len(items)), eb.root)
 	eb.index = indexPool.Get().(*wire.ScopedIndex)

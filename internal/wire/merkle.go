@@ -3,6 +3,7 @@ package wire
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
 )
 
 // Sparse rekey authentication: signing every member's sparse frame
@@ -17,6 +18,12 @@ import (
 // H(0x01 ‖ left ‖ right) (domain-separated against second-preimage
 // splicing), and the leaf level is padded with all-zero hashes to the next
 // power of two. The empty payload (heartbeat epoch) has the all-zero root.
+//
+// The padding is implicit: each level stores only the nodes that cover a
+// real leaf, and a node past them is the root of an all-padding subtree,
+// whose hash depends on its level alone (zeroSubtree). A tree of n leaves
+// hashes about 2n nodes, not twice the padded width, and its root,
+// proofs and proof sizes are those of the padded tree.
 
 // HashSize is the Merkle node size (SHA-256).
 const HashSize = sha256.Size
@@ -26,45 +33,71 @@ const (
 	nodePrefix = 0x01
 )
 
+// zeroSubtree[l] is the hash of an all-padding subtree of height l: the
+// all-zero leaf hash at level 0, H(0x01 ‖ z ‖ z) above it. A frame's leaf
+// count is a uint32, so no tree is more than 32 levels above its leaves.
+var zeroSubtree = func() (z [33][HashSize]byte) {
+	for l := 1; l < len(z); l++ {
+		z[l] = hashNode(z[l-1][:], z[l-1][:])
+	}
+	return z
+}()
+
+// hashNode returns the interior hash H(0x01 ‖ left ‖ right).
+func hashNode(left, right []byte) [HashSize]byte {
+	var buf [1 + 2*HashSize]byte
+	buf[0] = nodePrefix
+	copy(buf[1:], left)
+	copy(buf[1+HashSize:], right)
+	return sha256.Sum256(buf[:])
+}
+
+// hashLeaf returns the leaf hash H(0x00 ‖ leaf), hashing from a stack
+// buffer when the leaf is one rekey item or shorter.
+func hashLeaf(leaf []byte) [HashSize]byte {
+	buf := make([]byte, 0, 1+RekeyItemSize)
+	buf = append(append(buf, leafPrefix), leaf...)
+	return sha256.Sum256(buf)
+}
+
 // ItemTree is the Merkle tree over one epoch's rekey items. Immutable
 // after construction and safe for concurrent use.
 type ItemTree struct {
 	n int
-	// levels[0] holds the padded leaf hashes, levels[len-1] the root, each
-	// level a concatenation of HashSize-byte nodes.
+	// levels[0] holds the leaf hashes, levels[len-1] the root, each level
+	// the concatenation of the HashSize-byte nodes that cover a real leaf.
 	levels [][]byte
 }
 
 // NewItemTree hashes n leaves (leaf(i) returns leaf i's byte encoding)
-// and builds the tree. n == 0 yields the empty tree with an all-zero root.
+// and builds the tree. It calls leaf once per leaf, in ascending order,
+// and keeps none of the returned slices. n == 0 yields the empty tree
+// with an all-zero root.
 func NewItemTree(n int, leaf func(i int) []byte) *ItemTree {
 	t := &ItemTree{n: n}
 	if n == 0 {
 		return t
 	}
-	padded := 1
-	for padded < n {
-		padded <<= 1
+	height := bits.Len(uint(n - 1))
+	t.levels = make([][]byte, height+1)
+	total := 0
+	for l := range t.levels {
+		total += (n + 1<<l - 1) >> l
 	}
-	h := sha256.New()
-	lvl := make([]byte, padded*HashSize)
+	slab := make([]byte, total*HashSize)
+	for l := range t.levels {
+		size := ((n + 1<<l - 1) >> l) * HashSize
+		t.levels[l], slab = slab[:size:size], slab[size:]
+	}
 	for i := 0; i < n; i++ {
-		h.Reset()
-		h.Write([]byte{leafPrefix})
-		h.Write(leaf(i))
-		h.Sum(lvl[i*HashSize : i*HashSize])
+		h := hashLeaf(leaf(i))
+		copy(t.levels[0][i*HashSize:], h[:])
 	}
-	t.levels = append(t.levels, lvl)
-	for size := padded; size > 1; size /= 2 {
-		cur := t.levels[len(t.levels)-1]
-		next := make([]byte, size/2*HashSize)
-		for i := 0; i < size/2; i++ {
-			h.Reset()
-			h.Write([]byte{nodePrefix})
-			h.Write(cur[2*i*HashSize : (2*i+2)*HashSize])
-			h.Sum(next[i*HashSize : i*HashSize])
+	for l := 1; l <= height; l++ {
+		for i := 0; i < len(t.levels[l])/HashSize; i++ {
+			h := hashNode(t.node(l-1, 2*i), t.node(l-1, 2*i+1))
+			copy(t.levels[l][i*HashSize:], h[:])
 		}
-		t.levels = append(t.levels, next)
 	}
 	return t
 }
@@ -81,8 +114,13 @@ func (t *ItemTree) Root() (root [HashSize]byte) {
 	return root
 }
 
+// node returns node i of a level, counting from its left edge; past the
+// stored nodes it is the level's all-padding subtree.
 func (t *ItemTree) node(level, i int) []byte {
-	return t.levels[level][i*HashSize : (i+1)*HashSize]
+	if lvl := t.levels[level]; (i+1)*HashSize <= len(lvl) {
+		return lvl[i*HashSize : (i+1)*HashSize]
+	}
+	return zeroSubtree[level][:]
 }
 
 // AppendProof appends the multiproof for the given strictly-ascending leaf
@@ -163,28 +201,28 @@ func VerifyItemProof(nLeaves int, idx []uint32, leafHashes [][]byte, proof []byt
 		}
 		prev = int(v)
 	}
-	cur := make([]int, len(idx))
-	hashes := make([][]byte, len(idx))
-	for i, v := range idx {
-		cur[i] = int(v)
-		hashes[i] = leafHashes[i]
+	var idxScratch [proofScratch]int
+	var hashScratch [proofScratch][HashSize]byte
+	cur, hashes := idxScratch[:0], hashScratch[:0]
+	if len(idx) > proofScratch {
+		cur, hashes = make([]int, 0, len(idx)), make([][HashSize]byte, 0, len(idx))
 	}
-	h := sha256.New()
-	combine := func(l, r []byte) []byte {
-		h.Reset()
-		h.Write([]byte{nodePrefix})
-		h.Write(l)
-		h.Write(r)
-		return h.Sum(nil)
+	for i, v := range idx {
+		if len(leafHashes[i]) != HashSize {
+			return fmt.Errorf("%w: leaf hash %d bytes", ErrMalformed, len(leafHashes[i]))
+		}
+		cur = append(cur, int(v))
+		hashes = append(hashes, [HashSize]byte(leafHashes[i]))
 	}
 	for size := padded; size > 1; size /= 2 {
-		nextIdx := cur[:0]
-		nextHash := hashes[:0]
-		for i := 0; i < len(cur); {
+		// In place: the j-th parent is written after its children, at
+		// positions >= j, have been read.
+		j := 0
+		for i := 0; i < len(cur); j++ {
 			a := cur[i]
 			var l, r []byte
 			if a%2 == 0 && i+1 < len(cur) && cur[i+1] == a+1 {
-				l, r = hashes[i], hashes[i+1]
+				l, r = hashes[i][:], hashes[i+1][:]
 				i += 2
 			} else {
 				if len(proof) < HashSize {
@@ -193,23 +231,20 @@ func VerifyItemProof(nLeaves int, idx []uint32, leafHashes [][]byte, proof []byt
 				sib := proof[:HashSize]
 				proof = proof[HashSize:]
 				if a%2 == 0 {
-					l, r = hashes[i], sib
+					l, r = hashes[i][:], sib
 				} else {
-					l, r = sib, hashes[i]
+					l, r = sib, hashes[i][:]
 				}
 				i++
 			}
-			nextIdx = append(nextIdx, a/2)
-			nextHash = append(nextHash, combine(l, r))
+			cur[j], hashes[j] = a/2, hashNode(l, r)
 		}
-		cur, hashes = nextIdx, nextHash
+		cur, hashes = cur[:j], hashes[:j]
 	}
 	if len(proof) != 0 {
 		return fmt.Errorf("%w: %d unused multiproof bytes", ErrMalformed, len(proof))
 	}
-	var got [HashSize]byte
-	copy(got[:], hashes[0])
-	if got != root {
+	if hashes[0] != root {
 		return ErrBadSignature
 	}
 	return nil

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"crypto/ed25519"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -283,10 +282,8 @@ func (x *ScopedIndex) Lookup(m keytree.MemberID) ([]uint32, bool) {
 // item encoding — datagram receivers use it to cross-check collected items
 // against the digest root.
 func HashRekeyItem(item []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	h.Write(item)
-	return h.Sum(nil)
+	h := hashLeaf(item)
+	return h[:]
 }
 
 // AppendSparseHead appends everything before the item bytes — fixed
@@ -381,9 +378,11 @@ func DecodeSparseRekey(pub ed25519.PublicKey, b []byte) (SparseRekey, error) {
 		}
 		return sr, nil
 	}
-	leafHashes := make([][]byte, k)
+	leafHashes, hashBuf := make([][]byte, k), make([]byte, k*HashSize)
 	for i := 0; i < k; i++ {
-		leafHashes[i] = HashRekeyItem(itemBytes[i*RekeyItemSize : (i+1)*RekeyItemSize])
+		h := hashLeaf(itemBytes[i*RekeyItemSize : (i+1)*RekeyItemSize])
+		leafHashes[i] = hashBuf[i*HashSize : (i+1)*HashSize]
+		copy(leafHashes[i], h[:])
 	}
 	if err := VerifyItemProof(int(sr.NLeaves), idx, leafHashes, proof, sr.Root); err != nil {
 		return sr, err
