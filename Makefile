@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet loc test test-race test-short replay-check cache-check seal-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
+.PHONY: all build vet loc test test-race test-short replay-check cache-check seal-check dgram-check bench bench-epoch repro charts examples soak benchgate dst dst-nightly fuzz chaos-bins chaos-smoke chaos-nightly clean
 
 all: build vet test
 
@@ -51,6 +51,15 @@ cache-check:
 seal-check:
 	$(GO) test -race -count=5 -run 'ItemTreeMatches|WrapBatch|PendingWrapsSeal|AdvanceMatches|Golden' ./internal/wire ./internal/keycrypt ./internal/keytree ./internal/core
 	$(GO) test -run '^$$' -bench 'SealEpoch|RekeyChurn100k' -benchtime=1x ./internal/server ./internal/keytree
+
+# One signature per epoch of datagrams: the shard-tree verifier rejects
+# every single-byte mutation cold and warm, binds epoch and group, checks
+# a warm packet without allocating, every packet fits the MTU up to the
+# largest epoch, and a subscribed client counts injected forgeries and
+# still converges — three times under -race; then 20 s of FuzzDecodeDgram.
+dgram-check:
+	$(GO) test -race -count=3 -run 'Dgram|Datagram|ShardDgrams' ./internal/wire ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDgram$$' -fuzztime=20s ./internal/wire/
 
 # Benchmark harness: one bench per paper table/figure plus ablations.
 bench:

@@ -272,9 +272,14 @@ func (sc *Scenario) faultProfile() dst.Profile {
 // with compress=200 churn, short sessions on a high-latency UDP path
 // legitimately observe epoch gaps (out-of-order shard arrival, NACK
 // repairs landing after the next epoch). A fault-free two-region
-// transcon run measures ~1200 missed on the WAN side and ~400 on the
-// LAN side; ceilings sit at roughly 2x the faulted baseline so they
-// catch delivery regressions without flaking on link physics.
+// transcon run measured ~1200 missed on the WAN side and ~400 on the
+// LAN side while every datagram was verified by its own signature;
+// ceilings sit at roughly 2x that baseline so they catch delivery
+// regressions without flaking on link physics. Most of that baseline was
+// the subscribers' verification backlog: with one signature per epoch
+// the faulted smoke-transcon run misses 0–7 epochs per region
+// (EXPERIMENTS.md E24), and the ceilings await a derivation from the
+// loss profile.
 // Protocol errors remain hard-gated at zero regardless.
 var builtins = []*Scenario{
 	{

@@ -14,8 +14,12 @@ import (
 
 // Client side of the datagram rekey plane. EnableDatagram dials the
 // server's UDP socket and subscribes with a sealed hello; from then on
-// each epoch's keys arrive as individually signed FEC shards, and the TCP
-// connection carries only a digest (MsgRekeyDigest) naming the geometry.
+// each epoch's keys arrive as FEC shards, and the TCP connection carries
+// only a digest (MsgRekeyDigest) naming the geometry. Every packet of an
+// epoch carries the epoch's one root signature and its path to that root:
+// the client verifies the signature once per epoch (wire.DgramVerifier)
+// and checks each other packet by its path as it arrives, so a forged,
+// spliced or replayed packet never reaches FEC reconstruction.
 // The client collects shards, reconstructs the blocks covering its item
 // indexes, and applies through the same applyRekey path as TCP. Deficits
 // are NACKed over UDP after nackDelay; after maxNacks unanswered rounds
@@ -109,31 +113,33 @@ func (d *dgramPlane) close() {
 	d.conn.Close()
 }
 
-// readLoop collects signed shard packets until the socket closes.
+// readLoop collects authentic shard packets of epochs not yet applied
+// until the socket closes, keeping a copy of each one's payload only.
 func (d *dgramPlane) readLoop() {
 	buf := make([]byte, wire.MaxDgramSize)
+	verifier := wire.NewDgramVerifier(d.c.ServerKey())
 	for {
 		n, err := d.conn.Read(buf)
 		if err != nil {
 			return
 		}
-		pkt := append([]byte(nil), buf[:n]...)
-		dg, err := wire.DecodeDgram(pkt)
+		dg, err := wire.DecodeDgram(buf[:n])
 		if err != nil || dg.Group != d.c.group {
 			continue
 		}
 		if dg.Type != wire.DgramKeys && dg.Type != wire.DgramParity {
 			continue
 		}
-		if !wire.VerifyDgram(d.c.ServerKey(), pkt) {
+		if dg.Epoch <= d.c.Epoch() {
+			continue // already applied this epoch
+		}
+		if !verifier.Verify(buf[:n]) {
 			d.c.mu.Lock()
 			d.c.badSignatures++
 			d.c.mu.Unlock()
 			continue
 		}
-		if dg.Epoch <= d.c.Epoch() {
-			continue // already applied this epoch
-		}
+		dg.Payload = append([]byte(nil), dg.Payload...)
 		d.mu.Lock()
 		blocks := d.epochs[dg.Epoch]
 		if blocks == nil {

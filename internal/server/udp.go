@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/ed25519"
 	"encoding/binary"
 	"net"
 	"sync"
@@ -17,7 +18,9 @@ import (
 // epoch's items are packed sequentially into source shards, grouped into
 // Reed-Solomon blocks whose parity count is sized from the subscribers'
 // reported loss (WKA-BKR's E[M], with parity substituting for weighted
-// replicas), and every packet is individually signed. Subscribed members'
+// replicas). The epoch's packets are signed once, as one shard tree
+// (wire.EncodeEpochDgrams): each carries its authentication path and the
+// epoch's root signature. Subscribed members'
 // TCP frames shrink to a digest naming the geometry and their item
 // indexes; members that cannot complete a block NACK their deficit over
 // UDP and, as a last resort, pull their slice over TCP (MsgRekeyPull).
@@ -32,8 +35,10 @@ import (
 // UDPConfig tunes the datagram plane. The zero value of any field selects
 // its default.
 type UDPConfig struct {
-	// KeysPerDgram is how many (leafIdx, item) entries ride one source
-	// shard (default 12 — well under an 1500-byte MTU with header+sig).
+	// KeysPerDgram caps how many (leafIdx, item) entries ride one source
+	// shard (default 12). Each epoch uses the most, up to the cap, whose
+	// packets fit wire.DgramMTU with their authentication path, which
+	// grows with log2 of the epoch's packet count: 12 up to 128 packets.
 	KeysPerDgram int
 	// BlockSize is the number of source shards per FEC block (default 8).
 	BlockSize int
@@ -66,6 +71,27 @@ func (c UDPConfig) withDefaults() UDPConfig {
 	return c
 }
 
+// geometry picks an epoch's keys per source shard — the most, up to
+// KeysPerDgram, whose packets fit wire.DgramMTU — and carves its shards
+// into FEC blocks with parity sized from the subscribers' losses.
+func (c UDPConfig) geometry(nItems int, losses []float64) (kpd int, blocks []wire.DigestBlock) {
+	for kpd = c.KeysPerDgram; ; kpd-- {
+		blocks = blocks[:0]
+		nShards := (nItems + kpd - 1) / kpd
+		leaves := 0
+		for b, off := 0, 0; off < nShards; b++ {
+			k := min(c.BlockSize, nShards-off)
+			parity := min(transport.ProactiveParity(k, losses, c.MinParity, c.MaxParity), 255-k)
+			blocks = append(blocks, wire.DigestBlock{Block: uint16(b), K: uint8(k), Shards: uint8(k + parity)})
+			leaves += k + parity
+			off += k
+		}
+		if kpd == 1 || wire.ShardDgramSize(wire.ShardSize(kpd), leaves) <= wire.DgramMTU {
+			return kpd, blocks
+		}
+	}
+}
+
 // udpSub is one subscribed member: where to send, its latest reported
 // loss estimate, and its repair cursor.
 type udpSub struct {
@@ -82,9 +108,9 @@ type udpSub struct {
 // kept until the next epoch replaces it so NACKs can be answered by
 // resending.
 type udpEpoch struct {
-	epoch     uint64
-	shardSize int
-	blocks    []wire.DigestBlock
+	epoch  uint64
+	kpd    int // keys per source shard
+	blocks []wire.DigestBlock
 	// ready is closed once pkts is fully populated by the transmit
 	// goroutine; NACKs arriving earlier are ignored (the member re-NACKs).
 	ready chan struct{}
@@ -201,28 +227,12 @@ func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer) map[keytree.MemberID]bo
 		return nil
 	}
 
-	kpd := u.cfg.KeysPerDgram
-	nShards := (eb.nItems + kpd - 1) / kpd
-	shardSize := 2 + kpd*(4+wire.RekeyItemSize)
-	var blocks []wire.DigestBlock
-	for b, off := 0, 0; off < nShards; b++ {
-		k := u.cfg.BlockSize
-		if rem := nShards - off; rem < k {
-			k = rem
-		}
-		parity := transport.ProactiveParity(k, losses, u.cfg.MinParity, u.cfg.MaxParity)
-		if k+parity > 255 {
-			parity = 255 - k
-		}
-		blocks = append(blocks, wire.DigestBlock{Block: uint16(b), K: uint8(k), Shards: uint8(k + parity)})
-		off += k
-	}
-
+	kpd, blocks := u.cfg.geometry(eb.nItems, losses)
 	ep := &udpEpoch{
-		epoch:     eb.epoch,
-		shardSize: shardSize,
-		blocks:    blocks,
-		ready:     make(chan struct{}),
+		epoch:  eb.epoch,
+		kpd:    kpd,
+		blocks: blocks,
+		ready:  make(chan struct{}),
 	}
 	u.cur = ep
 	eb.retain() // transmit goroutine's reference
@@ -253,47 +263,61 @@ func (u *udpPlane) digestFor(eb *epochBuffer, idx []uint32) []byte {
 		NLeaves:   uint32(eb.nItems),
 		Root:      eb.root,
 		Sig:       eb.rootSig,
-		ShardSize: uint16(u.cur.shardSize),
+		ShardSize: uint16(wire.ShardSize(u.cur.kpd)),
 		Indexes:   idx,
 		Blocks:    u.cur.blocks,
 	}
 	return d.Encode()
 }
 
-// transmit builds, signs and multicasts one epoch's packets (unicast
-// fan-out to every subscriber, like the TCP plane), then publishes them
-// for NACK repair. Runs without locks; eb is immutable and retained.
+// transmit builds and signs one epoch's packets, multicasts them
+// (unicast fan-out to every subscriber, like the TCP plane), then
+// publishes them for NACK repair. Runs without locks; eb is immutable and
+// retained.
 func (u *udpPlane) transmit(ep *udpEpoch, eb *epochBuffer, dests []net.Addr) {
-	kpd := u.cfg.KeysPerDgram
-	ep.pkts = make([][][]byte, len(ep.blocks))
+	ep.pkts = encodeEpoch(u.srv.signPriv, u.srv.group, ep, eb.nItems, eb.item)
 	packets, parityPkts := 0, 0
+	for bi, pkts := range ep.pkts {
+		for _, pkt := range pkts {
+			for _, d := range dests {
+				u.send(pkt, d)
+			}
+		}
+		packets += len(pkts) * len(dests)
+		parityPkts += (len(pkts) - int(ep.blocks[bi].K)) * len(dests)
+	}
+	close(ep.ready)
+	u.srv.metrics.noteUDP(packets, parityPkts, 0, 0)
+}
+
+// encodeEpoch builds every source and parity shard of ep's geometry over
+// the epoch's nItems items, then encodes them as one signed shard tree. It
+// returns the packets per block, data shards then parity.
+func encodeEpoch(priv ed25519.PrivateKey, g wire.GroupID, ep *udpEpoch, nItems int, item func(int) []byte) [][][]byte {
+	var shards []wire.EpochShard
+	perBlock := make([]int, len(ep.blocks))
+	shardSize := wire.ShardSize(ep.kpd)
 	gs := 0 // global source-shard index
 	for bi, blk := range ep.blocks {
 		k := int(blk.K)
+		slab := make([]byte, k*shardSize)
 		data := make([][]byte, k)
-		unpadded := make([][]byte, k)
-		for j := 0; j < k; j++ {
-			lo := (gs + j) * kpd
-			hi := lo + kpd
-			if hi > eb.nItems {
-				hi = eb.nItems
-			}
-			shard := make([]byte, 2, ep.shardSize)
-			binary.BigEndian.PutUint16(shard, uint16(hi-lo))
+		for j := range data {
+			data[j] = slab[j*shardSize : (j+1)*shardSize : (j+1)*shardSize]
+			lo := (gs + j) * ep.kpd
+			hi := min(lo+ep.kpd, nItems)
+			binary.BigEndian.PutUint16(data[j], uint16(hi-lo))
+			shard := data[j][:2]
 			for it := lo; it < hi; it++ {
-				shard = wire.AppendShardEntry(shard, uint32(it), eb.item(it))
+				shard = wire.AppendShardEntry(shard, uint32(it), item(it))
 			}
-			unpadded[j] = shard
-			padded := make([]byte, ep.shardSize)
-			copy(padded, shard)
-			data[j] = padded
+			shards = append(shards, wire.EpochShard{Type: wire.DgramKeys, Block: blk.Block, Shard: uint8(j), K: blk.K, Payload: shard})
 		}
 		gs += k
 
-		parity := int(blk.Shards) - k
 		var par [][]byte
-		if parity > 0 {
-			coder, err := fec.NewCoder(k, parity)
+		if m := int(blk.Shards) - k; m > 0 {
+			coder, err := fec.NewCoder(k, m)
 			if err == nil {
 				par, err = coder.Encode(data)
 			}
@@ -301,27 +325,17 @@ func (u *udpPlane) transmit(ep *udpEpoch, eb *epochBuffer, dests []net.Addr) {
 				par = nil // geometry bug; source shards still flow
 			}
 		}
-
-		pkts := make([][]byte, 0, k+len(par))
-		for j := 0; j < k; j++ {
-			pkts = append(pkts, wire.EncodeShardDgram(u.srv.signPriv, wire.DgramKeys,
-				u.srv.group, ep.epoch, blk.Block, uint8(j), blk.K, unpadded[j]))
-		}
 		for j, p := range par {
-			pkts = append(pkts, wire.EncodeShardDgram(u.srv.signPriv, wire.DgramParity,
-				u.srv.group, ep.epoch, blk.Block, uint8(k+j), blk.K, p))
+			shards = append(shards, wire.EpochShard{Type: wire.DgramParity, Block: blk.Block, Shard: uint8(k + j), K: blk.K, Payload: p})
 		}
-		ep.pkts[bi] = pkts
-		for _, pkt := range pkts {
-			for _, d := range dests {
-				u.send(pkt, d)
-			}
-		}
-		packets += len(pkts) * len(dests)
-		parityPkts += len(par) * len(dests)
+		perBlock[bi] = k + len(par)
 	}
-	close(ep.ready)
-	u.srv.metrics.noteUDP(packets, parityPkts, 0, 0)
+	flat := wire.EncodeEpochDgrams(priv, g, ep.epoch, shards)
+	pkts := make([][][]byte, len(ep.blocks))
+	for bi, n := range perBlock {
+		pkts[bi], flat = flat[:n:n], flat[n:]
+	}
+	return pkts
 }
 
 // readLoop serves subscriber hellos and NACK repair until the socket

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"crypto/ed25519"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,5 +197,204 @@ func TestDatagramPlaneRepairsHeavyLoss(t *testing.T) {
 	}
 	if m.udpNacks.Value() == 0 && m.repairPulls.Value() == 0 {
 		t.Fatal("heavy loss triggered neither NACK repair nor TCP pulls")
+	}
+}
+
+// TestShardDgramsFitMTU encodes whole epochs at the default geometry with
+// every block at MaxParity 8, from one item to the largest epoch the seal
+// accepts: every packet fits one MTU, and the epoch's packet count and
+// block count fit their fields.
+func TestShardDgramsFitMTU(t *testing.T) {
+	cfg := UDPConfig{MaxParity: 8}.withDefaults()
+	losses := []float64{0.9} // asks for more parity than MaxParity allows
+	priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
+	item := make([]byte, wire.RekeyItemSize)
+	for _, n := range []int{1, 392, 6375, wire.MaxSparseIndexes} {
+		kpd, blocks := cfg.geometry(n, losses)
+		leaves := 0
+		for _, blk := range blocks {
+			if want := cfg.MaxParity; int(blk.Shards)-int(blk.K) != want {
+				t.Fatalf("n=%d: block %d has %d parity, want %d", n, blk.Block, int(blk.Shards)-int(blk.K), want)
+			}
+			leaves += int(blk.Shards)
+		}
+		if len(blocks) > math.MaxUint16+1 || leaves > math.MaxUint32 {
+			t.Fatalf("n=%d: %d blocks, %d packets overflow their fields", n, len(blocks), leaves)
+		}
+		ep := &udpEpoch{epoch: 5, kpd: kpd, blocks: blocks}
+		pkts := encodeEpoch(priv, 3, ep, n, func(int) []byte { return item })
+		count, largest := 0, 0
+		for bi, block := range pkts {
+			for j, pkt := range block {
+				largest = max(largest, len(pkt))
+				d, err := wire.DecodeDgram(pkt)
+				if err != nil {
+					t.Fatalf("n=%d: block %d shard %d: %v", n, bi, j, err)
+				}
+				if d.Leaf != uint32(count) || d.Leaves != uint32(leaves) {
+					t.Fatalf("n=%d: packet %d claims leaf %d of %d, want %d of %d", n, count, d.Leaf, d.Leaves, count, leaves)
+				}
+				count++
+			}
+		}
+		if count != leaves {
+			t.Fatalf("n=%d: %d packets, geometry says %d", n, count, leaves)
+		}
+		if largest > wire.DgramMTU {
+			t.Fatalf("n=%d: %d keys per packet, %d packets: largest %d B exceeds the %d B MTU payload",
+				n, kpd, leaves, largest, wire.DgramMTU)
+		}
+		t.Logf("n=%d: %d keys per packet, %d packets in %d blocks, largest %d B", n, kpd, leaves, len(blocks), largest)
+	}
+}
+
+// TestDatagramForgeriesRejected sends three forgeries to a subscribed
+// client through the server's own socket — the only source its connected
+// socket accepts — while the client is assembling an epoch whose genuine
+// packets were all dropped: a tampered body under the real root, a forged
+// root and signature after the client cached the real root, and a previous
+// epoch's packet relabelled as the current epoch. Each is counted as a bad
+// signature; the client then converges on the genuine packets and keeps
+// up at 5% loss.
+func TestDatagramForgeriesRejected(t *testing.T) {
+	scheme := newScheme(t, 64)
+	srv := startServer(t, scheme)
+	var blackhole atomic.Bool
+	rng := rand.New(rand.NewSource(65))
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenPacket: %v", err)
+	}
+	srv.ServeUDP(pc, UDPConfig{KeysPerDgram: 1, BlockSize: 4, Drop: func() bool {
+		return blackhole.Load() || rng.Float64() < 0.05 // serialized by sendMu
+	}})
+	c := dial(t, srv, wire.JoinRequest{LossRate: 0.05})
+	if err := c.EnableDatagram(srv.UDPAddr().String(), time.Second, 3); err != nil {
+		t.Fatalf("EnableDatagram: %v", err)
+	}
+	waitFor(t, "udp subscription", func() bool {
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		return srv.udp.subs[c.ID()] != nil
+	})
+	var others []*Client
+	for i := 0; i < 6; i++ {
+		others = append(others, dial(t, srv, wire.JoinRequest{LossRate: 0.05}))
+	}
+	transmitted := func(epoch uint64) [][][]byte {
+		var ep *udpEpoch
+		waitFor(t, "epoch transmitted", func() bool {
+			srv.udp.mu.Lock()
+			ep = srv.udp.cur
+			srv.udp.mu.Unlock()
+			return ep != nil && ep.epoch == epoch && ep.isReady()
+		})
+		return ep.pkts
+	}
+	rotate := func() uint64 {
+		if _, err := srv.RotateNow(); err != nil {
+			t.Fatalf("rotate: %v", err)
+		}
+		return srv.Epoch()
+	}
+
+	e := rotate()
+	prev := append([]byte(nil), transmitted(e)[0][0]...)
+	if err := c.WaitEpoch(e, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+
+	// A departure rekeys the leaver's path: several items, so one packet
+	// does not complete the client's block. Every packet the plane sends
+	// for it, NACK resends included, is dropped until the forgeries are in.
+	blackhole.Store(true)
+	if err := others[0].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })
+	if _, err := srv.RekeyNow(); err != nil {
+		t.Fatal(err)
+	}
+	e = srv.Epoch()
+	var genuine [][]byte
+	var shards []wire.EpochShard
+	for _, block := range transmitted(e) {
+		for _, pkt := range block {
+			d, err := wire.DecodeDgram(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			genuine = append(genuine, pkt)
+			shards = append(shards, wire.EpochShard{Type: d.Type, Block: d.Block, Shard: d.Shard, K: d.K,
+				Payload: append([]byte(nil), d.Payload...)})
+		}
+	}
+	if shards[0].K < 2 {
+		t.Fatalf("epoch %d's first block has k=%d; one packet must not complete it", e, shards[0].K)
+	}
+	sig := genuine[0][len(genuine[0])-ed25519.SignatureSize:]
+	for i, pkt := range genuine {
+		if !bytes.Equal(pkt[len(pkt)-ed25519.SignatureSize:], sig) {
+			t.Fatalf("packet %d of epoch %d carries another signature", i, e)
+		}
+	}
+
+	srv.udp.mu.Lock()
+	addr := srv.udp.subs[c.ID()].addr
+	srv.udp.mu.Unlock()
+	send := func(pkt []byte) {
+		if _, err := pc.WriteTo(pkt, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inject := func(what string, pkt []byte, bad int) {
+		t.Helper()
+		if c.Epoch() >= e {
+			t.Fatalf("client applied epoch %d before the %s arrived", e, what)
+		}
+		send(pkt)
+		waitFor(t, what+" counted", func() bool { return c.BadSignatures() >= bad })
+	}
+
+	tampered := append([]byte(nil), genuine[0]...)
+	tampered[bytes.Index(tampered, shards[0].Payload)+len(shards[0].Payload)-1] ^= 1 // last payload byte
+	inject("tampered body", tampered, 1)
+
+	send(genuine[1]) // the client verifies and caches the epoch's root
+	waitFor(t, "genuine packet kept", func() bool {
+		c.dgram.mu.Lock()
+		defer c.dgram.mu.Unlock()
+		return len(c.dgram.epochs[e]) > 0
+	})
+	shards[0].Payload[len(shards[0].Payload)-1] ^= 1
+	forger := ed25519.NewKeyFromSeed(bytes.Repeat([]byte{7}, ed25519.SeedSize))
+	inject("forged root", wire.EncodeEpochDgrams(forger, srv.group, e, shards)[0], 2)
+
+	binary.BigEndian.PutUint64(prev[8:16], e)
+	inject("relabelled packet", prev, 3)
+
+	// The black hole held NACK repair back; now the genuine packets
+	// arrive, and later epochs see only the 5% loss.
+	blackhole.Store(false)
+	for _, pkt := range genuine {
+		send(pkt)
+	}
+	if err := c.WaitEpoch(e, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		if err := c.WaitEpoch(rotate(), testTimeout); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+	}
+	gk, err := scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.HasKey(gk) {
+		t.Fatal("client does not hold the group key")
+	}
+	if n := c.BadSignatures(); n != 3 {
+		t.Fatalf("%d bad signatures counted, want the 3 forgeries", n)
 	}
 }

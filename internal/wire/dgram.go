@@ -1,48 +1,68 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"groupkey/internal/keytree"
 )
 
 // Datagram rekey plane: keys travel server→client as UDP packets — source
-// shards carrying (leafIdx, item) entries and Reed-Solomon parity shards —
-// each individually Ed25519-signed so a member can use a packet the moment
-// it arrives, loss or reordering notwithstanding. Client→server packets
-// (subscribe hello, NACK feedback) are authenticated by sealing their body
-// under the member's individual leaf key, which only the member and the
-// key server hold.
+// shards carrying (leafIdx, item) entries and Reed-Solomon parity shards.
+// One Ed25519 signature covers a whole epoch of them (Wong and Lam's tree
+// chaining): the server hashes every packet body of the epoch into an
+// ItemTree, signs the root once, and each packet carries its
+// authentication path, the root and the signature, so a member can still
+// use a packet the moment it arrives, loss or reordering notwithstanding.
+// A receiver verifies the signature of an epoch's root once and checks
+// every other packet of that epoch by its path (DgramVerifier).
+// Client→server packets (subscribe hello, NACK feedback) are authenticated
+// by sealing their body under the member's individual leaf key, which only
+// the member and the key server hold.
 //
 // Common header: magic "GK"(2) ‖ version(1) ‖ type(1) ‖ group(4) ‖
 // epoch(8) = 16 bytes, then per-type fields:
 //
-//	DgramKeys:   block(2) shard(1) k(1) ‖ shardBytes ‖ sig(64)
-//	DgramParity: block(2) shard(1) k(1) ‖ parityBytes ‖ sig(64)
+//	DgramKeys:   block(2) shard(1) k(1) leaf(4) leaves(4) ‖ shardBytes
+//	             ‖ path(depth×32) ‖ root(32) ‖ sig(64)
+//	DgramParity: block(2) shard(1) k(1) leaf(4) leaves(4) ‖ parityBytes
+//	             ‖ path(depth×32) ‖ root(32) ‖ sig(64)
 //	DgramHello:  member(8) ‖ sealed(helloBody)
 //	DgramNack:   member(8) ‖ sealed(NackBody)
 //
-// A source shard's canonical bytes are count(2) ‖ count×(leafIdx(4) ‖
-// item(RekeyItemSize)), zero-padded to the epoch's shard size for RS
+// A shard packet's body — everything before its path — is leaf `leaf` of
+// the epoch's tree of `leaves` packets; depth is that tree's height,
+// bits.Len32(leaves-1), so the path is the leaf's sibling hashes from the
+// leaf level up (the single-index multiproof). The signature covers
+// dgramDomain ‖ group ‖ epoch ‖ leaves ‖ root, and every packet body names
+// its group and epoch, so nothing can be spliced between epochs, blocks or
+// groups. A source shard's canonical bytes are count(2) ‖ count×(leafIdx(4)
+// ‖ item(RekeyItemSize)), zero-padded to the epoch's shard size for RS
 // encoding; the wire packet carries them unpadded (the digest's ShardSize
-// restores padding before reconstruction). Signatures cover
-// dgramDomain ‖ packet-without-sig, so nothing can be spliced between
-// epochs, blocks or groups.
+// restores padding before reconstruction).
 
 const (
 	dgramMagic0 = 'G'
 	dgramMagic1 = 'K'
 	// DgramVersion is the datagram plane protocol version.
-	DgramVersion = 1
+	DgramVersion = 2
 	// dgramHdrSize is the common header length.
 	dgramHdrSize = 2 + 1 + 1 + 4 + 8
+	// shardFieldsSize is block(2) shard(1) k(1) leaf(4) leaves(4).
+	shardFieldsSize = 2 + 1 + 1 + 4 + 4
 	// MaxDgramSize bounds one datagram (jumbo-frame ceiling; the server
-	// packs well under an 1500-byte MTU by default).
+	// packs every shard packet into DgramMTU).
 	MaxDgramSize = 9 << 10
-	// dgramDomain separates datagram signatures from every other signed blob.
-	dgramDomain = "groupkey/dgram/v1"
+	// DgramMTU is the UDP payload of one 1500-byte Ethernet frame over IPv4
+	// (less the 20-byte IP and 8-byte UDP headers): every shard packet the
+	// server sends fits it.
+	DgramMTU = 1500 - 20 - 8
+	// dgramDomain separates datagram root signatures from every other
+	// signed blob.
+	dgramDomain = "groupkey/dgram/v2"
 	// HelloBody is the plaintext a subscriber seals under its leaf key.
 	HelloBody = "groupkey-udp-subscribe"
 )
@@ -79,8 +99,8 @@ func (t DgramType) String() string {
 }
 
 // Dgram is one parsed datagram. Structure only — server→client packets
-// are signature-checked separately (VerifyDgram) so receivers can cheaply
-// drop garbage before paying for verification.
+// are checked separately (DgramVerifier) so receivers can cheaply drop
+// garbage and stale epochs before paying for verification.
 type Dgram struct {
 	Type  DgramType
 	Group GroupID
@@ -90,6 +110,8 @@ type Dgram struct {
 	Block   uint16
 	Shard   uint8
 	K       uint8
+	Leaf    uint32 // the packet's leaf in the epoch's shard tree
+	Leaves  uint32 // the epoch's packet count
 	Payload []byte // Keys: unpadded shard bytes; Parity: padded parity bytes
 
 	// Hello/Nack fields.
@@ -103,24 +125,77 @@ func appendDgramHdr(buf []byte, t DgramType, g GroupID, epoch uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, epoch)
 }
 
-// signDgram appends the Ed25519 signature over dgramDomain ‖ pkt.
-func signDgram(priv ed25519.PrivateKey, pkt []byte) []byte {
-	msg := make([]byte, 0, len(dgramDomain)+len(pkt))
-	msg = append(msg, dgramDomain...)
-	msg = append(msg, pkt...)
-	return append(pkt, ed25519.Sign(priv, msg)...)
+// EpochShard is one source or parity shard of an epoch, before encoding.
+type EpochShard struct {
+	Type    DgramType // DgramKeys or DgramParity
+	Block   uint16
+	Shard   uint8
+	K       uint8
+	Payload []byte // Keys: unpadded canonical shard bytes; Parity: parity bytes
 }
 
-// EncodeShardDgram builds and signs one server→client shard packet —
-// t is DgramKeys (payload: unpadded canonical shard bytes) or DgramParity
-// (payload: parity bytes).
+// shardTrailerSize is path ‖ root ‖ sig for a tree of the given leaves.
+func shardTrailerSize(leaves uint32) int {
+	return bits.Len32(leaves-1)*HashSize + HashSize + ed25519.SignatureSize
+}
+
+// ShardDgramSize is the size of a shard packet carrying payloadLen bytes in
+// an epoch of leaves packets: its authentication path grows with
+// log2(leaves).
+func ShardDgramSize(payloadLen, leaves int) int {
+	return dgramHdrSize + shardFieldsSize + payloadLen + shardTrailerSize(uint32(leaves))
+}
+
+// dgramSigningMessage is what an epoch's one datagram signature covers.
+func dgramSigningMessage(g GroupID, epoch uint64, leaves uint32, root []byte) []byte {
+	out := make([]byte, 0, len(dgramDomain)+4+8+4+HashSize)
+	out = append(out, dgramDomain...)
+	out = binary.BigEndian.AppendUint32(out, uint32(g))
+	out = binary.BigEndian.AppendUint64(out, epoch)
+	out = binary.BigEndian.AppendUint32(out, leaves)
+	return append(out, root...)
+}
+
+// EncodeEpochDgrams encodes all of an epoch's shards as packets and signs
+// them once: packet i's body is leaf i of a tree over the epoch's packet
+// bodies, and every packet carries its path, the root and the one
+// signature. The packets share one allocation. At most 2^32-1 shards.
+func EncodeEpochDgrams(priv ed25519.PrivateKey, g GroupID, epoch uint64, shards []EpochShard) [][]byte {
+	leaves := uint32(len(shards))
+	trailer := shardTrailerSize(leaves)
+	total := 0
+	for _, sh := range shards {
+		total += ShardDgramSize(len(sh.Payload), len(shards))
+	}
+	slab := make([]byte, 0, total)
+	pkts := make([][]byte, len(shards))
+	for i, sh := range shards {
+		start := len(slab)
+		slab = appendDgramHdr(slab, sh.Type, g, epoch)
+		slab = binary.BigEndian.AppendUint16(slab, sh.Block)
+		slab = append(slab, sh.Shard, sh.K)
+		slab = binary.BigEndian.AppendUint32(slab, uint32(i))
+		slab = binary.BigEndian.AppendUint32(slab, leaves)
+		slab = append(slab, sh.Payload...)
+		pkts[i] = slab[start:] // the body; its trailer is filled below
+		slab = slab[:len(slab)+trailer]
+	}
+	tree := NewItemTree(len(shards), func(i int) []byte { return pkts[i] })
+	root := tree.Root()
+	sig := ed25519.Sign(priv, dgramSigningMessage(g, epoch, leaves, root[:]))
+	for i, body := range pkts {
+		pkt, _ := tree.AppendProof(body, []uint32{uint32(i)})
+		pkt = append(append(pkt, root[:]...), sig...)
+		pkts[i] = pkt[:len(pkt):len(pkt)]
+	}
+	return pkts
+}
+
+// EncodeShardDgram builds and signs one server→client shard packet as an
+// epoch of one shard — t is DgramKeys (payload: unpadded canonical shard
+// bytes) or DgramParity (payload: parity bytes).
 func EncodeShardDgram(priv ed25519.PrivateKey, t DgramType, g GroupID, epoch uint64, block uint16, shard, k uint8, payload []byte) []byte {
-	buf := make([]byte, 0, dgramHdrSize+4+len(payload)+ed25519.SignatureSize)
-	buf = appendDgramHdr(buf, t, g, epoch)
-	buf = binary.BigEndian.AppendUint16(buf, block)
-	buf = append(buf, shard, k)
-	buf = append(buf, payload...)
-	return signDgram(priv, buf)
+	return EncodeEpochDgrams(priv, g, epoch, []EpochShard{{Type: t, Block: block, Shard: shard, K: k, Payload: payload}})[0]
 }
 
 // EncodeMemberDgram builds one client→server packet — t is DgramHello or
@@ -150,16 +225,25 @@ func DecodeDgram(b []byte) (Dgram, error) {
 	rest := b[dgramHdrSize:]
 	switch d.Type {
 	case DgramKeys, DgramParity:
-		if len(rest) < 4+ed25519.SignatureSize {
+		if len(rest) < shardFieldsSize {
 			return d, fmt.Errorf("%w: shard datagram %d bytes", ErrMalformed, len(b))
 		}
 		d.Block = binary.BigEndian.Uint16(rest[0:2])
 		d.Shard = rest[2]
 		d.K = rest[3]
+		d.Leaf = binary.BigEndian.Uint32(rest[4:8])
+		d.Leaves = binary.BigEndian.Uint32(rest[8:12])
 		if d.K == 0 {
 			return d, fmt.Errorf("%w: shard datagram with k=0", ErrMalformed)
 		}
-		d.Payload = rest[4 : len(rest)-ed25519.SignatureSize]
+		if d.Leaf >= d.Leaves {
+			return d, fmt.Errorf("%w: shard datagram leaf %d of %d", ErrMalformed, d.Leaf, d.Leaves)
+		}
+		payloadEnd := len(rest) - shardTrailerSize(d.Leaves)
+		if payloadEnd < shardFieldsSize {
+			return d, fmt.Errorf("%w: shard datagram %d bytes for %d leaves", ErrMalformed, len(b), d.Leaves)
+		}
+		d.Payload = rest[shardFieldsSize:payloadEnd]
 	case DgramHello, DgramNack:
 		if len(rest) < 8 {
 			return d, fmt.Errorf("%w: member datagram %d bytes", ErrMalformed, len(b))
@@ -175,16 +259,64 @@ func DecodeDgram(b []byte) (Dgram, error) {
 	return d, nil
 }
 
-// VerifyDgram checks a server→client shard packet's trailing signature.
-func VerifyDgram(pub ed25519.PublicKey, b []byte) bool {
-	if len(b) <= ed25519.SignatureSize || len(pub) != ed25519.PublicKeySize {
+// DgramVerifier checks server→client shard packets against the one epoch
+// root whose signature it last verified: the first packet of an epoch
+// costs one Ed25519 verification, every other packet of that epoch its
+// path of hashes and a comparison with the cached root and signature. A
+// packet whose root misses the cache costs one verification, as every
+// packet did when each was signed alone. Not safe for concurrent use.
+type DgramVerifier struct {
+	pub  ed25519.PublicKey
+	lh   leafHasher
+	leaf [HashSize]byte
+	// The verified root: sig covered (group, epoch, leaves, root).
+	cached bool
+	group  GroupID
+	epoch  uint64
+	leaves uint32
+	root   [HashSize]byte
+	sig    [ed25519.SignatureSize]byte
+}
+
+// NewDgramVerifier returns a verifier for packets signed by pub.
+func NewDgramVerifier(pub ed25519.PublicKey) *DgramVerifier {
+	return &DgramVerifier{pub: pub}
+}
+
+// Verify reports whether b is an authentic shard packet: its body hashes
+// along its path to its root, and that root's signature — the cached one,
+// or a fresh verification — covers its group, epoch and leaf count. A
+// freshly verified root replaces the cached one unless it is for an older
+// epoch.
+func (v *DgramVerifier) Verify(b []byte) bool {
+	d, err := DecodeDgram(b)
+	if err != nil || (d.Type != DgramKeys && d.Type != DgramParity) || len(v.pub) != ed25519.PublicKeySize {
 		return false
 	}
-	body, sig := b[:len(b)-ed25519.SignatureSize], b[len(b)-ed25519.SignatureSize:]
-	msg := make([]byte, 0, len(dgramDomain)+len(body))
-	msg = append(msg, dgramDomain...)
-	msg = append(msg, body...)
-	return ed25519.Verify(pub, msg, sig)
+	tail := b[len(b)-shardTrailerSize(d.Leaves):]
+	path := tail[:len(tail)-HashSize-ed25519.SignatureSize]
+	root := [HashSize]byte(tail[len(path) : len(path)+HashSize])
+	sig := tail[len(path)+HashSize:]
+	v.lh.sumInto(v.leaf[:], b[:len(b)-len(tail)])
+	if VerifyItemProof(int(d.Leaves), []uint32{d.Leaf}, [][]byte{v.leaf[:]}, path, root) != nil {
+		return false
+	}
+	if v.cached && v.group == d.Group && v.epoch == d.Epoch && v.leaves == d.Leaves && v.root == root {
+		return bytes.Equal(v.sig[:], sig)
+	}
+	if !ed25519.Verify(v.pub, dgramSigningMessage(d.Group, d.Epoch, d.Leaves, root[:]), sig) {
+		return false
+	}
+	if !v.cached || d.Epoch >= v.epoch {
+		v.cached, v.group, v.epoch, v.leaves, v.root = true, d.Group, d.Epoch, d.Leaves, root
+		copy(v.sig[:], sig)
+	}
+	return true
+}
+
+// VerifyDgram checks one shard packet with a fresh DgramVerifier.
+func VerifyDgram(pub ed25519.PublicKey, b []byte) bool {
+	return NewDgramVerifier(pub).Verify(b)
 }
 
 // AppendShardEntry appends one (leafIdx, item) entry to a shard being
@@ -196,6 +328,9 @@ func AppendShardEntry(buf []byte, leafIdx uint32, item []byte) []byte {
 
 // shardEntrySize is leafIdx(4) + item encoding.
 const shardEntrySize = 4 + RekeyItemSize
+
+// ShardSize is the canonical (padded) source shard size for kpd entries.
+func ShardSize(kpd int) int { return 2 + kpd*shardEntrySize }
 
 // ParseShardEntries splits a source shard's canonical bytes (count ‖
 // entries, with optional zero padding after a reconstruction) into leaf

@@ -3,6 +3,7 @@ package wire
 import (
 	"crypto/sha256"
 	"fmt"
+	"hash"
 	"math/bits"
 )
 
@@ -60,8 +61,34 @@ func hashLeaf(leaf []byte) [HashSize]byte {
 	return sha256.Sum256(buf)
 }
 
-// ItemTree is the Merkle tree over one epoch's rekey items. Immutable
-// after construction and safe for concurrent use.
+// leafHasher computes leaf hashes into a caller's buffer. A leaf of one
+// rekey item or shorter hashes from a stack buffer; a longer one (a whole
+// datagram body) streams through one reused SHA-256 state, so it is never
+// copied behind its prefix byte.
+type leafHasher struct{ h hash.Hash }
+
+var leafPrefixByte = []byte{leafPrefix}
+
+// sumInto writes H(0x00 ‖ leaf) to dst, which must have room for HashSize
+// bytes in its capacity.
+func (lh *leafHasher) sumInto(dst, leaf []byte) {
+	if len(leaf) <= RekeyItemSize {
+		h := hashLeaf(leaf)
+		copy(dst[:HashSize], h[:])
+		return
+	}
+	if lh.h == nil {
+		lh.h = sha256.New()
+	}
+	lh.h.Reset()
+	lh.h.Write(leafPrefixByte)
+	lh.h.Write(leaf)
+	lh.h.Sum(dst[:0])
+}
+
+// ItemTree is the Merkle tree over one epoch's rekey items, or over its
+// datagram bodies (dgram.go). Immutable after construction and safe for
+// concurrent use.
 type ItemTree struct {
 	n int
 	// levels[0] holds the leaf hashes, levels[len-1] the root, each level
@@ -89,9 +116,9 @@ func NewItemTree(n int, leaf func(i int) []byte) *ItemTree {
 		size := ((n + 1<<l - 1) >> l) * HashSize
 		t.levels[l], slab = slab[:size:size], slab[size:]
 	}
+	var lh leafHasher
 	for i := 0; i < n; i++ {
-		h := hashLeaf(leaf(i))
-		copy(t.levels[0][i*HashSize:], h[:])
+		lh.sumInto(t.levels[0][i*HashSize:], leaf(i))
 	}
 	for l := 1; l <= height; l++ {
 		for i := 0; i < len(t.levels[l])/HashSize; i++ {
