@@ -29,11 +29,13 @@ test-race:
 	$(GO) test -race ./...
 
 # Replay and replica apply advance the key state and seal only a payload
-# that is sent: the advance/seal equivalence, recovery and failover tests
-# three times under the race detector, then one pass of the store's
-# recovery benchmarks.
+# that is sent, and a member that is behind is answered with its key path:
+# the advance/seal equivalence, late seals of replica rekeys, recovery,
+# failover and the resume tests (missed epochs, the crash window, the
+# missed leaf hand-off, the pull reply) three times under the race
+# detector, then one pass of the store's recovery benchmarks.
 replay-check:
-	$(GO) test -race -count=3 -run 'Advance|LastRekey|RestartedPrimary|Failover|Resume' ./internal/core ./internal/store ./internal/cluster ./internal/server
+	$(GO) test -race -count=3 -run 'Advance|SealsLate|RestartedPrimary|Failover|Resume|PullReply|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
 	$(GO) test -run '^$$' -bench 'Recover|ReplicaApply' -benchtime=1x ./internal/store
 
 # Key-schedule caches hold only live keys: the tree's and the Naive/QT

@@ -158,9 +158,6 @@ func runDaemon(cfg daemonConfig, out io.Writer, stop <-chan os.Signal) error {
 			srv = server.NewWithKey(scheme, nil, st.SigningKey())
 			srv.Persist(st, cfg.snapshotEvery)
 			srv.SetNextID(res.NextID)
-			if err := srv.SetLastRekey(res.LastRekey); err != nil {
-				return fmt.Errorf("group %d: %w", g, err)
-			}
 		} else {
 			scheme, err := schemeCfg.Build(opts...)
 			if err != nil {

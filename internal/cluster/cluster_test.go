@@ -107,17 +107,16 @@ func joinGroup(t *testing.T, owner *Node, addr string, g wire.GroupID) *server.C
 	}
 }
 
-// encodeItems is items in their wire encoding.
-func encodeItems(t *testing.T, items []keytree.Item) []byte {
+// waitKey polls until c holds k.
+func waitKey(t *testing.T, c *server.Client, k keycrypt.Key) {
 	t.Helper()
-	var out []byte
-	for _, it := range items {
-		var err error
-		if out, err = wire.AppendRekeyItem(out, it); err != nil {
-			t.Fatal(err)
+	deadline := time.Now().Add(testTimeout)
+	for !c.HasKey(k) {
+		if time.Now().After(deadline) {
+			t.Fatalf("member %d never received key %v", c.ID(), k.ID)
 		}
+		time.Sleep(time.Millisecond)
 	}
-	return out
 }
 
 // waitSync polls until the follower's replica of group g has caught up
@@ -238,22 +237,24 @@ func TestClusterFailover(t *testing.T) {
 		t.Fatalf("bob cannot read current data: %v", err)
 	}
 
+	// Alice's saved state predates bob's departure: the node she resumes
+	// on after the failover must bring her past it.
+	aliceState, err := alice.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	// Bob departs; the rekey must exclude him everywhere, including on
 	// whatever node is promoted later.
 	if err := bob.Leave(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	lastA, err := srvA.RekeyNow()
-	if err != nil {
+	if _, err := srvA.RekeyNow(); err != nil {
 		t.Fatal(err)
 	}
 	postLeaveEpoch := srvA.Epoch()
 	if err := alice.WaitEpoch(postLeaveEpoch, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	aliceState, err := alice.State()
-	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -289,19 +290,9 @@ func TestClusterFailover(t *testing.T) {
 	if srvB == nil {
 		t.Fatal("b owns the shard but hosts no server")
 	}
-	// The follower kept the departure's payload unsealed; promotion sealed
-	// it into exactly the old primary's last payload.
-	b.groups[0].mu.Lock()
-	lastB := b.groups[0].rep.LastRekey
-	b.groups[0].mu.Unlock()
-	if len(lastA.AllItems()) == 0 {
-		t.Fatal("the departure's rekey carries no items")
-	}
-	if lastB == nil || !bytes.Equal(encodeItems(t, lastB.AllItems()), encodeItems(t, lastA.AllItems())) {
-		t.Fatal("promoted replica's last rekey differs from the old primary's last payload")
-	}
 	// Alice resumes through c — redirected to b — with her pinned server
-	// key still valid, because b adopted the group's signing identity.
+	// key still valid, because b adopted the group's signing identity. Her
+	// key path, sealed by b, gives her the post-departure group key.
 	alice.Close()
 	resumed, err := server.ResumeDial(c.ClientAddr().String(), aliceState, testTimeout)
 	if err != nil {
@@ -310,6 +301,10 @@ func TestClusterFailover(t *testing.T) {
 	defer resumed.Close()
 	if resumed.ID() != alice.ID() {
 		t.Fatalf("resumed as member %d, want %d", resumed.ID(), alice.ID())
+	}
+	waitKey(t, resumed, groupKeyOf(t, b, 0))
+	if err := resumed.WaitEpoch(postLeaveEpoch, testTimeout); err != nil {
+		t.Fatal(err)
 	}
 
 	// Post-failover rekey: alice follows, departed bob stays excluded.

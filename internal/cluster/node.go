@@ -264,10 +264,6 @@ func (n *Node) promoteGroup(gs *groupState, lease Lease) error {
 	srv := server.NewWithKey(rep.Scheme, nil, rep.Store.SigningKey())
 	srv.Persist(rep.Store, n.cfg.SnapshotEvery)
 	srv.SetNextID(rep.NextID)
-	if err := srv.SetLastRekey(rep.LastRekey); err != nil {
-		srv.Close()
-		return err
-	}
 	srv.SetFence(LeaseFence{Auth: n.cfg.Authority, Lease: lease, Metrics: n.cfg.Metrics})
 	if err := n.reg.Add(gs.g, srv); err != nil {
 		srv.Close()

@@ -19,15 +19,13 @@ import (
 // events.
 
 // Replica is one group's replicated state on one node: the store (which
-// keeps the durable fence epoch), the scheme, the next member ID and the
-// newest rekey. While the node is primary the live server owns Scheme and
-// NextID.
+// keeps the durable fence epoch), the scheme and the next member ID. While
+// the node is primary the live server owns Scheme and NextID.
 type Replica struct {
-	Store     *store.Store
-	Scheme    core.Scheme
-	NextID    keytree.MemberID
-	LastRekey *core.Rekey
-	metrics   *Metrics
+	Store   *store.Store
+	Scheme  core.Scheme
+	NextID  keytree.MemberID
+	metrics *Metrics
 }
 
 // OpenReplica opens and recovers the store in dir.
@@ -41,7 +39,7 @@ func OpenReplica(dir string, opts store.Options, m *Metrics) (*Replica, *store.R
 		st.Close()
 		return nil, nil, fmt.Errorf("recovering: %w", err)
 	}
-	return &Replica{Store: st, Scheme: res.Scheme, NextID: res.NextID, LastRekey: res.LastRekey, metrics: m}, res, nil
+	return &Replica{Store: st, Scheme: res.Scheme, NextID: res.NextID, metrics: m}, res, nil
 }
 
 // Epoch returns the durable fence epoch.
@@ -118,16 +116,13 @@ func (r *Replica) AcceptRecord(rec wire.ReplRecord) error {
 	if err := r.fenced("record", rec.Epoch); err != nil {
 		return err
 	}
-	sc, rk, nextID, err := r.Store.ReplicaApply(r.Scheme, store.Record{
+	sc, _, nextID, err := r.Store.ReplicaApply(r.Scheme, store.Record{
 		Kind: rec.Kind, Seq: rec.Seq, Seed: rec.Seed, Payload: rec.Payload,
 	})
 	if err != nil {
 		return err
 	}
 	r.Scheme, r.NextID = sc, max(r.NextID, nextID)
-	if rk != nil {
-		r.LastRekey = rk
-	}
 	r.metrics.noteApplied()
 	return nil
 }
@@ -144,7 +139,7 @@ func (r *Replica) AcceptSnapshot(snap wire.ReplSnapshot) error {
 	if err != nil {
 		return err
 	}
-	r.Scheme, r.NextID, r.LastRekey = sc, snap.NextID, nil
+	r.Scheme, r.NextID = sc, snap.NextID
 	return r.Store.SetFenceEpoch(snap.Epoch)
 }
 

@@ -206,6 +206,30 @@ type Scheme interface {
 	Snapshot() ([]byte, error)
 }
 
+// PathItems is member m's whole current key path as a chain of ChildWrap
+// items: each key of s.MemberKeys(m) above the leaf, wrapped under the key
+// below it. A member that holds its leaf key unwraps its way up to the
+// group key however many epochs it missed (LKH: a member's state is its
+// path keys), so this is the key server's one answer to a member that is
+// behind. The wraps take their nonces from rng (nil means crypto/rand);
+// nothing is journaled, cached or changed in the scheme. Level is each
+// payload key's depth, the group key's being 0.
+func PathItems(s Scheme, m keytree.MemberID, rng io.Reader) ([]keytree.Item, error) {
+	keys, err := s.MemberKeys(m)
+	if err != nil {
+		return nil, err
+	}
+	var items []keytree.Item
+	for i := 1; i < len(keys); i++ {
+		w, err := keycrypt.Wrap(keys[i], keys[i-1], rng)
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, keytree.Item{Wrapped: w, Kind: keytree.ChildWrap, Level: len(keys) - 1 - i})
+	}
+	return items, nil
+}
+
 // Option configures scheme construction.
 type Option func(*options)
 

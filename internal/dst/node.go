@@ -329,7 +329,7 @@ func (n *simNode) processGroup(ng *nodeGroup) {
 	}
 	g := ng.g
 	if len(g.pendingJoins) == 0 && len(g.pendingLeaves) == 0 {
-		return // nothing to rekey this period; an empty batch would only dilute repair history
+		return // nothing to rekey this period
 	}
 	rep := ng.rep
 	var b core.Batch

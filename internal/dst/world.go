@@ -17,7 +17,6 @@ import (
 
 const (
 	repairEvery   = 200 * time.Millisecond
-	historyDepth  = 16
 	snapshotEvery = 16 // journaled records between owner snapshots
 )
 
@@ -28,9 +27,6 @@ type simMember struct {
 	m     *member.Member
 	loss  netsim.LossProcess
 	burst netsim.LossProcess // non-nil while a loss burst overrides loss
-	// wedged counts consecutive repair ticks spent without the newest
-	// group key; past a small threshold the member re-registers.
-	wedged int
 }
 
 func (sm *simMember) lost(w *World) bool {
@@ -41,18 +37,16 @@ func (sm *simMember) lost(w *World) bool {
 	return lp.Lost(w.sched.rng)
 }
 
-// emission is one broadcast rekey, kept for SLO accounting and history
-// repair.
+// emission is one broadcast rekey, kept for SLO accounting.
 type emission struct {
 	epoch   uint64
 	at      time.Duration
 	key     keycrypt.Key
-	items   []keytree.Item
 	waiting map[keytree.MemberID]bool
 }
 
 // simGroup is the world's view of one group: the member population and
-// the broadcast history the NACK-repair service would hold.
+// its newest broadcast.
 type simGroup struct {
 	id       int
 	shard    cluster.ShardID
@@ -62,9 +56,8 @@ type simGroup struct {
 	pendingJoins  []core.MemberMeta
 	pendingLeaves []keytree.MemberID
 
-	history []emission // last historyDepth broadcasts, oldest first
-	last    *emission  // newest broadcast (SLO window)
-	rekeys  int
+	last   *emission // newest broadcast (SLO window)
+	rekeys int
 }
 
 // World is one simulation run.
@@ -79,6 +72,9 @@ type World struct {
 	vio     []Violation
 	stats   Stats
 	churnOn bool
+	// nonces feeds the key wraps of repair replies, which the server
+	// draws from its own entropy source and never journals.
+	nonces *keycrypt.DeterministicReader
 	// frozen stops primaries from emitting new rekeys so in-flight
 	// deliveries and repairs can drain before the terminal oracles read
 	// the world.
@@ -88,10 +84,11 @@ type World struct {
 func newWorld(plan Plan, keepTrace bool) *World {
 	trace := newTrace(keepTrace)
 	w := &World{
-		plan:  plan,
-		sched: newScheduler(plan.Seed, trace),
-		trace: trace,
-		fsync: store.FsyncAlways,
+		plan:   plan,
+		sched:  newScheduler(plan.Seed, trace),
+		trace:  trace,
+		fsync:  store.FsyncAlways,
+		nonces: keycrypt.NewDeterministicReader(plan.Seed),
 	}
 	if plan.Fsync == "never" {
 		w.fsync = store.FsyncNever
@@ -361,12 +358,8 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 		}
 	}
 
-	em := &emission{epoch: rk.Epoch, at: w.sched.Now(), key: gk, items: items,
+	em := &emission{epoch: rk.Epoch, at: w.sched.Now(), key: gk,
 		waiting: make(map[keytree.MemberID]bool)}
-	g.history = append(g.history, *em)
-	if len(g.history) > historyDepth {
-		g.history = g.history[len(g.history)-historyDepth:]
-	}
 	g.last = em
 
 	// Joiners: reliable welcome plus the full frame.
@@ -442,42 +435,44 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 	}
 }
 
-// repairTick models the NACK/history repair service: every member pulls
-// the items it still needs from the bounded broadcast history, reliably.
+// repairTick answers members that are behind the way the key server
+// answers a resume or a pull: a member without the serving owner's group
+// key is sent its current key path (core.PathItems), reliably, and adopts
+// it from its leaf up (member.ApplyPath) however many epochs it missed. A
+// member that cannot open the path lacks its current leaf key (it missed
+// its own leaf hand-off, and the server rejects its resume proof), so it
+// registers afresh. A member the owner's scheme does not hold is left to
+// rejoinOrphans.
 func (w *World) repairTick(g *simGroup) {
+	w.sched.After(repairEvery, "repair", func() { w.repairTick(g) })
+	o := w.ownerNode(g)
+	if o == nil || o.partitioned || !o.groups[g.id].hold.Owned || o.groups[g.id].scheme() == nil {
+		return
+	}
+	sc := o.groups[g.id].scheme()
+	gk, err := sc.GroupKey()
+	if err != nil {
+		return
+	}
 	for _, id := range sortedMemberIDs(g.members) {
 		sm := g.members[id]
-		for hi := range g.history {
-			em := &g.history[hi]
-			if idx := sm.m.NeededItems(em.items); len(idx) > 0 {
-				repair := make([]keytree.Item, 0, len(idx))
-				for _, i := range idx {
-					repair = append(repair, em.items[i])
-				}
-				sm.m.Apply(repair)
-				w.stats.Repairs++
+		if !sm.m.Has(gk) && sc.Contains(id) {
+			items, err := core.PathItems(sc, id, w.nonces)
+			if err != nil {
+				continue
 			}
+			if len(items) == 0 || !sm.m.ApplyPath(items[0].Wrapped.WrapperID, items) {
+				if !w.frozen {
+					w.reRegister(g, id, "lacks its current leaf key (resume rejected)")
+				}
+				continue
+			}
+			w.stats.Repairs++
 		}
 		if g.last != nil {
 			w.noteConverged(g, g.last, sm)
 		}
-		// A healthy laggard converges in one or two ticks: repair replays
-		// the whole history reliably. A member still without the newest key
-		// after three ticks is wedged on a superseded key wrap (it applied
-		// a later version of a wrapper before repairing the older wrap, and
-		// wraps unseal only under the exact version they were sealed with).
-		// The real client's escape is the same as a rejected resume:
-		// abandon local state and register afresh.
-		if g.last == nil || sm.m.Has(g.last.key) {
-			sm.wedged = 0
-		} else if !w.frozen {
-			sm.wedged++
-			if sm.wedged >= 3 {
-				w.reRegister(g, id, "wedged behind a superseded key wrap")
-			}
-		}
 	}
-	w.sched.After(repairEvery, "repair", func() { w.repairTick(g) })
 }
 
 func (w *World) noteConverged(g *simGroup, em *emission, sm *simMember) {
@@ -538,13 +533,12 @@ func (w *World) quiet() bool {
 
 // reconcileMembership runs the settle-phase client recovery sweeps, in
 // dependency order: first pull back members whose eviction never became
-// durable (they re-enter the current set and so face the sweeps below),
-// then re-admit members stranded outside the authoritative scheme, then
-// re-register members too far behind for history repair to converge.
+// durable (they re-enter the current set and so face the sweep below),
+// then re-admit members stranded outside the authoritative scheme.
+// Everyone else left behind is repairTick's, and the agreement oracle's.
 func (w *World) reconcileMembership() {
 	w.unEvictLost()
 	w.rejoinOrphans()
-	w.resyncStuck()
 }
 
 // unEvictLost moves departed members the authoritative scheme still
@@ -568,31 +562,6 @@ func (w *World) unEvictLost() {
 			delete(g.departed, id)
 			g.members[id] = dm
 			w.sched.tracef("g%d member %d un-evicted (leave record lost to a crash)", g.id, id)
-		}
-	}
-}
-
-// resyncStuck re-registers members that fell irrecoverably behind. A key
-// wrap unseals only under the exact wrapper version it was sealed with,
-// and members keep just the newest version of each slot — so a member
-// that applies a later path-key update before repairing an older missed
-// group-key wrap can never climb the chain again, no matter how much
-// history the repair service replays. The real client's recovery is the
-// same as a rejected resume: abandon local state and register afresh.
-func (w *World) resyncStuck() {
-	for _, g := range w.groups {
-		o := w.ownerNode(g)
-		if o == nil || o.groups[g.id].scheme() == nil {
-			continue
-		}
-		gk, err := o.groups[g.id].scheme().GroupKey()
-		if err != nil {
-			continue
-		}
-		for _, id := range sortedMemberIDs(g.members) {
-			if !g.members[id].m.Has(gk) {
-				w.reRegister(g, id, "stuck behind repair history")
-			}
 		}
 	}
 }

@@ -107,6 +107,47 @@ func (m *Member) Apply(items []keytree.Item) int {
 	}
 }
 
+// ApplyPath adopts a key-path chain, the key server's answer to a member
+// that is behind (core.PathItems): ChildWrap items, the first under the
+// member's leaf key, each later one under the key the one before it
+// carries. Unlike Apply it replaces the member's copy of every key on the
+// chain whatever version that copy has: the chain states the member's
+// current path, and a copy at the same or a newer version can only come
+// from epochs a crashed key server broadcast and its successor, never
+// having journaled them, issued again. Callers pass only chains no older
+// than the member's state. It reports false, changing nothing, unless
+// items have that shape and each opens in turn from the leaf up; an empty
+// chain adopts nothing. The shape is checked before anything is unwrapped.
+func (m *Member) ApplyPath(leaf keycrypt.KeyID, items []keytree.Item) bool {
+	wrapper, ok := m.keys[leaf]
+	if !ok {
+		return false
+	}
+	id, ver := wrapper.ID, wrapper.Version
+	for _, it := range items {
+		w := it.Wrapped
+		if it.Kind != keytree.ChildWrap || w.WrapperID != id || w.WrapperVersion != ver {
+			return false
+		}
+		id, ver = w.PayloadID, w.PayloadVersion
+	}
+	var un keycrypt.Unwrapper
+	var buf [16]keycrypt.Key
+	path := buf[:0]
+	for _, it := range items {
+		k, err := un.Unwrap(it.Wrapped, wrapper)
+		if err != nil {
+			return false
+		}
+		path = append(path, k)
+		wrapper = k
+	}
+	for _, k := range path {
+		m.keys[k.ID] = k
+	}
+	return true
+}
+
 // Forget drops a key slot (e.g. after migrating between partitions, the
 // old partition's keys are refreshed away; dropping them models a
 // well-behaved client).

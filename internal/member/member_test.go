@@ -227,3 +227,63 @@ func BenchmarkApplyJoinerPath(b *testing.B) {
 		New(1, leaf).Apply(items)
 	}
 }
+
+// TestApplyPathAdoptsChain: a key-path chain from the leaf replaces the
+// member's copies of its keys whatever their versions — a same-version
+// copy with other material and a newer one alike, which Apply keeps — and
+// anything that is not such a chain changes nothing.
+func TestApplyPathAdoptsChain(t *testing.T) {
+	g := keycrypt.Generator{Rand: keycrypt.NewDeterministicReader(9)}
+	leaf, _ := g.New(1, 0)
+	parent, _ := g.New(2, 3)
+	root, _ := g.New(3, 5)
+	staleParent, _ := g.New(2, 3) // same version, other material
+	staleRoot, _ := g.New(3, 9)   // newer version
+	chain := func() []keytree.Item {
+		a, b := wrap(t, parent, leaf), wrap(t, root, parent)
+		a.Kind, b.Kind = keytree.ChildWrap, keytree.ChildWrap
+		return []keytree.Item{a, b}
+	}
+	behind := func() *Member {
+		m := New(7, leaf)
+		m.keys[staleParent.ID], m.keys[staleRoot.ID] = staleParent, staleRoot
+		return m
+	}
+
+	m := behind()
+	if m.Apply(chain()) != 0 {
+		t.Fatal("Apply replaced keys the member holds at the same or a newer version")
+	}
+	if !m.ApplyPath(leaf.ID, chain()) || !m.Has(parent) || !m.Has(root) {
+		t.Fatal("ApplyPath did not adopt the chain")
+	}
+
+	reversed := chain()
+	reversed[0], reversed[1] = reversed[1], reversed[0]
+	oldKey := chain()
+	oldKey[1].Kind = keytree.OldKeyWrap
+	otherLeaf, _ := g.New(1, 0)
+	brokenTail := chain()
+	brokenTail[1] = wrap(t, root, staleParent) // opens only under the stale copy
+	brokenTail[1].Kind = keytree.ChildWrap
+	for name, tc := range map[string]struct {
+		leaf  keycrypt.KeyID
+		items []keytree.Item
+		m     *Member
+	}{
+		"out of order":        {leaf.ID, reversed, behind()},
+		"not all ChildWrap":   {leaf.ID, oldKey, behind()},
+		"not from the leaf":   {leaf.ID, chain()[1:], behind()},
+		"leaf not held":       {leaf.ID, chain(), New(7, parent)},
+		"other leaf material": {leaf.ID, chain(), New(7, otherLeaf)},
+		"tail does not open":  {leaf.ID, brokenTail, behind()},
+	} {
+		before := tc.m.Snapshot()
+		if tc.m.ApplyPath(tc.leaf, tc.items) {
+			t.Errorf("%s: adopted", name)
+		}
+		if string(tc.m.Snapshot()) != string(before) {
+			t.Errorf("%s: the key store changed", name)
+		}
+	}
+}

@@ -189,7 +189,7 @@ func (c *Client) readLoop() {
 				c.fail(err)
 				return
 			}
-			c.applyRekey(sr.Epoch, sr.Items)
+			c.applyRekey(sr.Epoch, sr.Items, true)
 		case wire.MsgRekeyDigest:
 			dg, err := wire.DecodeRekeyDigest(c.ServerKey(), payload)
 			if err != nil {
@@ -265,17 +265,22 @@ func (c *Client) readLoop() {
 // reconstructed from datagrams — into the key store and announces the
 // epoch. Every delivery plane converges here, so secrecy bookkeeping
 // (hand-off tracking, epoch gating) is identical no matter how the keys
-// arrived.
-func (c *Client) applyRekey(epoch uint64, items []keytree.Item) {
+// arrived. inOrder marks a frame read off the TCP connection: the server
+// writes epochs there in order and seals a resume or pull reply at its
+// newest, so a key-path chain from our leaf on it is adopted as stated
+// (member.ApplyPath), even over keys from epochs a crashed server sent but
+// never journaled. Datagram epochs may complete late and are only applied.
+func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) {
 	c.mu.Lock()
 	if c.mem != nil {
-		c.mem.Apply(items)
+		if !inOrder || !c.mem.ApplyPath(c.indiv.ID, items) {
+			c.mem.Apply(items)
+		}
 		if c.joinEpoch == 0 {
 			c.joinEpoch = epoch
 		}
 		// A leaf hand-off can only arrive in a rekey newer than both
-		// our join and everything already processed (the resume ack
-		// re-delivers the last rekey verbatim).
+		// our join and everything already processed.
 		c.trackIndividualLocked(items, epoch > c.epoch && epoch > c.joinEpoch)
 	}
 	if epoch > c.epoch {

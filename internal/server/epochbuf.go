@@ -30,8 +30,9 @@ import (
 // Sealing costs what the connected audience and the item count cost, not
 // the group size: items carry no receiver lists, and each connected
 // member's indexes come from its key path (wire.ScopedIndex). A member
-// absent from that index (it resumed after the seal) is sent every item
-// (allItems) — the same sparse frame, one multiproof.
+// that connects after the seal, or pulls, is not sent this epoch at all:
+// it gets its current key path, sealed as a one-member epoch buffer of its
+// own (Server.pathFrameLocked).
 
 // epochBuffer is one epoch's rekey payload, sealed once, shared by every
 // outbound frame of that epoch. Immutable after newEpochBuffer except for
@@ -44,8 +45,7 @@ type epochBuffer struct {
 	root    [wire.HashSize]byte
 	rootSig []byte
 	// index holds, for each member connected at seal time, the ascending
-	// item indexes it needs. A member absent from it connected later and is
-	// sent every item (allItems).
+	// item indexes it needs.
 	index *wire.ScopedIndex
 
 	refs atomic.Int64
@@ -69,7 +69,9 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keyt
 	}
 	items := rekey.AllItems()
 	if len(items) > wire.MaxSparseIndexes {
-		// The all-items frame resumers and late pullers get must fit.
+		// Bounding the epoch bounds every subset of it: any member's
+		// sparse frame and any subscriber's digest fit one frame whatever
+		// the audience, and the datagram geometry is checked up to here.
 		return nil, fmt.Errorf("%w: %d items", wire.ErrFrameTooLarge, len(items))
 	}
 	eb := &epochBuffer{epoch: rekey.Epoch, nItems: len(items)}
@@ -101,16 +103,6 @@ func newEpochBuffer(priv ed25519.PrivateKey, rekey *core.Rekey, connected []keyt
 
 	eb.refs.Store(1)
 	return eb, nil
-}
-
-// allItems returns the indexes of every item, for a member the seal did
-// not index.
-func (eb *epochBuffer) allItems() []uint32 {
-	idx := make([]uint32, eb.nItems)
-	for i := range idx {
-		idx[i] = uint32(i)
-	}
-	return idx
 }
 
 // item returns item i's encoded bytes as a view into the shared buffer.

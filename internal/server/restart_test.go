@@ -2,16 +2,26 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"groupkey/internal/keytree"
+	"groupkey/internal/metrics"
 	"groupkey/internal/store"
 	"groupkey/internal/wire"
 )
 
 func startDurableServer(t *testing.T, dir string) (*Server, *store.Store, *store.RecoveryResult) {
+	t.Helper()
+	return startDurableServerWith(t, dir, store.SchemeConfig{Kind: store.SchemeTT, SPeriodK: 2})
+}
+
+// startDurableServerWith recovers a store-backed server from dir, creating
+// the scheme from cfg on a fresh directory.
+func startDurableServerWith(t *testing.T, dir string, cfg store.SchemeConfig) (*Server, *store.Store, *store.RecoveryResult) {
 	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -24,7 +34,7 @@ func startDurableServer(t *testing.T, dir string) (*Server, *store.Store, *store
 	}
 	scheme := res.Scheme
 	if scheme == nil {
-		scheme, err = st.Create(store.SchemeConfig{Kind: store.SchemeTT, SPeriodK: 2})
+		scheme, err = st.Create(cfg)
 		if err != nil {
 			st.Close()
 			t.Fatal(err)
@@ -33,10 +43,6 @@ func startDurableServer(t *testing.T, dir string) (*Server, *store.Store, *store
 	srv := NewWithKey(scheme, nil, st.SigningKey())
 	srv.Persist(st, 0) // snapshot only on Close
 	srv.SetNextID(res.NextID)
-	if err := srv.SetLastRekey(res.LastRekey); err != nil {
-		st.Close()
-		t.Fatal(err)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		st.Close()
@@ -164,13 +170,12 @@ func TestServerRestartResume(t *testing.T) {
 	}
 }
 
-// TestSetLastRekeyClosesCrashWindow: an epoch journaled and broadcast
-// while a member is detached, in a life that dies before any snapshot
-// covers it, is what Recover returns as LastRekey. The next life seals it
-// with SetLastRekey, and the member resuming there is sent every item of
-// that epoch — exactly what the lost instance derived — and converges on
-// its group key.
-func TestSetLastRekeyClosesCrashWindow(t *testing.T) {
+// TestResumeClosesCrashWindow: an epoch journaled and broadcast while a
+// member is detached, in a life that dies before any snapshot covers it,
+// is replayed by the next life's recovery. The member resuming there is
+// sent its key path in the replayed scheme and converges on the group key
+// the lost instance derived.
+func TestResumeClosesCrashWindow(t *testing.T) {
 	dir := t.TempDir()
 	srv, st, _ := startDurableServer(t, dir)
 	away := dial(t, srv, wire.JoinRequest{LossRate: 0.01})
@@ -207,15 +212,16 @@ func TestSetLastRekeyClosesCrashWindow(t *testing.T) {
 		srv3.Close()
 		st3.Close()
 	}()
-	if res.LastRekey == nil || res.LastRekey.Epoch != lost.Epoch {
-		t.Fatalf("Recover's LastRekey is %+v, want the unsnapshotted epoch %d", res.LastRekey, lost.Epoch)
+	if res.ReplayedBatches == 0 || srv3.Epoch() != lost.Epoch {
+		t.Fatalf("recovery replayed %d batches to epoch %d, want the unsnapshotted epoch %d",
+			res.ReplayedBatches, srv3.Epoch(), lost.Epoch)
 	}
 	cs, err := DecodeClientState(state)
 	if err != nil {
 		t.Fatal(err)
 	}
 	late := resumeRaw(t, srv3, cs)
-	cs.Member.Apply(expectEveryItem(t, late, srv3.SigningKey(), lost))
+	cs.Member.Apply(expectPath(t, late, srv3, cs.Member.ID()))
 	dek, err := srv3.scheme.GroupKey()
 	if err != nil {
 		t.Fatal(err)
@@ -281,4 +287,243 @@ func TestServerRestartResumeThenLeave(t *testing.T) {
 	if srv3.Size() != 0 {
 		t.Fatalf("group size %d after full churn, want 0", srv3.Size())
 	}
+}
+
+// TestResumeAfterMissedEpochs: every member of a durable OneTree group
+// saves its state and the server restarts. Fifteen resume, and some of
+// them leave, one epoch each, so the path keys of member 0 change in every
+// epoch it misses. When member 0 resumes it must reach the server's epoch
+// holding that epoch's group key, one round trip after its resume.
+func TestResumeAfterMissedEpochs(t *testing.T) {
+	for _, missed := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("missed=%d", missed), func(t *testing.T) {
+			dir := t.TempDir()
+			srv, st, _ := startDurableServerWith(t, dir, store.SchemeConfig{Kind: store.SchemeOneTree, Degree: 2})
+			clients := dialMany(t, srv, 16)
+			states := make([][]byte, len(clients))
+			for i, c := range clients {
+				blob, err := c.State()
+				if err != nil {
+					t.Fatal(err)
+				}
+				states[i] = blob
+				c.Close()
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			srv2, st2, _ := startDurableServer(t, dir)
+			defer func() {
+				srv2.Close()
+				st2.Close()
+			}()
+			resumed := make([]*Client, 0, len(states)-1)
+			for _, blob := range states[1:] {
+				c, err := ResumeDial(srv2.Addr().String(), blob, testTimeout)
+				if err != nil {
+					t.Fatalf("ResumeDial: %v", err)
+				}
+				defer c.Close()
+				resumed = append(resumed, c)
+			}
+			for _, c := range resumed[:missed] {
+				if err := c.Leave(); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, "pending leave", func() bool { return pendingLeaveCount(srv2) == 1 })
+				if _, err := srv2.RekeyNow(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			c0, err := ResumeDial(srv2.Addr().String(), states[0], testTimeout)
+			if err != nil {
+				t.Fatalf("ResumeDial member 0: %v", err)
+			}
+			defer c0.Close()
+			epoch := srv2.Epoch()
+			if err := c0.WaitEpoch(epoch, testTimeout); err != nil {
+				t.Fatal(err)
+			}
+			dek, err := srv2.scheme.GroupKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c0.Epoch() != epoch || !c0.HasKey(dek) {
+				t.Fatalf("member 0 reports epoch %d (server %d) and holds the group key: %v",
+					c0.Epoch(), epoch, c0.HasKey(dek))
+			}
+		})
+	}
+}
+
+// dialMany admits n members in one rekey.
+func dialMany(t *testing.T, s *Server, n int) []*Client {
+	t.Helper()
+	type result struct {
+		c   *Client
+		err error
+	}
+	ch := make(chan result, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			c, err := Dial(s.Addr().String(), wire.JoinRequest{}, testTimeout)
+			ch <- result{c, err}
+		}()
+	}
+	waitPendingJoins(t, s, n)
+	if _, err := s.RekeyNow(); err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]*Client, 0, n)
+	for i := 0; i < n; i++ {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("Dial: %v", r.err)
+		}
+		t.Cleanup(func() { r.c.Close() })
+		clients = append(clients, r.c)
+	}
+	return clients
+}
+
+// TestResumeAfterMissedHandoffRejected: a TT member detached across its
+// own S→L migration holds a superseded leaf key, so its resume proof fails.
+// The server rejects it explicitly and counts the rejection; the client's
+// ResumeDial returns that error and no session is adopted on either side.
+func TestResumeAfterMissedHandoffRejected(t *testing.T) {
+	dir := t.TempDir()
+	srv, st, _ := startDurableServer(t, dir) // TT, S-period 2
+	c := dial(t, srv, wire.JoinRequest{})
+	id := c.ID()
+	blob, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := DecodeClientState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, st2, _ := startDurableServer(t, dir)
+	defer func() {
+		srv2.Close()
+		st2.Close()
+	}()
+	m := NewMetrics(metrics.NewRegistry(), nil)
+	srv2.Instrument(m)
+	// Rekey until the scheme has handed the member a new leaf.
+	for i := 0; ; i++ {
+		srv2.mu.Lock()
+		keys, err := srv2.scheme.MemberKeys(id)
+		srv2.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[0].ID != saved.Indiv.ID {
+			break
+		}
+		if i == 8 {
+			t.Fatal("the member never migrated out of the S partition")
+		}
+		if _, err := srv2.RekeyNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := m.rejected.Value()
+	rc, err := ResumeDial(srv2.Addr().String(), blob, testTimeout)
+	if err == nil {
+		rc.Close()
+		t.Fatal("a member holding a superseded leaf resumed")
+	}
+	if !strings.Contains(err.Error(), "resume rejected: bad proof") {
+		t.Fatalf("ResumeDial: %v, want the bad-proof rejection", err)
+	}
+	if got := m.rejected.Value(); got != before+1 {
+		t.Fatalf("rejected registrations %d → %d, want one more", before, got)
+	}
+	srv2.mu.Lock()
+	_, adopted := srv2.conns[id]
+	srv2.mu.Unlock()
+	if adopted {
+		t.Fatal("the server adopted the rejected member's connection")
+	}
+}
+
+// TestResumeAdoptsPathOverLostEpochs: a primary broadcasts epochs it never
+// makes durable, then dies; its successor recovers without them and issues
+// the same key versions again with other material. A member that applied
+// the lost epochs holds those copies; when it resumes, the key path it is
+// sent replaces them and it holds the successor's group key.
+func TestResumeAdoptsPathOverLostEpochs(t *testing.T) {
+	dir := t.TempDir()
+	srv, st, _ := startDurableServerWith(t, dir, store.SchemeConfig{Kind: store.SchemeOneTree, Degree: 2})
+	clients := dialMany(t, srv, 4)
+	a := clients[0]
+	// From here on nothing reaches the journal: two departures are
+	// broadcast and lost with the process.
+	srv.Persist(nil, 0)
+	for _, c := range clients[1:3] {
+		if err := c.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "pending leave", func() bool { return pendingLeaveCount(srv) == 1 })
+		if _, err := srv.RekeyNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.WaitEpoch(srv.Epoch(), testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	state, err := a.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The successor replays to the epoch before the departures and runs
+	// an epoch of its own: the same version, another key.
+	srv2, st2, _ := startDurableServer(t, dir)
+	defer func() {
+		srv2.Close()
+		st2.Close()
+	}()
+	dialMany(t, srv2, 1)
+	dek, err := srv2.scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, err := DecodeClientState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, ok := saved.Member.Key(dek.ID)
+	if !ok || stale.Version < dek.Version || stale.Equal(dek) {
+		t.Fatalf("the saved group key %v is not a lost copy at version ≥ %d", stale, dek.Version)
+	}
+
+	c, err := ResumeDial(srv2.Addr().String(), state, testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitFor(t, "the successor's group key", func() bool { return c.HasKey(dek) })
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/ed25519"
 	"encoding/binary"
 	"net"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/member"
 	"groupkey/internal/wire"
 )
 
@@ -18,6 +18,7 @@ import (
 type rawPeer struct {
 	t    *testing.T
 	conn net.Conn
+	id   keytree.MemberID // set once welcomed
 }
 
 func dialRaw(t *testing.T, s *Server) *rawPeer {
@@ -82,9 +83,11 @@ func joinRaw(t *testing.T, s *Server) (*rawPeer, *core.Rekey) {
 	if err != nil {
 		t.Fatalf("RekeyNow: %v", err)
 	}
-	if _, err := wire.DecodeSignedWelcome(p.expect(wire.MsgWelcome)); err != nil {
+	w, err := wire.DecodeSignedWelcome(p.expect(wire.MsgWelcome))
+	if err != nil {
 		t.Fatal(err)
 	}
+	p.id = w.Member
 	return p, rekey
 }
 
@@ -104,35 +107,34 @@ func resumeRaw(t *testing.T, s *Server, st *ClientState) *rawPeer {
 	return p
 }
 
-// expectEveryItem reads the peer's next frame and fails unless it is a
-// verified sparse frame carrying every item of rekey, in order.
-func expectEveryItem(t *testing.T, p *rawPeer, pub ed25519.PublicKey, rekey *core.Rekey) []keytree.Item {
+// expectPath reads the peer's next frame and fails unless it is a
+// verified sparse frame at the server's current epoch carrying member m's
+// key path: one item per key above its leaf, len(MemberKeys(m))-1 in all.
+func expectPath(t *testing.T, p *rawPeer, s *Server, m keytree.MemberID) []keytree.Item {
 	t.Helper()
-	sr, err := wire.DecodeSparseRekey(pub, p.expect(wire.MsgRekeySparse))
+	sr, err := wire.DecodeSparseRekey(s.SigningKey(), p.expect(wire.MsgRekeySparse))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := rekey.AllItems()
-	if sr.Epoch != rekey.Epoch || len(sr.Items) != len(want) {
-		t.Fatalf("sparse frame: epoch %d with %d items, want epoch %d with all %d",
-			sr.Epoch, len(sr.Items), rekey.Epoch, len(want))
+	s.mu.Lock()
+	keys, err := s.scheme.MemberKeys(m)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if sr.Items[i].Wrapped != want[i].Wrapped {
-			t.Fatalf("item %d differs from the epoch's", i)
-		}
+	if epoch := s.Epoch(); sr.Epoch != epoch || len(sr.Items) != len(keys)-1 {
+		t.Fatalf("path frame: epoch %d with %d items, want epoch %d with %d",
+			sr.Epoch, len(sr.Items), epoch, len(keys)-1)
 	}
 	return sr.Items
 }
 
-// TestPullAfterSealGetsEveryItem: an epoch's index covers the members
-// connected when it was sealed. One of those pulling the epoch gets its
-// sparse slice — the k=0 heartbeat when the epoch holds nothing for it. A
-// member that resumed after the seal is in no index: its resume and its
-// pull must each be answered with a sparse frame carrying every item, from
-// which it converges, never with an empty one that would leave it a key
-// behind.
-func TestPullAfterSealGetsEveryItem(t *testing.T) {
+// TestResumeAndPullGetKeyPath: a member that resumed after an epoch was
+// sealed is in no index of it. Its resume, its pull of that epoch, and a
+// pull naming an epoch the server never sealed for anyone are each
+// answered with its current key path alone, from which it converges; so is
+// a pull from a member that was connected at the seal.
+func TestResumeAndPullGetKeyPath(t *testing.T) {
 	scheme := newScheme(t, 60)
 	srv1 := startServer(t, scheme)
 	away := dial(t, srv1, wire.JoinRequest{})
@@ -164,45 +166,41 @@ func TestPullAfterSealGetsEveryItem(t *testing.T) {
 	if len(rekey.AllItems()) == 0 {
 		t.Fatal("join epoch carries no items")
 	}
-	pub := srv.SigningKey()
+	dek, err := scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	converges := func(what string, st *ClientState, items []keytree.Item) {
+		t.Helper()
+		mem, err := member.Restore(st.Member.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem.Apply(items)
+		if !mem.Has(dek) {
+			t.Fatalf("%s: the member did not converge on the group key", what)
+		}
+	}
 
 	st, err := DecodeClientState(state)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := st.Member.ID()
 	late := resumeRaw(t, srv, st)
-	expectEveryItem(t, late, pub, rekey) // the resume re-delivery
+	converges("resume", st, expectPath(t, late, srv, m))
 	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch))
-	st.Member.Apply(expectEveryItem(t, late, pub, rekey))
-	dek, err := scheme.GroupKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Member.Has(dek) {
-		t.Fatal("resumed member did not converge on the group key from the pulled frame")
-	}
+	converges("un-indexed pull", st, expectPath(t, late, srv, m))
+	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch-1))
+	converges("stale-epoch pull", st, expectPath(t, late, srv, m))
 
-	// The member connected at the seal pulls the same epoch sparsely.
-	first, err := wire.DecodeSparseRekey(pub, present.expect(wire.MsgRekeySparse))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The member connected at the seal pulls the epoch it was sent.
+	present.expect(wire.MsgRekeySparse)
 	present.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch))
-	again, err := wire.DecodeSparseRekey(pub, present.expect(wire.MsgRekeySparse))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first.Items) == 0 || len(again.Items) != len(first.Items) || again.Epoch != rekey.Epoch {
-		t.Fatalf("connected pull: %d items at epoch %d, broadcast had %d at %d",
-			len(again.Items), again.Epoch, len(first.Items), rekey.Epoch)
-	}
-	// A pull for an epoch the server no longer retains gets every item of
-	// the one it does.
-	present.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch-1))
-	expectEveryItem(t, present, pub, rekey)
+	expectPath(t, present, srv, present.id)
 
-	// An epoch with nothing for anyone: both are connected at its seal, so
-	// both pulls are answered with the signed k=0 heartbeat.
+	// After an epoch with nothing for anyone, a pull names it and gets the
+	// path at that epoch.
 	idle, err := srv.RekeyNow()
 	if err != nil {
 		t.Fatal(err)
@@ -210,17 +208,12 @@ func TestPullAfterSealGetsEveryItem(t *testing.T) {
 	if n := len(idle.AllItems()); n != 0 {
 		t.Fatalf("idle epoch carries %d items", n)
 	}
-	for name, p := range map[string]*rawPeer{"present": present, "late": late} {
+	for _, p := range []*rawPeer{present, late} {
 		p.expect(wire.MsgRekeySparse) // the broadcast heartbeat
 		p.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(idle.Epoch))
-		hb, err := wire.DecodeSparseRekey(pub, p.expect(wire.MsgRekeySparse))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if hb.Epoch != idle.Epoch || len(hb.Items) != 0 {
-			t.Fatalf("%s: heartbeat pull returned epoch %d with %d items", name, hb.Epoch, len(hb.Items))
-		}
 	}
+	expectPath(t, present, srv, present.id)
+	converges("pull after an idle epoch", st, expectPath(t, late, srv, m))
 }
 
 // TestCloseDropsPendingJoins: a join still waiting for its admitting rekey

@@ -120,15 +120,10 @@ type Server struct {
 	totalRekeys uint64
 	peakMembers int
 
-	// Durability (see Persist). lastEpoch is the newest epoch buffer (one
-	// reference held here): it answers MsgRekeyPull repair requests and is
-	// re-sent, every item of it, to resuming members — which closes the
-	// journal-before-broadcast crash window when SetLastRekey primed it
-	// from a recovered rekey.
+	// Durability (see Persist).
 	persister     Persister
 	snapshotEvery int
 	opsSinceSnap  int
-	lastEpoch     *epochBuffer
 
 	// Datagram rekey plane (see udp.go); nil unless ServeUDP was called.
 	udp *udpPlane
@@ -190,29 +185,6 @@ func (s *Server) SetNextID(id keytree.MemberID) {
 	if id > s.nextID {
 		s.nextID = id
 	}
-}
-
-// SetLastRekey primes the resume re-delivery buffer with a recovered
-// rekey, so members reconnecting after a crash that hit between journal
-// and broadcast still receive the payload the lost instance derived. A
-// replica's rekey may still owe its key-tree wraps; the epoch buffer seals
-// them. The buffer is built for an empty audience: nobody is indexed, so
-// every resume or pull of it gets all of its items.
-func (s *Server) SetLastRekey(r *core.Rekey) error {
-	if r == nil {
-		return nil
-	}
-	eb, err := newEpochBuffer(s.signPriv, r, nil, nil)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lastEpoch != nil {
-		s.lastEpoch.release()
-	}
-	s.lastEpoch = eb
-	return nil
 }
 
 // SigningKey returns the server's Ed25519 public key (also delivered in
@@ -395,13 +367,9 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 			}
 		case wire.MsgRekeyPull:
 			// TCP repair: a member that could not complete an epoch from the
-			// datagram plane (or missed a sparse frame) pulls it from the
-			// retained epoch: its slice when the epoch matches and indexed
-			// this member (the k=0 heartbeat when the slice is empty),
-			// otherwise every item, as resume sends — a member that
-			// connected after the seal is in no index.
-			epoch, err := wire.DecodeRekeyPull(payload)
-			if err != nil {
+			// datagram plane (or missed a sparse frame) pulls, and whatever
+			// epoch it names it is sent its current key path, as resume is.
+			if _, err := wire.DecodeRekeyPull(payload); err != nil {
 				s.reject(conn, err)
 				return
 			}
@@ -412,16 +380,16 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				s.reject(conn, errors.New("pull rejected: not a member"))
 				return
 			}
-			if eb := s.lastEpoch; eb != nil {
-				idx, indexed := eb.index.Lookup(memberID)
-				if eb.epoch != epoch || !indexed {
-					idx = eb.allItems()
-				}
-				eb.retain()
-				s.enqueueLocked(memberID, cc, frame{t: wire.MsgRekeySparse, eb: eb, idx: idx})
-			}
 			s.metrics.noteRepairPull()
+			f, err := s.pathFrameLocked(memberID)
+			if err == nil {
+				s.enqueueLocked(memberID, cc, f)
+			}
 			s.mu.Unlock()
+			if err != nil {
+				s.reject(conn, err)
+				return
+			}
 		default:
 			s.reject(conn, fmt.Errorf("unexpected %v from client", t))
 			return
@@ -439,11 +407,16 @@ func resumeProof(m keytree.MemberID) []byte {
 // The proof is the member's ID sealed under its current individual key —
 // only the genuine member (and the server) holds that key, so a valid
 // proof authenticates without a whole-group rekey. On success the server
-// re-sends the signed welcome (re-pinning the server key) and every item
-// of the retained epoch as one sparse frame, in one write (the seal
-// indexed no one who connects after it), closing the
-// journal-before-broadcast crash window:
-// a rekey that was journaled but never broadcast reaches the member here.
+// re-sends the signed welcome (re-pinning the server key) and the member's
+// current key path (pathFrameLocked), in one write. However many epochs
+// the member missed, the path takes it to the group key, and it is derived
+// from the scheme this process holds, so an epoch that was journaled but
+// never broadcast before a crash reaches the member too.
+//
+// A member detached across its own leaf hand-off (TwoPartition S→L
+// migration, scheme migration) proves under a leaf the scheme no longer
+// holds: that resume is rejected ("resume rejected: bad proof", counted in
+// the rejected-registrations metric), and the client must join afresh.
 // Like MsgWelcome, the reply carries the individual key in the clear and
 // so rides the same confidential-registration-channel assumption (use TLS).
 func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree.MemberID) bool {
@@ -471,6 +444,12 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 		s.reject(conn, errors.New("resume rejected: bad proof"))
 		return false
 	}
+	path, err := s.pathFrameLocked(req.Member)
+	if err != nil {
+		s.mu.Unlock()
+		s.reject(conn, err)
+		return false
+	}
 	*memberID = req.Member
 	// A disconnect queued this member for eviction; reconnecting revokes it.
 	delete(s.pendingLeaves, req.Member)
@@ -478,15 +457,29 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 		Welcome:   wire.Welcome{Member: req.Member, Key: leaf},
 		ServerKey: s.signPub,
 	}
-	first := []frame{{t: wire.MsgWelcome, payload: welcome.Encode()}}
-	if eb := s.lastEpoch; eb != nil {
-		eb.retain()
-		first = append(first, frame{t: wire.MsgRekeySparse, eb: eb, idx: eb.allItems()})
-	}
-	s.startClientLocked(req.Member, conn, first...)
+	s.startClientLocked(req.Member, conn, frame{t: wire.MsgWelcome, payload: welcome.Encode()}, path)
 	s.metrics.setConnections(len(s.conns))
 	s.mu.Unlock()
 	return true
+}
+
+// pathFrameLocked seals member m's current key path (core.PathItems) as
+// a one-member epoch buffer at the scheme's current epoch — one root, one
+// signature — and returns its sparse frame, which owns the buffer's only
+// reference. It is the reply to a resume and to every pull: depth wraps
+// and one signature, no scheme state changed, so a restarted process that
+// has sealed no epoch yet answers too. Callers hold s.mu.
+func (s *Server) pathFrameLocked(m keytree.MemberID) (frame, error) {
+	items, err := core.PathItems(s.scheme, m, s.rng)
+	if err != nil {
+		return frame{}, err
+	}
+	rekey := &core.Rekey{Epoch: s.scheme.Stats().Rekeys, Streams: []core.Stream{{Items: items}}}
+	eb, err := newEpochBuffer(s.signPriv, rekey, []keytree.MemberID{m}, s.scheme.PathIDs)
+	if err != nil {
+		return frame{}, err
+	}
+	return frame{t: wire.MsgRekeySparse, eb: eb, idx: eb.index.At(0)}, nil
 }
 
 func (s *Server) reject(conn net.Conn, err error) {
@@ -633,10 +626,9 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.lastEpoch != nil {
-		s.lastEpoch.release()
-	}
-	s.lastEpoch = eb // holds the initial reference for MsgRekeyPull repair
+	// The initial reference is dropped once every frame holds its own: the
+	// buffer is freed when the last frame and the UDP transmit are done.
+	defer eb.release()
 
 	// Hand the epoch to the datagram plane first: subscribers' keys go out
 	// as FEC-coded UDP packets, so their TCP frame shrinks to a digest.
@@ -807,10 +799,6 @@ func (s *Server) Close() error {
 	// them down; their read sides would hold wg.Wait until the peer hung up.
 	for _, pj := range s.pendingJoins {
 		pj.conn.Close()
-	}
-	if s.lastEpoch != nil {
-		s.lastEpoch.release()
-		s.lastEpoch = nil
 	}
 	s.metrics.setConnections(0)
 	s.mu.Unlock()

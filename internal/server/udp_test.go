@@ -398,3 +398,39 @@ func TestDatagramForgeriesRejected(t *testing.T) {
 		t.Fatalf("%d bad signatures counted, want the 3 forgeries", n)
 	}
 }
+
+// TestPullReplyKeepsIndividualKey: a datagram subscriber that loses every
+// packet of an epoch pulls it over TCP mid-session, where a new epoch may
+// carry a leaf hand-off. The reply, its key path, must not read as one: the
+// member converges on the group key and keeps tracking its own leaf.
+func TestPullReplyKeepsIndividualKey(t *testing.T) {
+	scheme := newScheme(t, 64)
+	srv := startServer(t, scheme)
+	m := startUDP(t, srv, 1, 65, UDPConfig{KeysPerDgram: 2, BlockSize: 4})
+	c := dial(t, srv, wire.JoinRequest{})
+	dial(t, srv, wire.JoinRequest{})
+	subscribe(t, srv, c, 1)
+	c.mu.Lock()
+	indiv := c.indiv
+	c.mu.Unlock()
+
+	if _, err := srv.RotateNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitEpoch(srv.Epoch(), testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	if m.repairPulls.Value() == 0 {
+		t.Fatal("the member reached the epoch without pulling it")
+	}
+	gk, err := scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	kept := c.indiv.Equal(indiv)
+	c.mu.Unlock()
+	if !kept || !c.HasKey(gk) {
+		t.Fatalf("after the pull reply: individual key kept=%v, holds the group key=%v", kept, c.HasKey(gk))
+	}
+}

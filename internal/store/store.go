@@ -173,10 +173,6 @@ type RecoveryResult struct {
 	// SnapshotSeq is the WAL sequence the loaded snapshot covered
 	// (0 = recovery started from an empty state or WAL origin).
 	SnapshotSeq uint64
-	// LastRekey is the payload of the newest replayed operation, kept for
-	// re-delivery to resuming members; nil when nothing was replayed. It
-	// is the one replayed payload Recover seals.
-	LastRekey *core.Rekey
 }
 
 // Recover loads the newest valid snapshot, truncates any torn WAL tail,
@@ -280,18 +276,11 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 		}
 		scheme, res.NextID = next, max(res.NextID, nextID)
 		if rk != nil {
-			res.LastRekey = rk
 			if r.kind == recBatch {
 				res.ReplayedBatches++
 			} else {
 				res.ReplayedRotations++
 			}
-		}
-	}
-
-	if res.LastRekey != nil {
-		if err := res.LastRekey.Seal(); err != nil {
-			return nil, err
 		}
 	}
 

@@ -167,8 +167,9 @@ func (t *ItemTree) ProofSize(idx []uint32) int {
 }
 
 // proofScratch is how many indexes the proof walk tracks on the stack: a
-// member's key path is far shorter, so only an all-items frame (a resumer,
-// a late pull) takes its scratch from the heap.
+// member's key path is far shorter, so only a frame of many more items
+// than any member is sent (a test's whole-epoch frame) takes its scratch
+// from the heap.
 const proofScratch = 64
 
 // walkProof runs the multiproof walk: known subtrees ascend level by

@@ -87,7 +87,6 @@ type KeyPath func(m keytree.MemberID, buf []keycrypt.KeyID) []keycrypt.KeyID
 // size, and allocates nothing once its slabs and tables have grown. The
 // zero value is ready to Build.
 type ScopedIndex struct {
-	ids []keytree.MemberID
 	off []int
 	idx []uint32
 
@@ -110,9 +109,8 @@ type namedLink struct {
 // Build indexes items for audience, which must ascend without duplicates,
 // reading members' key paths through path (unused for an empty audience).
 // It replaces any previous contents and invalidates slices earlier
-// At/Lookup calls returned.
+// At calls returned.
 func (x *ScopedIndex) Build(items []keytree.Item, audience []keytree.MemberID, path KeyPath) {
-	x.ids = append(x.ids[:0], audience...)
 	x.off = resized(x.off, len(audience)+1)
 	x.off[0] = 0
 	x.idx = x.idx[:0]
@@ -260,22 +258,12 @@ func resized[T any](s []T, n int) []T {
 }
 
 // At returns the ascending item indexes of the member at audience
-// position p (empty when the epoch carries nothing for it).
+// position p (empty when the epoch carries nothing for it, as for an
+// audience member the scheme does not hold: a leaver still connected at
+// the seal).
 func (x *ScopedIndex) At(p int) []uint32 {
 	lo, hi := x.off[p], x.off[p+1]
 	return x.idx[lo:hi:hi]
-}
-
-// Lookup returns member m's item indexes and whether m was in the
-// audience at all: false means "never indexed" — the caller must send
-// every item — not "nothing for you". An audience member the scheme does
-// not hold (a leaver still connected at the seal) is indexed with nothing.
-func (x *ScopedIndex) Lookup(m keytree.MemberID) ([]uint32, bool) {
-	p, ok := slices.BinarySearch(x.ids, m)
-	if !ok {
-		return nil, false
-	}
-	return x.At(p), true
 }
 
 // HashRekeyItem returns the item-tree leaf hash of one RekeyItemSize-byte

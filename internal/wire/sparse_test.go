@@ -318,26 +318,17 @@ func pathOracle(items []keytree.Item, audience []keytree.MemberID, keys func(key
 }
 
 // checkScoped asserts that x, built for audience, holds exactly what the
-// brute-force oracle derives, position by position and by lookup, and that
-// outsiders are not indexed.
-func checkScoped(t *testing.T, x *ScopedIndex, items []keytree.Item, audience, outsiders []keytree.MemberID, keys func(keytree.MemberID) []keycrypt.KeyID) {
+// brute-force oracle derives, position by position, and no position
+// beyond the audience's.
+func checkScoped(t *testing.T, x *ScopedIndex, items []keytree.Item, audience []keytree.MemberID, keys func(keytree.MemberID) []keycrypt.KeyID) {
 	t.Helper()
 	oracle := pathOracle(items, audience, keys)
+	if n := len(x.off) - 1; n != len(audience) {
+		t.Fatalf("index holds %d positions for an audience of %d", n, len(audience))
+	}
 	for p, m := range audience {
 		if got := x.At(p); !slices.Equal(got, oracle[p]) {
 			t.Fatalf("member %d (position %d): %v, want %v", m, p, got, oracle[p])
-		}
-		got, ok := x.Lookup(m)
-		if !ok || !slices.Equal(got, oracle[p]) {
-			t.Fatalf("Lookup(%d) = %v, %v; want %v, true", m, got, ok, oracle[p])
-		}
-	}
-	for _, m := range outsiders {
-		if _, found := slices.BinarySearch(audience, m); found {
-			continue
-		}
-		if got, ok := x.Lookup(m); ok {
-			t.Fatalf("Lookup(%d) outside the audience = %v, true", m, got)
 		}
 	}
 }
@@ -386,14 +377,13 @@ func TestScopedIndex(t *testing.T) {
 		slices.Sort(a)
 		audiences = append(audiences, a)
 	}
-	outsiders := []keytree.MemberID{1, 2, 500, 2000, 5000}
 	for _, a := range audiences {
 		x.Build(items, a, path) // one index rebuilt throughout: slabs are reused
-		checkScoped(t, &x, items, a, outsiders, keys)
+		checkScoped(t, &x, items, a, keys)
 	}
 	x.Build(nil, []keytree.MemberID{4, 8}, path)
-	if idx, ok := x.Lookup(8); !ok || len(idx) != 0 {
-		t.Fatalf("empty epoch: Lookup(8) = %v, %v; want empty, true", idx, ok)
+	if idx := x.At(1); len(idx) != 0 {
+		t.Fatalf("empty epoch: At(1) = %v, want empty", idx)
 	}
 }
 
@@ -491,7 +481,7 @@ func TestPathIndexMatchesReceiverOracle(t *testing.T) {
 					}
 					for _, a := range audiences {
 						x.Build(items, a, sc.PathIDs)
-						checkScoped(t, &x, items, a, leavers, keys)
+						checkScoped(t, &x, items, a, keys)
 						for p := range a {
 							pairs += len(x.At(p))
 						}

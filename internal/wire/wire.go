@@ -101,8 +101,9 @@ const (
 	// MsgRekeySparse carries one member's slice of a rekey: only the items
 	// on that member's key-tree path, authenticated against the epoch's
 	// signed item-tree root by a Merkle multiproof (see sparse.go). It is
-	// the only rekey frame a member receives; a member the epoch's seal did
-	// not index (a resumer) gets one carrying every item.
+	// the only rekey frame a member receives; a member that is behind (a
+	// resumer, a pull) gets one holding its current key path, sealed as an
+	// epoch of its own.
 	MsgRekeySparse
 	// MsgRekeyDigest announces an epoch whose keys travel on the datagram
 	// plane: the signed item-tree root plus the member's leaf indexes and
