@@ -35,7 +35,7 @@ test-race:
 # missed leaf hand-off, the pull reply) three times under the race
 # detector, then one pass of the store's recovery benchmarks.
 replay-check:
-	$(GO) test -race -count=3 -run 'Advance|SealsLate|RestartedPrimary|Failover|Resume|PullReply|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
+	$(GO) test -race -count=3 -run 'Advance|SealsLate|RestartedPrimary|Failover|Resume|Pull|KeyPath|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
 	$(GO) test -run '^$$' -bench 'Recover|ReplicaApply' -benchtime=1x ./internal/store
 
 # Key-schedule caches hold only live keys: the tree's and the Naive/QT

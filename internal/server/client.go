@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,6 +20,9 @@ import (
 var (
 	ErrJoinTimeout = errors.New("server: join not acknowledged in time")
 	ErrNotWelcomed = errors.New("server: client not yet admitted")
+	// ErrLeafSuperseded ends a session whose member missed its own leaf
+	// hand-off (S→L migration, scheme migration); it must join afresh.
+	ErrLeafSuperseded = errors.New("server: rekey sealed under a leaf this member does not hold (missed its leaf hand-off); join afresh")
 )
 
 // DeferredError reports a join the server deferred under admission load
@@ -106,7 +110,12 @@ func DialGroupVia(addr string, group wire.GroupID, req wire.JoinRequest, timeout
 // newClientOnConn completes the join handshake over an established
 // connection (plain TCP or TLS).
 func newClientOnConn(conn net.Conn, group wire.GroupID, req wire.JoinRequest, timeout time.Duration) (*Client, error) {
-	c := &Client{
+	return newClient(conn, group).handshake(wire.MsgJoin, req.Encode(), timeout)
+}
+
+// newClient returns a session on conn awaiting its welcome.
+func newClient(conn net.Conn, group wire.GroupID) *Client {
+	return &Client{
 		conn:     conn,
 		group:    group,
 		welcomed: make(chan struct{}),
@@ -114,10 +123,15 @@ func newClientOnConn(conn net.Conn, group wire.GroupID, req wire.JoinRequest, ti
 		done:     make(chan struct{}),
 		data:     make(chan []byte, 64),
 	}
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err := c.writeFrame(wire.MsgJoin, req.Encode()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: sending join: %w", err)
+}
+
+// handshake sends the join or resume frame and waits (up to timeout) for
+// the welcome that admits the session.
+func (c *Client) handshake(t wire.MsgType, payload []byte, timeout time.Duration) (*Client, error) {
+	c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if err := c.writeFrame(t, payload); err != nil {
+		c.conn.Close()
+		return nil, fmt.Errorf("server: sending %v: %w", t, err)
 	}
 	go c.readLoop()
 
@@ -127,7 +141,7 @@ func newClientOnConn(conn net.Conn, group wire.GroupID, req wire.JoinRequest, ti
 	case <-c.done:
 		return nil, fmt.Errorf("server: connection closed before welcome: %w", c.err())
 	case <-time.After(timeout):
-		conn.Close()
+		c.conn.Close()
 		return nil, ErrJoinTimeout
 	}
 }
@@ -178,31 +192,21 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 		case wire.MsgRekeySparse:
 			sr, err := wire.DecodeSparseRekey(c.ServerKey(), payload)
-			if err != nil {
-				if errors.Is(err, wire.ErrBadSignature) {
-					// Forged or corrupted: never apply; count and drop.
-					c.mu.Lock()
-					c.badSignatures++
-					c.mu.Unlock()
-					continue
-				}
+			if err == nil {
+				err = c.applyRekey(sr.Epoch, sr.Items, true)
+			}
+			if c.fatal(err) {
 				c.fail(err)
 				return
 			}
-			c.applyRekey(sr.Epoch, sr.Items, true)
 		case wire.MsgRekeyDigest:
 			dg, err := wire.DecodeRekeyDigest(c.ServerKey(), payload)
-			if err != nil {
-				if errors.Is(err, wire.ErrBadSignature) {
-					c.mu.Lock()
-					c.badSignatures++
-					c.mu.Unlock()
-					continue
-				}
+			if err == nil {
+				c.handleDigest(dg)
+			} else if c.fatal(err) {
 				c.fail(err)
 				return
 			}
-			c.handleDigest(dg)
 		case wire.MsgData:
 			c.mu.Lock()
 			inner, err := wire.OpenSignedRekey(c.serverKey, payload)
@@ -270,10 +274,19 @@ func (c *Client) readLoop() {
 // newest, so a key-path chain from our leaf on it is adopted as stated
 // (member.ApplyPath), even over keys from epochs a crashed server sent but
 // never journaled. Datagram epochs may complete late and are only applied.
-func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) {
+// An in-order frame sealed under no key the member holds (the server sends
+// only items under keys of its path) is for a leaf it never received, a
+// missed hand-off no key path repairs: applyRekey then returns
+// ErrLeafSuperseded without advancing the epoch.
+func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) error {
 	c.mu.Lock()
 	if c.mem != nil {
 		if !inOrder || !c.mem.ApplyPath(c.indiv.ID, items) {
+			held := func(it keytree.Item) bool { _, ok := c.mem.Key(it.Wrapped.WrapperID); return ok }
+			if inOrder && len(items) > 0 && !slices.ContainsFunc(items, held) {
+				c.mu.Unlock()
+				return ErrLeafSuperseded
+			}
 			c.mem.Apply(items)
 		}
 		if c.joinEpoch == 0 {
@@ -294,6 +307,20 @@ func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) {
 	if hook != nil {
 		hook(epoch)
 	}
+	return nil
+}
+
+// fatal reports whether a rekey frame's error ends the session. A bad
+// signature does not: the frame, forged or corrupted, is counted and
+// dropped, never applied.
+func (c *Client) fatal(err error) bool {
+	if errors.Is(err, wire.ErrBadSignature) {
+		c.mu.Lock()
+		c.badSignatures++
+		c.mu.Unlock()
+		return false
+	}
+	return err != nil
 }
 
 func (c *Client) fail(err error) {
@@ -326,24 +353,20 @@ func (c *Client) Epoch() uint64 {
 // WaitEpoch blocks until the client has processed a rekey with epoch ≥ min
 // or the timeout elapses.
 func (c *Client) WaitEpoch(min uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
 		c.mu.Lock()
-		if c.epoch >= min {
-			c.mu.Unlock()
-			return nil
-		}
-		ch := c.epochCh
+		epoch, ch := c.epoch, c.epochCh
 		c.mu.Unlock()
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return fmt.Errorf("server: epoch %d not reached in time (at %d)", min, c.Epoch())
+		if epoch >= min {
+			return nil
 		}
 		select {
 		case <-ch:
 		case <-c.done:
 			return fmt.Errorf("server: connection closed waiting for epoch %d: %w", min, c.err())
-		case <-time.After(remaining):
+		case <-timer.C:
 			return fmt.Errorf("server: epoch %d not reached in time (at %d)", min, c.Epoch())
 		}
 	}

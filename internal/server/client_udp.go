@@ -244,7 +244,7 @@ func (d *dgramPlane) tryAssemble() {
 	}
 	d.mu.Unlock()
 	if ok {
-		d.c.applyRekey(epoch, items, false)
+		_ = d.c.applyRekey(epoch, items, false) // fails only in order
 	}
 }
 

@@ -36,17 +36,12 @@ func (e *RedirectError) Error() string {
 	return fmt.Sprintf("server: group owned by %s (epoch %d)", e.Addr, e.Epoch)
 }
 
-// followRedirects runs one dial-and-handshake attempt, re-dialing at the
-// redirect target when the contacted node does not own the group.
-func followRedirects(addr string, attempt func(addr string) (*Client, error)) (*Client, error) {
-	return followRedirectsVia(addr, nil, attempt)
-}
-
-// followRedirectsVia is followRedirects with an address rewrite applied to
-// every redirect target before re-dialing. Members behind a proxy dial the
-// proxy directly, but cluster redirects name the server's real (or
-// advertised) addresses; the rewrite maps those back onto the member's
-// local path. A nil rewrite is the identity.
+// followRedirectsVia runs one dial-and-handshake attempt, re-dialing at
+// the redirect target when the contacted node does not own the group. The
+// rewrite is applied to every redirect target first: members behind a
+// proxy dial the proxy directly, but cluster redirects name the server's
+// real (or advertised) addresses; the rewrite maps those back onto the
+// member's local path. A nil rewrite is the identity.
 func followRedirectsVia(addr string, rewrite func(string) string, attempt func(addr string) (*Client, error)) (*Client, error) {
 	seen := map[string]bool{addr: true}
 	for hops := 0; ; hops++ {

@@ -125,6 +125,26 @@ func TestFenceBlocksMutations(t *testing.T) {
 	}
 }
 
+// TestFenceBlocksKeyPath: a key path overrides the versions a member
+// holds, so a server that lost its lease answers a pull with the fencing
+// error, not with its possibly stale path.
+func TestFenceBlocksKeyPath(t *testing.T) {
+	s := startServer(t, newScheme(t, 78))
+	s.SetFence(grantedFence{})
+	c := dial(t, s, wire.JoinRequest{})
+
+	s.SetFence(deniedFence{})
+	c.pull(s.Epoch())
+	select {
+	case <-c.Done():
+	case <-time.After(testTimeout):
+		t.Fatal("a fenced server kept answering the pull")
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), ErrFenced.Error()) {
+		t.Fatalf("pull to a fenced server ended with %v, want the fencing error", err)
+	}
+}
+
 // TestGroupFramesRideNonzeroGroupBinding: once a connection is routed to
 // a nonzero group, follow-up frames addressed to that group are served on
 // the connection's binding, and a frame addressed to another group is the

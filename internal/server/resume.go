@@ -2,7 +2,6 @@ package server
 
 import (
 	"crypto/ed25519"
-	"crypto/tls"
 	"crypto/x509"
 	"errors"
 	"fmt"
@@ -119,14 +118,10 @@ func ResumeDialTLS(addr string, state []byte, timeout time.Duration, pool *x509.
 	if err != nil {
 		return nil, err
 	}
-	return followRedirects(addr, func(addr string) (*Client, error) {
-		dialer := &net.Dialer{Timeout: timeout}
-		conn, err := tls.DialWithDialer(dialer, "tcp", addr, &tls.Config{
-			RootCAs:    pool,
-			MinVersion: tls.VersionTLS13,
-		})
+	return followRedirectsVia(addr, nil, func(addr string) (*Client, error) {
+		conn, err := dialTLS(addr, timeout, pool)
 		if err != nil {
-			return nil, fmt.Errorf("server: TLS dial %s: %w", addr, err)
+			return nil, err
 		}
 		return resumeOnConn(conn, st, timeout)
 	})
@@ -135,42 +130,15 @@ func ResumeDialTLS(addr string, state []byte, timeout time.Duration, pool *x509.
 // resumeOnConn performs the resume handshake over an established
 // connection.
 func resumeOnConn(conn net.Conn, st *ClientState, timeout time.Duration) (*Client, error) {
-	c := &Client{
-		conn:      conn,
-		group:     st.Group,
-		welcomed:  make(chan struct{}),
-		epochCh:   make(chan struct{}),
-		done:      make(chan struct{}),
-		data:      make(chan []byte, 64),
-		mem:       st.Member,
-		id:        st.Member.ID(),
-		serverKey: st.ServerKey,
-		epoch:     st.Epoch,
-		joinEpoch: st.Epoch,
-		indiv:     st.Indiv,
-	}
+	c := newClient(conn, st.Group)
+	c.mem, c.id, c.serverKey = st.Member, st.Member.ID(), st.ServerKey
+	c.epoch, c.joinEpoch, c.indiv = st.Epoch, st.Epoch, st.Indiv
 	proof, err := keycrypt.Seal(st.Indiv, resumeProof(c.id), nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	req := wire.ResumeRequest{Member: c.id, Proof: proof}
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if err := c.writeFrame(wire.MsgResume, req.Encode()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("server: sending resume: %w", err)
-	}
-	go c.readLoop()
-
-	select {
-	case <-c.welcomed:
-		return c, nil
-	case <-c.done:
-		return nil, fmt.Errorf("server: connection closed before resume ack: %w", c.err())
-	case <-time.After(timeout):
-		conn.Close()
-		return nil, ErrJoinTimeout
-	}
+	return c.handshake(wire.MsgResume, wire.ResumeRequest{Member: c.id, Proof: proof}.Encode(), timeout)
 }
 
 // trackIndividualLocked keeps c.indiv pointing at the member's current

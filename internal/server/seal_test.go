@@ -130,10 +130,12 @@ func expectPath(t *testing.T, p *rawPeer, s *Server, m keytree.MemberID) []keytr
 }
 
 // TestResumeAndPullGetKeyPath: a member that resumed after an epoch was
-// sealed is in no index of it. Its resume, its pull of that epoch, and a
-// pull naming an epoch the server never sealed for anyone are each
-// answered with its current key path alone, from which it converges; so is
-// a pull from a member that was connected at the seal.
+// sealed is in no index of it. Its resume is answered with its current key
+// path alone, from which it converges; its pulls in that epoch are already
+// answered and get nothing more. In later epochs, its pull of the
+// un-indexed epoch and a pull naming an older epoch are each answered with
+// the path at the server's epoch, and so is a pull from a member that was
+// connected at the seal.
 func TestResumeAndPullGetKeyPath(t *testing.T) {
 	scheme := newScheme(t, 60)
 	srv1 := startServer(t, scheme)
@@ -190,30 +192,44 @@ func TestResumeAndPullGetKeyPath(t *testing.T) {
 	late := resumeRaw(t, srv, st)
 	converges("resume", st, expectPath(t, late, srv, m))
 	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch))
-	converges("un-indexed pull", st, expectPath(t, late, srv, m))
 	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch-1))
-	converges("stale-epoch pull", st, expectPath(t, late, srv, m))
 
 	// The member connected at the seal pulls the epoch it was sent.
 	present.expect(wire.MsgRekeySparse)
 	present.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch))
 	expectPath(t, present, srv, present.id)
 
-	// After an epoch with nothing for anyone, a pull names it and gets the
-	// path at that epoch.
-	idle, err := srv.RekeyNow()
-	if err != nil {
-		t.Fatal(err)
+	// Epochs with nothing for anyone: each member's next frame is the
+	// broadcast heartbeat, so the resumed member's pulls in the sealed
+	// epoch got no reply; pulls naming any earlier epoch get the path at
+	// the new one.
+	idle := func() {
+		t.Helper()
+		rk, err := srv.RekeyNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(rk.AllItems()); n != 0 {
+			t.Fatalf("idle epoch carries %d items", n)
+		}
+		for _, p := range []*rawPeer{present, late} {
+			sr, err := wire.DecodeSparseRekey(srv.SigningKey(), p.expect(wire.MsgRekeySparse))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr.Epoch != rk.Epoch || len(sr.Items) != 0 {
+				t.Fatalf("got epoch %d with %d items, want the heartbeat of epoch %d", sr.Epoch, len(sr.Items), rk.Epoch)
+			}
+		}
 	}
-	if n := len(idle.AllItems()); n != 0 {
-		t.Fatalf("idle epoch carries %d items", n)
-	}
-	for _, p := range []*rawPeer{present, late} {
-		p.expect(wire.MsgRekeySparse) // the broadcast heartbeat
-		p.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(idle.Epoch))
-	}
+	idle()
+	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch))
+	converges("un-indexed pull", st, expectPath(t, late, srv, m))
+	present.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(srv.Epoch()))
 	expectPath(t, present, srv, present.id)
-	converges("pull after an idle epoch", st, expectPath(t, late, srv, m))
+	idle()
+	late.send(wire.MsgRekeyPull, wire.EncodeRekeyPull(rekey.Epoch-1))
+	converges("stale-epoch pull", st, expectPath(t, late, srv, m))
 }
 
 // TestCloseDropsPendingJoins: a join still waiting for its admitting rekey

@@ -136,8 +136,8 @@ func (f frame) release() {
 
 // clientConn is one admitted member's connection plus its bounded send
 // queue: a slice that grows with what is queued, up to QueueCap, so an
-// idle connection holds no reserved slots. strikes and shedding are
-// guarded by s.mu.
+// idle connection holds no reserved slots. strikes, shedding and the
+// path fields are guarded by s.mu.
 type clientConn struct {
 	conn    net.Conn
 	wake    chan struct{} // one slot: the queue changed since the writer last looked
@@ -157,6 +157,10 @@ type clientConn struct {
 
 	strikes  int
 	shedding bool
+	// pathSent and pathEpoch record the last key-path frame queued (a
+	// resume or pull reply): a pull in that epoch is already answered.
+	pathSent  bool
+	pathEpoch uint64
 }
 
 // queueKeep is the most frames' room an emptied queue keeps: a backlog's

@@ -369,6 +369,8 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 			// TCP repair: a member that could not complete an epoch from the
 			// datagram plane (or missed a sparse frame) pulls, and whatever
 			// epoch it names it is sent its current key path, as resume is.
+			// One reply per epoch: it is signed under s.mu, and a member
+			// pulling in a loop must not stall rekeys for everyone.
 			if _, err := wire.DecodeRekeyPull(payload); err != nil {
 				s.reject(conn, err)
 				return
@@ -381,8 +383,14 @@ func (s *Server) handleFrames(conn net.Conn, firstType wire.MsgType, firstPayloa
 				return
 			}
 			s.metrics.noteRepairPull()
+			epoch := s.scheme.Stats().Rekeys
+			if cc.pathSent && cc.pathEpoch == epoch {
+				s.mu.Unlock()
+				continue
+			}
 			f, err := s.pathFrameLocked(memberID)
 			if err == nil {
+				cc.pathSent, cc.pathEpoch = true, epoch
 				s.enqueueLocked(memberID, cc, f)
 			}
 			s.mu.Unlock()
@@ -457,7 +465,8 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 		Welcome:   wire.Welcome{Member: req.Member, Key: leaf},
 		ServerKey: s.signPub,
 	}
-	s.startClientLocked(req.Member, conn, frame{t: wire.MsgWelcome, payload: welcome.Encode()}, path)
+	cc := s.startClientLocked(req.Member, conn, frame{t: wire.MsgWelcome, payload: welcome.Encode()}, path)
+	cc.pathSent, cc.pathEpoch = true, s.scheme.Stats().Rekeys
 	s.metrics.setConnections(len(s.conns))
 	s.mu.Unlock()
 	return true
@@ -468,8 +477,13 @@ func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree
 // signature — and returns its sparse frame, which owns the buffer's only
 // reference. It is the reply to a resume and to every pull: depth wraps
 // and one signature, no scheme state changed, so a restarted process that
-// has sealed no epoch yet answers too. Callers hold s.mu.
+// has sealed no epoch yet answers too. A path overrides the versions a
+// member holds (member.ApplyPath), so a deposed primary issues none.
+// Callers hold s.mu.
 func (s *Server) pathFrameLocked(m keytree.MemberID) (frame, error) {
+	if err := s.checkFenceLocked(); err != nil {
+		return frame{}, err
+	}
 	items, err := core.PathItems(s.scheme, m, s.rng)
 	if err != nil {
 		return frame{}, err

@@ -76,15 +76,21 @@ func DialTLS(addr string, req wire.JoinRequest, timeout time.Duration, pool *x50
 // are followed transparently; every hop is dialed with the same pinned
 // certificate pool.
 func DialTLSGroup(addr string, group wire.GroupID, req wire.JoinRequest, timeout time.Duration, pool *x509.CertPool) (*Client, error) {
-	return followRedirects(addr, func(addr string) (*Client, error) {
-		dialer := &net.Dialer{Timeout: timeout}
-		conn, err := tls.DialWithDialer(dialer, "tcp", addr, &tls.Config{
-			RootCAs:    pool,
-			MinVersion: tls.VersionTLS13,
-		})
+	return followRedirectsVia(addr, nil, func(addr string) (*Client, error) {
+		conn, err := dialTLS(addr, timeout, pool)
 		if err != nil {
-			return nil, fmt.Errorf("server: TLS dial %s: %w", addr, err)
+			return nil, err
 		}
 		return newClientOnConn(conn, group, req, timeout)
 	})
+}
+
+// dialTLS connects to addr over TLS 1.3, pinning the server to pool.
+func dialTLS(addr string, timeout time.Duration, pool *x509.CertPool) (net.Conn, error) {
+	dialer := &net.Dialer{Timeout: timeout}
+	conn, err := tls.DialWithDialer(dialer, "tcp", addr, &tls.Config{RootCAs: pool, MinVersion: tls.VersionTLS13})
+	if err != nil {
+		return nil, fmt.Errorf("server: TLS dial %s: %w", addr, err)
+	}
+	return conn, nil
 }

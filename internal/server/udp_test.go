@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/metrics"
 	"groupkey/internal/wire"
@@ -432,5 +435,117 @@ func TestPullReplyKeepsIndividualKey(t *testing.T) {
 	c.mu.Unlock()
 	if !kept || !c.HasKey(gk) {
 		t.Fatalf("after the pull reply: individual key kept=%v, holds the group key=%v", kept, c.HasKey(gk))
+	}
+}
+
+// TestPullAfterMissedHandoffFails: a TT datagram subscriber loses every
+// packet of the epoch that migrates it from the S to the L partition, so
+// the hand-off of its new leaf never reaches it, and it pulls. The reply,
+// its key path, is sealed under that new leaf and cannot open. The
+// migration keeps the group key, so the loss shows at the next rotation;
+// the client must end the session with ErrLeafSuperseded rather than
+// report that epoch without its group key.
+func TestPullAfterMissedHandoffFails(t *testing.T) {
+	scheme, err := core.NewTwoPartition(core.TT, 2, core.WithRand(keycrypt.NewDeterministicReader(66)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, scheme)
+	c := dial(t, srv, wire.JoinRequest{})
+	dial(t, srv, wire.JoinRequest{})
+	srv.mu.Lock()
+	keys, err := srv.scheme.MemberKeys(c.ID())
+	srv.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := keys[0].ID
+	startUDP(t, srv, 1, 67, UDPConfig{KeysPerDgram: 2, BlockSize: 4})
+	subscribe(t, srv, c, 1)
+
+	for i := 0; ; i++ {
+		if _, err := srv.RekeyNow(); err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		keys, err := srv.scheme.MemberKeys(c.ID())
+		srv.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys[0].ID != leaf {
+			break
+		}
+		if i == 8 {
+			t.Fatal("the member never migrated out of the S partition")
+		}
+		if err := c.WaitEpoch(srv.Epoch(), testTimeout); err != nil {
+			t.Fatalf("before the hand-off: %v", err)
+		}
+	}
+	if _, err := srv.RotateNow(); err != nil {
+		t.Fatal(err)
+	}
+	epoch := srv.Epoch()
+	gk, err := scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(testTimeout):
+		t.Fatalf("session still live at epoch %d of %d, holds the group key=%v", c.Epoch(), epoch, c.HasKey(gk))
+	}
+	if !errors.Is(c.Err(), ErrLeafSuperseded) {
+		t.Fatalf("session ended with %v, want ErrLeafSuperseded", c.Err())
+	}
+	if c.Epoch() >= epoch && !c.HasKey(gk) {
+		t.Fatalf("client reports epoch %d without its group key", c.Epoch())
+	}
+}
+
+// TestPullsCoalescePerEpoch: a member's pulls are answered once per epoch,
+// whatever their number, and again once the epoch moves on.
+func TestPullsCoalescePerEpoch(t *testing.T) {
+	srv := startServer(t, newScheme(t, 68))
+	m := NewMetrics(metrics.NewRegistry(), nil)
+	srv.Instrument(m)
+	c := dial(t, srv, wire.JoinRequest{})
+	dial(t, srv, wire.JoinRequest{})
+	var mu sync.Mutex
+	frames := map[uint64]int{}
+	c.SetEpochHook(func(e uint64) {
+		mu.Lock()
+		frames[e]++
+		mu.Unlock()
+	})
+	count := func(e uint64) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return frames[e]
+	}
+
+	if _, err := srv.RotateNow(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		// Every frame of this epoch reaches the hook: its broadcast, then
+		// the replies.
+		epoch := srv.Epoch()
+		pulls := m.repairPulls.Value()
+		for i := 0; i < 5; i++ {
+			c.pull(epoch)
+		}
+		waitFor(t, "the pulls to be read", func() bool { return m.repairPulls.Value() == pulls+5 })
+		// The next epoch's frame is queued behind any reply.
+		if _, err := srv.RotateNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitEpoch(epoch+1, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if got := count(epoch) - 1; got != 1 {
+			t.Fatalf("round %d: %d replies to 5 pulls in epoch %d, want 1", round, got, epoch)
+		}
 	}
 }
