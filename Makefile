@@ -57,11 +57,15 @@ seal-check:
 # One signature per epoch of datagrams: the shard-tree verifier rejects
 # every single-byte mutation cold and warm, binds epoch and group, checks
 # a warm packet without allocating, every packet fits the MTU up to the
-# largest epoch, and a subscribed client counts injected forgeries and
-# still converges — three times under -race; then 20 s of FuzzDecodeDgram.
+# largest epoch, a subscribed client counts injected forgeries and still
+# converges, each block goes only to the subscribers whose items it
+# carries (wire.NeededBlocks) with parity sized from their losses, and a
+# subscriber's loss estimate counts only its own blocks — three times
+# under -race; then 20 s of FuzzDecodeDgram and 10 s of FuzzNeededBlocks.
 dgram-check:
-	$(GO) test -race -count=3 -run 'Dgram|Datagram|ShardDgrams' ./internal/wire ./internal/server
+	$(GO) test -race -count=3 -run 'Dgram|Datagram|ShardDgrams|NeededBlocks|Audience' ./internal/wire ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDgram$$' -fuzztime=20s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzNeededBlocks$$' -fuzztime=10s ./internal/wire/
 
 # Benchmark harness: one bench per paper table/figure plus ablations.
 bench:
@@ -145,8 +149,11 @@ chaos-bins:
 # Per-PR WAN chaos gate (~1 min): the two smoke scenarios — transcon
 # with UDP and a link flap, mobile-3g against a 3-node cluster with a
 # primary SIGKILL — behind userspace WAN-shaping proxies, SLO-gated,
-# then a deterministic dst replay of each scenario's fault plan.
+# then a deterministic dst replay of each scenario's fault plan. Each
+# scenario starts from an empty directory (chaosrun refuses a used one);
+# chaos_summary.json records the servers' counters.
 chaos-smoke: chaos-bins
+	rm -rf chaos_out/smoke-transcon chaos_out/smoke-mobile-3g
 	./bin/chaosrun -scenario smoke -out chaos_out
 	./bin/dstrun -replay chaos_out/smoke-transcon/fault_plan.json
 	./bin/dstrun -replay chaos_out/smoke-mobile-3g/fault_plan.json
@@ -155,6 +162,7 @@ chaos-smoke: chaos-bins
 # including satellite links, flash crowds, bandwidth squeezes and
 # multi-region failover, plus a replay of every archived fault plan.
 chaos-nightly: chaos-bins
+	for s in $$(./bin/chaosrun -list | awk '{print $$1}'); do rm -rf chaos_out/$$s; done
 	./bin/chaosrun -scenario nightly -out chaos_out
 	for f in chaos_out/*/fault_plan.json; do \
 		./bin/dstrun -replay $$f || exit 1; \
@@ -171,6 +179,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeMembershipBatch$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeSparseRekey$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDgram$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzNeededBlocks$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzScopedIndex$$' -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzWALRecord$$' -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzRestore$$' -fuzztime=10s ./internal/core/

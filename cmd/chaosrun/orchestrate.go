@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,10 +30,11 @@ type orchestrator struct {
 	dir        string // per-scenario artifact directory
 	logf       func(format string, args ...any)
 
-	nodeAddrs []string // real client addrs, node order
-	replAddrs []string
-	udpAddr   string // real UDP addr (standalone UDP scenarios)
-	peersSpec string
+	nodeAddrs    []string // real client addrs, node order
+	replAddrs    []string
+	metricsAddrs []string // each node's -metrics endpoint
+	udpAddr      string   // real UDP addr (standalone UDP scenarios)
+	peersSpec    string
 
 	mu    sync.Mutex
 	nodes []*proc
@@ -97,6 +100,26 @@ type Summary struct {
 	Passed        bool            `json:"passed"`
 	FaultPlanHash string          `json:"fault_plan_hash"`
 	Regions       []RegionVerdict `json:"regions"`
+	// ServerCounters holds, per keyserverd process, the serverCounters
+	// it reported at the end of the run. They are recorded, not gated;
+	// a restarted node's counters start from its restart.
+	ServerCounters map[string]map[string]float64 `json:"server_counters,omitempty"`
+}
+
+// serverCounters are the groupkey_* series chaos_summary.json records from
+// each server: the epoch count, datagram traffic and repair, TCP pulls and
+// rejected registrations, and a cluster node's lease transitions and
+// fencing rejections. A cluster node exports only the last two.
+var serverCounters = []string{
+	"groupkey_rekeys_total",
+	"groupkey_udp_packets_sent_total",
+	"groupkey_udp_parity_sent_total",
+	"groupkey_udp_nacks_total",
+	"groupkey_udp_repair_rounds_total",
+	"groupkey_rekey_repair_pulls_total",
+	"groupkey_rejected_registrations_total",
+	"groupkey_lease_transitions_total",
+	"groupkey_fencing_rejections_total",
 }
 
 // RegionVerdict is one region fleet's gated outcome.
@@ -112,8 +135,14 @@ type RegionVerdict struct {
 	SpreadP99      float64  `json:"spread_p99_seconds"`
 }
 
-// run executes the scenario end to end and returns its summary.
+// run executes the scenario end to end and returns its summary. It
+// refuses a non-empty scenario directory: keyserverd would recover the
+// state an earlier run left there, and the two runs would not be
+// independent.
 func (o *orchestrator) run() (*Summary, error) {
+	if entries, err := os.ReadDir(o.dir); err == nil && len(entries) > 0 {
+		return nil, fmt.Errorf("scenario directory %s is not empty: remove it to start a fresh run", o.dir)
+	}
 	if err := os.MkdirAll(o.dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -175,7 +204,41 @@ func (o *orchestrator) run() (*Summary, error) {
 		}
 	}
 
-	return o.gate(fleetErrs)
+	return o.gate(fleetErrs, o.scrapeCounters())
+}
+
+// scrapeCounters reads serverCounters from the aggregate series of every
+// node that answers on its metrics endpoint; a node that is down is left
+// out.
+func (o *orchestrator) scrapeCounters() map[string]map[string]float64 {
+	client := &http.Client{Timeout: 5 * time.Second}
+	out := make(map[string]map[string]float64)
+	for i, p := range o.nodes {
+		resp, err := client.Get("http://" + o.metricsAddrs[i] + "/metrics.json")
+		if err != nil {
+			o.logf("scraping %s: %v", p.name, err)
+			continue
+		}
+		var series []struct {
+			Name   string            `json:"name"`
+			Labels map[string]string `json:"labels"`
+			Value  *float64          `json:"value"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&series)
+		resp.Body.Close()
+		if err != nil {
+			o.logf("scraping %s: %v", p.name, err)
+			continue
+		}
+		counters := make(map[string]float64)
+		for _, s := range series {
+			if len(s.Labels) == 0 && s.Value != nil && slices.Contains(serverCounters, s.Name) {
+				counters[s.Name] = *s.Value
+			}
+		}
+		out[p.name] = counters
+	}
+	return out
 }
 
 // writeFlashTrace synthesizes and archives the flash-crowd membership
@@ -221,12 +284,16 @@ func (o *orchestrator) startServers() error {
 	n := o.sc.Nodes
 	o.nodeAddrs = make([]string, n)
 	o.replAddrs = make([]string, n)
+	o.metricsAddrs = make([]string, n)
 	for i := range o.nodeAddrs {
 		addr, err := freePort("tcp")
 		if err != nil {
 			return err
 		}
 		o.nodeAddrs[i] = addr
+		if o.metricsAddrs[i], err = freePort("tcp"); err != nil {
+			return err
+		}
 		if n > 1 {
 			if o.replAddrs[i], err = freePort("tcp"); err != nil {
 				return err
@@ -249,6 +316,7 @@ func (o *orchestrator) startServers() error {
 			"-state-dir", filepath.Join(o.dir, "state-a"),
 			"-fsync", "never", // chaos gates on protocol correctness, not durability latency
 			"-groups", fmt.Sprint(o.sc.Groups),
+			"-metrics", o.metricsAddrs[0],
 		}
 		if o.sc.UDP {
 			args = append(args, "-udp", o.udpAddr)
@@ -281,6 +349,7 @@ func (o *orchestrator) startServers() error {
 			"-period", o.sc.Period.D().String(),
 			"-lease-ttl", "1500ms",
 			"-fsync", "never",
+			"-metrics", o.metricsAddrs[i],
 		}
 		p, err := o.spawn("keyserverd-"+nodeID(i), o.keyserverd, args)
 		if err != nil {
@@ -470,15 +539,16 @@ func (o *orchestrator) fire(ev Event) {
 }
 
 // gate decodes every region report, applies the scenario SLO, rewrites
-// the reports with their embedded verdicts, and assembles the summary.
-func (o *orchestrator) gate(fleetErrs map[string]error) (*Summary, error) {
+// the reports with their embedded verdicts, and assembles the summary
+// with the servers' counters.
+func (o *orchestrator) gate(fleetErrs map[string]error, counters map[string]map[string]float64) (*Summary, error) {
 	slo := loadgen.SLO{
 		MaxProtocolErrors: 0, // always: chaos may be slow, never wrong
 		MaxMissedRekeys:   o.sc.SLO.MaxMissed,
 		MaxSpreadP99:      o.sc.SLO.MaxSpreadP99,
 	}
 	plan := o.sc.FaultPlan()
-	sum := &Summary{Scenario: o.sc.Name, Passed: true, FaultPlanHash: plan.Hash()}
+	sum := &Summary{Scenario: o.sc.Name, Passed: true, FaultPlanHash: plan.Hash(), ServerCounters: counters}
 	regions := append([]string(nil), regionNames(o.sc)...)
 	sort.Strings(regions)
 	for _, name := range regions {

@@ -2,6 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,5 +123,18 @@ func TestFaultPlanMapping(t *testing.T) {
 	}
 	if sc.faultProfile() != dst.ProfileMixed {
 		t.Fatalf("profile %s, want mixed", sc.faultProfile())
+	}
+}
+
+// A scenario directory an earlier run left behind is refused before any
+// process starts: the servers would recover its state.
+func TestRunRefusesUsedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fault_plan.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := &orchestrator{sc: builtins[0], dir: dir, logf: t.Logf}
+	if _, err := o.run(); err == nil || !strings.Contains(err.Error(), "not empty") {
+		t.Fatalf("run in a used directory: %v, want a refusal", err)
 	}
 }

@@ -163,7 +163,10 @@ func (d *dgramPlane) readLoop() {
 // handleDigest reacts to a MsgRekeyDigest from the TCP read loop: with a
 // datagram plane it starts (or completes) assembly of that epoch; without
 // one — the server believes we subscribed but we cannot receive — it
-// falls straight back to the TCP pull.
+// falls straight back to the TCP pull. So does a digest that arrives
+// while an earlier epoch is still assembling: the new epoch's items may
+// be wrapped under keys only the unfinished one carries, and the pull's
+// reply, the member's current key path, holds both.
 func (c *Client) handleDigest(dg wire.RekeyDigest) {
 	c.mu.Lock()
 	d := c.dgram
@@ -177,6 +180,12 @@ func (c *Client) handleDigest(dg wire.RekeyDigest) {
 		return
 	}
 	d.mu.Lock()
+	if d.digest != nil && d.digest.Epoch < dg.Epoch {
+		d.digest = nil // a pending repairRound finds nothing to do
+		d.mu.Unlock()
+		c.pull(dg.Epoch)
+		return
+	}
 	d.digest = &dg
 	d.nacks = 0
 	d.armTimerLocked()
@@ -201,29 +210,11 @@ func (d *dgramPlane) armTimerLocked() {
 }
 
 // neededBlocksLocked returns the digest blocks that cover any of the
-// member's item indexes — the only blocks the member must complete.
-// Geometry: data shard j (global, sequential across blocks) carries items
-// [j·kpd, (j+1)·kpd).
+// member's item indexes: the only blocks the member must complete, and
+// the only ones the server sends it.
 func (d *dgramPlane) neededBlocksLocked() []wire.DigestBlock {
 	dg := d.digest
-	kpd := (int(dg.ShardSize) - 2) / (4 + wire.RekeyItemSize)
-	if kpd <= 0 {
-		return nil
-	}
-	var need []wire.DigestBlock
-	i, off := 0, 0
-	for _, blk := range dg.Blocks {
-		lo := uint32(off * kpd)
-		hi := uint32((off + int(blk.K)) * kpd)
-		for i < len(dg.Indexes) && dg.Indexes[i] < lo {
-			i++
-		}
-		if i < len(dg.Indexes) && dg.Indexes[i] < hi {
-			need = append(need, blk)
-		}
-		off += int(blk.K)
-	}
-	return need
+	return wire.NeededBlocks(dg.Indexes, wire.ShardKeys(int(dg.ShardSize)), dg.Blocks)
 }
 
 // tryAssemble reconstructs the needed blocks once enough shards are in,
@@ -322,17 +313,15 @@ func (d *dgramPlane) repairRound() {
 		d.mu.Unlock()
 		return
 	}
+	// Loss is observed over the packets of the blocks we need, the only
+	// ones sent to us; deficits are reported for those still short.
 	received, expected := 0, 0
 	blocks := d.epochs[dg.Epoch]
-	for _, blk := range dg.Blocks {
-		received += len(blocks[blk.Block])
-		expected += int(blk.Shards)
-	}
-	// Report deficits only for the blocks we still need; loss is observed
-	// over the whole epoch's expected packet count.
 	var report []wire.NackBlock
 	for _, blk := range d.neededBlocksLocked() {
 		have := len(blocks[blk.Block])
+		received += have
+		expected += int(blk.Shards)
 		if have >= int(blk.K) {
 			continue
 		}

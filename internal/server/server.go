@@ -646,7 +646,7 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 
 	// Hand the epoch to the datagram plane first: subscribers' keys go out
 	// as FEC-coded UDP packets, so their TCP frame shrinks to a digest.
-	overUDP := s.udp.planEpoch(s, eb)
+	overUDP := s.udp.planEpoch(s, eb, ids)
 
 	sent := 0
 	for pos, id := range ids {

@@ -27,13 +27,19 @@ func startServer(t *testing.T, scheme core.Scheme) *Server {
 
 func dial(t *testing.T, s *Server, req wire.JoinRequest) *Client {
 	t.Helper()
+	return dialVia(t, s, s.Addr().String(), req)
+}
+
+// dialVia joins s through addr, a relay in front of it.
+func dialVia(t *testing.T, s *Server, addr string, req wire.JoinRequest) *Client {
+	t.Helper()
 	type result struct {
 		c   *Client
 		err error
 	}
 	ch := make(chan result, 1)
 	go func() {
-		c, err := Dial(s.Addr().String(), req, testTimeout)
+		c, err := Dial(addr, req, testTimeout)
 		ch <- result{c, err}
 	}()
 	// The server admits at the next rekey; trigger it once the join has

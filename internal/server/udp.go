@@ -16,14 +16,17 @@ import (
 // Datagram rekey plane (Section 4): the per-epoch key payload leaves the
 // server as FEC-coded UDP packets instead of per-member TCP frames. Each
 // epoch's items are packed sequentially into source shards, grouped into
-// Reed-Solomon blocks whose parity count is sized from the subscribers'
+// Reed-Solomon blocks. A block's audience is the subscribers whose item
+// indexes fall in it (wire.NeededBlocks): the block is unicast to its
+// audience only, and its parity count is sized from the audience's
 // reported loss (WKA-BKR's E[M], with parity substituting for weighted
-// replicas). The epoch's packets are signed once, as one shard tree
+// replicas; §4: a key's replication follows the receivers interested in
+// it). The epoch's packets are signed once, as one shard tree
 // (wire.EncodeEpochDgrams): each carries its authentication path and the
-// epoch's root signature. Subscribed members'
-// TCP frames shrink to a digest naming the geometry and their item
-// indexes; members that cannot complete a block NACK their deficit over
-// UDP and, as a last resort, pull their slice over TCP (MsgRekeyPull).
+// epoch's root signature. Subscribed members' TCP frames shrink to a
+// digest naming the geometry and their item indexes; members that cannot
+// complete a block NACK their deficit over UDP and, as a last resort,
+// pull their slice over TCP (MsgRekeyPull).
 //
 // The plane is deliberately subscription-driven: a member opts in by
 // sending a DgramHello sealed under its leaf key, which simultaneously
@@ -42,8 +45,8 @@ type UDPConfig struct {
 	KeysPerDgram int
 	// BlockSize is the number of source shards per FEC block (default 8).
 	BlockSize int
-	// MinParity/MaxParity clamp the per-block proactive parity count
-	// (defaults 1 and 8).
+	// MinParity/MaxParity clamp each block's proactive parity count, which
+	// follows the losses of the block's audience (defaults 1 and 8).
 	MinParity int
 	MaxParity int
 	// Drop, when set, is consulted before every outbound packet; true
@@ -73,21 +76,37 @@ func (c UDPConfig) withDefaults() UDPConfig {
 
 // geometry picks an epoch's keys per source shard — the most, up to
 // KeysPerDgram, whose packets fit wire.DgramMTU — and carves its shards
-// into FEC blocks with parity sized from the subscribers' losses.
-func (c UDPConfig) geometry(nItems int, losses []float64) (kpd int, blocks []wire.DigestBlock) {
+// into FEC blocks. Subscriber s reads items idx[s] and reports loss
+// losses[s]; audiences[b] lists, ascending, the subscribers that read
+// block b, and the block's parity is sized from their losses alone.
+func (c UDPConfig) geometry(nItems int, idx [][]uint32, losses []float64) (kpd int, blocks []wire.DigestBlock, audiences [][]int) {
 	for kpd = c.KeysPerDgram; ; kpd-- {
 		blocks = blocks[:0]
 		nShards := (nItems + kpd - 1) / kpd
-		leaves := 0
 		for b, off := 0, 0; off < nShards; b++ {
 			k := min(c.BlockSize, nShards-off)
-			parity := min(transport.ProactiveParity(k, losses, c.MinParity, c.MaxParity), 255-k)
-			blocks = append(blocks, wire.DigestBlock{Block: uint16(b), K: uint8(k), Shards: uint8(k + parity)})
-			leaves += k + parity
+			blocks = append(blocks, wire.DigestBlock{Block: uint16(b), K: uint8(k)})
 			off += k
 		}
+		audiences = make([][]int, len(blocks))
+		for s := range idx {
+			for _, blk := range wire.NeededBlocks(idx[s], kpd, blocks) {
+				audiences[blk.Block] = append(audiences[blk.Block], s)
+			}
+		}
+		leaves := 0
+		var heard []float64
+		for b := range blocks {
+			heard = heard[:0]
+			for _, s := range audiences[b] {
+				heard = append(heard, losses[s])
+			}
+			k := int(blocks[b].K)
+			blocks[b].Shards = uint8(k + min(transport.ProactiveParity(k, heard, c.MinParity, c.MaxParity), 255-k))
+			leaves += int(blocks[b].Shards)
+		}
 		if kpd == 1 || wire.ShardDgramSize(wire.ShardSize(kpd), leaves) <= wire.DgramMTU {
-			return kpd, blocks
+			return kpd, blocks, audiences
 		}
 	}
 }
@@ -185,10 +204,9 @@ func (u *udpPlane) close() {
 	u.pc.Close()
 }
 
-// send writes one packet, honoring the loss-injection hook. The return
-// reports whether the packet actually left (injected drops count as sent
-// for the caller's bookkeeping — the wire saw the cost of a real network
-// dropping it).
+// send writes one packet, honoring the loss-injection hook: an injected
+// drop is skipped silently, and callers count it as sent, the cost a real
+// network dropping it would have had.
 func (u *udpPlane) send(pkt []byte, addr net.Addr) {
 	u.sendMu.Lock()
 	defer u.sendMu.Unlock()
@@ -198,12 +216,14 @@ func (u *udpPlane) send(pkt []byte, addr net.Addr) {
 	_, _ = u.pc.WriteTo(pkt, addr)
 }
 
-// planEpoch carves one epoch's items into FEC blocks for the current
-// subscriber set and kicks off the asynchronous transmit. It returns the
-// set of members whose keys travel over UDP this epoch (nil when the
-// plane is absent, idle, or the epoch is empty); those members' TCP
-// frames become digests. Callers hold s.mu.
-func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer) map[keytree.MemberID]bool {
+// planEpoch carves one epoch's items into FEC blocks for the connected
+// subscribers and kicks off the asynchronous transmit. ids are the
+// epoch's audience, ascending (eb.index.At(pos) holds ids[pos]'s items),
+// so each block's destinations follow member ID. It returns the set of
+// members whose keys travel over UDP this epoch (nil when the plane is
+// absent, idle, or the epoch is empty); those members' TCP frames become
+// digests. Callers hold s.mu.
+func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer, ids []keytree.MemberID) map[keytree.MemberID]bool {
 	if u == nil || eb.nItems == 0 {
 		return nil
 	}
@@ -213,21 +233,28 @@ func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer) map[keytree.MemberID]bo
 		return nil
 	}
 	over := make(map[keytree.MemberID]bool, len(u.subs))
+	var idx [][]uint32
 	var losses []float64
-	dests := make([]net.Addr, 0, len(u.subs))
-	for id, sub := range u.subs {
-		if s.conns[id] == nil {
-			continue // subscribed but not connected: no digest, no send
+	var addrs []net.Addr
+	for pos, id := range ids {
+		if sub := u.subs[id]; sub != nil {
+			over[id] = true
+			idx = append(idx, eb.index.At(pos))
+			losses = append(losses, sub.loss)
+			addrs = append(addrs, sub.addr)
 		}
-		over[id] = true
-		losses = append(losses, sub.loss)
-		dests = append(dests, sub.addr)
 	}
 	if len(over) == 0 {
 		return nil
 	}
 
-	kpd, blocks := u.cfg.geometry(eb.nItems, losses)
+	kpd, blocks, audiences := u.cfg.geometry(eb.nItems, idx, losses)
+	dests := make([][]net.Addr, len(blocks))
+	for b, subs := range audiences {
+		for _, sub := range subs {
+			dests[b] = append(dests[b], addrs[sub])
+		}
+	}
 	ep := &udpEpoch{
 		epoch:  eb.epoch,
 		kpd:    kpd,
@@ -270,21 +297,20 @@ func (u *udpPlane) digestFor(eb *epochBuffer, idx []uint32) []byte {
 	return d.Encode()
 }
 
-// transmit builds and signs one epoch's packets, multicasts them
-// (unicast fan-out to every subscriber, like the TCP plane), then
-// publishes them for NACK repair. Runs without locks; eb is immutable and
-// retained.
-func (u *udpPlane) transmit(ep *udpEpoch, eb *epochBuffer, dests []net.Addr) {
+// transmit builds and signs one epoch's packets, unicasts each block's
+// packets to that block's audience dests[block], then publishes them for
+// NACK repair. Runs without locks; eb is immutable and retained.
+func (u *udpPlane) transmit(ep *udpEpoch, eb *epochBuffer, dests [][]net.Addr) {
 	ep.pkts = encodeEpoch(u.srv.signPriv, u.srv.group, ep, eb.nItems, eb.item)
 	packets, parityPkts := 0, 0
 	for bi, pkts := range ep.pkts {
 		for _, pkt := range pkts {
-			for _, d := range dests {
+			for _, d := range dests[bi] {
 				u.send(pkt, d)
 			}
 		}
-		packets += len(pkts) * len(dests)
-		parityPkts += (len(pkts) - int(ep.blocks[bi].K)) * len(dests)
+		packets += len(pkts) * len(dests[bi])
+		parityPkts += (len(pkts) - int(ep.blocks[bi].K)) * len(dests[bi])
 	}
 	close(ep.ready)
 	u.srv.metrics.noteUDP(packets, parityPkts, 0, 0)

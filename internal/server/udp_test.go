@@ -5,6 +5,8 @@ import (
 	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
@@ -164,6 +166,277 @@ func TestDatagramPlaneDeliversAtFivePercentLoss(t *testing.T) {
 	}
 }
 
+// dialRecordingDigests joins a member through a relay that keeps every
+// rekey digest the server sends it; the returned func waits for the
+// digest of an epoch.
+func dialRecordingDigests(t *testing.T, srv *Server) (*Client, func(epoch uint64) wire.RekeyDigest) {
+	t.Helper()
+	var mu sync.Mutex
+	digests := map[uint64]wire.RekeyDigest{}
+	pub := srv.signPriv.Public().(ed25519.PublicKey)
+	relay := newFrameProxy(t, srv.Addr().String(), func(typ wire.MsgType, payload []byte) {
+		if typ != wire.MsgRekeyDigest {
+			return
+		}
+		if dg, err := wire.DecodeRekeyDigest(pub, payload); err == nil {
+			mu.Lock()
+			digests[dg.Epoch] = dg
+			mu.Unlock()
+		}
+	})
+	c := dialVia(t, srv, relay, wire.JoinRequest{})
+	return c, func(epoch uint64) wire.RekeyDigest {
+		t.Helper()
+		var dg wire.RekeyDigest
+		waitFor(t, "rekey digest", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			var ok bool
+			dg, ok = digests[epoch]
+			return ok
+		})
+		return dg
+	}
+}
+
+// rawSubscriber subscribes c's member ID to the datagram plane from a
+// socket the test reads; the client itself has no datagram plane, so it
+// pulls each epoch over TCP.
+func rawSubscriber(t *testing.T, srv *Server, c *Client) net.PacketConn {
+	t.Helper()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenPacket: %v", err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	c.mu.Lock()
+	indiv := c.indiv
+	c.mu.Unlock()
+	sealed, err := keycrypt.Seal(indiv, []byte(wire.HelloBody), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.WriteTo(wire.EncodeMemberDgram(wire.DgramHello, srv.group, 0, c.ID(), sealed), srv.UDPAddr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "udp subscription", func() bool {
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		return srv.udp.subs[c.ID()] != nil
+	})
+	return pc
+}
+
+// waitTransmitted waits until the plane has sent every packet of epoch.
+func waitTransmitted(t *testing.T, srv *Server, epoch uint64) {
+	t.Helper()
+	waitFor(t, "epoch transmitted", func() bool {
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		return srv.udp.cur != nil && srv.udp.cur.epoch == epoch && srv.udp.cur.isReady()
+	})
+}
+
+// blockShard names one packet of an epoch.
+type blockShard struct {
+	block uint16
+	shard uint8
+}
+
+// TestDatagramBlocksGoToTheirAudience: after a departure, whose rekey
+// spans several blocks, each subscriber's socket receives every packet of
+// the blocks wire.NeededBlocks picks from its digest, once, and no packet
+// of any other block.
+func TestDatagramBlocksGoToTheirAudience(t *testing.T) {
+	srv := startServer(t, newScheme(t, 70))
+	startUDP(t, srv, 0, 71, UDPConfig{KeysPerDgram: 1, BlockSize: 2})
+	type subscriber struct {
+		digest func(uint64) wire.RekeyDigest
+		pc     net.PacketConn
+	}
+	var subs []subscriber
+	for i := 0; i < 4; i++ {
+		c, digest := dialRecordingDigests(t, srv)
+		subs = append(subs, subscriber{digest, rawSubscriber(t, srv, c)})
+	}
+	var others []*Client
+	for i := 0; i < 4; i++ {
+		others = append(others, dial(t, srv, wire.JoinRequest{}))
+	}
+	if err := others[0].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })
+	if _, err := srv.RekeyNow(); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.Epoch()
+	waitTransmitted(t, srv, e)
+
+	partial := false
+	for i, sub := range subs {
+		dg := sub.digest(e)
+		need := wire.NeededBlocks(dg.Indexes, wire.ShardKeys(int(dg.ShardSize)), dg.Blocks)
+		want := map[blockShard]int{}
+		for _, blk := range need {
+			for j := 0; j < int(blk.Shards); j++ {
+				want[blockShard{blk.Block, uint8(j)}] = 1
+			}
+		}
+		got := map[blockShard]int{}
+		buf := make([]byte, wire.MaxDgramSize)
+		for {
+			sub.pc.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+			n, _, err := sub.pc.ReadFrom(buf)
+			if err != nil {
+				break // every packet was sent before the epoch was published
+			}
+			if d, err := wire.DecodeDgram(buf[:n]); err == nil && d.Epoch == e {
+				got[blockShard{d.Block, d.Shard}]++
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("subscriber %d (indexes %v, %d blocks): received %v, want %v", i, dg.Indexes, len(dg.Blocks), got, want)
+		}
+		partial = partial || len(need) < len(dg.Blocks)
+	}
+	if !partial {
+		t.Fatal("every subscriber reads every block of the epoch: no audience to check")
+	}
+}
+
+// TestDatagramLossEstimateCountsOwnBlocks: a subscriber whose first two
+// packets of an epoch are dropped (one parity shard per block, so one loss
+// alone raises no NACK) reports LossPermille 2000/(the packets of its own
+// blocks), not the share of the epoch's packets, most of which were never
+// sent to it.
+func TestDatagramLossEstimateCountsOwnBlocks(t *testing.T) {
+	srv := startServer(t, newScheme(t, 72))
+	m := NewMetrics(metrics.NewRegistry(), nil)
+	srv.Instrument(m)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenPacket: %v", err)
+	}
+	var drops atomic.Int32
+	srv.ServeUDP(pc, UDPConfig{KeysPerDgram: 1, BlockSize: 2, MinParity: 1, MaxParity: 1,
+		Drop: func() bool { return drops.Add(-1) >= 0 }})
+	c, digest := dialRecordingDigests(t, srv)
+	if err := c.EnableDatagram(srv.UDPAddr().String(), time.Second, 3); err != nil {
+		t.Fatalf("EnableDatagram: %v", err)
+	}
+	waitFor(t, "udp subscription", func() bool {
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		return srv.udp.subs[c.ID()] != nil
+	})
+	var others []*Client
+	for i := 0; i < 4; i++ {
+		others = append(others, dial(t, srv, wire.JoinRequest{}))
+	}
+	if err := others[0].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })
+	waitTransmitted(t, srv, srv.Epoch()) // no earlier packet takes a drop
+	nacks := m.udpNacks.Value()
+	drops.Store(2) // the only subscriber: its first block's first two shards
+	if _, err := srv.RekeyNow(); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.Epoch()
+	if err := c.WaitEpoch(e, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the NACK", func() bool { return m.udpNacks.Value() > nacks })
+
+	dg := digest(e)
+	need := wire.NeededBlocks(dg.Indexes, wire.ShardKeys(int(dg.ShardSize)), dg.Blocks)
+	if len(need) == len(dg.Blocks) {
+		t.Fatalf("the subscriber reads all %d blocks: its own share equals the epoch's", len(dg.Blocks))
+	}
+	own := 0
+	for _, blk := range need {
+		own += int(blk.Shards)
+	}
+	srv.udp.mu.Lock()
+	got := int(math.Round(srv.udp.subs[c.ID()].loss * 1000))
+	srv.udp.mu.Unlock()
+	if want := 2000 / own; got != want {
+		t.Fatalf("LossPermille %d, want %d: 2 lost of the %d packets of its %d blocks (the epoch has %d blocks)",
+			got, want, own, len(need), len(dg.Blocks))
+	}
+}
+
+// TestDatagramSupersededEpochPulls: a subscriber loses every packet of
+// the epoch that admits a second member, and the next epoch, a rotation
+// wrapped under that epoch's group key, is announced before its NACK
+// timer fires. It must pull rather than assemble the rotation, which it
+// could not open: before, it reported the epoch without its group key.
+func TestDatagramSupersededEpochPulls(t *testing.T) {
+	scheme := newScheme(t, 74)
+	srv := startServer(t, scheme)
+	m := NewMetrics(metrics.NewRegistry(), nil)
+	srv.Instrument(m)
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ListenPacket: %v", err)
+	}
+	var blackhole atomic.Bool
+	srv.ServeUDP(pc, UDPConfig{KeysPerDgram: 2, BlockSize: 4, Drop: blackhole.Load})
+	c := dial(t, srv, wire.JoinRequest{})
+	if err := c.EnableDatagram(srv.UDPAddr().String(), time.Minute, 3); err != nil {
+		t.Fatalf("EnableDatagram: %v", err)
+	}
+	waitFor(t, "udp subscription", func() bool {
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		return srv.udp.subs[c.ID()] != nil
+	})
+	blackhole.Store(true)
+	dial(t, srv, wire.JoinRequest{})
+	waitTransmitted(t, srv, srv.Epoch())
+	blackhole.Store(false)
+	if _, err := srv.RotateNow(); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.Epoch()
+	if err := c.WaitEpoch(e, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	gk, err := scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.HasKey(gk) {
+		t.Fatalf("client reports epoch %d of %d without its group key", c.Epoch(), e)
+	}
+	if m.repairPulls.Value() == 0 {
+		t.Fatal("the client reached the epoch without pulling it")
+	}
+}
+
+// TestGeometryParityFollowsAudience: two blocks read by one subscriber
+// each, at 0 % and at 20 % loss, get parity from their own reader: the
+// clamp's floor for the clean one, k·(E[M]−1) = 8·0.25 = 2 for the lossy
+// one.
+func TestGeometryParityFollowsAudience(t *testing.T) {
+	cfg := UDPConfig{KeysPerDgram: 1, BlockSize: 8}.withDefaults()
+	idx := [][]uint32{{0, 3, 7}, {8, 15}}
+	kpd, blocks, audiences := cfg.geometry(16, idx, []float64{0, 0.2})
+	if kpd != 1 || len(blocks) != 2 {
+		t.Fatalf("geometry: %d keys per shard, %d blocks; want 1 and 2", kpd, len(blocks))
+	}
+	if want := [][]int{{0}, {1}}; fmt.Sprint(audiences) != fmt.Sprint(want) {
+		t.Fatalf("audiences %v, want %v", audiences, want)
+	}
+	for b, want := range []int{cfg.MinParity, 2} {
+		if got := int(blocks[b].Shards - blocks[b].K); got != want {
+			t.Errorf("block %d: %d parity shards, want %d", b, got, want)
+		}
+	}
+}
+
 // TestDatagramPlaneRepairsHeavyLoss cranks injected loss far past what
 // proactive parity covers: delivery must still complete every epoch via
 // NACK repair rounds or the authoritative TCP pull.
@@ -213,7 +486,11 @@ func TestShardDgramsFitMTU(t *testing.T) {
 	priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	item := make([]byte, wire.RekeyItemSize)
 	for _, n := range []int{1, 392, 6375, wire.MaxSparseIndexes} {
-		kpd, blocks := cfg.geometry(n, losses)
+		all := make([]uint32, n) // one subscriber reads every block
+		for i := range all {
+			all[i] = uint32(i)
+		}
+		kpd, blocks, _ := cfg.geometry(n, [][]uint32{all}, losses)
 		leaves := 0
 		for _, blk := range blocks {
 			if want := cfg.MaxParity; int(blk.Shards)-int(blk.K) != want {

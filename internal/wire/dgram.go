@@ -332,6 +332,10 @@ const shardEntrySize = 4 + RekeyItemSize
 // ShardSize is the canonical (padded) source shard size for kpd entries.
 func ShardSize(kpd int) int { return 2 + kpd*shardEntrySize }
 
+// ShardKeys is ShardSize's inverse: the entries a shardSize-byte source
+// shard holds.
+func ShardKeys(shardSize int) int { return (shardSize - 2) / shardEntrySize }
+
 // ParseShardEntries splits a source shard's canonical bytes (count ‖
 // entries, with optional zero padding after a reconstruction) into leaf
 // indexes and item encodings.

@@ -480,3 +480,82 @@ func FuzzDecodeDgram(f *testing.F) {
 		}
 	})
 }
+
+// neededBlocksOracle scans every block's item range for any index of idx.
+func neededBlocksOracle(idx []uint32, kpd int, blocks []DigestBlock) []DigestBlock {
+	var need []DigestBlock
+	lo := 0
+	for _, blk := range blocks {
+		hi := lo + int(blk.K)*kpd
+		for _, v := range idx {
+			if int(v) >= lo && int(v) < hi {
+				need = append(need, blk)
+				break
+			}
+		}
+		lo = hi
+	}
+	return need
+}
+
+// TestNeededBlocks pins the block choice on a geometry whose last block is
+// short: two items per shard, blocks of 4, 4 and 1 shards hold items
+// [0,8), [8,16) and [16,18).
+func TestNeededBlocks(t *testing.T) {
+	blocks := []DigestBlock{{Block: 0, K: 4, Shards: 5}, {Block: 1, K: 4, Shards: 6}, {Block: 2, K: 1, Shards: 2}}
+	for _, tc := range []struct {
+		idx  []uint32
+		want []uint16
+	}{
+		{nil, nil},
+		{[]uint32{0}, []uint16{0}},
+		{[]uint32{7}, []uint16{0}},
+		{[]uint32{8}, []uint16{1}},
+		{[]uint32{7, 8}, []uint16{0, 1}},
+		{[]uint32{17}, []uint16{2}},
+		{[]uint32{3, 17, 18}, []uint16{0, 2}},
+		{[]uint32{18, 40}, nil}, // past the last block
+	} {
+		var got []uint16
+		for _, blk := range NeededBlocks(tc.idx, 2, blocks) {
+			got = append(got, blk.Block)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("NeededBlocks(%v) = blocks %v, want %v", tc.idx, got, tc.want)
+		}
+	}
+}
+
+// FuzzNeededBlocks holds NeededBlocks to the brute-force scan on random
+// geometries (keys per shard, block count and sizes) and ascending index
+// sets, empty ones and ones running past the last block included.
+func FuzzNeededBlocks(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 3, 4, 4, 1, 0, 6, 7, 200})
+	f.Add([]byte{11, 5, 255, 255, 8, 255, 1, 0, 0, 255, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		kpd := 1 + next()%12
+		blocks := make([]DigestBlock, next()%7)
+		for b := range blocks {
+			k := 1 + next()%255
+			blocks[b] = DigestBlock{Block: uint16(b), K: uint8(k), Shards: uint8(min(255, k+next()%9))}
+		}
+		var idx []uint32
+		for v := -1; len(data) > 0; {
+			v += 1 + next()
+			idx = append(idx, uint32(v))
+		}
+		got := NeededBlocks(idx, kpd, blocks)
+		if want := neededBlocksOracle(idx, kpd, blocks); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("kpd %d, blocks %v, indexes %v: got %v, want %v", kpd, blocks, idx, got, want)
+		}
+	})
+}

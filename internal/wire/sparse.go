@@ -396,6 +396,25 @@ type DigestBlock struct {
 	Shards uint8
 }
 
+// NeededBlocks returns the blocks, in order, that carry any of the
+// ascending item indexes idx when each source shard carries kpd items:
+// data shard j (global, sequential across blocks) holds items
+// [j·kpd, (j+1)·kpd). Indexes past the last block are ignored.
+func NeededBlocks(idx []uint32, kpd int, blocks []DigestBlock) []DigestBlock {
+	var need []DigestBlock
+	i, hi := 0, 0
+	for _, blk := range blocks {
+		hi += int(blk.K) * kpd
+		for i < len(idx) && int(idx[i]) < hi {
+			i++
+		}
+		if i > 0 && int(idx[i-1]) >= hi-int(blk.K)*kpd {
+			need = append(need, blk)
+		}
+	}
+	return need
+}
+
 // RekeyDigest is a MsgRekeyDigest payload: the epoch announcement for a
 // member whose keys travel over UDP. Root and signature make the epoch's
 // existence unforgeable; the index and block lists are advisory (a forged
