@@ -28,19 +28,22 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Replay and replica apply advance the key state and seal only a payload
-# that is sent, and a member that is behind is answered with its key path:
-# the advance/seal equivalence, late seals of replica rekeys, recovery,
-# failover and the resume tests (missed epochs, the crash window, the
-# missed leaf hand-off, the pull reply) three times under the race
-# detector, then one pass of the store's recovery benchmarks.
+# Replay and replica apply advance the key state without sealing it or
+# drawing a wrap nonce, and a member that is behind is answered with its
+# key path: the advance/seal equivalence, the refused seal of a replica's
+# rekey, replay's entropy count, a rekey after Recover, the refusal of
+# pre-rule state, recovery, failover and the resume tests (missed epochs,
+# the crash window, the missed leaf hand-off, the pull reply) three times
+# under the race detector, then one pass of the store's recovery
+# benchmarks.
 replay-check:
-	$(GO) test -race -count=3 -run 'Advance|SealsLate|RestartedPrimary|Failover|Resume|Pull|KeyPath|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
+	$(GO) test -race -count=3 -run 'Advance|RefusesSeal|DrawsOnlyKeyMaterial|AfterRecoverRekeys|PreRuleCreateRecord|UnsupportedSnapshot|RestartedPrimary|Failover|Resume|Pull|KeyPath|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
 	$(GO) test -run '^$$' -bench 'Recover|ReplicaApply' -benchtime=1x ./internal/store
 
 # Key-schedule caches hold only live keys: the tree's and the Naive/QT
-# schemes' caches drop what their owners retire, late seals under retired
-# keys stay byte-identical, a member expands each wrapping key once per
+# schemes' caches drop what their owners retire, a seal right after
+# Advance, old-key wraps under keys the batch retired included, matches
+# ProcessBatch byte for byte, a member expands each wrapping key once per
 # payload, and a version bump at the cap evicts nothing.
 cache-check:
 	$(GO) test -race -count=5 -run 'CacheHoldsOnlyLive|DropDeparted|ApplyExpands|VersionBumpAtCap|AdvanceMatches' ./internal/keycrypt ./internal/keytree ./internal/core ./internal/member
@@ -48,10 +51,12 @@ cache-check:
 # The epoch seal's two halves stay byte-identical to their references:
 # the item tree over real nodes only against the padded construction, the
 # batch wrap pool against serial wraps (cache state included), the
-# zero-alloc inline seal, late seals and the golden payload digests, five
-# times under -race; then one pass of the seal and churn100k benchmarks.
+# zero-alloc inline seal and its nonce draw, a seal right after Advance,
+# a tree left coherent by a failed nonce draw and the golden payload
+# digests, five times under -race; then one pass of the seal and
+# churn100k benchmarks.
 seal-check:
-	$(GO) test -race -count=5 -run 'ItemTreeMatches|WrapBatch|PendingWrapsSeal|AdvanceMatches|Golden' ./internal/wire ./internal/keycrypt ./internal/keytree ./internal/core
+	$(GO) test -race -count=5 -run 'ItemTreeMatches|WrapBatch|PendingWrapsSeal|AdvanceMatches|FailedRekey|Golden' ./internal/wire ./internal/keycrypt ./internal/keytree ./internal/core
 	$(GO) test -run '^$$' -bench 'SealEpoch|RekeyChurn100k' -benchtime=1x ./internal/server ./internal/keytree
 
 # One signature per epoch of datagrams: the shard-tree verifier rejects

@@ -10,6 +10,7 @@ import (
 
 	"groupkey/internal/cluster"
 	"groupkey/internal/metrics"
+	"groupkey/internal/server"
 	"groupkey/internal/store"
 )
 
@@ -65,11 +66,13 @@ func runCluster(cfg clusterConfig, out io.Writer, stop <-chan os.Signal) error {
 	var reg *metrics.Registry
 	var clusterMetrics *cluster.Metrics
 	var storeMetrics *store.Metrics
+	var serverMetrics *server.Metrics
 	if cfg.metricsAddr != "" {
 		reg = metrics.NewRegistry()
 		metrics.RegisterBuildInfo(reg)
 		clusterMetrics = cluster.NewMetrics(reg)
 		storeMetrics = store.NewMetrics(reg)
+		serverMetrics = server.NewMetrics(reg, nil)
 	}
 
 	node, err := cluster.New(cluster.Config{
@@ -85,6 +88,7 @@ func runCluster(cfg clusterConfig, out io.Writer, stop <-chan os.Signal) error {
 		Fsync:         fsyncPolicy,
 		Metrics:       clusterMetrics,
 		StoreMetrics:  storeMetrics,
+		ServerMetrics: serverMetrics,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(out, "keyserverd: "+format+"\n", args...)
 		},

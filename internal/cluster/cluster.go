@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"groupkey/internal/server"
 	"groupkey/internal/store"
 	"groupkey/internal/wire"
 )
@@ -128,6 +129,10 @@ type Config struct {
 	Metrics *Metrics
 	// StoreMetrics receives per-store durability instruments; nil disables.
 	StoreMetrics *store.Metrics
+	// ServerMetrics is the aggregate server bundle each group's primary
+	// reports into, through one ForGroup view per group kept across
+	// promotions; nil disables.
+	ServerMetrics *server.Metrics
 	// DialTimeout bounds replication dials and handshakes (default 5s).
 	DialTimeout time.Duration
 	// NoTicker disables the background lease loop; the owner drives

@@ -14,6 +14,7 @@ import (
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/metrics"
 	"groupkey/internal/server"
 	"groupkey/internal/store"
 	"groupkey/internal/vfs"
@@ -610,5 +611,67 @@ func TestShardOf(t *testing.T) {
 	}
 	if ShardOf(7, 4) != 3 || ShardOf(8, 4) != 0 {
 		t.Fatal("modulo mapping broken")
+	}
+}
+
+// TestPromotionsShareServerMetrics: a node's primaries report into
+// Config.ServerMetrics through one view per group, so a group promoted,
+// demoted and promoted again counts its rekeys on the aggregate and its
+// members once.
+func TestPromotionsShareServerMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	auth := NewMemAuthority(nil)
+	var peers []Peer
+	var lns [][2]net.Listener
+	for _, name := range []string{"a", "b"} {
+		cl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns = append(lns, [2]net.Listener{cl, rl})
+		peers = append(peers, Peer{ID: NodeID(name), ClientAddr: cl.Addr().String(), ReplAddr: rl.Addr().String()})
+	}
+	cfg := Config{Node: "a", Peers: peers, Shards: 1, Groups: 1, StateDir: t.TempDir(), Authority: auth,
+		ServerMetrics: server.NewMetrics(reg, nil)}
+	a := startNode(t, cfg, lns[0][0], lns[0][1])
+	cfg.Node, cfg.StateDir, cfg.ServerMetrics = "b", t.TempDir(), nil
+	b := startNode(t, cfg, lns[1][0], lns[1][1])
+
+	rekeys := reg.Counter("groupkey_rekeys_total", "")
+	members := reg.Gauge("groupkey_members", "")
+	a.Tick()
+	b.Tick()
+	joinGroup(t, a, a.ClientAddr().String(), 0)
+	joinGroup(t, a, a.ClientAddr().String(), 0)
+	if rekeys.Value() == 0 || members.Value() != 2 {
+		t.Fatalf("after two joins on a: rekeys %d, members %v", rekeys.Value(), members.Value())
+	}
+	waitSync(t, a, b, 0)
+
+	auth.Expire(0)
+	b.Tick()
+	a.Tick()
+	if a.ownsShard(0) || !b.ownsShard(0) {
+		t.Fatal("expected the shard to move to b")
+	}
+	waitSync(t, b, a, 0)
+	auth.Expire(0)
+	a.Tick()
+	b.Tick()
+	if !a.ownsShard(0) {
+		t.Fatal("a did not take its shard back")
+	}
+	before := rekeys.Value()
+	srv := a.Registry().Get(0)
+	if _, err := srv.RekeyNow(); err != nil {
+		t.Fatal(err)
+	}
+	if rekeys.Value() != before+1 || members.Value() != float64(srv.Size()) {
+		t.Fatalf("after re-promotion: rekeys %d (want %d), members %v (want %d)",
+			rekeys.Value(), before+1, members.Value(), srv.Size())
 	}
 }

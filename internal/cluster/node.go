@@ -63,6 +63,9 @@ type groupState struct {
 	rep  *Replica // rep's scheme fields are guarded by mu
 	srv  *server.Server
 	conn net.Conn
+	// metrics is the group's view of Config.ServerMetrics, reused by every
+	// promotion so the aggregate gauges count the group once.
+	metrics *server.Metrics
 }
 
 // New opens (and recovers) every group store and assembles the node. No
@@ -126,7 +129,7 @@ func New(cfg Config) (*Node, error) {
 			ss = &shardState{id: sid}
 			n.shards[sid] = ss
 		}
-		gs := &groupState{g: g, shard: ss, rep: rep}
+		gs := &groupState{g: g, shard: ss, rep: rep, metrics: cfg.ServerMetrics.ForGroup(g)}
 		ss.groups = append(ss.groups, gs)
 		n.groups[g] = gs
 	}
@@ -262,6 +265,7 @@ func (n *Node) promoteGroup(gs *groupState, lease Lease) error {
 		return err
 	}
 	srv := server.NewWithKey(rep.Scheme, nil, rep.Store.SigningKey())
+	srv.Instrument(gs.metrics)
 	srv.Persist(rep.Store, n.cfg.SnapshotEvery)
 	srv.SetNextID(rep.NextID)
 	srv.SetFence(LeaseFence{Auth: n.cfg.Authority, Lease: lease, Metrics: n.cfg.Metrics})

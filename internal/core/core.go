@@ -90,9 +90,9 @@ type Stream struct {
 	// read-only, and it may outlive the epoch (a later batch publishes a
 	// new list, never edits this one).
 	Audience []keytree.MemberID
-	// pending holds the key tree's wraps an Advance left unsealed; they
-	// fill the leading Items and JoinerItems (the scheme's own items follow
-	// them). Rekey.Seal runs and drops them.
+	// pending holds the key tree's wraps an Advance left unsealed, nonces
+	// not yet drawn; they fill the leading Items and JoinerItems (the
+	// scheme's own items follow them). Rekey.Seal runs and drops them.
 	pending keytree.PendingWraps
 }
 
@@ -140,8 +140,10 @@ func (r *Rekey) AllItems() []keytree.Item {
 
 // Seal runs the key-tree wraps an Advance left pending into the streams'
 // items, on each tree's key-schedule cache and worker pool, and drops
-// them. It draws no entropy, so it may run any time after Advance, however
-// far the scheme has moved on; a sealed rekey seals again as a no-op.
+// them; a sealed rekey seals again as a no-op. It draws the wraps' nonces
+// from the trees' entropy source, so it must run right after Advance,
+// before anything else draws, to make ProcessBatch's rekey; a replayed
+// rekey cannot be sealed (the store's source refuses the draw).
 func (r *Rekey) Seal() error {
 	for i := range r.Streams {
 		st := &r.Streams[i]
@@ -174,11 +176,12 @@ type Scheme interface {
 	// It is Advance followed by the rekey's Seal.
 	ProcessBatch(b Batch) (*Rekey, error)
 	// Advance is ProcessBatch with the key trees' AES-GCM wraps left
-	// pending: the scheme ends in the same state, every key and nonce is
-	// drawn in the same order, and every counter counts the same items.
-	// The rekey's Seal, run at any later time, makes it byte-identical to
-	// ProcessBatch's. Replay advances every record and seals only the
-	// payload it will send.
+	// pending: the scheme ends in the same state, every key is drawn in
+	// the same order, and every counter counts the same items. The key
+	// trees' wrap nonces are not drawn: the rekey's Seal draws them, after
+	// every other draw of the batch, so Seal run right after Advance makes
+	// it byte-identical to ProcessBatch's. Replay advances every record
+	// and seals none.
 	Advance(b Batch) (*Rekey, error)
 	// GroupKey returns the current data-encryption key.
 	GroupKey() (keycrypt.Key, error)

@@ -139,9 +139,13 @@ func Random(id KeyID, version Version) Key {
 }
 
 // DeterministicReader is an io.Reader producing an unbounded pseudo-random
-// stream derived from a seed by iterated HMAC-SHA256. It exists so tests and
-// simulations can mint reproducible "random" keys without pulling in
-// non-stdlib dependencies. It must not be used for production key material.
+// stream derived from a seed by iterated HMAC-SHA256, so tests, simulations
+// and replay can mint reproducible keys without non-stdlib dependencies.
+// Its output is exactly as secret as its seed: production key material may
+// come from it only under a seed that is fresh from crypto/rand and kept
+// as secret as the keys, as the durable store does, one 32-byte seed per
+// journaled record (NewSeededReader); a seed from NewDeterministicReader's
+// uint64 is for tests and simulations only.
 type DeterministicReader struct {
 	state [32]byte
 	buf   [32]byte

@@ -101,9 +101,9 @@ type Payload struct {
 	// and experiments use it to assert the realized placement matches the
 	// chosen plan.
 	Placement Placement
-	// Pending holds the wraps an Advance left unsealed: until Seal runs
-	// them, Items and JoinerItems carry their kind and level but a zero
-	// Wrapped. Rekey seals before it returns.
+	// Pending holds the wraps an Advance left unsealed, nonces not yet
+	// drawn: until Seal runs them, Items and JoinerItems carry their kind
+	// and level but a zero Wrapped. Rekey seals before it returns.
 	Pending PendingWraps
 }
 
@@ -154,7 +154,7 @@ type dirtyInfo struct {
 //
 // Rekey mutates the tree. A batch that fails validation leaves it
 // unchanged; an entropy failure part-way leaves a well-formed tree with the
-// batch partly applied.
+// batch partly applied, or, in the nonce draw, wholly applied.
 //
 // When WithPlanner is set, the placement (which joiner takes which hole,
 // where surplus joiners attach) comes from the batch planner; otherwise
@@ -175,10 +175,11 @@ func (t *Tree) Rekey(b Batch) (*Payload, error) {
 }
 
 // Advance is Rekey without the AES-GCM step: it places the batch, draws
-// every key and every wrap nonce in Rekey's order, builds the items and
-// counts them, and leaves the wraps pending on the payload. The tree ends
-// in exactly the state Rekey leaves; the payload's Seal, run at any later
-// time, makes it byte-identical to Rekey's.
+// every key in Rekey's order, builds the items and counts them, and leaves
+// the wraps pending on the payload. The tree ends in exactly the state
+// Rekey leaves. The payload's Seal draws the wraps' nonces, so Seal run
+// right after Advance, on the same entropy stream, makes it
+// byte-identical to Rekey's.
 func (t *Tree) Advance(b Batch) (*Payload, error) {
 	if err := t.validateBatch(b); err != nil {
 		return nil, err
@@ -416,14 +417,11 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 	}
 
 	// Phases 5–6: plan the payload. The engine plans wrap jobs on this
-	// goroutine, drawing nonces in canonical order; the payload's Seal fans
-	// the AES-GCM work over a bounded pool.
+	// goroutine; the payload's Seal draws their nonces in canonical order
+	// and fans the AES-GCM work over a bounded pool.
 	joined := slices.Clone(b.Joins)
 	slices.Sort(joined)
-	p, err := t.emitPlanned(dirty, joined)
-	if err != nil {
-		return nil, err
-	}
+	p := t.emitPlanned(dirty, joined)
 	if t.members != nil && !b.IsEmpty() {
 		gone := slices.Clone(b.Leaves)
 		slices.Sort(gone)

@@ -64,19 +64,22 @@ func TestTreeCacheHoldsOnlyLiveKeys(t *testing.T) {
 }
 
 // TestPendingWrapsSealAllocs seals item and joiner jobs inline under a warm
-// cache: running the two job lists as one must not copy them into one.
+// cache: running the two job lists as one must not copy them into one, and
+// drawing their nonces must not allocate a buffer for them.
 func TestPendingWrapsSealAllocs(t *testing.T) {
 	payload, wrapper := keycrypt.Random(1, 0), keycrypt.Random(2, 0)
 	jobs := func(n int) []wrapJob {
 		js := make([]wrapJob, n)
 		for i := range js {
 			js[i] = wrapJob{payload: payload, wrapper: wrapper}
-			js[i].nonce[0] = byte(i)
 		}
 		return js
 	}
 	items, joiners := make([]Item, 64), make([]Item, 64)
-	pending := PendingWraps{items: jobs(64), joiners: jobs(64), wrapper: keycrypt.NewWrapper(), workers: 1}
+	pending := PendingWraps{
+		items: jobs(64), joiners: jobs(64), nonces: make([]byte, 128*keycrypt.NonceSize),
+		rand: keycrypt.NewDeterministicReader(1), wrapper: keycrypt.NewWrapper(), workers: 1,
+	}
 	w := pending
 	if err := w.Seal(items, joiners); err != nil { // warm the cache
 		t.Fatal(err)

@@ -14,18 +14,21 @@ import (
 // It splits emission into two steps:
 //
 //  1. Plan (single-threaded, part of Advance): sort the dirty nodes by
-//     precomputed depth, build every Item's metadata (kind, level), then
-//     draw every wrap's nonce in one read of the tree's entropy source, in
-//     canonical order. The wraps are left pending on the payload
-//     (PendingWraps).
-//  2. Seal (parallel): keycrypt.Wrapper.WrapBatch fans the AES-GCM seals
-//     out over a bounded worker pool through the tree's cached-key-schedule
-//     Wrapper, each job writing into its pre-assigned item slot.
+//     precomputed depth and build every Item's metadata (kind, level) and
+//     its wrap job (payload and wrapping key). The wraps are left pending
+//     on the payload (PendingWraps); Advance draws only key material.
+//  2. Seal (parallel): draw every wrap's nonce in one read of the tree's
+//     entropy source, in canonical order, then keycrypt.Wrapper.WrapBatch
+//     fans the AES-GCM seals out over a bounded worker pool through the
+//     tree's cached-key-schedule Wrapper, each job writing into its
+//     pre-assigned item slot.
 //
-// Because nonces and slots are fixed during planning, the payload is
-// byte-for-byte identical for any worker count, and for a seal run any
-// time later: a pending wrap holds key values and its nonce, not tree
-// nodes, so the tree may have moved on by then.
+// Because nonces and slots are fixed before any worker runs, the payload
+// is byte-for-byte identical for any worker count. The nonces come from
+// whatever the entropy source yields when Seal runs, so a caller that
+// needs the payload reproducible (Rekey, a journaled ProcessBatch) seals
+// right after Advance; replay, which sends nothing, never seals and never
+// draws a nonce.
 //
 // Multicast items name no receivers: an LKH member holds exactly the keys
 // on its leaf-to-root path, so a wrap under a node's key is addressed by
@@ -38,29 +41,41 @@ import (
 type wrapJob struct {
 	payload keycrypt.Key
 	wrapper keycrypt.Key
-	nonce   [keycrypt.NonceSize]byte
 	dst     *keycrypt.WrappedKey
 }
 
 // PendingWraps is the AES-GCM half of an advanced rekey: one planned wrap
 // per item of the payload's Items and JoinerItems, 1:1 and in order, each
-// with its payload key, wrapping key and nonce already fixed. The zero
-// value owes nothing.
+// with its payload key and wrapping key fixed. The nonces are not drawn
+// yet: Seal draws them from the tree's entropy source. The zero value owes
+// nothing.
 type PendingWraps struct {
 	items, joiners []wrapJob
-	wrapper        *keycrypt.Wrapper
-	workers        int
+	// nonces holds one nonce per job, item jobs then joiner jobs; Seal
+	// fills it in one read of rand. It is allocated with the jobs so the
+	// seal itself allocates nothing.
+	nonces  []byte
+	rand    io.Reader
+	wrapper *keycrypt.Wrapper
+	workers int
 }
 
-// Seal runs the pending wraps into items and joinerItems and drops them,
-// so a second Seal is a no-op. The slices are the ones the payload's
-// Items and JoinerItems became: a caller may have appended items of its
-// own after them (append may have moved them to a new array), but the
-// payload's items must still lead, in order.
+// Seal draws the pending wraps' nonces, runs the wraps into items and
+// joinerItems and drops them, so a second Seal is a no-op, and so is one
+// after a failed Seal. The nonces are the entropy source's next bytes, so
+// Seal belongs right after Advance, inside the same journaled operation.
+// The slices are the ones the payload's Items and JoinerItems became: a
+// caller may have appended items of its own after them (append may have
+// moved them to a new array), but the payload's items must still lead, in
+// order.
 func (w *PendingWraps) Seal(items, joinerItems []Item) error {
 	if len(items) < len(w.items) || len(joinerItems) < len(w.joiners) {
 		return fmt.Errorf("keytree: sealing %d+%d wraps into %d+%d items",
 			len(w.items), len(w.joiners), len(items), len(joinerItems))
+	}
+	if _, err := io.ReadFull(w.rand, w.nonces); err != nil {
+		*w = PendingWraps{}
+		return fmt.Errorf("keytree: drawing wrap nonces: %w", err)
 	}
 	// Pin destination slots 1:1, then emit.
 	for i := range w.items {
@@ -87,12 +102,12 @@ func (s *sealJobs) Job(i int) (payload, wrapper *keycrypt.Key, nonce *[keycrypt.
 	} else {
 		j = &s.joiners[i-len(s.items)]
 	}
-	return &j.payload, &j.wrapper, &j.nonce, j.dst
+	return &j.payload, &j.wrapper, (*[keycrypt.NonceSize]byte)(s.nonces[i*keycrypt.NonceSize:]), j.dst
 }
 
 // emitPlanned plans the payload over the dirty set, leaving its wraps
 // pending. joinerIDs is the batch's joiners in ascending order.
-func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*Payload, error) {
+func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) *Payload {
 	nodes, depths := sortDirtyNodes(dirty)
 
 	// Upper bounds on wrap counts (skips only shrink them), so the item and
@@ -149,12 +164,16 @@ func (t *Tree) emitPlanned(dirty map[*Node]*dirtyInfo, joinerIDs []MemberID) (*P
 			joinerJobs = append(joinerJobs, wrapJob{payload: n.key, wrapper: leaf.key})
 		}
 	}
-	if err := t.drawNonces(itemJobs, joinerJobs); err != nil {
-		return nil, err
+	rng := t.gen.Rand
+	if rng == nil {
+		rng = rand.Reader
 	}
-
-	p.Pending = PendingWraps{items: itemJobs, joiners: joinerJobs, wrapper: t.wrapper, workers: t.WrapWorkers()}
-	return p, nil
+	p.Pending = PendingWraps{
+		items: itemJobs, joiners: joinerJobs,
+		nonces: make([]byte, (len(itemJobs)+len(joinerJobs))*keycrypt.NonceSize),
+		rand:   rng, wrapper: t.wrapper, workers: t.WrapWorkers(),
+	}
+	return p
 }
 
 // joinerCounts maps every node on a batch joiner's path to the number of
@@ -180,30 +199,6 @@ func (t *Tree) joinersUnder(joins []MemberID, size int) joinerCounts {
 // could open would carry zero information. Emission and the planner's
 // simulation both decide by this one predicate.
 func (u joinerCounts) reaches(n *Node) bool { return n.leaves > u[n] }
-
-// drawNonces fills every planned wrap's nonce from one read of the tree's
-// entropy source, item jobs then joiner jobs: the canonical order, so
-// emission scheduling cannot perturb payload bytes.
-func (t *Tree) drawNonces(lists ...[]wrapJob) error {
-	rng := t.gen.Rand
-	if rng == nil {
-		rng = rand.Reader
-	}
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	buf := make([]byte, n*keycrypt.NonceSize)
-	if _, err := io.ReadFull(rng, buf); err != nil {
-		return fmt.Errorf("keytree: drawing wrap nonces: %w", err)
-	}
-	for _, l := range lists {
-		for i := range l {
-			buf = buf[copy(l[i].nonce[:], buf):]
-		}
-	}
-	return nil
-}
 
 // sortDirtyNodes orders the dirty set deepest-first (ties by key ID) with
 // each node's depth computed once up front, instead of two O(depth) Depth()

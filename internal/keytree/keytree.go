@@ -144,8 +144,8 @@ func WithFirstKeyID(id keycrypt.KeyID) Option {
 // WithWrapWorkers sets how many goroutines Rekey uses to emit AES-GCM
 // wraps. n <= 0 (the default) resolves to runtime.GOMAXPROCS(0); n == 1
 // emits inline on the calling goroutine. Payload bytes are identical for
-// every worker count: nonces are drawn in canonical order during the
-// single-threaded planning pass and results land in pre-assigned slots.
+// every worker count: Seal draws the nonces in canonical order before any
+// worker starts, and results land in pre-assigned slots.
 func WithWrapWorkers(n int) Option {
 	return func(t *Tree) {
 		if n < 0 {

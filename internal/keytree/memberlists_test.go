@@ -90,8 +90,10 @@ func (f *failAfter) Read(p []byte) (int, error) {
 }
 
 // TestMembersAfterRestoreAndFailedRekey covers the two ways a tree goes
-// cold: Restore builds no member list, and a Rekey that fails part-way
-// drops it because the batch may be partly applied.
+// cold: Restore builds no member list, and an Advance that fails part-way
+// drops it because the batch may be partly applied. A Seal that fails in
+// its nonce draw comes after the batch is wholly applied: the tree and its
+// list stay coherent.
 func TestMembersAfterRestoreAndFailedRekey(t *testing.T) {
 	batches := goldenBatches(5, 600, 6)
 	src := &failAfter{r: keycrypt.NewDeterministicReader(5), budget: 1 << 30}
@@ -120,9 +122,9 @@ func TestMembersAfterRestoreAndFailedRekey(t *testing.T) {
 	checkMemberLists(t, restored, "restored")
 
 	// One more batch with the entropy cut off after ever more bytes, so the
-	// failure lands in fills, grows, the refresh pass and the nonce draws.
+	// failure lands in fills, grows, the refresh pass and Seal's nonce draw.
 	next := MemberID(1 << 20)
-	failures := 0
+	advanceFailures, sealFailures := 0, 0
 	for budget := 0; budget < 4096; budget += 37 {
 		b := Batch{Leaves: tr.Members()[:5]}
 		for i := 0; i < 8; i++ {
@@ -131,15 +133,19 @@ func TestMembersAfterRestoreAndFailedRekey(t *testing.T) {
 		}
 		tr.MembersView() // warm, so a failure has a list to drop
 		src.budget = budget
-		_, err := tr.Rekey(b)
-		src.budget = 1 << 30
-		when := fmt.Sprintf("budget %d (err=%v)", budget, err)
-		if err != nil {
-			failures++
+		p, err := tr.Advance(b)
+		if err == nil {
+			if err = p.Seal(); err != nil {
+				sealFailures++
+			}
+		} else {
+			advanceFailures++
 			if tr.members != nil {
-				t.Fatalf("%s: failed Rekey kept its member list", when)
+				t.Fatalf("budget %d (err=%v): failed Advance kept its member list", budget, err)
 			}
 		}
+		src.budget = 1 << 30
+		when := fmt.Sprintf("budget %d (err=%v)", budget, err)
 		checkMemberLists(t, tr, when)
 		// The tree stays usable: the next epoch rekeys and stays coherent.
 		if _, err := tr.Rekey(Batch{Joins: []MemberID{next}}); err != nil {
@@ -148,7 +154,7 @@ func TestMembersAfterRestoreAndFailedRekey(t *testing.T) {
 		next++
 		checkMemberLists(t, tr, when+" follow-up")
 	}
-	if failures < 10 {
-		t.Fatalf("only %d of the budgets made Rekey fail", failures)
+	if advanceFailures < 10 || sealFailures < 3 {
+		t.Fatalf("only %d of the budgets made Advance fail and %d Seal", advanceFailures, sealFailures)
 	}
 }

@@ -46,7 +46,8 @@ type UDPConfig struct {
 	// BlockSize is the number of source shards per FEC block (default 8).
 	BlockSize int
 	// MinParity/MaxParity clamp each block's proactive parity count, which
-	// follows the losses of the block's audience (defaults 1 and 8).
+	// follows the losses of the block's audience (defaults 1 and 8). A
+	// block with no audience gets no parity: Shards = K.
 	MinParity int
 	MaxParity int
 	// Drop, when set, is consulted before every outbound packet; true
@@ -101,8 +102,11 @@ func (c UDPConfig) geometry(nItems int, idx [][]uint32, losses []float64) (kpd i
 			for _, s := range audiences[b] {
 				heard = append(heard, losses[s])
 			}
-			k := int(blocks[b].K)
-			blocks[b].Shards = uint8(k + min(transport.ProactiveParity(k, heard, c.MinParity, c.MaxParity), 255-k))
+			k, parity := int(blocks[b].K), 0
+			if len(heard) > 0 { // a block nobody reads is never sent
+				parity = min(transport.ProactiveParity(k, heard, c.MinParity, c.MaxParity), 255-k)
+			}
+			blocks[b].Shards = uint8(k + parity)
 			leaves += int(blocks[b].Shards)
 		}
 		if kpd == 1 || wire.ShardDgramSize(wire.ShardSize(kpd), leaves) <= wire.DgramMTU {

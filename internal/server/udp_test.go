@@ -435,6 +435,17 @@ func TestGeometryParityFollowsAudience(t *testing.T) {
 			t.Errorf("block %d: %d parity shards, want %d", b, got, want)
 		}
 	}
+
+	// A block no subscriber reads gets no parity, not MinParity.
+	_, blocks, audiences = cfg.geometry(24, [][]uint32{{0, 3, 7}, {16, 23}}, []float64{0, 0.2})
+	if want := [][]int{{0}, nil, {1}}; fmt.Sprint(audiences) != fmt.Sprint(want) {
+		t.Fatalf("audiences %v, want %v", audiences, want)
+	}
+	for b, want := range []int{cfg.MinParity, 0, 2} {
+		if got := int(blocks[b].Shards - blocks[b].K); got != want {
+			t.Errorf("three blocks, block %d: %d parity shards, want %d", b, got, want)
+		}
+	}
 }
 
 // TestDatagramPlaneRepairsHeavyLoss cranks injected loss far past what

@@ -129,8 +129,13 @@ func errBadConfig(k SchemeKind) error {
 // errBadCreateRecord reports an unreadable create-record payload.
 var errBadCreateRecord = errors.New("store: malformed create record")
 
-// encode serializes the config for the create record; the planner flag is
-// the trailing byte.
+// replayRule, the create record's last byte, orders each record's entropy
+// draws: under rule 1 a rekey draws its key-tree wrap nonces when sealed,
+// after every other draw; rule 0 records (no byte) drew them in Advance.
+const replayRule = 1
+
+// encode serializes the config for the create record; the planner flag and
+// the replay rule are the trailing bytes.
 func (c SchemeConfig) encode() []byte {
 	w := snapcodec.NewWriter("")
 	w.U8(uint8(c.Kind))
@@ -142,12 +147,13 @@ func (c SchemeConfig) encode() []byte {
 		w.U64(math.Float64bits(b))
 	}
 	w.Bool(c.Planner)
+	w.U8(replayRule)
 	return w.Bytes()
 }
 
 // decodeSchemeConfig parses a create-record payload. Records written
-// before the planner flag existed (ending right after the bounds) are
-// rejected.
+// before the planner flag existed (ending right after the bounds) or
+// under another replay rule are rejected.
 func decodeSchemeConfig(b []byte) (SchemeConfig, error) {
 	r := snapcodec.NewReader(b, "", errBadCreateRecord)
 	c := SchemeConfig{
@@ -161,8 +167,17 @@ func decodeSchemeConfig(b []byte) (SchemeConfig, error) {
 		c.LossBounds = append(c.LossBounds, math.Float64frombits(r.U64()))
 	}
 	c.Planner = r.Bool()
+	rule := r.Rest()
 	if err := r.Close(); err != nil {
 		return SchemeConfig{}, err
+	}
+	switch {
+	case len(rule) == 0:
+		return SchemeConfig{}, fmt.Errorf("%w: replay rule 0 (wrap nonces drawn in Advance), want %d", errBadCreateRecord, replayRule)
+	case rule[0] != replayRule:
+		return SchemeConfig{}, fmt.Errorf("%w: replay rule %d, want %d", errBadCreateRecord, rule[0], replayRule)
+	case len(rule) > 1:
+		return SchemeConfig{}, fmt.Errorf("%w: %d trailing bytes", errBadCreateRecord, len(rule)-1)
 	}
 	return c, nil
 }

@@ -34,15 +34,22 @@ func TestSchemeConfigRoundTrip(t *testing.T) {
 
 // TestSchemeConfigRejectsPrePlannerRecord: a create record in the
 // pre-planner layout (ending right after the loss bounds) is rejected, as
-// is a padded one.
+// are one without the replay rule, one of another rule and a padded one.
 func TestSchemeConfigRejectsPrePlannerRecord(t *testing.T) {
 	for _, c := range []SchemeConfig{
 		{Kind: SchemeTT, SPeriodK: 4},
 		{Kind: SchemeLossHomog, LossBounds: []float64{0.05}},
 	} {
 		enc := c.encode()
-		if _, err := decodeSchemeConfig(enc[:len(enc)-1]); err == nil {
+		if _, err := decodeSchemeConfig(enc[:len(enc)-2]); err == nil {
 			t.Fatalf("pre-planner record for %+v decoded", c)
+		}
+		if _, err := decodeSchemeConfig(enc[:len(enc)-1]); err == nil || !strings.Contains(err.Error(), "replay rule 0") {
+			t.Fatalf("rule-0 record for %+v: err=%v, want replay rule 0", c, err)
+		}
+		rule2 := append(enc[:len(enc)-1:len(enc)-1], 2)
+		if _, err := decodeSchemeConfig(rule2); err == nil || !strings.Contains(err.Error(), "replay rule 2") {
+			t.Fatalf("rule-2 record for %+v: err=%v, want replay rule 2", c, err)
 		}
 		if _, err := decodeSchemeConfig(append(enc, 0)); err == nil {
 			t.Fatalf("over-long record for %+v decoded", c)

@@ -146,8 +146,8 @@ var ErrOutOfOrder = errors.New("store: replica record out of order")
 // ReplicaApply journals one streamed record verbatim and applies it to the
 // replica's scheme under the record's own seed, returning the (possibly
 // newly created) scheme, the rekey the operation produced (nil when the
-// operation was an original-run no-op; unsealed, see applyRecord: a
-// caller that sends it calls its Seal first) and a lower bound on the next
+// operation was an original-run no-op; unsealed and not sealable, see
+// applyRecord: its counts are what a caller reads) and a lower bound on the next
 // assignable member ID (0 = no change). The record must extend the log by
 // exactly one; anything else is ErrOutOfOrder and the caller must resync.
 func (s *Store) ReplicaApply(sc core.Scheme, rec Record) (core.Scheme, *core.Rekey, keytree.MemberID, error) {

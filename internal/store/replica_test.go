@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"groupkey/internal/core"
-	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
 	"groupkey/internal/vfs"
 )
@@ -85,11 +84,11 @@ func TestReplicaByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplicaApplyLastRekeySealsLate: a follower only advances each
-// record, so the rekeys ReplicaApply returns still owe their key-tree
-// wraps; sealed later, after the follower applied every record, each is
-// the primary's payload byte for byte.
-func TestReplicaApplyLastRekeySealsLate(t *testing.T) {
+// TestReplicaApplyRekeyRefusesSeal: a follower only advances each record,
+// and ReplicaApply closes the record's entropy stream when it returns, so
+// the rekey it hands back cannot be sealed: its wraps would draw nonces
+// from no record's stream. The follower still holds the primary's state.
+func TestReplicaApplyRekeyRefusesSeal(t *testing.T) {
 	primary := openStore(t, t.TempDir(), Options{Fsync: FsyncNever})
 	defer primary.Close()
 	follower := openStore(t, t.TempDir(), Options{Fsync: FsyncNever})
@@ -104,7 +103,6 @@ func TestReplicaApplyLastRekeySealsLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	var want [][]byte
 	next := keytree.MemberID(1)
 	for i := 0; i < 10; i++ {
 		var b core.Batch
@@ -116,7 +114,7 @@ func TestReplicaApplyLastRekeySealsLate(t *testing.T) {
 			b.Joins = append(b.Joins, core.Join{ID: next})
 			next++
 		}
-		want = append(want, encodeItems(t, journalAndApply(t, primary, sc, b).AllItems()))
+		journalAndApply(t, primary, sc, b)
 	}
 
 	recs, ok, err := primary.RecordsFrom(0)
@@ -124,8 +122,7 @@ func TestReplicaApplyLastRekeySealsLate(t *testing.T) {
 		t.Fatalf("RecordsFrom: ok=%v err=%v", ok, err)
 	}
 	var fsc core.Scheme
-	var got []*core.Rekey
-	unsealed := 0
+	refused := 0
 	for _, r := range recs {
 		var rk *core.Rekey
 		if fsc, rk, _, err = follower.ReplicaApply(fsc, r); err != nil {
@@ -134,26 +131,16 @@ func TestReplicaApplyLastRekeySealsLate(t *testing.T) {
 		if rk == nil {
 			continue
 		}
-		for _, it := range rk.AllItems() {
-			if it.Wrapped == (keycrypt.WrappedKey{}) {
-				unsealed++
-			}
+		if err := rk.Seal(); !errors.Is(err, errOutsideJournal) {
+			t.Fatalf("seq %d: sealing a replica's rekey: err=%v, want %v", r.Seq, err, errOutsideJournal)
 		}
-		got = append(got, rk)
+		refused++
 	}
-	if len(got) != len(want) {
-		t.Fatalf("follower produced %d rekeys, primary %d", len(got), len(want))
+	if refused != 10 {
+		t.Fatalf("%d of 10 replica rekeys refused their seal", refused)
 	}
-	if unsealed == 0 {
-		t.Fatal("ReplicaApply sealed its payloads")
-	}
-	for i := len(got) - 1; i >= 0; i-- {
-		if err := got[i].Seal(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(encodeItems(t, got[i].AllItems()), want[i]) {
-			t.Fatalf("rekey %d sealed late differs from the primary's payload", i)
-		}
+	if !bytes.Equal(snap(t, fsc), snap(t, sc)) {
+		t.Fatal("follower diverged from the primary")
 	}
 }
 

@@ -10,12 +10,14 @@
 // first, then derive — so recovery reseeds from the journaled record and
 // derives the very same keys the lost instance handed to members. Members
 // therefore survive a server crash without rejoining: their cached keys
-// still match the recovered tree.
+// still match the recovered tree. The live run seals each rekey right
+// after advancing it, so its wrap nonces are the stream's last bytes;
+// replay advances without sealing and never draws them.
 //
 // Write ordering is journal → apply → broadcast. A crash between journal
 // and broadcast re-derives a rekey that no member received; the resume
-// protocol (wire.MsgResume) closes that gap by re-sending the last rekey
-// payload to reconnecting members.
+// protocol (wire.MsgResume) closes that gap by sending each reconnecting
+// member its current key path.
 package store
 
 import (
@@ -297,12 +299,15 @@ func (s *Store) Recover() (*RecoveryResult, error) {
 // applyRecord applies one journaled record to sc (nil until the create
 // record) under the record's own seed: the one replay path, shared by
 // Recover and ReplicaApply. A batch is only advanced (core.Scheme.Advance):
-// the rekey comes back with its key-tree wraps unsealed, since only a
-// payload that will be sent needs them. An operation the original run
-// rejected (journal first, then fail, mutating nothing) is the same no-op
-// here: a nil rekey and no error. nextID is one past the newest joiner
-// (0 = none).
+// the rekey comes back with its key-tree wraps unsealed, since replay sends
+// nothing. The record's stream is closed once the operation returns, so
+// sealing that rekey, or any other draw before the next journaled
+// operation, fails instead of drawing bytes no record accounts for. An
+// operation the original run rejected (journal first, then fail, mutating
+// nothing) is the same no-op here: a nil rekey and no error. nextID is one
+// past the newest joiner (0 = none).
 func (s *Store) applyRecord(sc core.Scheme, r walRecord) (core.Scheme, *core.Rekey, keytree.MemberID, error) {
+	defer s.rand.reseed(nil)
 	switch {
 	case r.kind == recCreate && sc != nil:
 		return sc, nil, 0, fmt.Errorf("store: duplicate create record at seq %d", r.seq)
@@ -501,24 +506,33 @@ func (s *Store) schemeOptions() []core.Option {
 
 // replayRand is the scheme-facing entropy source: a deterministic stream
 // reseeded from each WAL record before the record's operation runs, live
-// and during replay alike. Reads outside a journaled operation fail.
+// and during replay alike. Reads outside a journaled operation fail: before
+// the first one, and after a replayed one until the next is journaled.
 type replayRand struct {
 	mu  sync.Mutex
 	cur io.Reader
 }
 
+// errOutsideJournal refuses a draw from a closed replayRand.
+var errOutsideJournal = errors.New("store: entropy requested outside a journaled operation")
+
 func (r *replayRand) Read(p []byte) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cur == nil {
-		return 0, errors.New("store: entropy requested outside a journaled operation")
+		return 0, errOutsideJournal
 	}
 	return r.cur.Read(p)
 }
 
+// reseed starts the stream of a record's seed; nil ends the stream.
 func (r *replayRand) reseed(seed []byte) {
+	var cur io.Reader
+	if seed != nil {
+		cur = keycrypt.NewSeededReader(seed)
+	}
 	r.mu.Lock()
-	r.cur = keycrypt.NewSeededReader(seed)
+	r.cur = cur
 	r.mu.Unlock()
 }
 

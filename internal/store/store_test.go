@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -426,66 +429,231 @@ func TestStoreCreateRecordCorrupted(t *testing.T) {
 // TestRecoverReportsUnsupportedSnapshot: a state directory written before
 // the current envelope version, whose WAL was compacted behind the
 // snapshot, must fail recovery with the snapshot's version error — not
-// just a WAL gap — and with no WAL left it must not boot fresh.
+// just a WAL gap — and with no WAL left it must not boot fresh. Version 2
+// carried a scheme-config section; version 3 has today's layout but was
+// written under replay rule 0, so the WAL after it would replay to other
+// keys.
 func TestRecoverReportsUnsupportedSnapshot(t *testing.T) {
+	for _, version := range []uint32{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir, Options{SegmentBytes: 512})
+			if _, err := st.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			sc, _, _ := referenceRun(t, st, SchemeConfig{Kind: SchemeOneTree}, 6, 91)
+			if err := st.SaveSnapshot(sc, 100); err != nil {
+				t.Fatal(err)
+			}
+			journalAndApply(t, st, sc, core.Batch{Joins: []core.Join{{ID: 100}}})
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if first, _ := scanWAL(dir); len(first.records) == 0 || first.records[0].seq == 1 {
+				t.Fatal("snapshot did not compact the WAL's head; the test needs a gap")
+			}
+			// Rewrite every snapshot as an old envelope of the same state.
+			files, _ := snapshotFiles(dir)
+			for _, path := range files {
+				sealed, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, err := keycrypt.Open(st.master, sealed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq, nextID, blob, err := decodeSnapshotPlain(plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				old := encodeSnapshotPlain(seq, nextID, blob)
+				binary.BigEndian.PutUint32(old[len(snapMagic):], 3)
+				if version == 2 {
+					old = v2SnapshotPlain(seq, uint64(nextID), SchemeConfig{Kind: SchemeOneTree}, blob)
+				}
+				resealed, err := keycrypt.Seal(st.master, old, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, resealed, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			noWAL := t.TempDir()
+			copyDir(t, dir, noWAL)
+			segs, _ := segments(noWAL)
+			for _, p := range segs {
+				if err := os.Remove(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			want := fmt.Sprintf("unsupported version %d", version)
+			for name, d := range map[string]string{"compacted wal": dir, "no wal": noWAL} {
+				st := openStore(t, d, Options{})
+				res, err := st.Recover()
+				st.Close()
+				if !errors.Is(err, errBadSnapshot) || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: Recover = %v, want errBadSnapshot: %s", name, err, want)
+				}
+				if res != nil {
+					t.Errorf("%s: recovered a result from an unreadable snapshot", name)
+				}
+			}
+		})
+	}
+}
+
+// TestRecoverRefusesPreRuleCreateRecord: a WAL whose create record ends
+// after the planner flag was written under replay rule 0, when the key
+// trees drew their wrap nonces inside Advance; replayed under rule 1 its
+// multi-tree batches would derive other keys than the members hold, so
+// recovery refuses it by name.
+func TestRecoverRefusesPreRuleCreateRecord(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir, Options{SegmentBytes: 512})
+	st := openStore(t, dir, Options{})
 	if _, err := st.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	sc, _, _ := referenceRun(t, st, SchemeConfig{Kind: SchemeOneTree}, 6, 91)
-	if err := st.SaveSnapshot(sc, 100); err != nil {
+	enc := SchemeConfig{Kind: SchemeTT, SPeriodK: 2}.encode()
+	st.mu.Lock()
+	_, err := st.journalLocked(recCreate, enc[:len(enc)-1])
+	st.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	journalAndApply(t, st, sc, core.Batch{Joins: []core.Join{{ID: 100}}})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if first, _ := scanWAL(dir); len(first.records) == 0 || first.records[0].seq == 1 {
-		t.Fatal("snapshot did not compact the WAL's head; the test needs a gap")
+	st2 := openStore(t, dir, Options{})
+	defer st2.Close()
+	res, err := st2.Recover()
+	if !errors.Is(err, errBadCreateRecord) || !strings.Contains(err.Error(), "replay rule 0") {
+		t.Fatalf("Recover = %v, want errBadCreateRecord: replay rule 0", err)
 	}
-	// Rewrite every snapshot as a version-2 envelope of the same state.
-	files, _ := snapshotFiles(dir)
-	for _, path := range files {
-		sealed, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := keycrypt.Open(st.master, sealed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, nextID, blob, err := decodeSnapshotPlain(plain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v2, err := keycrypt.Seal(st.master, v2SnapshotPlain(seq, uint64(nextID), SchemeConfig{Kind: SchemeOneTree}, blob), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, v2, 0o600); err != nil {
-			t.Fatal(err)
-		}
+	if res != nil {
+		t.Fatal("recovered a result from a rule-0 create record")
 	}
-	noWAL := t.TempDir()
-	copyDir(t, dir, noWAL)
-	segs, _ := segments(noWAL)
-	for _, p := range segs {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
+}
+
+// countDraws makes every scheme st builds draw through a counter, so a
+// test sees how many bytes the schemes took from the record streams.
+func countDraws(st *Store) *countingReader {
+	c := &countingReader{r: st.rand}
+	st.opts.SchemeOptions = []core.Option{core.WithRand(c)}
+	return c
+}
+
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestReplayDrawsOnlyKeyMaterial: the live run seals every rekey, drawing
+// one nonce per key-tree wrap after the batch's keys; replay only advances,
+// so Recover draws exactly the live run's bytes minus a nonce per wrap,
+// which is one key's bytes per key the tree minted, and still rebuilds the
+// live state.
+func TestReplayDrawsOnlyKeyMaterial(t *testing.T) {
+	dir := t.TempDir()
+	live := openStore(t, dir, Options{Fsync: FsyncNever})
+	liveDraws := countDraws(live)
+	if _, err := live.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := live.Create(SchemeConfig{Kind: SchemeOneTree, Planner: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	next, wraps := keytree.MemberID(1), 0
+	for i := 0; i < 12; i++ {
+		var b core.Batch
+		members := sc.Members()
+		for _, k := range rng.Perm(len(members))[:min(len(members), rng.Intn(8))] {
+			b.Leaves = append(b.Leaves, members[k])
 		}
+		for j := rng.Intn(20); j >= 0; j-- {
+			b.Joins = append(b.Joins, core.Join{ID: next})
+			next++
+		}
+		wraps += journalAndApply(t, live, sc, b).TotalKeyCount()
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	for name, d := range map[string]string{"compacted wal": dir, "no wal": noWAL} {
-		st := openStore(t, d, Options{})
-		res, err := st.Recover()
-		st.Close()
-		if !errors.Is(err, errBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 2") {
-			t.Errorf("%s: Recover = %v, want errBadSnapshot: unsupported version 2", name, err)
+	replay := openStore(t, dir, Options{})
+	defer replay.Close()
+	replayDraws := countDraws(replay)
+	res, err := replay.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ReplayedBatches != 12 {
+		t.Fatalf("replayed %d batches, want 12", res.ReplayedBatches)
+	}
+	if want := liveDraws.n - wraps*keycrypt.NonceSize; replayDraws.n != want {
+		t.Fatalf("replay drew %d bytes, want the live %d minus %d wraps' nonces = %d", replayDraws.n, liveDraws.n, wraps, want)
+	}
+	minted := res.Scheme.(*core.OneTree).Tree().Stats().KeysRefreshed
+	if want := minted * keycrypt.KeySize; replayDraws.n != want {
+		t.Fatalf("replay drew %d bytes for %d minted keys, want %d", replayDraws.n, minted, want)
+	}
+	if !bytes.Equal(snap(t, res.Scheme), snap(t, sc)) {
+		t.Fatal("recovered state differs from the live one")
+	}
+}
+
+// TestBatchAfterRecoverRekeys: Recover leaves the entropy stream closed,
+// and the next journaled batch opens its own: the recovered scheme rekeys
+// and seals, and each joiner opens its whole path.
+func TestBatchAfterRecoverRekeys(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{Fsync: FsyncNever})
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	_, _, next := referenceRun(t, st, SchemeConfig{Kind: SchemeTT, SPeriodK: 1}, 5, 23)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir, Options{Fsync: FsyncNever})
+	defer st2.Close()
+	res, err := st2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st2.Rand().Read(make([]byte, 1)); !errors.Is(err, errOutsideJournal) {
+		t.Fatalf("draw after Recover: err=%v, want %v", err, errOutsideJournal)
+	}
+	b := core.Batch{Leaves: res.Scheme.Members()[:2], Joins: []core.Join{{ID: next}, {ID: next + 1}}}
+	rk := journalAndApply(t, st2, res.Scheme, b)
+	opened := 0
+	for _, it := range rk.AllItems() {
+		if it.Wrapped == (keycrypt.WrappedKey{}) {
+			t.Fatal("an item of the rekey after Recover was never sealed")
 		}
-		if res != nil {
-			t.Errorf("%s: recovered a result from an unreadable snapshot", name)
+		if len(it.Receivers) != 1 {
+			continue
 		}
+		if leaf, ok := rk.Welcome[it.Receivers[0]]; ok { // not a migrant's
+			if _, err := keycrypt.Unwrap(it.Wrapped, leaf); err != nil {
+				t.Fatalf("joiner %d cannot open its item: %v", it.Receivers[0], err)
+			}
+			opened++
+		}
+	}
+	if opened == 0 {
+		t.Fatal("no joiner item after Recover")
 	}
 }
 
