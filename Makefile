@@ -42,9 +42,9 @@ replay-check:
 
 # Key-schedule caches hold only live keys: the tree's and the Naive/QT
 # schemes' caches drop what their owners retire, a seal right after
-# Advance, old-key wraps under keys the batch retired included, matches
-# ProcessBatch byte for byte, a member expands each wrapping key once per
-# payload, and a version bump at the cap evicts nothing.
+# Advance on the tree's cache matches ProcessBatch byte for byte, a
+# member expands each wrapping key once per payload, and a version bump
+# at the cap evicts nothing.
 cache-check:
 	$(GO) test -race -count=5 -run 'CacheHoldsOnlyLive|DropDeparted|ApplyExpands|VersionBumpAtCap|AdvanceMatches' ./internal/keycrypt ./internal/keytree ./internal/core ./internal/member
 
@@ -52,9 +52,9 @@ cache-check:
 # the item tree over real nodes only against the padded construction, the
 # batch wrap pool against serial wraps (cache state included), the
 # zero-alloc inline seal and its nonce draw, a seal right after Advance,
-# a tree left coherent by a failed nonce draw and the golden payload
-# digests, five times under -race; then one pass of the seal and
-# churn100k benchmarks.
+# a tree left coherent and its wraps pending by a failed nonce draw and
+# the golden payload digests, five times under -race; then one pass of
+# the seal and churn100k benchmarks.
 seal-check:
 	$(GO) test -race -count=5 -run 'ItemTreeMatches|WrapBatch|PendingWrapsSeal|AdvanceMatches|FailedRekey|Golden' ./internal/wire ./internal/keycrypt ./internal/keytree ./internal/core
 	$(GO) test -run '^$$' -bench 'SealEpoch|RekeyChurn100k' -benchtime=1x ./internal/server ./internal/keytree

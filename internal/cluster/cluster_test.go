@@ -617,7 +617,7 @@ func TestShardOf(t *testing.T) {
 // TestPromotionsShareServerMetrics: a node's primaries report into
 // Config.ServerMetrics through one view per group, so a group promoted,
 // demoted and promoted again counts its rekeys on the aggregate and its
-// members once.
+// members once, and a node reports no members for a group it lost.
 func TestPromotionsShareServerMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
 	auth := NewMemAuthority(nil)
@@ -657,6 +657,9 @@ func TestPromotionsShareServerMetrics(t *testing.T) {
 	a.Tick()
 	if a.ownsShard(0) || !b.ownsShard(0) {
 		t.Fatal("expected the shard to move to b")
+	}
+	if members.Value() != 0 {
+		t.Fatalf("a demoted: a's groupkey_members = %v, want 0", members.Value())
 	}
 	waitSync(t, b, a, 0)
 	auth.Expire(0)

@@ -66,9 +66,17 @@ func checkSealed(t *testing.T, s Scheme, r *Rekey) {
 
 // reseeded is an entropy source restarted from a seed before each
 // operation, the way the store reseeds its stream from each WAL record.
-type reseeded struct{ cur *keycrypt.DeterministicReader }
+// drawn counts the bytes read since it was made.
+type reseeded struct {
+	cur   *keycrypt.DeterministicReader
+	drawn int
+}
 
-func (r *reseeded) Read(p []byte) (int, error) { return r.cur.Read(p) }
+func (r *reseeded) Read(p []byte) (int, error) {
+	n, err := r.cur.Read(p)
+	r.drawn += n
+	return n, err
+}
 
 func (r *reseeded) reseed(seed uint64) { r.cur = keycrypt.NewDeterministicReader(seed) }
 
@@ -80,9 +88,10 @@ func (r *reseeded) reseed(seed uint64) { r.cur = keycrypt.NewDeterministicReader
 // the same order, and counts what it counts; the nonces it leaves to Seal
 // are the stream's last draws. Every third rekey and the last, the
 // advanced copy seals right after Advance and must then encode exactly
-// like the ProcessBatch payload, and every ProcessBatch payload must open
-// (checkSealed), which fails if a seal writes into an item array the
-// scheme's own appends have since copied away from.
+// like the ProcessBatch payload, and a second Seal must draw nothing and
+// change nothing. Every ProcessBatch payload must open (checkSealed),
+// which fails if a seal writes into an item array the scheme's own
+// appends have since copied away from.
 func TestAdvanceMatchesProcessBatch(t *testing.T) {
 	builders := []struct {
 		name  string
@@ -143,8 +152,13 @@ func TestAdvanceMatchesProcessBatch(t *testing.T) {
 					}
 					checkSealed(t, processed, want)
 					if i%sealEvery == 0 || i == len(batches)-1 {
-						if !bytes.Equal(encodeRekey(t, got), encodeRekey(t, want)) {
+						sealedBytes := encodeRekey(t, got)
+						if !bytes.Equal(sealedBytes, encodeRekey(t, want)) {
 							t.Errorf("epoch %d: sealed after Advance, the payload differs from ProcessBatch's", got.Epoch)
+						}
+						drawn := ra.drawn
+						if err := got.Seal(); err != nil || ra.drawn != drawn || !bytes.Equal(encodeRekey(t, got), sealedBytes) {
+							t.Errorf("epoch %d: a second Seal changed the payload or drew %d B (err %v)", got.Epoch, ra.drawn-drawn, err)
 						}
 					}
 					for _, st := range want.Streams {

@@ -140,7 +140,8 @@ func (r *Rekey) AllItems() []keytree.Item {
 
 // Seal runs the key-tree wraps an Advance left pending into the streams'
 // items, on each tree's key-schedule cache and worker pool, and drops
-// them; a sealed rekey seals again as a no-op. It draws the wraps' nonces
+// them; a sealed rekey seals again as a no-op, and one whose nonce draw
+// failed keeps its wraps and draws again. It draws the wraps' nonces
 // from the trees' entropy source, so it must run right after Advance,
 // before anything else draws, to make ProcessBatch's rekey; a replayed
 // rekey cannot be sealed (the store's source refuses the draw).

@@ -61,9 +61,11 @@ type PendingWraps struct {
 }
 
 // Seal draws the pending wraps' nonces, runs the wraps into items and
-// joinerItems and drops them, so a second Seal is a no-op, and so is one
-// after a failed Seal. The nonces are the entropy source's next bytes, so
-// Seal belongs right after Advance, inside the same journaled operation.
+// joinerItems and drops them, so a second Seal is a no-op. A failed nonce
+// draw keeps the wraps pending, so a retry draws again instead of
+// returning with the items unsealed; a failed WrapBatch drops them. The nonces are the
+// entropy source's next bytes, so Seal belongs right after Advance,
+// inside the same journaled operation.
 // The slices are the ones the payload's Items and JoinerItems became: a
 // caller may have appended items of its own after them (append may have
 // moved them to a new array), but the payload's items must still lead, in
@@ -74,7 +76,6 @@ func (w *PendingWraps) Seal(items, joinerItems []Item) error {
 			len(w.items), len(w.joiners), len(items), len(joinerItems))
 	}
 	if _, err := io.ReadFull(w.rand, w.nonces); err != nil {
-		*w = PendingWraps{}
 		return fmt.Errorf("keytree: drawing wrap nonces: %w", err)
 	}
 	// Pin destination slots 1:1, then emit.

@@ -93,7 +93,7 @@ func (f *failAfter) Read(p []byte) (int, error) {
 // cold: Restore builds no member list, and an Advance that fails part-way
 // drops it because the batch may be partly applied. A Seal that fails in
 // its nonce draw comes after the batch is wholly applied: the tree and its
-// list stay coherent.
+// list stay coherent, and the wraps stay pending for a retry.
 func TestMembersAfterRestoreAndFailedRekey(t *testing.T) {
 	batches := goldenBatches(5, 600, 6)
 	src := &failAfter{r: keycrypt.NewDeterministicReader(5), budget: 1 << 30}
@@ -137,6 +137,16 @@ func TestMembersAfterRestoreAndFailedRekey(t *testing.T) {
 		if err == nil {
 			if err = p.Seal(); err != nil {
 				sealFailures++
+				// The wraps stayed pending: a retry with entropy seals them all.
+				src.budget = 1 << 30
+				if rerr := p.Seal(); rerr != nil {
+					t.Fatalf("budget %d: Seal retried after a failed draw: %v", budget, rerr)
+				}
+				for _, it := range slices.Concat(p.Items, p.JoinerItems) {
+					if it.Wrapped == (keycrypt.WrappedKey{}) {
+						t.Fatalf("budget %d: a Seal retried after a failed draw left an item unsealed", budget)
+					}
+				}
 			}
 		} else {
 			advanceFailures++

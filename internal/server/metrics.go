@@ -298,6 +298,9 @@ func (m *Metrics) noteFrame(t wire.MsgType) {
 // labelled gauge and shifts the aggregate by the delta since its last
 // publication, keeping the unlabelled gauge equal to the sum over groups.
 func (m *Metrics) setMembers(n float64) {
+	if m == nil {
+		return
+	}
 	m.members.Set(n)
 	if m.parent == nil {
 		return

@@ -815,6 +815,7 @@ func (s *Server) Close() error {
 		pj.conn.Close()
 	}
 	s.metrics.setConnections(0)
+	s.metrics.setMembers(0) // a demoted cluster primary no longer serves the group
 	s.mu.Unlock()
 	s.wg.Wait()
 	return snapErr
