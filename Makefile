@@ -32,12 +32,12 @@ test-race:
 # drawing a wrap nonce, and a member that is behind is answered with its
 # key path: the advance/seal equivalence, the refused seal of a replica's
 # rekey, replay's entropy count, a rekey after Recover, the refusal of
-# pre-rule state, recovery, failover and the resume tests (missed epochs,
-# the crash window, the missed leaf hand-off, the pull reply) three times
-# under the race detector, then one pass of the store's recovery
-# benchmarks.
+# state written under older replay rules (create records and snapshots),
+# recovery, failover, the resume and pull tests (missed epochs, the crash
+# window, a missed S→L migration, the pull reply) three times under the
+# race detector, then one pass of the store's recovery benchmarks.
 replay-check:
-	$(GO) test -race -count=3 -run 'Advance|RefusesSeal|DrawsOnlyKeyMaterial|AfterRecoverRekeys|PreRuleCreateRecord|UnsupportedSnapshot|RestartedPrimary|Failover|Resume|Pull|KeyPath|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
+	$(GO) test -race -count=3 -run 'Advance|RefusesSeal|DrawsOnlyKeyMaterial|AfterRecoverRekeys|PreRuleCreateRecord|RejectsPrePlannerRecord|UnsupportedSnapshot|RestartedPrimary|Failover|Resume|Pull|MissedMigration|KeyPath|PathItems|ApplyPath' ./internal/core ./internal/member ./internal/store ./internal/cluster ./internal/server
 	$(GO) test -run '^$$' -bench 'Recover|ReplicaApply' -benchtime=1x ./internal/store
 
 # Key-schedule caches hold only live keys: the tree's and the Naive/QT
@@ -127,15 +127,15 @@ benchgate:
 
 # Deterministic full-system simulation: a 20-seed smoke across every
 # fault profile, a 60-seed crash sweep (its fsync-never plans restart
-# primaries that lost log suffixes), the planted-bug regression proving
+# primaries that lost log suffixes), the planted-bug regressions proving
 # the harness still finds, shrinks and replays a real fencing race in the
-# cluster's own lease code, and the restart and failover tests under the
-# race detector.
+# cluster's own lease code and a TT migrant left in S, and the restart
+# and failover tests under the race detector.
 dst:
-	$(GO) vet -tags dst_plantedbug ./internal/cluster/ ./internal/dst/
+	$(GO) vet -tags dst_plantedbug ./internal/cluster/ ./internal/core/ ./internal/dst/
 	$(GO) run ./cmd/dstrun -seeds 20 -profile all -out /tmp/dst_failure.json
 	$(GO) run ./cmd/dstrun -seeds 60 -profile crash -out /tmp/dst_failure_crash.json
-	$(GO) test -tags dst_plantedbug -run PlantedFencing ./internal/dst/
+	$(GO) test -tags dst_plantedbug -run Planted ./internal/dst/
 	$(GO) test -race -count=5 -run 'TestRestartedPrimaryResyncsFollower|TestClusterFailover' ./internal/cluster
 
 # The nightly-depth sweep (~30s): 200 seeds per profile.

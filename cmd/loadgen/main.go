@@ -149,8 +149,8 @@ func run(args []string) error {
 		fmt.Printf("loadgen: report written to %s\n", *reportPath)
 	}
 
-	fmt.Printf("loadgen: %d joins (%d deferred, %d errors), %d leaves, %d disconnects, %d resumes (%d failed)\n",
-		rep.Joins, rep.JoinsDeferred, rep.JoinErrors, rep.Leaves, rep.Disconnects, rep.Resumes, rep.ResumeFailures)
+	fmt.Printf("loadgen: %d joins (%d deferred, %d errors), %d leaves, %d disconnects, %d resumes (%d failed, %d rejected)\n",
+		rep.Joins, rep.JoinsDeferred, rep.JoinErrors, rep.Leaves, rep.Disconnects, rep.Resumes, rep.ResumeFailures, rep.ResumeRejected)
 	fmt.Printf("loadgen: %d rekeys seen (final epoch %d, %d missed), join p95 %.1fms, spread p95 %.1fms\n",
 		rep.RekeysSeen, rep.FinalEpoch, rep.MissedRekeys,
 		rep.JoinLatency.P95*1e3, rep.RekeySpread.P95*1e3)

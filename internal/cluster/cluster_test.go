@@ -668,8 +668,11 @@ func TestPromotionsShareServerMetrics(t *testing.T) {
 	if !a.ownsShard(0) {
 		t.Fatal("a did not take its shard back")
 	}
-	before := rekeys.Value()
 	srv := a.Registry().Get(0)
+	if members.Value() != float64(srv.Size()) || srv.Size() != 2 {
+		t.Fatalf("re-promoted, before any rekey: a's groupkey_members = %v, group size %d", members.Value(), srv.Size())
+	}
+	before := rekeys.Value()
 	if _, err := srv.RekeyNow(); err != nil {
 		t.Fatal(err)
 	}

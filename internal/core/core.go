@@ -57,10 +57,28 @@ type Join struct {
 	Meta MemberMeta
 }
 
+// carry records joiner m's carried individual key k (Batch.Keys) in keys,
+// made on first use; the zero key, carried by none, records nothing.
+func carry(keys map[keytree.MemberID]keycrypt.Key, m keytree.MemberID, k keycrypt.Key) map[keytree.MemberID]keycrypt.Key {
+	if k.ID == 0 {
+		return keys
+	}
+	if keys == nil {
+		keys = make(map[keytree.MemberID]keycrypt.Key)
+	}
+	keys[m] = k
+	return keys
+}
+
 // Batch is one rekey period's worth of membership changes.
 type Batch struct {
 	Joins  []Join
 	Leaves []keytree.MemberID
+	// Keys optionally carries a joiner's individual key, which it keeps for
+	// life: a member moved in from another scheme (Migrate) joins with it
+	// and the scheme mints none. Registration never sets it, so the store
+	// journals none.
+	Keys map[keytree.MemberID]keycrypt.Key
 }
 
 // IsEmpty reports whether the batch changes nothing.
@@ -409,6 +427,11 @@ func validateBatch(s Scheme, b Batch) error {
 		seen[m] = true
 		if !s.Contains(m) {
 			return fmt.Errorf("%w: %d", ErrMemberUnknown, m)
+		}
+	}
+	for m := range b.Keys {
+		if !seen[m] || s.Contains(m) {
+			return fmt.Errorf("%w: key carried for non-joiner %d", keytree.ErrBatchConflict, m)
 		}
 	}
 	return nil

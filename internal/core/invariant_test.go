@@ -12,8 +12,9 @@ package core
 //     of the epoch preceding its admission.
 //
 // The same trace machinery also exercises core.Migrate: after churn,
-// the whole group moves to a destination scheme with a disjoint key-ID
-// base, and the invariants must survive the migration bridge.
+// the whole group moves to a destination scheme with a key-ID base above
+// the source's, each member keeping its individual key, and the
+// invariants must survive the migration.
 
 import (
 	"math/rand"
@@ -241,8 +242,9 @@ func TestSecrecyInvariants(t *testing.T) {
 }
 
 // TestSecrecyInvariantsAcrossMigration churns each scheme, migrates the
-// whole group to a OneTree with a disjoint key-ID base, and requires the
-// invariants to hold through the bridge and through post-migration churn:
+// whole group to a OneTree with a key-ID base above the source's, and
+// requires the invariants to hold through the migration and through
+// post-migration churn:
 // everyone follows without a registration round-trip, departed members
 // stay locked out of the destination's key hierarchy too.
 func TestSecrecyInvariantsAcrossMigration(t *testing.T) {
@@ -259,10 +261,10 @@ func TestSecrecyInvariantsAcrossMigration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GroupKey before migration: %v", err)
 			}
-			dstOpts := []Option{rnd(902), WithKeyIDBase(keycrypt.KeyID(9) << 40)}
+			dstOpts := []Option{rnd(902), WithKeyIDBase(keycrypt.KeyID(1) << 50)}
 			if tc.planner {
 				// Planner rows migrate onto a planner-enabled destination:
-				// the bridge and the post-migration churn below must honor
+				// the migration and the post-migration churn below must honor
 				// the invariants with planning active on both sides.
 				dstOpts = append(dstOpts, plannerOpt())
 			}
@@ -270,7 +272,7 @@ func TestSecrecyInvariantsAcrossMigration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewOneTree: %v", err)
 			}
-			r, err := Migrate(s, dst, nil, rnd(903))
+			r, err := Migrate(s, dst, nil)
 			if err != nil {
 				t.Fatalf("Migrate: %v", err)
 			}
@@ -278,7 +280,7 @@ func TestSecrecyInvariantsAcrossMigration(t *testing.T) {
 				t.Fatal("migration rekey still exposes welcome keys")
 			}
 
-			// The bridge is in-band: no joins, no leaves, just the payload.
+			// The migration is in-band: no joins, no leaves, just the payload.
 			st.s = dst
 			st.absorb(r, nil, nil, prevKey, true)
 

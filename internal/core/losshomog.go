@@ -175,6 +175,7 @@ func (s *MultiTree) Advance(b Batch) (*Rekey, error) {
 		i := s.assignTree(j)
 		s.home[j.ID] = i
 		perTree[i].Joins = append(perTree[i].Joins, j.ID)
+		perTree[i].Keys = carry(perTree[i].Keys, j.ID, b.Keys[j.ID])
 	}
 	for _, m := range b.Leaves {
 		i := s.home[m]

@@ -13,21 +13,22 @@ import (
 // repeated periodically").
 //
 // Every member of `from` is admitted into `to` (which must be empty) in
-// one batch, carrying over its metadata. Because members cannot be handed
-// new individual keys out of band mid-session, each member's new
-// individual key is delivered wrapped under its previous one, and the rest
-// of its new path arrives through the destination scheme's regular joiner
-// items. The returned Rekey is therefore fully decryptable by every
-// current member using only keys it already holds — no registration
-// round-trip.
+// one batch, carrying over its metadata and its individual key: a member
+// keeps that key for life, so the rest of its new path arrives through the
+// destination scheme's regular joiner items, wrapped under it. The
+// returned Rekey is therefore fully decryptable by every current member
+// using only keys it already holds — no registration round-trip.
 //
 // The cost is Θ(N·log N) keys — this is exactly why the adaptive advisor
 // applies hysteresis before recommending a switch.
 //
-// REQUIREMENT: build the destination with a key-ID base disjoint from the
-// source's (WithKeyIDBase) — members index keys by ID, and a reused ID
-// from the old scheme would shadow the new key in their stores.
-func Migrate(from, to Scheme, metaOf func(keytree.MemberID) MemberMeta, rng ...Option) (*Rekey, error) {
+// Members index keys by ID, so the destination must never mint a carried
+// key's ID. Migrate checks that every key the destination minted for the
+// admission — the lowest ID it will ever mint is among them — lies above
+// every carried key; build it with a WithKeyIDBase above the source's IDs.
+// Otherwise, or if the destination minted no key at all (a one-member
+// OneTree), Migrate returns ErrBadConfig and `to` must be discarded.
+func Migrate(from, to Scheme, metaOf func(keytree.MemberID) MemberMeta) (*Rekey, error) {
 	if to.Size() != 0 {
 		return nil, fmt.Errorf("%w: destination scheme already has %d members", ErrBadConfig, to.Size())
 	}
@@ -36,59 +37,39 @@ func Migrate(from, to Scheme, metaOf func(keytree.MemberID) MemberMeta, rng ...O
 		return nil, fmt.Errorf("%w: source group is empty", ErrEmptyGroup)
 	}
 
-	// Capture each member's current individual key before touching state.
-	oldKey := make(map[keytree.MemberID]keycrypt.Key, len(members))
+	batch := Batch{Joins: make([]Join, 0, len(members)), Keys: make(map[keytree.MemberID]keycrypt.Key, len(members))}
 	for _, m := range members {
 		keys, err := from.MemberKeys(m)
 		if err != nil {
 			return nil, fmt.Errorf("core: migrate: reading keys of %d: %w", m, err)
 		}
-		if len(keys) == 0 {
-			return nil, fmt.Errorf("core: migrate: member %d holds no keys", m)
-		}
-		oldKey[m] = keys[0] // leaf/individual key first, by Scheme contract
-	}
-
-	batch := Batch{}
-	for _, m := range members {
 		meta := MemberMeta{LossRate: -1}
 		if metaOf != nil {
 			meta = metaOf(m)
 		}
 		batch.Joins = append(batch.Joins, Join{ID: m, Meta: meta})
+		batch.Keys[m] = keys[0] // leaf first, by Scheme contract
 	}
 	rekey, err := to.ProcessBatch(batch)
 	if err != nil {
 		return nil, fmt.Errorf("core: migrate: admitting members: %w", err)
 	}
 
-	// Bridge the registration gap: the new individual key of each member,
-	// wrapped under its old one. Options carry the entropy source for
-	// deterministic tests.
-	o, err := buildOptions(rng)
-	if err != nil {
-		return nil, err
-	}
-	bridge := Stream{Label: "migration-bridge", Audience: members}
+	var carried, minted keycrypt.KeyID
+	var ids []keycrypt.KeyID
 	for _, m := range members {
-		welcome, ok := rekey.Welcome[m]
-		if !ok {
-			return nil, fmt.Errorf("core: migrate: no welcome key for %d", m)
+		ids = to.PathIDs(m, ids[:0])
+		carried = max(carried, ids[0])
+		for _, id := range ids[1:] {
+			if minted == 0 || id < minted {
+				minted = id
+			}
 		}
-		w, err := keycrypt.Wrap(welcome, oldKey[m], o.rand)
-		if err != nil {
-			return nil, err
-		}
-		bridge.JoinerItems = append(bridge.JoinerItems, keytree.Item{
-			Wrapped:   w,
-			Kind:      keytree.JoinerWrap,
-			Level:     0,
-			Receivers: []keytree.MemberID{m},
-		})
 	}
-	rekey.Streams = append(rekey.Streams, bridge)
-	// The welcome keys were delivered in-band; the registration channel is
-	// not involved in a migration.
+	if minted <= carried {
+		return nil, fmt.Errorf("%w: destination key IDs from %v do not lie above the carried ones (up to %v)", ErrBadConfig, minted, carried)
+	}
+	// Every member holds its individual key already: nothing to hand over.
 	rekey.Welcome = nil
 	return rekey, nil
 }

@@ -69,11 +69,14 @@ func (s *Naive) Advance(b Batch) (*Rekey, error) {
 	}
 	joiners := excludeSet(b.Joins)
 	for _, j := range b.Joins {
-		ik, err := s.gen.New(s.nextID, 0)
-		if err != nil {
-			return nil, err
+		ik, ok := b.Keys[j.ID]
+		if !ok {
+			var err error
+			if ik, err = s.gen.New(s.nextID, 0); err != nil {
+				return nil, err
+			}
+			s.nextID++
 		}
-		s.nextID++
 		s.members[j.ID] = ik
 		r.Welcome[j.ID] = ik
 	}

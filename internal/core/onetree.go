@@ -41,7 +41,7 @@ func (s *OneTree) Advance(b Batch) (*Rekey, error) {
 	if err := validateBatch(s, b); err != nil {
 		return nil, err
 	}
-	kb := keytree.Batch{Leaves: b.Leaves}
+	kb := keytree.Batch{Leaves: b.Leaves, Keys: b.Keys}
 	for _, j := range b.Joins {
 		kb.Joins = append(kb.Joins, j.ID)
 	}

@@ -50,7 +50,7 @@ func TestMigrateRestoresBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rekey, err := Migrate(old, fresh, nil, rnd(702))
+	rekey, err := Migrate(old, fresh, nil)
 	if err != nil {
 		t.Fatalf("Migrate: %v", err)
 	}

@@ -167,8 +167,7 @@ func (s *TwoPartition) ProcessBatch(b Batch) (*Rekey, error) { return sealed(s.A
 // admission of joiners, and the group-key update (skipped when the batch
 // contains neither joins nor departures — pure migration does not
 // compromise any key, Section 3.2 phase 3). The S and L trees' wraps are
-// left pending; the scheme's own (group key, queue, migrant) are made
-// here.
+// left pending; the scheme's own (group key, queue) are made here.
 func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 	if err := validateBatch(s, b); err != nil {
 		return nil, err
@@ -200,33 +199,32 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 
 	// Route joiners. K=0 degenerates to one tree: everything goes to L.
 	var sJoins, lJoins []keytree.MemberID
+	var sKeys, lKeys map[keytree.MemberID]keycrypt.Key
 	for _, j := range b.Joins {
-		switch {
-		case s.mode == PT && j.Meta.LongLived:
+		if s.mode == PT && j.Meta.LongLived || s.mode != PT && s.sPeriod == 0 {
 			lJoins = append(lJoins, j.ID)
-		case s.mode != PT && s.sPeriod == 0:
-			lJoins = append(lJoins, j.ID)
-		default:
-			sJoins = append(sJoins, j.ID)
-			s.joinEpoch[j.ID] = s.epoch
+			lKeys = carry(lKeys, j.ID, b.Keys[j.ID])
+			continue
 		}
+		sJoins = append(sJoins, j.ID)
+		sKeys = carry(sKeys, j.ID, b.Keys[j.ID])
+		s.joinEpoch[j.ID] = s.epoch
 	}
 
-	// Capture migrants' current individual keys before the S departure
-	// procedure destroys them: their new L leaf keys are delivered wrapped
-	// under these.
-	migrantOldKey := make(map[keytree.MemberID]keycrypt.Key, len(migrants))
+	// A member keeps its individual key for life: migrants join L with the
+	// one they hold in S, taken before S's departure procedure drops it,
+	// and their L path reaches them as ordinary joiner items under it.
 	for _, m := range migrants {
 		k, err := s.individualKeyInS(m)
 		if err != nil {
 			return nil, err
 		}
-		migrantOldKey[m] = k
+		lKeys = carry(lKeys, m, k)
 	}
 
 	// --- S-partition ---
 	sStream := Stream{Label: "s-partition"}
-	lkb := keytree.Batch{Joins: append(append([]keytree.MemberID{}, migrants...), lJoins...), Leaves: lLeaves}
+	lkb := keytree.Batch{Joins: append(append([]keytree.MemberID{}, migrants...), lJoins...), Leaves: lLeaves, Keys: lKeys}
 	var lPayload *keytree.Payload
 	switch s.mode {
 	case QT:
@@ -236,11 +234,14 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 			delete(s.joinEpoch, m)
 		}
 		for _, m := range sJoins {
-			ik, err := s.gen.New(s.nextQueueID, 0)
-			if err != nil {
-				return nil, err
+			ik, ok := sKeys[m]
+			if !ok {
+				var err error
+				if ik, err = s.gen.New(s.nextQueueID, 0); err != nil {
+					return nil, err
+				}
+				s.nextQueueID++
 			}
-			s.nextQueueID++
 			s.queue[m] = ik
 			r.Welcome[m] = ik
 		}
@@ -252,7 +253,10 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 			lPayload = p
 		}
 	default: // TT, PT
-		kb := keytree.Batch{Joins: sJoins, Leaves: append(append([]keytree.MemberID{}, sLeaves...), migrants...)}
+		kb := keytree.Batch{Joins: sJoins, Leaves: append(append([]keytree.MemberID{}, sLeaves...), migrants...), Keys: sKeys}
+		if plantedMigrantStaysInS {
+			kb.Leaves = sLeaves
+		}
 		// S and L are disjoint key hierarchies with disjoint ID spaces, so
 		// their rekeys can run concurrently when the entropy source allows.
 		ps, err := rekeyTrees(s.parallel, []rekeyOne{
@@ -294,24 +298,6 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 		}
 		r.Welcome[m] = leaf.Key()
 	}
-	// Hand each migrant its new L leaf key under its old S individual key.
-	for _, m := range migrants {
-		leaf, err := s.ltree.Leaf(m)
-		if err != nil {
-			return nil, err
-		}
-		w, err := keycrypt.Wrap(leaf.Key(), migrantOldKey[m], s.gen.Rand)
-		if err != nil {
-			return nil, err
-		}
-		lStream.JoinerItems = append(lStream.JoinerItems, keytree.Item{
-			Wrapped:   w,
-			Kind:      keytree.JoinerWrap,
-			Level:     leaf.Depth(),
-			Receivers: []keytree.MemberID{m},
-		})
-	}
-
 	// --- Group key ---
 	joiners := excludeSet(b.Joins)
 	groupStream := Stream{Label: "group"}
@@ -361,7 +347,7 @@ func (s *TwoPartition) Advance(b Batch) (*Rekey, error) {
 				})
 			}
 		}
-		// L-partition delivery. Migrants decrypt it via their fresh L path:
+		// L-partition delivery. Migrants decrypt it via their new L path:
 		// they hold no joiner item for the group key, so this item reaches
 		// them by its wrapping key.
 		if s.ltree.Size() > 0 {

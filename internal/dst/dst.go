@@ -20,7 +20,6 @@ type Stats struct {
 	Fenced       int           `json:"fenced_records"`
 	Repairs      int           `json:"repairs"`
 	Rejoins      int           `json:"rejoins"`
-	Resyncs      int           `json:"resyncs"`
 	MaxSpread    time.Duration `json:"max_spread"`
 }
 
@@ -105,17 +104,20 @@ func Replay(a *Artifact, keepTrace bool) (*Result, bool) {
 	if len(a.Violations) == 0 {
 		return res, !res.Failed()
 	}
-	if !res.Failed() {
-		return res, false
-	}
-	want := make(map[ViolationKind]bool)
-	for _, v := range a.Violations {
-		want[v.Kind] = true
+	return res, reproduces(res, a.Violations)
+}
+
+// reproduces reports whether res failed with every kind of violation in
+// want.
+func reproduces(res *Result, want []Violation) bool {
+	kinds := make(map[ViolationKind]bool)
+	for _, v := range want {
+		kinds[v.Kind] = true
 	}
 	for _, v := range res.Violations {
-		delete(want, v.Kind)
+		delete(kinds, v.Kind)
 	}
-	return res, len(want) == 0
+	return res.Failed() && len(kinds) == 0
 }
 
 // Explore sweeps seeds under one profile, returning the first failure

@@ -7,34 +7,53 @@ import (
 	"time"
 )
 
-// The planted regression re-introduces a race this codebase actually had:
-// a primary trusting its cached promotion between lease ticks instead of
-// re-validating ownership before journaling, so a partitioned or stalled
-// ex-primary keeps writing after it was deposed. Seeded exploration over
-// partition plans must catch the deposed write within a bounded seed
-// budget, the shrinker must keep the failure while never growing the
+// The planted regressions (-tags dst_plantedbug) re-introduce bugs the
+// oracles must catch. Seeded exploration must find each within a bounded
+// seed budget, the shrinker must keep the failure while never growing the
 // plan, and the artifact must replay from disk.
+
+// TestPlantedFencingBugFoundAndShrunk: a race this codebase actually had,
+// a primary trusting its cached promotion between lease ticks instead of
+// re-validating ownership before journaling (internal/cluster), so a
+// partitioned or stalled ex-primary keeps writing after it was deposed.
 func TestPlantedFencingBugFoundAndShrunk(t *testing.T) {
-	const budget = 60
+	findShrinkReplay(t, ProfilePartition, ViolationFencing, 60, nil)
+}
+
+// TestPlantedMigrationBugFoundAndShrunk: a TT migrant left out of S's
+// departure batch (internal/core) is still held by L after it leaves.
+func TestPlantedMigrationBugFoundAndShrunk(t *testing.T) {
+	findShrinkReplay(t, ProfileCrash, ViolationForwardSecrecy, 60, func(p Plan) bool { return p.Scheme == "tt" })
+}
+
+// findShrinkReplay runs the first budget seeds of profile, skipping plans
+// keep rejects, until one raises a kind violation, then shrinks and
+// replays it.
+func findShrinkReplay(t *testing.T, profile Profile, kind ViolationKind, budget uint64, keep func(Plan) bool) {
+	t.Helper()
 	var (
 		found *Result
 		plan  Plan
+		first Violation
 	)
 	for seed := uint64(1); seed <= budget && found == nil; seed++ {
-		p := GenPlan(seed, ProfilePartition)
+		p := GenPlan(seed, profile)
+		if keep != nil && !keep(p) {
+			continue
+		}
 		p.Duration = 15 * time.Second
 		res := Run(p, false)
 		for _, v := range res.Violations {
-			if v.Kind == ViolationFencing {
-				found, plan = res, p
+			if v.Kind == kind {
+				found, plan, first = res, p, v
 				break
 			}
 		}
 	}
 	if found == nil {
-		t.Fatalf("planted fencing bug not caught within %d seeds", budget)
+		t.Fatalf("planted %s bug not caught within %d seeds", kind, budget)
 	}
-	t.Logf("caught with seed %d: %s", plan.Seed, found.Violations[0])
+	t.Logf("caught with seed %d: %s", plan.Seed, first)
 
 	shrunk, runs := Shrink(plan, found)
 	t.Logf("shrunk %d -> %d ops, %s -> %s, in %d runs",
@@ -49,16 +68,16 @@ func TestPlantedFencingBugFoundAndShrunk(t *testing.T) {
 	if !sres.Failed() {
 		t.Fatal("shrunk plan no longer fails")
 	}
-	fencing := false
+	kept := false
 	for _, v := range sres.Violations {
-		fencing = fencing || v.Kind == ViolationFencing
+		kept = kept || v.Kind == kind
 	}
-	if !fencing {
-		t.Fatalf("shrunk plan lost the fencing violation: %v", sres.Violations)
+	if !kept {
+		t.Fatalf("shrunk plan lost the %s violation: %v", kind, sres.Violations)
 	}
 
 	art := &Artifact{
-		Plan: shrunk, PlanHash: shrunk.Hash(), Profile: ProfilePartition,
+		Plan: shrunk, PlanHash: shrunk.Hash(), Profile: profile,
 		TraceHash: sres.TraceHash, StateHash: sres.StateHash, Violations: sres.Violations,
 		OriginalOps: len(plan.Ops), ShrinkRuns: runs,
 	}

@@ -5,10 +5,10 @@ import "time"
 // shrinkBudget bounds how many re-runs the shrinker may spend.
 const shrinkBudget = 200
 
-// Shrink minimizes a failing plan while preserving failure: ddmin-style
-// chunk removal over the fault ops, then single-op removal, then duration
-// trimming. It returns the smallest still-failing plan found and how many
-// verification runs it spent.
+// Shrink minimizes a failing plan while preserving its failure, every kind
+// of violation orig raised: ddmin-style chunk removal over the fault ops,
+// then single-op removal, then duration trimming. It returns the smallest
+// still-failing plan found and how many verification runs it spent.
 func Shrink(plan Plan, orig *Result) (Plan, int) {
 	runs := 0
 	fails := func(p Plan) bool {
@@ -16,7 +16,7 @@ func Shrink(plan Plan, orig *Result) (Plan, int) {
 			return false
 		}
 		runs++
-		return Run(p, false).Failed()
+		return reproduces(Run(p, false), orig.Violations)
 	}
 
 	best := plan

@@ -350,8 +350,12 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 	w.stats.Rekeys++
 
 	// Leavers freeze into the departed set before delivery: from here on
-	// they see every broadcast and must learn nothing.
+	// they see every broadcast and must learn nothing. The scheme that
+	// processed their departure must no longer hold them.
 	for _, id := range b.Leaves {
+		if ng.rep.Scheme.Contains(id) {
+			w.violate(ViolationForwardSecrecy, "g%d epoch %d still holds departed member %d", g.id, rk.Epoch, id)
+		}
 		if sm := g.members[id]; sm != nil {
 			delete(g.members, id)
 			g.departed[id] = sm
@@ -439,10 +443,9 @@ func (w *World) emit(n *simNode, ng *nodeGroup, b core.Batch, rk *core.Rekey, pr
 // answers a resume or a pull: a member without the serving owner's group
 // key is sent its current key path (core.PathItems), reliably, and adopts
 // it from its leaf up (member.ApplyPath) however many epochs it missed. A
-// member that cannot open the path lacks its current leaf key (it missed
-// its own leaf hand-off, and the server rejects its resume proof), so it
-// registers afresh. A member the owner's scheme does not hold is left to
-// rejoinOrphans.
+// member keeps its individual key for life, so one that cannot open its
+// own path is a violation. A member the owner's scheme does not hold is
+// left to rejoinOrphans.
 func (w *World) repairTick(g *simGroup) {
 	w.sched.After(repairEvery, "repair", func() { w.repairTick(g) })
 	o := w.ownerNode(g)
@@ -462,9 +465,7 @@ func (w *World) repairTick(g *simGroup) {
 				continue
 			}
 			if len(items) == 0 || !sm.m.ApplyPath(items[0].Wrapped.WrapperID, items) {
-				if !w.frozen {
-					w.reRegister(g, id, "lacks its current leaf key (resume rejected)")
-				}
+				w.violate(ViolationAgreement, "g%d member %d cannot open its own key path", g.id, id)
 				continue
 			}
 			w.stats.Repairs++
@@ -564,24 +565,6 @@ func (w *World) unEvictLost() {
 			w.sched.tracef("g%d member %d un-evicted (leave record lost to a crash)", g.id, id)
 		}
 	}
-}
-
-// reRegister models a client abandoning an unrecoverable key store: its
-// old identity leaves (the frozen store must learn nothing more) and a
-// fresh join is queued in its place.
-func (w *World) reRegister(g *simGroup, id keytree.MemberID, why string) {
-	sm := g.members[id]
-	if sm == nil {
-		return
-	}
-	delete(g.members, id)
-	g.departed[id] = sm
-	if !pendingLeave(g, id) {
-		g.pendingLeaves = append(g.pendingLeaves, id)
-	}
-	g.pendingJoins = append(g.pendingJoins, w.newMeta())
-	w.stats.Resyncs++
-	w.sched.tracef("g%d member %d %s; re-registering", g.id, id, why)
 }
 
 // ownerNode resolves the current lease holder to a live node.

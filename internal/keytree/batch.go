@@ -16,6 +16,11 @@ import (
 type Batch struct {
 	Joins  []MemberID
 	Leaves []MemberID
+	// Keys optionally carries a joiner's individual key: its leaf takes
+	// that key as it is (ID, version, material) and none is drawn for it.
+	// A member keeps its individual key for life, so one moved into this
+	// tree from another brings it along.
+	Keys map[MemberID]keycrypt.Key
 }
 
 // IsEmpty reports whether the batch contains no membership change.
@@ -272,17 +277,17 @@ func (t *Tree) validatePlan(b Batch, p Plan) error {
 // plan order. It fills dirty, the caller's empty map (the caller's so that
 // Rekey's stays off the heap), with the set they leave, pruned to the
 // interiors still in the tree, and returns where each surplus joiner
-// attached.
+// attached. A joiner's leaf takes the key keys carries for it (Batch.Keys).
 //
 // A dry run is the planner's simulation: the same code moves the same nodes,
-// but draws no key (new nodes carry the zero key, so neither entropy nor
-// nextID is consumed), leaves stats, the maintained member list, every
-// existing key and the key-schedule cache alone, and logs the inverse of
-// each structural change for rollback. A real run drops the cached schedule
-// of every key it retires: a filled hole's leaf key, a removed leaf's, a
-// spliced interior's. A pending seal that still wraps under one rebuilds the
-// schedule from the key its job holds.
-func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth, error) {
+// but draws no key and places no carried one (new nodes carry the zero key,
+// so neither entropy nor nextID is consumed), leaves stats, the maintained
+// member list, every existing key and the key-schedule cache alone, and logs
+// the inverse of each structural change for rollback. A real run drops the
+// cached schedule of every key it retires: a filled hole's leaf key, a
+// removed leaf's, a spliced interior's. A pending seal that still wraps
+// under one rebuilds the schedule from the key its job holds.
+func (t *Tree) place(plan Plan, keys map[MemberID]keycrypt.Key, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth, error) {
 	mark := func(n *Node, departure bool) {
 		for ; n != nil; n = n.parent {
 			info, ok := dirty[n]
@@ -307,7 +312,7 @@ func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth,
 				t.leaves[f.Hole] = leaf
 			})
 		} else {
-			fresh, err := t.freshKey()
+			fresh, err := t.leafKey(f.Joiner, keys, false)
 			if err != nil {
 				return nil, err
 			}
@@ -357,7 +362,11 @@ func (t *Tree) place(plan Plan, dirty map[*Node]*dirtyInfo, dry bool) ([]Growth,
 				return nil, fmt.Errorf("%w: anchor %v unusable for joiner %d", ErrInvalidPlan, g.Anchor, g.Joiner)
 			}
 		}
-		leaf, created, err := t.insertLeaf(g.Joiner, from, dry)
+		key, err := t.leafKey(g.Joiner, keys, dry)
+		if err != nil {
+			return nil, err
+		}
+		leaf, created, err := t.insertLeaf(g.Joiner, key, from, dry)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +404,7 @@ func (t *Tree) applyPlan(b Batch, plan Plan) (*Payload, error) {
 		return nil, err
 	}
 	dirty := make(map[*Node]*dirtyInfo)
-	grown, err := t.place(plan, dirty, false)
+	grown, err := t.place(plan, b.Keys, dirty, false)
 	if err != nil {
 		return nil, err
 	}
@@ -478,20 +487,21 @@ func (t *Tree) validateBatch(b Batch) error {
 			return fmt.Errorf("%w: %d", ErrMemberUnknown, m)
 		}
 	}
+	for m := range b.Keys {
+		if !seen[m] || t.Contains(m) {
+			return fmt.Errorf("%w: key carried for non-joiner %d", ErrBatchConflict, m)
+		}
+	}
 	return nil
 }
 
-// insertLeaf gives member m a new leaf by least-leaves descent from the
-// given node: past full interiors to the first underfull one, which takes
-// the leaf as one more child, or down to a leaf, which is split — the
-// interior the split creates is returned too. A planned anchor is underfull,
-// so the leaf attaches directly under it; a nil start is the empty tree.
-// dry is as in place.
-func (t *Tree) insertLeaf(m MemberID, from *Node, dry bool) (leaf, created *Node, err error) {
-	key, err := t.slotKey(dry)
-	if err != nil {
-		return nil, nil, err
-	}
+// insertLeaf gives member m a new leaf, keyed with key, by least-leaves
+// descent from the given node: past full interiors to the first underfull
+// one, which takes the leaf as one more child, or down to a leaf, which is
+// split — the interior the split creates is returned too. A planned anchor
+// is underfull, so the leaf attaches directly under it; a nil start is the
+// empty tree. dry is as in place.
+func (t *Tree) insertLeaf(m MemberID, key keycrypt.Key, from *Node, dry bool) (leaf, created *Node, err error) {
 	leaf = &Node{key: key, member: m, leaves: 1}
 
 	n := t.leastLoaded(from)
@@ -562,6 +572,15 @@ func (t *Tree) slotKey(dry bool) (keycrypt.Key, error) {
 		return keycrypt.Key{}, nil
 	}
 	return t.freshKey()
+}
+
+// leafKey keys joiner m's leaf: the key the batch carries for it, else a
+// new one (slotKey).
+func (t *Tree) leafKey(m MemberID, keys map[MemberID]keycrypt.Key, dry bool) (keycrypt.Key, error) {
+	if k, ok := keys[m]; ok && !dry {
+		return k, nil
+	}
+	return t.slotKey(dry)
 }
 
 // attached reports whether n is still reachable from the tree root.

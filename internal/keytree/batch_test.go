@@ -1,6 +1,7 @@
 package keytree
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,72 @@ func TestRekeyMixedBatchCryptoContract(t *testing.T) {
 	}
 	checkInvariants(t, tr)
 	verifyRekeyRound(t, tr, pre, b, p)
+}
+
+// TestRekeyPlacesCarriedLeafKeys: a joiner whose batch carries its
+// individual key (Batch.Keys) gets a leaf holding that key as it is, on
+// the hole-fill and the grow path, with the planner off and on, and the
+// tree mints no key for it. A key carried for a non-joiner is refused.
+func TestRekeyPlacesCarriedLeafKeys(t *testing.T) {
+	for _, planner := range []bool{false, true} {
+		build := func() *Tree {
+			opts := []Option{WithRand(keycrypt.NewDeterministicReader(31))}
+			if planner {
+				opts = append(opts, WithPlanner(PlannerConfig{}))
+			}
+			tr, err := New(4, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			populate(t, tr, 64)
+			return tr
+		}
+		minted, carried := build(), build()
+		// Two departures leave two holes; the third joiner grows the tree.
+		b := Batch{Joins: []MemberID{300, 301, 302}, Leaves: []MemberID{5, 50}}
+		if _, err := minted.Rekey(b); err != nil {
+			t.Fatal(err)
+		}
+		gen := keycrypt.Generator{Rand: keycrypt.NewDeterministicReader(32)}
+		b.Keys = make(map[MemberID]keycrypt.Key)
+		for i, m := range b.Joins {
+			k, err := gen.New(keycrypt.KeyID(1<<40+i), keycrypt.Version(i+2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Keys[m] = k
+		}
+		pre := snapshotViews(t, carried)
+		p, err := carried.Rekey(b)
+		if err != nil {
+			t.Fatalf("planner=%v: Rekey: %v", planner, err)
+		}
+		checkInvariants(t, carried)
+		verifyRekeyRound(t, carried, pre, b, p)
+		for m, k := range b.Keys {
+			leaf, err := carried.Leaf(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !leaf.Key().Equal(k) {
+				t.Fatalf("planner=%v: joiner %d's leaf holds %v v%d, want its carried %v v%d", planner, m, leaf.Key().ID, leaf.Key().Version, k.ID, k.Version)
+			}
+		}
+		if got, want := carried.nextID, minted.nextID-keycrypt.KeyID(len(b.Keys)); got != want {
+			t.Fatalf("planner=%v: next key ID %v, want %v (one fewer per carried key)", planner, got, want)
+		}
+	}
+
+	tr := newTestTree(t, 4, 33)
+	populate(t, tr, 8)
+	gen := keycrypt.Generator{Rand: keycrypt.NewDeterministicReader(34)}
+	k, err := gen.New(1<<40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Rekey(Batch{Leaves: []MemberID{3}, Keys: map[MemberID]keycrypt.Key{3: k}}); !errors.Is(err, ErrBatchConflict) {
+		t.Fatalf("key carried for a leaver: err=%v, want ErrBatchConflict", err)
+	}
 }
 
 func TestRekeyJoinsOnlyUsesOldKeyWraps(t *testing.T) {

@@ -202,7 +202,7 @@ func (t *Tree) anchorPlan(b Batch) (p Plan, ok bool) {
 		p = Plan{Removals: b.Leaves, PredictedWraps: -1}
 		joiners = b.Joins
 		dirty := make(map[*Node]*dirtyInfo)
-		if _, err := t.place(p, dirty, true); err == nil { // removals of validated members cannot fail
+		if _, err := t.place(p, nil, dirty, true); err == nil { // removals of validated members cannot fail
 			for n := range dirty {
 				consider(n)
 			}
@@ -253,7 +253,7 @@ func (s simResult) score() float64 { return float64(s.wraps) + s.cost }
 func (t *Tree) simulate(b Batch, p Plan) simResult {
 	defer t.rollback()
 	dirty := make(map[*Node]*dirtyInfo)
-	if _, err := t.place(p, dirty, true); err != nil {
+	if _, err := t.place(p, nil, dirty, true); err != nil {
 		return simResult{invalid: true}
 	}
 

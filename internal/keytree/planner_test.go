@@ -441,7 +441,7 @@ func TestPlanBatchRestoresTree(t *testing.T) {
 	dry := func(t *testing.T, tr *Tree, entropy *countingReader, plan Plan, during func()) (err error) {
 		t.Helper()
 		assertRestored(t, tr, entropy, "hand-built plan", func() {
-			if _, err = tr.place(plan, make(map[*Node]*dirtyInfo), true); err == nil && during != nil {
+			if _, err = tr.place(plan, nil, make(map[*Node]*dirtyInfo), true); err == nil && during != nil {
 				during()
 			}
 			tr.rollback()

@@ -194,7 +194,10 @@ func (r *Runner) slot(ctx context.Context, idx int) {
 // connect joins (or resumes) one session, retrying deferrals and
 // transient failures with backoff. Dials spread across the configured
 // node addresses and rotate on every retry, so a dead cluster node costs
-// one backoff before the slot moves on. Returns nil once ctx is done.
+// one backoff before the slot moves on. A saved session is kept through
+// transport failures (the server may be restarting or failing over) and
+// dropped only once a server refuses it; the slot then joins afresh.
+// Returns nil once ctx is done.
 func (r *Runner) connect(ctx context.Context, rng *rand.Rand, idx int, group wire.GroupID, state *[]byte) *server.Client {
 	backoff := 100 * time.Millisecond
 	for attempt := 0; ctx.Err() == nil; attempt++ {
@@ -202,37 +205,41 @@ func (r *Runner) connect(ctx context.Context, rng *rand.Rand, idx int, group wir
 		if r.cfg.Resume && *state != nil {
 			// The saved state carries the slot's group; resume re-addresses it.
 			c, err := server.ResumeDialVia(addr, *state, r.cfg.JoinTimeout, r.rewrite)
-			*state = nil
-			if err == nil {
+			switch {
+			case err == nil:
+				*state = nil
 				r.col.noteResume()
 				return c
+			case errors.Is(err, server.ErrRejected):
+				// The saved membership may have been evicted while away.
+				*state = nil
+				r.col.noteResumeRejected(err)
+				continue
 			}
-			// The saved membership may have been evicted while away;
-			// fall through to a fresh join.
 			r.col.noteResumeFailure(err)
-			continue
-		}
-		t0 := time.Now()
-		c, err := server.DialGroupVia(addr, group, wire.JoinRequest{LossRate: r.cfg.LossRate}, r.cfg.JoinTimeout, r.rewrite)
-		if err == nil {
-			r.col.noteJoin(time.Since(t0))
-			return c
-		}
-		var def *server.DeferredError
-		if errors.As(err, &def) {
-			// Admission deferred, not an error: honor the server's hint
-			// (capped so a soak never stalls a slot for long).
-			wait := def.After
-			if wait > 5*time.Second {
-				wait = 5 * time.Second
+		} else {
+			t0 := time.Now()
+			c, err := server.DialGroupVia(addr, group, wire.JoinRequest{LossRate: r.cfg.LossRate}, r.cfg.JoinTimeout, r.rewrite)
+			if err == nil {
+				r.col.noteJoin(time.Since(t0))
+				return c
 			}
-			r.col.noteJoinDeferred()
-			if !sleepCtx(ctx, wait) {
-				return nil
+			var def *server.DeferredError
+			if errors.As(err, &def) {
+				// Admission deferred, not an error: honor the server's hint
+				// (capped so a soak never stalls a slot for long).
+				wait := def.After
+				if wait > 5*time.Second {
+					wait = 5 * time.Second
+				}
+				r.col.noteJoinDeferred()
+				if !sleepCtx(ctx, wait) {
+					return nil
+				}
+				continue
 			}
-			continue
+			r.col.noteJoinError(err)
 		}
-		r.col.noteJoinError(err)
 		jitter := time.Duration(rng.Int64N(int64(backoff)))
 		if !sleepCtx(ctx, backoff+jitter) {
 			return nil
@@ -323,6 +330,7 @@ type collector struct {
 	disconnects    uint64
 	resumes        uint64
 	resumeFailures uint64
+	resumeRejected uint64
 	missedRekeys   uint64
 	protocolErrors uint64
 	badSignatures  uint64
@@ -404,6 +412,13 @@ func (col *collector) noteResumeFailure(err error) {
 	col.mu.Lock()
 	defer col.mu.Unlock()
 	col.resumeFailures++
+	col.sampleLocked("resume", err)
+}
+
+func (col *collector) noteResumeRejected(err error) {
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	col.resumeRejected++
 	col.sampleLocked("resume", err)
 }
 
@@ -501,6 +516,7 @@ func (col *collector) report(cfg Config, elapsed time.Duration) *Report {
 		Disconnects:     col.disconnects,
 		Resumes:         col.resumes,
 		ResumeFailures:  col.resumeFailures,
+		ResumeRejected:  col.resumeRejected,
 		RekeysSeen:      uint64(len(col.firstSeen)),
 		FinalEpoch:      col.maxEpoch,
 		MissedRekeys:    col.missedRekeys,

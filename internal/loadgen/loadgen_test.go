@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"math/rand/v2"
 	"net"
 	"testing"
 	"time"
@@ -220,5 +221,97 @@ func TestSoakSixtyFourGroups(t *testing.T) {
 	}
 	if idle > 0 {
 		t.Fatalf("%d of %d groups never rekeyed", idle, groups)
+	}
+}
+
+// TestResumeSurvivesServerDown: a slot's first resume attempt hits an
+// address with no server behind it. The saved session is kept, the slot
+// backs off, and a later attempt resumes it as the same member; the
+// transport failure is counted apart from a server's refusal, which drops
+// the state and joins afresh.
+func TestResumeSurvivesServerDown(t *testing.T) {
+	// No rekey runs unless the test asks: one would evict the member
+	// whose connection closed.
+	s := startServer(t, nil, time.Hour)
+	dialed := make(chan *server.Client, 1)
+	go func() {
+		c, err := server.Dial(s.Addr().String(), wire.JoinRequest{}, 5*time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		dialed <- c
+	}()
+	var c *server.Client
+	for c == nil {
+		select {
+		case c = <-dialed:
+			if c == nil {
+				t.FailNow()
+			}
+		case <-time.After(20 * time.Millisecond):
+			s.RekeyNow() // admits the join once it has landed
+		}
+	}
+	id := c.ID()
+	blob, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r := New(Config{Addrs: []string{down, s.Addr().String()}, Members: 1, Resume: true, JoinTimeout: 5 * time.Second})
+	state := blob
+	rc := r.connect(ctx, rand.New(rand.NewPCG(1, 1)), 0, 0, &state)
+	if rc == nil {
+		t.Fatal("connect gave up")
+	}
+	defer rc.Close()
+	if rc.ID() != id || state != nil {
+		t.Fatalf("connected as member %d (saved %d), state kept: %v", rc.ID(), id, state != nil)
+	}
+	rep := r.col.report(r.cfg, time.Second)
+	if rep.Resumes != 1 || rep.ResumeFailures != 1 || rep.ResumeRejected != 0 || rep.Joins != 0 {
+		t.Fatalf("resumes %d, failures %d, rejected %d, joins %d; want 1, 1, 0, 0",
+			rep.Resumes, rep.ResumeFailures, rep.ResumeRejected, rep.Joins)
+	}
+
+	// The member is connected, so the server refuses a second resume of
+	// the same state: the slot drops it and joins as a new member, admitted
+	// at a rekey.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(30 * time.Millisecond):
+				s.RekeyNow()
+			}
+		}
+	}()
+	r2 := New(Config{Addrs: []string{s.Addr().String()}, Members: 1, Resume: true, JoinTimeout: 5 * time.Second})
+	state = blob
+	jc := r2.connect(ctx, rand.New(rand.NewPCG(1, 2)), 0, 0, &state)
+	if jc == nil {
+		t.Fatal("connect gave up")
+	}
+	defer jc.Close()
+	rep = r2.col.report(r2.cfg, time.Second)
+	if jc.ID() == id || rep.ResumeRejected != 1 || rep.ResumeFailures != 0 || rep.Joins != 1 {
+		t.Fatalf("member %d (saved %d): rejected %d, failures %d, joins %d; want a new member, 1, 0, 1",
+			jc.ID(), id, rep.ResumeRejected, rep.ResumeFailures, rep.Joins)
 	}
 }

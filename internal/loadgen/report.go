@@ -78,6 +78,9 @@ type Report struct {
 	// straight to `dstrun -replay`.
 	FaultPlanHash string `json:"fault_plan_hash,omitempty"`
 
+	// ResumeFailures counts resume attempts lost to the transport (the
+	// saved session is kept and retried); ResumeRejected those a server
+	// refused (the slot joins afresh).
 	Joins          uint64 `json:"joins"`
 	JoinsDeferred  uint64 `json:"joins_deferred"`
 	JoinErrors     uint64 `json:"join_errors"`
@@ -85,6 +88,7 @@ type Report struct {
 	Disconnects    uint64 `json:"disconnects"`
 	Resumes        uint64 `json:"resumes"`
 	ResumeFailures uint64 `json:"resume_failures"`
+	ResumeRejected uint64 `json:"resume_rejected"`
 
 	RekeysSeen   uint64 `json:"rekeys_seen"`
 	FinalEpoch   uint64 `json:"final_epoch"`

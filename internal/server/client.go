@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -20,9 +19,8 @@ import (
 var (
 	ErrJoinTimeout = errors.New("server: join not acknowledged in time")
 	ErrNotWelcomed = errors.New("server: client not yet admitted")
-	// ErrLeafSuperseded ends a session whose member missed its own leaf
-	// hand-off (S→L migration, scheme migration); it must join afresh.
-	ErrLeafSuperseded = errors.New("server: rekey sealed under a leaf this member does not hold (missed its leaf hand-off); join afresh")
+	// ErrRejected wraps a server's refusal (MsgError) of a join or resume.
+	ErrRejected = errors.New("server rejected")
 )
 
 // DeferredError reports a join the server deferred under admission load
@@ -52,16 +50,11 @@ type Client struct {
 	serverKey ed25519.PublicKey
 	// dgram is the optional UDP rekey subscription (see client_udp.go).
 	dgram *dgramPlane
-	// indiv is the member's current individual (leaf) key, tracked across
-	// rekeys for session resumption (see resume.go).
+	// indiv is the member's individual (leaf) key, its own for life: it
+	// proves a resume (see resume.go) and seals datagram control messages.
 	indiv  keycrypt.Key
 	joined bool
 	epoch  uint64
-	// joinEpoch is the epoch of the rekey that admitted this member (set
-	// on the first applied rekey, or from the saved state on resume). It
-	// gates migration detection: the join payload's key chain is wrapped
-	// under the member's own leaf and must not be read as a hand-off.
-	joinEpoch uint64
 
 	welcomed chan struct{}
 	epochCh  chan struct{} // closed and replaced on every rekey
@@ -193,9 +186,8 @@ func (c *Client) readLoop() {
 		case wire.MsgRekeySparse:
 			sr, err := wire.DecodeSparseRekey(c.ServerKey(), payload)
 			if err == nil {
-				err = c.applyRekey(sr.Epoch, sr.Items, true)
-			}
-			if c.fatal(err) {
+				c.applyRekey(sr.Epoch, sr.Items, true)
+			} else if c.fatal(err) {
 				c.fail(err)
 				return
 			}
@@ -259,7 +251,7 @@ func (c *Client) readLoop() {
 			c.fail(&RedirectError{Addr: addr, Epoch: epoch})
 			return
 		case wire.MsgError:
-			c.fail(fmt.Errorf("server rejected: %s", payload))
+			c.fail(fmt.Errorf("%w: %s", ErrRejected, payload))
 			return
 		}
 	}
@@ -267,34 +259,24 @@ func (c *Client) readLoop() {
 
 // applyRekey folds one authenticated rekey payload — sparse or
 // reconstructed from datagrams — into the key store and announces the
-// epoch. Every delivery plane converges here, so secrecy bookkeeping
-// (hand-off tracking, epoch gating) is identical no matter how the keys
-// arrived. inOrder marks a frame read off the TCP connection: the server
-// writes epochs there in order and seals a resume or pull reply at its
-// newest, so a key-path chain from our leaf on it is adopted as stated
-// (member.ApplyPath), even over keys from epochs a crashed server sent but
-// never journaled. Datagram epochs may complete late and are only applied.
-// An in-order frame sealed under no key the member holds (the server sends
-// only items under keys of its path) is for a leaf it never received, a
-// missed hand-off no key path repairs: applyRekey then returns
-// ErrLeafSuperseded without advancing the epoch.
-func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) error {
+// epoch. Every delivery plane converges here, so epoch gating is identical
+// no matter how the keys arrived. inOrder marks a frame read off the TCP
+// connection: the server writes epochs there in order and seals a resume or
+// pull reply at its newest, so a key-path chain from our leaf on it is
+// adopted as stated (member.ApplyPath), even over keys from epochs a
+// crashed server sent but never journaled. Datagram epochs may complete
+// late and are only applied.
+func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) {
 	c.mu.Lock()
 	if c.mem != nil {
 		if !inOrder || !c.mem.ApplyPath(c.indiv.ID, items) {
-			held := func(it keytree.Item) bool { _, ok := c.mem.Key(it.Wrapped.WrapperID); return ok }
-			if inOrder && len(items) > 0 && !slices.ContainsFunc(items, held) {
-				c.mu.Unlock()
-				return ErrLeafSuperseded
-			}
 			c.mem.Apply(items)
 		}
-		if c.joinEpoch == 0 {
-			c.joinEpoch = epoch
+		// The individual key never changes its ID. A OneTree of one member,
+		// whose leaf is the root, refreshes it in place when it rotates.
+		if k, ok := c.mem.Key(c.indiv.ID); ok {
+			c.indiv = k
 		}
-		// A leaf hand-off can only arrive in a rekey newer than both
-		// our join and everything already processed.
-		c.trackIndividualLocked(items, epoch > c.epoch && epoch > c.joinEpoch)
 	}
 	if epoch > c.epoch {
 		c.epoch = epoch
@@ -307,7 +289,6 @@ func (c *Client) applyRekey(epoch uint64, items []keytree.Item, inOrder bool) er
 	if hook != nil {
 		hook(epoch)
 	}
-	return nil
 }
 
 // fatal reports whether a rekey frame's error ends the session. A bad

@@ -235,7 +235,7 @@ func (d *dgramPlane) tryAssemble() {
 	}
 	d.mu.Unlock()
 	if ok {
-		_ = d.c.applyRekey(epoch, items, false) // fails only in order
+		d.c.applyRekey(epoch, items, false)
 	}
 }
 

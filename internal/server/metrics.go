@@ -430,12 +430,15 @@ func (m *Metrics) setConnections(n int) {
 	m.parent.connections.Add(delta)
 }
 
-// Instrument attaches the metrics bundle; call before Serve. Passing nil
-// detaches.
+// Instrument attaches the metrics bundle and publishes the group's size
+// into it, so a primary instrumented over an existing group (a promotion,
+// a restart) does not read 0 members until its first rekey; call before
+// Serve. Passing nil detaches.
 func (s *Server) Instrument(m *Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.metrics = m
+	m.setMembers(float64(s.scheme.Size()))
 }
 
 // TotalRekeys reports how many rekey operations (batches and rotations)

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
+	"groupkey/internal/core"
 	"groupkey/internal/keytree"
 	"groupkey/internal/metrics"
 	"groupkey/internal/store"
@@ -391,11 +391,12 @@ func dialMany(t *testing.T, s *Server, n int) []*Client {
 	return clients
 }
 
-// TestResumeAfterMissedHandoffRejected: a TT member detached across its
-// own S→L migration holds a superseded leaf key, so its resume proof fails.
-// The server rejects it explicitly and counts the rejection; the client's
-// ResumeDial returns that error and no session is adopted on either side.
-func TestResumeAfterMissedHandoffRejected(t *testing.T) {
+// TestResumeAfterMissedMigrationConverges: a TT member detached across its
+// own S→L migration still holds its individual key, which it keeps for
+// life, so its resume proof opens. The server counts no rejection, and the
+// key path the resume is answered with takes the member to the group key
+// within that one round trip.
+func TestResumeAfterMissedMigrationConverges(t *testing.T) {
 	dir := t.TempDir()
 	srv, st, _ := startDurableServer(t, dir) // TT, S-period 2
 	c := dial(t, srv, wire.JoinRequest{})
@@ -423,17 +424,9 @@ func TestResumeAfterMissedHandoffRejected(t *testing.T) {
 	}()
 	m := NewMetrics(metrics.NewRegistry(), nil)
 	srv2.Instrument(m)
-	// Rekey until the scheme has handed the member a new leaf.
-	for i := 0; ; i++ {
-		srv2.mu.Lock()
-		keys, err := srv2.scheme.MemberKeys(id)
-		srv2.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if keys[0].ID != saved.Indiv.ID {
-			break
-		}
+	tp := srv2.scheme.(*core.TwoPartition)
+	// Rekey until the scheme has moved the member to the L partition.
+	for i := 0; tp.LPartitionSize() == 0; i++ {
 		if i == 8 {
 			t.Fatal("the member never migrated out of the S partition")
 		}
@@ -441,24 +434,40 @@ func TestResumeAfterMissedHandoffRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	srv2.mu.Lock()
+	keys, err := srv2.scheme.MemberKeys(id)
+	srv2.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !keys[0].Equal(saved.Indiv) {
+		t.Fatalf("the migration changed the member's individual key %v to %v", saved.Indiv.ID, keys[0].ID)
+	}
 
 	before := m.rejected.Value()
 	rc, err := ResumeDial(srv2.Addr().String(), blob, testTimeout)
-	if err == nil {
-		rc.Close()
-		t.Fatal("a member holding a superseded leaf resumed")
+	if err != nil {
+		t.Fatalf("ResumeDial after a missed migration: %v", err)
 	}
-	if !strings.Contains(err.Error(), "resume rejected: bad proof") {
-		t.Fatalf("ResumeDial: %v, want the bad-proof rejection", err)
+	defer rc.Close()
+	epoch := srv2.Epoch()
+	if err := rc.WaitEpoch(epoch, testTimeout); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.rejected.Value(); got != before+1 {
-		t.Fatalf("rejected registrations %d → %d, want one more", before, got)
+	dek, err := srv2.scheme.GroupKey()
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv2.mu.Lock()
-	_, adopted := srv2.conns[id]
-	srv2.mu.Unlock()
-	if adopted {
-		t.Fatal("the server adopted the rejected member's connection")
+	for _, k := range keys {
+		if !rc.HasKey(k) {
+			t.Fatalf("the resumed member lacks %v of its L path (epoch %d of %d)", k.ID, rc.Epoch(), epoch)
+		}
+	}
+	if !rc.HasKey(dek) {
+		t.Fatal("the resumed member lacks the group key")
+	}
+	if got := m.rejected.Value(); got != before {
+		t.Fatalf("rejected registrations %d → %d, want none", before, got)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"groupkey/internal/keycrypt"
-	"groupkey/internal/keytree"
 	"groupkey/internal/member"
 	"groupkey/internal/snapcodec"
 	"groupkey/internal/wire"
@@ -132,45 +131,11 @@ func ResumeDialTLS(addr string, state []byte, timeout time.Duration, pool *x509.
 func resumeOnConn(conn net.Conn, st *ClientState, timeout time.Duration) (*Client, error) {
 	c := newClient(conn, st.Group)
 	c.mem, c.id, c.serverKey = st.Member, st.Member.ID(), st.ServerKey
-	c.epoch, c.joinEpoch, c.indiv = st.Epoch, st.Epoch, st.Indiv
+	c.epoch, c.indiv = st.Epoch, st.Indiv
 	proof, err := keycrypt.Seal(st.Indiv, resumeProof(c.id), nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c.handshake(wire.MsgResume, wire.ResumeRequest{Member: c.id, Proof: proof}.Encode(), timeout)
-}
-
-// trackIndividualLocked keeps c.indiv pointing at the member's current
-// leaf key across rekeys, so a State saved later still authenticates.
-// Two movements matter: a version refresh of the same key slot, and a
-// hand-off to a brand-new leaf — TwoPartition S→L migration and
-// scheme-to-scheme migration both deliver it the same way: the new
-// individual key arrives as a single-receiver JoinerWrap sealed under the
-// old one. That shape is unambiguous except in the member's own join
-// payload (whose path chain also starts at its leaf), so handoffPossible
-// must be false while processing the join rekey or any re-delivery of an
-// already-seen epoch. Callers hold c.mu.
-func (c *Client) trackIndividualLocked(items []keytree.Item, handoffPossible bool) {
-	if c.mem == nil {
-		return
-	}
-	if k, ok := c.mem.Key(c.indiv.ID); ok {
-		c.indiv = k
-	}
-	if !handoffPossible {
-		return
-	}
-	// Receiver lists are not transmitted (wire.AppendRekeyItem), but no list is
-	// needed: nobody else holds this member's leaf, so a JoinerWrap sealed
-	// under it is addressed to us by construction.
-	for _, it := range items {
-		if it.Kind == keytree.JoinerWrap &&
-			it.Wrapped.WrapperID == c.indiv.ID && it.Wrapped.PayloadID != c.indiv.ID {
-			if k, ok := c.mem.Key(it.Wrapped.PayloadID); ok {
-				c.indiv = k
-			}
-			return
-		}
-	}
 }

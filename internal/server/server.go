@@ -419,14 +419,13 @@ func resumeProof(m keytree.MemberID) []byte {
 // current key path (pathFrameLocked), in one write. However many epochs
 // the member missed, the path takes it to the group key, and it is derived
 // from the scheme this process holds, so an epoch that was journaled but
-// never broadcast before a crash reaches the member too.
-//
-// A member detached across its own leaf hand-off (TwoPartition S→L
-// migration, scheme migration) proves under a leaf the scheme no longer
-// holds: that resume is rejected ("resume rejected: bad proof", counted in
-// the rejected-registrations metric), and the client must join afresh.
-// Like MsgWelcome, the reply carries the individual key in the clear and
-// so rides the same confidential-registration-channel assumption (use TLS).
+// never broadcast before a crash reaches the member too. A member keeps
+// its individual key for life, across S→L and scheme migration alike, so
+// a proof that does not open is a forgery or a stale copy of the state:
+// it is rejected ("resume rejected: bad proof", counted in the
+// rejected-registrations metric). Like MsgWelcome, the reply carries the
+// individual key in the clear and so rides the same
+// confidential-registration-channel assumption (use TLS).
 func (s *Server) resume(conn net.Conn, req wire.ResumeRequest, memberID *keytree.MemberID) bool {
 	s.mu.Lock()
 	if s.closed || *memberID != 0 || !s.scheme.Contains(req.Member) {

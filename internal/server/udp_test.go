@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -691,9 +690,9 @@ func TestDatagramForgeriesRejected(t *testing.T) {
 }
 
 // TestPullReplyKeepsIndividualKey: a datagram subscriber that loses every
-// packet of an epoch pulls it over TCP mid-session, where a new epoch may
-// carry a leaf hand-off. The reply, its key path, must not read as one: the
-// member converges on the group key and keeps tracking its own leaf.
+// packet of an epoch pulls it over TCP mid-session. The reply, its key
+// path, starts at the individual key the member keeps for life: the
+// member converges on the group key and that key is unchanged.
 func TestPullReplyKeepsIndividualKey(t *testing.T) {
 	scheme := newScheme(t, 64)
 	srv := startServer(t, scheme)
@@ -726,14 +725,13 @@ func TestPullReplyKeepsIndividualKey(t *testing.T) {
 	}
 }
 
-// TestPullAfterMissedHandoffFails: a TT datagram subscriber loses every
-// packet of the epoch that migrates it from the S to the L partition, so
-// the hand-off of its new leaf never reaches it, and it pulls. The reply,
-// its key path, is sealed under that new leaf and cannot open. The
-// migration keeps the group key, so the loss shows at the next rotation;
-// the client must end the session with ErrLeafSuperseded rather than
-// report that epoch without its group key.
-func TestPullAfterMissedHandoffFails(t *testing.T) {
+// TestPullAfterMissedMigrationConverges: a TT datagram subscriber loses
+// every packet of the epoch that migrates it from the S to the L
+// partition, and of the rotation after it, and pulls. It keeps its
+// individual key for life, so the reply, its new key path, is sealed under
+// a key it holds: within one round trip of the pull it holds its whole L
+// path and the group key.
+func TestPullAfterMissedMigrationConverges(t *testing.T) {
 	scheme, err := core.NewTwoPartition(core.TT, 2, core.WithRand(keycrypt.NewDeterministicReader(66)))
 	if err != nil {
 		t.Fatal(err)
@@ -741,54 +739,56 @@ func TestPullAfterMissedHandoffFails(t *testing.T) {
 	srv := startServer(t, scheme)
 	c := dial(t, srv, wire.JoinRequest{})
 	dial(t, srv, wire.JoinRequest{})
-	srv.mu.Lock()
-	keys, err := srv.scheme.MemberKeys(c.ID())
-	srv.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := keys[0].ID
-	startUDP(t, srv, 1, 67, UDPConfig{KeysPerDgram: 2, BlockSize: 4})
+	m := startUDP(t, srv, 1, 67, UDPConfig{KeysPerDgram: 2, BlockSize: 4})
 	subscribe(t, srv, c, 1)
+	c.mu.Lock()
+	indiv := c.indiv
+	c.mu.Unlock()
 
 	for i := 0; ; i++ {
 		if _, err := srv.RekeyNow(); err != nil {
 			t.Fatal(err)
 		}
 		srv.mu.Lock()
-		keys, err := srv.scheme.MemberKeys(c.ID())
+		migrated := scheme.LPartitionSize() > 0
 		srv.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if keys[0].ID != leaf {
+		if migrated {
 			break
 		}
 		if i == 8 {
 			t.Fatal("the member never migrated out of the S partition")
 		}
 		if err := c.WaitEpoch(srv.Epoch(), testTimeout); err != nil {
-			t.Fatalf("before the hand-off: %v", err)
+			t.Fatalf("before the migration: %v", err)
 		}
 	}
+	pulls := m.repairPulls.Value()
 	if _, err := srv.RotateNow(); err != nil {
 		t.Fatal(err)
 	}
 	epoch := srv.Epoch()
-	gk, err := scheme.GroupKey()
+	if err := c.WaitEpoch(epoch, testTimeout); err != nil {
+		t.Fatalf("after the missed migration: %v (session error %v)", err, c.Err())
+	}
+	if m.repairPulls.Value() == pulls {
+		t.Fatal("the member reached the epoch without pulling it")
+	}
+	srv.mu.Lock()
+	keys, err := scheme.MemberKeys(c.ID())
+	srv.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-c.Done():
-	case <-time.After(testTimeout):
-		t.Fatalf("session still live at epoch %d of %d, holds the group key=%v", c.Epoch(), epoch, c.HasKey(gk))
+	c.mu.Lock()
+	kept := c.indiv.Equal(indiv) && keys[0].Equal(indiv)
+	c.mu.Unlock()
+	if !kept {
+		t.Fatal("the migration changed the member's individual key")
 	}
-	if !errors.Is(c.Err(), ErrLeafSuperseded) {
-		t.Fatalf("session ended with %v, want ErrLeafSuperseded", c.Err())
-	}
-	if c.Epoch() >= epoch && !c.HasKey(gk) {
-		t.Fatalf("client reports epoch %d without its group key", c.Epoch())
+	for _, k := range keys {
+		if !c.HasKey(k) {
+			t.Fatalf("after the pull reply the member lacks %v of its path (epoch %d of %d)", k.ID, c.Epoch(), epoch)
+		}
 	}
 }
 

@@ -130,9 +130,10 @@ func errBadConfig(k SchemeKind) error {
 var errBadCreateRecord = errors.New("store: malformed create record")
 
 // replayRule, the create record's last byte, orders each record's entropy
-// draws: under rule 1 a rekey draws its key-tree wrap nonces when sealed,
-// after every other draw; rule 0 records (no byte) drew them in Advance.
-const replayRule = 1
+// draws: under rule 2 wrap nonces are drawn at seal time, after every
+// other draw, and a TT/QT migrant joins L with its key, drawing none. Rule
+// 1 minted it a fresh leaf; rule 0 records (no byte) drew nonces in Advance.
+const replayRule = 2
 
 // encode serializes the config for the create record; the planner flag and
 // the replay rule are the trailing bytes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -47,9 +48,12 @@ func TestSchemeConfigRejectsPrePlannerRecord(t *testing.T) {
 		if _, err := decodeSchemeConfig(enc[:len(enc)-1]); err == nil || !strings.Contains(err.Error(), "replay rule 0") {
 			t.Fatalf("rule-0 record for %+v: err=%v, want replay rule 0", c, err)
 		}
-		rule2 := append(enc[:len(enc)-1:len(enc)-1], 2)
-		if _, err := decodeSchemeConfig(rule2); err == nil || !strings.Contains(err.Error(), "replay rule 2") {
-			t.Fatalf("rule-2 record for %+v: err=%v, want replay rule 2", c, err)
+		for _, rule := range []byte{1, 3} {
+			other := append(enc[:len(enc)-1:len(enc)-1], rule)
+			want := fmt.Sprintf("replay rule %d", rule)
+			if _, err := decodeSchemeConfig(other); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("rule-%d record for %+v: err=%v, want %s", rule, c, err, want)
+			}
 		}
 		if _, err := decodeSchemeConfig(append(enc, 0)); err == nil {
 			t.Fatalf("over-long record for %+v decoded", c)

@@ -21,11 +21,11 @@ import (
 //
 // Sealed layout (keycrypt.Seal framing; plaintext written with snapcodec):
 //
-//	plaintext = magic "GKSN" | version(4) = 4 | seq(8) | nextID(8) | scheme blob
+//	plaintext = magic "GKSN" | version(4) = 5 | seq(8) | nextID(8) | scheme blob
 //
-// Older versions are rejected: version 3 was written when the key trees
-// drew wrap nonces inside Advance, so the WAL after it would replay under
-// another draw order (see replayRule). The scheme blob restores by itself: every
+// Older versions are rejected: versions 3 and 4 were written under replay
+// rules 0 and 1, so the WAL after them would replay under another draw
+// order (see replayRule). The scheme blob restores by itself: every
 // payload-affecting construction setting (the batch placement planner)
 // lives in the key-tree blobs inside it, so a snapshot needs neither the
 // WAL's create record nor a copy of the scheme config.
@@ -33,7 +33,7 @@ const (
 	snapPrefix  = "snap-"
 	snapSuffix  = ".gks"
 	snapMagic   = "GKSN"
-	snapVersion = 4
+	snapVersion = 5
 	// snapKeep is how many snapshot generations survive pruning: the
 	// newest plus one fallback in case the newest is torn by a crash
 	// during a later save (the rename is atomic, but belts and braces).

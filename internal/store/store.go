@@ -387,8 +387,12 @@ func (s *Store) Create(cfg SchemeConfig) (core.Scheme, error) {
 // JournalBatch journals one membership batch and reseeds the entropy
 // source; the caller applies the batch to the scheme immediately after.
 // All batches must be journaled, empty heartbeats included — the epoch
-// advances and TwoPartition migrations fire on them.
+// advances and TwoPartition migrations fire on them. The WAL holds no
+// keys, so a batch carrying joiners' individual keys (Keys) is refused.
 func (s *Store) JournalBatch(b core.Batch) error {
+	if len(b.Keys) > 0 {
+		return fmt.Errorf("store: batch carries %d individual keys", len(b.Keys))
+	}
 	joins := make([]wire.MemberJoin, 0, len(b.Joins))
 	for _, j := range b.Joins {
 		joins = append(joins, wire.MemberJoin{Member: j.ID, Req: wire.JoinRequest{

@@ -430,11 +430,11 @@ func TestStoreCreateRecordCorrupted(t *testing.T) {
 // the current envelope version, whose WAL was compacted behind the
 // snapshot, must fail recovery with the snapshot's version error — not
 // just a WAL gap — and with no WAL left it must not boot fresh. Version 2
-// carried a scheme-config section; version 3 has today's layout but was
-// written under replay rule 0, so the WAL after it would replay to other
-// keys.
+// carried a scheme-config section; versions 3 and 4 have today's layout
+// but were written under replay rules 0 and 1, so the WAL after them would
+// replay to other keys.
 func TestRecoverReportsUnsupportedSnapshot(t *testing.T) {
-	for _, version := range []uint32{2, 3} {
+	for _, version := range []uint32{2, 3, 4} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
 			dir := t.TempDir()
 			st := openStore(t, dir, Options{SegmentBytes: 512})
@@ -468,7 +468,7 @@ func TestRecoverReportsUnsupportedSnapshot(t *testing.T) {
 					t.Fatal(err)
 				}
 				old := encodeSnapshotPlain(seq, nextID, blob)
-				binary.BigEndian.PutUint32(old[len(snapMagic):], 3)
+				binary.BigEndian.PutUint32(old[len(snapMagic):], version)
 				if version == 2 {
 					old = v2SnapshotPlain(seq, uint64(nextID), SchemeConfig{Kind: SchemeOneTree}, blob)
 				}
@@ -505,35 +505,44 @@ func TestRecoverReportsUnsupportedSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoverRefusesPreRuleCreateRecord: a WAL whose create record ends
-// after the planner flag was written under replay rule 0, when the key
-// trees drew their wrap nonces inside Advance; replayed under rule 1 its
-// multi-tree batches would derive other keys than the members hold, so
-// recovery refuses it by name.
+// TestRecoverRefusesPreRuleCreateRecord: a WAL whose create record was
+// written under an older replay rule is refused by name. Rule 0 (the
+// record ends after the planner flag) drew the key trees' wrap nonces
+// inside Advance; rule 1 minted each TT/QT migrant a fresh L leaf key.
+// Replayed under rule 2 their batches would derive other keys than the
+// members hold.
 func TestRecoverRefusesPreRuleCreateRecord(t *testing.T) {
-	dir := t.TempDir()
-	st := openStore(t, dir, Options{})
-	if _, err := st.Recover(); err != nil {
-		t.Fatal(err)
-	}
 	enc := SchemeConfig{Kind: SchemeTT, SPeriodK: 2}.encode()
-	st.mu.Lock()
-	_, err := st.journalLocked(recCreate, enc[:len(enc)-1])
-	st.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2 := openStore(t, dir, Options{})
-	defer st2.Close()
-	res, err := st2.Recover()
-	if !errors.Is(err, errBadCreateRecord) || !strings.Contains(err.Error(), "replay rule 0") {
-		t.Fatalf("Recover = %v, want errBadCreateRecord: replay rule 0", err)
-	}
-	if res != nil {
-		t.Fatal("recovered a result from a rule-0 create record")
+	for rule, rec := range map[int][]byte{
+		0: enc[:len(enc)-1],
+		1: append(enc[:len(enc)-1:len(enc)-1], 1),
+	} {
+		t.Run(fmt.Sprintf("rule%d", rule), func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir, Options{})
+			if _, err := st.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			st.mu.Lock()
+			_, err := st.journalLocked(recCreate, rec)
+			st.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st2 := openStore(t, dir, Options{})
+			defer st2.Close()
+			res, err := st2.Recover()
+			want := fmt.Sprintf("replay rule %d", rule)
+			if !errors.Is(err, errBadCreateRecord) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Recover = %v, want errBadCreateRecord: %s", err, want)
+			}
+			if res != nil {
+				t.Fatalf("recovered a result from a rule-%d create record", rule)
+			}
+		})
 	}
 }
 

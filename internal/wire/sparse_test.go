@@ -412,7 +412,7 @@ func TestScopedIndexAllocsIndependentOfGroupSize(t *testing.T) {
 // TestPathIndexMatchesReceiverOracle holds Build to the brute-force oracle
 // over every scheme a key server hosts, planner off and on: seeded churn
 // with joins, departures and S→L migrations, a scheduled rotation every few
-// epochs, and a closing Migrate bridge into a fresh TT scheme. Every epoch
+// epochs, and a closing Migrate into a fresh TT scheme. Every epoch
 // is indexed for an empty audience, a singleton, the whole group, a random
 // subset, still-connected leavers, and IDs the scheme never held.
 func TestPathIndexMatchesReceiverOracle(t *testing.T) {
@@ -519,7 +519,7 @@ func TestPathIndexMatchesReceiverOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := core.Migrate(sc, to, nil, rnd(seed+200))
+				r, err := core.Migrate(sc, to, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
