@@ -59,16 +59,20 @@ seal-check:
 	$(GO) test -race -count=5 -run 'ItemTreeMatches|WrapBatch|PendingWrapsSeal|AdvanceMatches|FailedRekey|Golden' ./internal/wire ./internal/keycrypt ./internal/keytree ./internal/core
 	$(GO) test -run '^$$' -bench 'SealEpoch|RekeyChurn100k' -benchtime=1x ./internal/server ./internal/keytree
 
-# One signature per epoch of datagrams: the shard-tree verifier rejects
-# every single-byte mutation cold and warm, binds epoch and group, checks
-# a warm packet without allocating, every packet fits the MTU up to the
-# largest epoch, a subscribed client counts injected forgeries and still
-# converges, each block goes only to the subscribers whose items it
-# carries (wire.NeededBlocks) with parity sized from their losses, and a
-# subscriber's loss estimate counts only its own blocks — three times
-# under -race; then 20 s of FuzzDecodeDgram and 10 s of FuzzNeededBlocks.
+# One signature per epoch of datagrams and one proactive-FEC core: the
+# shard-tree verifier rejects every single-byte mutation cold and warm,
+# binds epoch and group, checks a warm packet without allocating, every
+# packet fits the MTU up to the largest epoch, a subscribed client counts
+# injected forgeries and still converges, each block goes only to the
+# subscribers whose positions it carries (wire.NeededBlocks) with parity
+# sized from their losses, the plane packs only its subscribers' items, a
+# subscriber's loss estimate counts only its own blocks and decays after a
+# NACK, and the core's geometry (FECPlan), completion rule (FECComplete),
+# repair cursor (FECRepair), loss estimate (LossEstimate) and the
+# simulator running it (ProactiveFEC) hold — three times under -race;
+# then 20 s of FuzzDecodeDgram and 10 s of FuzzNeededBlocks.
 dgram-check:
-	$(GO) test -race -count=3 -run 'Dgram|Datagram|ShardDgrams|NeededBlocks|Audience' ./internal/wire ./internal/server
+	$(GO) test -race -count=3 -run 'Dgram|Datagram|ShardDgrams|NeededBlocks|Audience|FECPlan|FECComplete|FECRepair|LossEstimate|ProactiveFEC' ./internal/wire ./internal/server ./internal/transport
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeDgram$$' -fuzztime=20s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz='^FuzzNeededBlocks$$' -fuzztime=10s ./internal/wire/
 

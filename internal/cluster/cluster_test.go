@@ -604,6 +604,23 @@ func TestParsePeersAdvertise(t *testing.T) {
 	}
 }
 
+// TestUnownedGroupDeferredUnknownRefused: before any node takes a known
+// group's lease, a join for it is deferred (the owner is on its way), while
+// a join for a group the cluster has never heard of is refused.
+func TestUnownedGroupDeferredUnknownRefused(t *testing.T) {
+	n := startCluster(t, []string{"a"}, NewMemAuthority(nil), 1, 1)[0]
+	addr := n.ClientAddr().String()
+
+	_, err := server.DialGroup(addr, 0, wire.JoinRequest{}, testTimeout)
+	var def *server.DeferredError
+	if errors.Is(err, server.ErrRejected) || !errors.As(err, &def) {
+		t.Fatalf("join for a known group with no owner: %v, want a DeferredError", err)
+	}
+	if _, err := server.DialGroup(addr, 99, wire.JoinRequest{}, testTimeout); !errors.Is(err, server.ErrRejected) {
+		t.Fatalf("join for an unknown group: %v, want ErrRejected", err)
+	}
+}
+
 // TestShardOf pins the group-to-shard mapping.
 func TestShardOf(t *testing.T) {
 	if ShardOf(7, 1) != 0 || ShardOf(7, 0) != 0 {

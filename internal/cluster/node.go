@@ -168,24 +168,24 @@ func (n *Node) ReplAddr() net.Addr { return n.replLn.Addr() }
 
 // Locate implements server.Resolver: members asking any node for a group
 // it does not host are redirected to the shard's current lease holder.
-func (n *Node) Locate(g wire.GroupID) (string, uint64, bool) {
+func (n *Node) Locate(g wire.GroupID) (string, uint64, bool, bool) {
 	n.mu.Lock()
 	_, known := n.groups[g]
 	n.mu.Unlock()
 	if !known {
-		return "", 0, false
+		return "", 0, false, false
 	}
 	lease, ok := n.cfg.Authority.Peek(ShardOf(g, n.cfg.Shards))
 	if !ok || lease.Owner == n.cfg.Node {
 		// No owner, or this node owns it but has not finished promoting:
 		// redirecting to ourselves would only loop the client.
-		return "", 0, false
+		return "", 0, true, false
 	}
 	peer, ok := n.cfg.peer(lease.Owner)
 	if !ok {
-		return "", 0, false
+		return "", 0, true, false
 	}
-	return peer.Advertised(), lease.Epoch, true
+	return peer.Advertised(), lease.Epoch, true, true
 }
 
 // leaseLoop renews every shard at a third of the lease TTL.

@@ -23,17 +23,18 @@ var (
 	ErrRejected = errors.New("server rejected")
 )
 
-// DeferredError reports a join the server deferred under admission load
-// (MsgRetry): not a failure of the protocol, just "come back later".
+// DeferredError reports a join or resume the server deferred (MsgRetry):
+// under admission load, or at a cluster node that knows no owner for the
+// group yet. Not a failure of the protocol, just "come back later".
 // Callers should wait After and dial again; errors.As unwraps it from the
-// error Dial returns.
+// error Dial or ResumeDial returns.
 type DeferredError struct {
 	After time.Duration
 }
 
 // Error implements error.
 func (e *DeferredError) Error() string {
-	return fmt.Sprintf("server: join deferred, retry after %v", e.After)
+	return fmt.Sprintf("server: deferred, retry after %v", e.After)
 }
 
 // Client is a group member speaking the wire protocol. Create with Dial.

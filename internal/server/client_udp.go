@@ -3,28 +3,32 @@ package server
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"groupkey/internal/fec"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/keytree"
+	"groupkey/internal/transport"
 	"groupkey/internal/wire"
 )
 
 // Client side of the datagram rekey plane. EnableDatagram dials the
 // server's UDP socket and subscribes with a sealed hello; from then on
 // each epoch's keys arrive as FEC shards, and the TCP connection carries
-// only a digest (MsgRekeyDigest) naming the geometry. Every packet of an
-// epoch carries the epoch's one root signature and its path to that root:
-// the client verifies the signature once per epoch (wire.DgramVerifier)
-// and checks each other packet by its path as it arrives, so a forged,
-// spliced or replayed packet never reaches FEC reconstruction.
-// The client collects shards, reconstructs the blocks covering its item
-// indexes, and applies through the same applyRekey path as TCP. Deficits
-// are NACKed over UDP after nackDelay; after maxNacks unanswered rounds
-// the client falls back to the authoritative TCP pull (MsgRekeyPull), so
-// a dead UDP path degrades to exactly the sparse TCP behaviour.
+// only a digest (MsgRekeyDigest) naming the geometry and the member's
+// positions in the epoch's packing. Every packet of an epoch carries the
+// epoch's one root signature and its path to that root: the client
+// verifies the signature once per epoch (wire.DgramVerifier) and checks
+// each other packet by its path as it arrives, so a forged, spliced or
+// replayed packet never reaches FEC reconstruction. The client reads a
+// block once it holds every source shard carrying its positions or any K
+// shards (transport.Complete), and applies through the same applyRekey
+// path as TCP. Blocks it cannot read yet are NACKed over UDP after
+// nackDelay, with the loss it saw; after maxNacks unanswered rounds the
+// client falls back to the authoritative TCP pull (MsgRekeyPull), so a
+// dead UDP path degrades to exactly the sparse TCP behaviour.
 
 const (
 	// defaultNackDelay is how long after a digest (or a NACK) the client
@@ -48,14 +52,17 @@ type dgramPlane struct {
 	// epochs collects shard payloads per epoch until the digest arrives
 	// and the needed blocks complete: epoch → block → shard → payload.
 	epochs map[uint64]map[uint16]map[uint8][]byte
-	digest *wire.RekeyDigest // the epoch currently being assembled
+	digest *wire.RekeyDigest  // the epoch currently being assembled
+	need   []wire.NeededBlock // the blocks carrying digest's positions
 	nacks  int
 	timer  *time.Timer
 }
 
 // EnableDatagram subscribes the client to the server's UDP rekey plane at
 // addr. Call after Dial returns (the hello is sealed under the member's
-// leaf key). nackDelay and maxNacks of 0 select defaults.
+// leaf key). A block the client cannot read nackDelay after the digest or
+// its last NACK is NACKed; after maxNacks NACKs the client pulls over TCP.
+// nackDelay and maxNacks of 0 select defaults.
 func (c *Client) EnableDatagram(addr string, nackDelay time.Duration, maxNacks int) error {
 	c.mu.Lock()
 	joined := c.joined
@@ -187,6 +194,7 @@ func (c *Client) handleDigest(dg wire.RekeyDigest) {
 		return
 	}
 	d.digest = &dg
+	d.need = wire.NeededBlocks(dg.Indexes, wire.ShardKeys(int(dg.ShardSize)), dg.Blocks)
 	d.nacks = 0
 	d.armTimerLocked()
 	d.mu.Unlock()
@@ -207,14 +215,6 @@ func (d *dgramPlane) armTimerLocked() {
 		return
 	}
 	d.timer = time.AfterFunc(d.nackDelay, d.repairRound)
-}
-
-// neededBlocksLocked returns the digest blocks that cover any of the
-// member's item indexes: the only blocks the member must complete, and
-// the only ones the server sends it.
-func (d *dgramPlane) neededBlocksLocked() []wire.DigestBlock {
-	dg := d.digest
-	return wire.NeededBlocks(dg.Indexes, wire.ShardKeys(int(dg.ShardSize)), dg.Blocks)
 }
 
 // tryAssemble reconstructs the needed blocks once enough shards are in,
@@ -249,48 +249,49 @@ func (d *dgramPlane) assembleLocked() (uint64, []keytree.Item, bool) {
 		// the heartbeat.
 		return dg.Epoch, nil, true
 	}
-	need := d.neededBlocksLocked()
 	blocks := d.epochs[dg.Epoch]
-	for _, blk := range need {
-		if len(blocks[blk.Block]) < int(blk.K) {
-			return 0, nil, false
-		}
+	if short, _ := transport.Shortfall(d.need, blocks); len(short) > 0 {
+		return 0, nil, false
 	}
-	// Every needed block is decodable: reconstruct and collect our items.
-	byIdx := make(map[uint32][]byte)
-	for _, blk := range need {
-		k, total := int(blk.K), int(blk.Shards)
+	// Every needed block is readable: collect our items from the source
+	// shards carrying them, reconstructing the block if one is missing.
+	byPos := make(map[uint32][]byte)
+	for _, nb := range d.need {
+		k, total := int(nb.K), int(nb.Shards)
 		slots := make([][]byte, total)
-		for s, payload := range blocks[blk.Block] {
-			if int(s) >= total {
-				continue
+		for s, payload := range blocks[nb.Block] {
+			if int(s) < total {
+				slots[s] = payload
 			}
-			padded := make([]byte, dg.ShardSize)
-			copy(padded, payload)
-			slots[s] = padded
 		}
-		if k < total {
+		if slices.ContainsFunc(nb.Sources, func(s uint8) bool { return slots[s] == nil }) {
+			for s, payload := range slots {
+				if payload != nil {
+					slots[s] = make([]byte, dg.ShardSize)
+					copy(slots[s], payload)
+				}
+			}
 			coder, err := fec.NewCoder(k, total-k)
-			if err != nil {
-				return 0, nil, false
+			if err == nil {
+				err = coder.Reconstruct(slots)
 			}
-			if err := coder.Reconstruct(slots); err != nil {
+			if err != nil {
 				return 0, nil, false
 			}
 		}
-		for s := 0; s < k; s++ {
-			idx, items, err := wire.ParseShardEntries(slots[s])
+		for _, s := range nb.Sources {
+			pos, items, err := wire.ParseShardEntries(slots[s])
 			if err != nil {
 				return 0, nil, false
 			}
-			for i, li := range idx {
-				byIdx[li] = items[i]
+			for i, p := range pos {
+				byPos[p] = items[i]
 			}
 		}
 	}
 	out := make([]keytree.Item, 0, len(dg.Indexes))
-	for _, li := range dg.Indexes {
-		enc, ok := byIdx[li]
+	for _, p := range dg.Indexes {
+		enc, ok := byPos[p]
 		if !ok {
 			return 0, nil, false // geometry mismatch: let repair escalate
 		}
@@ -313,20 +314,7 @@ func (d *dgramPlane) repairRound() {
 		d.mu.Unlock()
 		return
 	}
-	// Loss is observed over the packets of the blocks we need, the only
-	// ones sent to us; deficits are reported for those still short.
-	received, expected := 0, 0
-	blocks := d.epochs[dg.Epoch]
-	var report []wire.NackBlock
-	for _, blk := range d.neededBlocksLocked() {
-		have := len(blocks[blk.Block])
-		received += have
-		expected += int(blk.Shards)
-		if have >= int(blk.K) {
-			continue
-		}
-		report = append(report, wire.NackBlock{Block: blk.Block, Have: uint8(have)})
-	}
+	report, loss := transport.Shortfall(d.need, d.epochs[dg.Epoch])
 	if len(report) == 0 {
 		d.mu.Unlock()
 		d.tryAssemble()
@@ -340,11 +328,7 @@ func (d *dgramPlane) repairRound() {
 		return
 	}
 	d.nacks++
-	loss := 0
-	if expected > 0 && received < expected {
-		loss = (expected - received) * 1000 / expected
-	}
-	body := wire.NackBody{Epoch: dg.Epoch, LossPermille: uint16(loss), Blocks: report}
+	body := wire.NackBody{Epoch: dg.Epoch, LossPermille: loss, Blocks: report}
 	d.armTimerLocked()
 	d.mu.Unlock()
 

@@ -10,12 +10,13 @@ import (
 	"groupkey/internal/wire"
 )
 
-// staticResolver is a fixed cluster map for tests.
+// staticResolver is a fixed cluster map for tests; a group mapped to ""
+// is known but has no owner yet.
 type staticResolver map[wire.GroupID]string
 
-func (r staticResolver) Locate(g wire.GroupID) (string, uint64, bool) {
-	addr, ok := r[g]
-	return addr, 7, ok
+func (r staticResolver) Locate(g wire.GroupID) (string, uint64, bool, bool) {
+	addr, known := r[g]
+	return addr, 7, known, addr != ""
 }
 
 // TestRegistryRedirectsToOwner: a registry that does not host a group but
@@ -53,6 +54,40 @@ func TestRegistryRedirectsToOwner(t *testing.T) {
 	if _, err := DialGroup(bare.Addr().String(), 5, wire.JoinRequest{}, testTimeout); err == nil ||
 		!strings.Contains(err.Error(), "unknown group") {
 		t.Fatalf("resolver-less miss: %v", err)
+	}
+}
+
+// TestResumeAtOwnerlessNodeIsDeferred: a resume routed to a cluster node
+// whose map knows the group but no owner for it yet, as during a failover,
+// is deferred (DeferredError), not refused, so the member keeps its saved
+// session. A group the map has never heard of, or a node without a
+// cluster map, still refuses it.
+func TestResumeAtOwnerlessNodeIsDeferred(t *testing.T) {
+	owner := startRegistry(t, 5)
+	c := dialGroup(t, owner, 5)
+	state, err := c.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	node := startRegistry(t)
+	node.SetResolver(staticResolver{5: ""})
+	_, err = ResumeDial(node.Addr().String(), state, testTimeout)
+	var def *DeferredError
+	if errors.Is(err, ErrRejected) || !errors.As(err, &def) || def.After <= 0 {
+		t.Fatalf("resume at a node that knows no owner: %v, want a DeferredError with a hint", err)
+	}
+
+	stranger := startRegistry(t)
+	stranger.SetResolver(staticResolver{})
+	if _, err := ResumeDial(stranger.Addr().String(), state, testTimeout); !errors.Is(err, ErrRejected) {
+		t.Fatalf("resume at a node whose map lacks the group: %v, want ErrRejected", err)
+	}
+
+	bare := startRegistry(t)
+	if _, err := ResumeDial(bare.Addr().String(), state, testTimeout); !errors.Is(err, ErrRejected) {
+		t.Fatalf("resume at a node without a cluster map: %v, want ErrRejected", err)
 	}
 }
 

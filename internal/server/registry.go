@@ -28,6 +28,10 @@ const registryStripes = 16
 // silent before sending its first (routing) frame.
 const routeTimeout = 30 * time.Second
 
+// ownerRetryAfter is the retry hint of a cluster node that knows no owner
+// for a group yet.
+const ownerRetryAfter = 250 * time.Millisecond
+
 // Registry hosts many independent group key servers behind one listener.
 // Each hosted group is a complete *Server — its own scheme, signing key,
 // overload policy, metrics view and (optionally) durable store — and the
@@ -62,7 +66,9 @@ func (r *Registry) SetClock(c clock.Clock) { r.clock = c }
 type Resolver interface {
 	// Locate returns the client-facing address of the node owning g and
 	// that node's lease epoch; ok is false when no node owns the group.
-	Locate(g wire.GroupID) (addr string, epoch uint64, ok bool)
+	// known tells a group the map holds, whose owner has not taken it yet,
+	// from one the map has never heard of.
+	Locate(g wire.GroupID) (addr string, epoch uint64, known, ok bool)
 }
 
 type registryStripe struct {
@@ -217,7 +223,7 @@ func (r *Registry) route(conn net.Conn) {
 			_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte("no cluster map"))
 			return
 		}
-		addr, epoch, ok := res.Locate(q)
+		addr, epoch, _, ok := res.Locate(q)
 		if !ok {
 			_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", q)))
 			return
@@ -228,14 +234,23 @@ func (r *Registry) route(conn net.Conn) {
 	srv := r.Get(g)
 	if srv == nil {
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		var addr string
+		var epoch uint64
+		var known, ok bool
 		if res := r.getResolver(); res != nil {
-			if addr, epoch, ok := res.Locate(g); ok {
-				_ = wire.WriteFrameGroup(conn, g, wire.MsgRedirect, wire.EncodeRedirect(addr, epoch))
-				conn.Close()
-				return
-			}
+			addr, epoch, known, ok = res.Locate(g)
 		}
-		_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", g)))
+		switch {
+		case ok:
+			_ = wire.WriteFrameGroup(conn, g, wire.MsgRedirect, wire.EncodeRedirect(addr, epoch))
+		case known:
+			// A cluster group whose owner has not taken it yet, as while a
+			// failover takes the lease: the caller is told to come back,
+			// not refused.
+			_ = wire.WriteFrameGroup(conn, g, wire.MsgRetry, wire.EncodeRetryAfter(ownerRetryAfter))
+		default:
+			_ = wire.WriteFrameGroup(conn, g, wire.MsgError, []byte(fmt.Sprintf("unknown group %d", g)))
+		}
 		conn.Close()
 		return
 	}

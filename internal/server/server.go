@@ -651,8 +651,8 @@ func (s *Server) broadcastRekeyLocked(rekey *core.Rekey) (int, error) {
 	for pos, id := range ids {
 		cc := s.conns[id]
 		idx := eb.index.At(pos)
-		if overUDP[id] {
-			digest := s.udp.digestFor(eb, idx)
+		if _, ok := overUDP[id]; ok {
+			digest := s.udp.digestFor(eb, id)
 			if s.enqueueLocked(id, cc, frame{t: wire.MsgRekeyDigest, payload: digest}) {
 				sent += len(digest)
 			}

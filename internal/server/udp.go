@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"crypto/ed25519"
 	"encoding/binary"
 	"net"
@@ -14,19 +15,19 @@ import (
 )
 
 // Datagram rekey plane (Section 4): the per-epoch key payload leaves the
-// server as FEC-coded UDP packets instead of per-member TCP frames. Each
-// epoch's items are packed sequentially into source shards, grouped into
-// Reed-Solomon blocks. A block's audience is the subscribers whose item
-// indexes fall in it (wire.NeededBlocks): the block is unicast to its
-// audience only, and its parity count is sized from the audience's
-// reported loss (WKA-BKR's E[M], with parity substituting for weighted
-// replicas; §4: a key's replication follows the receivers interested in
+// server as FEC-coded UDP packets instead of per-member TCP frames. The
+// plane runs the proactive-FEC core the simulator runs (transport.FECPlan):
+// only the items its subscribers read are packed, ascending, into source
+// shards and Reed-Solomon blocks; each block is unicast to its audience,
+// the subscribers that read it, with parity sized from their loss
+// estimates (§4: a key's replication follows the receivers interested in
 // it). The epoch's packets are signed once, as one shard tree
-// (wire.EncodeEpochDgrams): each carries its authentication path and the
-// epoch's root signature. Subscribed members' TCP frames shrink to a
-// digest naming the geometry and their item indexes; members that cannot
-// complete a block NACK their deficit over UDP and, as a last resort,
-// pull their slice over TCP (MsgRekeyPull).
+// (wire.EncodeEpochDgrams). Subscribed members' TCP frames shrink to a
+// digest naming the geometry and their positions in the packing; a member
+// NACKs a block it cannot read over UDP and gets deficit+1 of its packets
+// from a rotating cursor, and as a last resort pulls its key path over
+// TCP (MsgRekeyPull). A NACK sets the member's loss estimate, and each
+// epoch planned without its NACK halves it.
 //
 // The plane is deliberately subscription-driven: a member opts in by
 // sending a DgramHello sealed under its leaf key, which simultaneously
@@ -38,7 +39,7 @@ import (
 // UDPConfig tunes the datagram plane. The zero value of any field selects
 // its default.
 type UDPConfig struct {
-	// KeysPerDgram caps how many (leafIdx, item) entries ride one source
+	// KeysPerDgram caps how many (position, item) entries ride one source
 	// shard (default 12). Each epoch uses the most, up to the cap, whose
 	// packets fit wire.DgramMTU with their authentication path, which
 	// grows with log2 of the epoch's packet count: 12 up to 128 packets.
@@ -46,8 +47,8 @@ type UDPConfig struct {
 	// BlockSize is the number of source shards per FEC block (default 8).
 	BlockSize int
 	// MinParity/MaxParity clamp each block's proactive parity count, which
-	// follows the losses of the block's audience (defaults 1 and 8). A
-	// block with no audience gets no parity: Shards = K.
+	// follows the losses of the block's audience (defaults
+	// transport.DefaultMinParity and DefaultMaxParity).
 	MinParity int
 	MaxParity int
 	// Drop, when set, is consulted before every outbound packet; true
@@ -56,84 +57,36 @@ type UDPConfig struct {
 	Drop func() bool
 }
 
-func (c UDPConfig) withDefaults() UDPConfig {
-	if c.KeysPerDgram <= 0 {
-		c.KeysPerDgram = 12
+// fecGeometry returns the core's geometry for the configuration, defaults
+// filled in: packets must fit wire.DgramMTU with their authentication
+// path.
+func (c UDPConfig) fecGeometry() transport.FECGeometry {
+	g := transport.FECGeometry{
+		KeysPerShard: cmp.Or(max(c.KeysPerDgram, 0), 12),
+		BlockSize:    cmp.Or(max(c.BlockSize, 0), 8),
+		MinParity:    cmp.Or(max(c.MinParity, 0), transport.DefaultMinParity),
+		MaxParity:    cmp.Or(max(c.MaxParity, 0), transport.DefaultMaxParity),
+		Fits: func(kpd, packets int) bool {
+			return wire.ShardDgramSize(wire.ShardSize(kpd), packets) <= wire.DgramMTU
+		},
 	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 8
-	}
-	if c.MinParity <= 0 {
-		c.MinParity = 1
-	}
-	if c.MaxParity <= 0 {
-		c.MaxParity = 8
-	}
-	if c.MaxParity < c.MinParity {
-		c.MaxParity = c.MinParity
-	}
-	return c
+	g.MaxParity = max(g.MaxParity, g.MinParity)
+	return g
 }
 
-// geometry picks an epoch's keys per source shard — the most, up to
-// KeysPerDgram, whose packets fit wire.DgramMTU — and carves its shards
-// into FEC blocks. Subscriber s reads items idx[s] and reports loss
-// losses[s]; audiences[b] lists, ascending, the subscribers that read
-// block b, and the block's parity is sized from their losses alone.
-func (c UDPConfig) geometry(nItems int, idx [][]uint32, losses []float64) (kpd int, blocks []wire.DigestBlock, audiences [][]int) {
-	for kpd = c.KeysPerDgram; ; kpd-- {
-		blocks = blocks[:0]
-		nShards := (nItems + kpd - 1) / kpd
-		for b, off := 0, 0; off < nShards; b++ {
-			k := min(c.BlockSize, nShards-off)
-			blocks = append(blocks, wire.DigestBlock{Block: uint16(b), K: uint8(k)})
-			off += k
-		}
-		audiences = make([][]int, len(blocks))
-		for s := range idx {
-			for _, blk := range wire.NeededBlocks(idx[s], kpd, blocks) {
-				audiences[blk.Block] = append(audiences[blk.Block], s)
-			}
-		}
-		leaves := 0
-		var heard []float64
-		for b := range blocks {
-			heard = heard[:0]
-			for _, s := range audiences[b] {
-				heard = append(heard, losses[s])
-			}
-			k, parity := int(blocks[b].K), 0
-			if len(heard) > 0 { // a block nobody reads is never sent
-				parity = min(transport.ProactiveParity(k, heard, c.MinParity, c.MaxParity), 255-k)
-			}
-			blocks[b].Shards = uint8(k + parity)
-			leaves += int(blocks[b].Shards)
-		}
-		if kpd == 1 || wire.ShardDgramSize(wire.ShardSize(kpd), leaves) <= wire.DgramMTU {
-			return kpd, blocks, audiences
-		}
-	}
-}
-
-// udpSub is one subscribed member: where to send, its latest reported
-// loss estimate, and its repair cursor.
+// udpSub is one subscribed member: where to send, and its loss estimate.
 type udpSub struct {
 	addr net.Addr
-	loss float64
-	// cursor rotates per-block repair resends so consecutive NACK rounds
-	// reach shards the member has not seen yet; reset when cursorEpoch
-	// falls behind.
-	cursor      map[uint16]int
-	cursorEpoch uint64
+	loss transport.LossEstimate
 }
 
-// udpEpoch is one epoch's transmitted geometry plus the signed packets,
-// kept until the next epoch replaces it so NACKs can be answered by
-// resending.
+// udpEpoch is one epoch's plan plus the signed packets, kept until the
+// next epoch replaces it so NACKs can be answered by resending.
 type udpEpoch struct {
-	epoch  uint64
-	kpd    int // keys per source shard
-	blocks []wire.DigestBlock
+	epoch uint64
+	plan  *transport.FECPlan
+	// recv maps each member the plan serves to its receiver index.
+	recv map[keytree.MemberID]int
 	// ready is closed once pkts is fully populated by the transmit
 	// goroutine; NACKs arriving earlier are ignored (the member re-NACKs).
 	ready chan struct{}
@@ -153,9 +106,10 @@ func (ep *udpEpoch) isReady() bool {
 // udpPlane owns the server's datagram socket. Lock order: s.mu may be
 // held while taking u.mu (planEpoch), so nothing under u.mu may take s.mu.
 type udpPlane struct {
-	srv *Server
-	pc  net.PacketConn
-	cfg UDPConfig
+	srv  *Server
+	pc   net.PacketConn
+	geo  transport.FECGeometry
+	drop func() bool
 
 	// sendMu serializes socket writes and Drop consultations (transmit
 	// goroutines and the NACK repair path both send).
@@ -173,7 +127,8 @@ func (s *Server) ServeUDP(pc net.PacketConn, cfg UDPConfig) {
 	u := &udpPlane{
 		srv:  s,
 		pc:   pc,
-		cfg:  cfg.withDefaults(),
+		geo:  cfg.fecGeometry(),
+		drop: cfg.Drop,
 		subs: make(map[keytree.MemberID]*udpSub),
 	}
 	s.mu.Lock()
@@ -214,20 +169,20 @@ func (u *udpPlane) close() {
 func (u *udpPlane) send(pkt []byte, addr net.Addr) {
 	u.sendMu.Lock()
 	defer u.sendMu.Unlock()
-	if u.cfg.Drop != nil && u.cfg.Drop() {
+	if u.drop != nil && u.drop() {
 		return
 	}
 	_, _ = u.pc.WriteTo(pkt, addr)
 }
 
-// planEpoch carves one epoch's items into FEC blocks for the connected
-// subscribers and kicks off the asynchronous transmit. ids are the
-// epoch's audience, ascending (eb.index.At(pos) holds ids[pos]'s items),
-// so each block's destinations follow member ID. It returns the set of
-// members whose keys travel over UDP this epoch (nil when the plane is
-// absent, idle, or the epoch is empty); those members' TCP frames become
-// digests. Callers hold s.mu.
-func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer, ids []keytree.MemberID) map[keytree.MemberID]bool {
+// planEpoch plans one epoch's FEC blocks over the items its connected
+// subscribers read and kicks off the asynchronous transmit. ids are the
+// epoch's audience, ascending (eb.index.At(pos) holds ids[pos]'s items).
+// It returns the members whose keys travel over UDP this epoch, each with
+// its receiver index in the plan (nil when the plane is absent, idle, or
+// the epoch is empty); those members' TCP frames become digests. Callers
+// hold s.mu.
+func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer, ids []keytree.MemberID) map[keytree.MemberID]int {
 	if u == nil || eb.nItems == 0 {
 		return nil
 	}
@@ -236,51 +191,39 @@ func (u *udpPlane) planEpoch(s *Server, eb *epochBuffer, ids []keytree.MemberID)
 	if u.closed || len(u.subs) == 0 {
 		return nil
 	}
-	over := make(map[keytree.MemberID]bool, len(u.subs))
-	var idx [][]uint32
+	recv := make(map[keytree.MemberID]int, len(u.subs))
+	var needs [][]uint32
 	var losses []float64
 	var addrs []net.Addr
 	for pos, id := range ids {
 		if sub := u.subs[id]; sub != nil {
-			over[id] = true
-			idx = append(idx, eb.index.At(pos))
-			losses = append(losses, sub.loss)
+			recv[id] = len(needs)
+			needs = append(needs, eb.index.At(pos))
+			losses = append(losses, sub.loss.Plan())
 			addrs = append(addrs, sub.addr)
 		}
 	}
-	if len(over) == 0 {
+	if len(recv) == 0 {
 		return nil
 	}
 
-	kpd, blocks, audiences := u.cfg.geometry(eb.nItems, idx, losses)
-	dests := make([][]net.Addr, len(blocks))
-	for b, subs := range audiences {
-		for _, sub := range subs {
-			dests[b] = append(dests[b], addrs[sub])
-		}
-	}
-	ep := &udpEpoch{
-		epoch:  eb.epoch,
-		kpd:    kpd,
-		blocks: blocks,
-		ready:  make(chan struct{}),
-	}
+	ep := &udpEpoch{epoch: eb.epoch, plan: u.geo.Plan(needs, losses), recv: recv, ready: make(chan struct{})}
 	u.cur = ep
 	eb.retain() // transmit goroutine's reference
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer eb.release()
-		u.transmit(ep, eb, dests)
+		u.transmit(ep, eb, addrs)
 	}()
-	return over
+	return recv
 }
 
 // digestFor encodes the MsgRekeyDigest payload for one subscribed member:
-// the epoch's signed root, the member's item indexes idx, and the block
-// geometry its NACKs will reference. Callers hold s.mu right after a
-// planEpoch that returned the member, so u.cur matches eb.
-func (u *udpPlane) digestFor(eb *epochBuffer, idx []uint32) []byte {
+// the epoch's signed root, the member's positions in the plan's packing,
+// and the block geometry its NACKs will reference. Callers hold s.mu
+// right after a planEpoch that returned the member, so u.cur matches eb.
+func (u *udpPlane) digestFor(eb *epochBuffer, id keytree.MemberID) []byte {
 	if u == nil {
 		return nil
 	}
@@ -289,83 +232,89 @@ func (u *udpPlane) digestFor(eb *epochBuffer, idx []uint32) []byte {
 	if u.cur == nil || u.cur.epoch != eb.epoch {
 		return nil
 	}
+	plan := u.cur.plan
 	d := wire.RekeyDigest{
 		Epoch:     eb.epoch,
 		NLeaves:   uint32(eb.nItems),
 		Root:      eb.root,
 		Sig:       eb.rootSig,
-		ShardSize: uint16(wire.ShardSize(u.cur.kpd)),
-		Indexes:   idx,
-		Blocks:    u.cur.blocks,
+		ShardSize: uint16(wire.ShardSize(plan.KPD)),
+		Indexes:   plan.Positions[u.cur.recv[id]],
+		Blocks:    plan.Blocks,
 	}
 	return d.Encode()
 }
 
 // transmit builds and signs one epoch's packets, unicasts each block's
-// packets to that block's audience dests[block], then publishes them for
-// NACK repair. Runs without locks; eb is immutable and retained.
-func (u *udpPlane) transmit(ep *udpEpoch, eb *epochBuffer, dests [][]net.Addr) {
-	ep.pkts = encodeEpoch(u.srv.signPriv, u.srv.group, ep, eb.nItems, eb.item)
+// packets to that block's audience (receiver r at addrs[r]), then
+// publishes them for NACK repair. Runs without locks; eb is immutable and
+// retained.
+func (u *udpPlane) transmit(ep *udpEpoch, eb *epochBuffer, addrs []net.Addr) {
+	pkts, err := encodeEpoch(u.srv.signPriv, u.srv.group, ep.epoch, ep.plan, eb.item)
+	if err != nil { // a geometry bug: send nothing NACK repair could index past
+		close(ep.ready)
+		return
+	}
+	ep.pkts = pkts
 	packets, parityPkts := 0, 0
 	for bi, pkts := range ep.pkts {
+		audience := ep.plan.Audience[bi]
 		for _, pkt := range pkts {
-			for _, d := range dests[bi] {
-				u.send(pkt, d)
+			for _, r := range audience {
+				u.send(pkt, addrs[r])
 			}
 		}
-		packets += len(pkts) * len(dests[bi])
-		parityPkts += (len(pkts) - int(ep.blocks[bi].K)) * len(dests[bi])
+		packets += len(pkts) * len(audience)
+		parityPkts += (len(pkts) - int(ep.plan.Blocks[bi].K)) * len(audience)
 	}
 	close(ep.ready)
 	u.srv.metrics.noteUDP(packets, parityPkts, 0, 0)
 }
 
-// encodeEpoch builds every source and parity shard of ep's geometry over
-// the epoch's nItems items, then encodes them as one signed shard tree. It
-// returns the packets per block, data shards then parity.
-func encodeEpoch(priv ed25519.PrivateKey, g wire.GroupID, ep *udpEpoch, nItems int, item func(int) []byte) [][][]byte {
+// encodeEpoch builds every source and parity shard of the plan — source
+// shard j carries positions [j·KPD, (j+1)·KPD), each with its item — then
+// encodes them as one signed shard tree. It returns the packets per block,
+// data shards then parity, blk.Shards of them for each block.
+func encodeEpoch(priv ed25519.PrivateKey, g wire.GroupID, epoch uint64, plan *transport.FECPlan, item func(int) []byte) ([][][]byte, error) {
 	var shards []wire.EpochShard
-	perBlock := make([]int, len(ep.blocks))
-	shardSize := wire.ShardSize(ep.kpd)
+	shardSize := wire.ShardSize(plan.KPD)
 	gs := 0 // global source-shard index
-	for bi, blk := range ep.blocks {
+	for _, blk := range plan.Blocks {
 		k := int(blk.K)
 		slab := make([]byte, k*shardSize)
 		data := make([][]byte, k)
 		for j := range data {
 			data[j] = slab[j*shardSize : (j+1)*shardSize : (j+1)*shardSize]
-			lo := (gs + j) * ep.kpd
-			hi := min(lo+ep.kpd, nItems)
+			lo := (gs + j) * plan.KPD
+			hi := min(lo+plan.KPD, len(plan.Items))
 			binary.BigEndian.PutUint16(data[j], uint16(hi-lo))
 			shard := data[j][:2]
-			for it := lo; it < hi; it++ {
-				shard = wire.AppendShardEntry(shard, uint32(it), item(it))
+			for pos := lo; pos < hi; pos++ {
+				shard = wire.AppendShardEntry(shard, uint32(pos), item(int(plan.Items[pos])))
 			}
 			shards = append(shards, wire.EpochShard{Type: wire.DgramKeys, Block: blk.Block, Shard: uint8(j), K: blk.K, Payload: shard})
 		}
 		gs += k
 
-		var par [][]byte
-		if m := int(blk.Shards) - k; m > 0 {
-			coder, err := fec.NewCoder(k, m)
-			if err == nil {
-				par, err = coder.Encode(data)
-			}
-			if err != nil {
-				par = nil // geometry bug; source shards still flow
-			}
+		coder, err := fec.NewCoder(k, int(blk.Shards)-k)
+		if err != nil {
+			return nil, err
+		}
+		par, err := coder.Encode(data)
+		if err != nil {
+			return nil, err
 		}
 		for j, p := range par {
 			shards = append(shards, wire.EpochShard{Type: wire.DgramParity, Block: blk.Block, Shard: uint8(k + j), K: blk.K, Payload: p})
 		}
-		perBlock[bi] = k + len(par)
 	}
-	flat := wire.EncodeEpochDgrams(priv, g, ep.epoch, shards)
-	pkts := make([][][]byte, len(ep.blocks))
-	for bi, n := range perBlock {
+	flat := wire.EncodeEpochDgrams(priv, g, epoch, shards)
+	pkts := make([][][]byte, len(plan.Blocks))
+	for bi, blk := range plan.Blocks {
+		n := int(blk.Shards)
 		pkts[bi], flat = flat[:n:n], flat[n:]
 	}
-	return pkts
+	return pkts, nil
 }
 
 // readLoop serves subscriber hellos and NACK repair until the socket
@@ -433,11 +382,9 @@ func (u *udpPlane) handleHello(d wire.Dgram, addr net.Addr) {
 	u.srv.metrics.setUDPSubscribers(n)
 }
 
-// handleNack answers one member's deficit report: its loss estimate feeds
-// the next epoch's parity sizing, and each short block gets deficit+1
-// shards resent from the member's rotating cursor — successive rounds
-// walk the whole shard set, so repair converges even though the server
-// does not know which shards the member holds.
+// handleNack answers one member's NACK: its reported loss sets the
+// member's estimate, and each block it cannot read yet gets the shards the
+// core's repair rule picks (transport.FECPlan.Repair).
 func (u *udpPlane) handleNack(d wire.Dgram, addr net.Addr) {
 	leaf, ok := u.srv.memberLeaf(d.Member)
 	if !ok {
@@ -452,11 +399,7 @@ func (u *udpPlane) handleNack(d wire.Dgram, addr net.Addr) {
 		return
 	}
 
-	type resend struct {
-		pkt  []byte
-		addr net.Addr
-	}
-	var out []resend
+	var out [][]byte
 	repairs := 0
 	u.mu.Lock()
 	if u.closed {
@@ -469,34 +412,25 @@ func (u *udpPlane) handleNack(d wire.Dgram, addr net.Addr) {
 		u.subs[d.Member] = sub
 	}
 	sub.addr = addr
-	sub.loss = float64(nb.LossPermille) / 1000
-	ep := u.cur
-	if ep != nil && ep.epoch == nb.Epoch && ep.isReady() {
-		if sub.cursorEpoch != ep.epoch || sub.cursor == nil {
-			sub.cursor = make(map[uint16]int)
-			sub.cursorEpoch = ep.epoch
-		}
+	sub.loss.Report(float64(nb.LossPermille) / 1000)
+	if ep := u.cur; ep != nil && ep.epoch == nb.Epoch && ep.isReady() {
+		r, planned := ep.recv[d.Member]
 		for _, blk := range nb.Blocks {
-			bi := int(blk.Block)
-			if bi >= len(ep.blocks) {
+			if !planned || int(blk.Block) >= len(ep.pkts) {
 				continue
 			}
-			deficit := int(ep.blocks[bi].K) - int(blk.Have)
-			if deficit <= 0 {
-				continue
+			shards := ep.plan.Repair(r, int(blk.Block), int(blk.Have))
+			if len(shards) > 0 {
+				repairs++
 			}
-			repairs++
-			pkts := ep.pkts[bi]
-			cur := sub.cursor[blk.Block]
-			for i := 0; i <= deficit && i < len(pkts); i++ {
-				out = append(out, resend{pkt: pkts[(cur+i)%len(pkts)], addr: addr})
+			for _, s := range shards {
+				out = append(out, ep.pkts[blk.Block][s])
 			}
-			sub.cursor[blk.Block] = (cur + deficit + 1) % len(pkts)
 		}
 	}
 	u.mu.Unlock()
-	for _, r := range out {
-		u.send(r.pkt, r.addr)
+	for _, pkt := range out {
+		u.send(pkt, addr)
 	}
 	u.srv.metrics.noteUDP(len(out), 0, 1, repairs)
 }

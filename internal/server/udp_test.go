@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"groupkey/internal/core"
 	"groupkey/internal/keycrypt"
 	"groupkey/internal/metrics"
+	"groupkey/internal/transport"
 	"groupkey/internal/wire"
 )
 
@@ -304,22 +306,48 @@ func TestDatagramBlocksGoToTheirAudience(t *testing.T) {
 	}
 }
 
+// dropConn drops the next n packets the server writes to one address.
+type dropConn struct {
+	net.PacketConn
+	mu sync.Mutex
+	to string
+	n  int
+}
+
+func (d *dropConn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	d.mu.Lock()
+	drop := d.n > 0 && addr.String() == d.to
+	if drop {
+		d.n--
+	}
+	d.mu.Unlock()
+	if drop {
+		return len(p), nil
+	}
+	return d.PacketConn.WriteTo(p, addr)
+}
+
+func (d *dropConn) dropNext(to net.Addr, n int) {
+	d.mu.Lock()
+	d.to, d.n = to.String(), n
+	d.mu.Unlock()
+}
+
 // TestDatagramLossEstimateCountsOwnBlocks: a subscriber whose first two
 // packets of an epoch are dropped (one parity shard per block, so one loss
 // alone raises no NACK) reports LossPermille 2000/(the packets of its own
-// blocks), not the share of the epoch's packets, most of which were never
-// sent to it.
+// blocks), not the share of the epoch's packets: the other subscribers
+// read blocks that were never sent to it.
 func TestDatagramLossEstimateCountsOwnBlocks(t *testing.T) {
 	srv := startServer(t, newScheme(t, 72))
 	m := NewMetrics(metrics.NewRegistry(), nil)
 	srv.Instrument(m)
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+	lc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("ListenPacket: %v", err)
 	}
-	var drops atomic.Int32
-	srv.ServeUDP(pc, UDPConfig{KeysPerDgram: 1, BlockSize: 2, MinParity: 1, MaxParity: 1,
-		Drop: func() bool { return drops.Add(-1) >= 0 }})
+	pc := &dropConn{PacketConn: lc}
+	srv.ServeUDP(pc, UDPConfig{KeysPerDgram: 1, BlockSize: 2, MinParity: 1, MaxParity: 1})
 	c, digest := dialRecordingDigests(t, srv)
 	if err := c.EnableDatagram(srv.UDPAddr().String(), time.Second, 3); err != nil {
 		t.Fatalf("EnableDatagram: %v", err)
@@ -333,13 +361,17 @@ func TestDatagramLossEstimateCountsOwnBlocks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		others = append(others, dial(t, srv, wire.JoinRequest{}))
 	}
+	for _, o := range others[1:] { // the other readers of the epoch
+		rawSubscriber(t, srv, o)
+	}
 	if err := others[0].Leave(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })
-	waitTransmitted(t, srv, srv.Epoch()) // no earlier packet takes a drop
+	srv.udp.mu.Lock()
+	pc.dropNext(srv.udp.subs[c.ID()].addr, 2) // its first block's first two shards
+	srv.udp.mu.Unlock()
 	nacks := m.udpNacks.Value()
-	drops.Store(2) // the only subscriber: its first block's first two shards
 	if _, err := srv.RekeyNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +391,7 @@ func TestDatagramLossEstimateCountsOwnBlocks(t *testing.T) {
 		own += int(blk.Shards)
 	}
 	srv.udp.mu.Lock()
-	got := int(math.Round(srv.udp.subs[c.ID()].loss * 1000))
+	got := int(math.Round(srv.udp.subs[c.ID()].loss.Rate() * 1000))
 	srv.udp.mu.Unlock()
 	if want := 2000 / own; got != want {
 		t.Fatalf("LossPermille %d, want %d: 2 lost of the %d packets of its %d blocks (the epoch has %d blocks)",
@@ -415,34 +447,183 @@ func TestDatagramSupersededEpochPulls(t *testing.T) {
 	}
 }
 
-// TestGeometryParityFollowsAudience: two blocks read by one subscriber
-// each, at 0 % and at 20 % loss, get parity from their own reader: the
-// clamp's floor for the clean one, k·(E[M]−1) = 8·0.25 = 2 for the lossy
-// one.
+// TestGeometryParityFollowsAudience: two subscribers read eight items
+// each, at 0 % and at 20 % loss. The plane packs their items alone, so
+// the second one's items 20–27 sit at positions 8–15, and each block gets
+// parity from its own reader: the clamp's floor for the clean one,
+// k·(E[M]−1) = 8·0.25 = 2 for the lossy one. Sparse readers share one
+// block, whose parity both losses size.
 func TestGeometryParityFollowsAudience(t *testing.T) {
-	cfg := UDPConfig{KeysPerDgram: 1, BlockSize: 8}.withDefaults()
-	idx := [][]uint32{{0, 3, 7}, {8, 15}}
-	kpd, blocks, audiences := cfg.geometry(16, idx, []float64{0, 0.2})
-	if kpd != 1 || len(blocks) != 2 {
-		t.Fatalf("geometry: %d keys per shard, %d blocks; want 1 and 2", kpd, len(blocks))
+	geo := UDPConfig{KeysPerDgram: 1, BlockSize: 8}.fecGeometry()
+	plan := geo.Plan([][]uint32{{0, 1, 2, 3, 4, 5, 6, 7}, {20, 21, 22, 23, 24, 25, 26, 27}}, []float64{0, 0.2})
+	if plan.KPD != 1 || len(plan.Blocks) != 2 {
+		t.Fatalf("geometry: %d keys per shard, %d blocks; want 1 and 2", plan.KPD, len(plan.Blocks))
 	}
-	if want := [][]int{{0}, {1}}; fmt.Sprint(audiences) != fmt.Sprint(want) {
-		t.Fatalf("audiences %v, want %v", audiences, want)
+	if want := "[[0 1 2 3 4 5 6 7] [8 9 10 11 12 13 14 15]]"; fmt.Sprint(plan.Positions) != want {
+		t.Fatalf("positions %v, want %v", plan.Positions, want)
 	}
-	for b, want := range []int{cfg.MinParity, 2} {
-		if got := int(blocks[b].Shards - blocks[b].K); got != want {
+	if want := [][]int{{0}, {1}}; fmt.Sprint(plan.Audience) != fmt.Sprint(want) {
+		t.Fatalf("audiences %v, want %v", plan.Audience, want)
+	}
+	for b, want := range []int{geo.MinParity, 2} {
+		if got := int(plan.Blocks[b].Shards - plan.Blocks[b].K); got != want {
 			t.Errorf("block %d: %d parity shards, want %d", b, got, want)
 		}
 	}
 
-	// A block no subscriber reads gets no parity, not MinParity.
-	_, blocks, audiences = cfg.geometry(24, [][]uint32{{0, 3, 7}, {16, 23}}, []float64{0, 0.2})
-	if want := [][]int{{0}, nil, {1}}; fmt.Sprint(audiences) != fmt.Sprint(want) {
-		t.Fatalf("audiences %v, want %v", audiences, want)
+	// Items 8–15 and 17–22, which nobody reads, get no position: the five
+	// items read fill one block of five shards, read by both subscribers.
+	plan = geo.Plan([][]uint32{{0, 3, 7}, {16, 23}}, []float64{0, 0.2})
+	if fmt.Sprint(plan.Items) != "[0 3 7 16 23]" || fmt.Sprint(plan.Positions) != "[[0 1 2] [3 4]]" {
+		t.Fatalf("items %v at positions %v, want [0 3 7 16 23] at [[0 1 2] [3 4]]", plan.Items, plan.Positions)
 	}
-	for b, want := range []int{cfg.MinParity, 0, 2} {
-		if got := int(blocks[b].Shards - blocks[b].K); got != want {
-			t.Errorf("three blocks, block %d: %d parity shards, want %d", b, got, want)
+	if want := [][]int{{0, 1}}; fmt.Sprint(plan.Audience) != fmt.Sprint(want) {
+		t.Fatalf("audiences %v, want %v", plan.Audience, want)
+	}
+	if got := int(plan.Blocks[0].Shards - plan.Blocks[0].K); got != 2 {
+		t.Errorf("shared block: %d parity shards, want ⌈5·0.25⌉ = 2", got)
+	}
+}
+
+// TestDatagramPacksOnlySubscribedItems: three subscribers beside five TCP
+// probes. After a departure the plane packs only the items its
+// subscribers read, so every planned block has an audience, and the
+// packets it builds are exactly the distinct packets its subscribers
+// receive.
+func TestDatagramPacksOnlySubscribedItems(t *testing.T) {
+	srv := startServer(t, newScheme(t, 76))
+	startUDP(t, srv, 0, 77, UDPConfig{KeysPerDgram: 1, BlockSize: 2})
+	first, digest := dialRecordingDigests(t, srv)
+	members := []*Client{dial(t, srv, wire.JoinRequest{}), first}
+	for i := 0; i < 7; i++ {
+		members = append(members, dial(t, srv, wire.JoinRequest{}))
+	}
+	var socks []net.PacketConn
+	for _, c := range members[1:4] {
+		socks = append(socks, rawSubscriber(t, srv, c))
+	}
+	if err := members[0].Leave(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })
+	if _, err := srv.RekeyNow(); err != nil {
+		t.Fatal(err)
+	}
+	e := srv.Epoch()
+	waitTransmitted(t, srv, e)
+	srv.udp.mu.Lock()
+	ep := srv.udp.cur
+	srv.udp.mu.Unlock()
+
+	built := map[blockShard]bool{}
+	for b, blk := range ep.plan.Blocks {
+		if len(ep.plan.Audience[b]) == 0 {
+			t.Errorf("block %d has no audience", b)
+		}
+		for j := 0; j < int(blk.Shards); j++ {
+			built[blockShard{blk.Block, uint8(j)}] = true
+		}
+		if len(ep.pkts[b]) != int(blk.Shards) {
+			t.Errorf("block %d: %d packets built, plan says %d", b, len(ep.pkts[b]), blk.Shards)
+		}
+	}
+	sent := map[blockShard]bool{}
+	buf := make([]byte, wire.MaxDgramSize)
+	for _, pc := range socks {
+		for {
+			pc.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+			n, _, err := pc.ReadFrom(buf)
+			if err != nil {
+				break // every packet was sent before the epoch was published
+			}
+			if d, err := wire.DecodeDgram(buf[:n]); err == nil && d.Epoch == e {
+				sent[blockShard{d.Block, d.Shard}] = true
+			}
+		}
+	}
+	if !maps.Equal(built, sent) {
+		t.Fatalf("built %d packets %v, subscribers received %d distinct %v", len(built), built, len(sent), sent)
+	}
+	if dg := digest(e); len(ep.plan.Items) >= int(dg.NLeaves) {
+		t.Fatalf("packed %d of the epoch's %d items: the TCP probes read none of their own", len(ep.plan.Items), dg.NLeaves)
+	}
+}
+
+// TestDatagramParityDecaysAfterNack: one NACK reporting 40 % loss raises
+// the parity of the blocks its sender reads in the next epoch, and each
+// epoch planned without its NACK halves the estimate, so within three
+// clean epochs those blocks are back at MinParity.
+func TestDatagramParityDecaysAfterNack(t *testing.T) {
+	srv := startServer(t, newScheme(t, 78))
+	startUDP(t, srv, 0, 79, UDPConfig{KeysPerDgram: 1, BlockSize: 8})
+	var members []*Client
+	for i := 0; i < 12; i++ {
+		members = append(members, dial(t, srv, wire.JoinRequest{}))
+	}
+	subs, leavers := members[:6], members[6:]
+	a := subs[0]
+	pc := rawSubscriber(t, srv, a)
+	for _, c := range subs[1:] {
+		rawSubscriber(t, srv, c)
+	}
+	// depart rekeys over one leaver and returns the parity of every block
+	// of at least two source shards that a reads.
+	depart := func(leaver *Client) []int {
+		t.Helper()
+		if err := leaver.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })
+		if _, err := srv.RekeyNow(); err != nil {
+			t.Fatal(err)
+		}
+		waitTransmitted(t, srv, srv.Epoch())
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		plan := srv.udp.cur.plan
+		r := srv.udp.cur.recv[a.ID()]
+		var parity []int
+		for b, audience := range plan.Audience {
+			if blk := plan.Blocks[b]; blk.K >= 2 && slices.Contains(audience, r) {
+				parity = append(parity, int(blk.Shards-blk.K))
+			}
+		}
+		return parity
+	}
+
+	depart(leavers[0])
+	a.mu.Lock()
+	indiv := a.indiv
+	a.mu.Unlock()
+	e := srv.Epoch()
+	sealed, err := keycrypt.Seal(indiv, wire.NackBody{Epoch: e, LossPermille: 400}.Encode(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pc.WriteTo(wire.EncodeMemberDgram(wire.DgramNack, srv.group, e, a.ID(), sealed), srv.UDPAddr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the NACK", func() bool {
+		srv.udp.mu.Lock()
+		defer srv.udp.mu.Unlock()
+		return srv.udp.subs[a.ID()].loss.Rate() == 0.4
+	})
+	raised := depart(leavers[1])
+	if len(raised) == 0 {
+		t.Fatal("the subscriber reads no block of two or more source shards: no parity to compare")
+	}
+	for _, p := range raised {
+		if p <= transport.DefaultMinParity {
+			t.Fatalf("after a 40 %% NACK its blocks carry parity %v, want above %d", raised, transport.DefaultMinParity)
+		}
+	}
+	var parity []int
+	for _, l := range leavers[2:5] {
+		parity = depart(l)
+	}
+	for _, p := range parity {
+		if p != transport.DefaultMinParity {
+			t.Fatalf("three clean epochs later its blocks carry parity %v, want %d each", parity, transport.DefaultMinParity)
 		}
 	}
 }
@@ -491,7 +672,7 @@ func TestDatagramPlaneRepairsHeavyLoss(t *testing.T) {
 // accepts: every packet fits one MTU, and the epoch's packet count and
 // block count fit their fields.
 func TestShardDgramsFitMTU(t *testing.T) {
-	cfg := UDPConfig{MaxParity: 8}.withDefaults()
+	geo := UDPConfig{MaxParity: 8}.fecGeometry()
 	losses := []float64{0.9} // asks for more parity than MaxParity allows
 	priv := ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
 	item := make([]byte, wire.RekeyItemSize)
@@ -500,10 +681,11 @@ func TestShardDgramsFitMTU(t *testing.T) {
 		for i := range all {
 			all[i] = uint32(i)
 		}
-		kpd, blocks, _ := cfg.geometry(n, [][]uint32{all}, losses)
+		plan := geo.Plan([][]uint32{all}, losses)
+		kpd, blocks := plan.KPD, plan.Blocks
 		leaves := 0
 		for _, blk := range blocks {
-			if want := cfg.MaxParity; int(blk.Shards)-int(blk.K) != want {
+			if want := geo.MaxParity; int(blk.Shards)-int(blk.K) != want {
 				t.Fatalf("n=%d: block %d has %d parity, want %d", n, blk.Block, int(blk.Shards)-int(blk.K), want)
 			}
 			leaves += int(blk.Shards)
@@ -511,8 +693,10 @@ func TestShardDgramsFitMTU(t *testing.T) {
 		if len(blocks) > math.MaxUint16+1 || leaves > math.MaxUint32 {
 			t.Fatalf("n=%d: %d blocks, %d packets overflow their fields", n, len(blocks), leaves)
 		}
-		ep := &udpEpoch{epoch: 5, kpd: kpd, blocks: blocks}
-		pkts := encodeEpoch(priv, 3, ep, n, func(int) []byte { return item })
+		pkts, err := encodeEpoch(priv, 3, 5, plan, func(int) []byte { return item })
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
 		count, largest := 0, 0
 		for bi, block := range pkts {
 			for j, pkt := range block {
@@ -568,7 +752,7 @@ func TestDatagramForgeriesRejected(t *testing.T) {
 		return srv.udp.subs[c.ID()] != nil
 	})
 	var others []*Client
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 12; i++ {
 		others = append(others, dial(t, srv, wire.JoinRequest{LossRate: 0.05}))
 	}
 	transmitted := func(epoch uint64) [][][]byte {
@@ -594,11 +778,19 @@ func TestDatagramForgeriesRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A departure rekeys the leaver's path: several items, so one packet
-	// does not complete the client's block. Every packet the plane sends
-	// for it, NACK resends included, is dropped until the forgeries are in.
+	// The departure of a member beside the client, whose parent has more
+	// than two children among 13 members, rekeys the parent key and the
+	// root: two items, each its own source shard, so one packet does not
+	// complete the client's block. Every packet the
+	// plane sends for it, NACK resends included, is dropped until the
+	// forgeries are in.
+	parent := scheme.PathIDs(c.ID(), nil)[1]
+	sibling := slices.IndexFunc(others, func(o *Client) bool { return scheme.PathIDs(o.ID(), nil)[1] == parent })
+	if sibling < 0 {
+		t.Fatalf("no member shares the client's parent key %v", parent)
+	}
 	blackhole.Store(true)
-	if err := others[0].Leave(); err != nil {
+	if err := others[sibling].Leave(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "departure registered", func() bool { return pendingLeaveCount(srv) > 0 })

@@ -100,7 +100,6 @@ func TestProactiveFECRecordsParity(t *testing.T) {
 	cfg := DefaultConfig()
 	reg := metrics.NewRegistry()
 	proto := NewProactiveFEC(cfg)
-	proto.Rho = 1.25
 	proto.Metrics = NewMetrics(reg)
 	res, err := proto.Deliver(items, net)
 	if err != nil {
@@ -109,9 +108,9 @@ func TestProactiveFECRecordsParity(t *testing.T) {
 	if got := proto.Metrics.PacketsSent.Value(); got != uint64(res.PacketsSent) {
 		t.Errorf("PacketsSent counter=%d, want %d", got, res.PacketsSent)
 	}
-	// Rho > 1 forces parity shards in round one.
+	// Every block carries at least DefaultMinParity parity shards.
 	if proto.Metrics.ParityKeys.Value() == 0 {
-		t.Error("ParityKeys=0, want > 0 with rho=1.25")
+		t.Error("ParityKeys=0, want > 0: every block has proactive parity")
 	}
 	if got := proto.Metrics.ParityKeys.Value(); got > uint64(res.KeysSent) {
 		t.Errorf("ParityKeys=%d exceeds total KeysSent=%d", got, res.KeysSent)

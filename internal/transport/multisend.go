@@ -37,48 +37,5 @@ func (ms *MultiSend) Deliver(items []keytree.Item, net *netsim.Network) (Result,
 	if ms.Replication < 1 {
 		return Result{}, fmt.Errorf("%w: replication=%d", ErrBadConfig, ms.Replication)
 	}
-	order := ms.Order
-	if order == 0 {
-		order = BreadthFirst
-	}
-
-	rs := newReceiverState(items, net)
-	var res Result
-	defer func() { ms.Metrics.observeResult(res) }()
-	for round := 0; round < ms.Config.MaxRounds; round++ {
-		if rs.satisfied() {
-			res.Delivered = true
-			return res, nil
-		}
-		pending := rs.pendingItems()
-		weights := make(map[int]int, len(pending))
-		for _, i := range pending {
-			weights[i] = ms.Replication
-		}
-		ordered := orderItems(items, pending, order)
-		packets := packReplicated(ordered, weights, ms.Config.KeysPerPacket)
-
-		if round > 0 {
-			res.NACKs += len(rs.receivers()) // each outstanding receiver NACKed once
-		}
-		res.Rounds++
-		res.PacketsSent += len(packets)
-		sent := keyCount(packets)
-		res.KeysSent += sent
-		res.KeysPerRound = append(res.KeysPerRound, sent)
-
-		for _, p := range packets {
-			got := net.Multicast(p.interestedUnion(rs))
-			for r := range got {
-				for _, i := range p.items {
-					rs.got(r, i)
-				}
-			}
-		}
-	}
-	if rs.satisfied() {
-		res.Delivered = true
-		return res, nil
-	}
-	return res, rs.undelivered(ms.Config.MaxRounds)
+	return deliverReplicated(items, net, ms.Config, ms.Order, ms.Metrics, func(*receiverState, int) int { return ms.Replication })
 }

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"slices"
 	"sort"
 
 	"groupkey/internal/keytree"
+	"groupkey/internal/netsim"
 )
 
 // PackOrder selects the order in which keys are assigned to packets
@@ -40,19 +42,13 @@ type packet struct {
 // interestedUnion returns the receivers that still need at least one item
 // of the packet.
 func (p packet) interestedUnion(rs *receiverState) []keytree.MemberID {
-	seen := make(map[keytree.MemberID]bool)
-	for _, i := range p.items {
-		for r, items := range rs.need {
-			if items[i] {
-				seen[r] = true
-			}
+	var out []keytree.MemberID
+	for r, items := range rs.need {
+		if slices.ContainsFunc(p.items, func(i int) bool { return items[i] }) {
+			out = append(out, r)
 		}
 	}
-	out := make([]keytree.MemberID, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -126,44 +122,42 @@ func packReplicated(ordered []int, weight map[int]int, capacity int) []packet {
 	return packets
 }
 
-// PackIndexes orders all the items' indexes for packing and deals them
-// once each into groups of at most capacity — the canonical packing the
-// key server's datagram plane shares with the simulated protocols, so
-// simulated and deployed shard layouts agree.
-func PackIndexes(items []keytree.Item, order PackOrder, capacity int) [][]int {
-	if capacity < 1 || len(items) == 0 {
-		return nil
-	}
-	idx := make([]int, len(items))
-	for i := range idx {
-		idx[i] = i
-	}
-	packets := packPlain(orderItems(items, idx, order), capacity)
-	out := make([][]int, len(packets))
-	for i, p := range packets {
-		out[i] = p.items
-	}
-	return out
-}
-
-// packPlain packs items once each into packets of the given capacity.
-func packPlain(ordered []int, capacity int) []packet {
-	var packets []packet
-	for start := 0; start < len(ordered); start += capacity {
-		end := start + capacity
-		if end > len(ordered) {
-			end = len(ordered)
+// deliverReplicated runs the rounds of the replicated-packet protocols
+// (MultiSend, WKABKR): each round packs the keys still needed, key i with
+// weight(i) replicas in distinct packets, multicasts every packet to the
+// receivers still needing any of its keys, and counts one NACK per
+// receiver still outstanding from the second round on.
+func deliverReplicated(items []keytree.Item, net *netsim.Network, cfg Config, order PackOrder, m *Metrics, weight func(rs *receiverState, i int) int) (Result, error) {
+	rs := newReceiverState(items, net)
+	var res Result
+	defer func() { m.observeResult(res) }()
+	for round := 0; round < cfg.MaxRounds && !rs.satisfied(); round++ {
+		pending := rs.pendingItems()
+		weights := make(map[int]int, len(pending))
+		for _, i := range pending {
+			weights[i] = weight(rs, i)
 		}
-		packets = append(packets, packet{items: append([]int(nil), ordered[start:end]...)})
+		packets := packReplicated(orderItems(items, pending, order), weights, cfg.KeysPerPacket)
+		if round > 0 {
+			res.NACKs += len(rs.need)
+		}
+		res.Rounds++
+		res.PacketsSent += len(packets)
+		sent := 0
+		for _, p := range packets {
+			sent += len(p.items)
+			for r := range net.Multicast(p.interestedUnion(rs)) {
+				for _, i := range p.items {
+					rs.got(r, i)
+				}
+			}
+		}
+		res.KeysSent += sent
+		res.KeysPerRound = append(res.KeysPerRound, sent)
 	}
-	return packets
-}
-
-// keyCount sums the keys carried by the packets.
-func keyCount(packets []packet) int {
-	n := 0
-	for _, p := range packets {
-		n += len(p.items)
+	if !rs.satisfied() {
+		return res, rs.undelivered(cfg.MaxRounds)
 	}
-	return n
+	res.Delivered = true
+	return res, nil
 }

@@ -12,9 +12,10 @@
 //     et al.): replication per key proportional to its expected number of
 //     transmissions given its receiver set's loss rates; retransmission
 //     rounds repack only still-needed keys.
-//   - ProactiveFEC — keys are packed into packets, packets grouped into
-//     Reed-Solomon blocks, and parity is sent proactively (Yang et al.);
-//     NACK rounds send additional parity sized by the worst deficit.
+//   - ProactiveFEC — keys are packed into Reed-Solomon blocks sent with
+//     parity sized from the losses of each block's readers (Yang et al.);
+//     a NACKed block gets deficit+1 of its shards from a rotating cursor.
+//     It runs the proactive-FEC core the key server's UDP plane runs.
 //
 // All protocols run against internal/netsim and report the paper's cost
 // metric: the total number of encrypted-key slots transmitted until every
@@ -24,7 +25,7 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"groupkey/internal/keytree"
 	"groupkey/internal/netsim"
@@ -70,7 +71,8 @@ type Config struct {
 	// rate. In the real protocol members piggyback their observed loss on
 	// NACKs (Section 4.2); when LossEstimate is nil the protocols query
 	// the simulated network's true per-receiver rates instead — the
-	// converged state of that feedback loop.
+	// converged state of that feedback loop. ProactiveFEC ignores it and
+	// runs the loop itself.
 	LossEstimate func(keytree.MemberID) float64
 	// DefaultLoss is used when no estimate is available for a receiver.
 	DefaultLoss float64
@@ -158,12 +160,10 @@ func newReceiverState(items []keytree.Item, net *netsim.Network) *receiverState 
 			if !net.HasReceiver(r) {
 				continue
 			}
-			set, ok := rs.need[r]
-			if !ok {
-				set = make(map[int]bool)
-				rs.need[r] = set
+			if rs.need[r] == nil {
+				rs.need[r] = make(map[int]bool)
 			}
-			set[i] = true
+			rs.need[r][i] = true
 		}
 	}
 	return rs
@@ -183,36 +183,25 @@ func (rs *receiverState) undelivered(rounds int) *UndeliveredError {
 
 // got records that receiver r received item i.
 func (rs *receiverState) got(r keytree.MemberID, i int) {
-	set, ok := rs.need[r]
-	if !ok {
-		return
+	if set := rs.need[r]; set != nil {
+		delete(set, i)
+		if len(set) == 0 {
+			delete(rs.need, r)
+		}
 	}
-	delete(set, i)
-	if len(set) == 0 {
-		delete(rs.need, r)
-	}
-}
-
-// needs reports whether r still needs item i.
-func (rs *receiverState) needs(r keytree.MemberID, i int) bool {
-	return rs.need[r][i]
 }
 
 // pendingItems returns the set of item indexes still needed by anyone,
 // ascending.
 func (rs *receiverState) pendingItems() []int {
-	set := make(map[int]bool)
+	var out []int
 	for _, items := range rs.need {
 		for i := range items {
-			set[i] = true
+			out = append(out, i)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // interestedIn returns the receivers still needing item i, ascending.
@@ -223,7 +212,7 @@ func (rs *receiverState) interestedIn(i int) []keytree.MemberID {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -233,6 +222,6 @@ func (rs *receiverState) receivers() []keytree.MemberID {
 	for r := range rs.need {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }

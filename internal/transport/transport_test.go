@@ -240,13 +240,8 @@ func TestProactiveFECValidation(t *testing.T) {
 	items, members := buildPayload(t, 11, 4, 16, []keytree.MemberID{3})
 	net := lossNetwork(t, 11, members, 0)
 	p := NewProactiveFEC(DefaultConfig())
-	p.Rho = 0.5
+	p.BlockSize = 0
 	if _, err := p.Deliver(items, net); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("rho<1: err=%v, want ErrBadConfig", err)
-	}
-	p2 := NewProactiveFEC(DefaultConfig())
-	p2.BlockSize = 0
-	if _, err := p2.Deliver(items, net); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("blockSize=0: err=%v, want ErrBadConfig", err)
 	}
 }

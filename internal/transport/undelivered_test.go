@@ -83,29 +83,3 @@ func TestProactiveParitySizing(t *testing.T) {
 		t.Fatalf("k=0 parity = %d, want min", got)
 	}
 }
-
-func TestPackIndexesCanonical(t *testing.T) {
-	items, _ := buildPayload(t, 4, 3, 27, []keytree.MemberID{2})
-	groups := PackIndexes(items, DepthFirst, 5)
-	seen := make(map[int]bool)
-	for gi, g := range groups {
-		if len(g) > 5 {
-			t.Fatalf("group %d has %d items", gi, len(g))
-		}
-		if gi < len(groups)-1 && len(g) != 5 {
-			t.Fatalf("non-final group %d has %d items, want full", gi, len(g))
-		}
-		for _, i := range g {
-			if seen[i] {
-				t.Fatalf("item %d packed twice", i)
-			}
-			seen[i] = true
-		}
-	}
-	if len(seen) != len(items) {
-		t.Fatalf("packed %d of %d items", len(seen), len(items))
-	}
-	if PackIndexes(nil, BreadthFirst, 5) != nil || PackIndexes(items, BreadthFirst, 0) != nil {
-		t.Fatal("degenerate packings should be nil")
-	}
-}

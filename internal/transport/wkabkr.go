@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"math"
 
 	"groupkey/internal/keytree"
@@ -43,66 +44,16 @@ func (w *WKABKR) Deliver(items []keytree.Item, net *netsim.Network) (Result, err
 	if err := w.Config.Validate(); err != nil {
 		return Result{}, err
 	}
-	maxWeight := w.MaxWeight
-	if maxWeight < 1 {
-		maxWeight = 8
-	}
-	order := w.Order
-	if order == 0 {
-		order = BreadthFirst
-	}
-
-	rs := newReceiverState(items, net)
-	var res Result
-	defer func() { w.Metrics.observeResult(res) }()
-	for round := 0; round < w.Config.MaxRounds; round++ {
-		if rs.satisfied() {
-			res.Delivered = true
-			return res, nil
-		}
-		pending := rs.pendingItems()
-		weights := make(map[int]int, len(pending))
-		for _, i := range pending {
-			em := w.expectedTransmissions(rs.interestedIn(i), net)
-			// Round to the nearest whole replication count: ceiling would
-			// force two copies of every key the moment loss is nonzero,
-			// over-replicating the many near-leaf keys with E[M] ≈ 1.
-			wgt := int(math.Floor(em + 0.5))
-			if wgt < 1 {
-				wgt = 1
-			}
-			if wgt > maxWeight {
-				wgt = maxWeight
-			}
-			weights[i] = wgt
-			w.Metrics.observeWeight(wgt)
-		}
-		ordered := orderItems(items, pending, order)
-		packets := packReplicated(ordered, weights, w.Config.KeysPerPacket)
-
-		if round > 0 {
-			res.NACKs += len(rs.receivers()) // BKR: each outstanding receiver NACKed once
-		}
-		res.Rounds++
-		res.PacketsSent += len(packets)
-		sent := keyCount(packets)
-		res.KeysSent += sent
-		res.KeysPerRound = append(res.KeysPerRound, sent)
-
-		for _, p := range packets {
-			got := net.Multicast(p.interestedUnion(rs))
-			for r := range got {
-				for _, i := range p.items {
-					rs.got(r, i)
-				}
-			}
-		}
-	}
-	if rs.satisfied() {
-		res.Delivered = true
-		return res, nil
-	}
-	return res, rs.undelivered(w.Config.MaxRounds)
+	maxWeight := cmp.Or(max(w.MaxWeight, 0), 8)
+	return deliverReplicated(items, net, w.Config, w.Order, w.Metrics, func(rs *receiverState, i int) int {
+		em := w.expectedTransmissions(rs.interestedIn(i), net)
+		// Round to the nearest whole replication count: ceiling would
+		// force two copies of every key the moment loss is nonzero,
+		// over-replicating the many near-leaf keys with E[M] ≈ 1.
+		wgt := min(max(int(math.Floor(em+0.5)), 1), maxWeight)
+		w.Metrics.observeWeight(wgt)
+		return wgt
+	})
 }
 
 // expectedTransmissions evaluates E[M] for a key needed by the given

@@ -11,7 +11,9 @@ import (
 )
 
 // Datagram rekey plane: keys travel server→client as UDP packets — source
-// shards carrying (leafIdx, item) entries and Reed-Solomon parity shards.
+// shards carrying (position, item) entries and Reed-Solomon parity shards;
+// a position is the item's place in the epoch's datagram packing, the
+// items the plane's subscribers read, ascending.
 // One Ed25519 signature covers a whole epoch of them (Wong and Lam's tree
 // chaining): the server hashes every packet body of the epoch into an
 // ItemTree, signs the root once, and each packet carries its
@@ -39,7 +41,7 @@ import (
 // leaf level up (the single-index multiproof). The signature covers
 // dgramDomain ‖ group ‖ epoch ‖ leaves ‖ root, and every packet body names
 // its group and epoch, so nothing can be spliced between epochs, blocks or
-// groups. A source shard's canonical bytes are count(2) ‖ count×(leafIdx(4)
+// groups. A source shard's canonical bytes are count(2) ‖ count×(position(4)
 // ‖ item(RekeyItemSize)), zero-padded to the epoch's shard size for RS
 // encoding; the wire packet carries them unpadded (the digest's ShardSize
 // restores padding before reconstruction).
@@ -71,7 +73,7 @@ const (
 type DgramType uint8
 
 const (
-	// DgramKeys is a source shard: (leafIdx, item) entries of one FEC block.
+	// DgramKeys is a source shard: (position, item) entries of one FEC block.
 	DgramKeys DgramType = iota + 1
 	// DgramParity is one Reed-Solomon parity shard of a block.
 	DgramParity
@@ -319,14 +321,14 @@ func VerifyDgram(pub ed25519.PublicKey, b []byte) bool {
 	return NewDgramVerifier(pub).Verify(b)
 }
 
-// AppendShardEntry appends one (leafIdx, item) entry to a shard being
+// AppendShardEntry appends one (position, item) entry to a shard being
 // assembled. The caller owns the 2-byte entry-count prefix.
-func AppendShardEntry(buf []byte, leafIdx uint32, item []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, leafIdx)
+func AppendShardEntry(buf []byte, pos uint32, item []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, pos)
 	return append(buf, item...)
 }
 
-// shardEntrySize is leafIdx(4) + item encoding.
+// shardEntrySize is position(4) + item encoding.
 const shardEntrySize = 4 + RekeyItemSize
 
 // ShardSize is the canonical (padded) source shard size for kpd entries.
@@ -337,8 +339,8 @@ func ShardSize(kpd int) int { return 2 + kpd*shardEntrySize }
 func ShardKeys(shardSize int) int { return (shardSize - 2) / shardEntrySize }
 
 // ParseShardEntries splits a source shard's canonical bytes (count ‖
-// entries, with optional zero padding after a reconstruction) into leaf
-// indexes and item encodings.
+// entries, with optional zero padding after a reconstruction) into
+// positions and item encodings.
 func ParseShardEntries(shard []byte) (idx []uint32, items [][]byte, err error) {
 	if len(shard) < 2 {
 		return nil, nil, fmt.Errorf("%w: shard %d bytes", ErrMalformed, len(shard))

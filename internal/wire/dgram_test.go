@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -481,17 +482,24 @@ func FuzzDecodeDgram(f *testing.F) {
 	})
 }
 
-// neededBlocksOracle scans every block's item range for any index of idx.
-func neededBlocksOracle(idx []uint32, kpd int, blocks []DigestBlock) []DigestBlock {
-	var need []DigestBlock
+// neededBlocksOracle scans every block's item range for the indexes of
+// idx it carries and the source shards they sit in.
+func neededBlocksOracle(idx []uint32, kpd int, blocks []DigestBlock) []NeededBlock {
+	var need []NeededBlock
 	lo := 0
 	for _, blk := range blocks {
 		hi := lo + int(blk.K)*kpd
+		nb := NeededBlock{DigestBlock: blk}
 		for _, v := range idx {
 			if int(v) >= lo && int(v) < hi {
-				need = append(need, blk)
-				break
+				nb.Indexes = append(nb.Indexes, v)
+				if s := uint8((int(v) - lo) / kpd); !slices.Contains(nb.Sources, s) {
+					nb.Sources = append(nb.Sources, s)
+				}
 			}
+		}
+		if nb.Indexes != nil {
+			need = append(need, nb)
 		}
 		lo = hi
 	}

@@ -396,21 +396,38 @@ type DigestBlock struct {
 	Shards uint8
 }
 
+// NeededBlock is one block a receiver reads: the indexes it carries and
+// the source shards, numbered within the block, that carry them.
+type NeededBlock struct {
+	DigestBlock
+	Indexes []uint32 // a subslice of the receiver's indexes
+	Sources []uint8  // ascending
+}
+
 // NeededBlocks returns the blocks, in order, that carry any of the
 // ascending item indexes idx when each source shard carries kpd items:
 // data shard j (global, sequential across blocks) holds items
 // [j·kpd, (j+1)·kpd). Indexes past the last block are ignored.
-func NeededBlocks(idx []uint32, kpd int, blocks []DigestBlock) []DigestBlock {
-	var need []DigestBlock
-	i, hi := 0, 0
+func NeededBlocks(idx []uint32, kpd int, blocks []DigestBlock) []NeededBlock {
+	if kpd < 1 {
+		return nil // a shard carries no items
+	}
+	var need []NeededBlock
+	i, first := 0, 0 // first: the block's first global source shard
 	for _, blk := range blocks {
-		hi += int(blk.K) * kpd
-		for i < len(idx) && int(idx[i]) < hi {
-			i++
+		nb := NeededBlock{DigestBlock: blk}
+		lo := i
+		for ; i < len(idx) && int(idx[i])/kpd < first+int(blk.K); i++ {
+			s := uint8(int(idx[i])/kpd - first)
+			if n := len(nb.Sources); n == 0 || nb.Sources[n-1] != s {
+				nb.Sources = append(nb.Sources, s)
+			}
 		}
-		if i > 0 && int(idx[i-1]) >= hi-int(blk.K)*kpd {
-			need = append(need, blk)
+		if i > lo {
+			nb.Indexes = idx[lo:i:i]
+			need = append(need, nb)
 		}
+		first += int(blk.K)
 	}
 	return need
 }
@@ -424,9 +441,9 @@ type RekeyDigest struct {
 	Epoch     uint64
 	NLeaves   uint32
 	Root      [HashSize]byte
-	Sig       []byte // over SparseSigningMessage
-	ShardSize uint16 // canonical padded shard bytes, for RS reconstruction
-	Indexes   []uint32
+	Sig       []byte   // over SparseSigningMessage
+	ShardSize uint16   // canonical padded shard bytes, for RS reconstruction
+	Indexes   []uint32 // the member's positions in the datagram packing
 	Blocks    []DigestBlock
 }
 
